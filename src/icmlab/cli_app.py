@@ -649,8 +649,15 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
+    saved = ideal_engine.get_default_step_limit()
     _apply_step_limit(args.step_limit)
+    try:
+        return _run(args)
+    finally:
+        ideal_engine.set_default_step_limit(saved)
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
         try:
             report = theorem_lab.run_suite(

@@ -9,17 +9,18 @@ reduced monic basis, which is unique for a given ideal and term order, so
 everything downstream is deterministic.
 
 Completion is budgeted: the number of S-polynomial reductions is capped by
-``DEFAULT_STEP_LIMIT`` (overridable per call or via
-``set_default_step_limit``) and the engine fails loudly when the cap is hit
-rather than spinning.
+``DEFAULT_STEP_LIMIT`` (set via ``set_default_step_limit``; ``buchberger``
+also takes an explicit ``step_limit``) and the engine fails loudly when the
+cap is hit rather than spinning.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    EngineError,
     IncompatibleRingError,
     StepLimitExceededError,
     ZeroElementError,
@@ -299,10 +300,10 @@ class Ideal:
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
-    def groebner_basis(self, step_limit: Optional[int] = None) -> ReducedGB:
+    def groebner_basis(self) -> ReducedGB:
         gb = self._gb
         if gb is None:
-            gb = buchberger(self.generators, ring=self.ring, step_limit=step_limit)
+            gb = buchberger(self.generators, ring=self.ring)
             self._gb = gb
         return gb
 
@@ -367,20 +368,14 @@ def _fresh_name(existing: Sequence[str], base: str) -> str:
     return "%s%d" % (base, k)
 
 
-def ideal_intersect(a: Ideal, b: Ideal, step_limit: Optional[int] = None) -> Ideal:
-    """Intersection via a tag variable: (t*J1 + (1-t)*J2) with t eliminated."""
-    _same_ring(a, b)
-    ring = a.ring
-    if a.is_zero_ideal or b.is_zero_ideal:
-        return Ideal(ring, ())
+def _eliminate_tag(ring: RingDescriptor, build: Callable[..., List[Polynomial]]) -> Ideal:
+    """K intersect k[ring] for K = <build(t, lift)> in k[t, ring], with t a fresh
+    variable and ``lift`` the inclusion of ``ring``: one Groebner basis under
+    an order eliminating t, whose t-free elements generate the answer."""
     t = _fresh_name(ring.variables, "t")
     aug = RingDescriptor(ring.field, (t,) + ring.variables, TermOrder(ELIMINATION, 1))
     lift = list(range(1, ring.nvars + 1))
-    tv = aug.variable(0)
-    one = aug.one()
-    gens = [tv * remap_variables(g, aug, lift) for g in a.generators]
-    gens += [(one - tv) * remap_variables(g, aug, lift) for g in b.generators]
-    G = buchberger(gens, ring=aug, step_limit=step_limit)
+    G = buchberger(build(aug.variable(0), lambda g: remap_variables(g, aug, lift)), ring=aug)
     drop = [None] + list(range(ring.nvars))
     out = []
     for p in G.basis:
@@ -389,7 +384,19 @@ def ideal_intersect(a: Ideal, b: Ideal, step_limit: Optional[int] = None) -> Ide
     return Ideal(ring, out)
 
 
-def ideal_quotient(J: Ideal, f: Polynomial, step_limit: Optional[int] = None) -> Ideal:
+def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
+    """Intersection via a tag variable: (t*J1 + (1-t)*J2) with t eliminated."""
+    _same_ring(a, b)
+    if a.is_zero_ideal or b.is_zero_ideal:
+        return Ideal(a.ring, ())
+    return _eliminate_tag(
+        a.ring,
+        lambda t, lift: [t * lift(g) for g in a.generators]
+        + [(1 - t) * lift(g) for g in b.generators],
+    )
+
+
+def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
     """The colon ideal (J : f), computed as (1/f) * (J intersect <f>)."""
     if f.ring != J.ring:
         raise IncompatibleRingError("polynomial outside the ideal's ring")
@@ -397,58 +404,62 @@ def ideal_quotient(J: Ideal, f: Polynomial, step_limit: Optional[int] = None) ->
         raise ZeroElementError("colon by the zero polynomial is undefined")
     if J.is_zero_ideal:
         return Ideal(J.ring, ())
-    K = ideal_intersect(J, Ideal(J.ring, (f,)), step_limit=step_limit)
+    K = ideal_intersect(J, Ideal(J.ring, (f,)))
     gens = []
     for g in K.generators:
         quots, r = divide(g, [f])
-        assert r.is_zero, "element of J intersect <f> must be divisible by f"
+        if not r.is_zero:
+            raise EngineError(
+                "colon (J : %s): %s in J intersect <f> is not a multiple of f" % (f, g)
+            )
         gens.append(quots[0])
     return Ideal(J.ring, gens)
 
 
-def ideal_quotient_ideal(J: Ideal, I: Ideal, step_limit: Optional[int] = None) -> Ideal:
+def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     """The colon ideal (J : I) = intersection over generators g of (J : g)."""
     _same_ring(J, I)
     if not I.generators:
         raise ZeroElementError("colon by the zero ideal is undefined")
-    parts = [ideal_quotient(J, g, step_limit=step_limit) for g in I.generators]
+    parts = [ideal_quotient(J, g) for g in I.generators]
     out = parts[0]
     for part in parts[1:]:
-        out = ideal_intersect(out, part, step_limit=step_limit)
+        out = ideal_intersect(out, part)
     return out
 
 
-def saturate(J: Ideal, I: Ideal, step_limit: Optional[int] = None) -> SaturationResult:
+def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     """Saturation (J : I^infinity) plus the least stabilizing exponent.
 
-    Each generator is saturated by iterated colon until its chain stops, the
-    partial results are intersected, and the exponent is then read off the
-    chain K -> (K : I) starting at J.
+    (J : I^infinity) is the intersection over generators g of I of
+    (J : g^infinity) = (J + <1 - t*g>) intersect k[x] (Rabinowitsch).  The
+    exponent is the least k with I^k * sat inside J, i.e. (J : I^k) = sat:
+    normal forms modulo J of sat's generators are multiplied by each g and
+    reduced again until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.
     """
     _same_ring(J, I)
     if not I.generators:
         raise ZeroElementError("saturation by the zero ideal is undefined")
-    parts = []
-    for g in I.generators:
-        K = J
-        while True:
-            K2 = ideal_quotient(K, g, step_limit=step_limit)
-            if ideal_equal(K2, K):
-                break
-            K = K2
-        parts.append(K)
+    parts = [
+        _eliminate_tag(
+            J.ring,
+            lambda t, lift, g=g: [lift(h) for h in J.generators] + [1 - t * lift(g)],
+        )
+        for g in I.generators
+    ]
     sat = parts[0]
     for part in parts[1:]:
-        sat = ideal_intersect(sat, part, step_limit=step_limit)
+        sat = ideal_intersect(sat, part)
+    gb = J.groebner_basis()
+    rest = {normal_form(s, gb) for s in sat.generators}
     exponent = 0
-    K = J
-    while not ideal_equal(K, sat):
-        K = ideal_quotient_ideal(K, I, step_limit=step_limit)
+    while any(rest):
+        rest = {normal_form(g * h, gb) for g in I.generators for h in rest if h}
         exponent += 1
     return SaturationResult(sat, exponent)
 
 
-def eliminate(J: Ideal, keep: Iterable[str], step_limit: Optional[int] = None) -> Ideal:
+def eliminate(J: Ideal, keep: Iterable[str]) -> Ideal:
     """The elimination ideal J intersect k[keep], as an ideal of k[keep].
 
     Keeping every variable returns J itself.  Internally the dropped
@@ -474,7 +485,7 @@ def eliminate(J: Ideal, keep: Iterable[str], step_limit: Optional[int] = None) -
     hpos = {name: i for i, name in enumerate(helper.variables)}
     lift = [hpos[name] for name in ring.variables]
     H = [remap_variables(g, helper, lift) for g in J.generators]
-    G = buchberger(H, ring=helper, step_limit=step_limit)
+    G = buchberger(H, ring=helper)
     torder = ring.order if ring.order.kind in (LEX, GREVLEX) else TermOrder(GREVLEX)
     target = RingDescriptor(ring.field, tuple(kept), torder)
     nd = len(dropped)

@@ -469,19 +469,3 @@ def local_dimension(M: CyclicModule, p: MonomialPrime) -> int:
     if not inside:
         raise EmptySupportError("the prime does not contain any minimal prime of J")
     return max(len(p.indices) - len(q.indices) for q in inside)
-
-
-def local_depth_under_pcm(
-    M: CyclicModule, p: MonomialPrime, budget: int = 200, seed: int = 0
-) -> int:
-    """Depth of the localization M_p, computed as grade(p, M).
-
-    Valid when M is p-Cohen-Macaulay (grade(p, M) + dim R/p = dim M); the
-    caller is expected to have checked that hypothesis, as the relation
-    checks in the checker module do.
-    """
-    if p.ring != M.ring:
-        raise IncompatibleRingError("prime lives in a different ring")
-    if not p.indices:
-        raise ZeroElementError("local depth at the zero prime is not supported")
-    return grade(M, p.as_ideal(), budget=budget, seed=seed).value

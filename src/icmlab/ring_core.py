@@ -202,10 +202,6 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def monomial_degree(a: Monomial) -> int:
     return sum(a)
 

@@ -237,6 +237,19 @@ def colon_ideal_monomial(gens: Sequence[Mono], others: Sequence[Mono]) -> List[M
     return acc
 
 
+def saturate_monomial(gens: Sequence[Mono], others: Sequence[Mono]) -> Tuple[List[Mono], int]:
+    """(J : I^infinity) for monomial J and I by iterating the colon until the
+    chain stops; returns the stable ideal and the number of strict steps."""
+    current = minimalize(gens)
+    steps = 0
+    while True:
+        nxt = colon_ideal_monomial(current, others)
+        if equal_monomial_ideals(nxt, current):
+            return current, steps
+        current = nxt
+        steps += 1
+
+
 def intersect_monomial(a: Sequence[Mono], b: Sequence[Mono]) -> List[Mono]:
     """J1 cap J2 for monomial ideals is generated by pairwise lcms."""
     return minimalize([_mono_lcm(m, h) for m in a for h in b])

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from icmlab import ideal_engine, theorem_lab
+from icmlab import theorem_lab
 from icmlab.cli_app import (
     ArityError,
     IdealStmt,
@@ -31,13 +31,6 @@ GOLDEN = (
     "ideal J = intersect(I,Jy);\n"
     "icm J I;\n"
 )
-
-
-@pytest.fixture(autouse=True)
-def restore_step_limit():
-    saved = ideal_engine.get_default_step_limit()
-    yield
-    ideal_engine.set_default_step_limit(saved)
 
 
 class TestLexer:
@@ -398,6 +391,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 1
         assert "error in query 'gb J'" in err
+
+    def test_step_limit_does_not_outlive_the_call(self, tmp_path, capsys):
+        script = tmp_path / "heavy.icm"
+        script.write_text(self.STEP_LIMIT_SCRIPT)
+        assert main(["run", str(script), "--step-limit", "1"]) == 1
+        assert main(["run", str(script)]) == 0
+        capsys.readouterr()
 
     def test_step_limit_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ICM_STEP_LIMIT", "1")

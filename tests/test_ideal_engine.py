@@ -297,6 +297,31 @@ class TestIdealCalculus:
             rule = oracles.colon_ideal_monomial(gens, others)
             assert ideal_equal(got, Ideal(R, [R.monomial(m) for m in rule]))
 
+    def test_saturation_matches_monomial_chain(self):
+        rng = random.Random(61)
+        deep = 0
+        for _ in range(40):
+            n = rng.randint(3, 4)
+            R = ring_qq(*("x%d" % i for i in range(n)))
+            gens = [
+                tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 4))
+            ]
+            gens = [m for m in gens if sum(m)] or [(2,) + (1,) * (n - 1)]
+            others = [
+                tuple(rng.randint(0, 2) for _ in range(n))
+                for _ in range(rng.randint(1, 3))
+            ]
+            others = [m for m in others if sum(m)] or [(0,) * (n - 1) + (1,)]
+            J = Ideal(R, [R.monomial(m) for m in gens])
+            I = Ideal(R, [R.monomial(m) for m in others])
+            res = saturate(J, I)
+            rule, steps = oracles.saturate_monomial(gens, others)
+            assert ideal_equal(res.ideal, Ideal(R, [R.monomial(m) for m in rule]))
+            assert res.exponent == steps
+            deep += steps >= 2
+        assert deep >= 5
+
     def test_colon_with_inhomogeneous_element(self):
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)
@@ -339,9 +364,12 @@ class TestIdealCalculus:
             res = saturate(J, I)
             # chain stabilizes: (sat : I) = sat
             assert ideal_equal(ideal_quotient_ideal(res.ideal, I), res.ideal)
-            # claimed exponent is attained by the colon chain from J
+            # claimed exponent is attained by the colon chain from J, and no
+            # earlier: one step short of it the chain has not reached sat
             K = J
-            for _ in range(res.exponent):
+            for step in range(res.exponent):
+                if step == res.exponent - 1:
+                    assert not ideal_equal(K, res.ideal)
                 K = ideal_quotient_ideal(K, I)
             assert ideal_equal(K, res.ideal)
 
