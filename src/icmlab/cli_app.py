@@ -579,11 +579,11 @@ def execute(
             if isinstance(stmt, RingStmt):
                 ring = stmt.ring
                 session.ideals = {}
+            elif ring is None:
+                raise EngineError("no ring declared yet")
             elif isinstance(stmt, IdealStmt):
-                assert ring is not None  # the parser guarantees an active ring
                 session.declare_ideal(stmt, ring)
             else:
-                assert ring is not None
                 session.run_query(stmt, ring)
         except EngineError as exc:
             label = (
@@ -605,13 +605,10 @@ def execute(
 # entry point
 
 
-def _apply_step_limit(flag_value: Optional[int]) -> None:
-    if flag_value is not None:
-        ideal_engine.set_default_step_limit(flag_value)
-        return
-    env = os.environ.get("ICM_STEP_LIMIT")
-    if env:
-        ideal_engine.set_default_step_limit(int(env))
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return int(text)
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -631,8 +628,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--step-limit",
-            type=int,
-            default=None,
+            type=_positive_int,
+            default=os.environ.get("ICM_STEP_LIMIT") or None,
             help="max S-pair reduction steps per basis computation "
             "(env ICM_STEP_LIMIT; the flag wins)",
         )
@@ -650,7 +647,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
     saved = ideal_engine.get_default_step_limit()
-    _apply_step_limit(args.step_limit)
+    ideal_engine.set_default_step_limit(args.step_limit or saved)
     try:
         return _run(args)
     finally:

@@ -21,15 +21,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import invariants
-from .errors import (
-    EngineError,
-    InhomogeneousIdealError,
-)
+from .errors import InhomogeneousIdealError
 from .ideal_engine import (
     Ideal,
-    ideal_equal,
     ideal_intersect,
-    ideal_quotient,
     ideal_quotient_ideal,
     ideal_sum,
     extend_ring,
@@ -187,17 +182,11 @@ def quotient_transport(
     the grade drops by exactly the length, dim M drops by exactly the length,
     and dim M/IM does not move.
 
-    The sequence is replayed (membership in I plus colon-stability) before
+    The sequence is replayed (membership in I plus regularity) before
     anything else; handing in a non-regular sequence is a caller error.
     """
     ring = M.ring
-    current = M.defining_ideal
-    for k, x in enumerate(sequence):
-        if not membership(x, I):
-            raise EngineError("sequence element %d is not in the test ideal" % (k + 1,))
-        if not ideal_equal(ideal_quotient(current, x), current):
-            raise EngineError("sequence element %d is not regular" % (k + 1,))
-        current = ideal_sum(current, Ideal(ring, (x,)))
+    current = invariants.replay_regular_sequence(M.defining_ideal, I, sequence)
     r = len(sequence)
     base = icm_report(M, I, budget=budget, seed=seed)
     quot = icm_report(CyclicModule(ring, current), I, budget=budget, seed=seed)
@@ -345,7 +334,7 @@ def annihilator_transport(
                 "witness element %d absorbed by the annihilator; replay stops" % (k + 1,)
             )
             break
-        if not ideal_equal(ideal_quotient(replay, x), replay):
+        if not invariants.is_regular(replay, x):
             holds = False
             log.append(
                 "witness element %d fails to stay regular on the transported module"

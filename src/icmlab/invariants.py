@@ -6,11 +6,13 @@ smallest set of variables meeting the support of every minimal generator.
 Minimal primes, associated primes (via irreducible decomposition), regular
 elements, and the certified grade computation all build on this picture.
 
-Grade is computed by actually finding a maximal regular sequence.  Existence
-of a regular element inside I is decided exactly, through the saturation
-criterion (J : I^infinity) = J, so the search never runs blind: when the
-certificate says no element exists, the current sequence length is the
-grade and the certificate ships with the answer.
+Regularity is decided by saturation, in one place: x is regular on R/J
+exactly when (J : x^infinity) = J, and I holds a regular element exactly
+when (J : I^infinity) = J.  Grade is computed by actually finding a maximal
+regular sequence.  The existence test runs first, so the search never runs
+blind: when the certificate says no element exists, the current sequence
+length is the grade and the certificate ships with the answer.
+``verify_grade_witness`` replays each element with the same test.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from .ideal_engine import (
     Ideal,
     SaturationResult,
     ideal_equal,
-    ideal_quotient,
     ideal_sum,
     membership,
     saturate,
@@ -329,8 +330,25 @@ def has_regular_element(M: CyclicModule, I: Ideal) -> bool:
     return saturate(J, I).exponent == 0
 
 
-def _is_regular(J: Ideal, x: Polynomial) -> bool:
-    return ideal_equal(ideal_quotient(J, x), J)
+def is_regular(J: Ideal, x: Polynomial) -> bool:
+    """True when x is regular on R/J.  Since J <= (J : x) <= (J : x^infinity),
+    (J : x) = J holds exactly when the saturation by x adds nothing."""
+    return saturate(J, Ideal(J.ring, (x,))).exponent == 0
+
+
+def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) -> Ideal:
+    """Check that ``sequence`` is an R/J-regular sequence inside I: each
+    element lies in I and is regular on the quotient by J and the elements
+    before it.  Returns J + <sequence>; raises EngineError naming the first
+    element that fails."""
+    current = J
+    for k, x in enumerate(sequence, 1):
+        if not membership(x, I):
+            raise EngineError("sequence element %d is not in the test ideal" % k)
+        if not is_regular(current, x):
+            raise EngineError("sequence element %d is not regular" % k)
+        current = ideal_sum(current, Ideal(J.ring, (x,)))
+    return current
 
 
 def find_regular_element(
@@ -361,7 +379,7 @@ def find_regular_element(
             break
         tried += 1
         seen.add(g)
-        if _is_regular(J, g):
+        if is_regular(J, g):
             return g
     homogeneous = all(p.is_homogeneous() for p in basis)
     degrees = sorted({p.total_degree() for p in basis})
@@ -392,7 +410,7 @@ def find_regular_element(
             continue
         seen.add(x)
         tried += 1
-        if _is_regular(J, x):
+        if is_regular(J, x):
             return x
     raise SearchExhaustedError(
         "no regular element found within budget %d; raise the budget, and over "
@@ -430,15 +448,11 @@ def verify_grade_witness(M: CyclicModule, I: Ideal, witness: GradeWitness) -> Li
     """Replay a witness: each element lies in I and is regular on the
     successive quotient, and the certificate blocks any extension.  Returns
     a step-by-step log; raises EngineError on the first discrepancy."""
-    log: List[str] = []
-    current = M.defining_ideal
-    for k, x in enumerate(witness.sequence):
-        if not membership(x, I):
-            raise EngineError("witness element %d is not in the test ideal" % (k + 1,))
-        if not _is_regular(current, x):
-            raise EngineError("witness element %d is not regular" % (k + 1,))
-        log.append("step %d: %s is in I and regular" % (k + 1, x))
-        current = ideal_sum(current, Ideal(M.ring, (x,)))
+    current = replay_regular_sequence(M.defining_ideal, I, witness.sequence)
+    log = [
+        "step %d: %s is in I and regular" % (k, x)
+        for k, x in enumerate(witness.sequence, 1)
+    ]
     if len(witness.sequence) != witness.value:
         raise EngineError("witness length disagrees with the reported grade")
     cert = witness.certificate

@@ -407,11 +407,17 @@ def _draw_ass_dimension(meta_seed: int) -> Instance:
     return M, I, prime, aux
 
 
-def _eval_ass_dimension(inst: Instance, budget: int) -> RelationReport:
+def _trial_prime(suite_id: str, inst: Instance) -> MonomialPrime:
     M, _, prime, aux = inst
-    if aux["force_pcm"]:
-        prime = _pcm_prime(M)
-    assert prime is not None
+    prime = _pcm_prime(M) if aux["force_pcm"] else prime
+    if prime is None:
+        raise EngineError("suite %s drew an instance with no prime" % suite_id)
+    return prime
+
+
+def _eval_ass_dimension(inst: Instance, budget: int) -> RelationReport:
+    M, _, _, aux = inst
+    prime = _trial_prime("ass-dimension", inst)
     return ass_dimension_check(M, prime, budget=budget, seed=aux["seed"])
 
 
@@ -424,10 +430,8 @@ def _draw_localization_cm(meta_seed: int) -> Instance:
 
 
 def _eval_localization_cm(inst: Instance, budget: int) -> RelationReport:
-    M, _, prime, aux = inst
-    if aux["force_pcm"]:
-        prime = _pcm_prime(M)
-    assert prime is not None
+    M, _, _, aux = inst
+    prime = _trial_prime("localization-cm", inst)
     return localization_cm_check(M, prime, budget=budget, seed=aux["seed"])
 
 
@@ -599,7 +603,6 @@ def run_suite(
         raise UnknownSuiteError(
             "unknown suite %r; valid ids: %s" % (suite_id, ", ".join(SUITE_IDS))
         )
-    passed = 0
     skipped = 0
     failures: List[Tuple[int, str]] = []
     start = time.perf_counter()
@@ -608,19 +611,15 @@ def run_suite(
         rep = run_trial(suite_id, meta_seed, budget)
         if rep.skipped:
             skipped += 1
-        elif rep.holds:
-            passed += 1
-        else:
+        elif not rep.holds:
             failures.append((meta_seed, _describe_failure(suite_id, meta_seed, budget, rep)))
     wall = time.perf_counter() - start
     failures.sort(key=lambda f: f[0])
-    report = SuiteReport(
+    return SuiteReport(
         suite_id=suite_id,
         trials=trials,
-        passed=passed,
+        passed=trials - skipped - len(failures),
         skipped_hypothesis=skipped,
         failures=tuple(text for _, text in failures),
         wall_time=wall,
     )
-    assert report.passed + report.skipped_hypothesis + len(report.failures) == trials
-    return report

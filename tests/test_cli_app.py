@@ -14,6 +14,7 @@ from icmlab.cli_app import (
     ParseSyntaxError,
     QueryStmt,
     RingStmt,
+    Script,
     UndeclaredNameError,
     execute,
     main,
@@ -279,6 +280,11 @@ class TestExecute:
     def test_empty_script(self):
         assert execute(parse("")) == ("", 0)
 
+    def test_statement_before_any_ring_is_an_engine_error(self):
+        text, code = execute(Script((QueryStmt("dim", ("J",)),)))
+        assert code == 1
+        assert text == "error in query 'dim J': no ring declared yet\n"
+
 
 class TestMain:
     def test_run_golden_file(self, tmp_path, capsys):
@@ -414,3 +420,28 @@ class TestMain:
         rc = main(["run", str(script), "--step-limit", "100000"])
         capsys.readouterr()
         assert rc == 0
+
+    def test_step_limit_flag_beats_bad_env_var(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ICM_STEP_LIMIT", "abc")
+        script = tmp_path / "heavy.icm"
+        script.write_text(self.STEP_LIMIT_SCRIPT)
+        assert main(["run", str(script), "--step-limit", "100000"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "env, flag",
+        [("abc", []), ("0", []), (None, ["--step-limit", "0"])],
+    )
+    def test_bad_step_limit_is_a_usage_error(self, tmp_path, capsys, monkeypatch, env, flag):
+        if env is None:
+            monkeypatch.delenv("ICM_STEP_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("ICM_STEP_LIMIT", env)
+        script = tmp_path / "heavy.icm"
+        script.write_text(self.STEP_LIMIT_SCRIPT)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(script)] + flag)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: icm-lab run")
+        assert "argument --step-limit: must be a positive integer" in err

@@ -10,7 +10,7 @@ from icmlab.errors import (
     NonMonomialError,
     ZeroElementError,
 )
-from icmlab.ideal_engine import Ideal, ideal_quotient, ideal_equal, membership
+from icmlab.ideal_engine import Ideal, ideal_quotient, ideal_equal, membership, saturate
 from icmlab.invariants import (
     CyclicModule,
     MonomialPrime,
@@ -20,13 +20,15 @@ from icmlab.invariants import (
     has_regular_element,
     height,
     independent_witness,
+    is_regular,
     krull_dimension,
     local_dimension,
     minimal_primes_monomial,
     minimal_transversals,
+    replay_regular_sequence,
     verify_grade_witness,
 )
-from icmlab.ring_core import FieldSpec, RingDescriptor
+from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder
 
 import oracles
 
@@ -246,6 +248,56 @@ class TestRegularElements:
         # x is a zero divisor on R/<xy>, x + y is regular
         assert not ideal_equal(ideal_quotient(J, x), J)
         assert ideal_equal(ideal_quotient(J, x + y), J)
+
+    def test_is_regular_matches_colon_definition(self):
+        rng = random.Random(113)
+
+        def poly(R):
+            acc = {}
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 2) for _ in range(R.nvars))
+                acc[m] = acc.get(m, 0) + rng.randint(-4, 4)
+            return R.polynomial(acc)
+
+        seen = {"regular": 0, "zero divisor": 0, "exponent >= 2": 0}
+        checked = 0
+        for p in (0, 2, 3, 32003):
+            for order in ("lex", "grevlex"):
+                R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder(order))
+                v = R.variable(rng.randrange(3))
+                pairs = []
+                for _ in range(8):
+                    J = Ideal(R, [poly(R) for _ in range(rng.randint(1, 3))])
+                    pairs.append((J, poly(R)))
+                J = Ideal(R, [poly(R) * v ** rng.randint(2, 3) for _ in range(2)])
+                pairs += [
+                    (Ideal(R, ()), poly(R)),  # J = 0
+                    (J, R.one() * rng.randint(1, 3)),  # nonzero constant
+                    (J, J.generators[0] * poly(R)),  # x in J
+                    (J, v),  # zero divisor, usually of exponent >= 2
+                ]
+                for J, x in pairs:
+                    if x.is_zero:
+                        continue
+                    expect = ideal_equal(ideal_quotient(J, x), J)
+                    assert is_regular(J, x) == expect, (J, x)
+                    checked += 1
+                    seen["regular" if expect else "zero divisor"] += 1
+                    if saturate(J, Ideal(R, (x,))).exponent >= 2:
+                        seen["exponent >= 2"] += 1
+        assert checked >= 60
+        assert all(n >= 8 for n in seen.values()), seen
+
+    def test_replay_rejects_repeats_and_strangers(self):
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        J = Ideal(R, [x * y])
+        I = Ideal(R, [x + y, z])
+        assert ideal_equal(replay_regular_sequence(J, I, (x + y, z)), Ideal(R, [x * y, x + y, z]))
+        with pytest.raises(EngineError, match="element 2 is not regular"):
+            replay_regular_sequence(J, I, (x + y, x + y))
+        with pytest.raises(EngineError, match="element 2 is not in the test ideal"):
+            replay_regular_sequence(J, I, (z, x - y))
 
     def test_has_regular_element_matches_search(self):
         rng = random.Random(89)
