@@ -29,10 +29,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import ideal_engine, invariants, theorem_lab
+from . import invariants, theorem_lab
 from .errors import EngineError
 from .icm_checker import icm_report
-from .ideal_engine import Ideal, ideal_intersect, ideal_quotient_ideal, saturate
+from .ideal_engine import (
+    Ideal,
+    engine_context,
+    ideal_intersect,
+    ideal_quotient_ideal,
+    saturate,
+)
 from .ring_core import FieldSpec, Polynomial, RingDescriptor, TermOrder
 
 ONE_ARG_QUERIES = ("gb", "dim", "height", "ass", "minprimes")
@@ -622,9 +628,11 @@ def _build_argparser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit stable JSON")
         p.add_argument("--seed", type=int, default=0, help="base random seed")
-        p.add_argument("--trials", type=int, default=100, help="trials per suite")
         p.add_argument(
-            "--budget", type=int, default=200, help="regular-element search budget"
+            "--trials", type=_positive_int, default=100, help="trials per suite"
+        )
+        p.add_argument(
+            "--budget", type=_positive_int, default=200, help="regular-element search budget"
         )
         p.add_argument(
             "--step-limit",
@@ -646,12 +654,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
-    saved = ideal_engine.get_default_step_limit()
-    ideal_engine.set_default_step_limit(args.step_limit or saved)
-    try:
+    with engine_context(args.step_limit):
         return _run(args)
-    finally:
-        ideal_engine.set_default_step_limit(saved)
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -8,16 +8,23 @@ and both companion pairs have already been settled.  Output is always the
 reduced monic basis, which is unique for a given ideal and term order, so
 everything downstream is deterministic.
 
-Completion is budgeted: the number of S-polynomial reductions is capped by
-``DEFAULT_STEP_LIMIT`` (set via ``set_default_step_limit``; ``buchberger``
-also takes an explicit ``step_limit``) and the engine fails loudly when the
-cap is hit rather than spinning.
+Completion is budgeted: the number of S-polynomial reductions is capped,
+and the engine fails loudly when the cap is hit rather than spinning.  The
+cap is ``buchberger``'s explicit ``step_limit`` when given, else the limit
+of the active engine context, else the constant ``STEP_LIMIT``.
+
+``engine_context`` opens an engine context for the current thread or task
+(a ``ContextVar``): it holds the step limit and a memo of reduced bases
+keyed by ring (order included) and the ordered generator list.  The memo
+lives as long as the context; outside any context nothing is memoized.
 """
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     EngineError,
@@ -42,19 +49,38 @@ from .ring_core import (
     remap_variables,
 )
 
-DEFAULT_STEP_LIMIT = 100_000
+STEP_LIMIT = 100_000  # the cap when neither step_limit= nor a context gives one
 
 
-def set_default_step_limit(n: int) -> None:
-    """Set the global S-pair reduction budget used when no explicit limit is given."""
-    global DEFAULT_STEP_LIMIT
-    if not isinstance(n, int) or n < 1:
+class _Engine(NamedTuple):
+    step_limit: int
+    memo: dict  # (ring, generator terms) -> (ReducedGB, S-pair reductions it took)
+
+
+_ENGINE: ContextVar[Optional[_Engine]] = ContextVar("icmlab_engine", default=None)
+
+
+@contextmanager
+def engine_context(step_limit: Optional[int] = None) -> Iterator[None]:
+    """Run the enclosed computations with ``step_limit`` (default
+    ``STEP_LIMIT``) as the S-pair reduction budget and a fresh memo of
+    reduced Groebner bases; both are dropped on exit.  A nested context
+    starts its own memo."""
+    limit = STEP_LIMIT if step_limit is None else step_limit
+    if not isinstance(limit, int) or limit < 1:
         raise ValueError("step limit must be a positive integer")
-    DEFAULT_STEP_LIMIT = n
+    token = _ENGINE.set(_Engine(limit, {}))
+    try:
+        yield
+    finally:
+        _ENGINE.reset(token)
 
 
-def get_default_step_limit() -> int:
-    return DEFAULT_STEP_LIMIT
+def _step_limit_error(limit: int) -> StepLimitExceededError:
+    return StepLimitExceededError(
+        "Buchberger completion exceeded %d S-pair reductions; raise the "
+        "step limit if the input really is this hard" % limit
+    )
 
 
 def _same_ring(a, b) -> None:
@@ -169,7 +195,13 @@ def buchberger(
 
     ``order`` overrides the ring's own term order (generators are re-sorted
     into a twin ring).  ``step_limit`` bounds the number of S-polynomial
-    reductions; exceeding it raises StepLimitExceededError.
+    reductions (default: the engine context's limit, else ``STEP_LIMIT``);
+    exceeding it raises StepLimitExceededError.
+
+    Inside an engine context the result is memoized by (ring, ordered
+    generator terms) together with the reductions it took, so a repeated
+    input returns the stored basis, or raises exactly when a fresh run
+    under the current limit would.
     """
     gens = list(generators)
     if ring is None:
@@ -182,7 +214,19 @@ def buchberger(
     if order is not None and order != ring.order:
         ring = replace(ring, order=order)
         gens = [ring.polynomial(dict(g.terms)) for g in gens]
-    limit = step_limit if step_limit is not None else DEFAULT_STEP_LIMIT
+    engine = _ENGINE.get()
+    if step_limit is not None:
+        limit = step_limit
+    else:
+        limit = engine.step_limit if engine is not None else STEP_LIMIT
+    memo_key = None
+    if engine is not None:
+        memo_key = (ring, tuple(g.terms for g in gens))
+        hit = engine.memo.get(memo_key)
+        if hit is not None:
+            if hit[1] > limit:
+                raise _step_limit_error(limit)
+            return hit[0]
 
     key = ring.key
     G: List[Polynomial] = []
@@ -230,10 +274,7 @@ def buchberger(
             continue
         steps += 1
         if steps > limit:
-            raise StepLimitExceededError(
-                "Buchberger completion exceeded %d S-pair reductions; raise the "
-                "step limit if the input really is this hard" % limit
-            )
+            raise _step_limit_error(limit)
         r = divide(s_polynomial(G[i], G[j]), G)[1]
         if r.terms:
             add_poly(r.monic())
@@ -253,7 +294,10 @@ def buchberger(
             minimal[idx] = divide(minimal[idx], others)[1].monic()
 
     basis = tuple(sorted(minimal, key=lambda q: key(q.leading_monomial())))
-    return ReducedGB(ring, basis)
+    gb = ReducedGB(ring, basis)
+    if memo_key is not None:
+        engine.memo[memo_key] = (gb, steps)
+    return gb
 
 
 def normal_form(f: Polynomial, basis: Union[ReducedGB, Sequence[Polynomial]]) -> Polynomial:
@@ -428,15 +472,11 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     return out
 
 
-def saturate(J: Ideal, I: Ideal) -> SaturationResult:
-    """Saturation (J : I^infinity) plus the least stabilizing exponent.
-
-    (J : I^infinity) is the intersection over generators g of I of
-    (J : g^infinity) = (J + <1 - t*g>) intersect k[x] (Rabinowitsch).  The
-    exponent is the least k with I^k * sat inside J, i.e. (J : I^k) = sat:
-    normal forms modulo J of sat's generators are multiplied by each g and
-    reduced again until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.
-    """
+def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, set]:
+    """(J : I^infinity), intersected over generators g of I from
+    (J : g^infinity) = (J + <1 - t*g>) intersect k[x] (Rabinowitsch), plus
+    the normal forms modulo J of its generators; all of them vanish exactly
+    when the saturation is J itself."""
     _same_ring(J, I)
     if not I.generators:
         raise ZeroElementError("saturation by the zero ideal is undefined")
@@ -451,7 +491,25 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     for part in parts[1:]:
         sat = ideal_intersect(sat, part)
     gb = J.groebner_basis()
-    rest = {normal_form(s, gb) for s in sat.generators}
+    return sat, {normal_form(s, gb) for s in sat.generators}
+
+
+def is_saturated(J: Ideal, I: Ideal) -> bool:
+    """True when (J : I^infinity) = J, i.e. I holds an element regular on R/J;
+    ``saturate`` without the exponent count."""
+    return not any(_saturation(J, I)[1])
+
+
+def saturate(J: Ideal, I: Ideal) -> SaturationResult:
+    """Saturation (J : I^infinity) plus the least stabilizing exponent.
+
+    The exponent is the least k with I^k * sat inside J, i.e. (J : I^k) = sat:
+    normal forms modulo J of sat's generators are multiplied by each g in I
+    and reduced again until all vanish; NF(g * NF(h)) = NF(g * h) makes this
+    exact.
+    """
+    sat, rest = _saturation(J, I)
+    gb = J.groebner_basis()
     exponent = 0
     while any(rest):
         rest = {normal_form(g * h, gb) for g in I.generators for h in rest if h}

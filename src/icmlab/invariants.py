@@ -37,6 +37,7 @@ from .ideal_engine import (
     SaturationResult,
     ideal_equal,
     ideal_sum,
+    is_saturated,
     membership,
     saturate,
 )
@@ -327,13 +328,13 @@ def has_regular_element(M: CyclicModule, I: Ideal) -> bool:
     such an element exists if and only if (J : I^infinity) = J."""
     _check_module_ideal_pair(M, I)
     J = M.defining_ideal
-    return saturate(J, I).exponent == 0
+    return is_saturated(J, I)
 
 
 def is_regular(J: Ideal, x: Polynomial) -> bool:
     """True when x is regular on R/J.  Since J <= (J : x) <= (J : x^infinity),
     (J : x) = J holds exactly when the saturation by x adds nothing."""
-    return saturate(J, Ideal(J.ring, (x,))).exponent == 0
+    return is_saturated(J, Ideal(J.ring, (x,)))
 
 
 def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) -> Ideal:

@@ -1,11 +1,13 @@
 """Tests for the script language and CLI: lexing, parsing, printing,
 execution semantics, exit codes, and JSON stability."""
 
+import glob
 import json
+import os
 
 import pytest
 
-from icmlab import theorem_lab
+from icmlab import ideal_engine, theorem_lab
 from icmlab.cli_app import (
     ArityError,
     IdealStmt,
@@ -22,8 +24,11 @@ from icmlab.cli_app import (
     parse_polynomial,
     print_script,
 )
+from icmlab.ideal_engine import buchberger, engine_context
 from icmlab.ring_core import FieldSpec, RingDescriptor
 from icmlab.theorem_lab import SuiteReport
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
 GOLDEN = (
     "ring R = QQ[x1,x2,x3,y1,y2,y3];\n"
@@ -445,3 +450,72 @@ class TestMain:
         assert exc.value.code == 2
         assert err.startswith("usage: icm-lab run")
         assert "argument --step-limit: must be a positive integer" in err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--budget"])
+    @pytest.mark.parametrize("value", ["-3", "0", "x"])
+    def test_bad_trials_or_budget_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "grade-height", "--json", flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: icm-lab verify")
+        assert "argument %s: must be a positive integer" % flag in err
+
+
+class TestEngineContext:
+    # two names for one ideal: within a call the second basis is a memo hit
+    TWIN_SCRIPT = (
+        "ring R = QQ[x,y,z];\n"
+        "ideal A = x^2 + y*z, y^2 + x*z, z^2 + x*y;\n"
+        "ideal B = x^2 + y*z, y^2 + x*z, z^2 + x*y;\n"
+        "gb A;\n"
+        "gb B;\n"
+    )
+
+    @pytest.fixture
+    def s_pairs(self, monkeypatch):
+        """Counts S-polynomials formed, i.e. the work a memo hit skips."""
+        count = [0]
+        original = ideal_engine.s_polynomial
+
+        def counting(f, g):
+            count[0] += 1
+            return original(f, g)
+
+        monkeypatch.setattr(ideal_engine, "s_polynomial", counting)
+        return count
+
+    def test_memo_does_not_outlive_the_call(self, tmp_path, capsys, s_pairs):
+        script = tmp_path / "twin.icm"
+        script.write_text(self.TWIN_SCRIPT)
+        with engine_context():
+            gens = parse(self.TWIN_SCRIPT).statements[1].generators
+            buchberger(gens)
+        per_basis = s_pairs[0]
+        assert per_basis > 0
+        assert main(["run", str(script)]) == 0
+        assert s_pairs[0] == 2 * per_basis  # B was a hit
+        assert main(["run", str(script)]) == 0
+        assert s_pairs[0] == 3 * per_basis  # nothing carried over from the last call
+        buchberger(gens)
+        buchberger(gens)
+        assert s_pairs[0] == 5 * per_basis  # and nothing is kept outside a call
+        capsys.readouterr()
+
+    def test_corpus_output_does_not_depend_on_the_context(self):
+        files = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.icm")))
+        assert len(files) == 50
+        ran = 0
+        for path in files:
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
+            try:
+                script = parse(source)
+            except ParseError:
+                continue  # rejected before the engine runs
+            plain = execute(script, seed=0, as_json=True)
+            with engine_context():
+                memoized = execute(script, seed=0, as_json=True)
+            assert memoized == plain, path
+            ran += 1
+        assert ran == 40

@@ -10,8 +10,8 @@ from icmlab.ideal_engine import (
     buchberger,
     divide,
     eliminate,
+    engine_context,
     extend_ring,
-    get_default_step_limit,
     ideal_equal,
     ideal_intersect,
     ideal_product,
@@ -21,8 +21,8 @@ from icmlab.ideal_engine import (
     membership,
     normal_form,
     s_polynomial,
+    is_saturated,
     saturate,
-    set_default_step_limit,
 )
 from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder
 
@@ -188,13 +188,94 @@ class TestBuchberger:
         with pytest.raises(StepLimitExceededError):
             buchberger(gens, step_limit=1)
 
-    def test_default_step_limit_is_settable(self):
-        old = get_default_step_limit()
-        try:
-            set_default_step_limit(123)
-            assert get_default_step_limit() == 123
-        finally:
-            set_default_step_limit(old)
+    def test_context_sets_the_step_limit(self):
+        gens = heavy_gens()
+        with engine_context(step_limit=1):
+            with pytest.raises(StepLimitExceededError, match="exceeded 1 S-pair"):
+                buchberger(gens)
+            # an explicit limit beats the context's
+            assert len(buchberger(gens, step_limit=10_000)) > 0
+        buchberger(gens)  # the context's limit ended with it
+        for bad in (0, -3, "5"):
+            with pytest.raises(ValueError):
+                with engine_context(step_limit=bad):
+                    pass
+
+
+def heavy_gens():
+    """Three quadrics whose completion takes several S-pair reductions."""
+    R = ring_qq("x", "y", "z")
+    x, y, z = (R.variable(i) for i in range(3))
+    return [x**2 + y * z, y**2 + x * z, z**2 + x * y]
+
+
+class TestEngineMemo:
+    @staticmethod
+    def fresh_steps(gens):
+        """The least step limit a fresh completion of ``gens`` passes."""
+        limit = 1
+        while True:
+            try:
+                buchberger(gens, step_limit=limit)
+                return limit
+            except StepLimitExceededError:
+                limit += 1
+
+    def test_hit_returns_the_stored_basis(self):
+        gens = heavy_gens()
+        with engine_context():
+            first = buchberger(gens)
+            assert buchberger(list(gens)) is first
+            # the twin-ring conversion happens before the lookup
+            lex = buchberger(gens, order=TermOrder("lex"))
+            assert lex is not first
+            assert buchberger(gens, order=TermOrder("lex")) is lex
+        assert first == buchberger(gens)
+
+    def test_nothing_is_memoized_outside_a_context(self):
+        gens = heavy_gens()
+        a, b = buchberger(gens), buchberger(gens)
+        assert a == b and a is not b
+
+    def test_hit_over_a_smaller_limit_raises_like_a_fresh_run(self):
+        gens = heavy_gens()
+        needed = self.fresh_steps(gens)
+        assert needed > 2
+        with engine_context():
+            stored = buchberger(gens)
+            with pytest.raises(StepLimitExceededError, match="exceeded %d S-pair" % (needed - 1)):
+                buchberger(gens, step_limit=needed - 1)
+            for limit in range(1, needed + 2):
+                if limit < needed:
+                    with pytest.raises(StepLimitExceededError):
+                        buchberger(gens, step_limit=limit)
+                else:
+                    assert buchberger(gens, step_limit=limit) is stored
+
+    def test_hit_honours_the_context_limit(self):
+        gens = heavy_gens()
+        needed = self.fresh_steps(gens)
+        with engine_context(step_limit=needed - 1):
+            with pytest.raises(StepLimitExceededError):
+                buchberger(gens)
+            assert len(buchberger(gens, step_limit=needed)) > 0
+            with pytest.raises(StepLimitExceededError):
+                buchberger(gens)
+
+    def test_key_is_the_ordered_generator_list(self):
+        gens = heavy_gens()
+        with engine_context():
+            first = buchberger(gens)
+            other = buchberger(gens[::-1])
+            assert other == first and other is not first
+
+    def test_nested_context_has_its_own_memo(self):
+        gens = heavy_gens()
+        with engine_context():
+            outer = buchberger(gens)
+            with engine_context():
+                assert buchberger(gens) is not outer
+            assert buchberger(gens) is outer
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +380,7 @@ class TestIdealCalculus:
 
     def test_saturation_matches_monomial_chain(self):
         rng = random.Random(61)
-        deep = 0
+        deep = stable = 0
         for _ in range(40):
             n = rng.randint(3, 4)
             R = ring_qq(*("x%d" % i for i in range(n)))
@@ -319,8 +400,10 @@ class TestIdealCalculus:
             rule, steps = oracles.saturate_monomial(gens, others)
             assert ideal_equal(res.ideal, Ideal(R, [R.monomial(m) for m in rule]))
             assert res.exponent == steps
+            assert is_saturated(J, I) == (steps == 0)
             deep += steps >= 2
-        assert deep >= 5
+            stable += steps == 0
+        assert deep >= 5 and stable >= 3
 
     def test_colon_with_inhomogeneous_element(self):
         R = ring_qq("x", "y")
