@@ -17,13 +17,17 @@ of the active engine context, else the constant ``STEP_LIMIT``.
 (a ``ContextVar``): it holds the step limit and a memo of reduced bases
 keyed by ring (order included) and the ordered generator list.  The memo
 lives as long as the context; outside any context nothing is memoized.
+Every stored basis, in the memo or cached on an ``Ideal``, carries the
+reductions its completion took and is handed out again only under a limit
+that a fresh completion would meet.
 """
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -40,10 +44,8 @@ from .ring_core import (
     Polynomial,
     RingDescriptor,
     TermOrder,
-    _from_dict,
     monomial_degree,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomial_mul,
     remap_variables,
@@ -54,7 +56,7 @@ STEP_LIMIT = 100_000  # the cap when neither step_limit= nor a context gives one
 
 class _Engine(NamedTuple):
     step_limit: int
-    memo: dict  # (ring, generator terms) -> (ReducedGB, S-pair reductions it took)
+    memo: dict  # (ring, generator terms) -> ReducedGB, which carries its steps
 
 
 _ENGINE: ContextVar[Optional[_Engine]] = ContextVar("icmlab_engine", default=None)
@@ -76,11 +78,26 @@ def engine_context(step_limit: Optional[int] = None) -> Iterator[None]:
         _ENGINE.reset(token)
 
 
+def _step_limit(step_limit: Optional[int]) -> int:
+    """The effective cap: explicit, else the context's, else ``STEP_LIMIT``."""
+    if step_limit is not None:
+        return step_limit
+    engine = _ENGINE.get()
+    return engine.step_limit if engine is not None else STEP_LIMIT
+
+
 def _step_limit_error(limit: int) -> StepLimitExceededError:
     return StepLimitExceededError(
         "Buchberger completion exceeded %d S-pair reductions; raise the "
         "step limit if the input really is this hard" % limit
     )
+
+
+def _reuse(gb: ReducedGB, limit: int) -> ReducedGB:
+    """A stored basis, or the error a fresh completion under ``limit`` raises."""
+    if gb.steps > limit:
+        raise _step_limit_error(limit)
+    return gb
 
 
 def _same_ring(a, b) -> None:
@@ -97,51 +114,84 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]):
     Returns ``(quotients, remainder)``.  Divisors are tried in the order
     given; the result depends on that order except for the remainder against
     a Groebner basis, which is canonical.
+
+    The work terms sit in a heap on ``TermOrder.descending_key``, one key
+    computed per term as it enters, so each step takes the largest term
+    without a scan.  Every term a step adds is below the term it consumes,
+    so terms leave the heap in strictly decreasing order: the remainder and
+    each quotient (whose monomials are distinct shifts of those terms) are
+    emitted already sorted.  A term cancelled to zero leaves a stale heap
+    entry, which is skipped when popped.
     """
     ring = f.ring
     field = ring.field
-    key = ring.key
+    p = field.characteristic
+    dkey = ring.order.descending_key
+    # per divisor: leading monomial and its degree, the inverse of the
+    # leading coefficient (None when it is 1, as for every basis element),
+    # the tail and the quotient terms emitted so far
+    divs = []
     for d in divisors:
         _same_ring(f, d)
         if d.is_zero:
             raise ZeroElementError("cannot divide by the zero polynomial")
-    div_data = [(d.leading_monomial(), d.leading_coefficient(), d) for d in divisors]
+        ltm, ltc = d.terms[0]
+        inv = None if ltc == 1 else field.invert(ltc)
+        divs.append((ltm, sum(ltm), inv, d.terms[1:], []))
     work = dict(f.terms)
-    remainder: dict = {}
-    quotients: List[dict] = [{} for _ in divisors]
-    while work:
-        mono = max(work, key=key)
-        c = work.pop(mono)
-        for idx, (ltm, ltc, d) in enumerate(div_data):
-            if monomial_divides(ltm, mono):
-                shift = monomial_div(mono, ltm)
-                factor = field.div(c, ltc)
-                q = quotients[idx]
-                q[shift] = field.add(q.get(shift, field.zero), factor)
-                # the leading term cancels exactly; only the tail feeds back
-                for m2, c2 in d.terms[1:]:
-                    m = monomial_mul(shift, m2)
-                    nc = field.sub(work.get(m, field.zero), field.mul(factor, c2))
-                    if nc == 0:
-                        work.pop(m, None)
+    # f's terms are sorted decreasing, so their keys ascend: already a heap
+    heap = [(dkey(m), m) for m, _ in f.terms]
+    remainder = []
+    while heap:
+        mono = heappop(heap)[1]
+        c = work.pop(mono, None)
+        if c is None:
+            continue
+        deg = sum(mono)
+        for ltm, ltdeg, inv, tail, quotient in divs:
+            if ltdeg <= deg and all(map(int.__le__, ltm, mono)):
+                shift = tuple(map(sub, mono, ltm))
+                q = c
+                if inv is not None:
+                    q = c * inv % p if p else c * inv
+                quotient.append((shift, q))
+                # the leading term cancels exactly; only -q * tail feeds back
+                q = p - q if p else -q
+                for m2, c2 in tail:
+                    m = tuple(map(add, shift, m2))
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = q * c2 % p if p else q * c2
+                        heappush(heap, (dkey(m), m))
                     else:
-                        work[m] = nc
+                        nc = (old + q * c2) % p if p else old + q * c2
+                        if nc:
+                            work[m] = nc
+                        else:
+                            del work[m]
                 break
         else:
-            remainder[mono] = c
-    quots = [_from_dict(ring, q) for q in quotients]
-    return quots, _from_dict(ring, remainder)
+            remainder.append((mono, c))
+    quots = [Polynomial(ring, tuple(terms)) for *_, terms in divs]
+    return quots, Polynomial(ring, tuple(remainder))
 
 
 class ReducedGB:
     """The reduced monic Groebner basis of an ideal, sorted by increasing
-    leading monomial.  Unique per (ideal, term order)."""
+    leading monomial.  Unique per (ideal, term order).
 
-    __slots__ = ("ring", "basis")
+    ``steps`` is the number of S-pair reductions the completion that built
+    it took.  It depends on the generator list, not only on the ideal, so
+    it is not part of equality; a stored basis is handed out again only
+    under a step limit that a fresh completion would have met.
+    """
 
-    def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...]):
+    __slots__ = ("ring", "basis", "steps")
+
+    def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...], steps: int):
         self.ring = ring
         self.basis = basis
+        self.steps = steps
 
     @property
     def order(self) -> TermOrder:
@@ -214,23 +264,19 @@ def buchberger(
     if order is not None and order != ring.order:
         ring = replace(ring, order=order)
         gens = [ring.polynomial(dict(g.terms)) for g in gens]
+    limit = _step_limit(step_limit)
     engine = _ENGINE.get()
-    if step_limit is not None:
-        limit = step_limit
-    else:
-        limit = engine.step_limit if engine is not None else STEP_LIMIT
     memo_key = None
     if engine is not None:
         memo_key = (ring, tuple(g.terms for g in gens))
         hit = engine.memo.get(memo_key)
         if hit is not None:
-            if hit[1] > limit:
-                raise _step_limit_error(limit)
-            return hit[0]
+            return _reuse(hit, limit)
 
     key = ring.key
     G: List[Polynomial] = []
     lts: List[Monomial] = []
+    ltdegs: List[int] = []
     pending: set = set()
     heap: list = []
 
@@ -238,13 +284,14 @@ def buchberger(
         j = len(G)
         G.append(p)
         lts.append(p.leading_monomial())
+        ltdegs.append(sum(lts[j]))
         for i in range(j):
             lcm = monomial_lcm(lts[i], lts[j])
             if lcm == monomial_mul(lts[i], lts[j]):
                 # coprime leading terms: the S-polynomial reduces to zero
                 continue
             pending.add((i, j))
-            heapq.heappush(heap, (monomial_degree(lcm), key(lcm), i, j))
+            heappush(heap, (monomial_degree(lcm), key(lcm), i, j))
 
     for g in gens:
         if g.is_zero:
@@ -255,7 +302,7 @@ def buchberger(
 
     steps = 0
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        deg, _, i, j = heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -264,7 +311,7 @@ def buchberger(
         for t in range(len(G)):
             if t == i or t == j:
                 continue
-            if monomial_divides(lts[t], lcm):
+            if ltdegs[t] <= deg and all(map(int.__le__, lts[t], lcm)):
                 a = (i, t) if i < t else (t, i)
                 b = (j, t) if j < t else (t, j)
                 if a not in pending and b not in pending:
@@ -280,12 +327,13 @@ def buchberger(
             add_poly(r.monic())
 
     # minimal basis: scan by increasing leading monomial, drop dominated ones
-    minimal: List[Polynomial] = []
-    for p in sorted(G, key=lambda q: key(q.leading_monomial())):
-        lm = p.leading_monomial()
-        if any(monomial_divides(q.leading_monomial(), lm) for q in minimal):
+    kept: List[int] = []
+    for j in sorted(range(len(G)), key=lambda j: key(lts[j])):
+        lm, d = lts[j], ltdegs[j]
+        if any(ltdegs[k] <= d and all(map(int.__le__, lts[k], lm)) for k in kept):
             continue
-        minimal.append(p)
+        kept.append(j)
+    minimal = [G[j] for j in kept]
 
     # full autoreduction; leading terms are pairwise non-dividing so they survive
     for idx in range(len(minimal)):
@@ -294,9 +342,9 @@ def buchberger(
             minimal[idx] = divide(minimal[idx], others)[1].monic()
 
     basis = tuple(sorted(minimal, key=lambda q: key(q.leading_monomial())))
-    gb = ReducedGB(ring, basis)
+    gb = ReducedGB(ring, basis, steps)
     if memo_key is not None:
-        engine.memo[memo_key] = (gb, steps)
+        engine.memo[memo_key] = gb
     return gb
 
 
@@ -345,11 +393,12 @@ class Ideal:
         return not self.generators
 
     def groebner_basis(self) -> ReducedGB:
+        """The reduced basis, computed once; the cached one is subject to
+        the step limit in force now, exactly as a fresh completion is."""
         gb = self._gb
         if gb is None:
-            gb = buchberger(self.generators, ring=self.ring)
-            self._gb = gb
-        return gb
+            gb = self._gb = buchberger(self.generators, ring=self.ring)
+        return _reuse(gb, _step_limit(None))
 
     def contains(self, f: Polynomial) -> bool:
         return membership(f, self)

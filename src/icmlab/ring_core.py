@@ -7,6 +7,12 @@ exponents, one per ring variable.  A polynomial keeps its terms sorted in
 decreasing term order, so the leading term is always the first entry and
 never needs a search.
 
+``TermOrder.key`` sorts monomials in increasing order;
+``TermOrder.descending_key`` is a flat tuple of ints that sorts them in
+decreasing order, so a ``heapq`` min-heap keyed by it pops the largest
+monomial first.  Division keeps its work terms in such a heap, computes
+the key once per term and emits its output already sorted.
+
 No floating point appears anywhere; equality of polynomials is exact.
 """
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -163,6 +170,17 @@ class TermOrder:
             return _grevlex_key(mono)
         b = self.block
         return (_grevlex_key(mono[:b]), _grevlex_key(mono[b:]))
+
+    def descending_key(self, mono: Monomial) -> tuple:
+        """``key`` flattened and negated: a > b in this order exactly when
+        descending_key(a) < descending_key(b), so a min-heap on it pops the
+        largest monomial first."""
+        if self.kind == GREVLEX:
+            return (-sum(mono),) + mono[::-1]
+        if self.kind == LEX:
+            return tuple(map(neg, mono))
+        head, tail = mono[: self.block], mono[self.block :]
+        return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
 
     def __str__(self) -> str:
         if self.kind == ELIMINATION:

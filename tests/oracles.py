@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the engine's algorithms: the Groebner
 route is a criteria-free FIFO pair loop with its own reducer and its own
-order keys; dimension is brute force over all variable subsets; monomial
+order keys; ``oracle_divide`` is the engine's earlier division, which takes
+each step's term by a scan of the whole work dict instead of from a heap;
+dimension is brute force over all variable subsets; monomial
 colon and intersection use the classical combinatorial rules; membership
 of homogeneous polynomials is exact linear algebra in a fixed degree; and
 associated primes come from enumerating monomial witnesses.  Slow on
@@ -13,7 +15,15 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Sequence, Set, Tuple
 
-from icmlab.ring_core import Polynomial, RingDescriptor
+from icmlab.errors import IncompatibleRingError, ZeroElementError
+from icmlab.ring_core import (
+    Polynomial,
+    RingDescriptor,
+    _from_dict,
+    monomial_div,
+    monomial_divides,
+    monomial_mul,
+)
 
 Mono = Tuple[int, ...]
 
@@ -124,6 +134,48 @@ def oracle_reduce(f: OraclePoly, basis: Sequence[OraclePoly], key) -> OraclePoly
             gm, gc = hit.leading(key)
             work = work.sub_scaled_shift(hit, field.div(c, gc), _mono_div(m, gm))
     return OraclePoly(f.ring, remainder)
+
+
+def oracle_divide(f: Polynomial, divisors: Sequence[Polynomial]):
+    """Multivariate division by the max-scan algorithm: every step rescans
+    the work dict for its largest term under ``ring.key`` and files each
+    result term through a dict that is sorted at the end.  Same contract
+    and, term for term, the same quotients and remainder as
+    ``ideal_engine.divide``."""
+    ring = f.ring
+    field = ring.field
+    key = ring.key
+    for d in divisors:
+        if d.ring != f.ring:
+            raise IncompatibleRingError("operands live in different rings")
+        if d.is_zero:
+            raise ZeroElementError("cannot divide by the zero polynomial")
+    div_data = [(d.leading_monomial(), d.leading_coefficient(), d) for d in divisors]
+    work = dict(f.terms)
+    remainder: dict = {}
+    quotients: List[dict] = [{} for _ in divisors]
+    while work:
+        mono = max(work, key=key)
+        c = work.pop(mono)
+        for idx, (ltm, ltc, d) in enumerate(div_data):
+            if monomial_divides(ltm, mono):
+                shift = monomial_div(mono, ltm)
+                factor = field.div(c, ltc)
+                q = quotients[idx]
+                q[shift] = field.add(q.get(shift, field.zero), factor)
+                # the leading term cancels exactly; only the tail feeds back
+                for m2, c2 in d.terms[1:]:
+                    m = monomial_mul(shift, m2)
+                    nc = field.sub(work.get(m, field.zero), field.mul(factor, c2))
+                    if nc == 0:
+                        work.pop(m, None)
+                    else:
+                        work[m] = nc
+                break
+        else:
+            remainder[mono] = c
+    quots = [_from_dict(ring, q) for q in quotients]
+    return quots, _from_dict(ring, remainder)
 
 
 def oracle_buchberger(gens: Sequence[Polynomial]) -> List[Polynomial]:

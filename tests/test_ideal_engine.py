@@ -81,6 +81,62 @@ class TestDivision:
         with pytest.raises(ZeroElementError):
             divide(R.variable(0), [R.zero()])
 
+    def test_matches_oracle_divide_term_for_term(self):
+        rng = random.Random(41)
+        non_unit = repeated = 0
+        for R in division_rings():
+            for _ in range(10):
+                divisors = [random_poly(rng, R, low=-5, high=5) for _ in range(rng.randint(1, 4))]
+                divisors = [d for d in divisors if not d.is_zero]
+                if not divisors:
+                    continue
+                if rng.random() < 0.3:
+                    divisors.insert(rng.randrange(len(divisors) + 1), rng.choice(divisors))
+                    repeated += 1
+                non_unit += any(d.leading_coefficient() != 1 for d in divisors)
+                # a combination of the divisors plus noise, so that steps cancel
+                f = random_poly(rng, R, max_terms=5, max_exp=3)
+                for d in divisors:
+                    f = f + random_poly(rng, R, max_terms=3) * d
+                assert_same_division(f, divisors)
+        assert non_unit >= 40 and repeated >= 10
+
+    def test_recreated_monomial_is_divided_again(self):
+        # f = x^2 + y + z over [x^2 + x + y, x - y]: the first step cancels y
+        # and leaves -x; dividing -x by x - y re-creates y, so y enters the
+        # work terms a second time, after its first copy was removed; z, the
+        # smallest term, must still come out after both copies of y
+        rng = random.Random(43)
+        for R in division_rings():
+            x, y, z = R.variable(0), R.variable(1), R.variable(2)
+            for _ in range(3):
+                s = R.monomial([rng.randint(0, 2) for _ in range(R.nvars)])
+                a, b, c = (R.constant(rng.randint(1, 6)) for _ in range(3))
+                if a.is_zero or b.is_zero or c.is_zero:
+                    continue
+                f = a * s * (x**2 + y + z)
+                divisors = [b * s * (x**2 + x + y), c * s * (x - y)]
+                quots, r = assert_same_division(f, divisors)
+                assert r == a * s * (z - y)
+                assert quots[0] * divisors[0] + quots[1] * divisors[1] + r == f
+
+
+def division_rings():
+    """Every field and term order the division kernel distinguishes."""
+    orders = [TermOrder("lex"), TermOrder("grevlex")]
+    orders += [TermOrder("elimination-block", b) for b in (1, 2)]
+    for p in (0, 2, 3, 32003):
+        for order in orders:
+            yield RingDescriptor(FieldSpec(p), ("x", "y", "z", "w"), order)
+
+
+def assert_same_division(f, divisors):
+    quots, r = divide(f, divisors)
+    want_quots, want_r = oracles.oracle_divide(f, divisors)
+    assert [q.terms for q in quots] == [q.terms for q in want_quots]
+    assert r.terms == want_r.terms
+    return quots, r
+
 
 # ---------------------------------------------------------------------------
 # Buchberger
@@ -276,6 +332,97 @@ class TestEngineMemo:
             with engine_context():
                 assert buchberger(gens) is not outer
             assert buchberger(gens) is outer
+
+    def test_cached_ideal_basis_honours_the_limit(self):
+        gens = heavy_gens()
+        ring = gens[0].ring
+        J = Ideal(ring, gens)
+        cached = J.groebner_basis()
+        assert len(cached) == 6
+        with engine_context(step_limit=1):
+            with pytest.raises(StepLimitExceededError):
+                Ideal(ring, gens).groebner_basis()
+            with pytest.raises(StepLimitExceededError, match="exceeded 1 S-pair"):
+                J.groebner_basis()
+        needed = self.fresh_steps(gens)
+        for limit in range(1, needed + 2):
+            with engine_context(step_limit=limit):
+                if limit < needed:
+                    with pytest.raises(StepLimitExceededError):
+                        J.groebner_basis()
+                else:
+                    assert J.groebner_basis() is cached
+
+
+def cyclic(ring):
+    """The cyclic-n system in the n variables of ``ring``."""
+    xs = [ring.variable(i) for i in range(ring.nvars)]
+    n = len(xs)
+    out = []
+    for k in range(1, n):
+        s = ring.zero()
+        for i in range(n):
+            t = ring.one()
+            for j in range(k):
+                t = t * xs[(i + j) % n]
+            s = s + t
+        out.append(s)
+    t = ring.one()
+    for x in xs:
+        t = t * x
+    return out + [t - 1]
+
+
+def katsura(ring):
+    """The katsura-n system in the n + 1 variables u0..un of ``ring``."""
+    n = ring.nvars - 1
+    u = [ring.variable(i) for i in range(n + 1)] + [ring.zero()] * n
+
+    def U(i):
+        return u[abs(i)]
+
+    out = [u[0] + sum((2 * u[i] for i in range(1, n + 1)), ring.zero()) - 1]
+    for m in range(n):
+        s = ring.zero()
+        for k in range(-n, n + 1):
+            s = s + U(k) * U(m - k)
+        out.append(s - u[m])
+    return out
+
+
+def frozen_system(system, p, nvars, order="grevlex"):
+    names = tuple("v%d" % i for i in range(nvars))
+    return system(RingDescriptor(FieldSpec(p), names, TermOrder(order)))
+
+
+class TestStepCounts:
+    """S-pair reductions per completion, measured before division kept its
+    work terms in a heap.  A change to the division kernel must not change
+    which pairs get reduced, so these numbers must not move."""
+
+    @pytest.mark.parametrize(
+        "system, p, nvars, order, steps, size",
+        [
+            (cyclic, 0, 4, "grevlex", 8, 7),
+            (katsura, 0, 4, "grevlex", 8, 7),
+            (katsura, 32003, 4, "grevlex", 8, 7),
+            (katsura, 0, 4, "lex", 15, 4),
+            (katsura, 32003, 5, "grevlex", 26, 13),
+            (cyclic, 32003, 5, "grevlex", 103, 20),
+        ],
+    )
+    def test_memo_stores_the_frozen_step_count(self, system, p, nvars, order, steps, size):
+        gens = frozen_system(system, p, nvars, order)
+        with engine_context():
+            gb = buchberger(gens)
+            assert (gb.steps, len(gb)) == (steps, size)
+            assert buchberger(gens) is gb
+
+    def test_least_passing_step_limit(self):
+        gens = frozen_system(cyclic, 32003, 5)
+        with pytest.raises(StepLimitExceededError, match="exceeded 102 S-pair"):
+            buchberger(gens, step_limit=102)
+        assert buchberger(gens, step_limit=103).steps == 103
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Exact arithmetic, term orders, and polynomial mechanics."""
+import heapq
 import random
 from fractions import Fraction
 
@@ -144,6 +145,20 @@ class TestTermOrders:
                 zero = tuple(0 for _ in range(n))
                 if a != zero:
                     assert monomial_compare(order, a, zero) > 0
+
+    def test_descending_key_sorts_like_key_reversed(self):
+        rng = random.Random(31)
+        orders = [TermOrder("lex"), TermOrder("grevlex")]
+        orders += [TermOrder("elimination-block", b) for b in (1, 2, 3)]
+        for order in orders:
+            for n in range(1 if order.block is None else order.block + 1, 6):
+                monos = list({tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(60)})
+                want = sorted(monos, key=order.key, reverse=True)
+                assert sorted(monos, key=order.descending_key) == want
+                # a min-heap on the key pops the largest monomial first
+                heap = [(order.descending_key(m), m) for m in monos]
+                heapq.heapify(heap)
+                assert [heapq.heappop(heap)[1] for _ in monos] == want
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
