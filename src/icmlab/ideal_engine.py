@@ -20,6 +20,12 @@ lives as long as the context; outside any context nothing is memoized.
 Every stored basis, in the memo or cached on an ``Ideal``, carries the
 reductions its completion took and is handed out again only under a limit
 that a fresh completion would meet.
+
+Saturation by an ideal I = <g_1, ..., g_s> is one Groebner basis: with one
+new variable y and the generic element f_y = sum y^(i-1) * g_i,
+(J : I^infinity) = (J + <1 - t*f_y>) cap k[x], the tags t and y eliminated
+together.  For s = 1 this is the Rabinowitsch basis of the test of one
+element, so both share their memo entries.
 """
 from __future__ import annotations
 
@@ -38,8 +44,6 @@ from .errors import (
 )
 from .ring_core import (
     ELIMINATION,
-    GREVLEX,
-    LEX,
     Monomial,
     Polynomial,
     RingDescriptor,
@@ -446,12 +450,6 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, a.generators + b.generators)
 
 
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    _same_ring(a, b)
-    gens = [g * h for g in a.generators for h in b.generators]
-    return Ideal(a.ring, gens)
-
-
 def _fresh_name(existing: Sequence[str], base: str) -> str:
     if base not in existing:
         return base
@@ -461,18 +459,24 @@ def _fresh_name(existing: Sequence[str], base: str) -> str:
     return "%s%d" % (base, k)
 
 
-def _eliminate_tag(ring: RingDescriptor, build: Callable[..., List[Polynomial]]) -> Ideal:
-    """K intersect k[ring] for K = <build(t, lift)> in k[t, ring], with t a fresh
-    variable and ``lift`` the inclusion of ``ring``: one Groebner basis under
-    an order eliminating t, whose t-free elements generate the answer."""
-    t = _fresh_name(ring.variables, "t")
-    aug = RingDescriptor(ring.field, (t,) + ring.variables, TermOrder(ELIMINATION, 1))
-    lift = list(range(1, ring.nvars + 1))
-    G = buchberger(build(aug.variable(0), lambda g: remap_variables(g, aug, lift)), ring=aug)
-    drop = [None] + list(range(ring.nvars))
+def _eliminate_tag(ring: RingDescriptor, ntags: int, build: Callable[..., List[Polynomial]]) -> Ideal:
+    """K intersect k[ring] for K = <build(lift, *tags)> in k[tags, ring], with
+    ``ntags`` fresh tag variables (t, then y) and ``lift`` the inclusion of
+    ``ring``: one Groebner basis under an order eliminating the tags, whose
+    tag-free elements generate the answer."""
+    tags: Tuple[str, ...] = ()
+    for base in ("t",) + ("y",) * (ntags - 1):
+        tags += (_fresh_name(ring.variables + tags, base),)
+    aug = RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
+    lift = list(range(ntags, ntags + ring.nvars))
+    G = buchberger(
+        build(lambda g: remap_variables(g, aug, lift), *map(aug.variable, range(ntags))),
+        ring=aug,
+    )
+    drop = [None] * ntags + list(range(ring.nvars))
     out = []
     for p in G.basis:
-        if all(m[0] == 0 for m, _ in p.terms):
+        if all(not any(m[:ntags]) for m, _ in p.terms):
             out.append(remap_variables(p, ring, drop))
     return Ideal(ring, out)
 
@@ -484,7 +488,8 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
         return Ideal(a.ring, ())
     return _eliminate_tag(
         a.ring,
-        lambda t, lift: [t * lift(g) for g in a.generators]
+        1,
+        lambda lift, t: [t * lift(g) for g in a.generators]
         + [(1 - t) * lift(g) for g in b.generators],
     )
 
@@ -522,30 +527,36 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
 
 
 def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, set]:
-    """(J : I^infinity), intersected over generators g of I from
-    (J : g^infinity) = (J + <1 - t*g>) intersect k[x] (Rabinowitsch), plus
-    the normal forms modulo J of its generators; all of them vanish exactly
-    when the saturation is J itself."""
+    """(J : I^infinity) as one Groebner basis, plus the normal forms modulo J
+    of its generators; all of them vanish exactly when the saturation is J.
+
+    For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i
+    in one new variable y, (J : I^infinity) = (J*R[y] : f_y^infinity) cap R
+    over every field (Eisenbud-Huneke-Vasconcelos): f_y lies in P[y] exactly
+    when I lies in the prime P.  So the saturation is (J + <1 - t*f_y>) with
+    t and y eliminated (Rabinowitsch).  For s = 1, f_y = g_1 and no y is
+    added: the same basis, memo key included, as the test of one element.
+    """
     _same_ring(J, I)
-    if not I.generators:
+    gens = I.generators
+    if not gens:
         raise ZeroElementError("saturation by the zero ideal is undefined")
-    parts = [
-        _eliminate_tag(
-            J.ring,
-            lambda t, lift, g=g: [lift(h) for h in J.generators] + [1 - t * lift(g)],
-        )
-        for g in I.generators
-    ]
-    sat = parts[0]
-    for part in parts[1:]:
-        sat = ideal_intersect(sat, part)
+
+    def build(lift, t, y=None):
+        f = lift(gens[-1])
+        for g in reversed(gens[:-1]):
+            f = lift(g) + y * f
+        return [lift(h) for h in J.generators] + [1 - t * f]
+
+    sat = _eliminate_tag(J.ring, min(len(gens), 2), build)
     gb = J.groebner_basis()
     return sat, {normal_form(s, gb) for s in sat.generators}
 
 
 def is_saturated(J: Ideal, I: Ideal) -> bool:
-    """True when (J : I^infinity) = J, i.e. I holds an element regular on R/J;
-    ``saturate`` without the exponent count."""
+    """True when (J : I^infinity) = J, i.e. I holds an element regular on R/J:
+    the one saturation basis and a single normal-form pass, without
+    ``saturate``'s exponent count."""
     return not any(_saturation(J, I)[1])
 
 
@@ -564,44 +575,6 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
         rest = {normal_form(g * h, gb) for g in I.generators for h in rest if h}
         exponent += 1
     return SaturationResult(sat, exponent)
-
-
-def eliminate(J: Ideal, keep: Iterable[str]) -> Ideal:
-    """The elimination ideal J intersect k[keep], as an ideal of k[keep].
-
-    Keeping every variable returns J itself.  Internally the dropped
-    variables are moved to the front of a twin ring carrying a block
-    elimination order; basis elements free of them survive.
-    """
-    ring = J.ring
-    keepset = set(keep)
-    unknown = keepset - set(ring.variables)
-    if unknown:
-        raise KeyError("unknown variables in keep list: %s" % sorted(unknown))
-    kept = [v for v in ring.variables if v in keepset]
-    dropped = [v for v in ring.variables if v not in keepset]
-    if not dropped:
-        return J
-    if not kept:
-        raise ValueError("cannot eliminate every variable")
-    helper = RingDescriptor(
-        ring.field,
-        tuple(dropped + kept),
-        TermOrder(ELIMINATION, len(dropped)),
-    )
-    hpos = {name: i for i, name in enumerate(helper.variables)}
-    lift = [hpos[name] for name in ring.variables]
-    H = [remap_variables(g, helper, lift) for g in J.generators]
-    G = buchberger(H, ring=helper)
-    torder = ring.order if ring.order.kind in (LEX, GREVLEX) else TermOrder(GREVLEX)
-    target = RingDescriptor(ring.field, tuple(kept), torder)
-    nd = len(dropped)
-    drop = [None] * nd + list(range(len(kept)))
-    out = []
-    for p in G.basis:
-        if all(all(e == 0 for e in m[:nd]) for m, _ in p.terms):
-            out.append(remap_variables(p, target, drop))
-    return Ideal(target, out)
 
 
 def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:

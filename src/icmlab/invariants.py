@@ -9,10 +9,12 @@ elements, and the certified grade computation all build on this picture.
 Regularity is decided by saturation, in one place: x is regular on R/J
 exactly when (J : x^infinity) = J, and I holds a regular element exactly
 when (J : I^infinity) = J.  Grade is computed by actually finding a maximal
-regular sequence.  The existence test runs first, so the search never runs
-blind: when the certificate says no element exists, the current sequence
-length is the grade and the certificate ships with the answer.
-``verify_grade_witness`` replays each element with the same test.
+regular sequence.  The search runs first, since a regular element it finds
+already proves that one exists; existence is decided only when no element
+of the reduced basis of I is regular.  When no element exists, the current
+sequence length is the grade and that saturation ships with the answer as
+its certificate.  ``verify_grade_witness`` replays each element with the
+same test.
 """
 from __future__ import annotations
 
@@ -172,22 +174,6 @@ def krull_dimension(M: CyclicModule) -> int:
     return _dim_of_quotient(M.defining_ideal)
 
 
-def independent_witness(M: CyclicModule) -> Tuple[str, ...]:
-    """A maximal independent variable set: largest cardinality first, then
-    first in lexicographic subset enumeration.  Diagnostic companion to
-    ``krull_dimension``; the sizes always agree."""
-    J = M.defining_ideal
-    G = _proper_gb(J)
-    supports = [monomial_support(p.leading_monomial()) for p in G.basis]
-    n = J.ring.nvars
-    for size in range(n, -1, -1):
-        for combo in itertools.combinations(range(n), size):
-            chosen = set(combo)
-            if all(not (sup <= chosen) for sup in supports):
-                return tuple(J.ring.variables[i] for i in combo)
-    raise EngineError("unreachable: the empty set is always independent")
-
-
 def height(J: Ideal) -> int:
     """height J = n - dim R/J for a proper ideal of the affine ring."""
     return J.ring.nvars - _dim_of_quotient(J)
@@ -323,14 +309,6 @@ def _check_module_ideal_pair(M: CyclicModule, I: Ideal) -> None:
         raise ImproperIdealError("the test ideal is the unit ideal")
 
 
-def has_regular_element(M: CyclicModule, I: Ideal) -> bool:
-    """True when I contains an element regular on M = R/J, decided exactly:
-    such an element exists if and only if (J : I^infinity) = J."""
-    _check_module_ideal_pair(M, I)
-    J = M.defining_ideal
-    return is_saturated(J, I)
-
-
 def is_regular(J: Ideal, x: Polynomial) -> bool:
     """True when x is regular on R/J.  Since J <= (J : x) <= (J : x^infinity),
     (J : x) = J holds exactly when the saturation by x adds nothing."""
@@ -352,21 +330,49 @@ def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) 
     return current
 
 
+_DEGREE_DRAWS = 8  # draws per degree once the search climbs above the basis
+
+
+def _degree_span(basis: Sequence[Polynomial], degree: int) -> List[Polynomial]:
+    """m * g for every g in the basis and every monomial m of degree
+    ``degree - deg g``, without repeats: a spanning set of the degree part
+    of the ideal when it is homogeneous."""
+    ring = basis[0].ring
+    span: Dict[Polynomial, None] = {}
+    for g in basis:
+        for combo in itertools.combinations_with_replacement(
+            range(ring.nvars), degree - g.total_degree()
+        ):
+            exps = [0] * ring.nvars
+            for i in combo:
+                exps[i] += 1
+            span.setdefault(g.shift(tuple(exps), ring.field.one), None)
+    return list(span)
+
+
 def find_regular_element(
     M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0
-) -> Polynomial:
-    """Search I for an element regular on M.
+) -> Optional[Polynomial]:
+    """Search I for an element regular on M = R/J; None exactly when I holds
+    none.
 
-    Deterministic given the seed.  Candidates come from the reduced basis
-    of I (so the answer only depends on the ideal, not its presentation),
-    then from random combinations with integer coefficients drawn from a
-    growing range.  When I is homogeneous the combinations stay
-    homogeneous: a target degree is drawn and lower-degree basis elements
-    are lifted to it by a random variable power (the lift stays inside I).
+    Deterministic given the seed.  The reduced basis of I is tried first (so
+    the answer only depends on the ideal, not its presentation).  Only if
+    none of its elements is regular is existence decided, by
+    (J : I^infinity) = J; when that fails the answer is None.  Otherwise
+    random combinations with integer coefficients from a growing range
+    follow.  When I is homogeneous the combinations stay homogeneous: a
+    target degree is drawn among the basis degrees and lower-degree basis
+    elements are lifted to it by a random variable power (the lift stays
+    inside I).  After 50 * budget draws the search climbs one degree at a
+    time above the top basis degree, 8 draws per degree, each a random
+    combination of every m * g with g in the basis and m a monomial of the
+    complementary degree: over a small prime field the elements outside
+    every associated prime may all lie in higher degree.
 
-    Raises SearchExhaustedError when the budget runs out.  Over very small
-    prime fields the search can genuinely fail even though an element
-    exists; characteristic zero or a large prime avoids that.
+    ``budget`` bounds the candidates tested, over every phase.  Raises
+    SearchExhaustedError when it runs out, or after another 50 * budget
+    draws in the climb, although a regular element exists.
     """
     _check_module_ideal_pair(M, I)
     J = M.defining_ideal
@@ -382,13 +388,20 @@ def find_regular_element(
         seen.add(g)
         if is_regular(J, g):
             return g
+    if not is_saturated(J, I):
+        return None
     homogeneous = all(p.is_homogeneous() for p in basis)
     degrees = sorted({p.total_degree() for p in basis})
-    while tried < budget and attempts < 50 * budget:
+    while tried < budget and attempts < 100 * budget:
         attempts += 1
         bound = 1 + tried // 8
         nvars = M.ring.nvars
-        if homogeneous:
+        if attempts > 50 * budget:
+            climbed, draw = divmod(attempts - 50 * budget - 1, _DEGREE_DRAWS)
+            if draw == 0:
+                span = _degree_span(basis, degrees[-1] + 1 + climbed)
+            pool = span
+        elif homogeneous:
             d = degrees[rng.randrange(len(degrees))]
             pool = []
             for p in basis:
@@ -424,9 +437,11 @@ def grade(M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0) -> GradeW
     """grade(I, M): the length of a maximal M-regular sequence inside I,
     found by direct search and certified by the final saturation.
 
-    Each step first decides existence exactly via (J_k : I^infinity) = J_k;
-    only then does the randomized search run, so the returned certificate
-    really proves maximality.
+    A regular element found by the search proves by itself that the sequence
+    extends, so no saturation runs on such a step.  The search returns None
+    only after deciding that (J_k : I^infinity) != J_k; then that saturation,
+    with its exponent, is the certificate of maximality (inside an engine
+    context its basis is a memo hit).
     """
     _check_module_ideal_pair(M, I)
     if membership(M.ring.one(), ideal_sum(M.defining_ideal, I)):
@@ -436,11 +451,10 @@ def grade(M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0) -> GradeW
     current = M.defining_ideal
     sequence: List[Polynomial] = []
     while True:
-        cert = saturate(current, I)
-        if cert.exponent != 0:
-            return GradeWitness(len(sequence), tuple(sequence), cert)
         step_module = CyclicModule(M.ring, current)
         x = find_regular_element(step_module, I, budget=budget, seed=seed + len(sequence))
+        if x is None:
+            return GradeWitness(len(sequence), tuple(sequence), saturate(current, I))
         sequence.append(x)
         current = ideal_sum(current, Ideal(M.ring, (x,)))
 

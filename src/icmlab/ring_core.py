@@ -17,11 +17,10 @@ No floating point appears anywhere; equality of polynomials is exact.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -106,10 +105,6 @@ class FieldSpec:
         p = self.characteristic
         return a + b if p == 0 else (a + b) % p
 
-    def sub(self, a: Coeff, b: Coeff) -> Coeff:
-        p = self.characteristic
-        return a - b if p == 0 else (a - b) % p
-
     def mul(self, a: Coeff, b: Coeff) -> Coeff:
         p = self.characteristic
         return a * b if p == 0 else (a * b) % p
@@ -128,9 +123,6 @@ class FieldSpec:
             return pow(a, -1, p)
         except ValueError:
             raise ZeroDivisionError("inverse of zero in GF(%d)" % p) from None
-
-    def div(self, a: Coeff, b: Coeff) -> Coeff:
-        return self.mul(a, self.invert(b))
 
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else "GF(%d)" % self.characteristic
@@ -186,20 +178,6 @@ class TermOrder:
         if self.kind == ELIMINATION:
             return "%s(%d)" % (self.kind, self.block)
         return self.kind
-
-
-def monomial_compare(order: TermOrder, a: Monomial, b: Monomial) -> int:
-    """Total comparison under ``order``: -1, 0, or +1."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(
-            "cannot compare exponent vectors of lengths %d and %d" % (len(a), len(b))
-        )
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -543,26 +521,3 @@ def remap_variables(
             exps[j] = e
         acc[tuple(exps)] = c
     return _from_dict(target, acc)
-
-
-def into_ring(poly: Polynomial, target: RingDescriptor) -> Polynomial:
-    """Reinterpret ``poly`` in a ring with the same variable names (matched
-    by name, any positions/order)."""
-    position = []
-    tnames = {name: j for j, name in enumerate(target.variables)}
-    for name in poly.ring.variables:
-        position.append(tnames.get(name))
-    return remap_variables(poly, target, position)
-
-
-def all_monomials_up_to(nvars: int, max_degree: int) -> Iterable[Monomial]:
-    """All exponent vectors with total degree at most ``max_degree``."""
-    for degree in range(max_degree + 1):
-        for bars in itertools.combinations(range(degree + nvars - 1), nvars - 1):
-            exps = []
-            prev = -1
-            for b in bars:
-                exps.append(b - prev - 1)
-                prev = b
-            exps.append(degree + nvars - 1 - prev - 1)
-            yield tuple(exps)

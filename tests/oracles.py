@@ -9,6 +9,10 @@ colon and intersection use the classical combinatorial rules; membership
 of homogeneous polynomials is exact linear algebra in a fixed degree; and
 associated primes come from enumerating monomial witnesses.  Slow on
 purpose, simple on purpose.
+
+``oracle_saturate`` is the exception: the engine's earlier saturation by an
+ideal, built from the engine's own eliminations, kept as the reference for
+the one-basis formula that replaced it.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import itertools
 from typing import Dict, List, Sequence, Set, Tuple
 
 from icmlab.errors import IncompatibleRingError, ZeroElementError
+from icmlab.ideal_engine import Ideal, _eliminate_tag, ideal_intersect, normal_form
 from icmlab.ring_core import (
     Polynomial,
     RingDescriptor,
@@ -51,7 +56,15 @@ def oracle_key(ring: RingDescriptor):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers on raw dicts {mono: field element}
+# field and polynomial helpers on raw dicts {mono: field element}
+
+
+def _fsub(field, a, b):
+    return field.add(a, field.neg(b))
+
+
+def _fdiv(field, a, b):
+    return field.mul(a, field.invert(b))
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -104,7 +117,7 @@ class OraclePoly:
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             mm = _mono_mul(m, shift)
-            out[mm] = field.sub(out.get(mm, field.zero), field.mul(scale, c))
+            out[mm] = _fsub(field, out.get(mm, field.zero), field.mul(scale, c))
         return OraclePoly(self.ring, out)
 
     def scaled(self, scale) -> "OraclePoly":
@@ -132,7 +145,7 @@ def oracle_reduce(f: OraclePoly, basis: Sequence[OraclePoly], key) -> OraclePoly
             work = OraclePoly(f.ring, rest)
         else:
             gm, gc = hit.leading(key)
-            work = work.sub_scaled_shift(hit, field.div(c, gc), _mono_div(m, gm))
+            work = work.sub_scaled_shift(hit, _fdiv(field, c, gc), _mono_div(m, gm))
     return OraclePoly(f.ring, remainder)
 
 
@@ -160,13 +173,13 @@ def oracle_divide(f: Polynomial, divisors: Sequence[Polynomial]):
         for idx, (ltm, ltc, d) in enumerate(div_data):
             if monomial_divides(ltm, mono):
                 shift = monomial_div(mono, ltm)
-                factor = field.div(c, ltc)
+                factor = _fdiv(field, c, ltc)
                 q = quotients[idx]
                 q[shift] = field.add(q.get(shift, field.zero), factor)
                 # the leading term cancels exactly; only the tail feeds back
                 for m2, c2 in d.terms[1:]:
                     m = monomial_mul(shift, m2)
-                    nc = field.sub(work.get(m, field.zero), field.mul(factor, c2))
+                    nc = _fsub(field, work.get(m, field.zero), field.mul(factor, c2))
                     if nc == 0:
                         work.pop(m, None)
                     else:
@@ -206,8 +219,8 @@ def oracle_buchberger(gens: Sequence[Polynomial]) -> List[Polynomial]:
         s = OraclePoly(ring, {})
         for src, mono, coeff in ((fi, mi, ci), (fj, mj, cj)):
             shift = _mono_div(lcm, mono)
-            sign = field.one if src is fi else field.sub(field.zero, field.one)
-            scale = field.div(sign, coeff)
+            sign = field.one if src is fi else _fsub(field, field.zero, field.one)
+            scale = _fdiv(field, sign, coeff)
             acc = dict(s.coeffs)
             for m, c in src.coeffs.items():
                 mm = _mono_mul(m, shift)
@@ -243,9 +256,43 @@ def oracle_buchberger(gens: Sequence[Polynomial]) -> List[Polynomial]:
     out = []
     for g in keep:
         _, c = g.leading(key)
-        out.append(g.scaled(field.div(field.one, c)).to_poly())
+        out.append(g.scaled(_fdiv(field, field.one, c)).to_poly())
     out.sort(key=lambda p: key(p.leading_monomial()))
     return out
+
+
+# ---------------------------------------------------------------------------
+# saturation by an ideal, the engine's earlier formula
+
+
+def oracle_saturate(J: Ideal, I: Ideal) -> Tuple[Ideal, int]:
+    """(J : I^infinity) and the least k with I^k * (J : I^infinity) inside J.
+
+    One Rabinowitsch elimination (J : g^infinity) = (J + <1 - t*g>) cap k[x]
+    per generator g of I, the parts intersected with ``ideal_intersect``;
+    the exponent is counted by normal forms modulo J."""
+    if J.ring != I.ring:
+        raise IncompatibleRingError("operands live in different rings")
+    if not I.generators:
+        raise ZeroElementError("saturation by the zero ideal is undefined")
+    parts = [
+        _eliminate_tag(
+            J.ring,
+            1,
+            lambda lift, t, g=g: [lift(h) for h in J.generators] + [1 - t * lift(g)],
+        )
+        for g in I.generators
+    ]
+    sat = parts[0]
+    for part in parts[1:]:
+        sat = ideal_intersect(sat, part)
+    gb = J.groebner_basis()
+    rest = {normal_form(s, gb) for s in sat.generators}
+    exponent = 0
+    while any(rest):
+        rest = {normal_form(g * h, gb) for g in I.generators for h in rest if h}
+        exponent += 1
+    return sat, exponent
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +418,17 @@ def homogeneous_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
             continue
         matrix[pivot_row], matrix[pivot] = matrix[pivot], matrix[pivot_row]
         rhs[pivot_row], rhs[pivot] = rhs[pivot], rhs[pivot_row]
-        inv = field.div(field.one, matrix[pivot_row][col])
+        inv = _fdiv(field, field.one, matrix[pivot_row][col])
         matrix[pivot_row] = [field.mul(inv, v) for v in matrix[pivot_row]]
         rhs[pivot_row] = field.mul(inv, rhs[pivot_row])
         for r in range(n_rows):
             if r != pivot_row and matrix[r][col] != field.zero:
                 factor = matrix[r][col]
                 matrix[r] = [
-                    field.sub(v, field.mul(factor, w))
+                    _fsub(field, v, field.mul(factor, w))
                     for v, w in zip(matrix[r], matrix[pivot_row])
                 ]
-                rhs[r] = field.sub(rhs[r], field.mul(factor, rhs[pivot_row]))
+                rhs[r] = _fsub(field, rhs[r], field.mul(factor, rhs[pivot_row]))
         pivot_row += 1
         if pivot_row == n_rows:
             break

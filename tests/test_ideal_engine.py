@@ -1,5 +1,6 @@
 """Groebner machinery: division, Buchberger, and the ideal calculus."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,12 @@ from icmlab.errors import StepLimitExceededError, ZeroElementError
 from icmlab.ideal_engine import (
     Ideal,
     buchberger,
+    _eliminate_tag,
     divide,
-    eliminate,
     engine_context,
     extend_ring,
     ideal_equal,
     ideal_intersect,
-    ideal_product,
     ideal_quotient,
     ideal_quotient_ideal,
     ideal_sum,
@@ -429,6 +429,61 @@ class TestStepCounts:
 # membership
 
 
+class TestSaturationByIdeal:
+    """The one-basis generic-element saturation against the per-generator
+    eliminations glued by ``ideal_intersect`` (``oracles.oracle_saturate``)."""
+
+    @staticmethod
+    def random_pair(rng, ring):
+        # 1-4 generators of I, inhomogeneous ones included; J holds multiples
+        # of powers of them, so exponents >= 2 turn up
+        gens = []
+        k = rng.randint(1, 4)
+        while len(gens) < k:
+            g = random_poly(rng, ring, max_terms=2, max_exp=1)
+            if g.terms and g.total_degree() > 0:
+                gens.append(g)
+        J = Ideal(
+            ring,
+            [
+                random_poly(rng, ring, max_terms=2, max_exp=1) * rng.choice(gens) ** rng.randint(1, 2)
+                for _ in range(rng.randint(1, 2))
+            ],
+        )
+        return J, Ideal(ring, gens)
+
+    def check(self, rng, ring, trials, seen):
+        for _ in range(trials):
+            J, I = self.random_pair(rng, ring)
+            if J.is_zero_ideal or J.groebner_basis().is_unit_ideal:
+                continue
+            got = saturate(J, I)
+            want, exponent = oracles.oracle_saturate(J, I)
+            assert ideal_equal(got.ideal, want), (J, I)
+            assert got.exponent == exponent, (J, I)
+            assert is_saturated(J, I) == (exponent == 0), (J, I)
+            seen["exponent %d" % min(exponent, 2)] += 1
+            seen["%d generators" % len(I.generators)] += 1
+            seen["inhomogeneous"] += not all(g.is_homogeneous() for g in I.generators)
+
+    def test_matches_intersection_formula(self):
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for order in ("lex", "grevlex"):
+                ring = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder(order))
+                self.check(random.Random(1000 * p + len(order)), ring, 10, seen)
+        assert len(seen) == 8, seen
+        assert min(seen.values()) >= 8, seen
+
+    def test_tag_names_avoid_ring_variables(self):
+        seen = Counter()
+        for p in (0, 2):
+            ring = RingDescriptor(FieldSpec(p), ("t", "y", "t0", "y0"))
+            self.check(random.Random(7 + p), ring, 4, seen)
+        assert seen["exponent 0"] and seen["exponent 2"], seen
+        assert sum(seen["%d generators" % k] for k in (2, 3, 4)) >= 3, seen
+
+
 class TestMembership:
     def test_frozen_examples(self):
         R = ring_qq("x", "y")
@@ -603,27 +658,26 @@ class TestIdealCalculus:
                 K = ideal_quotient_ideal(K, I)
             assert ideal_equal(K, res.ideal)
 
-    def test_sum_and_product(self):
+    def test_sum(self):
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)
         s = ideal_sum(Ideal(R, [x]), Ideal(R, [y]))
         assert membership(x + y, s)
-        p = ideal_product(Ideal(R, [x, y]), Ideal(R, [x]))
-        assert ideal_equal(p, Ideal(R, [x**2, x * y]))
+        assert ideal_equal(s, Ideal(R, [x + y, x - y]))
 
     def test_elimination_golden(self):
-        R = ring_qq("t", "x", "y")
-        t, x, y = (R.variable(i) for i in range(3))
-        J = Ideal(R, [t * x, (1 - t) * y])
-        kept = eliminate(J, ["x", "y"])
-        assert kept.ring.variables == ("x", "y")
-        assert [str(g) for g in kept.groebner_basis()] == ["x*y"]
-
-    def test_eliminate_everything_rejected(self):
-        R = ring_qq("x", "y")
-        J = Ideal(R, [R.variable(0)])
-        with pytest.raises(ValueError):
-            eliminate(J, [])
+        # the tag variables are fresh although the ring already uses t and y
+        R = ring_qq("t", "y")
+        a, b = R.variable(0), R.variable(1)
+        one = _eliminate_tag(R, 1, lambda lift, t: [t * lift(a), (1 - t) * lift(b)])
+        assert [str(g) for g in one.groebner_basis()] == ["t*y"]
+        # two tags: <a> cap <b> cap <a + b> = (t1*<a> + t2*<b> + (1 - t1 - t2)*<a + b>) cap R
+        three = _eliminate_tag(
+            R,
+            2,
+            lambda lift, t1, t2: [t1 * lift(a), t2 * lift(b), (1 - t1 - t2) * lift(a + b)],
+        )
+        assert [str(g) for g in three.groebner_basis()] == ["t^2*y + t*y^2"]
 
     def test_extend_ring_preserves_generators(self):
         R = ring_qq("x", "y")

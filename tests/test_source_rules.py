@@ -1,5 +1,6 @@
 """Rules the engine source keeps, checked on its syntax tree."""
 import ast
+import importlib
 import pathlib
 
 import icmlab
@@ -28,3 +29,24 @@ def test_no_assert_statements():
 def test_no_global_statements():
     # budgets and caches live in the engine context, not in rebound globals
     assert _find(ast.Global) == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    # icmbench --trace 1 refuses to install when one of its TARGETS is gone
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "icmbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    assert len(targets) >= 30
+    missing = []
+    for module, path in targets:
+        owner = importlib.import_module("icmlab." + module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append("%s.%s" % (module, path))
+    assert missing == []
