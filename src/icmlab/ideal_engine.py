@@ -8,6 +8,16 @@ and both companion pairs have already been settled.  Output is always the
 reduced monic basis, which is unique for a given ideal and term order, so
 everything downstream is deterministic.
 
+Inside the completion the working basis is term tuples with integer
+coefficients, reduced by one remainder-only kernel for both fields: monic
+residues over GF(p), and over QQ primitive integer polynomials (content
+removed, positive leading coefficient) reduced fraction-free, the
+primitive pseudo-remainder of Geddes, Czapor & Labahn, *Algorithms for
+Computer Algebra* (1992).  ``Fraction`` coefficients are cleared on entry
+and come back only when the reduced basis leaves, made monic.  ``divide``
+is the quotient-returning division that ``normal_form`` and
+``ideal_quotient`` use.
+
 Completion is budgeted: the number of S-polynomial reductions is capped,
 and the engine fails loudly when the cap is hit rather than spinning.  The
 cap is ``buchberger``'s explicit ``step_limit`` when given, else the limit
@@ -32,7 +42,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm as integer_lcm
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -105,7 +117,7 @@ def _reuse(gb: ReducedGB, limit: int) -> ReducedGB:
 
 
 def _same_ring(a, b) -> None:
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise IncompatibleRingError(
             "operands live in different rings: %s vs %s" % (a.ring, b.ring)
         )
@@ -238,6 +250,123 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a - b
 
 
+def _integral(g: Polynomial, p: int) -> dict:
+    """g's terms as integer coefficients: the residues over GF(p), and over
+    QQ the numerators after clearing the denominators (a unit multiple)."""
+    if p:
+        return dict(g.terms)
+    d = integer_lcm(*(c.denominator for _, c in g.terms))
+    return {m: c.numerator * (d // c.denominator) for m, c in g.terms}
+
+
+def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
+    """The completion's remainder-only division kernel.
+
+    ``work`` maps monomials to nonzero integer coefficients and is consumed;
+    ``divs`` holds one ``(leading monomial, its degree, leading coefficient,
+    tail terms)`` per divisor.  Returns the remainder's terms, sorted
+    decreasing and normalized: monic over GF(p), primitive with a positive
+    leading coefficient over QQ; ``()`` when it is zero.
+
+    Terms leave a heap on ``TermOrder.descending_key`` largest first, as in
+    ``divide``.  Over GF(p) every divisor is monic and a step is the field
+    step.  Over QQ a step against leading coefficient lc consumes the term
+    c * x^a by scaling the work by lc/gcd(lc, c) and subtracting
+    (c/gcd(lc, c)) * x^a/lm * tail: the field step times a unit, so the
+    leading monomials and which divisor acts are exactly the field ones.
+    Remainder terms already emitted are not rescaled; each keeps the
+    running scale at its emission and gets the missing factor once, at the
+    end.
+    """
+    heap = [(dkey(m), m) for m in work]
+    heapify(heap)
+    emitted = []  # (monomial, coefficient, running scale when emitted)
+    scale = 1
+    while heap:
+        mono = heappop(heap)[1]
+        c = work.pop(mono, None)
+        if c is None:
+            continue
+        deg = sum(mono)
+        for ltm, ltdeg, lc, tail in divs:
+            if ltdeg <= deg and all(map(int.__le__, ltm, mono)):
+                shift = tuple(map(sub, mono, ltm))
+                if p:
+                    q = p - c
+                elif lc == 1:
+                    q = -c
+                else:
+                    g = gcd(lc, c)
+                    q = -(c // g)
+                    s = lc // g
+                    if s != 1:
+                        scale *= s
+                        for m in work:
+                            work[m] *= s
+                for m2, c2 in tail:
+                    m = tuple(map(add, shift, m2))
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = q * c2 % p if p else q * c2
+                        heappush(heap, (dkey(m), m))
+                    else:
+                        nc = (old + q * c2) % p if p else old + q * c2
+                        if nc:
+                            work[m] = nc
+                        else:
+                            del work[m]
+                break
+        else:
+            emitted.append((mono, c, scale))
+    if not emitted:
+        return ()
+    if p:
+        inv = pow(emitted[0][1], -1, p)
+        return tuple((m, c * inv % p) for m, c, _ in emitted)
+    terms = [(m, c * (scale // s)) for m, c, s in emitted]
+    content = gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        content = -content
+    return tuple((m, c // content) for m, c in terms)
+
+
+def _divisor(terms: tuple) -> tuple:
+    """The kernel's view of a normalized basis element."""
+    ltm, lc = terms[0]
+    return ltm, sum(ltm), lc, terms[1:]
+
+
+def _monic(ltm: Monomial, lc: int, tail: tuple, p: int) -> tuple:
+    """A normalized basis element as the monic terms of the field."""
+    if p:
+        return ((ltm, 1),) + tail
+    return ((ltm, Fraction(1)),) + tuple((m, Fraction(c, lc)) for m, c in tail)
+
+
+def _s_pair(lcm: Monomial, a: tuple, b: tuple, p: int) -> dict:
+    """The work of the S-pair of divisors ``a`` and ``b``: with g the gcd of
+    their leading coefficients, (lc_b/g) * lcm/lm_a * a - (lc_a/g) * lcm/lm_b * b,
+    whose leading terms cancel, so only the tails enter.  Over GF(p) both
+    cofactors are 1."""
+    lta, _, ca, taila = a
+    ltb, _, cb, tailb = b
+    g = gcd(ca, cb)
+    fa, fb = cb // g, ca // g
+    shift = tuple(map(sub, lcm, lta))
+    work = {tuple(map(add, shift, m)): fa * c for m, c in taila}
+    shift = tuple(map(sub, lcm, ltb))
+    for m2, c2 in tailb:
+        m = tuple(map(add, shift, m2))
+        nc = work.get(m, 0) - fb * c2
+        if p:
+            nc %= p
+        if nc:
+            work[m] = nc
+        else:
+            work.pop(m, None)
+    return work
+
+
 def buchberger(
     generators: Iterable[Polynomial],
     *,
@@ -256,6 +385,14 @@ def buchberger(
     generator terms) together with the reductions it took, so a repeated
     input returns the stored basis, or raises exactly when a fresh run
     under the current limit would.
+
+    The working basis is term tuples with integer coefficients, reduced by
+    the kernel ``_reduce``: monic residues over GF(p), primitive integer
+    polynomials with a positive leading coefficient over QQ.  Each is a
+    unit multiple of the monic basis element the field algorithm keeps, so
+    the leading monomials, the pairs reduced and ``steps`` are the field
+    algorithm's.  The reduced basis is made monic, with ``Fraction``
+    coefficients over QQ, only when it leaves.
     """
     gens = list(generators)
     if ring is None:
@@ -277,17 +414,19 @@ def buchberger(
         if hit is not None:
             return _reuse(hit, limit)
 
+    p = ring.field.characteristic
+    dkey = ring.order.descending_key
     key = ring.key
-    G: List[Polynomial] = []
+    divs: List[tuple] = []  # the working basis, as the kernel views it
     lts: List[Monomial] = []
     ltdegs: List[int] = []
     pending: set = set()
     heap: list = []
 
-    def add_poly(p: Polynomial) -> None:
-        j = len(G)
-        G.append(p)
-        lts.append(p.leading_monomial())
+    def add_poly(terms: tuple) -> None:
+        j = len(divs)
+        divs.append(_divisor(terms))
+        lts.append(terms[0][0])
         ltdegs.append(sum(lts[j]))
         for i in range(j):
             lcm = monomial_lcm(lts[i], lts[j])
@@ -300,9 +439,9 @@ def buchberger(
     for g in gens:
         if g.is_zero:
             continue
-        r = divide(g, G)[1] if G else g
-        if r.terms:
-            add_poly(r.monic())
+        r = _reduce(_integral(g, p), divs, p, dkey)
+        if r:
+            add_poly(r)
 
     steps = 0
     while heap:
@@ -312,7 +451,7 @@ def buchberger(
         pending.discard((i, j))
         lcm = monomial_lcm(lts[i], lts[j])
         chained = False
-        for t in range(len(G)):
+        for t in range(len(divs)):
             if t == i or t == j:
                 continue
             if ltdegs[t] <= deg and all(map(int.__le__, lts[t], lcm)):
@@ -326,26 +465,28 @@ def buchberger(
         steps += 1
         if steps > limit:
             raise _step_limit_error(limit)
-        r = divide(s_polynomial(G[i], G[j]), G)[1]
-        if r.terms:
-            add_poly(r.monic())
+        r = _reduce(_s_pair(lcm, divs[i], divs[j], p), divs, p, dkey)
+        if r:
+            add_poly(r)
 
     # minimal basis: scan by increasing leading monomial, drop dominated ones
     kept: List[int] = []
-    for j in sorted(range(len(G)), key=lambda j: key(lts[j])):
+    for j in sorted(range(len(divs)), key=lambda j: key(lts[j])):
         lm, d = lts[j], ltdegs[j]
         if any(ltdegs[k] <= d and all(map(int.__le__, lts[k], lm)) for k in kept):
             continue
         kept.append(j)
-    minimal = [G[j] for j in kept]
+    minimal = [divs[j] for j in kept]
 
     # full autoreduction; leading terms are pairwise non-dividing so they survive
     for idx in range(len(minimal)):
         others = minimal[:idx] + minimal[idx + 1 :]
         if others:
-            minimal[idx] = divide(minimal[idx], others)[1].monic()
+            ltm, _, lc, tail = minimal[idx]
+            minimal[idx] = _divisor(_reduce(dict(((ltm, lc),) + tail), others, p, dkey))
 
-    basis = tuple(sorted(minimal, key=lambda q: key(q.leading_monomial())))
+    # kept is ascending in the order and autoreduction keeps leading terms
+    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail in minimal)
     gb = ReducedGB(ring, basis, steps)
     if memo_key is not None:
         engine.memo[memo_key] = gb

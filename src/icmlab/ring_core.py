@@ -2,7 +2,9 @@
 
 Everything in this module is a plain immutable value.  Coefficients are
 `fractions.Fraction` in characteristic zero and canonical residues (ints in
-``[0, p)``) over a prime field.  A monomial is a tuple of nonnegative
+``[0, p)``) over a prime field.  ``Fraction`` is what every API takes and
+returns; only the Groebner completion in ``ideal_engine`` works on integer
+coefficients inside, and converts back before its basis leaves.  A monomial is a tuple of nonnegative
 exponents, one per ring variable.  A polynomial keeps its terms sorted in
 decreasing term order, so the leading term is always the first entry and
 never needs a search.

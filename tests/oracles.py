@@ -10,6 +10,10 @@ of homogeneous polynomials is exact linear algebra in a fixed degree; and
 associated primes come from enumerating monomial witnesses.  Slow on
 purpose, simple on purpose.
 
+``hard_rational_poly`` is not a reference but an input: seeded QQ
+polynomials whose coefficients strain the engine's fraction-free
+completion, shared by the oracle and the sympy cross-checks.
+
 ``oracle_saturate`` is the exception: the engine's earlier saturation by an
 ideal, built from the engine's own eliminations, kept as the reference for
 the one-basis formula that replaced it.
@@ -17,6 +21,9 @@ the one-basis formula that replaced it.
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Sequence, Set, Tuple
 
 from icmlab.errors import IncompatibleRingError, ZeroElementError
@@ -24,6 +31,7 @@ from icmlab.ideal_engine import Ideal, _eliminate_tag, ideal_intersect, normal_f
 from icmlab.ring_core import (
     Polynomial,
     RingDescriptor,
+    TermOrder,
     _from_dict,
     monomial_div,
     monomial_divides,
@@ -52,7 +60,11 @@ def oracle_key(ring: RingDescriptor):
         return oracle_lex_key
     if ring.order.kind == "grevlex":
         return oracle_grevlex_key
-    raise ValueError("oracle only handles lex and grevlex")
+    if ring.order.kind == "elimination-block":
+        # grevlex inside each block, the first block dominant
+        b = ring.order.block
+        return lambda m: (oracle_grevlex_key(m[:b]), oracle_grevlex_key(m[b:]))
+    raise ValueError("oracle only handles lex, grevlex and elimination blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +305,55 @@ def oracle_saturate(J: Ideal, I: Ideal) -> Tuple[Ideal, int]:
         rest = {normal_form(g * h, gb) for g in I.generators for h in rest if h}
         exponent += 1
     return sat, exponent
+
+
+# ---------------------------------------------------------------------------
+# QQ inputs for the fraction-free completion
+
+
+def _hard_coefficient(rng: random.Random):
+    kind = rng.randrange(3)
+    sign = rng.choice((-1, 1))
+    if kind == 0:
+        return sign * rng.randint(1, 9)
+    if kind == 1:
+        return Fraction(sign * rng.randint(1, 99), rng.randint(2, 10**6))
+    return sign * rng.randint(2**64, 2**72)
+
+
+# the term orders the fraction-free cross-checks run in
+HARD_ORDERS = (
+    TermOrder("lex"),
+    TermOrder("grevlex"),
+    TermOrder("elimination-block", 1),
+    TermOrder("elimination-block", 2),
+)
+
+
+def hard_rational_poly(rng: random.Random, ring: RingDescriptor) -> Polynomial:
+    """2-3 terms of degree at most 2 per variable; each coefficient is small,
+    a fraction with a denominator up to 10^6, or above 2^64 in size, and
+    the whole polynomial is scaled by 1, -1, 6, -35 or 2^65."""
+    acc: Dict[Mono, object] = {}
+    for _ in range(rng.randint(2, 3)):
+        m = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+        acc[m] = acc.get(m, 0) + _hard_coefficient(rng)
+    return ring.polynomial(acc) * rng.choice((1, -1, 6, -35, 2**65))
+
+
+def hard_traits(f: Polynomial) -> Set[str]:
+    """Which of the strains ``hard_rational_poly`` aims at f carries."""
+    coeffs = [c for _, c in f.terms]
+    out = set()
+    if any(c.denominator > 1 for c in coeffs):
+        out.add("denominator")
+    elif gcd(*(c.numerator for c in coeffs)) > 1:
+        out.add("content > 1")
+    if any(abs(c.numerator) > 2**64 for c in coeffs):
+        out.add("numerator > 2^64")
+    if coeffs and coeffs[0] < 0:
+        out.add("negative lead")
+    return out
 
 
 # ---------------------------------------------------------------------------

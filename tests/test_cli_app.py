@@ -473,33 +473,34 @@ class TestEngineContext:
     )
 
     @pytest.fixture
-    def s_pairs(self, monkeypatch):
-        """Counts S-polynomials formed, i.e. the work a memo hit skips."""
+    def reductions(self, monkeypatch):
+        """Counts the completion's kernel reductions (generators, S-pairs and
+        the final autoreduction), i.e. the work a memo hit skips."""
         count = [0]
-        original = ideal_engine.s_polynomial
+        original = ideal_engine._reduce
 
-        def counting(f, g):
+        def counting(*args):
             count[0] += 1
-            return original(f, g)
+            return original(*args)
 
-        monkeypatch.setattr(ideal_engine, "s_polynomial", counting)
+        monkeypatch.setattr(ideal_engine, "_reduce", counting)
         return count
 
-    def test_memo_does_not_outlive_the_call(self, tmp_path, capsys, s_pairs):
+    def test_memo_does_not_outlive_the_call(self, tmp_path, capsys, reductions):
         script = tmp_path / "twin.icm"
         script.write_text(self.TWIN_SCRIPT)
         with engine_context():
             gens = parse(self.TWIN_SCRIPT).statements[1].generators
             buchberger(gens)
-        per_basis = s_pairs[0]
+        per_basis = reductions[0]
         assert per_basis > 0
         assert main(["run", str(script)]) == 0
-        assert s_pairs[0] == 2 * per_basis  # B was a hit
+        assert reductions[0] == 2 * per_basis  # B was a hit
         assert main(["run", str(script)]) == 0
-        assert s_pairs[0] == 3 * per_basis  # nothing carried over from the last call
+        assert reductions[0] == 3 * per_basis  # nothing carried over from the last call
         buchberger(gens)
         buchberger(gens)
-        assert s_pairs[0] == 5 * per_basis  # and nothing is kept outside a call
+        assert reductions[0] == 5 * per_basis  # and nothing is kept outside a call
         capsys.readouterr()
 
     def test_corpus_output_does_not_depend_on_the_context(self):

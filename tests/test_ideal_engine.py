@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from icmlab.errors import StepLimitExceededError, ZeroElementError
+from icmlab.errors import IncompatibleRingError, StepLimitExceededError, ZeroElementError
 from icmlab.ideal_engine import (
     Ideal,
     buchberger,
@@ -80,6 +80,17 @@ class TestDivision:
         R = ring_qq("x")
         with pytest.raises(ZeroElementError):
             divide(R.variable(0), [R.zero()])
+
+    def test_ring_check_accepts_equal_rings_and_names_a_mismatch(self):
+        R, S = ring_qq("x", "y"), ring_qq("x", "y")
+        assert R is not S  # equal descriptors, distinct objects
+        assert divide(R.variable(0) * R.variable(1), [S.variable(0)])[1].is_zero
+        T = ring_qq("x", "z")
+        with pytest.raises(
+            IncompatibleRingError,
+            match=r"^operands live in different rings: QQ\[x, y\] grevlex vs QQ\[x, z\] grevlex$",
+        ):
+            divide(R.variable(0), [T.variable(0)])
 
     def test_matches_oracle_divide_term_for_term(self):
         rng = random.Random(41)
@@ -423,6 +434,37 @@ class TestStepCounts:
         with pytest.raises(StepLimitExceededError, match="exceeded 102 S-pair"):
             buchberger(gens, step_limit=102)
         assert buchberger(gens, step_limit=103).steps == 103
+
+    def test_least_passing_step_limit_over_qq(self):
+        gens = frozen_system(katsura, 0, 4, "lex")
+        with pytest.raises(StepLimitExceededError, match="exceeded 14 S-pair"):
+            buchberger(gens, step_limit=14)
+        assert buchberger(gens, step_limit=15).steps == 15
+
+
+class TestFractionFree:
+    """Over QQ the completion works on primitive integer polynomials and
+    makes the basis monic only when it leaves; the oracle works on
+    ``Fraction`` throughout.  The inputs carry denominators up to 10^6,
+    numerators above 2^64, negative leading coefficients and content > 1."""
+
+    @pytest.mark.parametrize("order", oracles.HARD_ORDERS, ids=str)
+    def test_matches_oracle_on_hard_coefficients(self, order):
+        rng = random.Random(4243 + len(str(order)) + (order.block or 0))
+        R = RingDescriptor(QQ, ("x", "y", "z"), order)
+        seen = Counter()
+        for _ in range(20):
+            # two generators: with three, some of these inputs swell to
+            # coefficients of many thousand bits and take tens of seconds
+            gens = [oracles.hard_rational_poly(rng, R) for _ in range(2)]
+            gens = [g for g in gens if not g.is_zero]
+            gb = buchberger(gens)
+            assert list(gb) == oracles.oracle_buchberger(gens), gens
+            for g in gens:
+                seen.update(oracles.hard_traits(g))
+            seen["proper ideal"] += not gb.is_unit_ideal
+        assert len(seen) == 5, seen
+        assert min(seen.values()) >= 3, seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Reduced Groebner bases against sympy's ``groebner`` on seeded random
 ideals, over QQ and GF(32003), in lex and grevlex, with the engine memo
-inactive and active.  A second, independent implementation; it complements
-the in-repo oracles in ``oracles.py``."""
+inactive and active; and over QQ on coefficients that strain the
+fraction-free completion, in elimination orders too.  A second, independent
+implementation; it complements the in-repo oracles in ``oracles.py``."""
 import random
 from fractions import Fraction
 
 import pytest
 
 from icmlab.ideal_engine import buchberger, engine_context
-from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder
+from icmlab.ring_core import ELIMINATION, FieldSpec, RingDescriptor, TermOrder
+
+import oracles
 
 sp = pytest.importorskip("sympy")
+orderings = pytest.importorskip("sympy.polys.orderings")
 
 NAMES = ("x0", "x1", "x2")
 P = 32003
@@ -38,6 +42,16 @@ def canonical(terms, p):
         return tuple(sorted((m, int(c) * lead % p) for m, c in terms.items()))
     lead = terms[max(terms)]
     return tuple(sorted((m, c / lead) for m, c in terms.items()))
+
+
+def sympy_order(order):
+    """sympy's name or ``ProductOrder`` for a ``TermOrder``."""
+    if order.kind != ELIMINATION:
+        return order.kind
+    b = order.block
+    return orderings.ProductOrder(
+        (orderings.grevlex, lambda m: m[:b]), (orderings.grevlex, lambda m: m[b:])
+    )
 
 
 def sympy_basis(gens, order, p):
@@ -71,3 +85,14 @@ def test_reduced_basis_matches_sympy(order, p):
             assert gb.ring == ring
             assert sorted(canonical(dict(g.terms), p) for g in gb) == want, gens
             assert all(g.leading_coefficient() == 1 for g in gb)
+
+
+@pytest.mark.parametrize("order", oracles.HARD_ORDERS, ids=str)
+def test_hard_rational_coefficients_match_sympy(order):
+    rng = random.Random(5107 + len(str(order)) + (order.block or 0))
+    ring = RingDescriptor(FieldSpec(0), NAMES, order)
+    for _ in range(10):
+        gens = [oracles.hard_rational_poly(rng, ring) for _ in range(2)]
+        gens = [g for g in gens if not g.is_zero]
+        want = sympy_basis(gens, sympy_order(order), 0)
+        assert sorted(canonical(dict(g.terms), 0) for g in buchberger(gens)) == want, gens
