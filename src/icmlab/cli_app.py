@@ -430,10 +430,9 @@ def print_script(script: Script) -> str:
     for stmt in script.statements:
         if isinstance(stmt, RingStmt):
             ring = stmt.ring
-            fld = "QQ" if ring.field.characteristic == 0 else "GF(%d)" % ring.field.characteristic
             lines.append(
                 "ring %s = %s[%s] order %s;"
-                % (stmt.name, fld, ", ".join(ring.variables), ring.order.kind)
+                % (stmt.name, ring.field, ", ".join(ring.variables), ring.order.kind)
             )
         elif isinstance(stmt, IdealStmt):
             if stmt.intersect_of is not None:

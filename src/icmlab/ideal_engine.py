@@ -8,15 +8,16 @@ and both companion pairs have already been settled.  Output is always the
 reduced monic basis, which is unique for a given ideal and term order, so
 everything downstream is deterministic.
 
-Inside the completion the working basis is term tuples with integer
-coefficients, reduced by one remainder-only kernel for both fields: monic
-residues over GF(p), and over QQ primitive integer polynomials (content
-removed, positive leading coefficient) reduced fraction-free, the
-primitive pseudo-remainder of Geddes, Czapor & Labahn, *Algorithms for
-Computer Algebra* (1992).  ``Fraction`` coefficients are cleared on entry
-and come back only when the reduced basis leaves, made monic.  ``divide``
-is the quotient-returning division that ``normal_form`` and
-``ideal_quotient`` use.
+All division runs through one kernel on integer coefficients,
+``_reduce``: the completion's reductions, ``divide`` and ``normal_form``.
+Over GF(p) its divisors are monic residues; over QQ they are integer
+polynomials, reduced fraction-free by the primitive pseudo-remainder of
+Geddes, Czapor & Labahn, *Algorithms for Computer Algebra* (1992).  Inside
+the completion the working basis is primitive (content removed, positive
+leading coefficient).  ``Fraction`` coefficients are cleared on entry and
+come back only at the boundary: when the reduced basis leaves, made monic,
+and when ``divide`` and ``normal_form`` return their quotients and
+remainder, which are exactly the field algorithm's.
 
 Completion is budgeted: the number of S-polynomial reductions is capped,
 and the engine fails loudly when the cap is hit rather than spinning.  The
@@ -46,7 +47,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as integer_lcm
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     EngineError,
@@ -60,6 +61,7 @@ from .ring_core import (
     Polynomial,
     RingDescriptor,
     TermOrder,
+    _same_ring,
     monomial_degree,
     monomial_div,
     monomial_lcm,
@@ -116,63 +118,73 @@ def _reuse(gb: ReducedGB, limit: int) -> ReducedGB:
     return gb
 
 
-def _same_ring(a, b) -> None:
-    if a.ring is not b.ring and a.ring != b.ring:
-        raise IncompatibleRingError(
-            "operands live in different rings: %s vs %s" % (a.ring, b.ring)
-        )
+def _integral(g: Polynomial, p: int) -> tuple:
+    """A nonzero g as ``(terms, v)`` with integer terms = v * g: over GF(p)
+    the monic residues and v the inverse of the leading coefficient, over QQ
+    the numerators over the lcm v of the denominators."""
+    if p:
+        v = pow(g.terms[0][1], -1, p)
+        return tuple((m, c * v % p) for m, c in g.terms), v
+    v = integer_lcm(*(c.denominator for _, c in g.terms))
+    return tuple((m, c.numerator * (v // c.denominator)) for m, c in g.terms), v
 
 
-def divide(f: Polynomial, divisors: Sequence[Polynomial]):
-    """Multivariate division: f = sum(q_i * d_i) + r with no term of r
-    divisible by any divisor's leading term.
+def _divisor(terms: tuple, quotient: Optional[list] = None) -> tuple:
+    """The kernel's view of a divisor given by its integer terms."""
+    ltm, lc = terms[0]
+    return ltm, sum(ltm), lc, terms[1:], quotient
 
-    Returns ``(quotients, remainder)``.  Divisors are tried in the order
-    given; the result depends on that order except for the remainder against
-    a Groebner basis, which is canonical.
 
-    The work terms sit in a heap on ``TermOrder.descending_key``, one key
-    computed per term as it enters, so each step takes the largest term
-    without a scan.  Every term a step adds is below the term it consumes,
-    so terms leave the heap in strictly decreasing order: the remainder and
-    each quotient (whose monomials are distinct shifts of those terms) are
-    emitted already sorted.  A term cancelled to zero leaves a stale heap
-    entry, which is skipped when popped.
+def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
+    """The division kernel: the completion, ``divide`` and ``normal_form``.
+
+    ``work`` (f) maps monomials to nonzero integer coefficients and is
+    consumed; ``divs`` holds one ``(leading monomial, its degree, leading
+    coefficient, tail terms, quotient)`` per divisor d_i, monic over GF(p),
+    where quotient is a list that collects q_i's terms, or ``None``.
+    Returns ``(r, scale)`` with scale * f = sum(q_i * d_i) + r over the
+    integers, r's terms sorted decreasing; the scale is 1 over GF(p).
+
+    Work terms sit in a heap on ``TermOrder.descending_key``, one key per
+    term as it enters; a step adds only terms below the one it consumes, so
+    r and every q_i come out already sorted, and a term cancelled to zero
+    leaves a stale entry that is skipped when popped.  Over QQ a step against
+    leading coefficient lc consumes c * x^a by scaling the work by
+    lc/gcd(lc, c) and subtracting (c/gcd(lc, c)) * x^a/lm * tail: the field
+    step times a unit, so which divisor acts on which monomial is exactly as
+    in the field algorithm.  Emitted remainder and quotient terms keep the
+    running scale at their emission and get the missing factor once, at the
+    end.
     """
-    ring = f.ring
-    field = ring.field
-    p = field.characteristic
-    dkey = ring.order.descending_key
-    # per divisor: leading monomial and its degree, the inverse of the
-    # leading coefficient (None when it is 1, as for every basis element),
-    # the tail and the quotient terms emitted so far
-    divs = []
-    for d in divisors:
-        _same_ring(f, d)
-        if d.is_zero:
-            raise ZeroElementError("cannot divide by the zero polynomial")
-        ltm, ltc = d.terms[0]
-        inv = None if ltc == 1 else field.invert(ltc)
-        divs.append((ltm, sum(ltm), inv, d.terms[1:], []))
-    work = dict(f.terms)
-    # f's terms are sorted decreasing, so their keys ascend: already a heap
-    heap = [(dkey(m), m) for m, _ in f.terms]
-    remainder = []
+    heap = [(dkey(m), m) for m in work]
+    heapify(heap)
+    emitted, scales = [], []  # remainder terms, the running scale at each emission
+    scale = 1
+    quoted = False
     while heap:
         mono = heappop(heap)[1]
         c = work.pop(mono, None)
         if c is None:
             continue
         deg = sum(mono)
-        for ltm, ltdeg, inv, tail, quotient in divs:
+        for ltm, ltdeg, lc, tail, quotient in divs:
             if ltdeg <= deg and all(map(int.__le__, ltm, mono)):
                 shift = tuple(map(sub, mono, ltm))
-                q = c
-                if inv is not None:
-                    q = c * inv % p if p else c * inv
-                quotient.append((shift, q))
-                # the leading term cancels exactly; only -q * tail feeds back
-                q = p - q if p else -q
+                if p:
+                    q = p - c
+                elif lc == 1:
+                    q = -c
+                else:
+                    g = gcd(lc, c)
+                    q = -(c // g)
+                    s = lc // g
+                    if s != 1:
+                        scale *= s
+                        for m in work:
+                            work[m] *= s
+                if quotient is not None:
+                    quotient.append((shift, c if p else -q, scale))
+                    quoted = True
                 for m2, c2 in tail:
                     m = tuple(map(add, shift, m2))
                     old = work.get(m)
@@ -187,9 +199,61 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial]):
                             del work[m]
                 break
         else:
-            remainder.append((mono, c))
-    quots = [Polynomial(ring, tuple(terms)) for *_, terms in divs]
-    return quots, Polynomial(ring, tuple(remainder))
+            emitted.append((mono, c))
+            scales.append(scale)
+    if quoted:
+        for *_, quotient in divs:
+            if quotient:
+                quotient[:] = [(m, c * (scale // s)) for m, c, s in quotient]
+    if scale != 1:
+        emitted = [(m, c * (scale // s)) for (m, c), s in zip(emitted, scales)]
+    return tuple(emitted), scale
+
+
+def _kernel_remainder(f: Polynomial, divs: Sequence[tuple]) -> tuple:
+    """One kernel run on a nonzero f: ``(w, R / w)`` with w * f = sum(q_i * d_i)
+    + R over the integers.  Over GF(p) f enters as it is and w = 1."""
+    ring = f.ring
+    p = ring.field.characteristic
+    if p:
+        return 1, Polynomial(ring, _reduce(dict(f.terms), divs, p, ring.order.descending_key)[0])
+    terms, v = _integral(f, 0)
+    r, scale = _reduce(dict(terms), divs, 0, ring.order.descending_key)
+    w = v * scale
+    return w, Polynomial(ring, tuple((m, Fraction(c, w)) for m, c in r))
+
+
+def divide(f: Polynomial, divisors: Sequence[Polynomial]):
+    """Multivariate division: f = sum(q_i * d_i) + r with no term of r
+    divisible by any divisor's leading term.
+
+    Returns ``(quotients, remainder)``.  Divisors are tried in the order
+    given; the result depends on that order except for the remainder against
+    a Groebner basis, which is canonical.
+
+    One run of the kernel ``_reduce`` on f and the divisors scaled to
+    integer terms; the quotients and remainder leave exactly as the field
+    algorithm's.
+    """
+    field = f.ring.field
+    divs, multipliers = [], []
+    for d in divisors:
+        _same_ring(f, d)
+        if d.is_zero:
+            raise ZeroElementError("cannot divide by the zero polynomial")
+        terms, v = _integral(d, field.characteristic)
+        divs.append(_divisor(terms, []))
+        multipliers.append(v)
+    if f.is_zero:
+        return [f for _ in divs], f
+    w, r = _kernel_remainder(f, divs)
+    # w * f = sum(q_i * v_i * d_i) + r, so f's quotient by d_i is v_i / w * q_i
+    p = field.characteristic
+    quots = []
+    for (*_, terms), v in zip(divs, multipliers):
+        k = field.mul(v, field.invert(w))
+        quots.append(Polynomial(f.ring, tuple((m, c * k % p if p else c * k) for m, c in terms)))
+    return quots, r
 
 
 class ReducedGB:
@@ -200,14 +264,18 @@ class ReducedGB:
     it took.  It depends on the generator list, not only on the ideal, so
     it is not part of equality; a stored basis is handed out again only
     under a step limit that a fresh completion would have met.
+    ``_divisors``, the basis as the division kernel views it, is built by
+    the first ``normal_form`` against it and kept; it is not part of
+    equality either.
     """
 
-    __slots__ = ("ring", "basis", "steps")
+    __slots__ = ("ring", "basis", "steps", "_divisors")
 
     def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...], steps: int):
         self.ring = ring
         self.basis = basis
         self.steps = steps
+        self._divisors = None
 
     @property
     def order(self) -> TermOrder:
@@ -250,92 +318,6 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a - b
 
 
-def _integral(g: Polynomial, p: int) -> dict:
-    """g's terms as integer coefficients: the residues over GF(p), and over
-    QQ the numerators after clearing the denominators (a unit multiple)."""
-    if p:
-        return dict(g.terms)
-    d = integer_lcm(*(c.denominator for _, c in g.terms))
-    return {m: c.numerator * (d // c.denominator) for m, c in g.terms}
-
-
-def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
-    """The completion's remainder-only division kernel.
-
-    ``work`` maps monomials to nonzero integer coefficients and is consumed;
-    ``divs`` holds one ``(leading monomial, its degree, leading coefficient,
-    tail terms)`` per divisor.  Returns the remainder's terms, sorted
-    decreasing and normalized: monic over GF(p), primitive with a positive
-    leading coefficient over QQ; ``()`` when it is zero.
-
-    Terms leave a heap on ``TermOrder.descending_key`` largest first, as in
-    ``divide``.  Over GF(p) every divisor is monic and a step is the field
-    step.  Over QQ a step against leading coefficient lc consumes the term
-    c * x^a by scaling the work by lc/gcd(lc, c) and subtracting
-    (c/gcd(lc, c)) * x^a/lm * tail: the field step times a unit, so the
-    leading monomials and which divisor acts are exactly the field ones.
-    Remainder terms already emitted are not rescaled; each keeps the
-    running scale at its emission and gets the missing factor once, at the
-    end.
-    """
-    heap = [(dkey(m), m) for m in work]
-    heapify(heap)
-    emitted = []  # (monomial, coefficient, running scale when emitted)
-    scale = 1
-    while heap:
-        mono = heappop(heap)[1]
-        c = work.pop(mono, None)
-        if c is None:
-            continue
-        deg = sum(mono)
-        for ltm, ltdeg, lc, tail in divs:
-            if ltdeg <= deg and all(map(int.__le__, ltm, mono)):
-                shift = tuple(map(sub, mono, ltm))
-                if p:
-                    q = p - c
-                elif lc == 1:
-                    q = -c
-                else:
-                    g = gcd(lc, c)
-                    q = -(c // g)
-                    s = lc // g
-                    if s != 1:
-                        scale *= s
-                        for m in work:
-                            work[m] *= s
-                for m2, c2 in tail:
-                    m = tuple(map(add, shift, m2))
-                    old = work.get(m)
-                    if old is None:
-                        work[m] = q * c2 % p if p else q * c2
-                        heappush(heap, (dkey(m), m))
-                    else:
-                        nc = (old + q * c2) % p if p else old + q * c2
-                        if nc:
-                            work[m] = nc
-                        else:
-                            del work[m]
-                break
-        else:
-            emitted.append((mono, c, scale))
-    if not emitted:
-        return ()
-    if p:
-        inv = pow(emitted[0][1], -1, p)
-        return tuple((m, c * inv % p) for m, c, _ in emitted)
-    terms = [(m, c * (scale // s)) for m, c, s in emitted]
-    content = gcd(*(c for _, c in terms))
-    if terms[0][1] < 0:
-        content = -content
-    return tuple((m, c // content) for m, c in terms)
-
-
-def _divisor(terms: tuple) -> tuple:
-    """The kernel's view of a normalized basis element."""
-    ltm, lc = terms[0]
-    return ltm, sum(ltm), lc, terms[1:]
-
-
 def _monic(ltm: Monomial, lc: int, tail: tuple, p: int) -> tuple:
     """A normalized basis element as the monic terms of the field."""
     if p:
@@ -343,13 +325,25 @@ def _monic(ltm: Monomial, lc: int, tail: tuple, p: int) -> tuple:
     return ((ltm, Fraction(1)),) + tuple((m, Fraction(c, lc)) for m, c in tail)
 
 
+def _normalize(terms: tuple, p: int) -> tuple:
+    """A nonzero remainder as the completion keeps it: monic over GF(p),
+    primitive with a positive leading coefficient over QQ."""
+    if p:
+        inv = pow(terms[0][1], -1, p)
+        return tuple((m, c * inv % p) for m, c in terms)
+    content = gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        content = -content
+    return tuple((m, c // content) for m, c in terms)
+
+
 def _s_pair(lcm: Monomial, a: tuple, b: tuple, p: int) -> dict:
     """The work of the S-pair of divisors ``a`` and ``b``: with g the gcd of
     their leading coefficients, (lc_b/g) * lcm/lm_a * a - (lc_a/g) * lcm/lm_b * b,
     whose leading terms cancel, so only the tails enter.  Over GF(p) both
     cofactors are 1."""
-    lta, _, ca, taila = a
-    ltb, _, cb, tailb = b
+    lta, _, ca, taila, _ = a
+    ltb, _, cb, tailb, _ = b
     g = gcd(ca, cb)
     fa, fb = cb // g, ca // g
     shift = tuple(map(sub, lcm, lta))
@@ -439,9 +433,9 @@ def buchberger(
     for g in gens:
         if g.is_zero:
             continue
-        r = _reduce(_integral(g, p), divs, p, dkey)
+        r = _reduce(dict(g.terms if p else _integral(g, p)[0]), divs, p, dkey)[0]
         if r:
-            add_poly(r)
+            add_poly(_normalize(r, p))
 
     steps = 0
     while heap:
@@ -465,9 +459,9 @@ def buchberger(
         steps += 1
         if steps > limit:
             raise _step_limit_error(limit)
-        r = _reduce(_s_pair(lcm, divs[i], divs[j], p), divs, p, dkey)
+        r = _reduce(_s_pair(lcm, divs[i], divs[j], p), divs, p, dkey)[0]
         if r:
-            add_poly(r)
+            add_poly(_normalize(r, p))
 
     # minimal basis: scan by increasing leading monomial, drop dominated ones
     kept: List[int] = []
@@ -482,31 +476,35 @@ def buchberger(
     for idx in range(len(minimal)):
         others = minimal[:idx] + minimal[idx + 1 :]
         if others:
-            ltm, _, lc, tail = minimal[idx]
-            minimal[idx] = _divisor(_reduce(dict(((ltm, lc),) + tail), others, p, dkey))
+            ltm, _, lc, tail, _ = minimal[idx]
+            r = _reduce(dict(((ltm, lc),) + tail), others, p, dkey)[0]
+            minimal[idx] = _divisor(_normalize(r, p))
 
     # kept is ascending in the order and autoreduction keeps leading terms
-    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail in minimal)
+    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
     gb = ReducedGB(ring, basis, steps)
     if memo_key is not None:
         engine.memo[memo_key] = gb
     return gb
 
 
-def normal_form(f: Polynomial, basis: Union[ReducedGB, Sequence[Polynomial]]) -> Polynomial:
-    """Remainder of f on division by the basis; canonical when the basis is
-    a Groebner basis for f's ring and order."""
-    if isinstance(basis, ReducedGB):
-        if f.ring != basis.ring:
-            raise IncompatibleRingError(
-                "polynomial and basis live in different rings"
-            )
-        divisors: Sequence[Polynomial] = basis.basis
-    else:
-        divisors = tuple(basis)
-    if not divisors:
+def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
+    """The remainder of f on division by the reduced basis: canonical, and
+    zero exactly when f lies in the ideal.
+
+    One run of the kernel ``_reduce`` against the basis in kernel form,
+    built on the first call and kept on ``basis`` (a basis never used here
+    keeps no copy), so a normal form converts only f and its remainder.
+    """
+    ring = f.ring
+    if ring is not basis.ring and ring != basis.ring:
+        raise IncompatibleRingError("polynomial and basis live in different rings")
+    if f.is_zero or not basis.basis:
         return f
-    return divide(f, divisors)[1]
+    if basis._divisors is None:
+        p = ring.field.characteristic
+        basis._divisors = tuple(_divisor(_integral(g, p)[0]) for g in basis.basis)
+    return _kernel_remainder(f, basis._divisors)[1]
 
 
 class Ideal:

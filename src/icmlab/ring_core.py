@@ -3,17 +3,17 @@
 Everything in this module is a plain immutable value.  Coefficients are
 `fractions.Fraction` in characteristic zero and canonical residues (ints in
 ``[0, p)``) over a prime field.  ``Fraction`` is what every API takes and
-returns; only the Groebner completion in ``ideal_engine`` works on integer
-coefficients inside, and converts back before its basis leaves.  A monomial is a tuple of nonnegative
-exponents, one per ring variable.  A polynomial keeps its terms sorted in
-decreasing term order, so the leading term is always the first entry and
-never needs a search.
+returns; only the division kernel shared by ``ideal_engine``'s completion,
+division and normal forms works on integer coefficients inside.  A monomial
+is a tuple of nonnegative exponents, one per ring variable.  A polynomial
+keeps its terms sorted in decreasing term order, so the leading term is
+always the first entry and never needs a search.
 
 ``TermOrder.key`` sorts monomials in increasing order;
 ``TermOrder.descending_key`` is a flat tuple of ints that sorts them in
 decreasing order, so a ``heapq`` min-heap keyed by it pops the largest
-monomial first.  Division keeps its work terms in such a heap, computes
-the key once per term and emits its output already sorted.
+monomial first.  The division kernel keeps its work terms in such a heap,
+computes the key once per term and emits its output already sorted.
 
 No floating point appears anywhere; equality of polynomials is exact.
 """
@@ -293,6 +293,14 @@ class RingDescriptor:
         return "%s[%s] %s" % (self.field, ", ".join(self.variables), self.order)
 
 
+def _same_ring(a, b) -> None:
+    """Raise unless ``a`` and ``b`` share one ring; identity is tried first."""
+    if a.ring is not b.ring and a.ring != b.ring:
+        raise IncompatibleRingError(
+            "operands live in different rings: %s vs %s" % (a.ring, b.ring)
+        )
+
+
 def _from_dict(ring: RingDescriptor, acc: dict) -> "Polynomial":
     items = [(m, c) for m, c in acc.items() if c != 0]
     items.sort(key=lambda t: ring.key(t[0]), reverse=True)
@@ -361,18 +369,12 @@ class Polynomial:
         f = self.ring.field
         return Polynomial(self.ring, tuple((m, f.mul(inv, c)) for m, c in self.terms))
 
-    def _check_ring(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
-            raise IncompatibleRingError(
-                "operands live in different rings: %s vs %s" % (self.ring, other.ring)
-            )
-
     def __add__(self, other: Union["Polynomial", int, Fraction]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_ring(other)
+        _same_ring(self, other)
         f = self.ring.field
         acc = dict(self.terms)
         for m, c in other.terms:
@@ -411,7 +413,7 @@ class Polynomial:
             return Polynomial(self.ring, tuple((m, f.mul(c, cf)) for m, cf in self.terms))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_ring(other)
+        _same_ring(self, other)
         acc: dict = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:

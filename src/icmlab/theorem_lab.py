@@ -221,10 +221,9 @@ def serialize_instance(
 ) -> str:
     """Write the instance as a runnable script in the CLI input language."""
     ring = M.ring
-    field = "QQ" if ring.field.characteristic == 0 else "GF(%d)" % ring.field.characteristic
     lines = ["# %s" % h for h in header]
     lines.append(
-        "ring R = %s[%s] order %s;" % (field, ", ".join(ring.variables), ring.order.kind)
+        "ring R = %s[%s] order %s;" % (ring.field, ", ".join(ring.variables), ring.order.kind)
     )
     j_gens = M.defining_ideal.generators
     lines.append("ideal J = %s;" % (", ".join(str(g) for g in j_gens) if j_gens else "0"))

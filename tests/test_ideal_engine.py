@@ -467,6 +467,50 @@ class TestFractionFree:
         assert min(seen.values()) >= 3, seen
 
 
+class TestNormalForm:
+    """``normal_form`` divides by the basis as the completion keeps it
+    (integer terms, primitive over QQ); the oracle divides by the monic
+    basis with field arithmetic.  The remainders must agree term for term."""
+
+    @pytest.mark.parametrize("order", oracles.HARD_ORDERS, ids=str)
+    @pytest.mark.parametrize("p", (0, 2, 3, 32003))
+    def test_matches_oracle_divide_on_the_reduced_basis(self, p, order):
+        rng = random.Random(4271 + 7 * p + len(str(order)) + (order.block or 0))
+        R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+        seen = Counter()
+        for _ in range(20):
+            if p:
+                gens = [random_poly(rng, R, max_terms=3) for _ in range(rng.randint(1, 3))]
+            else:
+                # non-integer coefficients, content > 1 and negative leading
+                # coefficients; two generators keep the bases small
+                gens = [oracles.hard_rational_poly(rng, R) for _ in range(2)]
+                for g in gens:
+                    seen.update(oracles.hard_traits(g))
+            gens = [g for g in gens if not g.is_zero]
+            if not gens:
+                continue
+            gb = buchberger(gens)
+            member = R.zero()
+            for g in gens:
+                member = member + random_poly(rng, R, max_terms=2) * g
+            f = random_poly(rng, R, max_terms=5, max_exp=3) + member
+            if not p:
+                f = f * Fraction(rng.randint(1, 50), rng.randint(1, 50))
+            reduced = oracles.oracle_divide(f, gb.basis)[1]
+            for case in (R.zero(), member, f, reduced):
+                want = oracles.oracle_divide(case, gb.basis)[1]
+                assert normal_form(case, gb).terms == want.terms, (gens, case)
+            assert normal_form(member, gb).is_zero
+            assert normal_form(reduced, gb) == reduced
+            seen["member"] += not member.is_zero
+            seen["reduced"] += not reduced.is_zero
+            seen["not reduced"] += reduced != f
+        assert min(seen["member"], seen["reduced"], seen["not reduced"]) >= 4, seen
+        if not p:
+            assert {"denominator", "content > 1", "negative lead"} <= set(seen), seen
+
+
 # ---------------------------------------------------------------------------
 # membership
 
