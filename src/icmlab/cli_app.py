@@ -460,10 +460,9 @@ def _sorted_primes(primes) -> List[invariants.MonomialPrime]:
 
 
 class _Session:
-    def __init__(self, seed: int, trials: int, budget: int) -> None:
+    def __init__(self, seed: int, trials: int) -> None:
         self.seed = seed
         self.trials = trials
-        self.budget = budget
         self.ideals: Dict[str, Ideal] = {}
         self.text: List[str] = []
         self.payload: List[dict] = []
@@ -481,9 +480,7 @@ class _Session:
         record: dict = {"query": kw, "args": list(stmt.args)}
         out: List[str] = []
         if kw == "verify":
-            report = theorem_lab.run_suite(
-                stmt.args[0], trials=self.trials, base_seed=self.seed, budget=self.budget
-            )
+            report = theorem_lab.run_suite(stmt.args[0], trials=self.trials, base_seed=self.seed)
             self.verify_failures += len(report.failures)
             out.append(report.summary_line())
             out.extend(report.failures)
@@ -538,7 +535,7 @@ class _Session:
                 record["basis"] = basis
             elif kw == "grade":
                 M = invariants.CyclicModule(ring, J)
-                w = invariants.grade(M, I, budget=self.budget, seed=self.seed)
+                w = invariants.grade(M, I, seed=self.seed)
                 out.append("grade(%s, R/%s) = %d" % (i_name, j_name, w.value))
                 out.append("witness = [%s]" % ", ".join(str(x) for x in w.sequence))
                 out.append("certificate exponent = %d" % w.certificate.exponent)
@@ -547,7 +544,7 @@ class _Session:
                 record["certificate_exponent"] = w.certificate.exponent
             else:  # icm
                 M = invariants.CyclicModule(ring, J)
-                rep = icm_report(M, I, budget=self.budget, seed=self.seed)
+                rep = icm_report(M, I, seed=self.seed)
                 out.append("icm %s %s:" % (j_name, i_name))
                 out.append("  grade = %d" % rep.grade.value)
                 out.append(
@@ -573,11 +570,11 @@ def execute(
     *,
     seed: int = 0,
     trials: int = 100,
-    budget: int = 200,
     as_json: bool = False,
 ) -> Tuple[str, int]:
-    """Run a parsed script; returns (output text, exit code)."""
-    session = _Session(seed, trials, budget)
+    """Run a parsed script under the engine context's budgets; returns
+    (output text, exit code)."""
+    session = _Session(seed, trials)
     ring: Optional[RingDescriptor] = None
     for stmt in script.statements:
         try:
@@ -631,7 +628,7 @@ def _build_argparser() -> argparse.ArgumentParser:
             "--trials", type=_positive_int, default=100, help="trials per suite"
         )
         p.add_argument(
-            "--budget", type=_positive_int, default=200, help="regular-element search budget"
+            "--budget", type=_positive_int, help="regular-element search budget"
         )
         p.add_argument(
             "--step-limit",
@@ -653,16 +650,14 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
-    with engine_context(args.step_limit):
+    with engine_context(args.step_limit, args.budget):
         return _run(args)
 
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
         try:
-            report = theorem_lab.run_suite(
-                args.suite, trials=args.trials, base_seed=args.seed, budget=args.budget
-            )
+            report = theorem_lab.run_suite(args.suite, trials=args.trials, base_seed=args.seed)
         except EngineError as exc:
             print("error in query 'verify %s': %s" % (args.suite, exc), file=sys.stderr)
             return 1
@@ -685,13 +680,7 @@ def _run(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    text, code = execute(
-        script,
-        seed=args.seed,
-        trials=args.trials,
-        budget=args.budget,
-        as_json=args.json,
-    )
+    text, code = execute(script, seed=args.seed, trials=args.trials, as_json=args.json)
     if code == 1:
         print(text, end="", file=sys.stderr)
     else:

@@ -100,14 +100,14 @@ class RelationReport:
         }
 
 
-def icm_report(M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0) -> IcmReport:
+def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
     """Decide whether M = R/J is I-Cohen-Macaulay, with full supporting data.
 
     The verdict only depends on the ideals, not on how their generator
     lists are written down: everything flows through reduced Groebner
     bases.
     """
-    w = invariants.grade(M, I, budget=budget, seed=seed)
+    w = invariants.grade(M, I, seed=seed)
     dim_m = invariants.krull_dimension(M)
     quotient = CyclicModule(M.ring, ideal_sum(M.defining_ideal, I))
     dim_mod = invariants.krull_dimension(quotient)
@@ -128,7 +128,7 @@ def icm_report(M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0) -> I
     )
 
 
-def is_cohen_macaulay_graded(M: CyclicModule, budget: int = 200, seed: int = 0) -> bool:
+def is_cohen_macaulay_graded(M: CyclicModule, seed: int = 0) -> bool:
     """Classical Cohen-Macaulayness of R/J for homogeneous J, read off at
     the ideal of all variables: depth equals dimension."""
     for g in M.defining_ideal.generators:
@@ -138,11 +138,11 @@ def is_cohen_macaulay_graded(M: CyclicModule, budget: int = 200, seed: int = 0) 
             )
     ring = M.ring
     mvars = Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
-    w = invariants.grade(M, mvars, budget=budget, seed=seed)
+    w = invariants.grade(M, mvars, seed=seed)
     return w.value == invariants.krull_dimension(M)
 
 
-def check_grade_height(I: Ideal, budget: int = 200, seed: int = 0) -> RelationReport:
+def check_grade_height(I: Ideal, seed: int = 0) -> RelationReport:
     """If R is I-Cohen-Macaulay then grade(I, R) = height(I).
 
     One-directional: the converse can fail, so nothing is asserted when the
@@ -150,7 +150,7 @@ def check_grade_height(I: Ideal, budget: int = 200, seed: int = 0) -> RelationRe
     """
     ring = I.ring
     M = CyclicModule(ring, Ideal(ring, ()))
-    rep = icm_report(M, I, budget=budget, seed=seed)
+    rep = icm_report(M, I, seed=seed)
     log = [
         "grade = %d" % rep.grade.value,
         "height = %d" % rep.height_i,
@@ -175,7 +175,6 @@ def quotient_transport(
     M: CyclicModule,
     I: Ideal,
     sequence: Tuple[Polynomial, ...],
-    budget: int = 200,
     seed: int = 0,
 ) -> RelationReport:
     """M is I-CM iff M/(sequence)M is I-CM, for an M-regular sequence inside I;
@@ -188,8 +187,8 @@ def quotient_transport(
     ring = M.ring
     current = invariants.replay_regular_sequence(M.defining_ideal, I, sequence)
     r = len(sequence)
-    base = icm_report(M, I, budget=budget, seed=seed)
-    quot = icm_report(CyclicModule(ring, current), I, budget=budget, seed=seed)
+    base = icm_report(M, I, seed=seed)
+    quot = icm_report(CyclicModule(ring, current), I, seed=seed)
     log = [
         "sequence of length %d replayed: in I and regular" % r,
         "base: grade %d, dim %d, dim mod %d, is_icm %s"
@@ -213,7 +212,7 @@ def quotient_transport(
 
 
 def subideal_transfer_check(
-    M: CyclicModule, I: Ideal, J2: Ideal, budget: int = 200, seed: int = 0
+    M: CyclicModule, I: Ideal, J2: Ideal, seed: int = 0
 ) -> RelationReport:
     """Transfer of the verdict between nested test ideals I and J2:
 
@@ -222,8 +221,8 @@ def subideal_transfer_check(
     (3) unconditionally: I-CM and J2-CM force (I intersect J2)-CM.
     """
     contained = all(membership(g, J2) for g in I.generators)
-    rep_i = icm_report(M, I, budget=budget, seed=seed)
-    rep_2 = icm_report(M, J2, budget=budget, seed=seed)
+    rep_i = icm_report(M, I, seed=seed)
+    rep_2 = icm_report(M, J2, seed=seed)
     log = [
         "I: grade %d, dim mod %d, is_icm %s"
         % (rep_i.grade.value, rep_i.dim_m_mod_im, rep_i.is_icm),
@@ -258,7 +257,7 @@ def subideal_transfer_check(
             log.append("intersection is the zero ideal; part 3 skipped")
         else:
             evaluated += 1
-            rep_3 = icm_report(M, inter, budget=budget, seed=seed)
+            rep_3 = icm_report(M, inter, seed=seed)
             if rep_3.is_icm:
                 log.append("part 3 holds: verdict survives intersecting the test ideals")
             else:
@@ -276,9 +275,7 @@ def subideal_transfer_check(
     )
 
 
-def annihilator_transport(
-    M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0
-) -> RelationReport:
+def annihilator_transport(M: CyclicModule, I: Ideal, seed: int = 0) -> RelationReport:
     """Quotienting by the annihilator of the image of I preserves the whole
     picture, provided the annihilator sits inside I.
 
@@ -310,8 +307,8 @@ def annihilator_transport(
             skipped_reason="annihilator not inside the test ideal plus J",
         )
     log = ["(J : I) verified inside I + J"]
-    base = icm_report(M, I, budget=budget, seed=seed)
-    trans = icm_report(CyclicModule(M.ring, colon), I, budget=budget, seed=seed)
+    base = icm_report(M, I, seed=seed)
+    trans = icm_report(CyclicModule(M.ring, colon), I, seed=seed)
     log.append(
         "base: grade %d, dim %d, is_icm %s"
         % (base.grade.value, base.dim_m, base.is_icm)
@@ -352,12 +349,10 @@ def annihilator_transport(
     )
 
 
-def ass_dimension_check(
-    M: CyclicModule, p: MonomialPrime, budget: int = 200, seed: int = 0
-) -> RelationReport:
+def ass_dimension_check(M: CyclicModule, p: MonomialPrime, seed: int = 0) -> RelationReport:
     """For a p-Cohen-Macaulay module, some associated prime inside p
     realizes the full dimension of M."""
-    rep = icm_report(M, p.as_ideal(), budget=budget, seed=seed)
+    rep = icm_report(M, p.as_ideal(), seed=seed)
     if not rep.is_icm:
         return RelationReport(
             relation_id="ass-dimension",
@@ -389,12 +384,12 @@ def ass_dimension_check(
 
 
 def localization_cm_check(
-    M: CyclicModule, p: MonomialPrime, budget: int = 200, seed: int = 0
+    M: CyclicModule, p: MonomialPrime, seed: int = 0
 ) -> RelationReport:
     """For a p-Cohen-Macaulay module the localization at p is classically
     Cohen-Macaulay: grade(p, M) equals the local dimension at p, and the
     grade witness is a system of parameters there."""
-    rep = icm_report(M, p.as_ideal(), budget=budget, seed=seed)
+    rep = icm_report(M, p.as_ideal(), seed=seed)
     if not rep.is_icm:
         return RelationReport(
             relation_id="localization-cm",
@@ -436,7 +431,7 @@ def _extension_names(ring, k: int) -> Tuple[str, ...]:
 
 
 def polynomial_extension_check(
-    M: CyclicModule, I: Ideal, k_new: int = 1, budget: int = 200, seed: int = 0
+    M: CyclicModule, I: Ideal, k_new: int = 1, seed: int = 0
 ) -> RelationReport:
     """Appending polynomial variables preserves the verdict and the grade;
     both dimensions grow by exactly the number of new variables, and for a
@@ -448,8 +443,8 @@ def polynomial_extension_check(
     ext_j = extend_ring(M.defining_ideal, names)
     ext_i = extend_ring(I, names)
     ext_m = CyclicModule(ext_j.ring, ext_j)
-    base = icm_report(M, I, budget=budget, seed=seed)
-    ext = icm_report(ext_m, ext_i, budget=budget, seed=seed)
+    base = icm_report(M, I, seed=seed)
+    ext = icm_report(ext_m, ext_i, seed=seed)
     log = [
         "extended by %d variable(s): %s" % (k_new, ", ".join(names)),
         "base: grade %d, dim %d, dim mod %d, is_icm %s"
@@ -482,12 +477,10 @@ def polynomial_extension_check(
     )
 
 
-def cm_implies_icm_check(
-    M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0
-) -> RelationReport:
+def cm_implies_icm_check(M: CyclicModule, I: Ideal, seed: int = 0) -> RelationReport:
     """A classically Cohen-Macaulay graded module is I-CM for every proper
     test ideal I."""
-    if not is_cohen_macaulay_graded(M, budget=budget, seed=seed):
+    if not is_cohen_macaulay_graded(M, seed=seed):
         return RelationReport(
             relation_id="cm-implies-icm",
             holds=True,
@@ -496,7 +489,7 @@ def cm_implies_icm_check(
             hypothesis_log=("module is not Cohen-Macaulay",),
             skipped_reason="module is not Cohen-Macaulay",
         )
-    rep = icm_report(M, I, budget=budget, seed=seed)
+    rep = icm_report(M, I, seed=seed)
     log = [
         "module is Cohen-Macaulay",
         "grade %d, dim %d, dim mod %d" % (rep.grade.value, rep.dim_m, rep.dim_m_mod_im),

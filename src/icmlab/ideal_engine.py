@@ -20,17 +20,18 @@ and when ``divide`` and ``normal_form`` return their quotients and
 remainder, which are exactly the field algorithm's.
 
 Completion is budgeted: the number of S-polynomial reductions is capped,
-and the engine fails loudly when the cap is hit rather than spinning.  The
-cap is ``buchberger``'s explicit ``step_limit`` when given, else the limit
-of the active engine context, else the constant ``STEP_LIMIT``.
+and the engine fails loudly when the cap is hit rather than spinning.
 
 ``engine_context`` opens an engine context for the current thread or task
-(a ``ContextVar``): it holds the step limit and a memo of reduced bases
-keyed by ring (order included) and the ordered generator list.  The memo
-lives as long as the context; outside any context nothing is memoized.
-Every stored basis, in the memo or cached on an ``Ideal``, carries the
-reductions its completion took and is handed out again only under a limit
-that a fresh completion would meet.
+(a ``ContextVar``), the one place that holds the budgets: the step limit
+of every completion, the candidate budget of the regular-element search
+(read through ``search_budget``), and a memo of reduced bases keyed by
+ring (order included) and the ordered generator list.  Outside any context
+the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
+memoized.  The memo and the step limit share the context's lifetime, so a
+stored basis always met the limit in force; a basis cached on an ``Ideal``
+can outlive its context, and is handed out again only under a limit that
+a fresh completion would meet.
 
 Saturation by an ideal I = <g_1, ..., g_s> is one Groebner basis: with one
 new variable y and the generic element f_y = sum y^(i-1) * g_i,
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as integer_lcm
@@ -69,39 +70,46 @@ from .ring_core import (
     remap_variables,
 )
 
-STEP_LIMIT = 100_000  # the cap when neither step_limit= nor a context gives one
+STEP_LIMIT = 100_000  # S-pair reductions per completion outside any context
+SEARCH_BUDGET = 200  # regular-element candidates per search outside any context
 
 
 class _Engine(NamedTuple):
     step_limit: int
-    memo: dict  # (ring, generator terms) -> ReducedGB, which carries its steps
+    budget: int
+    memo: Optional[dict]  # (ring, generator terms) -> ReducedGB; None outside a context
 
 
-_ENGINE: ContextVar[Optional[_Engine]] = ContextVar("icmlab_engine", default=None)
+_ENGINE: ContextVar[_Engine] = ContextVar(
+    "icmlab_engine", default=_Engine(STEP_LIMIT, SEARCH_BUDGET, None)
+)
 
 
 @contextmanager
-def engine_context(step_limit: Optional[int] = None) -> Iterator[None]:
+def engine_context(
+    step_limit: Optional[int] = None, budget: Optional[int] = None
+) -> Iterator[None]:
     """Run the enclosed computations with ``step_limit`` (default
-    ``STEP_LIMIT``) as the S-pair reduction budget and a fresh memo of
-    reduced Groebner bases; both are dropped on exit.  A nested context
-    starts its own memo."""
+    ``STEP_LIMIT``) as the S-pair reduction cap of every completion,
+    ``budget`` (default ``SEARCH_BUDGET``) as the candidate budget of every
+    regular-element search, and a fresh memo of reduced Groebner bases; all
+    three are dropped on exit.  A nested context starts its own memo."""
     limit = STEP_LIMIT if step_limit is None else step_limit
-    if not isinstance(limit, int) or limit < 1:
-        raise ValueError("step limit must be a positive integer")
-    token = _ENGINE.set(_Engine(limit, {}))
+    budget = SEARCH_BUDGET if budget is None else budget
+    for name, value in (("step limit", limit), ("search budget", budget)):
+        if not isinstance(value, int) or value < 1:
+            raise ValueError("%s must be a positive integer" % name)
+    token = _ENGINE.set(_Engine(limit, budget, {}))
     try:
         yield
     finally:
         _ENGINE.reset(token)
 
 
-def _step_limit(step_limit: Optional[int]) -> int:
-    """The effective cap: explicit, else the context's, else ``STEP_LIMIT``."""
-    if step_limit is not None:
-        return step_limit
-    engine = _ENGINE.get()
-    return engine.step_limit if engine is not None else STEP_LIMIT
+def search_budget() -> int:
+    """The regular-element search budget in force: the engine context's,
+    else ``SEARCH_BUDGET``."""
+    return _ENGINE.get().budget
 
 
 def _step_limit_error(limit: int) -> StepLimitExceededError:
@@ -109,13 +117,6 @@ def _step_limit_error(limit: int) -> StepLimitExceededError:
         "Buchberger completion exceeded %d S-pair reductions; raise the "
         "step limit if the input really is this hard" % limit
     )
-
-
-def _reuse(gb: ReducedGB, limit: int) -> ReducedGB:
-    """A stored basis, or the error a fresh completion under ``limit`` raises."""
-    if gb.steps > limit:
-        raise _step_limit_error(limit)
-    return gb
 
 
 def _integral(g: Polynomial, p: int) -> tuple:
@@ -362,23 +363,16 @@ def _s_pair(lcm: Monomial, a: tuple, b: tuple, p: int) -> dict:
 
 
 def buchberger(
-    generators: Iterable[Polynomial],
-    *,
-    ring: Optional[RingDescriptor] = None,
-    order: Optional[TermOrder] = None,
-    step_limit: Optional[int] = None,
+    generators: Iterable[Polynomial], *, ring: Optional[RingDescriptor] = None
 ) -> ReducedGB:
-    """Complete ``generators`` to the reduced Groebner basis.
+    """Complete ``generators`` to the reduced Groebner basis under the ring's
+    term order.
 
-    ``order`` overrides the ring's own term order (generators are re-sorted
-    into a twin ring).  ``step_limit`` bounds the number of S-polynomial
-    reductions (default: the engine context's limit, else ``STEP_LIMIT``);
-    exceeding it raises StepLimitExceededError.
-
-    Inside an engine context the result is memoized by (ring, ordered
-    generator terms) together with the reductions it took, so a repeated
-    input returns the stored basis, or raises exactly when a fresh run
-    under the current limit would.
+    The number of S-polynomial reductions is bounded by the step limit in
+    force (the engine context's, else ``STEP_LIMIT``); exceeding it raises
+    StepLimitExceededError.  Inside an engine context the result is
+    memoized by (ring, ordered generator terms), so a repeated input
+    returns the stored basis.
 
     The working basis is term tuples with integer coefficients, reduced by
     the kernel ``_reduce``: monic residues over GF(p), primitive integer
@@ -396,17 +390,12 @@ def buchberger(
     for g in gens:
         if g.ring != ring:
             raise IncompatibleRingError("generator outside the target ring")
-    if order is not None and order != ring.order:
-        ring = replace(ring, order=order)
-        gens = [ring.polynomial(dict(g.terms)) for g in gens]
-    limit = _step_limit(step_limit)
-    engine = _ENGINE.get()
-    memo_key = None
-    if engine is not None:
+    limit, _, memo = _ENGINE.get()
+    if memo is not None:
         memo_key = (ring, tuple(g.terms for g in gens))
-        hit = engine.memo.get(memo_key)
+        hit = memo.get(memo_key)
         if hit is not None:
-            return _reuse(hit, limit)
+            return hit
 
     p = ring.field.characteristic
     dkey = ring.order.descending_key
@@ -483,8 +472,8 @@ def buchberger(
     # kept is ascending in the order and autoreduction keeps leading terms
     basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
     gb = ReducedGB(ring, basis, steps)
-    if memo_key is not None:
-        engine.memo[memo_key] = gb
+    if memo is not None:
+        memo[memo_key] = gb
     return gb
 
 
@@ -536,12 +525,16 @@ class Ideal:
         return not self.generators
 
     def groebner_basis(self) -> ReducedGB:
-        """The reduced basis, computed once; the cached one is subject to
-        the step limit in force now, exactly as a fresh completion is."""
+        """The reduced basis, computed once; the cached one may come from
+        another engine context, so it is subject to the step limit in force
+        now, exactly as a fresh completion is."""
         gb = self._gb
         if gb is None:
             gb = self._gb = buchberger(self.generators, ring=self.ring)
-        return _reuse(gb, _step_limit(None))
+        limit = _ENGINE.get().step_limit
+        if gb.steps > limit:
+            raise _step_limit_error(limit)
+        return gb
 
     def contains(self, f: Polynomial) -> bool:
         return membership(f, self)
@@ -723,13 +716,6 @@ def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:
     new_names = tuple(new_names)
     if not new_names:
         return J
-    for name in new_names:
-        if not name or not isinstance(name, str):
-            raise ValueError("variable names must be nonempty strings")
-        if name in ring.variables:
-            raise ValueError("variable %r already present" % name)
-    if len(set(new_names)) != len(new_names):
-        raise ValueError("duplicate names in the extension")
     ext = RingDescriptor(ring.field, ring.variables + new_names, ring.order)
     lift = list(range(ring.nvars))
     return Ideal(ext, [remap_variables(g, ext, lift) for g in J.generators])

@@ -42,6 +42,7 @@ from .ideal_engine import (
     is_saturated,
     membership,
     saturate,
+    search_budget,
 )
 from .ring_core import (
     Monomial,
@@ -350,9 +351,7 @@ def _degree_span(basis: Sequence[Polynomial], degree: int) -> List[Polynomial]:
     return list(span)
 
 
-def find_regular_element(
-    M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0
-) -> Optional[Polynomial]:
+def find_regular_element(M: CyclicModule, I: Ideal, seed: int = 0) -> Optional[Polynomial]:
     """Search I for an element regular on M = R/J; None exactly when I holds
     none.
 
@@ -370,11 +369,13 @@ def find_regular_element(
     complementary degree: over a small prime field the elements outside
     every associated prime may all lie in higher degree.
 
-    ``budget`` bounds the candidates tested, over every phase.  Raises
+    The search budget of the engine context (``SEARCH_BUDGET`` outside
+    one) bounds the candidates tested, over every phase.  Raises
     SearchExhaustedError when it runs out, or after another 50 * budget
     draws in the climb, although a regular element exists.
     """
     _check_module_ideal_pair(M, I)
+    budget = search_budget()
     J = M.defining_ideal
     basis = list(I.groebner_basis().basis)
     rng = random.Random(seed)
@@ -433,9 +434,11 @@ def find_regular_element(
     )
 
 
-def grade(M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0) -> GradeWitness:
+def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     """grade(I, M): the length of a maximal M-regular sequence inside I,
-    found by direct search and certified by the final saturation.
+    found by direct search and certified by the final saturation.  Step k
+    searches with seed ``seed + k`` under the engine context's search
+    budget.
 
     A regular element found by the search proves by itself that the sequence
     extends, so no saturation runs on such a step.  The search returns None
@@ -452,7 +455,7 @@ def grade(M: CyclicModule, I: Ideal, budget: int = 200, seed: int = 0) -> GradeW
     sequence: List[Polynomial] = []
     while True:
         step_module = CyclicModule(M.ring, current)
-        x = find_regular_element(step_module, I, budget=budget, seed=seed + len(sequence))
+        x = find_regular_element(step_module, I, seed=seed + len(sequence))
         if x is None:
             return GradeWitness(len(sequence), tuple(sequence), saturate(current, I))
         sequence.append(x)

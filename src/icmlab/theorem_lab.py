@@ -15,7 +15,6 @@ language so it can be replayed by hand.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -80,15 +79,13 @@ class InstanceSpec:
 @dataclass(frozen=True)
 class SuiteReport:
     """Tally of one suite run; passed + skipped_hypothesis + failures
-    always add up to trials.  ``wall_time`` is informational and excluded
-    from the JSON form so reruns serialize byte-identically."""
+    always add up to trials."""
 
     suite_id: str
     trials: int
     passed: int
     skipped_hypothesis: int
     failures: Tuple[str, ...]
-    wall_time: float
 
     def to_json(self) -> dict:
         return {
@@ -298,11 +295,11 @@ def _draw_quotient_transport(meta_seed: int) -> Instance:
     return M, I, prime, aux
 
 
-def _eval_quotient_transport(inst: Instance, budget: int) -> RelationReport:
+def _eval_quotient_transport(inst: Instance) -> RelationReport:
     M, I, _, aux = inst
-    w = invariants.grade(M, I, budget=budget, seed=aux["seed"])
+    w = invariants.grade(M, I, seed=aux["seed"])
     prefix = round(aux["prefix_frac"] * w.value)
-    return quotient_transport(M, I, w.sequence[:prefix], budget=budget, seed=aux["seed"])
+    return quotient_transport(M, I, w.sequence[:prefix], seed=aux["seed"])
 
 
 def _draw_subideal_transfer(meta_seed: int) -> Instance:
@@ -321,7 +318,7 @@ def _draw_subideal_transfer(meta_seed: int) -> Instance:
     return M, I, prime, aux
 
 
-def _eval_subideal_transfer(inst: Instance, budget: int) -> RelationReport:
+def _eval_subideal_transfer(inst: Instance) -> RelationReport:
     M, I, _, aux = inst
     ring = M.ring
     if aux["use_pcm"]:
@@ -332,7 +329,7 @@ def _eval_subideal_transfer(inst: Instance, budget: int) -> RelationReport:
     else:
         extra = [ring.monomial(e) for e in aux["extra_exps"]]
         J2 = ideal_sum(I, Ideal(ring, extra))
-    return subideal_transfer_check(M, I, J2, budget=budget, seed=aux["seed"])
+    return subideal_transfer_check(M, I, J2, seed=aux["seed"])
 
 
 def _draw_annihilator_transport(meta_seed: int) -> Instance:
@@ -344,13 +341,13 @@ def _draw_annihilator_transport(meta_seed: int) -> Instance:
     return M, I, prime, aux
 
 
-def _eval_annihilator_transport(inst: Instance, budget: int) -> RelationReport:
+def _eval_annihilator_transport(inst: Instance) -> RelationReport:
     M, I, _, aux = inst
     if aux["zero_j"]:
         # over the full ring the annihilator of a nonzero ideal is zero,
         # so the hypothesis holds for free and the trial always evaluates
         M = CyclicModule(M.ring, Ideal(M.ring, ()))
-    return annihilator_transport(M, I, budget=budget, seed=aux["seed"])
+    return annihilator_transport(M, I, seed=aux["seed"])
 
 
 def _draw_grade_height(meta_seed: int) -> Instance:
@@ -361,9 +358,9 @@ def _draw_grade_height(meta_seed: int) -> Instance:
     return M, I, prime, aux
 
 
-def _eval_grade_height(inst: Instance, budget: int) -> RelationReport:
+def _eval_grade_height(inst: Instance) -> RelationReport:
     _, I, _, aux = inst
-    return check_grade_height(I, budget=budget, seed=aux["seed"])
+    return check_grade_height(I, seed=aux["seed"])
 
 
 def _draw_cm_implies_icm(meta_seed: int) -> Instance:
@@ -383,7 +380,7 @@ def _draw_cm_implies_icm(meta_seed: int) -> Instance:
     return M, I, prime, aux
 
 
-def _eval_cm_implies_icm(inst: Instance, budget: int) -> RelationReport:
+def _eval_cm_implies_icm(inst: Instance) -> RelationReport:
     M, I, _, aux = inst
     ring = M.ring
     if aux["branch"] == "complete-intersection":
@@ -395,10 +392,11 @@ def _eval_cm_implies_icm(inst: Instance, budget: int) -> RelationReport:
         M = CyclicModule(ring, Ideal(ring, gens))
     elif aux["branch"] == "zero":
         M = CyclicModule(ring, Ideal(ring, ()))
-    return cm_implies_icm_check(M, I, budget=budget, seed=aux["seed"])
+    return cm_implies_icm_check(M, I, seed=aux["seed"])
 
 
-def _draw_ass_dimension(meta_seed: int) -> Instance:
+def _draw_at_prime(meta_seed: int) -> Instance:
+    """The draw of both suites that test a module at a monomial prime."""
     meta = _meta(meta_seed)
     spec = _spec_draw(meta, kind=MONOMIAL)
     aux = {"seed": spec.seed, "force_pcm": meta.random() < 0.5}
@@ -414,24 +412,16 @@ def _trial_prime(suite_id: str, inst: Instance) -> MonomialPrime:
     return prime
 
 
-def _eval_ass_dimension(inst: Instance, budget: int) -> RelationReport:
+def _eval_ass_dimension(inst: Instance) -> RelationReport:
     M, _, _, aux = inst
     prime = _trial_prime("ass-dimension", inst)
-    return ass_dimension_check(M, prime, budget=budget, seed=aux["seed"])
+    return ass_dimension_check(M, prime, seed=aux["seed"])
 
 
-def _draw_localization_cm(meta_seed: int) -> Instance:
-    meta = _meta(meta_seed)
-    spec = _spec_draw(meta, kind=MONOMIAL)
-    aux = {"seed": spec.seed, "force_pcm": meta.random() < 0.5}
-    M, I, prime = gen_instance(spec)
-    return M, I, prime, aux
-
-
-def _eval_localization_cm(inst: Instance, budget: int) -> RelationReport:
+def _eval_localization_cm(inst: Instance) -> RelationReport:
     M, _, _, aux = inst
     prime = _trial_prime("localization-cm", inst)
-    return localization_cm_check(M, prime, budget=budget, seed=aux["seed"])
+    return localization_cm_check(M, prime, seed=aux["seed"])
 
 
 def _draw_poly_extension(meta_seed: int) -> Instance:
@@ -446,13 +436,11 @@ def _draw_poly_extension(meta_seed: int) -> Instance:
     return M, I, prime, aux
 
 
-def _eval_poly_extension(inst: Instance, budget: int) -> RelationReport:
+def _eval_poly_extension(inst: Instance) -> RelationReport:
     M, I, _, aux = inst
     if aux["zero_j"]:
         M = CyclicModule(M.ring, Ideal(M.ring, ()))
-    return polynomial_extension_check(
-        M, I, k_new=aux["k_new"], budget=budget, seed=aux["seed"]
-    )
+    return polynomial_extension_check(M, I, k_new=aux["k_new"], seed=aux["seed"])
 
 
 _DRAWS: Dict[str, Callable[[int], Instance]] = {
@@ -461,12 +449,12 @@ _DRAWS: Dict[str, Callable[[int], Instance]] = {
     "annihilator-transport": _draw_annihilator_transport,
     "grade-height": _draw_grade_height,
     "cm-implies-icm": _draw_cm_implies_icm,
-    "ass-dimension": _draw_ass_dimension,
-    "localization-cm": _draw_localization_cm,
+    "ass-dimension": _draw_at_prime,
+    "localization-cm": _draw_at_prime,
     "poly-extension": _draw_poly_extension,
 }
 
-_EVALS: Dict[str, Callable[[Instance, int], RelationReport]] = {
+_EVALS: Dict[str, Callable[[Instance], RelationReport]] = {
     "quotient-transport": _eval_quotient_transport,
     "subideal-transfer": _eval_subideal_transfer,
     "annihilator-transport": _eval_annihilator_transport,
@@ -478,14 +466,14 @@ _EVALS: Dict[str, Callable[[Instance, int], RelationReport]] = {
 }
 
 
-def run_trial(suite_id: str, meta_seed: int, budget: int = 200) -> RelationReport:
+def run_trial(suite_id: str, meta_seed: int) -> RelationReport:
     """Draw and evaluate a single trial; the unit the suites are built from."""
     if suite_id not in _DRAWS:
         raise UnknownSuiteError(
             "unknown suite %r; valid ids: %s" % (suite_id, ", ".join(SUITE_IDS))
         )
     inst = _DRAWS[suite_id](meta_seed)
-    return _EVALS[suite_id](inst, budget)
+    return _EVALS[suite_id](inst)
 
 
 def shrink_failure(
@@ -558,7 +546,7 @@ def shrink_failure(
     return j_gens, i_gens
 
 
-def _describe_failure(suite_id: str, meta_seed: int, budget: int, rep: RelationReport) -> str:
+def _describe_failure(suite_id: str, meta_seed: int, rep: RelationReport) -> str:
     """Shrink the failing instance and serialize a reproducer script."""
     M0, I0, prime, aux = _DRAWS[suite_id](meta_seed)
     evaluate = _EVALS[suite_id]
@@ -569,7 +557,7 @@ def _describe_failure(suite_id: str, meta_seed: int, budget: int, rep: RelationR
             return False
         try:
             inst = (CyclicModule(ring, Ideal(ring, j_gens)), Ideal(ring, i_gens), prime, aux)
-            again = evaluate(inst, budget)
+            again = evaluate(inst)
             return (not again.skipped) and (not again.holds)
         except EngineError:
             return False
@@ -586,13 +574,9 @@ def _describe_failure(suite_id: str, meta_seed: int, budget: int, rep: RelationR
     return serialize_instance(shrunk_m, shrunk_i, prime, header=header)
 
 
-def run_suite(
-    suite_id: str,
-    trials: int = 100,
-    base_seed: int = 0,
-    budget: int = 200,
-) -> SuiteReport:
-    """Run one suite; deterministic in (suite_id, trials, base_seed, budget).
+def run_suite(suite_id: str, trials: int = 100, base_seed: int = 0) -> SuiteReport:
+    """Run one suite; deterministic in (suite_id, trials, base_seed) under
+    the engine context's budgets.
 
     Trials are independent (seeded per trial), so the tally would come out
     the same under any execution order; failures are reported sorted by
@@ -604,15 +588,13 @@ def run_suite(
         )
     skipped = 0
     failures: List[Tuple[int, str]] = []
-    start = time.perf_counter()
     for t in range(trials):
         meta_seed = base_seed * 1_000_003 + t
-        rep = run_trial(suite_id, meta_seed, budget)
+        rep = run_trial(suite_id, meta_seed)
         if rep.skipped:
             skipped += 1
         elif not rep.holds:
-            failures.append((meta_seed, _describe_failure(suite_id, meta_seed, budget, rep)))
-    wall = time.perf_counter() - start
+            failures.append((meta_seed, _describe_failure(suite_id, meta_seed, rep)))
     failures.sort(key=lambda f: f[0])
     return SuiteReport(
         suite_id=suite_id,
@@ -620,5 +602,4 @@ def run_suite(
         passed=trials - skipped - len(failures),
         skipped_hypothesis=skipped,
         failures=tuple(text for _, text in failures),
-        wall_time=wall,
     )

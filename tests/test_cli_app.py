@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from icmlab import ideal_engine, theorem_lab
+from icmlab import ideal_engine, invariants, theorem_lab
 from icmlab.cli_app import (
     ArityError,
     IdealStmt,
@@ -24,7 +24,8 @@ from icmlab.cli_app import (
     parse_polynomial,
     print_script,
 )
-from icmlab.ideal_engine import buchberger, engine_context
+from icmlab.errors import SearchExhaustedError
+from icmlab.ideal_engine import Ideal, buchberger, engine_context
 from icmlab.ring_core import FieldSpec, RingDescriptor
 from icmlab.theorem_lab import SuiteReport
 
@@ -364,7 +365,6 @@ class TestMain:
             passed=1,
             skipped_hypothesis=0,
             failures=("# reproducer script",),
-            wall_time=0.0,
         )
         monkeypatch.setattr(theorem_lab, "run_suite", lambda *a, **k: fake)
         rc = main(["verify", "grade-height", "--trials", "2"])
@@ -380,7 +380,6 @@ class TestMain:
             passed=1,
             skipped_hypothesis=0,
             failures=("# reproducer script",),
-            wall_time=0.0,
         )
         monkeypatch.setattr(theorem_lab, "run_suite", lambda *a, **k: fake)
         script = tmp_path / "ver.icm"
@@ -460,6 +459,39 @@ class TestMain:
         assert exc.value.code == 2
         assert err.startswith("usage: icm-lab verify")
         assert "argument %s: must be a positive integer" % flag in err
+
+
+class TestSearchBudget:
+    # over GF(2) the only regular elements of <x, y> on R/J lie in degree 2,
+    # so one candidate (the basis element x) is not enough
+    GF2_SCRIPT = (
+        "ring R = GF(2)[x, y]; ideal J = x^2*y + x*y^2; ideal I = x, y; grade J I;\n"
+    )
+
+    def test_budget_flag_reaches_the_search(self, tmp_path, capsys):
+        script = tmp_path / "gf2.icm"
+        script.write_text(self.GF2_SCRIPT)
+        assert main(["run", str(script), "--budget", "1"]) == 1
+        assert "within budget 1" in capsys.readouterr().err
+        assert main(["run", str(script)]) == 0
+        out = capsys.readouterr().out
+        assert "grade(I, R/J) = 1" in out
+        assert "witness = [x^2 + x*y + y^2]" in out
+
+    def test_context_budget_bounds_grade(self):
+        script = parse(self.GF2_SCRIPT)
+        ring = script.statements[0].ring
+        J, I = (Ideal(ring, stmt.generators) for stmt in script.statements[1:3])
+        with engine_context(budget=1):
+            with pytest.raises(SearchExhaustedError, match="within budget 1"):
+                invariants.grade(invariants.CyclicModule(ring, J), I)
+        assert invariants.grade(invariants.CyclicModule(ring, J), I).value == 1
+
+    @pytest.mark.parametrize("bad", [0, -3, "5"])
+    def test_bad_context_budget_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="search budget must be a positive integer"):
+            with engine_context(budget=bad):
+                pass
 
 
 class TestEngineContext:

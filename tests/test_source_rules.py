@@ -31,6 +31,21 @@ def test_no_global_statements():
     assert _find(ast.Global) == []
 
 
+def test_budgets_are_parameters_of_the_engine_context_only():
+    # one place for budgets: every other function reads them from the context
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    offenders = [
+        "%s:%d %s" % (path.name, node.lineno, getattr(node, "name", "<lambda>"))
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, functions)
+        and getattr(node, "name", None) != "engine_context"
+        and {"budget", "step_limit"}
+        & {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert offenders == []
+
+
 def test_benchmark_tracer_targets_resolve():
     # icmbench --trace 1 refuses to install when one of its TARGETS is gone
     tracer = pathlib.Path(__file__).resolve().parents[1] / "icmbench" / "tracer.py"

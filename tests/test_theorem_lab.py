@@ -200,11 +200,6 @@ class TestRunSuite:
             b.to_json(), sort_keys=True
         )
 
-    def test_wall_time_excluded_from_json(self):
-        rep = run_suite("ass-dimension", trials=5, base_seed=1)
-        assert rep.wall_time >= 0.0
-        assert "wall_time" not in rep.to_json()
-
     def test_summary_line_shape(self):
         rep = run_suite("localization-cm", trials=5, base_seed=2)
         line = rep.summary_line()
