@@ -77,27 +77,10 @@ class RelationReport:
     right: object
     hypothesis_log: Tuple[str, ...]
     skipped_reason: Optional[str] = None
-    counterexample: Optional[str] = None
 
     @property
     def skipped(self) -> bool:
         return self.skipped_reason is not None
-
-    def to_json(self) -> dict:
-        def enc(v):
-            if isinstance(v, IcmReport):
-                return v.to_json()
-            return v
-
-        return {
-            "relation_id": self.relation_id,
-            "holds": self.holds,
-            "left": enc(self.left),
-            "right": enc(self.right),
-            "hypothesis_log": list(self.hypothesis_log),
-            "skipped_reason": self.skipped_reason,
-            "counterexample": self.counterexample,
-        }
 
 
 def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:

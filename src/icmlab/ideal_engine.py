@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as integer_lcm
-from operator import add, sub
+from operator import add, neg, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -63,7 +63,6 @@ from .ring_core import (
     RingDescriptor,
     TermOrder,
     _same_ring,
-    monomial_degree,
     monomial_div,
     monomial_lcm,
     monomial_mul,
@@ -279,21 +278,14 @@ class ReducedGB:
         self._divisors = None
 
     @property
-    def order(self) -> TermOrder:
-        return self.ring.order
-
-    @property
     def is_unit_ideal(self) -> bool:
-        return bool(self.basis) and monomial_degree(self.basis[0].leading_monomial()) == 0
+        return bool(self.basis) and sum(self.basis[0].leading_monomial()) == 0
 
     def __len__(self) -> int:
         return len(self.basis)
 
     def __iter__(self):
         return iter(self.basis)
-
-    def __getitem__(self, i):
-        return self.basis[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReducedGB):
@@ -399,7 +391,6 @@ def buchberger(
 
     p = ring.field.characteristic
     dkey = ring.order.descending_key
-    key = ring.key
     divs: List[tuple] = []  # the working basis, as the kernel views it
     lts: List[Monomial] = []
     ltdegs: List[int] = []
@@ -417,7 +408,9 @@ def buchberger(
                 # coprime leading terms: the S-polynomial reduces to zero
                 continue
             pending.add((i, j))
-            heappush(heap, (monomial_degree(lcm), key(lcm), i, j))
+            # one flat entry per pair: pairs pop by lcm degree, then by
+            # increasing lcm in the term order (the negated descending key)
+            heappush(heap, (sum(lcm), *map(neg, dkey(lcm)), i, j))
 
     for g in gens:
         if g.is_zero:
@@ -428,7 +421,8 @@ def buchberger(
 
     steps = 0
     while heap:
-        deg, _, i, j = heappop(heap)
+        pair = heappop(heap)
+        deg, i, j = pair[0], pair[-2], pair[-1]
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -454,7 +448,7 @@ def buchberger(
 
     # minimal basis: scan by increasing leading monomial, drop dominated ones
     kept: List[int] = []
-    for j in sorted(range(len(divs)), key=lambda j: key(lts[j])):
+    for j in sorted(range(len(divs)), key=lambda j: dkey(lts[j]), reverse=True):
         lm, d = lts[j], ltdegs[j]
         if any(ltdegs[k] <= d and all(map(int.__le__, lts[k], lm)) for k in kept):
             continue

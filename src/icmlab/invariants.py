@@ -48,7 +48,6 @@ from .ring_core import (
     Monomial,
     Polynomial,
     RingDescriptor,
-    monomial_degree,
     monomial_divides,
     monomial_support,
 )
@@ -210,7 +209,7 @@ def minimal_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
     gens = minimalize_monomials(_monomial_gens(J))
     if not gens:
         return frozenset({MonomialPrime(J.ring, ())})
-    if any(monomial_degree(m) == 0 for m in gens):
+    if any(sum(m) == 0 for m in gens):
         raise ImproperIdealError("the ideal is the whole ring")
     supports = [monomial_support(m) for m in gens]
     covers = minimal_transversals(supports)
@@ -285,7 +284,7 @@ def associated_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
     gens = minimalize_monomials(_monomial_gens(J))
     if not gens:
         return frozenset({MonomialPrime(J.ring, ())})
-    if any(monomial_degree(m) == 0 for m in gens):
+    if any(sum(m) == 0 for m in gens):
         raise ImproperIdealError("the ideal is the whole ring")
     comps = _irredundant(_irreducible_components(gens))
     primes = set()

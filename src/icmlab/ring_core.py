@@ -9,11 +9,13 @@ is a tuple of nonnegative exponents, one per ring variable.  A polynomial
 keeps its terms sorted in decreasing term order, so the leading term is
 always the first entry and never needs a search.
 
-``TermOrder.key`` sorts monomials in increasing order;
-``TermOrder.descending_key`` is a flat tuple of ints that sorts them in
-decreasing order, so a ``heapq`` min-heap keyed by it pops the largest
-monomial first.  The division kernel keeps its work terms in such a heap,
-computes the key once per term and emits its output already sorted.
+A term order has one encoding, ``TermOrder.descending_key``: a flat tuple
+of ints that sorts monomials in decreasing order, so ``sorted`` on it puts
+the leading monomial first and a ``heapq`` min-heap keyed by it pops the
+largest monomial first.  Every sort and heap of the engine reads it: the
+terms of each polynomial, the division kernel's work terms (one key per
+term, output emitted already sorted), and the S-pairs and minimal basis of
+the Groebner completion.
 
 No floating point appears anywhere; equality of polynomials is exact.
 """
@@ -130,19 +132,14 @@ class FieldSpec:
         return "QQ" if self.characteristic == 0 else "GF(%d)" % self.characteristic
 
 
-def _grevlex_key(mono: Monomial) -> tuple:
-    # Higher total degree wins; ties broken by the SMALLEST last exponent,
-    # which the negated reversed tuple encodes as the larger key.
-    return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """A monomial well-order: lex, graded reverse lex, or a two-block
     elimination order (grevlex inside each block, first block dominant).
 
-    ``key`` maps a monomial to a tuple that sorts consistently with the
-    order, so Python's built-in comparisons and ``sorted`` do the rest.
+    ``descending_key`` maps a monomial to a tuple of ints that sorts in the
+    reverse of the order, so Python's built-in comparisons, ``sorted`` and
+    ``heapq`` do the rest.
     """
 
     kind: str = GREVLEX
@@ -157,18 +154,13 @@ class TermOrder:
         elif self.block is not None:
             raise ValueError("block size only applies to elimination-block orders")
 
-    def key(self, mono: Monomial) -> tuple:
-        if self.kind == LEX:
-            return mono
-        if self.kind == GREVLEX:
-            return _grevlex_key(mono)
-        b = self.block
-        return (_grevlex_key(mono[:b]), _grevlex_key(mono[b:]))
-
     def descending_key(self, mono: Monomial) -> tuple:
-        """``key`` flattened and negated: a > b in this order exactly when
-        descending_key(a) < descending_key(b), so a min-heap on it pops the
-        largest monomial first."""
+        """a > b in this order exactly when descending_key(a) <
+        descending_key(b), so a min-heap on it pops the largest monomial
+        first.  Lex negates the exponents.  Grevlex puts higher degree
+        first; ties go to the smaller last exponent, so the key is the
+        negated degree followed by the reversed exponents.  An elimination
+        order concatenates the grevlex keys of its two blocks."""
         if self.kind == GREVLEX:
             return (-sum(mono),) + mono[::-1]
         if self.kind == LEX:
@@ -200,10 +192,6 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def monomial_support(a: Monomial) -> frozenset:
     return frozenset(i for i, e in enumerate(a) if e)
 
@@ -233,9 +221,6 @@ class RingDescriptor:
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    def key(self, mono: Monomial) -> tuple:
-        return self.order.key(mono)
 
     def var_index(self, name: str) -> int:
         try:
@@ -303,7 +288,8 @@ def _same_ring(a, b) -> None:
 
 def _from_dict(ring: RingDescriptor, acc: dict) -> "Polynomial":
     items = [(m, c) for m, c in acc.items() if c != 0]
-    items.sort(key=lambda t: ring.key(t[0]), reverse=True)
+    dkey = ring.order.descending_key
+    items.sort(key=lambda t: dkey(t[0]))
     return Polynomial(ring, tuple(items))
 
 
@@ -340,7 +326,7 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self.terms:
             raise ZeroLeadingTermError("the zero polynomial has no degree")
-        return max(monomial_degree(m) for m, _ in self.terms)
+        return max(sum(m) for m, _ in self.terms)
 
     @property
     def is_monomial(self) -> bool:
@@ -350,7 +336,7 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
-        degs = {monomial_degree(m) for m, _ in self.terms}
+        degs = {sum(m) for m, _ in self.terms}
         return len(degs) == 1
 
     def support(self) -> frozenset:

@@ -42,18 +42,6 @@ MIXED = "mixed"
 MAX_VARS = 8
 MAX_DEGREE = 4
 
-SUITE_IDS = (
-    "quotient-transport",
-    "subideal-transfer",
-    "annihilator-transport",
-    "grade-height",
-    "cm-implies-icm",
-    "ass-dimension",
-    "localization-cm",
-    "poly-extension",
-)
-
-
 @dataclass(frozen=True)
 class InstanceSpec:
     """Input to the instance generator.  Same spec, same instance, always."""
@@ -443,37 +431,37 @@ def _eval_poly_extension(inst: Instance) -> RelationReport:
     return polynomial_extension_check(M, I, k_new=aux["k_new"], seed=aux["seed"])
 
 
-_DRAWS: Dict[str, Callable[[int], Instance]] = {
-    "quotient-transport": _draw_quotient_transport,
-    "subideal-transfer": _draw_subideal_transfer,
-    "annihilator-transport": _draw_annihilator_transport,
-    "grade-height": _draw_grade_height,
-    "cm-implies-icm": _draw_cm_implies_icm,
-    "ass-dimension": _draw_at_prime,
-    "localization-cm": _draw_at_prime,
-    "poly-extension": _draw_poly_extension,
+Suite = Tuple[Callable[[int], Instance], Callable[[Instance], RelationReport]]
+
+# each suite's (draw, evaluate) pair, in the order SUITE_IDS lists them
+_SUITES: Dict[str, Suite] = {
+    "quotient-transport": (_draw_quotient_transport, _eval_quotient_transport),
+    "subideal-transfer": (_draw_subideal_transfer, _eval_subideal_transfer),
+    "annihilator-transport": (_draw_annihilator_transport, _eval_annihilator_transport),
+    "grade-height": (_draw_grade_height, _eval_grade_height),
+    "cm-implies-icm": (_draw_cm_implies_icm, _eval_cm_implies_icm),
+    "ass-dimension": (_draw_at_prime, _eval_ass_dimension),
+    "localization-cm": (_draw_at_prime, _eval_localization_cm),
+    "poly-extension": (_draw_poly_extension, _eval_poly_extension),
 }
 
-_EVALS: Dict[str, Callable[[Instance], RelationReport]] = {
-    "quotient-transport": _eval_quotient_transport,
-    "subideal-transfer": _eval_subideal_transfer,
-    "annihilator-transport": _eval_annihilator_transport,
-    "grade-height": _eval_grade_height,
-    "cm-implies-icm": _eval_cm_implies_icm,
-    "ass-dimension": _eval_ass_dimension,
-    "localization-cm": _eval_localization_cm,
-    "poly-extension": _eval_poly_extension,
-}
+SUITE_IDS = tuple(_SUITES)
+
+
+def _suite(suite_id: str) -> Suite:
+    """The (draw, evaluate) pair of a suite; UnknownSuiteError for any other id."""
+    try:
+        return _SUITES[suite_id]
+    except KeyError:
+        raise UnknownSuiteError(
+            "unknown suite %r; valid ids: %s" % (suite_id, ", ".join(SUITE_IDS))
+        ) from None
 
 
 def run_trial(suite_id: str, meta_seed: int) -> RelationReport:
     """Draw and evaluate a single trial; the unit the suites are built from."""
-    if suite_id not in _DRAWS:
-        raise UnknownSuiteError(
-            "unknown suite %r; valid ids: %s" % (suite_id, ", ".join(SUITE_IDS))
-        )
-    inst = _DRAWS[suite_id](meta_seed)
-    return _EVALS[suite_id](inst)
+    draw, evaluate = _suite(suite_id)
+    return evaluate(draw(meta_seed))
 
 
 def shrink_failure(
@@ -548,8 +536,8 @@ def shrink_failure(
 
 def _describe_failure(suite_id: str, meta_seed: int, rep: RelationReport) -> str:
     """Shrink the failing instance and serialize a reproducer script."""
-    M0, I0, prime, aux = _DRAWS[suite_id](meta_seed)
-    evaluate = _EVALS[suite_id]
+    draw, evaluate = _suite(suite_id)
+    M0, I0, prime, aux = draw(meta_seed)
     ring = M0.ring
 
     def rerun(j_gens: Tuple[Polynomial, ...], i_gens: Tuple[Polynomial, ...]) -> bool:
@@ -582,10 +570,7 @@ def run_suite(suite_id: str, trials: int = 100, base_seed: int = 0) -> SuiteRepo
     the same under any execution order; failures are reported sorted by
     trial seed.
     """
-    if suite_id not in _DRAWS:
-        raise UnknownSuiteError(
-            "unknown suite %r; valid ids: %s" % (suite_id, ", ".join(SUITE_IDS))
-        )
+    _suite(suite_id)  # an unknown id fails before any trial runs
     skipped = 0
     failures: List[Tuple[int, str]] = []
     for t in range(trials):

@@ -163,13 +163,13 @@ def oracle_reduce(f: OraclePoly, basis: Sequence[OraclePoly], key) -> OraclePoly
 
 def oracle_divide(f: Polynomial, divisors: Sequence[Polynomial]):
     """Multivariate division by the max-scan algorithm: every step rescans
-    the work dict for its largest term under ``ring.key`` and files each
+    the work dict for its largest term under ``oracle_key`` and files each
     result term through a dict that is sorted at the end.  Same contract
     and, term for term, the same quotients and remainder as
     ``ideal_engine.divide``."""
     ring = f.ring
     field = ring.field
-    key = ring.key
+    key = oracle_key(ring)
     for d in divisors:
         if d.ring != f.ring:
             raise IncompatibleRingError("operands live in different rings")

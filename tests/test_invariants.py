@@ -1,4 +1,5 @@
 """Dimension, primes, regular sequences, and grade."""
+import dataclasses
 import random
 
 import pytest
@@ -10,7 +11,14 @@ from icmlab.errors import (
     NonMonomialError,
     ZeroElementError,
 )
-from icmlab.ideal_engine import Ideal, ideal_quotient, ideal_equal, membership, saturate
+from icmlab.ideal_engine import (
+    Ideal,
+    SaturationResult,
+    ideal_equal,
+    ideal_quotient,
+    membership,
+    saturate,
+)
 from icmlab.invariants import (
     CyclicModule,
     MonomialPrime,
@@ -308,6 +316,27 @@ class TestRegularElements:
                 assert ideal_equal(ideal_quotient(J, x), J)
         assert min(seen.values()) >= 3, seen
 
+    def test_inhomogeneous_search_draws_from_the_whole_basis(self):
+        # both basis elements of I = (x, y^2 + y) divide zero on R/(x*y), and
+        # I is not homogeneous, so the search draws combinations of its basis
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        J = Ideal(R, [x * y])
+        M = CyclicModule(R, J)
+        I = Ideal(R, [x, y**2 + y])
+        basis = I.groebner_basis().basis
+        assert not any(is_regular(J, g) for g in basis)
+        expected = {0: -(y**2) + x - y, 1: y**2 - x + y, 2: -(y**2) - x - y}
+        for seed, element in expected.items():
+            found = find_regular_element(M, I, seed=seed)
+            assert found == element
+            assert found not in basis
+            assert membership(found, I)
+            assert is_regular(J, found)
+            w = grade(M, I, seed=seed)
+            assert w.value == 1
+            verify_grade_witness(M, I, w)
+
     def test_mixed_degree_search_succeeds(self):
         # regular elements here must mix generator degrees: x1 and x2*x3
         R = ring_qq("x1", "x2", "x3")
@@ -379,6 +408,27 @@ class TestGrade:
         )
         with pytest.raises(EngineError):
             verify_grade_witness(M, I, bad)
+
+    def test_witness_replay_rejects_bad_certificates(self):
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        M = CyclicModule(R, Ideal(R, [x * y]))
+        I = Ideal(R, [x, y])
+        w = grade(M, I, seed=0)
+        assert (w.value, w.sequence) == (1, (y - x,))
+        extended = Ideal(R, [x * y, y - x])
+        tampered = {
+            "length disagrees": dataclasses.replace(w, value=w.value + 1),
+            "does not block": dataclasses.replace(
+                w, certificate=SaturationResult(extended, 0)
+            ),
+            "is not the saturation": dataclasses.replace(
+                w, certificate=SaturationResult(Ideal(R, [x]), 1)
+            ),
+        }
+        for message, bad in tampered.items():
+            with pytest.raises(EngineError, match=message):
+                verify_grade_witness(M, I, bad)
 
     def test_each_step_drops_dimension_by_one(self):
         from icmlab.ideal_engine import ideal_sum

@@ -46,6 +46,30 @@ def test_budgets_are_parameters_of_the_engine_context_only():
     assert offenders == []
 
 
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # a deletion must take its imports along; the package __init__ re-exports
+    offenders = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
 def test_benchmark_tracer_targets_resolve():
     # icmbench --trace 1 refuses to install when one of its TARGETS is gone
     tracer = pathlib.Path(__file__).resolve().parents[1] / "icmbench" / "tracer.py"

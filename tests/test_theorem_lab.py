@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from icmlab.cli_app import parse
+from icmlab import theorem_lab
+from icmlab.cli_app import QueryStmt, main, parse
 from icmlab.errors import UnknownSuiteError
+from icmlab.icm_checker import RelationReport
 from icmlab.ideal_engine import Ideal
 from icmlab.invariants import CyclicModule
 from icmlab.ring_core import FieldSpec, RingDescriptor
@@ -206,6 +208,26 @@ class TestRunSuite:
         assert line.startswith("suite localization-cm:")
         assert "trials=5" in line
         assert "failures: 0" in line
+
+
+class TestSuiteFailurePath:
+    @pytest.mark.parametrize("suite_id", SUITE_IDS)
+    def test_forced_failures_are_tallied_and_replayable(self, suite_id, monkeypatch, capsys):
+        draw, _ = theorem_lab._SUITES[suite_id]
+        forced = RelationReport(suite_id, False, None, None, ("forced",))
+        monkeypatch.setitem(theorem_lab._SUITES, suite_id, (draw, lambda inst: forced))
+        rep = run_suite(suite_id, trials=3, base_seed=1)
+        assert rep.passed + rep.skipped_hypothesis + len(rep.failures) == 3
+        assert len(rep.failures) == 3
+        for t, text in enumerate(rep.failures):
+            assert text.startswith("# suite %s failed, trial seed %d\n" % (suite_id, 1_000_003 + t))
+            assert "log: forced" in text
+            assert text.rstrip().endswith("icm J I;")
+            assert parse(text).statements[-1] == QueryStmt("icm", ("J", "I"))
+        assert main(["verify", suite_id, "--trials", "2"]) == 3
+        out = capsys.readouterr().out
+        assert "passed=0 skipped=0 failures: 2" in out
+        assert out.count("icm J I;") == 2
 
 
 class TestShrinkFailure:
