@@ -1,0 +1,71 @@
+"""Byte stability of the CLI: in-process ``cli_app.main`` must reproduce the
+recorded stdout, stderr and exit code of ``run --json --seed 0`` on every
+corpus script and of ``verify <suite> --json --trials 16`` for every suite
+at seeds 0, 1 and 7.
+
+The fixture ``golden/cli_bytes.json`` keeps the sha256 of each stream, so a
+change that alters any output byte fails here.  A change meant to alter the
+output regenerates it with ``PYTHONPATH=src python tests/test_golden_bytes.py
+> tests/golden/cli_bytes.json`` and says why in its change log.
+"""
+
+import contextlib
+import glob
+import hashlib
+import io
+import json
+import os
+
+from icmlab.cli_app import main
+from icmlab.theorem_lab import SUITE_IDS
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS_DIR = os.path.join(HERE, "corpus")
+FIXTURE = os.path.join(HERE, "golden", "cli_bytes.json")
+
+
+def _argvs():
+    """Each recorded command line; corpus scripts are named relative to the
+    corpus directory."""
+    for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.icm"))):
+        yield ["run", os.path.basename(path), "--json", "--seed", "0"]
+    for suite in SUITE_IDS:
+        for seed in (0, 1, 7):
+            yield ["verify", suite, "--json", "--trials", "16", "--seed", str(seed)]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _record(argv):
+    """One entry: the command line, the digests of stdout and stderr, and
+    the exit code of an in-process run."""
+    real = list(argv)
+    if real[0] == "run":
+        real[1] = os.path.join(CORPUS_DIR, real[1])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(real)
+    return {
+        "argv": list(argv),
+        "stdout_sha256": _digest(out.getvalue()),
+        "stderr_sha256": _digest(err.getvalue()),
+        "exit": code,
+    }
+
+
+def test_cli_output_matches_recorded_bytes(monkeypatch):
+    monkeypatch.delenv("ICM_STEP_LIMIT", raising=False)
+    with open(FIXTURE, "r", encoding="utf-8") as handle:
+        recorded = json.load(handle)
+    argvs = list(_argvs())
+    assert [entry["argv"] for entry in recorded] == argvs
+    assert len(argvs) == 50 + 3 * len(SUITE_IDS)
+    changed = [" ".join(entry["argv"]) for entry in recorded if _record(entry["argv"]) != entry]
+    assert not changed, "output bytes changed for: %s" % "; ".join(changed)
+
+
+if __name__ == "__main__":
+    os.environ.pop("ICM_STEP_LIMIT", None)
+    print("[\n%s\n]" % ",\n".join(json.dumps(_record(argv)) for argv in _argvs()))
