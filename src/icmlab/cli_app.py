@@ -44,7 +44,6 @@ from .ring_core import FieldSpec, Polynomial, RingDescriptor, TermOrder
 ONE_ARG_QUERIES = ("gb", "dim", "height", "ass", "minprimes")
 TWO_ARG_QUERIES = ("grade", "icm", "colon", "sat", "intersect")
 QUERY_KEYWORDS = ONE_ARG_QUERIES + TWO_ARG_QUERIES + ("verify",)
-KEYWORDS = ("ring", "ideal", "order") + QUERY_KEYWORDS
 
 
 class ParseError(Exception):

@@ -37,7 +37,10 @@ Saturation by an ideal I = <g_1, ..., g_s> is one Groebner basis: with one
 new variable y and the generic element f_y = sum y^(i-1) * g_i,
 (J : I^infinity) = (J + <1 - t*f_y>) cap k[x], the tags t and y eliminated
 together.  For s = 1 this is the Rabinowitsch basis of the test of one
-element, so both share their memo entries.
+element, so both share their memo entries.  The colon by an ideal uses the
+same generic element: (J : I) = (J*R[y] : f_y) cap R, one colon by an
+element in R[y] and one elimination of y, in place of s colons and s - 1
+intersections.
 """
 from __future__ import annotations
 
@@ -640,16 +643,36 @@ def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
     return Ideal(J.ring, gens)
 
 
+def _generic_element(gens: Sequence[Polynomial], lift, y) -> Polynomial:
+    """The generic element f_y = sum y^(i-1) * lift(g_i) of <g_1, ..., g_s>,
+    by Horner's rule; for s = 1 it is lift(g_1) and ``y`` is not read."""
+    f = lift(gens[-1])
+    for g in reversed(gens[:-1]):
+        f = lift(g) + y * f
+    return f
+
+
 def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
-    """The colon ideal (J : I) = intersection over generators g of (J : g)."""
+    """The colon ideal (J : I) = {h : h*I inside J}.
+
+    For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i
+    in one new variable y, (J : I) = (J*R[y] : f_y) cap R: h * f_y =
+    sum y^(i-1) * h*g_i lies in J*R[y] exactly when every h*g_i lies in J.
+    So the colon is one ``ideal_quotient`` in R[y] and one elimination of
+    y; for s = 1 it is ``ideal_quotient(J, g_1)``.
+    """
     _same_ring(J, I)
-    if not I.generators:
+    gens = I.generators
+    if not gens:
         raise ZeroElementError("colon by the zero ideal is undefined")
-    parts = [ideal_quotient(J, g) for g in I.generators]
-    out = parts[0]
-    for part in parts[1:]:
-        out = ideal_intersect(out, part)
-    return out
+    if len(gens) == 1:
+        return ideal_quotient(J, gens[0])
+
+    def build(lift, y):
+        Jy = Ideal(y.ring, [lift(h) for h in J.generators])
+        return list(ideal_quotient(Jy, _generic_element(gens, lift, y)).generators)
+
+    return _eliminate_tag(J.ring, 1, build)
 
 
 def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, set]:
@@ -669,10 +692,7 @@ def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, set]:
         raise ZeroElementError("saturation by the zero ideal is undefined")
 
     def build(lift, t, y=None):
-        f = lift(gens[-1])
-        for g in reversed(gens[:-1]):
-            f = lift(g) + y * f
-        return [lift(h) for h in J.generators] + [1 - t * f]
+        return [lift(h) for h in J.generators] + [1 - t * _generic_element(gens, lift, y)]
 
     sat = _eliminate_tag(J.ring, min(len(gens), 2), build)
     gb = J.groebner_basis()

@@ -75,10 +75,6 @@ class FieldSpec:
                 "field characteristic must be 0 or a prime below 2^31, got %r" % (c,)
             )
 
-    @property
-    def kind(self) -> str:
-        return "exact-rationals" if self.characteristic == 0 else "prime-field"
-
     def coerce(self, value: Union[int, Fraction]) -> Coeff:
         p = self.characteristic
         if p == 0:

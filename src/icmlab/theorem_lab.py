@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import invariants
 from .errors import EngineError, UnknownSuiteError
@@ -464,73 +464,53 @@ def run_trial(suite_id: str, meta_seed: int) -> RelationReport:
     return evaluate(draw(meta_seed))
 
 
+def _shrink_candidates(
+    j_gens: Tuple[Polynomial, ...], i_gens: Tuple[Polynomial, ...]
+) -> Iterator[Tuple[Tuple[Polynomial, ...], Tuple[Polynomial, ...]]]:
+    """The one-step reductions of (J, I), in the order they are tried: drop a
+    J generator; drop an I generator when I has more than one; swap a
+    generator (J first, then I) for its leading monomial when it has several
+    terms, else for the monomial with one exponent lowered."""
+    for k in range(len(j_gens)):
+        yield j_gens[:k] + j_gens[k + 1 :], i_gens
+    if len(i_gens) > 1:
+        for k in range(len(i_gens)):
+            yield j_gens, i_gens[:k] + i_gens[k + 1 :]
+    for in_j, gens in ((True, j_gens), (False, i_gens)):
+        for k, g in enumerate(gens):
+            mono = g.leading_monomial()
+            if len(g.terms) > 1:
+                smaller = [mono]
+            elif sum(mono) > 1:
+                smaller = [mono[:v] + (e - 1,) + mono[v + 1 :] for v, e in enumerate(mono) if e]
+            else:
+                smaller = []
+            for m in smaller:
+                cand = gens[:k] + (g.ring.monomial(m),) + gens[k + 1 :]
+                yield (cand, i_gens) if in_j else (j_gens, cand)
+
+
 def shrink_failure(
     rerun: Callable[[Tuple[Polynomial, ...], Tuple[Polynomial, ...]], bool],
     j_gens: Tuple[Polynomial, ...],
     i_gens: Tuple[Polynomial, ...],
     max_attempts: int = 200,
 ) -> Tuple[Tuple[Polynomial, ...], Tuple[Polynomial, ...]]:
-    """Greedy minimization: drop generators, then swap multi-term generators
-    for their leading monomials, then lower single exponents, as long as
-    ``rerun`` keeps reporting a failure.  ``rerun`` must return True when
-    the candidate still fails and False otherwise (errors count as False)."""
+    """Greedy minimization: take the first candidate of
+    ``_shrink_candidates`` that ``rerun`` still reports as a failure, and
+    start over from it, until no candidate fails or ``max_attempts`` calls
+    have been made (checked between sweeps).  ``rerun`` must return True
+    when the candidate still fails and False otherwise (errors count as
+    False)."""
     attempts = 0
-    improved = True
-    while improved and attempts < max_attempts:
-        improved = False
-        for k in range(len(j_gens)):
-            cand = j_gens[:k] + j_gens[k + 1 :]
+    while attempts < max_attempts:
+        for j_cand, i_cand in _shrink_candidates(j_gens, i_gens):
             attempts += 1
-            if rerun(cand, i_gens):
-                j_gens = cand
-                improved = True
+            if rerun(j_cand, i_cand):
+                j_gens, i_gens = j_cand, i_cand
                 break
-        if improved:
-            continue
-        if len(i_gens) > 1:
-            for k in range(len(i_gens)):
-                cand = i_gens[:k] + i_gens[k + 1 :]
-                attempts += 1
-                if rerun(j_gens, cand):
-                    i_gens = cand
-                    improved = True
-                    break
-        if improved:
-            continue
-        for which in ("j", "i"):
-            gens = j_gens if which == "j" else i_gens
-            for k, g in enumerate(gens):
-                cands = []
-                if len(g.terms) > 1:
-                    cands.append(g.ring.monomial(g.leading_monomial()))
-                else:
-                    mono, _ = g.terms[0]
-                    if sum(mono) > 1:
-                        for v, e in enumerate(mono):
-                            if e > 0:
-                                lowered = tuple(
-                                    x - 1 if idx == v else x
-                                    for idx, x in enumerate(mono)
-                                )
-                                cands.append(g.ring.monomial(lowered))
-                for cand_g in cands:
-                    cand = gens[:k] + (cand_g,) + gens[k + 1 :]
-                    attempts += 1
-                    if which == "j":
-                        ok = rerun(cand, i_gens)
-                    else:
-                        ok = rerun(j_gens, cand)
-                    if ok:
-                        if which == "j":
-                            j_gens = cand
-                        else:
-                            i_gens = cand
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
+        else:
+            break
     return j_gens, i_gens
 
 

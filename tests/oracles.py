@@ -14,9 +14,10 @@ purpose, simple on purpose.
 polynomials whose coefficients strain the engine's fraction-free
 completion, shared by the oracle and the sympy cross-checks.
 
-``oracle_saturate`` is the exception: the engine's earlier saturation by an
-ideal, built from the engine's own eliminations, kept as the reference for
-the one-basis formula that replaced it.
+``oracle_saturate`` and ``oracle_colon_ideal`` are the exceptions: the
+engine's earlier saturation by an ideal and colon by an ideal, built from
+the engine's own eliminations and colons, kept as the references for the
+generic-element formulas that replaced them.
 """
 from __future__ import annotations
 
@@ -27,11 +28,18 @@ from math import gcd
 from typing import Dict, List, Sequence, Set, Tuple
 
 from icmlab.errors import IncompatibleRingError, ZeroElementError
-from icmlab.ideal_engine import Ideal, _eliminate_tag, ideal_intersect, normal_form
+from icmlab.ideal_engine import (
+    Ideal,
+    _eliminate_tag,
+    ideal_intersect,
+    ideal_quotient,
+    normal_form,
+)
 from icmlab.ring_core import (
     Polynomial,
     RingDescriptor,
     TermOrder,
+    _same_ring,
     _from_dict,
     monomial_div,
     monomial_divides,
@@ -274,7 +282,7 @@ def oracle_buchberger(gens: Sequence[Polynomial]) -> List[Polynomial]:
 
 
 # ---------------------------------------------------------------------------
-# saturation by an ideal, the engine's earlier formula
+# saturation and colon by an ideal, the engine's earlier formulas
 
 
 def oracle_saturate(J: Ideal, I: Ideal) -> Tuple[Ideal, int]:
@@ -305,6 +313,18 @@ def oracle_saturate(J: Ideal, I: Ideal) -> Tuple[Ideal, int]:
         rest = {normal_form(g * h, gb) for g in I.generators for h in rest if h}
         exponent += 1
     return sat, exponent
+
+
+def oracle_colon_ideal(J: Ideal, I: Ideal) -> Ideal:
+    """The colon ideal (J : I) = intersection over generators g of (J : g)."""
+    _same_ring(J, I)
+    if not I.generators:
+        raise ZeroElementError("colon by the zero ideal is undefined")
+    parts = [ideal_quotient(J, g) for g in I.generators]
+    out = parts[0]
+    for part in parts[1:]:
+        out = ideal_intersect(out, part)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from icmlab import ideal_engine
 from icmlab.errors import IncompatibleRingError, StepLimitExceededError, ZeroElementError
 from icmlab.ideal_engine import (
     Ideal,
@@ -567,6 +568,80 @@ class TestSaturationByIdeal:
             self.check(random.Random(7 + p), ring, 4, seen)
         assert seen["exponent 0"] and seen["exponent 2"], seen
         assert sum(seen["%d generators" % k] for k in (2, 3, 4)) >= 3, seen
+
+
+class TestColonByIdeal:
+    """The colon through the generic element against the per-generator colons
+    glued by ``ideal_intersect`` (``oracles.oracle_colon_ideal``)."""
+
+    @staticmethod
+    def random_pair(rng, ring):
+        # 0-3 generators of J, 1-3 of I, inhomogeneous ones included; now and
+        # then a constant generator makes I the unit ideal
+        I = []
+        k = rng.randint(1, 3)
+        while len(I) < k:
+            g = random_poly(rng, ring, max_terms=2, max_exp=1)
+            if g.terms:
+                I.append(g)
+        if rng.random() < 0.15:
+            I[rng.randrange(k)] = ring.one()
+        J = [
+            random_poly(rng, ring, max_terms=2, max_exp=1) * rng.choice(I)
+            + random_poly(rng, ring, max_terms=1, max_exp=2) * rng.randint(0, 1)
+            for _ in range(rng.randint(0, 3))
+        ]
+        return Ideal(ring, J), Ideal(ring, I)
+
+    def test_matches_intersection_formula(self):
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for order in ("lex", "grevlex"):
+                ring = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder(order))
+                rng = random.Random(31 * p + len(order))
+                for _ in range(12):
+                    J, I = self.random_pair(rng, ring)
+                    got = ideal_quotient_ideal(J, I)
+                    assert got.groebner_basis() == oracles.oracle_colon_ideal(J, I).groebner_basis(), (J, I)
+                    seen["J = 0"] += J.is_zero_ideal
+                    seen["unit in I"] += any(g.total_degree() == 0 for g in I.generators)
+                    seen["inhomogeneous I"] += not all(g.is_homogeneous() for g in I.generators)
+                    seen["%d generators" % len(I.generators)] += 1
+        assert len(seen) == 6, seen
+        assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("p", [0, 32003])
+    def test_minors_by_all_variables(self, n, p):
+        names = ["x%d" % i for i in range(1, n + 1)] + ["y%d" % i for i in range(1, n + 1)]
+        ring = RingDescriptor(FieldSpec(p), tuple(names))
+        v = [ring.variable(i) for i in range(2 * n)]
+        J = Ideal(ring, [v[i] * v[n + j] - v[j] * v[n + i] for i in range(n) for j in range(i + 1, n)])
+        I = Ideal(ring, v)
+        got = ideal_quotient_ideal(J, I).groebner_basis()
+        assert got == oracles.oracle_colon_ideal(J, I).groebner_basis()
+        # J is prime and I is not inside it, so the colon gives J back
+        assert got == J.groebner_basis()
+
+    def test_one_colon_and_one_intersection(self, monkeypatch):
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(ideal_engine, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(ideal_engine, name, counted)
+
+        spy("ideal_quotient")
+        spy("ideal_intersect")
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        got = ideal_quotient_ideal(Ideal(R, [x**2, y**2, z**2]), Ideal(R, [x, y, z]))
+        assert calls == {"ideal_quotient": 1, "ideal_intersect": 1}
+        assert got == Ideal(R, [x**2, y**2, z**2, x * y * z])
 
 
 class TestMembership:

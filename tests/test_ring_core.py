@@ -42,13 +42,11 @@ class TestFieldSpec:
         assert QQ.coerce(3) == Fraction(3)
         assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
         assert str(QQ) == "QQ"
-        assert QQ.kind == "exact-rationals"
 
     def test_prime_field_reduces_residues(self):
         assert GF7.coerce(10) == 3
         assert GF7.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
         assert str(GF7) == "GF(7)"
-        assert GF7.kind == "prime-field"
 
     def test_composite_characteristic_rejected(self):
         with pytest.raises(ValueError):

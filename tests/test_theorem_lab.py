@@ -2,6 +2,7 @@
 draw determinism, suite accounting, the shrinker, and serialization."""
 
 import json
+import random
 
 import pytest
 
@@ -283,6 +284,58 @@ class TestShrinkFailure:
         i0 = (self.x * self.y, self.y)
         shrink_failure(rerun, j0, i0, max_attempts=10)
         assert len(calls) <= 14  # the sweep in flight may finish its pass
+
+
+# every rerun call, as (J, I) generator strings, of the shrinker below with
+# the default attempt cap; recorded from the hand-written sweeps it replaced
+SHRINK_CALLS = [
+    (["y^2*z", "x*z^3 + y"], ["x*y + z", "y^2"]),
+    (["x^2*y - 3*z", "x*z^3 + y"], ["x*y + z", "y^2"]),
+    (["x^2*y - 3*z", "y^2*z"], ["x*y + z", "y^2"]),
+    (["x^2*y - 3*z", "y^2*z", "x*z^3 + y"], ["y^2"]),
+    (["x^2*y - 3*z", "y^2*z", "x*z^3 + y"], ["x*y + z"]),
+    (["x^2*y", "y^2*z", "x*z^3 + y"], ["x*y + z", "y^2"]),
+    (["x^2*y - 3*z", "y*z", "x*z^3 + y"], ["x*y + z", "y^2"]),
+    (["y*z", "x*z^3 + y"], ["x*y + z", "y^2"]),
+    (["x^2*y - 3*z", "x*z^3 + y"], ["x*y + z", "y^2"]),
+    (["x^2*y - 3*z", "y*z"], ["x*y + z", "y^2"]),
+    (["x^2*y - 3*z", "y*z", "x*z^3 + y"], ["y^2"]),
+    (["y*z", "x*z^3 + y"], ["y^2"]),
+    (["x*z^3 + y"], ["y^2"]),
+    ([], ["y^2"]),
+    (["x*z^3"], ["y^2"]),
+    (["x*z^3 + y"], ["y"]),
+    ([], ["y"]),
+    (["x*z^3"], ["y"]),
+]
+
+
+@pytest.mark.parametrize(
+    "cap, ncalls, j_out, i_out",
+    [
+        (200, 18, ["x*z^3 + y"], ["y"]),
+        (10, 11, ["x^2*y - 3*z", "y*z", "x*z^3 + y"], ["y^2"]),
+        (5, 7, ["x^2*y - 3*z", "y*z", "x*z^3 + y"], ["x*y + z", "y^2"]),
+    ],
+)
+def test_shrink_failure_call_sequence(cap, ncalls, j_out, i_out):
+    # a seeded coin decides which candidates still fail; the sweep in flight
+    # when the cap is reached runs to its first failing candidate
+    ring = RingDescriptor(QQ, ("x", "y", "z"))
+    x, y, z = (ring.variable(i) for i in range(3))
+    rng = random.Random(11)
+    calls = []
+
+    def rerun(j_gens, i_gens):
+        calls.append(([str(g) for g in j_gens], [str(g) for g in i_gens]))
+        return rng.random() < 0.4
+
+    j_small, i_small = shrink_failure(
+        rerun, (x**2 * y - 3 * z, y**2 * z, x * z**3 + y), (x * y + z, y**2), max_attempts=cap
+    )
+    assert calls == SHRINK_CALLS[:ncalls]
+    assert [str(g) for g in j_small] == j_out
+    assert [str(g) for g in i_small] == i_out
 
 
 class TestSuiteRegistry:
