@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -141,7 +141,6 @@ class IdealStmt:
 class QueryStmt:
     keyword: str
     args: Tuple[str, ...]
-    line: int = field(compare=False, default=0)
 
 
 Stmt = Union[RingStmt, IdealStmt, QueryStmt]
@@ -339,7 +338,7 @@ class _Parser:
                 )
             args = tuple(names)
         self.expect_sym(";")
-        return QueryStmt(kw.text, args, line=kw.line)
+        return QueryStmt(kw.text, args)
 
     # ---- polynomials ----
 
@@ -454,10 +453,6 @@ def _basis_strings(gb) -> List[str]:
     return [str(g) for g in gb]
 
 
-def _sorted_primes(primes) -> List[invariants.MonomialPrime]:
-    return sorted(primes, key=lambda q: (len(q.indices), q.indices))
-
-
 class _Session:
     def __init__(self, seed: int, trials: int) -> None:
         self.seed = seed
@@ -500,11 +495,11 @@ class _Session:
                 out.append("height %s = %d" % (name, value))
                 record["value"] = value
             elif kw == "ass":
-                primes = _sorted_primes(invariants.associated_primes_monomial(J))
+                primes = invariants.sorted_primes(invariants.associated_primes_monomial(J))
                 out.append("ass %s = [%s]" % (name, ", ".join(str(q) for q in primes)))
                 record["primes"] = [list(q.variables) for q in primes]
             else:  # minprimes
-                primes = _sorted_primes(invariants.minimal_primes_monomial(J))
+                primes = invariants.sorted_primes(invariants.minimal_primes_monomial(J))
                 out.append(
                     "minprimes %s = [%s]" % (name, ", ".join(str(q) for q in primes))
                 )

@@ -11,9 +11,10 @@ The relation checks each encode one transport statement: how the verdict,
 grade, and dimensions move under quotients by regular sequences, under the
 annihilator quotient, between nested test ideals, at associated primes,
 under localization at a monomial prime, and under polynomial ring
-extension.  A check that hypothesizes a property (say, that M is p-CM)
-evaluates the hypothesis first and reports a skip when it fails instead of
-passing vacuously.
+extension.  Each returns a RelationReport: the verdict, the log that
+explains it, and a skip reason.  A check that hypothesizes a property (say,
+that M is p-CM) evaluates the hypothesis first and reports a skip when it
+fails instead of passing vacuously.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import invariants
-from .errors import InhomogeneousIdealError
+from .errors import EngineError, InhomogeneousIdealError, StepLimitExceededError
 from .ideal_engine import (
     Ideal,
     ideal_intersect,
@@ -59,6 +60,11 @@ class IcmReport:
             "certificate_exponent": self.grade.certificate.exponent,
         }
 
+    def summary(self) -> str:
+        return "grade %d, dim %d, dim mod %d, is_icm %s" % (
+            self.grade.value, self.dim_m, self.dim_m_mod_im, self.is_icm
+        )
+
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -66,21 +72,23 @@ class RelationReport:
 
     ``holds`` is the verdict for the instance; a report with
     ``skipped_reason`` set was never really evaluated (its hypothesis
-    failed) and ``holds`` stays True vacuously.  A failing report always
-    carries enough data in ``left``/``right``/``hypothesis_log`` to see
-    which equality broke.
+    failed) and ``holds`` stays True vacuously.  ``hypothesis_log`` records
+    the quantities compared, so a failing report shows which equality
+    broke.
     """
 
-    relation_id: str
     holds: bool
-    left: object
-    right: object
     hypothesis_log: Tuple[str, ...]
     skipped_reason: Optional[str] = None
 
     @property
     def skipped(self) -> bool:
         return self.skipped_reason is not None
+
+
+def _skipped(reason: str) -> RelationReport:
+    """The report of a check whose hypothesis failed."""
+    return RelationReport(True, (reason,), reason)
 
 
 def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
@@ -145,13 +153,7 @@ def check_grade_height(I: Ideal, seed: int = 0) -> RelationReport:
     else:
         holds = True
         log.append("verdict negative, implication is vacuous here")
-    return RelationReport(
-        relation_id="grade-height",
-        holds=holds,
-        left=rep,
-        right=rep.height_i,
-        hypothesis_log=tuple(log),
-    )
+    return RelationReport(holds, tuple(log))
 
 
 def quotient_transport(
@@ -174,10 +176,8 @@ def quotient_transport(
     quot = icm_report(CyclicModule(ring, current), I, seed=seed)
     log = [
         "sequence of length %d replayed: in I and regular" % r,
-        "base: grade %d, dim %d, dim mod %d, is_icm %s"
-        % (base.grade.value, base.dim_m, base.dim_m_mod_im, base.is_icm),
-        "quotient: grade %d, dim %d, dim mod %d, is_icm %s"
-        % (quot.grade.value, quot.dim_m, quot.dim_m_mod_im, quot.is_icm),
+        "base: " + base.summary(),
+        "quotient: " + quot.summary(),
     ]
     holds = (
         base.is_icm == quot.is_icm
@@ -185,13 +185,7 @@ def quotient_transport(
         and base.dim_m - quot.dim_m == r
         and base.dim_m_mod_im == quot.dim_m_mod_im
     )
-    return RelationReport(
-        relation_id="quotient-transport",
-        holds=holds,
-        left=base,
-        right=quot,
-        hypothesis_log=tuple(log),
-    )
+    return RelationReport(holds, tuple(log))
 
 
 def subideal_transfer_check(
@@ -206,12 +200,7 @@ def subideal_transfer_check(
     contained = all(membership(g, J2) for g in I.generators)
     rep_i = icm_report(M, I, seed=seed)
     rep_2 = icm_report(M, J2, seed=seed)
-    log = [
-        "I: grade %d, dim mod %d, is_icm %s"
-        % (rep_i.grade.value, rep_i.dim_m_mod_im, rep_i.is_icm),
-        "J2: grade %d, dim mod %d, is_icm %s"
-        % (rep_2.grade.value, rep_2.dim_m_mod_im, rep_2.is_icm),
-    ]
+    log = ["I: " + rep_i.summary(), "J2: " + rep_2.summary()]
     violated: List[str] = []
     evaluated = 0
     if contained:
@@ -249,12 +238,9 @@ def subideal_transfer_check(
         log.append("part 3 vacuous: needs both verdicts positive")
     log.extend(violated)
     return RelationReport(
-        relation_id="subideal-transfer",
-        holds=not violated,
-        left=rep_i,
-        right=rep_2,
-        hypothesis_log=tuple(log),
-        skipped_reason="every hypothesis failed" if evaluated == 0 else None,
+        not violated,
+        tuple(log),
+        "every hypothesis failed" if evaluated == 0 else None,
     )
 
 
@@ -265,71 +251,43 @@ def annihilator_transport(M: CyclicModule, I: Ideal, seed: int = 0) -> RelationR
     With J defining M, the annihilator of the image of I in R/J is
     (J : I)/J and the transported module is R/(J : I).  Hypothesis
     (J : I) inside I + J; then M is I-CM iff the transported module is
-    I-CM with the same grade and the same dimension.  Regular sequence
-    elements that stay out of (J : I) replay on the transported module.
+    I-CM with the same grade and the same dimension.  The base grade witness
+    stays regular on the transported module up to its first element inside
+    (J : I), and that prefix is replayed there.
     """
     J = M.defining_ideal
     if all(membership(g, J) for g in I.generators):
-        return RelationReport(
-            relation_id="annihilator-transport",
-            holds=True,
-            left=None,
-            right=None,
-            hypothesis_log=("the test ideal maps to zero in R/J",),
-            skipped_reason="the image of the test ideal is zero",
-        )
+        return _skipped("the image of the test ideal is zero")
     colon = ideal_quotient_ideal(J, I)
     target = ideal_sum(I, J)
     if not all(membership(g, target) for g in colon.generators):
-        return RelationReport(
-            relation_id="annihilator-transport",
-            holds=True,
-            left=None,
-            right=None,
-            hypothesis_log=("(J : I) is not inside I + J",),
-            skipped_reason="annihilator not inside the test ideal plus J",
-        )
-    log = ["(J : I) verified inside I + J"]
+        return _skipped("annihilator not inside the test ideal plus J")
     base = icm_report(M, I, seed=seed)
     trans = icm_report(CyclicModule(M.ring, colon), I, seed=seed)
-    log.append(
-        "base: grade %d, dim %d, is_icm %s"
-        % (base.grade.value, base.dim_m, base.is_icm)
-    )
-    log.append(
-        "transported: grade %d, dim %d, is_icm %s"
-        % (trans.grade.value, trans.dim_m, trans.is_icm)
-    )
+    log = [
+        "(J : I) verified inside I + J",
+        "base: " + base.summary(),
+        "transported: " + trans.summary(),
+    ]
     bundle = (
         trans.is_icm
         and base.grade.value == trans.grade.value
         and base.dim_m == trans.dim_m
     )
     holds = base.is_icm == bundle
-    # a base regular sequence with elements outside (J : I) stays regular
-    replay = colon
-    for k, x in enumerate(base.grade.sequence):
-        if membership(x, colon):
-            log.append(
-                "witness element %d absorbed by the annihilator; replay stops" % (k + 1,)
-            )
-            break
-        if not invariants.is_regular(replay, x):
-            holds = False
-            log.append(
-                "witness element %d fails to stay regular on the transported module"
-                % (k + 1,)
-            )
-            break
-        replay = ideal_sum(replay, Ideal(M.ring, (x,)))
-        log.append("witness element %d replayed on the transported module" % (k + 1,))
-    return RelationReport(
-        relation_id="annihilator-transport",
-        holds=holds,
-        left=base,
-        right=trans,
-        hypothesis_log=tuple(log),
-    )
+    witness = base.grade.sequence
+    kept = next((k for k, x in enumerate(witness) if membership(x, colon)), len(witness))
+    outside = "the first %d of %d witness elements lie outside (J : I)" % (kept, len(witness))
+    try:
+        invariants.replay_regular_sequence(colon, I, witness[:kept])
+    except StepLimitExceededError:
+        raise
+    except EngineError as exc:
+        holds = False
+        log.append(outside + "; their replay on the transported module fails: %s" % exc)
+    else:
+        log.append(outside + " and replay on the transported module")
+    return RelationReport(holds, tuple(log))
 
 
 def ass_dimension_check(M: CyclicModule, p: MonomialPrime, seed: int = 0) -> RelationReport:
@@ -337,14 +295,7 @@ def ass_dimension_check(M: CyclicModule, p: MonomialPrime, seed: int = 0) -> Rel
     realizes the full dimension of M."""
     rep = icm_report(M, p.as_ideal(), seed=seed)
     if not rep.is_icm:
-        return RelationReport(
-            relation_id="ass-dimension",
-            holds=True,
-            left=rep,
-            right=None,
-            hypothesis_log=("module is not p-Cohen-Macaulay",),
-            skipped_reason="module is not p-Cohen-Macaulay at the chosen prime",
-        )
+        return _skipped("module is not p-Cohen-Macaulay at the chosen prime")
     ass = invariants.associated_primes_monomial(M.defining_ideal)
     dim_m = rep.dim_m
     matches = sorted(
@@ -357,13 +308,7 @@ def ass_dimension_check(M: CyclicModule, p: MonomialPrime, seed: int = 0) -> Rel
         "associated primes: %s" % sorted(q.variables for q in ass),
         "witnessing primes inside p: %s" % matches,
     ]
-    return RelationReport(
-        relation_id="ass-dimension",
-        holds=bool(matches),
-        left=rep,
-        right=dim_m,
-        hypothesis_log=tuple(log),
-    )
+    return RelationReport(bool(matches), tuple(log))
 
 
 def localization_cm_check(
@@ -374,14 +319,7 @@ def localization_cm_check(
     grade witness is a system of parameters there."""
     rep = icm_report(M, p.as_ideal(), seed=seed)
     if not rep.is_icm:
-        return RelationReport(
-            relation_id="localization-cm",
-            holds=True,
-            left=rep,
-            right=None,
-            hypothesis_log=("module is not p-Cohen-Macaulay",),
-            skipped_reason="module is not p-Cohen-Macaulay at the chosen prime",
-        )
+        return _skipped("module is not p-Cohen-Macaulay at the chosen prime")
     local_dim = invariants.local_dimension(M, p)
     depth = rep.grade.value
     log = [
@@ -391,13 +329,7 @@ def localization_cm_check(
         "witness length %d plays the system of parameters" % len(rep.grade.sequence),
     ]
     holds = depth == local_dim and len(rep.grade.sequence) == local_dim
-    return RelationReport(
-        relation_id="localization-cm",
-        holds=holds,
-        left=rep,
-        right=local_dim,
-        hypothesis_log=tuple(log),
-    )
+    return RelationReport(holds, tuple(log))
 
 
 def _extension_names(ring, k: int) -> Tuple[str, ...]:
@@ -430,10 +362,8 @@ def polynomial_extension_check(
     ext = icm_report(ext_m, ext_i, seed=seed)
     log = [
         "extended by %d variable(s): %s" % (k_new, ", ".join(names)),
-        "base: grade %d, dim %d, dim mod %d, is_icm %s"
-        % (base.grade.value, base.dim_m, base.dim_m_mod_im, base.is_icm),
-        "extended: grade %d, dim %d, dim mod %d, is_icm %s"
-        % (ext.grade.value, ext.dim_m, ext.dim_m_mod_im, ext.is_icm),
+        "base: " + base.summary(),
+        "extended: " + ext.summary(),
     ]
     if not M.defining_ideal.is_zero_ideal:
         log.append("quotient-module variant (nonzero defining ideal)")
@@ -451,36 +381,13 @@ def polynomial_extension_check(
         h_ext = invariants.height(ext_i)
         log.append("prime test ideal: height %d base, %d extended" % (h_base, h_ext))
         holds = holds and h_base == h_ext
-    return RelationReport(
-        relation_id="poly-extension",
-        holds=holds,
-        left=base,
-        right=ext,
-        hypothesis_log=tuple(log),
-    )
+    return RelationReport(holds, tuple(log))
 
 
 def cm_implies_icm_check(M: CyclicModule, I: Ideal, seed: int = 0) -> RelationReport:
     """A classically Cohen-Macaulay graded module is I-CM for every proper
     test ideal I."""
     if not is_cohen_macaulay_graded(M, seed=seed):
-        return RelationReport(
-            relation_id="cm-implies-icm",
-            holds=True,
-            left=None,
-            right=None,
-            hypothesis_log=("module is not Cohen-Macaulay",),
-            skipped_reason="module is not Cohen-Macaulay",
-        )
+        return _skipped("module is not Cohen-Macaulay")
     rep = icm_report(M, I, seed=seed)
-    log = [
-        "module is Cohen-Macaulay",
-        "grade %d, dim %d, dim mod %d" % (rep.grade.value, rep.dim_m, rep.dim_m_mod_im),
-    ]
-    return RelationReport(
-        relation_id="cm-implies-icm",
-        holds=rep.is_icm,
-        left=rep,
-        right=None,
-        hypothesis_log=tuple(log),
-    )
+    return RelationReport(rep.is_icm, ("module is Cohen-Macaulay", rep.summary()))

@@ -216,6 +216,12 @@ def minimal_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
     return frozenset(MonomialPrime(J.ring, c) for c in covers)
 
 
+def sorted_primes(primes: Iterable[MonomialPrime]) -> List[MonomialPrime]:
+    """Primes by codimension, then by variable indices: one fixed order for
+    printing and for seeded choices."""
+    return sorted(primes, key=lambda q: (len(q.indices), q.indices))
+
+
 def _monomial_ideal_intersect(a: Sequence[Monomial], b: Sequence[Monomial]) -> List[Monomial]:
     return minimalize_monomials(
         tuple(max(x, y) for x, y in zip(m, w)) for m in a for w in b

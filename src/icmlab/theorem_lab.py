@@ -182,10 +182,7 @@ def gen_instance(
 
 
 def _choose_prime(rng: random.Random, ring: RingDescriptor, J: Ideal) -> MonomialPrime:
-    mins = sorted(
-        invariants.minimal_primes_monomial(J),
-        key=lambda q: (len(q.indices), q.indices),
-    )
+    mins = invariants.sorted_primes(invariants.minimal_primes_monomial(J))
     smallest = len(mins[0].indices)
     top = [q for q in mins if len(q.indices) == smallest]
     if rng.random() < 0.5:
@@ -265,11 +262,7 @@ def _spec_draw(meta: random.Random, kind: Optional[str] = None) -> InstanceSpec:
 def _pcm_prime(M: CyclicModule) -> MonomialPrime:
     """A minimal prime of minimal codimension (so of maximal dimension);
     the module is always p-CM there."""
-    mins = sorted(
-        invariants.minimal_primes_monomial(M.defining_ideal),
-        key=lambda q: (len(q.indices), q.indices),
-    )
-    return mins[0]
+    return invariants.sorted_primes(invariants.minimal_primes_monomial(M.defining_ideal))[0]
 
 
 Instance = Tuple[CyclicModule, Ideal, Optional[MonomialPrime], dict]
@@ -537,7 +530,7 @@ def _describe_failure(suite_id: str, meta_seed: int, rep: RelationReport) -> str
     shrunk_i = Ideal(ring, i_small)
     header = [
         "suite %s failed, trial seed %d" % (suite_id, meta_seed),
-        "relation %s, log: %s" % (rep.relation_id, " | ".join(rep.hypothesis_log)),
+        "relation %s, log: %s" % (suite_id, " | ".join(rep.hypothesis_log)),
     ]
     return serialize_instance(shrunk_m, shrunk_i, prime, header=header)
 

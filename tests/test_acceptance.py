@@ -254,7 +254,8 @@ def test_criterion_8_corpus_contract_and_json_stability():
     expected = {"ok": 0, "err1": 1, "err2": 2}
     for path in files:
         family = os.path.basename(path).split("_")[0]
-        source = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            source = fh.read()
         if family == "err2":
             with pytest.raises(ParseError):
                 parse(source)

@@ -129,9 +129,6 @@ class TestParser:
         assert query.keyword == "verify"
         assert query.args == ("grade-height",)
 
-    def test_query_equality_ignores_source_line(self):
-        assert QueryStmt("dim", ("J",), line=5) == QueryStmt("dim", ("J",), line=9)
-
     def test_all_errors_are_parse_errors(self):
         for cls in (LexError, ParseSyntaxError, UndeclaredNameError, ArityError):
             assert issubclass(cls, ParseError)

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from icmlab.errors import EngineError, InhomogeneousIdealError
+from icmlab import invariants
+from icmlab.errors import EngineError, InhomogeneousIdealError, StepLimitExceededError
 from icmlab.icm_checker import (
     annihilator_transport,
     ass_dimension_check,
@@ -34,6 +35,21 @@ def golden_instance():
     ys = [R.variable(i) for i in range(3, 6)]
     J = ideal_intersect(Ideal(R, xs), Ideal(R, ys))
     return R, CyclicModule(R, J), Ideal(R, xs)
+
+
+def two_planes():
+    """R = QQ[x1, x2, y1, y2], M = R/((x1, x2) cap (y1, y2)): two planes
+    through a point, so depth 1 < dim 2 at the maximal ideal."""
+    R = ring_qq("x1", "x2", "y1", "y2")
+    xs = [R.variable(0), R.variable(1)]
+    ys = [R.variable(2), R.variable(3)]
+    return R, CyclicModule(R, ideal_intersect(Ideal(R, xs), Ideal(R, ys)))
+
+
+def assert_hypothesis_failed(rep):
+    assert rep.skipped
+    assert rep.holds
+    assert rep.hypothesis_log == (rep.skipped_reason,)
 
 
 class TestIcmReport:
@@ -245,6 +261,16 @@ class TestSubidealTransfer:
         assert any("not inside" in line for line in rep.hypothesis_log)
         assert rep.holds, rep.hypothesis_log
 
+    def test_every_part_vacuous_skips(self):
+        # I is not inside J2, and M is not I-CM at the maximal ideal
+        R, M = two_planes()
+        I = Ideal(R, [R.variable(i) for i in range(4)])
+        rep = subideal_transfer_check(M, I, Ideal(R, [R.variable(0)]), seed=4)
+        assert rep.skipped
+        assert rep.holds
+        assert rep.skipped_reason == "every hypothesis failed"
+        assert "part 3 vacuous: needs both verdicts positive" in rep.hypothesis_log
+
 
 class TestAnnihilatorTransport:
     def test_zero_defining_ideal_trivial_annihilator(self):
@@ -260,7 +286,45 @@ class TestAnnihilatorTransport:
         x, y = R.variable(0), R.variable(1)
         M = CyclicModule(R, Ideal(R, [x]))
         rep = annihilator_transport(M, Ideal(R, [x]), seed=5)
-        assert rep.skipped
+        assert_hypothesis_failed(rep)
+
+    def test_annihilator_outside_test_ideal_skips(self):
+        # (xy : x^2) = (y), which is not inside (x^2) + (xy)
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        M = CyclicModule(R, Ideal(R, [x * y]))
+        rep = annihilator_transport(M, Ideal(R, [x**2]), seed=5)
+        assert_hypothesis_failed(rep)
+        assert rep.skipped_reason == "annihilator not inside the test ideal plus J"
+
+    def test_failed_witness_replay_fails_the_check(self, monkeypatch):
+        # M = R and I = (x): the witness [x] lies outside (0 : x) = 0
+        R = ring_qq("x", "y")
+        x = R.variable(0)
+        calls = []
+
+        def refuse(J, I, sequence):
+            calls.append((J.is_zero_ideal, tuple(sequence)))
+            raise EngineError("sequence element 1 is not regular")
+
+        monkeypatch.setattr(invariants, "replay_regular_sequence", refuse)
+        rep = annihilator_transport(CyclicModule(R, Ideal(R, [])), Ideal(R, [x]), seed=5)
+        assert calls == [(True, (x,))]
+        assert rep.holds is False
+        assert not rep.skipped
+        assert any("sequence element 1 is not regular" in line for line in rep.hypothesis_log)
+
+    def test_witness_replay_keeps_step_limit_errors(self, monkeypatch):
+        R = ring_qq("x", "y")
+
+        def trip(J, I, sequence):
+            raise StepLimitExceededError("step limit")
+
+        monkeypatch.setattr(invariants, "replay_regular_sequence", trip)
+        with pytest.raises(StepLimitExceededError):
+            annihilator_transport(
+                CyclicModule(R, Ideal(R, [])), Ideal(R, [R.variable(0)]), seed=5
+            )
 
     def test_monomial_instance(self):
         R = ring_qq("x", "y", "z")
@@ -280,15 +344,10 @@ class TestAssDimension:
         assert rep.holds, rep.hypothesis_log
 
     def test_skips_when_not_pcm(self):
-        # two planes through a point: depth 1 < dim 2 at the maximal ideal
-        R = ring_qq("x1", "x2", "y1", "y2")
-        xs = [R.variable(0), R.variable(1)]
-        ys = [R.variable(2), R.variable(3)]
-        J = ideal_intersect(Ideal(R, xs), Ideal(R, ys))
-        M = CyclicModule(R, J)
+        R, M = two_planes()
         p = MonomialPrime.from_names(R, ["x1", "x2", "y1", "y2"])
         rep = ass_dimension_check(M, p, seed=6)
-        assert rep.skipped
+        assert_hypothesis_failed(rep)
 
 
 class TestLocalizationCM:
@@ -306,6 +365,12 @@ class TestLocalizationCM:
         rep = localization_cm_check(M, p, seed=7)
         assert not rep.skipped
         assert rep.holds, rep.hypothesis_log
+
+    def test_skips_when_not_pcm(self):
+        R, M = two_planes()
+        p = MonomialPrime.from_names(R, ["x1", "x2", "y1", "y2"])
+        rep = localization_cm_check(M, p, seed=7)
+        assert_hypothesis_failed(rep)
 
 
 class TestPolynomialExtension:
@@ -344,10 +409,6 @@ class TestCmImpliesIcm:
             assert rep.holds, (gens, rep.hypothesis_log)
 
     def test_non_cm_module_skips(self):
-        R = ring_qq("x1", "x2", "y1", "y2")
-        xs = [R.variable(0), R.variable(1)]
-        ys = [R.variable(2), R.variable(3)]
-        J = ideal_intersect(Ideal(R, xs), Ideal(R, ys))
-        M = CyclicModule(R, J)
-        rep = cm_implies_icm_check(M, Ideal(R, xs), seed=9)
-        assert rep.skipped
+        R, M = two_planes()
+        rep = cm_implies_icm_check(M, Ideal(R, [R.variable(0), R.variable(1)]), seed=9)
+        assert_hypothesis_failed(rep)

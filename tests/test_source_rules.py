@@ -70,6 +70,28 @@ def test_no_unused_imports():
     assert offenders == []
 
 
+def test_every_dataclass_field_is_read():
+    # a field nothing reads is dead weight on every construction; the rule
+    # matches attribute names, so a field read under another class counts
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        "%s.%s" % (node.name, stmt.target.id)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    ]
+    assert unread == []
+
+
 def test_benchmark_tracer_targets_resolve():
     # icmbench --trace 1 refuses to install when one of its TARGETS is gone
     tracer = pathlib.Path(__file__).resolve().parents[1] / "icmbench" / "tracer.py"

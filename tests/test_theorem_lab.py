@@ -173,7 +173,6 @@ class TestRunTrial:
         for suite_id in SUITE_IDS:
             a = run_trial(suite_id, meta_seed=7)
             b = run_trial(suite_id, meta_seed=7)
-            assert a.relation_id == b.relation_id
             assert a.holds == b.holds
             assert a.skipped == b.skipped
             assert a.hypothesis_log == b.hypothesis_log
@@ -215,7 +214,7 @@ class TestSuiteFailurePath:
     @pytest.mark.parametrize("suite_id", SUITE_IDS)
     def test_forced_failures_are_tallied_and_replayable(self, suite_id, monkeypatch, capsys):
         draw, _ = theorem_lab._SUITES[suite_id]
-        forced = RelationReport(suite_id, False, None, None, ("forced",))
+        forced = RelationReport(False, ("forced",))
         monkeypatch.setitem(theorem_lab._SUITES, suite_id, (draw, lambda inst: forced))
         rep = run_suite(suite_id, trials=3, base_seed=1)
         assert rep.passed + rep.skipped_hypothesis + len(rep.failures) == 3
