@@ -1,7 +1,10 @@
 """Byte stability of the CLI: in-process ``cli_app.main`` must reproduce the
 recorded stdout, stderr and exit code of ``run --json --seed 0`` on every
-corpus script and of ``verify <suite> --json --trials 16`` for every suite
-at seeds 0, 1 and 7.
+corpus script, of ``verify <suite> --json --trials 16`` for every suite at
+seeds 0, 1 and 7, and of ``run --json`` at seeds 10000-10002 on ``icm J I``
+with J the 2x2 minors of a generic 2x3 and 2x4 matrix and I all variables,
+over QQ and GF(32003).  The minors scripts live in ``golden/``, not in
+``corpus/``, so the corpus keeps its 50 files.
 
 The fixture ``golden/cli_bytes.json`` keeps the sha256 of each stream, so a
 change that alters any output byte fails here.  A change meant to alter the
@@ -22,16 +25,21 @@ from icmlab.theorem_lab import SUITE_IDS
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS_DIR = os.path.join(HERE, "corpus")
 FIXTURE = os.path.join(HERE, "golden", "cli_bytes.json")
+MINORS = ("minors_2x3_qq", "minors_2x3_gf", "minors_2x4_qq", "minors_2x4_gf")
+MINOR_SEEDS = (10000, 10001, 10002)
 
 
 def _argvs():
     """Each recorded command line; corpus scripts are named relative to the
-    corpus directory."""
+    corpus directory, the minors scripts relative to ``tests/``."""
     for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.icm"))):
         yield ["run", os.path.basename(path), "--json", "--seed", "0"]
     for suite in SUITE_IDS:
         for seed in (0, 1, 7):
             yield ["verify", suite, "--json", "--trials", "16", "--seed", str(seed)]
+    for name in MINORS:
+        for seed in MINOR_SEEDS:
+            yield ["run", "golden/%s.icm" % name, "--json", "--seed", str(seed)]
 
 
 def _digest(text):
@@ -43,7 +51,7 @@ def _record(argv):
     the exit code of an in-process run."""
     real = list(argv)
     if real[0] == "run":
-        real[1] = os.path.join(CORPUS_DIR, real[1])
+        real[1] = os.path.join(HERE if "/" in real[1] else CORPUS_DIR, real[1])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(real)
@@ -61,7 +69,7 @@ def test_cli_output_matches_recorded_bytes(monkeypatch):
         recorded = json.load(handle)
     argvs = list(_argvs())
     assert [entry["argv"] for entry in recorded] == argvs
-    assert len(argvs) == 50 + 3 * len(SUITE_IDS)
+    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + len(MINORS) * len(MINOR_SEEDS)
     changed = [" ".join(entry["argv"]) for entry in recorded if _record(entry["argv"]) != entry]
     assert not changed, "output bytes changed for: %s" % "; ".join(changed)
 
