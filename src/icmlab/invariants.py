@@ -10,11 +10,14 @@ Regularity is decided by saturation, in one place: x is regular on R/J
 exactly when (J : x^infinity) = J, and I holds a regular element exactly
 when (J : I^infinity) = J.  Grade is computed by actually finding a maximal
 regular sequence.  The search runs first, since a regular element it finds
-already proves that one exists; existence is decided only when no element
-of the reduced basis of I is regular.  When no element exists, the current
-sequence length is the grade and that saturation ships with the answer as
-its certificate.  ``verify_grade_witness`` replays each element with the
-same test.
+already proves that one exists; existence is decided only once a random
+candidate fails, or a draw is zero or repeated, or the budget runs out, so
+a step that finds an element before that never saturates by I.  When no
+element exists, the current sequence length is the grade and that
+saturation ships with the answer as its certificate.  On a graded chain a
+candidate that divides zero at one step divides zero at every later step,
+so it is not tested again.  ``verify_grade_witness`` replays each element
+with the same test.
 """
 from __future__ import annotations
 
@@ -356,26 +359,40 @@ def _degree_span(basis: Sequence[Polynomial], degree: int) -> List[Polynomial]:
     return list(span)
 
 
-def find_regular_element(M: CyclicModule, I: Ideal, seed: int = 0) -> Optional[Polynomial]:
+def find_regular_element(
+    M: CyclicModule,
+    I: Ideal,
+    seed: int = 0,
+    zero_divisors: Optional[Set[Polynomial]] = None,
+) -> Optional[Polynomial]:
     """Search I for an element regular on M = R/J; None exactly when I holds
     none.
 
     Deterministic given the seed.  The reduced basis of I is tried first (so
-    the answer only depends on the ideal, not its presentation).  Only if
-    none of its elements is regular is existence decided, by
-    (J : I^infinity) = J; when that fails the answer is None.  Otherwise
-    random combinations with integer coefficients from a growing range
-    follow.  When I is homogeneous the combinations stay homogeneous: a
-    target degree is drawn among the basis degrees and lower-degree basis
-    elements are lifted to it by a random variable power (the lift stays
-    inside I).  After 50 * budget draws the search climbs one degree at a
-    time above the top basis degree, 8 draws per degree, each a random
-    combination of every m * g with g in the basis and m a monomial of the
-    complementary degree: over a small prime field the elements outside
-    every associated prime may all lie in higher degree.
+    the answer only depends on the ideal, not its presentation).  Random
+    combinations with integer coefficients from a growing range follow.
+    When I is homogeneous the combinations stay homogeneous: a target degree
+    is drawn among the basis degrees and lower-degree basis elements are
+    lifted to it by a random variable power (the lift stays inside I).
+    After 50 * budget draws the search climbs one degree at a time above the
+    top basis degree, 8 draws per degree, each a random combination of every
+    m * g with g in the basis and m a monomial of the complementary degree:
+    over a small prime field the elements outside every associated prime
+    may all lie in higher degree.
+
+    Existence, (J : I^infinity) = J, reads nothing from the seeded stream,
+    so it is decided late without changing the answer: at the first random
+    candidate that fails, or the first draw that is zero or repeats an
+    earlier candidate, or when the budget runs out.  When it fails the
+    answer is None.
+
+    ``zero_divisors``, when given, holds elements known to divide zero on
+    M: a candidate in it counts as tried but is not tested, and every
+    candidate that fails is added to it.  ``grade`` passes one set along a
+    graded chain, where a zero divisor stays one (see ``grade``).
 
     The search budget of the engine context (``SEARCH_BUDGET`` outside
-    one) bounds the candidates tested, over every phase.  Raises
+    one) bounds the candidates tried, over every phase.  Raises
     SearchExhaustedError when it runs out, or after another 50 * budget
     draws in the climb, although a regular element exists.
     """
@@ -383,19 +400,26 @@ def find_regular_element(M: CyclicModule, I: Ideal, seed: int = 0) -> Optional[P
     budget = search_budget()
     J = M.defining_ideal
     basis = list(I.groebner_basis().basis)
+    known = set() if zero_divisors is None else zero_divisors
+
+    def regular(x: Polynomial) -> bool:
+        if x not in known and is_regular(J, x):
+            return True
+        known.add(x)
+        return False
+
     rng = random.Random(seed)
     tried = 0
     attempts = 0
     seen = set()
+    exists = False  # set once (J : I^infinity) = J has been decided true
     for g in basis:
         if tried >= budget:
             break
         tried += 1
         seen.add(g)
-        if is_regular(J, g):
+        if regular(g):
             return g
-    if not is_saturated(J, I):
-        return None
     homogeneous = all(p.is_homogeneous() for p in basis)
     degrees = sorted({p.total_degree() for p in basis})
     while tried < budget and attempts < 100 * budget:
@@ -426,12 +450,17 @@ def find_regular_element(M: CyclicModule, I: Ideal, seed: int = 0) -> Optional[P
             c = rng.randint(-bound, bound)
             if c:
                 x = x + p * c
-        if x.is_zero or x in seen:
-            continue
-        seen.add(x)
-        tried += 1
-        if is_regular(J, x):
-            return x
+        if not (x.is_zero or x in seen):
+            seen.add(x)
+            tried += 1
+            if regular(x):
+                return x
+        if not exists:
+            if not is_saturated(J, I):
+                return None
+            exists = True
+    if not exists and not is_saturated(J, I):
+        return None
     raise SearchExhaustedError(
         "no regular element found within budget %d; raise the budget, and over "
         "a small prime field consider characteristic zero or a larger prime"
@@ -450,17 +479,34 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     only after deciding that (J_k : I^infinity) != J_k; then that saturation,
     with its exponent, is the certificate of maximality (inside an engine
     context its basis is a memo hit).
+
+    When J and the reduced basis of I are homogeneous, every element of the
+    sequence is homogeneous of positive degree, and for such an x regular on
+    a graded module N the zero divisors of N divide zero on N/xN too (graded
+    Krull intersection: a nonzero m killed by a is x^n * m' with m' not in
+    xN, and a kills m').  So the candidates that failed at earlier steps are
+    handed to each later search, which counts them as tried without testing
+    them again.  Without homogeneity this fails (over QQ[t, s] with
+    J = (t^2 - t), t divides zero on R/J but not on R/(J + st - t + 1)),
+    and every step tests afresh.
     """
     _check_module_ideal_pair(M, I)
     if membership(M.ring.one(), ideal_sum(M.defining_ideal, I)):
         raise IMEqualsMError(
             "I + J is the unit ideal, so I * (R/J) = R/J and grade is undefined"
         )
+    graded = all(
+        p.is_homogeneous()
+        for p in M.defining_ideal.groebner_basis().basis + I.groebner_basis().basis
+    )
+    zero_divisors: Optional[Set[Polynomial]] = set() if graded else None
     current = M.defining_ideal
     sequence: List[Polynomial] = []
     while True:
         step_module = CyclicModule(M.ring, current)
-        x = find_regular_element(step_module, I, seed=seed + len(sequence))
+        x = find_regular_element(
+            step_module, I, seed=seed + len(sequence), zero_divisors=zero_divisors
+        )
         if x is None:
             return GradeWitness(len(sequence), tuple(sequence), saturate(current, I))
         sequence.append(x)

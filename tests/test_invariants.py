@@ -1,5 +1,6 @@
 """Dimension, primes, regular sequences, and grade."""
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -9,13 +10,16 @@ from icmlab.errors import (
     IMEqualsMError,
     ImproperIdealError,
     NonMonomialError,
+    SearchExhaustedError,
     ZeroElementError,
 )
 from icmlab.ideal_engine import (
     Ideal,
     SaturationResult,
+    engine_context,
     ideal_equal,
     ideal_quotient,
+    ideal_sum,
     membership,
     saturate,
 )
@@ -431,8 +435,6 @@ class TestGrade:
                 verify_grade_witness(M, I, bad)
 
     def test_each_step_drops_dimension_by_one(self):
-        from icmlab.ideal_engine import ideal_sum
-
         rng = random.Random(103)
         for _ in range(10):
             n = rng.randint(2, 4)
@@ -494,6 +496,138 @@ class TestGrade:
         M = CyclicModule(R, Ideal(R, []))
         with pytest.raises(ZeroElementError):
             grade(M, Ideal(R, []), seed=1)
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call to ``invariants.<name>``, by
+    parameter name.  ``is_regular`` calls ``is_saturated`` too, so existence
+    tests are the ``is_saturated`` calls whose ``I`` is the test ideal."""
+    import icmlab.invariants as inv
+
+    calls = []
+    real = getattr(inv, name)
+    signature = inspect.signature(real)
+
+    def wrapper(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inv, name, wrapper)
+    return calls
+
+
+def minors_2xn(n):
+    """J = the 2x2 minors of a generic 2xn matrix over QQ, I = all variables."""
+    R = ring_qq(*["x%d" % i for i in range(1, n + 1)] + ["y%d" % i for i in range(1, n + 1)])
+    xs = [R.variable(i) for i in range(n)]
+    ys = [R.variable(n + i) for i in range(n)]
+    J = Ideal(R, [xs[i] * ys[j] - xs[j] * ys[i] for i in range(n) for j in range(i + 1, n)])
+    return CyclicModule(R, J), Ideal(R, xs + ys)
+
+
+class TestSearchMemory:
+    def test_graded_chain_skips_known_zero_divisors(self, monkeypatch):
+        # without the skip this chain makes 43 regularity tests: every step
+        # retests the basis elements that failed at the steps before it
+        M, I = minors_2xn(4)
+        tested = spy(monkeypatch, "is_regular")
+        w = grade(M, I, seed=10000)
+        assert w.value == 5
+        assert len(tested) == 15
+        monkeypatch.undo()
+        failed = set()
+        for call in tested:
+            assert call["x"] not in failed
+            if not is_regular(call["J"], call["x"]):
+                failed.add(call["x"])
+        assert failed
+        verify_grade_witness(M, I, w)
+
+    def test_inhomogeneous_zero_divisor_can_become_regular(self):
+        # why the skip needs homogeneity: over QQ[t, s] with J = (t^2 - t),
+        # t divides zero on R/J but is regular on R/(J + x)
+        R = ring_qq("t", "s")
+        t, s = R.variable(0), R.variable(1)
+        J = Ideal(R, [t**2 - t])
+        x = s * t - t + 1
+        assert not is_regular(J, t)
+        assert is_regular(J, x)
+        assert is_regular(ideal_sum(J, Ideal(R, [x])), t)
+
+    def test_inhomogeneous_grade_skips_nothing(self, monkeypatch):
+        # both basis elements of I = (x, y^2 + y) divide zero on R/(x*y) and
+        # are tested again on the second step of the chain
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        M = CyclicModule(R, Ideal(R, [x * y]))
+        I = Ideal(R, [x, y**2 + y])
+        searches = spy(monkeypatch, "find_regular_element")
+        tested = spy(monkeypatch, "is_regular")
+        w = grade(M, I, seed=1)
+        assert w.value == 1
+        assert [call.get("zero_divisors") for call in searches] == [None, None]
+        for g in I.groebner_basis().basis:
+            assert len([call for call in tested if call["x"] == g]) == 2, g
+
+    def test_first_regular_draw_decides_no_existence(self, monkeypatch):
+        # seed 1: both basis elements fail and the first random draw is
+        # regular, so I is never saturated
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        M = CyclicModule(R, Ideal(R, [x * y]))
+        I = Ideal(R, [x, y**2 + y])
+        saturations = spy(monkeypatch, "is_saturated")
+        tested = spy(monkeypatch, "is_regular")
+        assert find_regular_element(M, I, seed=1) == y**2 - x + y
+        assert len(tested) == 3
+        assert not [c for c in saturations if c["I"] is I]
+
+    def test_budget_exhausted_without_element_returns_none_over_gf2(self, monkeypatch):
+        # z kills (x, y) on R/(xz, yz), so I holds no regular element; a
+        # budget of 1 or 2 ends inside the basis, and existence is decided
+        # just before the search would give up
+        R = RingDescriptor(FieldSpec(2), ("x", "y", "z"))
+        x, y, z = (R.variable(i) for i in range(3))
+        M = CyclicModule(R, Ideal(R, [x * z, y * z]))
+        I = Ideal(R, [x, y])
+        saturations = spy(monkeypatch, "is_saturated")
+        tested = spy(monkeypatch, "is_regular")
+        for budget in (1, 2):
+            del saturations[:], tested[:]
+            with engine_context(budget=budget):
+                assert find_regular_element(M, I, seed=0) is None
+            assert len(tested) == budget
+            assert len([c for c in saturations if c["I"] is I]) == 1
+
+    def test_budget_exhausted_with_element_still_raises_over_gf2(self):
+        # over GF(2) the regular elements of (x, y) on R/(x^2*y + x*y^2)
+        # lie above degree 1, out of reach of a budget of 2
+        R = RingDescriptor(FieldSpec(2), ("x", "y"))
+        x, y = R.variable(0), R.variable(1)
+        M = CyclicModule(R, Ideal(R, [x**2 * y + x * y**2]))
+        with engine_context(budget=2), pytest.raises(SearchExhaustedError):
+            find_regular_element(M, Ideal(R, [x, y]), seed=0)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_principal_zero_divisor_stops_after_one_draw(self, monkeypatch, p):
+        # every draw from I = (x) is 0, x or -x, and over GF(2) only 0 or x:
+        # the search must decide existence at the first zero, repeated or
+        # failed draw instead of spinning through 100 * budget attempts and
+        # the degree climb
+        R = RingDescriptor(FieldSpec(p), ("x", "y"))
+        x, y = R.variable(0), R.variable(1)
+        M = CyclicModule(R, Ideal(R, [x * y]))
+        I = Ideal(R, [x])
+        saturations = spy(monkeypatch, "is_saturated")
+        tested = spy(monkeypatch, "is_regular")
+        climbs = spy(monkeypatch, "_degree_span")
+        for seed in range(20):
+            del saturations[:], tested[:]
+            assert find_regular_element(M, I, seed=seed) is None
+            assert len(tested) <= 2  # the basis element and at most one draw
+            assert len([c for c in saturations if c["I"] is I]) == 1
+        assert not climbs
+        assert grade(M, I, seed=0).value == 0
 
 
 # ---------------------------------------------------------------------------
