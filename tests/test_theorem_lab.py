@@ -1,6 +1,7 @@
 """Tests for the randomized property suites: generator guarantees,
 draw determinism, suite accounting, the shrinker, and serialization."""
 
+import hashlib
 import json
 import random
 
@@ -182,6 +183,34 @@ class TestRunTrial:
             run_trial("no-such-suite", meta_seed=0)
         with pytest.raises(UnknownSuiteError):
             run_suite("no-such-suite", trials=1)
+
+
+# sha256 of the per-trial (holds, skipped_reason, hypothesis_log) over trial
+# seeds 11 * 1_000_003 + t, t < 40; the suite tallies alone would not see a
+# change in what the trials draw, in what order, or what they check
+TRIAL_FINGERPRINTS = {
+    "quotient-transport": "759477b39493b4188942f800e3f3d96e65e86ec8b087c7bba3abc9d625487556",
+    "subideal-transfer": "850da96b2cf14a888b85e71273b0572aa9c1f9de70ce3c0687dec241d7c3db5c",
+    "annihilator-transport": "c4e90d04b831601013198dc26ba1b28a47e38e19b0da5dd47dade217824a5ab0",
+    "grade-height": "88944106841c6c8fab492bb18b35f82f9b1bd38af8497379c5a4e51cebfe3044",
+    "cm-implies-icm": "342cc4cadce070cfab8ddf1ef607030780aec663809068c83e5ea341c7322676",
+    "ass-dimension": "aba82537680bcb4405a9f25a4cd530a0d99b60e7f78124db3b88e9960feafd8f",
+    "localization-cm": "124a4df8bee3070d259717b5971dde22fa071feecabc93abf08b3e05090eba65",
+    "poly-extension": "18f7b7d2f9bbc288be2e5488f8aabcc513a68271b18d3534457d60f0f9cb7e59",
+}
+
+
+def trial_fingerprint(suite_id):
+    outcomes = []
+    for t in range(40):
+        r = run_trial(suite_id, 11 * 1_000_003 + t)
+        outcomes.append(repr((r.holds, r.skipped_reason, r.hypothesis_log)))
+    return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("suite_id", SUITE_IDS)
+def test_per_trial_fingerprint(suite_id):
+    assert trial_fingerprint(suite_id) == TRIAL_FINGERPRINTS[suite_id]
 
 
 class TestRunSuite:
