@@ -1,16 +1,19 @@
 """Randomized property suites for the structural relations.
 
-Each suite draws deterministic instances (a seeded generator, pure in the
-instance spec), evaluates one relation check per instance, and tallies
-passes, hypothesis skips, and failures.  Generators are tuned so that a
-healthy fraction of instances actually meets each hypothesis; the cheap
-trick is that a minimal prime of maximal dimension always makes the module
-p-Cohen-Macaulay (grade 0 plus full quotient dimension), so p-CM-gated
-suites never starve.
+Each suite is one trial function: from a trial seed it draws the module M
+and test ideal I its relation checks (through a seeded generator, pure in
+the instance spec) and everything else the check reads; the suite runs the
+check per trial and tallies passes, hypothesis skips, and failures.
+Generators are tuned so that a healthy fraction of instances actually
+meets each hypothesis; the cheap trick is that a minimal prime of maximal
+dimension always makes the module p-Cohen-Macaulay (grade 0 plus full
+quotient dimension), so p-CM-gated suites never starve.
 
-A failing instance is shrunk greedily (dropping generators, then lowering
-exponents, while the failure persists) and serialized to the little script
-language so it can be replayed by hand.
+A failing instance is shrunk greedily (dropping generators, then swapping a
+multi-term generator for its leading monomial or lowering an exponent, while
+the failure persists) and serialized to the little script language, so the
+reproducer declares the J and I that were checked and can be replayed by
+hand.
 """
 from __future__ import annotations
 
@@ -94,12 +97,16 @@ class SuiteReport:
         )
 
 
-def _random_exponents(rng: random.Random, n: int, max_degree: int) -> Monomial:
-    degree = rng.randint(1, max_degree)
+def _exponents(rng: random.Random, n: int, degree: int) -> Monomial:
+    """An exponent vector of total degree ``degree``, one variable at a time."""
     exps = [0] * n
     for _ in range(degree):
         exps[rng.randrange(n)] += 1
     return tuple(exps)
+
+
+def _random_exponents(rng: random.Random, n: int, max_degree: int) -> Monomial:
+    return _exponents(rng, n, rng.randint(1, max_degree))
 
 
 def _random_monomial(rng: random.Random, ring: RingDescriptor, max_degree: int) -> Polynomial:
@@ -111,16 +118,10 @@ def _random_binomial(rng: random.Random, ring: RingDescriptor, max_degree: int) 
     same degree; falls back to a monomial when no distinct partner exists."""
     n = ring.nvars
     degree = rng.randint(1, max_degree)
-    exps = [0] * n
-    for _ in range(degree):
-        exps[rng.randrange(n)] += 1
-    m1 = tuple(exps)
+    m1 = _exponents(rng, n, degree)
     m2 = m1
     for _ in range(20):
-        exps = [0] * n
-        for _ in range(degree):
-            exps[rng.randrange(n)] += 1
-        m2 = tuple(exps)
+        m2 = _exponents(rng, n, degree)
         if m2 != m1:
             break
     if m2 == m1:
@@ -195,12 +196,7 @@ def _choose_prime(rng: random.Random, ring: RingDescriptor, J: Ideal) -> Monomia
     return q
 
 
-def serialize_instance(
-    M: CyclicModule,
-    I: Ideal,
-    prime: Optional[MonomialPrime] = None,
-    header: Sequence[str] = (),
-) -> str:
+def serialize_instance(M: CyclicModule, I: Ideal, header: Sequence[str] = ()) -> str:
     """Write the instance as a runnable script in the CLI input language."""
     ring = M.ring
     lines = ["# %s" % h for h in header]
@@ -210,25 +206,21 @@ def serialize_instance(
     j_gens = M.defining_ideal.generators
     lines.append("ideal J = %s;" % (", ".join(str(g) for g in j_gens) if j_gens else "0"))
     lines.append("ideal I = %s;" % ", ".join(str(g) for g in I.generators))
-    if prime is not None:
-        lines.append("# P is the localization prime")
-        lines.append("ideal P = %s;" % ", ".join(prime.variables))
     lines.append("icm J I;")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# suite drawing and evaluation
+# suite trials
 #
-# Every runner is split into a draw phase and an eval phase.  The draw phase
-# consumes the per-trial random stream and packages every decision into a
-# plain dict, so the eval phase is a pure function of (module, test ideal,
-# prime, aux).  The shrinker re-invokes the eval phase on smaller generator
-# tuples; that purity is what makes re-evaluation meaningful.
+# A suite is one trial function: it maps a trial seed to (M, I, check), where
+# M and I are the module and test ideal the relation checks and check(M, I)
+# runs it.  Every other decision the check reads is drawn up front from the
+# trial's own stream and captured, so the check is a pure function of (M, I);
+# that purity is what lets the shrinker re-run it on smaller generators.
 
-
-def _meta(meta_seed: int) -> random.Random:
-    return random.Random(meta_seed)
+Check = Callable[[CyclicModule, Ideal], RelationReport]
+Trial = Tuple[CyclicModule, Ideal, Check]
 
 
 def _field_draw(meta: random.Random) -> FieldSpec:
@@ -265,184 +257,135 @@ def _pcm_prime(M: CyclicModule) -> MonomialPrime:
     return invariants.sorted_primes(invariants.minimal_primes_monomial(M.defining_ideal))[0]
 
 
-Instance = Tuple[CyclicModule, Ideal, Optional[MonomialPrime], dict]
+def _free_module(ring: RingDescriptor) -> CyclicModule:
+    """R itself, as R/0."""
+    return CyclicModule(ring, Ideal(ring, ()))
 
 
-def _draw_quotient_transport(meta_seed: int) -> Instance:
-    meta = _meta(meta_seed)
+def _variable_prime(I: Ideal) -> MonomialPrime:
+    """The prime I, which must be generated by variables."""
+    indices = []
+    for g in I.generators:
+        if not (g.is_monomial and g.total_degree() == 1):
+            raise EngineError("test ideal generator %s is not a variable" % g)
+        indices.append(g.leading_monomial().index(1))
+    return MonomialPrime(I.ring, tuple(indices))
+
+
+def _quotient_transport(meta_seed: int) -> Trial:
+    meta = random.Random(meta_seed)
     spec = _spec_draw(meta)
-    aux = {"seed": spec.seed, "prefix_frac": meta.random()}
-    M, I, prime = gen_instance(spec)
-    return M, I, prime, aux
+    prefix_frac = meta.random()
+    M, I, _ = gen_instance(spec)
+
+    def check(M: CyclicModule, I: Ideal) -> RelationReport:
+        w = invariants.grade(M, I, seed=spec.seed)
+        prefix = round(prefix_frac * w.value)
+        return quotient_transport(M, I, w.sequence[:prefix], seed=spec.seed)
+
+    return M, I, check
 
 
-def _eval_quotient_transport(inst: Instance) -> RelationReport:
-    M, I, _, aux = inst
-    w = invariants.grade(M, I, seed=aux["seed"])
-    prefix = round(aux["prefix_frac"] * w.value)
-    return quotient_transport(M, I, w.sequence[:prefix], seed=aux["seed"])
-
-
-def _draw_subideal_transfer(meta_seed: int) -> Instance:
-    meta = _meta(meta_seed)
+def _subideal_transfer(meta_seed: int) -> Trial:
+    meta = random.Random(meta_seed)
     spec = _spec_draw(meta, kind=MONOMIAL)
-    aux = {
-        "seed": spec.seed,
-        "use_pcm": meta.random() < 0.6,
-        "same_j2": meta.random() < 0.4,
-        "extra_exps": [
-            _random_exponents(meta, spec.n_vars, spec.max_degree)
-            for _ in range(meta.randint(1, 2))
-        ],
-    }
-    M, I, prime = gen_instance(spec)
-    return M, I, prime, aux
-
-
-def _eval_subideal_transfer(inst: Instance) -> RelationReport:
-    M, I, _, aux = inst
-    ring = M.ring
-    if aux["use_pcm"]:
+    use_pcm = meta.random() < 0.6
+    same_j2 = meta.random() < 0.4
+    extra_exps = [
+        _random_exponents(meta, spec.n_vars, spec.max_degree)
+        for _ in range(meta.randint(1, 2))
+    ]
+    M, I, _ = gen_instance(spec)
+    if use_pcm:
         # a maximal-dimension minimal prime keeps the I-CM hypothesis alive
         I = _pcm_prime(M).as_ideal()
-    if aux["same_j2"]:
-        J2 = I
-    else:
-        extra = [ring.monomial(e) for e in aux["extra_exps"]]
-        J2 = ideal_sum(I, Ideal(ring, extra))
-    return subideal_transfer_check(M, I, J2, seed=aux["seed"])
+
+    def check(M: CyclicModule, I: Ideal) -> RelationReport:
+        ring = M.ring
+        J2 = I if same_j2 else ideal_sum(I, Ideal(ring, [ring.monomial(e) for e in extra_exps]))
+        return subideal_transfer_check(M, I, J2, seed=spec.seed)
+
+    return M, I, check
 
 
-def _draw_annihilator_transport(meta_seed: int) -> Instance:
-    meta = _meta(meta_seed)
+def _annihilator_transport(meta_seed: int) -> Trial:
+    meta = random.Random(meta_seed)
     zero_j = meta.random() < 0.3
     spec = _spec_draw(meta, kind=None if zero_j else MONOMIAL)
-    aux = {"seed": spec.seed, "zero_j": zero_j}
-    M, I, prime = gen_instance(spec)
-    return M, I, prime, aux
-
-
-def _eval_annihilator_transport(inst: Instance) -> RelationReport:
-    M, I, _, aux = inst
-    if aux["zero_j"]:
+    M, I, _ = gen_instance(spec)
+    if zero_j:
         # over the full ring the annihilator of a nonzero ideal is zero,
         # so the hypothesis holds for free and the trial always evaluates
-        M = CyclicModule(M.ring, Ideal(M.ring, ()))
-    return annihilator_transport(M, I, seed=aux["seed"])
+        M = _free_module(M.ring)
+    return M, I, lambda M, I: annihilator_transport(M, I, seed=spec.seed)
 
 
-def _draw_grade_height(meta_seed: int) -> Instance:
-    meta = _meta(meta_seed)
-    spec = _spec_draw(meta)
-    aux = {"seed": spec.seed}
-    M, I, prime = gen_instance(spec)
-    return M, I, prime, aux
+def _grade_height(meta_seed: int) -> Trial:
+    spec = _spec_draw(random.Random(meta_seed))
+    _, I, _ = gen_instance(spec)
+    return _free_module(I.ring), I, lambda M, I: check_grade_height(I, seed=spec.seed)
 
 
-def _eval_grade_height(inst: Instance) -> RelationReport:
-    _, I, _, aux = inst
-    return check_grade_height(I, seed=aux["seed"])
-
-
-def _draw_cm_implies_icm(meta_seed: int) -> Instance:
-    meta = _meta(meta_seed)
+def _cm_implies_icm(meta_seed: int) -> Trial:
+    meta = random.Random(meta_seed)
     spec = _spec_draw(meta)
     r = meta.random()
-    aux: dict = {"seed": spec.seed, "branch": "random"}
+    M, I, _ = gen_instance(spec)
+    ring = M.ring
     if r < 0.45:
         # pure powers of distinct variables: a regular sequence, hence CM
         k = meta.randint(1, max(1, spec.n_vars - 1))
-        idxs = sorted(meta.sample(range(spec.n_vars), k))
-        aux["branch"] = "complete-intersection"
-        aux["ci"] = [(i, meta.randint(1, spec.max_degree)) for i in idxs]
-    elif r < 0.55:
-        aux["branch"] = "zero"
-    M, I, prime = gen_instance(spec)
-    return M, I, prime, aux
-
-
-def _eval_cm_implies_icm(inst: Instance) -> RelationReport:
-    M, I, _, aux = inst
-    ring = M.ring
-    if aux["branch"] == "complete-intersection":
         gens = []
-        for i, e in aux["ci"]:
+        for i in sorted(meta.sample(range(spec.n_vars), k)):
             exps = [0] * ring.nvars
-            exps[i] = e
-            gens.append(ring.monomial(tuple(exps)))
+            exps[i] = meta.randint(1, spec.max_degree)
+            gens.append(ring.monomial(exps))
         M = CyclicModule(ring, Ideal(ring, gens))
-    elif aux["branch"] == "zero":
-        M = CyclicModule(ring, Ideal(ring, ()))
-    return cm_implies_icm_check(M, I, seed=aux["seed"])
+    elif r < 0.55:
+        M = _free_module(ring)
+    return M, I, lambda M, I: cm_implies_icm_check(M, I, seed=spec.seed)
 
 
-def _draw_at_prime(meta_seed: int) -> Instance:
-    """The draw of both suites that test a module at a monomial prime."""
-    meta = _meta(meta_seed)
+def _at_prime(meta_seed: int, relation: Callable[..., RelationReport]) -> Trial:
+    """The trial of both suites that test a module at a monomial prime p;
+    the checked test ideal is p."""
+    meta = random.Random(meta_seed)
     spec = _spec_draw(meta, kind=MONOMIAL)
-    aux = {"seed": spec.seed, "force_pcm": meta.random() < 0.5}
-    M, I, prime = gen_instance(spec)
-    return M, I, prime, aux
+    force_pcm = meta.random() < 0.5
+    M, _, prime = gen_instance(spec)  # a monomial instance always has a prime
+    I = (_pcm_prime(M) if force_pcm else prime).as_ideal()
+    return M, I, lambda M, I: relation(M, _variable_prime(I), seed=spec.seed)
 
 
-def _trial_prime(suite_id: str, inst: Instance) -> MonomialPrime:
-    M, _, prime, aux = inst
-    prime = _pcm_prime(M) if aux["force_pcm"] else prime
-    if prime is None:
-        raise EngineError("suite %s drew an instance with no prime" % suite_id)
-    return prime
-
-
-def _eval_ass_dimension(inst: Instance) -> RelationReport:
-    M, _, _, aux = inst
-    prime = _trial_prime("ass-dimension", inst)
-    return ass_dimension_check(M, prime, seed=aux["seed"])
-
-
-def _eval_localization_cm(inst: Instance) -> RelationReport:
-    M, _, _, aux = inst
-    prime = _trial_prime("localization-cm", inst)
-    return localization_cm_check(M, prime, seed=aux["seed"])
-
-
-def _draw_poly_extension(meta_seed: int) -> Instance:
-    meta = _meta(meta_seed)
+def _poly_extension(meta_seed: int) -> Trial:
+    meta = random.Random(meta_seed)
     spec = _spec_draw(meta)
-    aux = {
-        "seed": spec.seed,
-        "zero_j": meta.random() < 0.7,
-        "k_new": meta.randint(1, 2),
-    }
-    M, I, prime = gen_instance(spec)
-    return M, I, prime, aux
+    zero_j = meta.random() < 0.7
+    k_new = meta.randint(1, 2)
+    M, I, _ = gen_instance(spec)
+    if zero_j:
+        M = _free_module(M.ring)
+    return M, I, lambda M, I: polynomial_extension_check(M, I, k_new=k_new, seed=spec.seed)
 
 
-def _eval_poly_extension(inst: Instance) -> RelationReport:
-    M, I, _, aux = inst
-    if aux["zero_j"]:
-        M = CyclicModule(M.ring, Ideal(M.ring, ()))
-    return polynomial_extension_check(M, I, k_new=aux["k_new"], seed=aux["seed"])
-
-
-Suite = Tuple[Callable[[int], Instance], Callable[[Instance], RelationReport]]
-
-# each suite's (draw, evaluate) pair, in the order SUITE_IDS lists them
-_SUITES: Dict[str, Suite] = {
-    "quotient-transport": (_draw_quotient_transport, _eval_quotient_transport),
-    "subideal-transfer": (_draw_subideal_transfer, _eval_subideal_transfer),
-    "annihilator-transport": (_draw_annihilator_transport, _eval_annihilator_transport),
-    "grade-height": (_draw_grade_height, _eval_grade_height),
-    "cm-implies-icm": (_draw_cm_implies_icm, _eval_cm_implies_icm),
-    "ass-dimension": (_draw_at_prime, _eval_ass_dimension),
-    "localization-cm": (_draw_at_prime, _eval_localization_cm),
-    "poly-extension": (_draw_poly_extension, _eval_poly_extension),
+# each suite's trial function, in the order SUITE_IDS lists them; the
+# relations are looked up when a trial runs, not when this table is built
+_SUITES: Dict[str, Callable[[int], Trial]] = {
+    "quotient-transport": _quotient_transport,
+    "subideal-transfer": _subideal_transfer,
+    "annihilator-transport": _annihilator_transport,
+    "grade-height": _grade_height,
+    "cm-implies-icm": _cm_implies_icm,
+    "ass-dimension": lambda meta_seed: _at_prime(meta_seed, ass_dimension_check),
+    "localization-cm": lambda meta_seed: _at_prime(meta_seed, localization_cm_check),
+    "poly-extension": _poly_extension,
 }
 
 SUITE_IDS = tuple(_SUITES)
 
 
-def _suite(suite_id: str) -> Suite:
-    """The (draw, evaluate) pair of a suite; UnknownSuiteError for any other id."""
+def _suite(suite_id: str) -> Callable[[int], Trial]:
+    """The trial function of a suite; UnknownSuiteError for any other id."""
     try:
         return _SUITES[suite_id]
     except KeyError:
@@ -452,9 +395,9 @@ def _suite(suite_id: str) -> Suite:
 
 
 def run_trial(suite_id: str, meta_seed: int) -> RelationReport:
-    """Draw and evaluate a single trial; the unit the suites are built from."""
-    draw, evaluate = _suite(suite_id)
-    return evaluate(draw(meta_seed))
+    """Draw and check a single trial; the unit the suites are built from."""
+    M, I, check = _suite(suite_id)(meta_seed)
+    return check(M, I)
 
 
 def _shrink_candidates(
@@ -508,31 +451,27 @@ def shrink_failure(
 
 
 def _describe_failure(suite_id: str, meta_seed: int, rep: RelationReport) -> str:
-    """Shrink the failing instance and serialize a reproducer script."""
-    draw, evaluate = _suite(suite_id)
-    M0, I0, prime, aux = draw(meta_seed)
-    ring = M0.ring
+    """Shrink the checked instance and serialize a reproducer script."""
+    M, I, check = _suite(suite_id)(meta_seed)
+    ring = M.ring
 
     def rerun(j_gens: Tuple[Polynomial, ...], i_gens: Tuple[Polynomial, ...]) -> bool:
         if not i_gens:
             return False
         try:
-            inst = (CyclicModule(ring, Ideal(ring, j_gens)), Ideal(ring, i_gens), prime, aux)
-            again = evaluate(inst)
+            again = check(CyclicModule(ring, Ideal(ring, j_gens)), Ideal(ring, i_gens))
             return (not again.skipped) and (not again.holds)
         except EngineError:
             return False
 
-    j_small, i_small = shrink_failure(
-        rerun, M0.defining_ideal.generators, I0.generators
-    )
-    shrunk_m = CyclicModule(ring, Ideal(ring, j_small))
-    shrunk_i = Ideal(ring, i_small)
+    j_small, i_small = shrink_failure(rerun, M.defining_ideal.generators, I.generators)
     header = [
         "suite %s failed, trial seed %d" % (suite_id, meta_seed),
         "relation %s, log: %s" % (suite_id, " | ".join(rep.hypothesis_log)),
     ]
-    return serialize_instance(shrunk_m, shrunk_i, prime, header=header)
+    return serialize_instance(
+        CyclicModule(ring, Ideal(ring, j_small)), Ideal(ring, i_small), header=header
+    )
 
 
 def run_suite(suite_id: str, trials: int = 100, base_seed: int = 0) -> SuiteReport:

@@ -8,11 +8,11 @@ import random
 import pytest
 
 from icmlab import theorem_lab
-from icmlab.cli_app import QueryStmt, main, parse
-from icmlab.errors import UnknownSuiteError
+from icmlab.cli_app import IdealStmt, QueryStmt, RingStmt, main, parse
+from icmlab.errors import EngineError, UnknownSuiteError
 from icmlab.icm_checker import RelationReport
 from icmlab.ideal_engine import Ideal
-from icmlab.invariants import CyclicModule
+from icmlab.invariants import CyclicModule, MonomialPrime
 from icmlab.ring_core import FieldSpec, RingDescriptor
 from icmlab.theorem_lab import (
     BINOMIAL,
@@ -137,8 +137,8 @@ class TestSerializeInstance:
     def test_output_parses_in_the_script_language(self):
         for seed in range(12):
             for kind in (MONOMIAL, BINOMIAL, MIXED):
-                M, I, prime = gen_instance(spec_with(ideal_kind=kind, seed=seed))
-                text = serialize_instance(M, I, prime)
+                M, I, _ = gen_instance(spec_with(ideal_kind=kind, seed=seed))
+                text = serialize_instance(M, I)
                 script = parse(text)
                 kinds = [type(s).__name__ for s in script.statements]
                 assert kinds[0] == "RingStmt"
@@ -162,12 +162,6 @@ class TestSerializeInstance:
         assert lines[1] == "# second note"
         parse(text)
 
-    def test_prime_rendered_as_extra_ideal(self):
-        M, I, prime = gen_instance(spec_with(seed=3))
-        assert prime is not None
-        text = serialize_instance(M, I, prime)
-        assert "ideal P = " in text
-
 
 class TestRunTrial:
     def test_deterministic_across_calls(self):
@@ -183,6 +177,14 @@ class TestRunTrial:
             run_trial("no-such-suite", meta_seed=0)
         with pytest.raises(UnknownSuiteError):
             run_suite("no-such-suite", trials=1)
+
+    @pytest.mark.parametrize("suite_id", ["ass-dimension", "localization-cm"])
+    def test_at_prime_check_refuses_a_test_ideal_not_of_variables(self, suite_id):
+        # the at-prime suites read their test ideal back as a variable prime
+        M, _, check = theorem_lab._SUITES[suite_id](0)
+        x = M.ring.variable(0)
+        with pytest.raises(EngineError):
+            check(M, Ideal(M.ring, [x * x]))
 
 
 # sha256 of the per-trial (holds, skipped_reason, hypothesis_log) over trial
@@ -239,12 +241,67 @@ class TestRunSuite:
         assert "failures: 0" in line
 
 
+# the relation each suite checks, by its name in theorem_lab
+RELATIONS = {
+    "quotient-transport": "quotient_transport",
+    "subideal-transfer": "subideal_transfer_check",
+    "annihilator-transport": "annihilator_transport",
+    "grade-height": "check_grade_height",
+    "cm-implies-icm": "cm_implies_icm_check",
+    "ass-dimension": "ass_dimension_check",
+    "localization-cm": "localization_cm_check",
+    "poly-extension": "polynomial_extension_check",
+}
+
+
+def checked_instance(args, kwargs):
+    """(ring, J generators, I generators, instance seed) of one relation
+    call, as strings; grade-height checks R itself, the at-prime suites
+    check I = p."""
+    if len(args) == 1:
+        (I,) = args
+        j_gens = ()
+    else:
+        M, I = args[:2]
+        j_gens = M.defining_ideal.generators
+        if isinstance(I, MonomialPrime):
+            I = I.as_ideal()
+    return (
+        I.ring,
+        tuple(str(g) for g in j_gens),
+        tuple(str(g) for g in I.generators),
+        kwargs["seed"],
+    )
+
+
+def force_failure_on(monkeypatch, suite_id, fails):
+    """Make the suite's relation fail exactly on the instances where
+    ``fails(checked_instance)`` is true, and hold everywhere else."""
+
+    def relation(*args, **kwargs):
+        if fails(checked_instance(args, kwargs)):
+            return RelationReport(False, ("forced",))
+        return RelationReport(True, ("held",))
+
+    monkeypatch.setattr(theorem_lab, RELATIONS[suite_id], relation)
+
+
+def declared_instance(text):
+    """(ring, J generators, I generators) as the reproducer script declares them."""
+    ring = None
+    ideals = {}
+    for stmt in parse(text).statements:
+        if isinstance(stmt, RingStmt):
+            ring = stmt.ring
+        elif isinstance(stmt, IdealStmt):
+            ideals[stmt.name] = tuple(str(g) for g in Ideal(ring, stmt.generators).generators)
+    return ring, ideals["J"], ideals["I"]
+
+
 class TestSuiteFailurePath:
     @pytest.mark.parametrize("suite_id", SUITE_IDS)
     def test_forced_failures_are_tallied_and_replayable(self, suite_id, monkeypatch, capsys):
-        draw, _ = theorem_lab._SUITES[suite_id]
-        forced = RelationReport(False, ("forced",))
-        monkeypatch.setitem(theorem_lab._SUITES, suite_id, (draw, lambda inst: forced))
+        force_failure_on(monkeypatch, suite_id, lambda inst: True)
         rep = run_suite(suite_id, trials=3, base_seed=1)
         assert rep.passed + rep.skipped_hypothesis + len(rep.failures) == 3
         assert len(rep.failures) == 3
@@ -257,6 +314,39 @@ class TestSuiteFailurePath:
         out = capsys.readouterr().out
         assert "passed=0 skipped=0 failures: 2" in out
         assert out.count("icm J I;") == 2
+
+    def test_reproducer_prints_the_checked_complete_intersection(self, monkeypatch):
+        # trial 3 draws J = (x1*x2*x3) but checks the complete intersection (x2^2)
+        force_failure_on(monkeypatch, "cm-implies-icm", lambda inst: inst[1] == ("x2^2",))
+        rep = run_suite("cm-implies-icm", trials=4, base_seed=0)
+        header = "# suite cm-implies-icm failed, trial seed 3\n"
+        (text,) = [f for f in rep.failures if f.startswith(header)]
+        assert "ideal J = x2^2;" in text.splitlines()
+
+    def test_reproducer_prints_the_checked_prime_as_test_ideal(self, monkeypatch):
+        force_failure_on(monkeypatch, "ass-dimension", lambda inst: inst[2] == ("x2", "x3"))
+        rep = run_suite("ass-dimension", trials=1, base_seed=0)
+        (text,) = rep.failures
+        assert "ideal I = x2, x3;" in text.splitlines()
+        assert "ideal P" not in text
+
+    @pytest.mark.parametrize("suite_id", SUITE_IDS)
+    def test_reproducer_declares_the_checked_instance(self, suite_id, monkeypatch):
+        # each trial fails on the exact instance it checks and nowhere else,
+        # so the shrinker cannot move and the script must declare it
+        checked = {}
+        for t in range(10):
+            seen = []  # what the trial checks; the relation holds on it
+            force_failure_on(monkeypatch, suite_id, lambda inst: seen.append(inst))
+            run_trial(suite_id, t)
+            checked[t] = seen[0]
+        targets = set(checked.values())
+        force_failure_on(monkeypatch, suite_id, lambda inst: inst in targets)
+        rep = run_suite(suite_id, trials=10, base_seed=0)
+        assert len(rep.failures) == 10
+        for t, text in enumerate(rep.failures):
+            assert text.startswith("# suite %s failed, trial seed %d\n" % (suite_id, t))
+            assert declared_instance(text) == checked[t][:3]
 
 
 class TestShrinkFailure:
