@@ -1,10 +1,13 @@
 """Byte stability of the CLI: in-process ``cli_app.main`` must reproduce the
 recorded stdout, stderr and exit code of ``run --json --seed 0`` on every
 corpus script, of ``verify <suite> --json --trials 16`` for every suite at
-seeds 0, 1 and 7, and of ``run --json`` at seeds 10000-10002 on ``icm J I``
-with J the 2x2 minors of a generic 2x3 and 2x4 matrix and I all variables,
-over QQ and GF(32003).  The minors scripts live in ``golden/``, not in
-``corpus/``, so the corpus keeps its 50 files.
+seeds 0, 1 and 7, and of ``run --json`` on the scripts in ``golden/``:
+``icm J I`` with J the 2x2 minors of a generic 2xN matrix and I all
+variables, for N = 3, 4, 5 over QQ and GF(32003) at seeds 10000-10002 and
+N = 6 over QQ at seed 10000, and ``lex_sat_grade_icm``, ``sat``, ``grade``
+and ``icm`` queries in lex-ordered rings over QQ and GF(32003) at seeds
+10000-10002.  These scripts live in ``golden/``, not in ``corpus/``, so the
+corpus keeps its 50 files.
 
 The fixture ``golden/cli_bytes.json`` keeps the sha256 of each stream, so a
 change that alters any output byte fails here.  A change meant to alter the
@@ -25,20 +28,29 @@ from icmlab.theorem_lab import SUITE_IDS
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS_DIR = os.path.join(HERE, "corpus")
 FIXTURE = os.path.join(HERE, "golden", "cli_bytes.json")
-MINORS = ("minors_2x3_qq", "minors_2x3_gf", "minors_2x4_qq", "minors_2x4_gf")
-MINOR_SEEDS = (10000, 10001, 10002)
+SEEDS = (10000, 10001, 10002)
+GOLDEN = (
+    ("minors_2x3_qq", SEEDS),
+    ("minors_2x3_gf", SEEDS),
+    ("minors_2x4_qq", SEEDS),
+    ("minors_2x4_gf", SEEDS),
+    ("minors_2x5_qq", SEEDS),
+    ("minors_2x5_gf", SEEDS),
+    ("minors_2x6_qq", (10000,)),
+    ("lex_sat_grade_icm", SEEDS),
+)
 
 
 def _argvs():
     """Each recorded command line; corpus scripts are named relative to the
-    corpus directory, the minors scripts relative to ``tests/``."""
+    corpus directory, the ``golden/`` scripts relative to ``tests/``."""
     for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.icm"))):
         yield ["run", os.path.basename(path), "--json", "--seed", "0"]
     for suite in SUITE_IDS:
         for seed in (0, 1, 7):
             yield ["verify", suite, "--json", "--trials", "16", "--seed", str(seed)]
-    for name in MINORS:
-        for seed in MINOR_SEEDS:
+    for name, seeds in GOLDEN:
+        for seed in seeds:
             yield ["run", "golden/%s.icm" % name, "--json", "--seed", str(seed)]
 
 
@@ -69,7 +81,7 @@ def test_cli_output_matches_recorded_bytes(monkeypatch):
         recorded = json.load(handle)
     argvs = list(_argvs())
     assert [entry["argv"] for entry in recorded] == argvs
-    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + len(MINORS) * len(MINOR_SEEDS)
+    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + 22  # 22 runs of golden/ scripts
     changed = [" ".join(entry["argv"]) for entry in recorded if _record(entry["argv"]) != entry]
     assert not changed, "output bytes changed for: %s" % "; ".join(changed)
 
