@@ -25,9 +25,10 @@ and the engine fails loudly when the cap is hit rather than spinning.
 ``engine_context`` opens an engine context for the current thread or task
 (a ``ContextVar``), the one place that holds the budgets: the step limit
 of every completion, the candidate budget of the regular-element search
-(read through ``search_budget``), and a memo of reduced bases keyed by
-ring (order included) and the ordered generator list.  Outside any context
-the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
+(read through ``search_budget``), and a memo: of reduced bases keyed by
+ring (order included), settled prefix (below) and ordered generator list,
+and of saturations keyed by ring and both generator lists.  Outside any
+context the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
 memoized.  The memo and the step limit share the context's lifetime, so a
 stored basis always met the limit in force; a basis cached on an ``Ideal``
 can outlive its context, and is handed out again only under a limit that
@@ -36,8 +37,9 @@ a fresh completion would meet.
 Saturation by an ideal I = <g_1, ..., g_s> is one Groebner basis: with one
 new variable y and the generic element f_y = sum y^(i-1) * g_i,
 (J : I^infinity) = (J + <1 - t*f_y>) cap k[x], the tags t and y eliminated
-together.  For s = 1 this is the Rabinowitsch basis of the test of one
-element, so both share their memo entries.  The colon by an ideal uses the
+together; for s = 1 it is the Rabinowitsch test of one element.  That
+completion starts from J's reduced grevlex basis with the pairs inside it
+settled, and adds only 1 - t*f_y.  The colon by an ideal uses the
 same generic element: (J : I) = (J*R[y] : f_y) cap R, one colon by an
 element in R[y] and one elimination of y, in place of s colons and s - 1
 intersections.
@@ -79,7 +81,7 @@ SEARCH_BUDGET = 200  # regular-element candidates per search outside any context
 class _Engine(NamedTuple):
     step_limit: int
     budget: int
-    memo: Optional[dict]  # (ring, generator terms) -> ReducedGB; None outside a context
+    memo: Optional[dict]  # reduced bases and saturations; None outside a context
 
 
 _ENGINE: ContextVar[_Engine] = ContextVar(
@@ -264,9 +266,9 @@ class ReducedGB:
     leading monomial.  Unique per (ideal, term order).
 
     ``steps`` is the number of S-pair reductions the completion that built
-    it took.  It depends on the generator list, not only on the ideal, so
-    it is not part of equality; a stored basis is handed out again only
-    under a step limit that a fresh completion would have met.
+    it took.  It depends on the input (generators, settled prefix), not only
+    on the ideal, so it is not part of equality; a stored basis is handed
+    out again only under a step limit that a fresh completion would have met.
     ``_divisors``, the basis as the division kernel views it, is built by
     the first ``normal_form`` against it and kept; it is not part of
     equality either.
@@ -385,9 +387,17 @@ def buchberger(
     for g in gens:
         if g.ring != ring:
             raise IncompatibleRingError("generator outside the target ring")
+    return _complete(ring, gens, ())
+
+
+def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -> ReducedGB:
+    """``buchberger`` on ``settled`` + ``gens`` with ``settled`` a Groebner
+    basis already: the pairs inside it are never formed, so never pending,
+    and the chain criterion stays sound.  The memo key keeps the settled
+    prefix apart from the generators."""
     limit, _, memo = _ENGINE.get()
     if memo is not None:
-        memo_key = (ring, tuple(g.terms for g in gens))
+        memo_key = (ring, tuple(g.terms for g in settled), tuple(g.terms for g in gens))
         hit = memo.get(memo_key)
         if hit is not None:
             return hit
@@ -400,12 +410,12 @@ def buchberger(
     pending: set = set()
     heap: list = []
 
-    def add_poly(terms: tuple) -> None:
+    def add_poly(terms: tuple, pairs: bool = True) -> None:
         j = len(divs)
         divs.append(_divisor(terms))
         lts.append(terms[0][0])
         ltdegs.append(sum(lts[j]))
-        for i in range(j):
+        for i in range(j) if pairs else ():
             lcm = monomial_lcm(lts[i], lts[j])
             if lcm == monomial_mul(lts[i], lts[j]):
                 # coprime leading terms: the S-polynomial reduces to zero
@@ -415,6 +425,8 @@ def buchberger(
             # increasing lcm in the term order (the negated descending key)
             heappush(heap, (sum(lcm), *map(neg, dkey(lcm)), i, j))
 
+    for g in settled:
+        add_poly(_integral(g, p)[0], pairs=False)
     for g in gens:
         if g.is_zero:
             continue
@@ -588,19 +600,25 @@ def _fresh_name(existing: Sequence[str], base: str) -> str:
     return "%s%d" % (base, k)
 
 
-def _eliminate_tag(ring: RingDescriptor, ntags: int, build: Callable[..., List[Polynomial]]) -> Ideal:
-    """K intersect k[ring] for K = <build(lift, *tags)> in k[tags, ring], with
-    ``ntags`` fresh tag variables (t, then y) and ``lift`` the inclusion of
-    ``ring``: one Groebner basis under an order eliminating the tags, whose
-    tag-free elements generate the answer."""
+def _eliminate_tag(
+    ring: RingDescriptor, ntags: int, build: Callable[..., List[Polynomial]], seed: Sequence = ()
+) -> Ideal:
+    """K intersect k[ring] for K = <seed, build(lift, *tags)> in k[tags, ring],
+    with ``ntags`` fresh tag variables (t, then y) and ``lift`` the inclusion
+    of ``ring``: one Groebner basis under an order eliminating the tags, whose
+    tag-free elements generate the answer.  ``seed`` is a grevlex Groebner
+    basis over ``ring``'s variables; tag-free monomials compare by the
+    order's grevlex tail block, so lifted it is one in k[tags, ring] too, and
+    the completion starts from it as settled."""
     tags: Tuple[str, ...] = ()
     for base in ("t",) + ("y",) * (ntags - 1):
         tags += (_fresh_name(ring.variables + tags, base),)
     aug = RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
     lift = list(range(ntags, ntags + ring.nvars))
-    G = buchberger(
+    G = _complete(
+        aug,
         build(lambda g: remap_variables(g, aug, lift), *map(aug.variable, range(ntags))),
-        ring=aug,
+        [remap_variables(g, aug, lift) for g in seed],
     )
     drop = [None] * ntags + list(range(ring.nvars))
     out = []
@@ -675,7 +693,16 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     return _eliminate_tag(J.ring, 1, build)
 
 
-def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, set]:
+def _grevlex_basis(J: Ideal) -> ReducedGB:
+    """J's reduced basis under grevlex: the one J caches in a grevlex ring,
+    else that of J's generators in the grevlex twin of its ring."""
+    twin = RingDescriptor(J.ring.field, J.ring.variables)
+    if twin != J.ring:
+        J = Ideal(twin, [remap_variables(g, twin, range(twin.nvars)) for g in J.generators])
+    return J.groebner_basis()
+
+
+def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
     """(J : I^infinity) as one Groebner basis, plus the normal forms modulo J
     of its generators; all of them vanish exactly when the saturation is J.
 
@@ -683,20 +710,32 @@ def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, set]:
     in one new variable y, (J : I^infinity) = (J*R[y] : f_y^infinity) cap R
     over every field (Eisenbud-Huneke-Vasconcelos): f_y lies in P[y] exactly
     when I lies in the prime P.  So the saturation is (J + <1 - t*f_y>) with
-    t and y eliminated (Rabinowitsch).  For s = 1, f_y = g_1 and no y is
-    added: the same basis, memo key included, as the test of one element.
+    t and y eliminated (Rabinowitsch); for s = 1, f_y = g_1 and no y is
+    added.  The completion starts from J's reduced grevlex basis, settled.
+    Inside an engine context the result is memoized by (ring, J's and I's
+    generator terms) before anything is built, so ``is_saturated`` and
+    ``saturate`` on one pair share one build.
     """
     _same_ring(J, I)
     gens = I.generators
     if not gens:
         raise ZeroElementError("saturation by the zero ideal is undefined")
+    memo = _ENGINE.get().memo
+    if memo is not None:
+        memo_key = ("saturation", J.ring, *(tuple(g.terms for g in K.generators) for K in (J, I)))
+        hit = memo.get(memo_key)
+        if hit is not None:
+            return hit
 
     def build(lift, t, y=None):
-        return [lift(h) for h in J.generators] + [1 - t * _generic_element(gens, lift, y)]
+        return [1 - t * _generic_element(gens, lift, y)]
 
-    sat = _eliminate_tag(J.ring, min(len(gens), 2), build)
+    sat = _eliminate_tag(J.ring, min(len(gens), 2), build, _grevlex_basis(J).basis)
     gb = J.groebner_basis()
-    return sat, {normal_form(s, gb) for s in sat.generators}
+    out = sat, frozenset(normal_form(s, gb) for s in sat.generators)
+    if memo is not None:
+        memo[memo_key] = out
+    return out
 
 
 def is_saturated(J: Ideal, I: Ideal) -> bool:

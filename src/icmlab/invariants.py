@@ -478,7 +478,7 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     extends, so no saturation runs on such a step.  The search returns None
     only after deciding that (J_k : I^infinity) != J_k; then that saturation,
     with its exponent, is the certificate of maximality (inside an engine
-    context its basis is a memo hit).
+    context it is a memo hit, as is its replay in the same context).
 
     When J and the reduced basis of I are homogeneous, every element of the
     sequence is homogeneous of positive degree, and for such an x regular on

@@ -25,7 +25,7 @@ from icmlab.cli_app import (
     print_script,
 )
 from icmlab.errors import SearchExhaustedError
-from icmlab.ideal_engine import Ideal, buchberger, engine_context
+from icmlab.ideal_engine import Ideal, buchberger, engine_context, saturate
 from icmlab.ring_core import FieldSpec, RingDescriptor
 from icmlab.theorem_lab import SuiteReport
 
@@ -500,6 +500,8 @@ class TestEngineContext:
         "gb A;\n"
         "gb B;\n"
     )
+    # one pair saturated twice: within a call the second is a memo hit
+    SAT_SCRIPT = "ring R = QQ[x,y,z];\nideal A = x*y, x*z;\nideal I = y, z;\nsat A I;\nsat A I;\n"
 
     @pytest.fixture
     def reductions(self, monkeypatch):
@@ -515,7 +517,7 @@ class TestEngineContext:
         monkeypatch.setattr(ideal_engine, "_reduce", counting)
         return count
 
-    def test_memo_does_not_outlive_the_call(self, tmp_path, capsys, reductions):
+    def test_memo_does_not_outlive_the_call(self, tmp_path, capsys, monkeypatch, reductions):
         script = tmp_path / "twin.icm"
         script.write_text(self.TWIN_SCRIPT)
         with engine_context():
@@ -530,6 +532,25 @@ class TestEngineContext:
         buchberger(gens)
         buchberger(gens)
         assert reductions[0] == 5 * per_basis  # and nothing is kept outside a call
+
+        builds = [0]  # tagged inputs built, one per saturation that is not a hit
+        eliminate = ideal_engine._eliminate_tag
+
+        def counted(*args):
+            builds[0] += 1
+            return eliminate(*args)
+
+        monkeypatch.setattr(ideal_engine, "_eliminate_tag", counted)
+        script.write_text(self.SAT_SCRIPT)
+        assert main(["run", str(script)]) == 0
+        assert builds[0] == 1  # the second sat was a hit
+        assert main(["run", str(script)]) == 0
+        assert builds[0] == 2  # nothing carried over from the last call
+        ring_stmt, *ideals = parse(self.SAT_SCRIPT).statements[:3]
+        A, I = (Ideal(ring_stmt.ring, stmt.generators) for stmt in ideals)
+        saturate(A, I)
+        saturate(A, I)
+        assert builds[0] == 4  # and nothing is kept outside a call
         capsys.readouterr()
 
     def test_corpus_output_does_not_depend_on_the_context(self):

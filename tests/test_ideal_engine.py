@@ -1,4 +1,5 @@
 """Groebner machinery: division, Buchberger, and the ideal calculus."""
+import contextlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,7 +26,7 @@ from icmlab.ideal_engine import (
     is_saturated,
     saturate,
 )
-from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder
+from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder, remap_variables
 
 import oracles
 
@@ -275,6 +276,35 @@ def remap(g, ring):
     return ring.polynomial(dict(g.terms))
 
 
+def minors_2xn(n, p=0, order="grevlex"):
+    """The ring, the 2x2 minors J of a generic 2xn matrix, and the variables."""
+    names = ["x%d" % i for i in range(1, n + 1)] + ["y%d" % i for i in range(1, n + 1)]
+    ring = RingDescriptor(FieldSpec(p), tuple(names), TermOrder(order))
+    v = [ring.variable(i) for i in range(2 * n)]
+    J = Ideal(ring, [v[i] * v[n + j] - v[j] * v[n + i] for i in range(n) for j in range(i + 1, n)])
+    return ring, J, v
+
+
+def tagged_completions(J, I):
+    """The Rabinowitsch basis of J + <1 - t*f_y> in k[t, (y,) ring] twice:
+    plainly from J's generators, and seeded, from J's reduced grevlex basis
+    settled plus 1 - t*f_y.  The ring must not name a variable t or y."""
+    ring = J.ring
+    ntags = min(len(I.generators), 2)
+    aug = RingDescriptor(ring.field, ("t", "y")[:ntags] + ring.variables, TermOrder("elimination-block", ntags))
+
+    def lift(g):
+        return remap_variables(g, aug, range(ntags, aug.nvars))
+
+    y = aug.variable(1) if ntags == 2 else None
+    rab = 1 - aug.variable(0) * ideal_engine._generic_element(I.generators, lift, y)
+    twin = RingDescriptor(ring.field, ring.variables, TermOrder("grevlex"))
+    seed = Ideal(twin, [remap_variables(g, twin, range(ring.nvars)) for g in J.generators])
+    plain = buchberger([lift(h) for h in J.generators] + [rab], ring=aug)
+    seeded = ideal_engine._complete(aug, [rab], [lift(g) for g in seed.groebner_basis()])
+    return plain, seeded
+
+
 def heavy_gens():
     """Three quadrics whose completion takes several S-pair reductions."""
     R = ring_qq("x", "y", "z")
@@ -425,6 +455,15 @@ class TestStepCounts:
             assert (gb.steps, len(gb)) == (steps, size)
             assert buchberger(gens) is gb
 
+    @pytest.mark.parametrize("test_ideal, plain_steps, seeded_steps", [((0,), 8, 0), ((0, 5), 16, 8)])
+    def test_seeded_rabinowitsch_step_count(self, test_ideal, plain_steps, seeded_steps):
+        # J = the 2x4 minors over QQ, I = (x1) and (x1, y2): the completion
+        # seeded with J's reduced basis forms no pair inside it
+        ring, J, v = minors_2xn(4)
+        plain, seeded = tagged_completions(J, Ideal(ring, [v[i] for i in test_ideal]))
+        assert seeded == plain
+        assert (plain.steps, seeded.steps) == (plain_steps, seeded_steps)
+
     def test_least_passing_step_limit(self):
         gens = frozen_system(cyclic, 32003, 5)
         with engine_context(step_limit=102):
@@ -561,6 +600,75 @@ class TestSaturationByIdeal:
         assert len(seen) == 8, seen
         assert min(seen.values()) >= 8, seen
 
+    @staticmethod
+    def unreduced(rng, J):
+        """J's generators with redundant ones mixed in: a duplicate, a scalar
+        multiple, a sum and a multiple by a variable."""
+        gens = list(J.generators)
+        a, b = rng.choice(gens), rng.choice(gens)
+        gens += [a, a * 3, a + b, b * J.ring.variable(rng.randrange(J.ring.nvars))]
+        rng.shuffle(gens)
+        return Ideal(J.ring, gens)
+
+    def test_seeded_saturation_matches_oracle(self):
+        # ``_saturation`` against the oracle: the ideal, the exponent and
+        # is_saturated, with J = 0, J by an unreduced generator list, and J
+        # as drawn; outside and inside an engine context; and the seeded
+        # completion against the plain one
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for order in ("lex", "grevlex"):
+                ring = RingDescriptor(FieldSpec(p), ("u", "v", "w"), TermOrder(order))
+                rng = random.Random(77 * p + len(order))
+                for trial in range(9):
+                    J, I = self.random_pair(rng, ring)
+                    kind = ("J = 0", "unreduced J", "drawn J")[trial % 3]
+                    if kind == "J = 0":
+                        J = Ideal(ring, ())
+                    elif kind == "unreduced J" and not J.is_zero_ideal:
+                        J = self.unreduced(rng, J)
+                    want, exponent = oracles.oracle_saturate(J, I)
+                    for memoized in (False, True):
+                        with engine_context() if memoized else contextlib.nullcontext():
+                            sat, forms = ideal_engine._saturation(J, I)
+                            assert ideal_equal(sat, want), (J, I)
+                            assert (not any(forms)) == is_saturated(J, I) == (exponent == 0), (J, I)
+                            assert saturate(J, I).exponent == exponent, (J, I)
+                    plain, seeded = tagged_completions(J, I)
+                    assert seeded == plain and seeded.steps <= plain.steps, (J, I)
+                    seen[kind] += 1
+                    seen["%s, %d generators" % (order, len(I.generators))] += 1
+                    seen["GF(%d)" % p if p else "QQ"] += 1
+                    seen["exponent %d" % min(exponent, 1)] += 1
+        assert seen["J = 0"] == seen["drawn J"] == 24 and seen["unreduced J"] == 24, seen
+        assert all(seen["%s, %d generators" % (o, k)] for o in ("lex", "grevlex") for k in (1, 2, 3, 4)), seen
+        assert all(seen[f] == 18 for f in ("QQ", "GF(2)", "GF(3)", "GF(32003)")), seen
+        assert seen["exponent 0"] >= 10 and seen["exponent 1"] >= 10, seen
+
+    @pytest.mark.parametrize("p", [0, 32003])
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_seeded_completion_on_minors(self, p, order):
+        # J = the 2x4 minors: the same reduced basis in no more steps, for
+        # I = (x1), (x1, y2) and all variables
+        ring, J, v = minors_2xn(4, p, order)
+        for I in (Ideal(ring, v[:1]), Ideal(ring, [v[0], v[5]]), Ideal(ring, v)):
+            plain, seeded = tagged_completions(J, I)
+            assert seeded == plain and seeded.steps <= plain.steps
+            assert is_saturated(J, I)
+
+    @pytest.mark.parametrize("p", [0, 2, 32003])
+    def test_lex_ring_seeds_from_the_grevlex_twin(self, p):
+        # J's lex basis {b^3 - bc, a - b^2} is no Groebner basis under the
+        # grevlex tail block of the tagged order, where b^2 leads a - b^2;
+        # settled as the seed, it gives wrong saturations for all three I
+        R = RingDescriptor(FieldSpec(p), ("a", "b", "c"), TermOrder("lex"))
+        a, b, c = (R.variable(i) for i in range(3))
+        J = Ideal(R, [a - b**2, b**3 - c * b])
+        for I in (Ideal(R, [b]), Ideal(R, [b, c]), Ideal(R, [c])):
+            got = saturate(J, I)
+            want, exponent = oracles.oracle_saturate(J, I)
+            assert ideal_equal(got.ideal, want) and got.exponent == exponent, I
+
     def test_tag_names_avoid_ring_variables(self):
         seen = Counter()
         for p in (0, 2):
@@ -568,6 +676,57 @@ class TestSaturationByIdeal:
             self.check(random.Random(7 + p), ring, 4, seen)
         assert seen["exponent 0"] and seen["exponent 2"], seen
         assert sum(seen["%d generators" % k] for k in (2, 3, 4)) >= 3, seen
+
+
+class TestSaturationMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts the tagged inputs built, one per ``_eliminate_tag`` call."""
+        count = [0]
+        real = ideal_engine._eliminate_tag
+
+        def counting(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ideal_engine, "_eliminate_tag", counting)
+        return count
+
+    @staticmethod
+    def pair():
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        return Ideal(R, [x * y, x * z]), Ideal(R, [y, z])
+
+    def test_nothing_is_memoized_outside_a_context(self, builds):
+        J, I = self.pair()
+        assert not is_saturated(J, I) and not is_saturated(J, I)
+        assert builds[0] == 2
+
+    def test_one_build_per_pair_in_a_context(self, builds):
+        J, I = self.pair()
+        with engine_context():
+            assert not is_saturated(J, I)
+            result = saturate(J, I)
+            assert builds[0] == 1
+            assert saturate(J, I).ideal is result.ideal
+            assert builds[0] == 1
+            # the key is the ordered generator lists
+            assert saturate(Ideal(J.ring, J.generators[::-1]), I).exponent == result.exponent
+            assert builds[0] == 2
+            with engine_context():
+                saturate(J, I)
+            assert builds[0] == 3
+        assert result.exponent == 1 and result.ideal == Ideal(J.ring, [J.ring.variable(0)])
+
+    def test_seeded_and_plain_completions_keep_apart(self):
+        ring, J, v = minors_2xn(3)
+        I = Ideal(ring, [v[0], v[4]])
+        with engine_context():
+            plain, seeded = tagged_completions(J, I)
+            again_plain, again_seeded = tagged_completions(J, I)
+        assert seeded == plain and seeded is not plain and seeded.steps < plain.steps
+        assert again_plain is plain and again_seeded is seeded
 
 
 class TestColonByIdeal:

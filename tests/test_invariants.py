@@ -630,6 +630,48 @@ class TestSearchMemory:
         assert grade(M, I, seed=0).value == 0
 
 
+class TestSaturationMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (J, I) generator pairs whose saturation builds its tagged
+        input, one entry per build."""
+        from icmlab import ideal_engine
+
+        out, current = [], []
+        saturation, eliminate = ideal_engine._saturation, ideal_engine._eliminate_tag
+
+        def tracked(J, I):
+            current.append((J.generators, I.generators))
+            try:
+                return saturation(J, I)
+            finally:
+                current.pop()
+
+        def counted(*args):
+            if current:
+                out.append(current[-1])
+            return eliminate(*args)
+
+        monkeypatch.setattr(ideal_engine, "_saturation", tracked)
+        monkeypatch.setattr(ideal_engine, "_eliminate_tag", counted)
+        return out
+
+    def test_grade_and_replay_build_each_pair_once(self, builds):
+        # the last step of grade decides that (J_k : I^infinity) != J_k and
+        # then saturates (J_k, I) for the certificate: one build, not two;
+        # the replay of the witness then builds nothing at all
+        M, I = minors_2xn(3)
+        with engine_context():
+            w = grade(M, I, seed=10000)
+            last = (M.defining_ideal.generators + w.sequence, I.generators)
+            assert w.value == 4
+            assert builds.count(last) == 1
+            assert max(builds.count(pair) for pair in builds) == 1
+            done = len(builds)
+            verify_grade_witness(M, I, w)
+            assert len(builds) == done
+
+
 # ---------------------------------------------------------------------------
 # localization helpers
 
