@@ -8,16 +8,17 @@ and both companion pairs have already been settled.  Output is always the
 reduced monic basis, which is unique for a given ideal and term order, so
 everything downstream is deterministic.
 
-All division runs through one kernel on integer coefficients,
-``_reduce``: the completion's reductions, ``divide`` and ``normal_form``.
-Over GF(p) its divisors are monic residues; over QQ they are integer
-polynomials, reduced fraction-free by the primitive pseudo-remainder of
-Geddes, Czapor & Labahn, *Algorithms for Computer Algebra* (1992).  Inside
-the completion the working basis is primitive (content removed, positive
-leading coefficient).  ``Fraction`` coefficients are cleared on entry and
-come back only at the boundary: when the reduced basis leaves, made monic,
-and when ``divide`` and ``normal_form`` return their quotients and
-remainder, which are exactly the field algorithm's.
+Every remainder comes from one kernel on integer coefficients,
+``_reduce``: the completion's reductions and ``normal_form``.  Over GF(p)
+its divisors are monic residues; over QQ they are integer polynomials,
+reduced fraction-free by the primitive pseudo-remainder of Geddes, Czapor
+& Labahn, *Algorithms for Computer Algebra* (1992).  Inside the completion
+the working basis is primitive (content removed, positive leading
+coefficient).  ``Fraction`` coefficients are cleared on entry and come back
+only at the boundary: when the reduced basis leaves, made monic, and when
+``normal_form`` returns its remainder, which is exactly the field
+algorithm's.  ``divide`` is exact division by one polynomial, the last step
+of the colon by an element.
 
 Completion is budgeted: the number of S-polynomial reductions is capped,
 and the engine fails loudly when the cap is hit rather than spinning.
@@ -69,6 +70,7 @@ from .ring_core import (
     TermOrder,
     _same_ring,
     monomial_div,
+    monomial_divides,
     monomial_lcm,
     monomial_mul,
     remap_variables,
@@ -101,7 +103,7 @@ def engine_context(
     limit = STEP_LIMIT if step_limit is None else step_limit
     budget = SEARCH_BUDGET if budget is None else budget
     for name, value in (("step limit", limit), ("search budget", budget)):
-        if not isinstance(value, int) or value < 1:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValueError("%s must be a positive integer" % name)
     token = _ENGINE.set(_Engine(limit, budget, {}))
     try:
@@ -134,45 +136,42 @@ def _integral(g: Polynomial, p: int) -> tuple:
     return tuple((m, c.numerator * (v // c.denominator)) for m, c in g.terms), v
 
 
-def _divisor(terms: tuple, quotient: Optional[list] = None) -> tuple:
+def _divisor(terms: tuple) -> tuple:
     """The kernel's view of a divisor given by its integer terms."""
     ltm, lc = terms[0]
-    return ltm, sum(ltm), lc, terms[1:], quotient
+    return ltm, sum(ltm), lc, terms[1:]
 
 
 def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
-    """The division kernel: the completion, ``divide`` and ``normal_form``.
+    """The division kernel: the completion's reductions and ``normal_form``.
 
     ``work`` (f) maps monomials to nonzero integer coefficients and is
     consumed; ``divs`` holds one ``(leading monomial, its degree, leading
-    coefficient, tail terms, quotient)`` per divisor d_i, monic over GF(p),
-    where quotient is a list that collects q_i's terms, or ``None``.
-    Returns ``(r, scale)`` with scale * f = sum(q_i * d_i) + r over the
-    integers, r's terms sorted decreasing; the scale is 1 over GF(p).
+    coefficient, tail terms)`` per divisor d_i, monic over GF(p).  Returns
+    ``(r, scale)`` with scale * f = sum(q_i * d_i) + r over the integers for
+    some q_i, r's terms sorted decreasing; the scale is 1 over GF(p).
 
     Work terms sit in a heap on ``TermOrder.descending_key``, one key per
     term as it enters; a step adds only terms below the one it consumes, so
-    r and every q_i come out already sorted, and a term cancelled to zero
-    leaves a stale entry that is skipped when popped.  Over QQ a step against
-    leading coefficient lc consumes c * x^a by scaling the work by
-    lc/gcd(lc, c) and subtracting (c/gcd(lc, c)) * x^a/lm * tail: the field
-    step times a unit, so which divisor acts on which monomial is exactly as
-    in the field algorithm.  Emitted remainder and quotient terms keep the
-    running scale at their emission and get the missing factor once, at the
-    end.
+    r comes out already sorted, and a term cancelled to zero leaves a stale
+    entry that is skipped when popped.  Over QQ a step against leading
+    coefficient lc consumes c * x^a by scaling the work by lc/gcd(lc, c) and
+    subtracting (c/gcd(lc, c)) * x^a/lm * tail: the field step times a unit,
+    so which divisor acts on which monomial is exactly as in the field
+    algorithm.  Emitted remainder terms keep the running scale at their
+    emission and get the missing factor once, at the end.
     """
     heap = [(dkey(m), m) for m in work]
     heapify(heap)
     emitted, scales = [], []  # remainder terms, the running scale at each emission
     scale = 1
-    quoted = False
     while heap:
         mono = heappop(heap)[1]
         c = work.pop(mono, None)
         if c is None:
             continue
         deg = sum(mono)
-        for ltm, ltdeg, lc, tail, quotient in divs:
+        for ltm, ltdeg, lc, tail in divs:
             if ltdeg <= deg and all(map(int.__le__, ltm, mono)):
                 shift = tuple(map(sub, mono, ltm))
                 if p:
@@ -187,9 +186,6 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
                         scale *= s
                         for m in work:
                             work[m] *= s
-                if quotient is not None:
-                    quotient.append((shift, c if p else -q, scale))
-                    quoted = True
                 for m2, c2 in tail:
                     m = tuple(map(add, shift, m2))
                     old = work.get(m)
@@ -206,59 +202,34 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
         else:
             emitted.append((mono, c))
             scales.append(scale)
-    if quoted:
-        for *_, quotient in divs:
-            if quotient:
-                quotient[:] = [(m, c * (scale // s)) for m, c, s in quotient]
     if scale != 1:
         emitted = [(m, c * (scale // s)) for (m, c), s in zip(emitted, scales)]
     return tuple(emitted), scale
 
 
-def _kernel_remainder(f: Polynomial, divs: Sequence[tuple]) -> tuple:
-    """One kernel run on a nonzero f: ``(w, R / w)`` with w * f = sum(q_i * d_i)
-    + R over the integers.  Over GF(p) f enters as it is and w = 1."""
-    ring = f.ring
-    p = ring.field.characteristic
-    if p:
-        return 1, Polynomial(ring, _reduce(dict(f.terms), divs, p, ring.order.descending_key)[0])
-    terms, v = _integral(f, 0)
-    r, scale = _reduce(dict(terms), divs, 0, ring.order.descending_key)
-    w = v * scale
-    return w, Polynomial(ring, tuple((m, Fraction(c, w)) for m, c in r))
+def divide(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The exact quotient f / g by a nonzero g; raises ``EngineError`` when
+    g does not divide f.
 
-
-def divide(f: Polynomial, divisors: Sequence[Polynomial]):
-    """Multivariate division: f = sum(q_i * d_i) + r with no term of r
-    divisible by any divisor's leading term.
-
-    Returns ``(quotients, remainder)``.  Divisors are tried in the order
-    given; the result depends on that order except for the remainder against
-    a Groebner basis, which is canonical.
-
-    One run of the kernel ``_reduce`` on f and the divisors scaled to
-    integer terms; the quotients and remainder leave exactly as the field
-    algorithm's.
+    Long division by g alone, largest term first.  {g} is a Groebner basis
+    of <g>, so g divides f exactly when every leading term met on the way
+    is a multiple of g's; the first that is not would stay in a nonzero
+    remainder.  The quotient's terms come out already sorted.
     """
-    field = f.ring.field
-    divs, multipliers = [], []
-    for d in divisors:
-        _same_ring(f, d)
-        if d.is_zero:
-            raise ZeroElementError("cannot divide by the zero polynomial")
-        terms, v = _integral(d, field.characteristic)
-        divs.append(_divisor(terms, []))
-        multipliers.append(v)
-    if f.is_zero:
-        return [f for _ in divs], f
-    w, r = _kernel_remainder(f, divs)
-    # w * f = sum(q_i * v_i * d_i) + r, so f's quotient by d_i is v_i / w * q_i
-    p = field.characteristic
-    quots = []
-    for (*_, terms), v in zip(divs, multipliers):
-        k = field.mul(v, field.invert(w))
-        quots.append(Polynomial(f.ring, tuple((m, c * k % p if p else c * k) for m, c in terms)))
-    return quots, r
+    _same_ring(f, g)
+    if g.is_zero:
+        raise ZeroElementError("cannot divide by the zero polynomial")
+    ltm, lc = g.terms[0]
+    inv = f.ring.field.invert(lc)
+    quotient, rest = [], f
+    while rest.terms:
+        mono, c = rest.terms[0]
+        if not monomial_divides(ltm, mono):
+            raise EngineError("%s is not a multiple of %s" % (f, g))
+        term = monomial_div(mono, ltm), f.ring.field.mul(c, inv)
+        quotient.append(term)
+        rest = rest - g.shift(*term)
+    return Polynomial(f.ring, tuple(quotient))
 
 
 class ReducedGB:
@@ -304,6 +275,7 @@ class ReducedGB:
         return "ReducedGB[%s]" % ", ".join(str(p) for p in self.basis)
 
 
+# no caller in icmlab: kept only as a target of icmbench's tracer (ROADMAP 1(e))
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial: both leading terms scaled onto their lcm and cancelled."""
     _same_ring(f, g)
@@ -340,8 +312,8 @@ def _s_pair(lcm: Monomial, a: tuple, b: tuple, p: int) -> dict:
     their leading coefficients, (lc_b/g) * lcm/lm_a * a - (lc_a/g) * lcm/lm_b * b,
     whose leading terms cancel, so only the tails enter.  Over GF(p) both
     cofactors are 1."""
-    lta, _, ca, taila, _ = a
-    ltb, _, cb, tailb, _ = b
+    lta, _, ca, taila = a
+    ltb, _, cb, tailb = b
     g = gcd(ca, cb)
     fa, fb = cb // g, ca // g
     shift = tuple(map(sub, lcm, lta))
@@ -474,12 +446,12 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
     for idx in range(len(minimal)):
         others = minimal[:idx] + minimal[idx + 1 :]
         if others:
-            ltm, _, lc, tail, _ = minimal[idx]
+            ltm, _, lc, tail = minimal[idx]
             r = _reduce(dict(((ltm, lc),) + tail), others, p, dkey)[0]
             minimal[idx] = _divisor(_normalize(r, p))
 
     # kept is ascending in the order and autoreduction keeps leading terms
-    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
+    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail in minimal)
     gb = ReducedGB(ring, basis, steps)
     if memo is not None:
         memo[memo_key] = gb
@@ -499,10 +471,17 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
         raise IncompatibleRingError("polynomial and basis live in different rings")
     if f.is_zero or not basis.basis:
         return f
+    p = ring.field.characteristic
     if basis._divisors is None:
-        p = ring.field.characteristic
         basis._divisors = tuple(_divisor(_integral(g, p)[0]) for g in basis.basis)
-    return _kernel_remainder(f, basis._divisors)[1]
+    dkey = ring.order.descending_key
+    if p:
+        return Polynomial(ring, _reduce(dict(f.terms), basis._divisors, p, dkey)[0])
+    # w * f = sum(q_i * d_i) + r over the integers, so f's remainder is r / w
+    terms, v = _integral(f, 0)
+    r, scale = _reduce(dict(terms), basis._divisors, 0, dkey)
+    w = v * scale
+    return Polynomial(ring, tuple((m, Fraction(c, w)) for m, c in r))
 
 
 class Ideal:
@@ -642,7 +621,8 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
 
 
 def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
-    """The colon ideal (J : f), computed as (1/f) * (J intersect <f>)."""
+    """The colon ideal (J : f), computed as (1/f) * (J intersect <f>): each
+    generator of the intersection divided exactly by f."""
     if f.ring != J.ring:
         raise IncompatibleRingError("polynomial outside the ideal's ring")
     if f.is_zero:
@@ -650,15 +630,7 @@ def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
     if J.is_zero_ideal:
         return Ideal(J.ring, ())
     K = ideal_intersect(J, Ideal(J.ring, (f,)))
-    gens = []
-    for g in K.generators:
-        quots, r = divide(g, [f])
-        if not r.is_zero:
-            raise EngineError(
-                "colon (J : %s): %s in J intersect <f> is not a multiple of f" % (f, g)
-            )
-        gens.append(quots[0])
-    return Ideal(J.ring, gens)
+    return Ideal(J.ring, [divide(g, f) for g in K.generators])
 
 
 def _generic_element(gens: Sequence[Polynomial], lift, y) -> Polynomial:

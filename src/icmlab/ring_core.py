@@ -3,8 +3,8 @@
 Everything in this module is a plain immutable value.  Coefficients are
 `fractions.Fraction` in characteristic zero and canonical residues (ints in
 ``[0, p)``) over a prime field.  ``Fraction`` is what every API takes and
-returns; only the division kernel shared by ``ideal_engine``'s completion,
-division and normal forms works on integer coefficients inside.  A monomial
+returns; only the division kernel shared by ``ideal_engine``'s completion
+and normal forms works on integer coefficients inside.  A monomial
 is a tuple of nonnegative exponents, one per ring variable.  A polynomial
 keeps its terms sorted in decreasing term order, so the leading term is
 always the first entry and never needs a search.
@@ -435,7 +435,11 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             if isinstance(other, (int, Fraction)):
-                return self == self.ring.constant(other)
+                try:
+                    other = self.ring.constant(other)
+                except ZeroDivisionError:  # a denominator divisible by p: not in GF(p)
+                    return False
+                return self == other
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 

@@ -483,6 +483,8 @@ def run_suite(suite_id: str, trials: int = 100, base_seed: int = 0) -> SuiteRepo
     trial seed.
     """
     _suite(suite_id)  # an unknown id fails before any trial runs
+    if trials < 0:
+        raise ValueError("trial count must be nonnegative, got %d" % trials)
     skipped = 0
     failures: List[Tuple[int, str]] = []
     for t in range(trials):

@@ -484,7 +484,7 @@ class TestSearchBudget:
                 invariants.grade(invariants.CyclicModule(ring, J), I)
         assert invariants.grade(invariants.CyclicModule(ring, J), I).value == 1
 
-    @pytest.mark.parametrize("bad", [0, -3, "5"])
+    @pytest.mark.parametrize("bad", [0, -3, "5", True])
     def test_bad_context_budget_is_rejected(self, bad):
         with pytest.raises(ValueError, match="search budget must be a positive integer"):
             with engine_context(budget=bad):

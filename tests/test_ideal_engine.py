@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 from icmlab import ideal_engine
-from icmlab.errors import IncompatibleRingError, StepLimitExceededError, ZeroElementError
+from icmlab.errors import (
+    EngineError,
+    IncompatibleRingError,
+    StepLimitExceededError,
+    ZeroElementError,
+)
 from icmlab.ideal_engine import (
     Ideal,
     buchberger,
@@ -26,7 +31,7 @@ from icmlab.ideal_engine import (
     is_saturated,
     saturate,
 )
-from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder, remap_variables
+from icmlab.ring_core import FieldSpec, Polynomial, RingDescriptor, TermOrder, remap_variables
 
 import oracles
 
@@ -52,47 +57,51 @@ def random_poly(rng, ring, max_terms=4, max_exp=2, low=-4, high=4):
 
 
 class TestDivision:
+    """The kernel ``_reduce`` computes remainders only; its remainder by any
+    divisor list, taken in order, must be the field algorithm's term for
+    term (``oracles.oracle_divide``).  ``divide`` is exact division by one
+    polynomial."""
+
     def test_frozen_example(self):
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)
-        f = x**2 * y + y
-        q, r = divide(f, [x**2 - 1])
-        assert r == 2 * y
-        assert q[0] * (x**2 - 1) + r == f
+        assert kernel_remainder(x**2 * y + y, [x**2 - 1]) == 2 * y
+        assert divide(x**2 * y - y, x**2 - 1) == y
+        assert divide(x**3 - y**3, x - y) == x**2 + x * y + y**2
 
     def test_division_identity_random(self):
         rng = random.Random(3)
-        for fld in (QQ, FieldSpec(13)):
-            R = RingDescriptor(fld, ("x", "y", "z"))
-            for _ in range(40):
-                f = random_poly(rng, R)
-                divisors = [random_poly(rng, R) for _ in range(rng.randint(1, 3))]
-                divisors = [d for d in divisors if not d.is_zero]
-                if not divisors:
+        for R in division_rings():
+            for _ in range(5):
+                q, g = random_poly(rng, R, max_terms=5, max_exp=3), random_poly(rng, R)
+                if g.is_zero:
                     continue
-                qs, r = divide(f, divisors)
-                assert sum((q * d for q, d in zip(qs, divisors)), R.zero()) + r == f
-                # no remainder term is divisible by any divisor leading term
-                for mono, _ in r.terms:
-                    for d in divisors:
-                        lm = d.leading_monomial()
-                        assert not all(a <= b for a, b in zip(lm, mono))
+                assert divide(q * g, g) == q
+
+    def test_non_multiple_rejected(self):
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        # x^2 + y = (x + y)(x - y) + y^2 + y, and y^2 is no multiple of x
+        with pytest.raises(EngineError, match=r"^x\^2 \+ y is not a multiple of x - y$"):
+            divide(x**2 + y, x - y)
+        with pytest.raises(EngineError):
+            divide(x + 1, x**2)
 
     def test_zero_divisor_rejected(self):
         R = ring_qq("x")
         with pytest.raises(ZeroElementError):
-            divide(R.variable(0), [R.zero()])
+            divide(R.variable(0), R.zero())
 
     def test_ring_check_accepts_equal_rings_and_names_a_mismatch(self):
         R, S = ring_qq("x", "y"), ring_qq("x", "y")
         assert R is not S  # equal descriptors, distinct objects
-        assert divide(R.variable(0) * R.variable(1), [S.variable(0)])[1].is_zero
+        assert divide(R.variable(0) * R.variable(1), S.variable(0)) == R.variable(1)
         T = ring_qq("x", "z")
         with pytest.raises(
             IncompatibleRingError,
             match=r"^operands live in different rings: QQ\[x, y\] grevlex vs QQ\[x, z\] grevlex$",
         ):
-            divide(R.variable(0), [T.variable(0)])
+            divide(R.variable(0), T.variable(0))
 
     def test_matches_oracle_divide_term_for_term(self):
         rng = random.Random(41)
@@ -111,7 +120,11 @@ class TestDivision:
                 f = random_poly(rng, R, max_terms=5, max_exp=3)
                 for d in divisors:
                     f = f + random_poly(rng, R, max_terms=3) * d
-                assert_same_division(f, divisors)
+                r = assert_same_remainder(f, divisors)
+                # no remainder term is divisible by any divisor's leading term
+                for mono, _ in r.terms:
+                    for d in divisors:
+                        assert not all(a <= b for a, b in zip(d.leading_monomial(), mono))
         assert non_unit >= 40 and repeated >= 10
 
     def test_recreated_monomial_is_divided_again(self):
@@ -129,9 +142,7 @@ class TestDivision:
                     continue
                 f = a * s * (x**2 + y + z)
                 divisors = [b * s * (x**2 + x + y), c * s * (x - y)]
-                quots, r = assert_same_division(f, divisors)
-                assert r == a * s * (z - y)
-                assert quots[0] * divisors[0] + quots[1] * divisors[1] + r == f
+                assert assert_same_remainder(f, divisors) == a * s * (z - y)
 
 
 def division_rings():
@@ -143,12 +154,25 @@ def division_rings():
             yield RingDescriptor(FieldSpec(p), ("x", "y", "z", "w"), order)
 
 
-def assert_same_division(f, divisors):
-    quots, r = divide(f, divisors)
-    want_quots, want_r = oracles.oracle_divide(f, divisors)
-    assert [q.terms for q in quots] == [q.terms for q in want_quots]
-    assert r.terms == want_r.terms
-    return quots, r
+def kernel_remainder(f, divisors):
+    """The remainder of f by ``divisors``, tried in order, from one kernel
+    run on integer terms as ``normal_form`` makes it: w * f = sum(q_i * d_i)
+    + r over the integers, and the remainder is r / w."""
+    if f.is_zero:
+        return f
+    ring = f.ring
+    p = ring.field.characteristic
+    divs = [ideal_engine._divisor(ideal_engine._integral(d, p)[0]) for d in divisors]
+    terms, v = ideal_engine._integral(f, p)
+    r, scale = ideal_engine._reduce(dict(terms), divs, p, ring.order.descending_key)
+    w = v * scale
+    return Polynomial(ring, tuple((m, c * pow(w, -1, p) % p if p else Fraction(c, w)) for m, c in r))
+
+
+def assert_same_remainder(f, divisors):
+    r = kernel_remainder(f, divisors)
+    assert r.terms == oracles.oracle_divide(f, divisors)[1].terms
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +289,8 @@ class TestBuchberger:
             with pytest.raises(StepLimitExceededError, match="exceeded 1 S-pair"):
                 buchberger(gens)
         buchberger(gens)  # the context's limit ended with it
-        for bad in (0, -3, "5"):
+        # bool is an int, but True is no step limit of 1
+        for bad in (0, -3, "5", True):
             with pytest.raises(ValueError, match="step limit"):
                 with engine_context(step_limit=bad):
                     pass

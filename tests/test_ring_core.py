@@ -261,6 +261,13 @@ class TestPolynomialArithmetic:
         assert 7 * x == R.zero()
         assert str(3 * x + 10) == "3*x + 3"
 
+    def test_comparison_with_a_scalar_outside_the_field_is_false(self):
+        # 1/7 has no image in GF(7), so no polynomial over GF(7) equals it
+        R = RingDescriptor(GF7, ("x",))
+        assert (R.one() == Fraction(1, 7)) is False
+        assert R.zero() != Fraction(3, 14)
+        assert R.constant(4) == Fraction(1, 2)  # 2 * 4 = 1 in GF(7)
+
     def test_monic(self):
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)

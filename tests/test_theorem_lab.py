@@ -178,6 +178,11 @@ class TestRunTrial:
         with pytest.raises(UnknownSuiteError):
             run_suite("no-such-suite", trials=1)
 
+    def test_negative_trial_count_rejected(self):
+        with pytest.raises(ValueError, match="trial count must be nonnegative, got -2"):
+            run_suite("grade-height", trials=-2)
+        assert run_suite("grade-height", trials=0).passed == 0
+
     @pytest.mark.parametrize("suite_id", ["ass-dimension", "localization-cm"])
     def test_at_prime_check_refuses_a_test_ideal_not_of_variables(self, suite_id):
         # the at-prime suites read their test ideal back as a variable prime
