@@ -234,6 +234,8 @@ class _Parser:
             p = self.expect_int()
             self.expect_sym(")")
             try:
+                if p == 0:
+                    raise ValueError("GF(0) is not a field; write QQ for the rationals")
                 fld = FieldSpec(p)
             except ValueError as exc:
                 raise ParseSyntaxError(str(exc), field_tok.line, field_tok.col)

@@ -9,11 +9,14 @@ elements, and the certified grade computation all build on this picture.
 Regularity is decided by saturation, in one place: x is regular on R/J
 exactly when (J : x^infinity) = J, and I holds a regular element exactly
 when (J : I^infinity) = J.  Grade is computed by actually finding a maximal
-regular sequence.  The search runs first, since a regular element it finds
-already proves that one exists; existence is decided only once a random
-candidate fails, or a draw is zero or repeated, or the budget runs out, so
-a step that finds an element before that never saturates by I.  When no
-element exists, the current sequence length is the grade and that
+regular sequence.  ``grade`` checks (M, I) once per call; each step is one
+``find_regular_element`` on the step's ideal J_k, which runs one test loop
+over one seeded candidate stream, ``_candidates``: the reduced basis of I,
+then random draws, then a climb in degree.  The search runs first, since a
+regular element it finds already proves that one exists; existence is
+decided only at the first draw that does not succeed, or when the stream
+ends, so a step that finds an element before that never saturates by I.
+When no element exists, the current sequence length is the grade and that
 saturation ships with the answer as its certificate.  On a graded chain a
 candidate that divides zero at one step divides zero at every later step,
 so it is not tested again.  ``verify_grade_witness`` replays each element
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     EmptySupportError,
@@ -182,7 +185,10 @@ def height(J: Ideal) -> int:
     return J.ring.nvars - _dim_of_quotient(J)
 
 
-def _monomial_gens(J: Ideal) -> List[Monomial]:
+def _minimal_monomial_gens(J: Ideal) -> List[Monomial]:
+    """The minimal generators of a proper monomial ideal.  The zero ideal has
+    none, and both callers then return the zero prime: the empty set is its
+    only transversal and its only irreducible component."""
     gens = []
     for g in J.generators:
         if len(g.terms) != 1:
@@ -191,6 +197,9 @@ def _monomial_gens(J: Ideal) -> List[Monomial]:
                 % (g, len(g.terms))
             )
         gens.append(g.terms[0][0])
+    gens = minimalize_monomials(gens)
+    if any(sum(m) == 0 for m in gens):
+        raise ImproperIdealError("the ideal is the whole ring")
     return gens
 
 
@@ -209,11 +218,7 @@ def minimalize_monomials(gens: Iterable[Monomial]) -> List[Monomial]:
 def minimal_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
     """Minimal primes of a monomial ideal: minimal transversals of the
     supports of its minimal generators."""
-    gens = minimalize_monomials(_monomial_gens(J))
-    if not gens:
-        return frozenset({MonomialPrime(J.ring, ())})
-    if any(sum(m) == 0 for m in gens):
-        raise ImproperIdealError("the ideal is the whole ring")
+    gens = _minimal_monomial_gens(J)
     supports = [monomial_support(m) for m in gens]
     covers = minimal_transversals(supports)
     return frozenset(MonomialPrime(J.ring, c) for c in covers)
@@ -290,11 +295,7 @@ def _irredundant(components: List[Tuple[Monomial, ...]]) -> List[Tuple[Monomial,
 def associated_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
     """Associated primes of R/J for monomial J: the supports of the
     components of the irredundant irreducible decomposition."""
-    gens = minimalize_monomials(_monomial_gens(J))
-    if not gens:
-        return frozenset({MonomialPrime(J.ring, ())})
-    if any(sum(m) == 0 for m in gens):
-        raise ImproperIdealError("the ideal is the whole ring")
+    gens = _minimal_monomial_gens(J)
     comps = _irredundant(_irreducible_components(gens))
     primes = set()
     for comp in comps:
@@ -307,15 +308,6 @@ def associated_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
 
 # ---------------------------------------------------------------------------
 # regular elements and grade
-
-
-def _check_module_ideal_pair(M: CyclicModule, I: Ideal) -> None:
-    if I.ring != M.ring:
-        raise IncompatibleRingError("test ideal lives in a different ring")
-    if not I.generators:
-        raise ZeroElementError("the zero test ideal has no regular elements")
-    if membership(M.ring.one(), I):
-        raise ImproperIdealError("the test ideal is the unit ideal")
 
 
 def is_regular(J: Ideal, x: Polynomial) -> bool:
@@ -359,75 +351,39 @@ def _degree_span(basis: Sequence[Polynomial], degree: int) -> List[Polynomial]:
     return list(span)
 
 
-def find_regular_element(
-    M: CyclicModule,
-    I: Ideal,
-    seed: int = 0,
-    zero_divisors: Optional[Set[Polynomial]] = None,
-) -> Optional[Polynomial]:
-    """Search I for an element regular on M = R/J; None exactly when I holds
-    none.
+def _candidates(
+    basis: Sequence[Polynomial], rng: random.Random
+) -> Iterator[Optional[Polynomial]]:
+    """The search's candidate stream from the reduced basis of I, seeded by
+    ``rng``; None stands for a draw that is zero or repeats an earlier
+    candidate.
 
-    Deterministic given the seed.  The reduced basis of I is tried first (so
-    the answer only depends on the ideal, not its presentation).  Random
-    combinations with integer coefficients from a growing range follow.
-    When I is homogeneous the combinations stay homogeneous: a target degree
-    is drawn among the basis degrees and lower-degree basis elements are
-    lifted to it by a random variable power (the lift stays inside I).
-    After 50 * budget draws the search climbs one degree at a time above the
-    top basis degree, 8 draws per degree, each a random combination of every
-    m * g with g in the basis and m a monomial of the complementary degree:
-    over a small prime field the elements outside every associated prime
-    may all lie in higher degree.
+    The basis comes first, so the answer only depends on the ideal, not its
+    presentation.  Random combinations with integer coefficients from a
+    growing range follow.  When I is homogeneous the combinations stay
+    homogeneous: a target degree is drawn among the basis degrees and
+    lower-degree basis elements are lifted to it by a random variable power
+    (the lift stays inside I).  After 50 * budget draws the stream climbs
+    one degree at a time above the top basis degree, 8 draws per degree,
+    each a random combination of every m * g with g in the basis and m a
+    monomial of the complementary degree: over a small prime field the
+    elements outside every associated prime may all lie in higher degree.
 
-    Existence, (J : I^infinity) = J, reads nothing from the seeded stream,
-    so it is decided late without changing the answer: at the first random
-    candidate that fails, or the first draw that is zero or repeats an
-    earlier candidate, or when the budget runs out.  When it fails the
-    answer is None.
-
-    ``zero_divisors``, when given, holds elements known to divide zero on
-    M: a candidate in it counts as tried but is not tested, and every
-    candidate that fails is added to it.  ``grade`` passes one set along a
-    graded chain, where a zero divisor stays one (see ``grade``).
-
-    The search budget of the engine context (``SEARCH_BUDGET`` outside
-    one) bounds the candidates tried, over every phase.  Raises
-    SearchExhaustedError when it runs out, or after another 50 * budget
-    draws in the climb, although a regular element exists.
+    The stream ends after ``search_budget()`` distinct candidates, or after
+    100 * budget draws.
     """
-    _check_module_ideal_pair(M, I)
     budget = search_budget()
-    J = M.defining_ideal
-    basis = list(I.groebner_basis().basis)
-    known = set() if zero_divisors is None else zero_divisors
-
-    def regular(x: Polynomial) -> bool:
-        if x not in known and is_regular(J, x):
-            return True
-        known.add(x)
-        return False
-
-    rng = random.Random(seed)
-    tried = 0
-    attempts = 0
-    seen = set()
-    exists = False  # set once (J : I^infinity) = J has been decided true
-    for g in basis:
-        if tried >= budget:
-            break
-        tried += 1
-        seen.add(g)
-        if regular(g):
-            return g
+    seen = set(basis[:budget])
+    yield from basis[:budget]
+    ring = basis[0].ring
     homogeneous = all(p.is_homogeneous() for p in basis)
     degrees = sorted({p.total_degree() for p in basis})
-    while tried < budget and attempts < 100 * budget:
-        attempts += 1
-        bound = 1 + tried // 8
-        nvars = M.ring.nvars
-        if attempts > 50 * budget:
-            climbed, draw = divmod(attempts - 50 * budget - 1, _DEGREE_DRAWS)
+    for attempt in range(1, 100 * budget + 1):
+        if len(seen) >= budget:
+            return
+        bound = 1 + len(seen) // 8
+        if attempt > 50 * budget:
+            climbed, draw = divmod(attempt - 50 * budget - 1, _DEGREE_DRAWS)
             if draw == 0:
                 span = _degree_span(basis, degrees[-1] + 1 + climbed)
             pool = span
@@ -439,40 +395,71 @@ def find_regular_element(
                 if gap < 0:
                     continue
                 if gap > 0:
-                    lift = [0] * nvars
-                    lift[rng.randrange(nvars)] = gap
-                    p = p.shift(tuple(lift), M.ring.field.one)
+                    lift = [0] * ring.nvars
+                    lift[rng.randrange(ring.nvars)] = gap
+                    p = p.shift(tuple(lift), ring.field.one)
                 pool.append(p)
         else:
             pool = basis
-        x = M.ring.zero()
+        x = ring.zero()
         for p in pool:
             c = rng.randint(-bound, bound)
             if c:
                 x = x + p * c
-        if not (x.is_zero or x in seen):
+        if x.is_zero or x in seen:
+            yield None
+        else:
             seen.add(x)
-            tried += 1
-            if regular(x):
+            yield x
+
+
+def find_regular_element(
+    J: Ideal, I: Ideal, seed: int, known: Set[Polynomial]
+) -> Optional[Polynomial]:
+    """One step of ``grade``: search I for an element regular on R/J, where
+    J is the step's ideal J_k; None exactly when I holds none.  The caller
+    passes a valid pair: I is a nonzero proper ideal of J's ring and J + I
+    is proper, which ``grade`` checks once for the whole chain.
+
+    The candidates come from ``_candidates`` seeded by ``seed``.  ``known``
+    holds elements known to divide zero on R/J: a candidate in it is not
+    tested, and every candidate that fails is added to it.  ``grade`` passes
+    one set along a graded chain, where a zero divisor stays one, and a
+    fresh set otherwise.
+
+    Existence, (J : I^infinity) = J, reads nothing from the seeded stream,
+    so it is decided late without changing the answer: at the first draw
+    that does not succeed (a candidate after the basis that fails, or a
+    None), or when the stream ends.  When it fails the answer is None.
+    Otherwise an exhausted stream raises SearchExhaustedError, although a
+    regular element exists.
+    """
+    basis = I.groebner_basis().basis
+    exists = False
+    # a trailing None marks the end of the stream, which decides existence
+    stream = itertools.chain(_candidates(basis, random.Random(seed)), [None])
+    for k, x in enumerate(stream):
+        if x is not None and x not in known:
+            if is_regular(J, x):
                 return x
-        if not exists:
+            known.add(x)
+        if (x is None or k >= len(basis)) and not exists:
             if not is_saturated(J, I):
                 return None
             exists = True
-    if not exists and not is_saturated(J, I):
-        return None
     raise SearchExhaustedError(
         "no regular element found within budget %d; raise the budget, and over "
         "a small prime field consider characteristic zero or a larger prime"
-        % budget
+        % search_budget()
     )
 
 
 def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     """grade(I, M): the length of a maximal M-regular sequence inside I,
-    found by direct search and certified by the final saturation.  Step k
-    searches with seed ``seed + k`` under the engine context's search
-    budget.
+    found by direct search and certified by the final saturation.  The pair
+    (M, I) is checked once, here: every later J_k lies inside J + I, so no
+    step needs a check of its own.  Step k runs ``find_regular_element`` on
+    J_k with seed ``seed + k`` under the engine context's search budget.
 
     A regular element found by the search proves by itself that the sequence
     extends, so no saturation runs on such a step.  The search returns None
@@ -484,13 +471,17 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     sequence is homogeneous of positive degree, and for such an x regular on
     a graded module N the zero divisors of N divide zero on N/xN too (graded
     Krull intersection: a nonzero m killed by a is x^n * m' with m' not in
-    xN, and a kills m').  So the candidates that failed at earlier steps are
-    handed to each later search, which counts them as tried without testing
-    them again.  Without homogeneity this fails (over QQ[t, s] with
-    J = (t^2 - t), t divides zero on R/J but not on R/(J + st - t + 1)),
-    and every step tests afresh.
+    xN, and a kills m').  So one set of the candidates that failed is handed
+    along the chain, and later steps do not test them again.  Without
+    homogeneity this fails (over QQ[t, s] with J = (t^2 - t), t divides zero
+    on R/J but not on R/(J + st - t + 1)), and every step tests afresh.
     """
-    _check_module_ideal_pair(M, I)
+    if I.ring != M.ring:
+        raise IncompatibleRingError("test ideal lives in a different ring")
+    if not I.generators:
+        raise ZeroElementError("the zero test ideal has no regular elements")
+    if membership(M.ring.one(), I):
+        raise ImproperIdealError("the test ideal is the unit ideal")
     if membership(M.ring.one(), ideal_sum(M.defining_ideal, I)):
         raise IMEqualsMError(
             "I + J is the unit ideal, so I * (R/J) = R/J and grade is undefined"
@@ -499,14 +490,12 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
         p.is_homogeneous()
         for p in M.defining_ideal.groebner_basis().basis + I.groebner_basis().basis
     )
-    zero_divisors: Optional[Set[Polynomial]] = set() if graded else None
+    known: Set[Polynomial] = set()
     current = M.defining_ideal
     sequence: List[Polynomial] = []
     while True:
-        step_module = CyclicModule(M.ring, current)
-        x = find_regular_element(
-            step_module, I, seed=seed + len(sequence), zero_divisors=zero_divisors
-        )
+        step_known = known if graded else set()
+        x = find_regular_element(current, I, seed + len(sequence), step_known)
         if x is None:
             return GradeWitness(len(sequence), tuple(sequence), saturate(current, I))
         sequence.append(x)

@@ -68,9 +68,9 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         c = self.characteristic
-        if c == 0:
-            return
-        if c < 2 or c >= _MAX_PRIME or not _is_prime(c):
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError("field characteristic must be an int, got %r" % (c,))
+        if c != 0 and (c < 2 or c >= _MAX_PRIME or not _is_prime(c)):
             raise ValueError(
                 "field characteristic must be 0 or a prime below 2^31, got %r" % (c,)
             )

@@ -115,6 +115,11 @@ class TestParser:
         with pytest.raises(ParseSyntaxError):
             parse("ring R = GF(4)[x];")
 
+    def test_characteristic_zero_prime_field_rejected(self):
+        # GF(0) would otherwise be read as QQ and printed back as QQ
+        with pytest.raises(ParseSyntaxError, match=r"GF\(0\)"):
+            parse("ring R = GF(0)[x, y]; ideal I = 1/2*x + y; gb I;")
+
     def test_unknown_order_rejected(self):
         with pytest.raises(ParseSyntaxError):
             parse("ring R = QQ[x] order deglex;")

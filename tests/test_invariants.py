@@ -26,6 +26,7 @@ from icmlab.ideal_engine import (
 from icmlab.invariants import (
     CyclicModule,
     MonomialPrime,
+    _candidates,
     associated_primes_monomial,
     find_regular_element,
     grade,
@@ -312,7 +313,7 @@ class TestRegularElements:
             I = Ideal(R, [R.variable(i) for i in range(k)])
             units = [tuple(int(i == j) for j in range(n)) for i in range(k)]
             exists = oracles.saturate_monomial(monos, units)[1] == 0
-            x = find_regular_element(M, I, seed=5)
+            x = find_regular_element(M.defining_ideal, I, seed=5, known=set())
             assert (x is not None) == exists
             seen[exists] += 1
             if exists:
@@ -332,7 +333,7 @@ class TestRegularElements:
         assert not any(is_regular(J, g) for g in basis)
         expected = {0: -(y**2) + x - y, 1: y**2 - x + y, 2: -(y**2) - x - y}
         for seed, element in expected.items():
-            found = find_regular_element(M, I, seed=seed)
+            found = find_regular_element(M.defining_ideal, I, seed=seed, known=set())
             assert found == element
             assert found not in basis
             assert membership(found, I)
@@ -347,7 +348,7 @@ class TestRegularElements:
         x1, x2, x3 = (R.variable(i) for i in range(3))
         J = Ideal(R, [x1 * x3])
         I = Ideal(R, [x1, x2 * x3])
-        x = find_regular_element(CyclicModule(R, J), I, seed=0)
+        x = find_regular_element(J, I, seed=0, known=set())
         assert membership(x, I)
         assert ideal_equal(ideal_quotient(J, x), J)
 
@@ -565,7 +566,7 @@ class TestSearchMemory:
         tested = spy(monkeypatch, "is_regular")
         w = grade(M, I, seed=1)
         assert w.value == 1
-        assert [call.get("zero_divisors") for call in searches] == [None, None]
+        assert len(searches) == 2
         for g in I.groebner_basis().basis:
             assert len([call for call in tested if call["x"] == g]) == 2, g
 
@@ -578,7 +579,7 @@ class TestSearchMemory:
         I = Ideal(R, [x, y**2 + y])
         saturations = spy(monkeypatch, "is_saturated")
         tested = spy(monkeypatch, "is_regular")
-        assert find_regular_element(M, I, seed=1) == y**2 - x + y
+        assert find_regular_element(M.defining_ideal, I, seed=1, known=set()) == y**2 - x + y
         assert len(tested) == 3
         assert not [c for c in saturations if c["I"] is I]
 
@@ -595,7 +596,7 @@ class TestSearchMemory:
         for budget in (1, 2):
             del saturations[:], tested[:]
             with engine_context(budget=budget):
-                assert find_regular_element(M, I, seed=0) is None
+                assert find_regular_element(M.defining_ideal, I, seed=0, known=set()) is None
             assert len(tested) == budget
             assert len([c for c in saturations if c["I"] is I]) == 1
 
@@ -606,7 +607,7 @@ class TestSearchMemory:
         x, y = R.variable(0), R.variable(1)
         M = CyclicModule(R, Ideal(R, [x**2 * y + x * y**2]))
         with engine_context(budget=2), pytest.raises(SearchExhaustedError):
-            find_regular_element(M, Ideal(R, [x, y]), seed=0)
+            find_regular_element(M.defining_ideal, Ideal(R, [x, y]), seed=0, known=set())
 
     @pytest.mark.parametrize("p", [0, 2])
     def test_principal_zero_divisor_stops_after_one_draw(self, monkeypatch, p):
@@ -623,11 +624,42 @@ class TestSearchMemory:
         climbs = spy(monkeypatch, "_degree_span")
         for seed in range(20):
             del saturations[:], tested[:]
-            assert find_regular_element(M, I, seed=seed) is None
+            assert find_regular_element(M.defining_ideal, I, seed=seed, known=set()) is None
             assert len(tested) <= 2  # the basis element and at most one draw
             assert len([c for c in saturations if c["I"] is I]) == 1
         assert not climbs
         assert grade(M, I, seed=0).value == 0
+
+
+class TestSearchStream:
+    def test_candidates_pinned_on_a_homogeneous_basis(self):
+        # I = (x, y^2): after the basis come homogeneous draws, where x is
+        # lifted to degree 2 by a variable power; at seed 2 the fourth item
+        # is a zero draw and the fifth repeats x
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        basis = Ideal(R, [x, y**2]).groebner_basis().basis
+        assert basis == (x, y**2)
+        with engine_context(budget=4):
+            stream = list(_candidates(basis, random.Random(2)))
+        assert stream == [x, y**2, -x, None, None, x * y - y**2]
+        assert len([c for c in stream if c is not None]) == 4
+        with engine_context(budget=1):
+            assert list(_candidates(basis, random.Random(2))) == [x]
+
+    def test_grade_checks_the_pair_once_and_builds_no_module(self, monkeypatch):
+        # every J_k lies inside J + I, so the checks of I and of J + I made
+        # at the start of grade hold on every step
+        M, I = minors_2xn(4)
+        one = M.ring.one()
+        memberships = spy(monkeypatch, "membership")
+        modules = spy(monkeypatch, "CyclicModule")
+        w = grade(M, I, seed=10000)
+        assert w.value == 5
+        assert not modules
+        unit_tests = [call["J"] for call in memberships if call["f"] == one]
+        assert len(unit_tests) == 2
+        assert unit_tests[0] is I
 
 
 class TestSaturationMemo:

@@ -56,6 +56,12 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec(2**31 + 11)
 
+    def test_non_int_characteristic_rejected(self):
+        # 3.0 would make GF(3) with float residues, False would make QQ
+        for c in (3.0, Fraction(5), False, True, "7"):
+            with pytest.raises(ValueError):
+                FieldSpec(c)
+
     def test_field_axioms_seeded_sweep(self):
         rng = random.Random(11)
         for fld in (QQ, GF7, FieldSpec(32003)):
