@@ -471,6 +471,7 @@ class TestStepCounts:
             (katsura, 0, 4, "lex", 15, 4),
             (katsura, 32003, 5, "grevlex", 26, 13),
             (cyclic, 32003, 5, "grevlex", 103, 20),
+            (katsura, 32003, 5, "lex", 147, 5),
         ],
     )
     def test_memo_stores_the_frozen_step_count(self, system, p, nvars, order, steps, size):
