@@ -52,6 +52,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm as integer_lcm
 from operator import add, neg, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -78,6 +79,10 @@ from .ring_core import (
 
 STEP_LIMIT = 100_000  # S-pair reductions per completion outside any context
 SEARCH_BUDGET = 200  # regular-element candidates per search outside any context
+
+# bit k stands for variable k in a support mask; 63 bits keep every mask a
+# machine-word sum, and variables past them get no bit (the filter weakens)
+_BITS = tuple(1 << k for k in range(63))
 
 
 class _Engine(NamedTuple):
@@ -139,7 +144,7 @@ def _integral(g: Polynomial, p: int) -> tuple:
 def _divisor(terms: tuple) -> tuple:
     """The kernel's view of a divisor given by its integer terms."""
     ltm, lc = terms[0]
-    return ltm, sum(ltm), lc, terms[1:]
+    return ltm, sum(ltm), lc, terms[1:], sum(compress(_BITS, ltm))
 
 
 def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
@@ -147,7 +152,8 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
 
     ``work`` (f) maps monomials to nonzero integer coefficients and is
     consumed; ``divs`` holds one ``(leading monomial, its degree, leading
-    coefficient, tail terms)`` per divisor d_i, monic over GF(p).  Returns
+    coefficient, tail terms, support mask)`` per divisor d_i, monic over
+    GF(p), as ``_divisor`` builds it.  Returns
     ``(r, scale)`` with scale * f = sum(q_i * d_i) + r over the integers for
     some q_i, r's terms sorted decreasing; the scale is 1 over GF(p).
 
@@ -160,6 +166,11 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
     so which divisor acts on which monomial is exactly as in the field
     algorithm.  Emitted remainder terms keep the running scale at their
     emission and get the missing factor once, at the end.
+
+    A popped monomial's support mask is taken once; a divisor whose mask has
+    a bit outside it cannot divide, and is passed over before the exponent
+    comparison.  The filter only rejects non-divisors, so the first divisor
+    that divides is the same with it as without.
     """
     heap = [(dkey(m), m) for m in work]
     heapify(heap)
@@ -171,8 +182,9 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
         if c is None:
             continue
         deg = sum(mono)
-        for ltm, ltdeg, lc, tail in divs:
-            if ltdeg <= deg and all(map(int.__le__, ltm, mono)):
+        outside = ~sum(compress(_BITS, mono))
+        for ltm, ltdeg, lc, tail, mask in divs:
+            if ltdeg <= deg and not mask & outside and all(map(int.__le__, ltm, mono)):
                 shift = tuple(map(sub, mono, ltm))
                 if p:
                     q = p - c
@@ -312,8 +324,8 @@ def _s_pair(lcm: Monomial, a: tuple, b: tuple, p: int) -> dict:
     their leading coefficients, (lc_b/g) * lcm/lm_a * a - (lc_a/g) * lcm/lm_b * b,
     whose leading terms cancel, so only the tails enter.  Over GF(p) both
     cofactors are 1."""
-    lta, _, ca, taila = a
-    ltb, _, cb, tailb = b
+    lta, _, ca, taila, _ = a
+    ltb, _, cb, tailb, _ = b
     g = gcd(ca, cb)
     fa, fb = cb // g, ca // g
     shift = tuple(map(sub, lcm, lta))
@@ -379,6 +391,7 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
     divs: List[tuple] = []  # the working basis, as the kernel views it
     lts: List[Monomial] = []
     ltdegs: List[int] = []
+    masks: List[int] = []  # support masks of the leading monomials
     pending: set = set()
     heap: list = []
 
@@ -387,6 +400,7 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
         divs.append(_divisor(terms))
         lts.append(terms[0][0])
         ltdegs.append(sum(lts[j]))
+        masks.append(divs[j][4])
         for i in range(j) if pairs else ():
             lcm = monomial_lcm(lts[i], lts[j])
             if lcm == monomial_mul(lts[i], lts[j]):
@@ -414,11 +428,12 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
             continue
         pending.discard((i, j))
         lcm = monomial_lcm(lts[i], lts[j])
+        outside = ~(masks[i] | masks[j])  # the lcm's support is the union
         chained = False
         for t in range(len(divs)):
             if t == i or t == j:
                 continue
-            if ltdegs[t] <= deg and all(map(int.__le__, lts[t], lcm)):
+            if ltdegs[t] <= deg and not masks[t] & outside and all(map(int.__le__, lts[t], lcm)):
                 a = (i, t) if i < t else (t, i)
                 b = (j, t) if j < t else (t, j)
                 if a not in pending and b not in pending:
@@ -436,8 +451,11 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
     # minimal basis: scan by increasing leading monomial, drop dominated ones
     kept: List[int] = []
     for j in sorted(range(len(divs)), key=lambda j: dkey(lts[j]), reverse=True):
-        lm, d = lts[j], ltdegs[j]
-        if any(ltdegs[k] <= d and all(map(int.__le__, lts[k], lm)) for k in kept):
+        lm, d, outside = lts[j], ltdegs[j], ~masks[j]
+        if any(
+            ltdegs[k] <= d and not masks[k] & outside and all(map(int.__le__, lts[k], lm))
+            for k in kept
+        ):
             continue
         kept.append(j)
     minimal = [divs[j] for j in kept]
@@ -446,12 +464,12 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
     for idx in range(len(minimal)):
         others = minimal[:idx] + minimal[idx + 1 :]
         if others:
-            ltm, _, lc, tail = minimal[idx]
+            ltm, _, lc, tail, _ = minimal[idx]
             r = _reduce(dict(((ltm, lc),) + tail), others, p, dkey)[0]
             minimal[idx] = _divisor(_normalize(r, p))
 
     # kept is ascending in the order and autoreduction keeps leading terms
-    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail in minimal)
+    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
     gb = ReducedGB(ring, basis, steps)
     if memo is not None:
         memo[memo_key] = gb
