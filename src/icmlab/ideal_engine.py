@@ -161,11 +161,13 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
     term as it enters; a step adds only terms below the one it consumes, so
     r comes out already sorted, and a term cancelled to zero leaves a stale
     entry that is skipped when popped.  Over QQ a step against leading
-    coefficient lc consumes c * x^a by scaling the work by lc/gcd(lc, c) and
-    subtracting (c/gcd(lc, c)) * x^a/lm * tail: the field step times a unit,
-    so which divisor acts on which monomial is exactly as in the field
-    algorithm.  Emitted remainder terms keep the running scale at their
-    emission and get the missing factor once, at the end.
+    coefficient lc consumes c * x^a, with g the gcd of lc and c given lc's
+    sign, by scaling the work by lc/g > 0 and subtracting (c/g) *
+    x^a/lm * tail: the field step times a unit, so which divisor acts on
+    which monomial is exactly as in the field algorithm.  Emitted remainder
+    terms keep the running scale at their emission and get the missing
+    factor once, at the end; the scale only grows, so it ends at 1 only
+    when no step scaled.
 
     A popped monomial's support mask is taken once; a divisor whose mask has
     a bit outside it cannot divide, and is passed over before the exponent
@@ -191,7 +193,7 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
                 elif lc == 1:
                     q = -c
                 else:
-                    g = gcd(lc, c)
+                    g = gcd(lc, c) if lc > 0 else -gcd(lc, c)
                     q = -(c // g)
                     s = lc // g
                     if s != 1:

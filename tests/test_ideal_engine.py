@@ -3,8 +3,10 @@ import contextlib
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icmlab import ideal_engine
 from icmlab.errors import (
@@ -31,7 +33,14 @@ from icmlab.ideal_engine import (
     is_saturated,
     saturate,
 )
-from icmlab.ring_core import FieldSpec, Polynomial, RingDescriptor, TermOrder, remap_variables
+from icmlab.ring_core import (
+    FieldSpec,
+    Polynomial,
+    RingDescriptor,
+    TermOrder,
+    monomial_divides,
+    remap_variables,
+)
 
 import oracles
 
@@ -127,6 +136,14 @@ class TestDivision:
                         assert not all(a <= b for a, b in zip(d.leading_monomial(), mono))
         assert non_unit >= 40 and repeated >= 10
 
+    def test_negative_leading_coefficient_scales_every_remainder_term(self):
+        # dividing by 1 - x first scales the work by -1, emits y^2, and
+        # scales by -1 again: the scale is back at 1, and y^2 still needs
+        # the factor -1 of its emission
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        assert kernel_remainder(x**2 + y**2 + x, [1 - x]) == y**2 + 2
+
     def test_recreated_monomial_is_divided_again(self):
         # f = x^2 + y + z over [x^2 + x + y, x - y]: the first step cancels y
         # and leaves -x; dividing -x by x - y re-creates y, so y enters the
@@ -173,6 +190,68 @@ def assert_same_remainder(f, divisors):
     r = kernel_remainder(f, divisors)
     assert r.terms == oracles.oracle_divide(f, divisors)[1].terms
     return r
+
+
+def support_mask(m):
+    """The support mask the kernel gives a divisor with leading monomial m."""
+    return ideal_engine._divisor(((m, 1),))[4]
+
+
+class TestSupportMask:
+    """The kernel passes over a divisor whose leading monomial's support
+    mask has a bit outside the work monomial's.  That filter must never
+    pass over a divisor that divides, also in a ring with more variables
+    than the mask has bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_never_rejects_a_dividing_leading_monomial(self, data):
+        nbits = len(ideal_engine._BITS)
+        n = data.draw(st.sampled_from([1, 4, nbits - 1, nbits, nbits + 1, 300]), label="nvars")
+        # sparse exponent vectors: most exponents zero, the zero vector included
+        support = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=6)
+        mono = support.map(lambda e: tuple(e.get(k, 0) for k in range(n)))
+        a, b = data.draw(mono, label="a"), data.draw(mono, label="b")
+        # a random b, and a multiple of a
+        for m in (b, tuple(map(add, a, b))):
+            if monomial_divides(a, m):
+                assert not support_mask(a) & ~support_mask(m)
+        # every variable that has a bit sets it exactly when it occurs
+        assert support_mask(a) == sum(1 << k for k, e in enumerate(a[:nbits]) if e)
+
+    def test_remainders_match_oracle_in_a_ring_wider_than_the_mask(self):
+        rng = random.Random(59)
+        nbits = len(ideal_engine._BITS)
+        # variables on both sides of the last bit, and far past it
+        hot = (0, 1, nbits - 2, nbits - 1, nbits, nbits + 1, 150, 299)
+        unmasked_steps = 0
+        for p in (0, 32003):
+            for order in ("lex", "grevlex"):
+                R = RingDescriptor(FieldSpec(p), tuple("x%d" % i for i in range(300)), TermOrder(order))
+
+                def poly(nterms, degree):
+                    acc = {}
+                    for _ in range(nterms):
+                        e = [0] * R.nvars
+                        for _ in range(rng.randint(0, degree)):
+                            e[rng.choice(hot)] += 1
+                        acc[tuple(e)] = acc.get(tuple(e), 0) + rng.randint(-4, 4)
+                    return R.polynomial(acc)
+
+                for _ in range(8):
+                    divisors = [d for d in (poly(3, 3) for _ in range(3)) if not d.is_zero]
+                    f = poly(4, 4)
+                    for d in divisors:
+                        f = f + poly(2, 2) * d
+                    assert_same_remainder(f, divisors)
+                    unmasked_steps += sum(
+                        support_mask(d.leading_monomial()) == 0
+                        and any(monomial_divides(d.leading_monomial(), m) for m, _ in f.terms)
+                        for d in divisors
+                        if sum(d.leading_monomial())
+                    )
+        # divisors led by variables without a bit did act on the dividends
+        assert unmasked_steps >= 5
 
 
 # ---------------------------------------------------------------------------
