@@ -20,6 +20,15 @@ only at the boundary: when the reduced basis leaves, made monic, and when
 algorithm's.  ``divide`` is exact division by one polynomial, the last step
 of the colon by an element.
 
+Every divisibility test (the kernel's, the chain criterion's and the
+minimal-basis scan's) first compares support masks: one bit per variable,
+set where the exponent is nonzero, so a monomial whose mask has a bit
+outside another's cannot divide it (the "short exponent vectors" of
+Bachmann & Schoenemann, ISSAC 1998, cut to one bit per variable).  Each
+divisor carries its leading monomial's mask; variables past ``_BITS`` get
+no bit, which only weakens the filter.  It passes over non-divisors only,
+so every basis and step count is the same as without it.
+
 Completion is budgeted: the number of S-polynomial reductions is capped,
 and the engine fails loudly when the cap is hit rather than spinning.
 

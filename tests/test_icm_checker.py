@@ -18,7 +18,7 @@ from icmlab.icm_checker import (
     subideal_transfer_check,
 )
 from icmlab.ideal_engine import Ideal, ideal_intersect
-from icmlab.invariants import CyclicModule, MonomialPrime, grade
+from icmlab.invariants import CyclicModule, MonomialPrime, grade, verify_grade_witness
 from icmlab.ring_core import FieldSpec, RingDescriptor
 
 QQ = FieldSpec(0)
@@ -108,6 +108,21 @@ class TestIcmReport:
         assert rep.dim_m_mod_im == 0
         assert rep.defect == 1
         assert rep.is_icm is False
+
+    @pytest.mark.parametrize("p", [0, 32003])
+    def test_rational_quartic_is_not_cohen_macaulay(self, p):
+        # the rational quartic curve (s^4, s^3 t, s t^3, t^4) in P^3: its cone
+        # has dimension 2 and depth 1 at the maximal ideal, a closed form of
+        # the negative verdict at a size beyond the two planes
+        R = RingDescriptor(FieldSpec(p), ("a", "b", "c", "d"))
+        a, b, c, d = (R.variable(i) for i in range(4))
+        J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d])
+        M, m = CyclicModule(R, J), Ideal(R, [a, b, c, d])
+        rep = icm_report(M, m, seed=1)
+        assert (rep.grade.value, rep.defect, rep.dim_m, rep.dim_m_mod_im) == (1, 1, 2, 0)
+        assert rep.is_icm is False
+        # the replay raises on the first step or certificate that fails
+        verify_grade_witness(M, m, rep.grade)
 
     def test_defect_nonnegative_spot_checks(self):
         rng = random.Random(13)
