@@ -37,7 +37,8 @@ and the engine fails loudly when the cap is hit rather than spinning.
 of every completion, the candidate budget of the regular-element search
 (read through ``search_budget``), and a memo: of reduced bases keyed by
 ring (order included), settled prefix (below) and ordered generator list,
-and of saturations keyed by ring and both generator lists.  Outside any
+and of saturations and regularity decisions keyed by ring and both
+generator lists.  Outside any
 context the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
 memoized.  The memo and the step limit share the context's lifetime, so a
 stored basis always met the limit in force; a basis cached on an ``Ideal``
@@ -49,7 +50,10 @@ new variable y and the generic element f_y = sum y^(i-1) * g_i,
 (J : I^infinity) = (J + <1 - t*f_y>) cap k[x], the tags t and y eliminated
 together; for s = 1 it is the Rabinowitsch test of one element.  That
 completion starts from J's reduced grevlex basis with the pairs inside it
-settled, and adds only 1 - t*f_y.  The colon by an ideal uses the
+settled, and adds only 1 - t*f_y.  Whether one element f divides zero
+on R/J is decided by that completion for 1 - t*f, stopped at the first
+element it adds with a t-free leading monomial: that element lies in
+(J : f^infinity) and not in J.  The colon by an ideal uses the
 same generic element: (J : I) = (J*R[y] : f_y) cap R, one colon by an
 element in R[y] and one elimination of y, in place of s colons and s - 1
 intersections.
@@ -390,7 +394,7 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
     basis already: the pairs inside it are never formed, so never pending,
     and the chain criterion stays sound.  The memo key keeps the settled
     prefix apart from the generators."""
-    limit, _, memo = _ENGINE.get()
+    memo = _ENGINE.get().memo
     if memo is not None:
         memo_key = (ring, tuple(g.terms for g in settled), tuple(g.terms for g in gens))
         hit = memo.get(memo_key)
@@ -400,13 +404,60 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
     p = ring.field.characteristic
     dkey = ring.order.descending_key
     divs: List[tuple] = []  # the working basis, as the kernel views it
+    steps = _grow(ring, gens, settled, divs)
+
+    # minimal basis: scan by increasing leading monomial, drop dominated ones;
+    # leading monomials are distinct, each one reduced by those before it
+    minimal: List[tuple] = []
+    for d in sorted(divs, key=lambda d: dkey(d[0]), reverse=True):
+        lm, deg, _, _, mask = d
+        outside = ~mask
+        if any(
+            k[1] <= deg and not k[4] & outside and all(map(int.__le__, k[0], lm))
+            for k in minimal
+        ):
+            continue
+        minimal.append(d)
+
+    # full autoreduction; leading terms are pairwise non-dividing so they survive
+    for idx in range(len(minimal)):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        if others:
+            ltm, _, lc, tail, _ = minimal[idx]
+            r = _reduce(dict(((ltm, lc),) + tail), others, p, dkey)[0]
+            minimal[idx] = _divisor(_normalize(r, p))
+
+    # minimal is ascending in the order and autoreduction keeps leading terms
+    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
+    gb = ReducedGB(ring, basis, steps)
+    if memo is not None:
+        memo[memo_key] = gb
+    return gb
+
+
+def _grow(
+    ring: RingDescriptor,
+    gens: List[Polynomial],
+    settled: Sequence,
+    divs: List[tuple],
+    stop: Optional[Callable[[Monomial], bool]] = None,
+) -> Optional[int]:
+    """The pair loop of ``_complete``: appends ``settled``, then every
+    nonzero remainder of ``gens`` and of the S-pairs, to ``divs`` in kernel
+    form, and returns the number of S-pair reductions, under the step limit
+    in force.  With ``stop`` given, it returns None as soon as an element
+    joins whose leading monomial satisfies it."""
+    limit = _ENGINE.get().step_limit
+    p = ring.field.characteristic
+    dkey = ring.order.descending_key
     lts: List[Monomial] = []
     ltdegs: List[int] = []
     masks: List[int] = []  # support masks of the leading monomials
     pending: set = set()
     heap: list = []
 
-    def add_poly(terms: tuple, pairs: bool = True) -> None:
+    def add_poly(terms: tuple, pairs: bool = True) -> bool:
+        """Adds a basis element; True when ``stop`` holds for it."""
         j = len(divs)
         divs.append(_divisor(terms))
         lts.append(terms[0][0])
@@ -421,6 +472,7 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
             # one flat entry per pair: pairs pop by lcm degree, then by
             # increasing lcm in the term order (the negated descending key)
             heappush(heap, (sum(lcm), *map(neg, dkey(lcm)), i, j))
+        return stop is not None and stop(lts[j])
 
     for g in settled:
         add_poly(_integral(g, p)[0], pairs=False)
@@ -428,8 +480,8 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
         if g.is_zero:
             continue
         r = _reduce(dict(g.terms if p else _integral(g, p)[0]), divs, p, dkey)[0]
-        if r:
-            add_poly(_normalize(r, p))
+        if r and add_poly(_normalize(r, p)):
+            return None
 
     steps = 0
     while heap:
@@ -456,35 +508,9 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
         if steps > limit:
             raise _step_limit_error(limit)
         r = _reduce(_s_pair(lcm, divs[i], divs[j], p), divs, p, dkey)[0]
-        if r:
-            add_poly(_normalize(r, p))
-
-    # minimal basis: scan by increasing leading monomial, drop dominated ones
-    kept: List[int] = []
-    for j in sorted(range(len(divs)), key=lambda j: dkey(lts[j]), reverse=True):
-        lm, d, outside = lts[j], ltdegs[j], ~masks[j]
-        if any(
-            ltdegs[k] <= d and not masks[k] & outside and all(map(int.__le__, lts[k], lm))
-            for k in kept
-        ):
-            continue
-        kept.append(j)
-    minimal = [divs[j] for j in kept]
-
-    # full autoreduction; leading terms are pairwise non-dividing so they survive
-    for idx in range(len(minimal)):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        if others:
-            ltm, _, lc, tail, _ = minimal[idx]
-            r = _reduce(dict(((ltm, lc),) + tail), others, p, dkey)[0]
-            minimal[idx] = _divisor(_normalize(r, p))
-
-    # kept is ascending in the order and autoreduction keeps leading terms
-    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
-    gb = ReducedGB(ring, basis, steps)
-    if memo is not None:
-        memo[memo_key] = gb
-    return gb
+        if r and add_poly(_normalize(r, p)):
+            return None
+    return steps
 
 
 def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
@@ -608,26 +634,29 @@ def _fresh_name(existing: Sequence[str], base: str) -> str:
     return "%s%d" % (base, k)
 
 
-def _eliminate_tag(
-    ring: RingDescriptor, ntags: int, build: Callable[..., List[Polynomial]], seed: Sequence = ()
-) -> Ideal:
-    """K intersect k[ring] for K = <seed, build(lift, *tags)> in k[tags, ring],
-    with ``ntags`` fresh tag variables (t, then y) and ``lift`` the inclusion
-    of ``ring``: one Groebner basis under an order eliminating the tags, whose
-    tag-free elements generate the answer.  ``seed`` is a grevlex Groebner
-    basis over ``ring``'s variables; tag-free monomials compare by the
-    order's grevlex tail block, so lifted it is one in k[tags, ring] too, and
-    the completion starts from it as settled."""
+def _tag_ring(ring: RingDescriptor, ntags: int) -> tuple:
+    """``(aug, lift, tags)``: k[tags, ring] with ``ntags`` fresh tag
+    variables (t, then y) under an order eliminating them, the inclusion
+    ``lift`` of ``ring`` into it, and the tags as polynomials of ``aug``.
+    Tag-free monomials compare by the order's grevlex tail block."""
     tags: Tuple[str, ...] = ()
     for base in ("t",) + ("y",) * (ntags - 1):
         tags += (_fresh_name(ring.variables + tags, base),)
     aug = RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
-    lift = list(range(ntags, ntags + ring.nvars))
-    G = _complete(
-        aug,
-        build(lambda g: remap_variables(g, aug, lift), *map(aug.variable, range(ntags))),
-        [remap_variables(g, aug, lift) for g in seed],
-    )
+    positions = list(range(ntags, ntags + ring.nvars))
+    return aug, lambda g: remap_variables(g, aug, positions), [aug.variable(i) for i in range(ntags)]
+
+
+def _eliminate_tag(
+    ring: RingDescriptor, ntags: int, build: Callable[..., List[Polynomial]], seed: Sequence = ()
+) -> Ideal:
+    """K intersect k[ring] for K = <seed, build(lift, *tags)> in k[tags, ring]
+    (``_tag_ring``): one Groebner basis under an order eliminating the tags,
+    whose tag-free elements generate the answer.  ``seed`` is a grevlex
+    Groebner basis over ``ring``'s variables; lifted it is one in
+    k[tags, ring] too, and the completion starts from it as settled."""
+    aug, lift, tags = _tag_ring(ring, ntags)
+    G = _complete(aug, build(lift, *tags), [lift(g) for g in seed])
     drop = [None] * ntags + list(range(ring.nvars))
     out = []
     for p in G.basis:
@@ -737,6 +766,42 @@ def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
     if memo is not None:
         memo[memo_key] = out
     return out
+
+
+def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
+    """True when f is a nonzerodivisor on R/J, i.e. (J : f^infinity) = J.
+
+    The completion of J + <1 - t*f> that ``_saturation`` runs, seeded with
+    J's reduced grevlex basis settled, decides it on its way.  Every element
+    it adds is a nonzero remainder reduced by a Groebner basis of J, so not
+    in J; one whose leading monomial is free of t is free of t (the order
+    eliminates t), so it lies in (J : f^infinity) outside J, and the
+    completion stops there with False.  When the pairs run out without
+    one, the tag-free part of the basis is J's, and the answer is True.
+    For f in J that happens at once: 1 - t*f reduces to 1.  No minimal
+    basis, contraction or normal form is built.  Inside an engine context
+    the answer is memoized by (ring, J's generator terms, f's terms) before
+    anything is lifted, and a stored saturation of the pair answers too.
+    """
+    if f.ring != J.ring:
+        raise IncompatibleRingError("polynomial outside the ideal's ring")
+    if f.is_zero:
+        raise ZeroElementError("saturation by the zero ideal is undefined")
+    memo = _ENGINE.get().memo
+    if memo is not None:
+        key = (J.ring, tuple(g.terms for g in J.generators), (f.terms,))
+        hit = memo.get(("regular",) + key)
+        if hit is None:
+            sat = memo.get(("saturation",) + key)
+            hit = None if sat is None else not any(sat[1])
+        if hit is not None:
+            return hit
+    aug, lift, (t,) = _tag_ring(J.ring, 1)
+    seed = [lift(g) for g in _grevlex_basis(J).basis]
+    regular = _grow(aug, [1 - t * lift(f)], seed, [], stop=lambda lm: not lm[0]) is not None
+    if memo is not None:
+        memo[("regular",) + key] = regular
+    return regular
 
 
 def is_saturated(J: Ideal, I: Ideal) -> bool:

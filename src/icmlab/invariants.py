@@ -6,10 +6,14 @@ smallest set of variables meeting the support of every minimal generator.
 Minimal primes, associated primes (via irreducible decomposition), regular
 elements, and the certified grade computation all build on this picture.
 
-Regularity is decided by saturation, in one place: x is regular on R/J
-exactly when (J : x^infinity) = J, and I holds a regular element exactly
-when (J : I^infinity) = J.  Grade is computed by actually finding a maximal
-regular sequence.  ``grade`` checks (M, I) once per call; each step is one
+Regularity rests on saturation: x is regular on R/J exactly when
+(J : x^infinity) = J, and I holds a regular element exactly when
+(J : I^infinity) = J.  ``is_regular`` decides the first by
+``is_nonzerodivisor``, whose Rabinowitsch completion stops at the first
+element of (J : x^infinity) outside J and builds no saturation; the second,
+the existence test, builds the saturation, which is also the certificate.
+Grade is computed by actually finding a maximal regular sequence.
+``grade`` checks (M, I) once per call; each step is one
 ``find_regular_element`` on the step's ideal J_k, which runs one test loop
 over one seeded candidate stream, ``_candidates``: the reduced basis of I,
 then random draws, then a climb in degree.  The search runs first, since a
@@ -45,6 +49,7 @@ from .ideal_engine import (
     SaturationResult,
     ideal_equal,
     ideal_sum,
+    is_nonzerodivisor,
     is_saturated,
     membership,
     saturate,
@@ -312,8 +317,10 @@ def associated_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
 
 def is_regular(J: Ideal, x: Polynomial) -> bool:
     """True when x is regular on R/J.  Since J <= (J : x) <= (J : x^infinity),
-    (J : x) = J holds exactly when the saturation by x adds nothing."""
-    return is_saturated(J, Ideal(J.ring, (x,)))
+    (J : x) = J holds exactly when the saturation by x adds nothing, which
+    ``is_nonzerodivisor`` decides without building the saturation: its
+    completion stops at the first element of (J : x^infinity) outside J."""
+    return is_nonzerodivisor(J, x)
 
 
 def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) -> Ideal:
