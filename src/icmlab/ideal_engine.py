@@ -778,8 +778,8 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     eliminates t), so it lies in (J : f^infinity) outside J, and the
     completion stops there with False.  When the pairs run out without
     one, the tag-free part of the basis is J's, and the answer is True.
-    For f in J that happens at once: 1 - t*f reduces to 1.  No minimal
-    basis, contraction or normal form is built.  Inside an engine context
+    For f in J it stops at the generator, since 1 - t*f reduces to 1.  No
+    minimal basis, contraction or normal form is built.  Inside an engine context
     the answer is memoized by (ring, J's generator terms, f's terms) before
     anything is lifted, and a stored saturation of the pair answers too.
     """
@@ -789,18 +789,18 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
         raise ZeroElementError("saturation by the zero ideal is undefined")
     memo = _ENGINE.get().memo
     if memo is not None:
-        key = (J.ring, tuple(g.terms for g in J.generators), (f.terms,))
-        hit = memo.get(("regular",) + key)
-        if hit is None:
-            sat = memo.get(("saturation",) + key)
-            hit = None if sat is None else not any(sat[1])
-        if hit is not None:
-            return hit
+        pair = (J.ring, tuple(g.terms for g in J.generators), (f.terms,))
+        sat = memo.get(("saturation",) + pair)
+        if sat is not None:
+            return not any(sat[1])
+        memo_key = ("regular",) + pair
+        if memo_key in memo:
+            return memo[memo_key]
     aug, lift, (t,) = _tag_ring(J.ring, 1)
     seed = [lift(g) for g in _grevlex_basis(J).basis]
     regular = _grow(aug, [1 - t * lift(f)], seed, [], stop=lambda lm: not lm[0]) is not None
     if memo is not None:
-        memo[("regular",) + key] = regular
+        memo[memo_key] = regular
     return regular
 
 

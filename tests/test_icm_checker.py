@@ -37,6 +37,17 @@ def golden_instance():
     return R, CyclicModule(R, J), Ideal(R, xs)
 
 
+def _substitute(f, images):
+    """f with its k-th variable replaced by ``images[k]``."""
+    out = f.ring.zero()
+    for mono, c in f.terms:
+        term = f.ring.one() * c
+        for image, e in zip(images, mono):
+            term = term * image**e
+        out = out + term
+    return out
+
+
 def two_planes():
     """R = QQ[x1, x2, y1, y2], M = R/((x1, x2) cap (y1, y2)): two planes
     through a point, so depth 1 < dim 2 at the maximal ideal."""
@@ -123,6 +134,40 @@ class TestIcmReport:
         assert rep.is_icm is False
         # the replay raises on the first step or certificate that fails
         verify_grade_witness(M, m, rep.grade)
+
+    @pytest.mark.parametrize("p", [0, 32003])
+    @pytest.mark.parametrize(
+        "phi",
+        [lambda a, b, c, d: (d, a - c, c + d, b), lambda a, b, c, d: (d, a + c, c - d, b + c + d)],
+    )
+    def test_rational_quartic_under_a_change_of_coordinates(self, monkeypatch, p, phi):
+        # the quartic's image under a permuted unitriangular substitution
+        # (entries in {-1, 0, 1}) keeps its closed form; I = (a, b, c, d) is
+        # fixed by it.  The chain is mostly zero divisors, and each answer of
+        # is_regular is checked against the full saturation by the element
+        R = RingDescriptor(FieldSpec(p), ("a", "b", "c", "d"))
+        a, b, c, d = (R.variable(i) for i in range(4))
+        images = phi(a, b, c, d)
+        J = Ideal(R, [
+            _substitute(g, images)
+            for g in (b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d)
+        ])
+        M, m = CyclicModule(R, J), Ideal(R, [a, b, c, d])
+        answers = []
+        real = invariants.is_regular
+
+        def recorded(K, x):
+            answers.append((K, x, real(K, x)))
+            return answers[-1][2]
+
+        monkeypatch.setattr(invariants, "is_regular", recorded)
+        rep = icm_report(M, m, seed=1)
+        assert (rep.grade.value, rep.defect, rep.dim_m, rep.dim_m_mod_im) == (1, 1, 2, 0)
+        assert rep.is_icm is False
+        verify_grade_witness(M, m, rep.grade)
+        assert [regular for _, _, regular in answers].count(False) >= 5
+        for K, x, regular in answers:
+            assert regular == invariants.is_saturated(K, Ideal(R, [x])), x
 
     def test_defect_nonnegative_spot_checks(self):
         rng = random.Random(13)

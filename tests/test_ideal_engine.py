@@ -30,6 +30,7 @@ from icmlab.ideal_engine import (
     membership,
     normal_form,
     s_polynomial,
+    is_nonzerodivisor,
     is_saturated,
     saturate,
 )
@@ -833,6 +834,126 @@ class TestSaturationMemo:
             again_plain, again_seeded = tagged_completions(J, I)
         assert seeded == plain and seeded is not plain and seeded.steps < plain.steps
         assert again_plain is plain and again_seeded is seeded
+
+
+class TestNonzerodivisor:
+    """``is_nonzerodivisor``, the completion of J + <1 - t*f> stopped at its
+    first t-free element, against the full saturation by f: ``_saturation``
+    and ``oracles.oracle_saturate``."""
+
+    KINDS = ("drawn J", "J by powers of f", "f in J", "J = 0", "inhomogeneous J")
+
+    @staticmethod
+    def case(rng, ring, kind):
+        f = ring.zero()
+        while f.is_zero or f.total_degree() == 0:
+            f = random_poly(rng, ring, max_terms=3, max_exp=2)
+        gens = [random_poly(rng, ring, max_terms=2, max_exp=2) for _ in range(rng.randint(1, 2))]
+        if kind == "J by powers of f":
+            gens = [g * f ** rng.randint(1, 2) for g in gens]
+        elif kind == "f in J":
+            gens = [g for g in gens if not g.is_zero] or [ring.variable(0)]
+            f = ring.zero()
+            while f.is_zero:
+                f = gens[0] * random_poly(rng, ring, max_terms=2, max_exp=1)
+        elif kind == "J = 0":
+            gens = []
+        elif kind == "inhomogeneous J":
+            gens = [g * (f + 1) for g in gens]
+        return Ideal(ring, gens), f
+
+    def test_matches_the_saturation(self):
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for names, order in (
+                (("x", "y", "z"), TermOrder("lex")),
+                (("x", "y", "z"), TermOrder("grevlex")),
+                # a ring variable named t: the tag must take another name
+                (("t", "u", "v"), TermOrder("elimination-block", 1)),
+            ):
+                ring = RingDescriptor(FieldSpec(p), names, order)
+                rng = random.Random(31 * p + len(order.kind))
+                for trial in range(15):
+                    kind = self.KINDS[trial % len(self.KINDS)]
+                    J, f = self.case(rng, ring, kind)
+                    if f.is_zero:
+                        continue
+                    I = Ideal(ring, [f])
+                    want = oracles.oracle_saturate(J, I)[1] == 0
+                    assert is_nonzerodivisor(J, f) == want, (J, f)
+                    assert (not any(ideal_engine._saturation(J, I)[1])) == want, (J, f)
+                    with engine_context():
+                        assert is_nonzerodivisor(J, f) == is_nonzerodivisor(J, f) == want, (J, f)
+                    seen[kind] += 1
+                    seen["regular" if want else "zero divisor"] += 1
+                    seen["%s, %s" % ("GF(%d)" % p if p else "QQ", order.kind)] += 1
+                    seen["inhomogeneous"] += not all(g.is_homogeneous() for g in J.generators)
+        assert seen["f in J"] == seen["J = 0"] == 36, seen
+        assert min(seen[k] for k in self.KINDS) >= 30, seen
+        assert len([k for k in seen if "," in k]) == 12, seen
+        assert seen["regular"] >= 40 and seen["zero divisor"] >= 40, seen
+        assert seen["inhomogeneous"] >= 60, seen
+
+    @pytest.fixture
+    def kernel_runs(self, monkeypatch):
+        count = [0]
+        real = ideal_engine._reduce
+
+        def counting(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ideal_engine, "_reduce", counting)
+        return count
+
+    def test_f_in_J_is_decided_at_the_generator(self, kernel_runs):
+        # 1 - t*f reduces to 1 modulo J, which is t-free: one kernel run, no
+        # pair; for J = R it reduces to 0 and f is regular, as (R : f) = R
+        ring, J, v = minors_2xn(4)
+        J.groebner_basis()
+        f = J.generators[0] * (v[0] + v[5])
+        kernel_runs[0] = 0
+        assert not is_nonzerodivisor(J, f)
+        assert kernel_runs[0] == 1
+        unit = Ideal(ring, [ring.one()])
+        unit.groebner_basis()
+        assert is_nonzerodivisor(unit, v[0]) and is_saturated(unit, Ideal(ring, v[:1]))
+
+    def test_a_zero_divisor_stops_before_the_saturation_ends(self, kernel_runs):
+        # the rational quartic has depth 1, so modulo it and a every
+        # variable divides zero; the decision on d reduces far less than
+        # the full saturation by d
+        R = ring_qq("a", "b", "c", "d")
+        a, b, c, d = (R.variable(i) for i in range(4))
+        J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d, a])
+        J.groebner_basis()
+        kernel_runs[0] = 0
+        assert not is_nonzerodivisor(J, d)
+        decided = kernel_runs[0]
+        assert not is_saturated(J, Ideal(R, [d]))
+        assert 0 < 3 * decided < kernel_runs[0] - decided
+
+    def test_memo(self, monkeypatch):
+        runs = []
+        real = ideal_engine._grow
+        monkeypatch.setattr(ideal_engine, "_grow", lambda *a, **k: runs.append(a) or real(*a, **k))
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        J = Ideal(R, [x * y, x * z])
+        J.groebner_basis()
+        del runs[:]
+        assert not is_nonzerodivisor(J, y) and not is_nonzerodivisor(J, y)
+        assert len(runs) == 2  # nothing is memoized outside a context
+        with engine_context():
+            assert not is_nonzerodivisor(J, y) and not is_nonzerodivisor(J, y)
+            assert len(runs) == 3
+            # a stored saturation of the pair answers without a completion
+            assert is_saturated(J, Ideal(R, [x + y]))
+            done = len(runs)
+            assert is_nonzerodivisor(J, x + y)
+            assert len(runs) == done
+        with pytest.raises(ZeroElementError):
+            is_nonzerodivisor(J, R.zero())
 
 
 class TestColonByIdeal:

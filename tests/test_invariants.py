@@ -501,8 +501,9 @@ class TestGrade:
 
 def spy(monkeypatch, name):
     """Record the arguments of every call to ``invariants.<name>``, by
-    parameter name.  ``is_regular`` calls ``is_saturated`` too, so existence
-    tests are the ``is_saturated`` calls whose ``I`` is the test ideal."""
+    parameter name.  Only existence tests call ``is_saturated``, but a test
+    that passes a principal ``I`` of its own can call it as well, so
+    existence tests are the calls whose ``I`` is the test ideal."""
     import icmlab.invariants as inv
 
     calls = []
@@ -687,6 +688,36 @@ class TestSaturationMemo:
         monkeypatch.setattr(ideal_engine, "_saturation", tracked)
         monkeypatch.setattr(ideal_engine, "_eliminate_tag", counted)
         return out
+
+    def test_regularity_tests_build_no_tagged_input(self, monkeypatch):
+        # is_regular decides by a completion that stops at its witness and
+        # builds no saturation: inside an engine context, grade on the 2x4
+        # minors makes one _eliminate_tag call per existence test, and the
+        # certificate and the replay reuse those builds
+        from icmlab import ideal_engine
+
+        eliminations = []
+        real = ideal_engine._eliminate_tag
+        monkeypatch.setattr(
+            ideal_engine, "_eliminate_tag", lambda *args: eliminations.append(args) or real(*args)
+        )
+        M, I = minors_2xn(4)
+        existence = spy(monkeypatch, "is_saturated")
+        tested = spy(monkeypatch, "is_regular")
+        with engine_context():
+            w = grade(M, I, seed=10000)
+            assert w.value == 5 and len(tested) == 15
+            assert len(existence) == len(eliminations) == 2
+            assert all(call["I"] is I for call in existence)
+            verify_grade_witness(M, I, w)
+            assert len(tested) == 20 and len(eliminations) == 2
+        # x1 is regular on the minors; modulo them and x1, y1 * x2 = 0
+        x1, x2, y1 = I.generators[0], I.generators[1], I.generators[4]
+        J = ideal_sum(M.defining_ideal, Ideal(M.ring, [x1]))
+        del eliminations[:]
+        assert is_regular(M.defining_ideal, x1) and not is_regular(J, y1)
+        assert membership(x2 * y1, J) and not membership(x2, J)
+        assert not eliminations
 
     def test_grade_and_replay_build_each_pair_once(self, builds):
         # the last step of grade decides that (J_k : I^infinity) != J_k and
