@@ -501,9 +501,8 @@ class TestGrade:
 
 def spy(monkeypatch, name):
     """Record the arguments of every call to ``invariants.<name>``, by
-    parameter name.  Only existence tests call ``is_saturated``, but a test
-    that passes a principal ``I`` of its own can call it as well, so
-    existence tests are the calls whose ``I`` is the test ideal."""
+    parameter name.  Inside ``invariants`` only the existence test calls
+    ``is_saturated``, with ``I`` the test ideal."""
     import icmlab.invariants as inv
 
     calls = []
