@@ -4,9 +4,11 @@ The completion uses the normal selection strategy (pairs with the smallest
 lcm degree first, ties broken by the term order), discards pairs with
 coprime leading terms at creation, and applies the chain criterion at pop
 time: a pair (i, j) is dropped when some third leading term divides its lcm
-and both companion pairs have already been settled.  Output is always the
-reduced monic basis, which is unique for a given ideal and term order, so
-everything downstream is deterministic.
+and both companion pairs have already been settled.  A pair keeps its lcm,
+formed once; its leading terms are coprime exactly when the lcm's degree is
+the sum of theirs.  Output is always the reduced monic basis, which is
+unique for a given ideal and term order, so everything downstream is
+deterministic.
 
 Every remainder comes from one kernel on integer coefficients,
 ``_reduce``: the completion's reductions and ``normal_form``.  Over GF(p)
@@ -17,7 +19,8 @@ the working basis is primitive (content removed, positive leading
 coefficient).  ``Fraction`` coefficients are cleared on entry and come back
 only at the boundary: when the reduced basis leaves, made monic, and when
 ``normal_form`` returns its remainder, which is exactly the field
-algorithm's.  ``divide`` is exact division by one polynomial, the last step
+algorithm's; the reduced basis carries the kernel form its completion
+ended with.  ``divide`` is exact division by one polynomial, the last step
 of the colon by an element.
 
 Every divisibility test (the kernel's, the chain criterion's and the
@@ -86,7 +89,6 @@ from .ring_core import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
     remap_variables,
 )
 
@@ -267,18 +269,17 @@ class ReducedGB:
     it took.  It depends on the input (generators, settled prefix), not only
     on the ideal, so it is not part of equality; a stored basis is handed
     out again only under a step limit that a fresh completion would have met.
-    ``_divisors``, the basis as the division kernel views it, is built by
-    the first ``normal_form`` against it and kept; it is not part of
-    equality either.
+    ``_divisors``, the basis as the division kernel views it, is the form
+    its completion ended with; it is not part of equality either.
     """
 
     __slots__ = ("ring", "basis", "steps", "_divisors")
 
-    def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...], steps: int):
+    def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...], steps: int, divs: tuple):
         self.ring = ring
         self.basis = basis
         self.steps = steps
-        self._divisors = None
+        self._divisors = divs
 
     @property
     def is_unit_ideal(self) -> bool:
@@ -429,7 +430,7 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
 
     # minimal is ascending in the order and autoreduction keeps leading terms
     basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
-    gb = ReducedGB(ring, basis, steps)
+    gb = ReducedGB(ring, basis, steps, tuple(minimal))
     if memo is not None:
         memo[memo_key] = gb
     return gb
@@ -446,36 +447,33 @@ def _grow(
     nonzero remainder of ``gens`` and of the S-pairs, to ``divs`` in kernel
     form, and returns the number of S-pair reductions, under the step limit
     in force.  With ``stop`` given, it returns None as soon as an element
-    joins whose leading monomial satisfies it."""
+    joins whose leading monomial satisfies it.  ``divs`` is the loop's only
+    record of a basis element, and each pair's lcm rides in its heap entry."""
     limit = _ENGINE.get().step_limit
     p = ring.field.characteristic
     dkey = ring.order.descending_key
-    lts: List[Monomial] = []
-    ltdegs: List[int] = []
-    masks: List[int] = []  # support masks of the leading monomials
+    divs.extend(_divisor(_integral(g, p)[0]) for g in settled)
     pending: set = set()
     heap: list = []
 
-    def add_poly(terms: tuple, pairs: bool = True) -> bool:
+    def add_poly(terms: tuple) -> bool:
         """Adds a basis element; True when ``stop`` holds for it."""
-        j = len(divs)
-        divs.append(_divisor(terms))
-        lts.append(terms[0][0])
-        ltdegs.append(sum(lts[j]))
-        masks.append(divs[j][4])
-        for i in range(j) if pairs else ():
-            lcm = monomial_lcm(lts[i], lts[j])
-            if lcm == monomial_mul(lts[i], lts[j]):
+        new = _divisor(terms)
+        j, ltj, degj = len(divs), new[0], new[1]
+        for i, (lti, degi, _, _, _) in enumerate(divs):
+            lcm = monomial_lcm(lti, ltj)
+            deg = sum(lcm)
+            if deg == degi + degj:
                 # coprime leading terms: the S-polynomial reduces to zero
                 continue
             pending.add((i, j))
             # one flat entry per pair: pairs pop by lcm degree, then by
-            # increasing lcm in the term order (the negated descending key)
-            heappush(heap, (sum(lcm), *map(neg, dkey(lcm)), i, j))
-        return stop is not None and stop(lts[j])
+            # increasing lcm in the term order (the negated descending key);
+            # no two entries share (i, j), so the lcm is never compared
+            heappush(heap, (deg, *map(neg, dkey(lcm)), i, j, lcm))
+        divs.append(new)
+        return stop is not None and stop(ltj)
 
-    for g in settled:
-        add_poly(_integral(g, p)[0], pairs=False)
     for g in gens:
         if g.is_zero:
             continue
@@ -486,17 +484,14 @@ def _grow(
     steps = 0
     while heap:
         pair = heappop(heap)
-        deg, i, j = pair[0], pair[-2], pair[-1]
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lcm = monomial_lcm(lts[i], lts[j])
-        outside = ~(masks[i] | masks[j])  # the lcm's support is the union
+        deg, i, j, lcm = pair[0], pair[-3], pair[-2], pair[-1]
+        pending.remove((i, j))
+        outside = ~(divs[i][4] | divs[j][4])  # the lcm's support is the union
         chained = False
-        for t in range(len(divs)):
+        for t, (ltt, degt, _, _, mask) in enumerate(divs):
             if t == i or t == j:
                 continue
-            if ltdegs[t] <= deg and not masks[t] & outside and all(map(int.__le__, lts[t], lcm)):
+            if degt <= deg and not mask & outside and all(map(int.__le__, ltt, lcm)):
                 a = (i, t) if i < t else (t, i)
                 b = (j, t) if j < t else (t, j)
                 if a not in pending and b not in pending:
@@ -517,9 +512,8 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
     """The remainder of f on division by the reduced basis: canonical, and
     zero exactly when f lies in the ideal.
 
-    One run of the kernel ``_reduce`` against the basis in kernel form,
-    built on the first call and kept on ``basis`` (a basis never used here
-    keeps no copy), so a normal form converts only f and its remainder.
+    One run of the kernel ``_reduce`` against the kernel form the basis
+    carries, so a normal form converts only f and its remainder.
     """
     ring = f.ring
     if ring is not basis.ring and ring != basis.ring:
@@ -527,8 +521,6 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
     if f.is_zero or not basis.basis:
         return f
     p = ring.field.characteristic
-    if basis._divisors is None:
-        basis._divisors = tuple(_divisor(_integral(g, p)[0]) for g in basis.basis)
     dkey = ring.order.descending_key
     if p:
         return Polynomial(ring, _reduce(dict(f.terms), basis._divisors, p, dkey)[0])

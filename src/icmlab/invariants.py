@@ -235,12 +235,6 @@ def sorted_primes(primes: Iterable[MonomialPrime]) -> List[MonomialPrime]:
     return sorted(primes, key=lambda q: (len(q.indices), q.indices))
 
 
-def _monomial_ideal_intersect(a: Sequence[Monomial], b: Sequence[Monomial]) -> List[Monomial]:
-    return minimalize_monomials(
-        tuple(max(x, y) for x, y in zip(m, w)) for m in a for w in b
-    )
-
-
 def _monomial_ideal_contains(big: Sequence[Monomial], small: Sequence[Monomial]) -> bool:
     """small subset of big, tested generator by generator."""
     return all(any(monomial_divides(g, m) for g in big) for m in small)
@@ -281,20 +275,17 @@ def _irreducible_components(gens: Sequence[Monomial]) -> List[Tuple[Monomial, ..
 
 
 def _irredundant(components: List[Tuple[Monomial, ...]]) -> List[Tuple[Monomial, ...]]:
+    """The inclusion-minimal components, sorted.
+
+    An irreducible monomial ideal C contains an intersection of monomial
+    ideals only if it contains one of them: a monomial outside C from each
+    has its lcm in the intersection, and outside C, which is generated by
+    powers of variables.  So a component is redundant exactly when it
+    contains another.  Distinct tuples of minimal generators are distinct
+    ideals.
+    """
     comps = sorted(set(components))
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for i in range(len(comps)):
-            others = comps[:i] + comps[i + 1 :]
-            inter = others[0]
-            for o in others[1:]:
-                inter = tuple(_monomial_ideal_intersect(inter, o))
-            if _monomial_ideal_contains(comps[i], inter):
-                comps.pop(i)
-                changed = True
-                break
-    return comps
+    return [c for c in comps if not any(d != c and _monomial_ideal_contains(c, d) for d in comps)]
 
 
 def associated_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:

@@ -145,8 +145,9 @@ class TermOrder:
         if self.kind not in (LEX, GREVLEX, ELIMINATION):
             raise ValueError("unknown term order kind %r" % (self.kind,))
         if self.kind == ELIMINATION:
-            if self.block is None or self.block < 1:
-                raise ValueError("elimination-block order needs a positive block size")
+            b = self.block
+            if not isinstance(b, int) or isinstance(b, bool) or b < 1:
+                raise ValueError("elimination-block order needs a positive int block, got %r" % (b,))
         elif self.block is not None:
             raise ValueError("block size only applies to elimination-block orders")
 
@@ -185,7 +186,7 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_support(a: Monomial) -> frozenset:

@@ -198,6 +198,11 @@ def support_mask(m):
     return ideal_engine._divisor(((m, 1),))[4]
 
 
+def wide_ring(p, order="grevlex"):
+    """A ring of 300 variables, most of them past the support mask's bits."""
+    return RingDescriptor(FieldSpec(p), tuple("x%d" % i for i in range(300)), TermOrder(order))
+
+
 class TestSupportMask:
     """The kernel passes over a divisor whose leading monomial's support
     mask has a bit outside the work monomial's.  That filter must never
@@ -254,6 +259,40 @@ class TestSupportMask:
                     )
         # such divisors divide terms of the dividends, so the oracle checks them
         assert unmasked >= 5
+
+    def test_pair_criteria_match_oracle_where_leading_monomials_meet_past_the_mask(self):
+        # every generator leads with a cubic in variables without a bit, so
+        # leading monomials meet only there: a coprime test on masks would
+        # drop those pairs, the degree test must keep them
+        rng = random.Random(61)
+        nbits = len(ideal_engine._BITS)
+        past = (nbits, nbits + 1, 150, 299)
+        anywhere = (0, 1, nbits - 1) + past
+        meeting = grown = 0
+        for p in (0, 32003):
+            R = wide_ring(p)
+
+            def poly():
+                head = [0] * R.nvars
+                for _ in range(3):
+                    head[rng.choice(past)] += 1
+                acc = {tuple(head): rng.randint(1, 5)}
+                for _ in range(rng.randint(1, 2)):
+                    e = [0] * R.nvars
+                    for _ in range(rng.randint(0, 2)):
+                        e[rng.choice(anywhere)] += 1
+                    acc[tuple(e)] = acc.get(tuple(e), 0) + rng.randint(-4, 4)
+                return R.polynomial(acc)
+
+            for _ in range(6):
+                gens = [poly() for _ in range(3)]
+                lms = [g.leading_monomial() for g in gens]
+                assert not any(map(support_mask, lms))
+                meeting += sum(any(map(min, a, b)) for k, a in enumerate(lms) for b in lms[k + 1 :])
+                gb = buchberger(gens)
+                assert list(gb) == oracles.oracle_buchberger(gens), gens
+                grown += len(gb) > len(gens)
+        assert meeting >= 20 and grown >= 5, (meeting, grown)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +610,15 @@ class TestStepCounts:
         assert seeded == plain
         assert (plain.steps, seeded.steps) == (plain_steps, seeded_steps)
 
+    def test_step_count_past_the_mask(self):
+        # cyclic-5 on five variables without a support-mask bit: every
+        # leading monomial has mask 0, and the count is the 5-variable one
+        nbits = len(ideal_engine._BITS)
+        at = (nbits, nbits + 1, 150, 298, 299)
+        R = wide_ring(32003)
+        gb = buchberger([remap_variables(g, R, at) for g in frozen_system(cyclic, 32003, 5)])
+        assert (gb.steps, len(gb)) == (103, 20)
+
     def test_least_passing_step_limit(self):
         gens = frozen_system(cyclic, 32003, 5)
         with engine_context(step_limit=102):
@@ -655,6 +703,26 @@ class TestNormalForm:
         assert min(seen["member"], seen["reduced"], seen["not reduced"]) >= 4, seen
         if not p:
             assert {"denominator", "content > 1", "negative lead"} <= set(seen), seen
+
+    @pytest.mark.parametrize("order", oracles.HARD_ORDERS, ids=str)
+    @pytest.mark.parametrize("p", (0, 2, 32003))
+    def test_basis_carries_its_kernel_view(self, p, order):
+        # the divisor tuples the completion ended with are the ones the
+        # kernel would build from the monic basis, element for element; a
+        # principal ideal's one element skips autoreduction
+        rng = random.Random(4283 + 7 * p + len(str(order)) + (order.block or 0))
+        R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+        autoreduced = 0
+        for _ in range(12):
+            if p:
+                gens = [random_poly(rng, R, max_terms=3) for _ in range(3)]
+            else:
+                gens = [oracles.hard_rational_poly(rng, R) for _ in range(2)]
+            for gb in (buchberger(gens, ring=R), buchberger(gens[:1], ring=R)):
+                want = tuple(ideal_engine._divisor(ideal_engine._integral(g, p)[0]) for g in gb)
+                assert gb._divisors == want, gens
+                autoreduced += len(gb) > 1
+        assert autoreduced >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -208,9 +208,9 @@ class TestAssociatedPrimes:
         rng = random.Random(79)
         checked = 0
         for _ in range(40):
-            n = rng.randint(1, 4)
+            n = rng.randint(1, 5)
             R = ring_qq(*["x%d" % i for i in range(n)])
-            monos = random_monomials(rng, n, 3, rng.randint(1, 4))
+            monos = random_monomials(rng, n, 3, rng.randint(1, 6))
             got = {
                 p.indices
                 for p in associated_primes_monomial(monomial_ideal(R, monos))

@@ -190,6 +190,10 @@ class TestTermOrders:
             TermOrder("elimination-block")
         with pytest.raises(ValueError):
             TermOrder("grevlex", 2)
+        # 1.5 would fail later inside descending_key, True would be block 1
+        for block in (0, 1.5, True, False, "1"):
+            with pytest.raises(ValueError):
+                TermOrder("elimination-block", block)
 
 
 # ---------------------------------------------------------------------------
