@@ -32,6 +32,16 @@ divisor carries its leading monomial's mask; variables past ``_BITS`` get
 no bit, which only weakens the filter.  It passes over non-divisors only,
 so every basis and step count is the same as without it.
 
+Each completion keeps one table of monomial records, shared by all of its
+reductions and dropped when it returns: a monomial's heap key, computed
+once, and after its first pop either how many divisors passed it over or
+its reducer, the shifted tail as records of the same table (the reused
+multiples of F4's symbolic preprocessing, Faugere, J. Pure Appl. Algebra
+139, 1999, without the matrix).  A completion only appends divisors, so
+the first divisor that divides a monomial never changes, and the records
+give every remainder and step count exactly.  No table outlives its
+completion: neither the memo nor a ``ReducedGB`` holds one.
+
 Completion is budgeted: the number of S-polynomial reductions is capped,
 and the engine fails loudly when the cap is hit rather than spinning.
 
@@ -68,7 +78,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, lcm as integer_lcm
 from operator import add, neg, sub
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -81,6 +91,7 @@ from .errors import (
 )
 from .ring_core import (
     ELIMINATION,
+    GREVLEX,
     Monomial,
     Polynomial,
     RingDescriptor,
@@ -162,75 +173,130 @@ def _divisor(terms: tuple) -> tuple:
     return ltm, sum(ltm), lc, terms[1:], sum(compress(_BITS, ltm))
 
 
-def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey) -> tuple:
+def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dict] = None) -> tuple:
     """The division kernel: the completion's reductions and ``normal_form``.
 
-    ``work`` (f) maps monomials to nonzero integer coefficients and is
-    consumed; ``divs`` holds one ``(leading monomial, its degree, leading
-    coefficient, tail terms, support mask)`` per divisor d_i, monic over
-    GF(p), as ``_divisor`` builds it.  Returns
-    ``(r, scale)`` with scale * f = sum(q_i * d_i) + r over the integers for
-    some q_i, r's terms sorted decreasing; the scale is 1 over GF(p).
+    ``work`` (f) maps monomials to nonzero integer coefficients; ``divs``
+    holds one ``(leading monomial, its degree, leading coefficient, tail
+    terms, support mask)`` per divisor d_i, monic over GF(p), as
+    ``_divisor`` builds it.  Returns ``(r, scale)`` with scale * f =
+    sum(q_i * d_i) + r over the integers for some q_i, r's terms sorted
+    decreasing; the scale is 1 over GF(p).
 
-    Work terms sit in a heap on ``TermOrder.descending_key``, one key per
-    term as it enters; a step adds only terms below the one it consumes, so
-    r comes out already sorted, and a term cancelled to zero leaves a stale
-    entry that is skipped when popped.  Over QQ a step against leading
-    coefficient lc consumes c * x^a, with g the gcd of lc and c given lc's
-    sign, by scaling the work by lc/g > 0 and subtracting (c/g) *
-    x^a/lm * tail: the field step times a unit, so which divisor acts on
-    which monomial is exactly as in the field algorithm.  Emitted remainder
-    terms keep the running scale at their emission and get the missing
-    factor once, at the end; the scale only grows, so it ends at 1 only
-    when no step scaled.
+    ``table`` maps each monomial the kernel has met to its record ``[key,
+    monomial, coefficient, n, step]``: the ``TermOrder.descending_key``,
+    computed once; the work coefficient while the record is queued (0 once
+    cancelled), else None; ``n``, the number of divisors known not to
+    divide the monomial; and ``step``, None until a divisor is found, then
+    ``(leading coefficient, shifted tail, tail)`` of the first one, the
+    shifted tail as records of the same table.  A completion (``_grow``)
+    passes one table to all of its reductions, so a monomial met again is
+    neither scanned against the divisors that passed it over nor shifted
+    again.  This is exact because a completion only appends to ``divs``:
+    the first divisor that divides a monomial never changes, and one that
+    no divisor divided is scanned only against ``divs[n:]``; the divisor
+    chosen, the remainder and the step count are the same as with a fresh
+    table.  ``normal_form`` and the autoreduction pass a different divisor
+    list on each call, so they get a fresh table; a table never outlives
+    its completion, and neither the memo nor a ``ReducedGB`` holds one.
+
+    The work is a heap of queued records; a step adds only terms below the
+    one it consumes, so r comes out already sorted, and a term cancelled
+    to zero stays queued with coefficient 0 and is skipped when popped.
+    Keys are distinct, one record per monomial, and a record is queued at
+    most once, so no comparison goes past the key.  Over QQ a step against
+    leading coefficient lc consumes c * x^a, with g the gcd of lc and c
+    given lc's sign, by scaling the queued coefficients by lc/g > 0 and
+    subtracting (c/g) * x^a/lm * tail: the field step times a unit, so
+    which divisor acts on which monomial is exactly as in the field
+    algorithm.  Emitted remainder terms keep the running scale at their
+    emission and get the missing factor once, at the end; the scale only
+    grows, so it ends at 1 only when no step scaled.
 
     A popped monomial's support mask is taken once; a divisor whose mask has
     a bit outside it cannot divide, and is passed over before the exponent
     comparison.  The filter only rejects non-divisors, so the first divisor
     that divides is the same with it as without.
     """
-    heap = [(dkey(m), m) for m in work]
+    if table is None:
+        table = {}
+    heap = []
+    for m, c in work.items():
+        rec = table.get(m)
+        if rec is None:
+            rec = table[m] = [dkey(m), m, c, 0, None]
+        else:
+            rec[2] = c
+        heap.append(rec)
     heapify(heap)
+    ndivs = len(divs)
     emitted, scales = [], []  # remainder terms, the running scale at each emission
     scale = 1
     while heap:
-        mono = heappop(heap)[1]
-        c = work.pop(mono, None)
-        if c is None:
-            continue
-        deg = sum(mono)
-        outside = ~sum(compress(_BITS, mono))
-        for ltm, ltdeg, lc, tail, mask in divs:
-            if ltdeg <= deg and not mask & outside and all(map(int.__le__, ltm, mono)):
-                shift = tuple(map(sub, mono, ltm))
-                if p:
-                    q = p - c
-                elif lc == 1:
-                    q = -c
-                else:
-                    g = gcd(lc, c) if lc > 0 else -gcd(lc, c)
-                    q = -(c // g)
-                    s = lc // g
-                    if s != 1:
-                        scale *= s
-                        for m in work:
-                            work[m] *= s
-                for m2, c2 in tail:
-                    m = tuple(map(add, shift, m2))
-                    old = work.get(m)
-                    if old is None:
-                        work[m] = q * c2 % p if p else q * c2
-                        heappush(heap, (dkey(m), m))
-                    else:
-                        nc = (old + q * c2) % p if p else old + q * c2
-                        if nc:
-                            work[m] = nc
-                        else:
-                            del work[m]
-                break
+        rec = heappop(heap)
+        c = rec[2]
+        rec[2] = None
+        if not c:
+            continue  # cancelled after it was queued
+        mono = rec[1]
+        step = rec[4]
+        if step is None:
+            n = rec[3]
+            if n == ndivs:
+                emitted.append((mono, c))
+                scales.append(scale)
+                continue
+            deg = sum(mono)
+            outside = ~sum(compress(_BITS, mono))
+            for ltm, ltdeg, lc, tail, mask in islice(divs, n, None) if n else divs:
+                if ltdeg <= deg and not mask & outside and all(map(int.__le__, ltm, mono)):
+                    break
+            else:
+                rec[3] = ndivs
+                emitted.append((mono, c))
+                scales.append(scale)
+                continue
         else:
-            emitted.append((mono, c))
-            scales.append(scale)
+            lc, shifted, tail = step
+        if p:
+            q = p - c
+        elif lc == 1:
+            q = -c
+        else:
+            g = gcd(lc, c) if lc > 0 else -gcd(lc, c)
+            q = -(c // g)
+            s = lc // g
+            if s != 1:
+                scale *= s
+                for r2 in heap:
+                    r2[2] *= s
+        if step is None:
+            # the first step on this monomial shifts the tail as it applies it
+            shift = tuple(map(sub, mono, ltm))
+            shifted = []
+            for m2, c2 in tail:
+                m = tuple(map(add, shift, m2))
+                r2 = table.get(m)
+                if r2 is None:
+                    r2 = table[m] = [dkey(m), m, q * c2 % p if p else q * c2, 0, None]
+                    heappush(heap, r2)
+                else:
+                    old = r2[2]
+                    if old is None:
+                        r2[2] = q * c2 % p if p else q * c2
+                        heappush(heap, r2)
+                    else:
+                        r2[2] = (old + q * c2) % p if p else old + q * c2
+                shifted.append(r2)
+            rec[4] = lc, shifted, tail
+        else:
+            for r2, (_, c2) in zip(shifted, tail):
+                old = r2[2]
+                if old is None:
+                    r2[2] = q * c2 % p if p else q * c2
+                    heappush(heap, r2)
+                else:
+                    r2[2] = (old + q * c2) % p if p else old + q * c2
     if scale != 1:
         emitted = [(m, c * (scale // s)) for (m, c), s in zip(emitted, scales)]
     return tuple(emitted), scale
@@ -453,6 +519,7 @@ def _grow(
     p = ring.field.characteristic
     dkey = ring.order.descending_key
     divs.extend(_divisor(_integral(g, p)[0]) for g in settled)
+    table: dict = {}  # the kernel's monomial records, shared by every reduction below
     pending: set = set()
     heap: list = []
 
@@ -477,7 +544,7 @@ def _grow(
     for g in gens:
         if g.is_zero:
             continue
-        r = _reduce(dict(g.terms if p else _integral(g, p)[0]), divs, p, dkey)[0]
+        r = _reduce(dict(g.terms if p else _integral(g, p)[0]), divs, p, dkey, table)[0]
         if r and add_poly(_normalize(r, p)):
             return None
 
@@ -502,7 +569,7 @@ def _grow(
         steps += 1
         if steps > limit:
             raise _step_limit_error(limit)
-        r = _reduce(_s_pair(lcm, divs[i], divs[j], p), divs, p, dkey)[0]
+        r = _reduce(_s_pair(lcm, divs[i], divs[j], p), divs, p, dkey, table)[0]
         if r and add_poly(_normalize(r, p)):
             return None
     return steps
@@ -534,13 +601,15 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
 class Ideal:
     """An ideal of an affine polynomial ring, held by generators.
 
-    The reduced Groebner basis is computed on first use and cached.  All
-    other state is immutable, so sharing an Ideal across threads is safe;
-    at worst two threads compute the same canonical basis and one wins the
-    (atomic) attribute write.
+    The reduced Groebner basis is computed on first use and cached; in a
+    ring under another order than grevlex, so is the grevlex twin that
+    saturations and regularity tests start from.  All other state is
+    immutable, so sharing an Ideal across threads is safe; at worst two
+    threads compute the same canonical basis and one wins the (atomic)
+    attribute write.
     """
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_twin")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial] = ()):
         gens = []
@@ -554,6 +623,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
+        self._twin = None  # the same generators under grevlex, made by _grevlex_basis
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -717,11 +787,15 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
 
 def _grevlex_basis(J: Ideal) -> ReducedGB:
     """J's reduced basis under grevlex: the one J caches in a grevlex ring,
-    else that of J's generators in the grevlex twin of its ring."""
-    twin = RingDescriptor(J.ring.field, J.ring.variables)
-    if twin != J.ring:
-        J = Ideal(twin, [remap_variables(g, twin, range(twin.nvars)) for g in J.generators])
-    return J.groebner_basis()
+    else the one cached on J's grevlex twin, the same generators in the
+    grevlex twin of its ring, made once per J."""
+    if J.ring.order.kind == GREVLEX:
+        return J.groebner_basis()
+    twin = J._twin
+    if twin is None:
+        ring = RingDescriptor(J.ring.field, J.ring.variables)
+        twin = J._twin = Ideal(ring, [remap_variables(g, ring, range(ring.nvars)) for g in J.generators])
+    return twin.groebner_basis()
 
 
 def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
@@ -786,8 +860,9 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
         if sat is not None:
             return not any(sat[1])
         memo_key = ("regular",) + pair
-        if memo_key in memo:
-            return memo[memo_key]
+        regular = memo.get(memo_key)
+        if regular is not None:
+            return regular
     aug, lift, (t,) = _tag_ring(J.ring, 1)
     seed = [lift(g) for g in _grevlex_basis(J).basis]
     regular = _grow(aug, [1 - t * lift(f)], seed, [], stop=lambda lm: not lm[0]) is not None

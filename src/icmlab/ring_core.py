@@ -214,6 +214,16 @@ class RingDescriptor:
             seen.add(name)
         if self.order.kind == ELIMINATION and self.order.block >= len(self.variables):
             raise ValueError("elimination block must leave at least one variable")
+        # every memo key and polynomial hash holds a ring, so its hash is
+        # taken once here rather than through three dataclass hashes per use
+        object.__setattr__(self, "_hash", hash((self.field, self.variables, self.order)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a string's hash differs between processes: rebuild, never copy, it
+        return RingDescriptor, (self.field, self.variables, self.order)
 
     @property
     def nvars(self) -> int:

@@ -8,7 +8,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icmlab import ideal_engine
+from icmlab import ideal_engine, invariants
 from icmlab.errors import (
     EngineError,
     IncompatibleRingError,
@@ -162,6 +162,84 @@ class TestDivision:
                 divisors = [b * s * (x**2 + x + y), c * s * (x - y)]
                 assert assert_same_remainder(f, divisors) == a * s * (z - y)
 
+    # One table shared by several kernel runs, divisors appended between
+    # them, as in a completion.  A record is ``[key, monomial, coefficient,
+    # n, step]``: n divisors known not to divide the monomial, and the step
+    # of the first divisor that does, once found.
+
+    def test_shared_table_matches_oracle_and_a_fresh_table(self):
+        rng = random.Random(47)
+        late = kept = 0
+        for R in division_rings():
+            divisors = []
+            while len(divisors) < 4:
+                d = random_poly(rng, R, low=-5, high=5)
+                if not d.is_zero:
+                    divisors.append(d)
+            table, dividends = {}, []
+            for k in range(1, len(divisors) + 1):
+                # new dividends, and the earlier ones again: their monomials
+                # are met with records made under fewer divisors
+                for _ in range(3):
+                    f = random_poly(rng, R, max_terms=5, max_exp=3)
+                    for d in divisors[:k]:
+                        f = f + random_poly(rng, R, max_terms=3) * d
+                    dividends.append(f)
+                steps = {m: rec[4] for m, rec in table.items() if rec[4] is not None}
+                for f in dividends:
+                    r = kernel_remainder(f, divisors[:k], table)
+                    assert r.terms == oracles.oracle_divide(f, divisors[:k])[1].terms
+                    assert r == kernel_remainder(f, divisors[:k])
+                kept += sum(table[m][4] is step for m, step in steps.items())
+                assert all(rec[2] is None for rec in table.values())  # no work left behind
+            late += sum(rec[3] > 0 and rec[4] is not None for rec in table.values())
+        # records passed over by some divisors and reduced by a later one,
+        # and steps found again after divisors were appended
+        assert late >= 50 and kept >= 500, (late, kept)
+
+    def test_irreducible_monomial_is_reduced_by_an_appended_divisor(self):
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        table, divisors = {}, [x**2 + y]
+        assert kernel_remainder(x**2 + y**2, divisors, table) == y**2 - y
+        y2 = table[(0, 2)]
+        assert (y2[3], y2[4]) == (1, None)  # passed over by the one divisor
+        divisors.append(y**2 - 2 * x)
+        assert assert_same_remainder(y**2 + x, divisors) == 3 * x
+        assert kernel_remainder(y**2 + x, divisors, table) == 3 * x
+        assert y2[4] is not None and y2[4][2] == ((x.terms[0][0], -2),)
+
+    def test_reducer_is_kept_when_a_later_divisor_also_divides(self):
+        # x*y - 1 reduces x*y first; x*y + y, appended later, has the same
+        # leading monomial but is never used for it
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        table, divisors = {}, [x * y - 1]
+        assert kernel_remainder(x * y + x, divisors, table) == x + 1
+        step = table[(1, 1)][4]
+        divisors.append(x * y + y)
+        for f in (x * y + x, x**2 * y**2 + x * y):
+            want = assert_same_remainder(f, divisors)
+            assert kernel_remainder(f, divisors, table) == want
+        assert table[(1, 1)][4] is step
+
+    def test_shared_table_with_a_negative_leading_coefficient(self):
+        # over QQ the divisor -2*x + y keeps lc -2 in kernel form, so every
+        # step on a recorded monomial scales the work by a negative unit
+        rng = random.Random(53)
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        divisors, table, dividends = [], {}, []
+        for d in (-2 * x + y, 3 * y**2 - z, -5 * z**2 + x * y):
+            divisors.append(d)
+            for _ in range(4):
+                f = random_poly(rng, R, max_terms=4, max_exp=2, low=-6, high=6)
+                dividends.append(f + random_poly(rng, R, max_terms=3) * divisors[0])
+            for f in dividends:
+                want = assert_same_remainder(f, divisors)
+                assert kernel_remainder(f, divisors, table) == want
+        assert sum(rec[4] is not None and rec[4][0] == -2 for rec in table.values()) >= 10
+
 
 def division_rings():
     """Every field and term order the division kernel distinguishes."""
@@ -172,17 +250,18 @@ def division_rings():
             yield RingDescriptor(FieldSpec(p), ("x", "y", "z", "w"), order)
 
 
-def kernel_remainder(f, divisors):
+def kernel_remainder(f, divisors, table=None):
     """The remainder of f by ``divisors``, tried in order, from one kernel
     run on integer terms as ``normal_form`` makes it: w * f = sum(q_i * d_i)
-    + r over the integers, and the remainder is r / w."""
+    + r over the integers, and the remainder is r / w.  ``table`` is the
+    kernel's table of monomial records, fresh when None."""
     if f.is_zero:
         return f
     ring = f.ring
     p = ring.field.characteristic
     divs = [ideal_engine._divisor(ideal_engine._integral(d, p)[0]) for d in divisors]
     terms, v = ideal_engine._integral(f, p)
-    r, scale = ideal_engine._reduce(dict(terms), divs, p, ring.order.descending_key)
+    r, scale = ideal_engine._reduce(dict(terms), divs, p, ring.order.descending_key, table)
     w = v * scale
     return Polynomial(ring, tuple((m, c * pow(w, -1, p) % p if p else Fraction(c, w)) for m, c in r))
 
@@ -998,6 +1077,21 @@ class TestNonzerodivisor:
         decided = kernel_runs[0]
         assert not is_saturated(J, Ideal(R, [d]))
         assert 0 < 3 * decided < kernel_runs[0] - decided
+
+    def test_grevlex_twin_of_a_lex_ideal_is_completed_once(self, monkeypatch):
+        # outside a context nothing is memoized, so only the twin cached on
+        # J keeps four tests on the lex rational quartic to one completion
+        # of its grevlex basis
+        R = ring_qq("a", "b", "c", "d", order="lex")
+        a, b, c, d = (R.variable(i) for i in range(4))
+        J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d])
+        twin = RingDescriptor(QQ, R.variables, TermOrder("grevlex"))
+        rings = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda ring, *a: rings.append(ring) or real(ring, *a))
+        answers = [invariants.is_regular(J, v) for v in (a, b, c, d)]
+        assert answers == [True] * 4  # J is prime and holds no variable
+        assert rings.count(twin) == 1
 
     def test_memo(self, monkeypatch):
         runs = []
