@@ -1,5 +1,7 @@
 """Exact arithmetic, term orders, and polynomial mechanics."""
+import copy
 import heapq
+import pickle
 import random
 from fractions import Fraction
 
@@ -339,6 +341,16 @@ class TestRingDescriptor:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             ring_qq("x", "x")
+
+    def test_hash_is_taken_once_and_rebuilt_by_a_copy(self):
+        R, S = ring_qq("x", "y"), ring_qq("x", "y")
+        assert R is not S and R == S and hash(R) == hash(S)
+        assert len({R, S, RingDescriptor(QQ, ("x", "y"), TermOrder("lex"))}) == 2
+        # a string's hash differs between processes, so a pickle or copy
+        # must compute it again rather than carry the stored one
+        object.__setattr__(R, "_hash", hash(R) + 1)
+        for T in (pickle.loads(pickle.dumps(R)), copy.deepcopy(R)):
+            assert T == S and hash(T) == hash(S)
 
     def test_remap_variables_moves_supports(self):
         A = ring_qq("x", "y")
