@@ -6,9 +6,10 @@ coprime leading terms at creation, and applies the chain criterion at pop
 time: a pair (i, j) is dropped when some third leading term divides its lcm
 and both companion pairs have already been settled.  A pair keeps its lcm,
 formed once; its leading terms are coprime exactly when the lcm's degree is
-the sum of theirs.  Output is always the reduced monic basis, which is
-unique for a given ideal and term order, so everything downstream is
-deterministic.
+the sum of theirs, and when every variable has a support-mask bit (below),
+exactly when their masks are disjoint, which is tested before any lcm is
+formed.  Output is always the reduced monic basis, which is unique for a
+given ideal and term order, so everything downstream is deterministic.
 
 Every remainder comes from one kernel on integer coefficients,
 ``_reduce``: the completion's reductions and ``normal_form``.  Over GF(p)
@@ -49,9 +50,9 @@ and the engine fails loudly when the cap is hit rather than spinning.
 (a ``ContextVar``), the one place that holds the budgets: the step limit
 of every completion, the candidate budget of the regular-element search
 (read through ``search_budget``), and a memo: of reduced bases keyed by
-ring (order included), settled prefix (below) and ordered generator list,
-and of saturations and regularity decisions keyed by ring and both
-generator lists.  Outside any
+ring (order included), settled prefix (below; kernel divisor tuples, so
+integers only) and ordered generator terms, and of saturations and
+regularity decisions keyed by ring and both generator lists.  Outside any
 context the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
 memoized.  The memo and the step limit share the context's lifetime, so a
 stored basis always met the limit in force; a basis cached on an ``Ideal``
@@ -63,9 +64,14 @@ new variable y and the generic element f_y = sum y^(i-1) * g_i,
 (J : I^infinity) = (J + <1 - t*f_y>) cap k[x], the tags t and y eliminated
 together; for s = 1 it is the Rabinowitsch test of one element.  That
 completion starts from J's reduced grevlex basis with the pairs inside it
-settled, and adds only 1 - t*f_y.  Whether one element f divides zero
-on R/J is decided by that completion for 1 - t*f, stopped at the first
-element it adds with a t-free leading monomial: that element lies in
+settled, and adds only 1 - t*f_y.  Every seed is passed in the kernel form
+its basis already carries: into the tagged ring it is lifted by padding
+each monomial with the tags' zero exponents and shifting each mask past
+the tags' bits, so no seed goes back through ``Polynomial``.  A grade
+chain's J + <x> (``_extend``) is seeded the same way, from J's basis with
+x the one new generator.  Whether one element f divides zero on R/J is
+decided by that completion for 1 - t*f, stopped at the first element it
+adds with a t-free leading monomial: that element lies in
 (J : f^infinity) and not in J.  The colon by an ideal uses the
 same generic element: (J : I) = (J*R[y] : f_y) cap R, one colon by an
 element in R[y] and one elimination of y, in place of s colons and s - 1
@@ -171,6 +177,20 @@ def _divisor(terms: tuple) -> tuple:
     """The kernel's view of a divisor given by its integer terms."""
     ltm, lc = terms[0]
     return ltm, sum(ltm), lc, terms[1:], sum(compress(_BITS, ltm))
+
+
+def _lift_divisors(divs: Sequence[tuple], ntags: int) -> tuple:
+    """Kernel divisors over a ring's variables as divisors over k[tags, ring]
+    with ``ntags`` tag variables in front (``_tag_ring``): each monomial
+    padded with ``ntags`` zeros, and each mask shifted past the tags' bits,
+    keeping only the bits of ``_BITS``.  The same tuples ``_divisor`` builds
+    from the lifted monic basis, without going through it."""
+    pad = (0,) * ntags
+    keep = (1 << len(_BITS)) - 1
+    return tuple(
+        (pad + ltm, deg, lc, tuple((pad + m, c) for m, c in tail), (mask << ntags) & keep)
+        for ltm, deg, lc, tail, mask in divs
+    )
 
 
 def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dict] = None) -> tuple:
@@ -456,14 +476,16 @@ def buchberger(
     return _complete(ring, gens, ())
 
 
-def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -> ReducedGB:
+def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: tuple) -> ReducedGB:
     """``buchberger`` on ``settled`` + ``gens`` with ``settled`` a Groebner
-    basis already: the pairs inside it are never formed, so never pending,
-    and the chain criterion stays sound.  The memo key keeps the settled
-    prefix apart from the generators."""
+    basis already, given in kernel form (``ReducedGB._divisors``, lifted by
+    ``_lift_divisors`` into a tagged ring): the pairs inside it are never
+    formed, so never pending, and the chain criterion stays sound.  The memo
+    key keeps the settled divisors, integer tuples, apart from the
+    generators' terms."""
     memo = _ENGINE.get().memo
     if memo is not None:
-        memo_key = (ring, tuple(g.terms for g in settled), tuple(g.terms for g in gens))
+        memo_key = (ring, settled, tuple(g.terms for g in gens))
         hit = memo.get(memo_key)
         if hit is not None:
             return hit
@@ -505,29 +527,35 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: Sequence) -
 def _grow(
     ring: RingDescriptor,
     gens: List[Polynomial],
-    settled: Sequence,
+    settled: Sequence[tuple],
     divs: List[tuple],
     stop: Optional[Callable[[Monomial], bool]] = None,
 ) -> Optional[int]:
-    """The pair loop of ``_complete``: appends ``settled``, then every
-    nonzero remainder of ``gens`` and of the S-pairs, to ``divs`` in kernel
-    form, and returns the number of S-pair reductions, under the step limit
-    in force.  With ``stop`` given, it returns None as soon as an element
-    joins whose leading monomial satisfies it.  ``divs`` is the loop's only
-    record of a basis element, and each pair's lcm rides in its heap entry."""
+    """The pair loop of ``_complete``: appends the kernel divisors
+    ``settled``, then every nonzero remainder of ``gens`` and of the
+    S-pairs, to ``divs`` in kernel form, and returns the number of S-pair
+    reductions, under the step limit in force.  With ``stop`` given, it
+    returns None as soon as an element joins whose leading monomial
+    satisfies it.  ``divs`` is the loop's only record of a basis element,
+    and each pair's lcm rides in its heap entry."""
     limit = _ENGINE.get().step_limit
     p = ring.field.characteristic
     dkey = ring.order.descending_key
-    divs.extend(_divisor(_integral(g, p)[0]) for g in settled)
+    divs.extend(settled)
     table: dict = {}  # the kernel's monomial records, shared by every reduction below
     pending: set = set()
     heap: list = []
+    # with a variable past _BITS, disjoint masks do not make leading terms coprime
+    wide = ring.nvars > len(_BITS)
 
     def add_poly(terms: tuple) -> bool:
         """Adds a basis element; True when ``stop`` holds for it."""
         new = _divisor(terms)
-        j, ltj, degj = len(divs), new[0], new[1]
-        for i, (lti, degi, _, _, _) in enumerate(divs):
+        j, ltj, degj, maskj = len(divs), new[0], new[1], new[4]
+        for i, (lti, degi, _, _, maski) in enumerate(divs):
+            if not (maski & maskj or wide):
+                # disjoint supports: coprime, and the S-polynomial reduces to zero
+                continue
             lcm = monomial_lcm(lti, ltj)
             deg = sum(lcm)
             if deg == degi + degj:
@@ -603,7 +631,9 @@ class Ideal:
 
     The reduced Groebner basis is computed on first use and cached; in a
     ring under another order than grevlex, so is the grevlex twin that
-    saturations and regularity tests start from.  All other state is
+    saturations and regularity tests start from.  An ideal of a grade chain
+    is made by ``_extend``, with both already completed from its
+    predecessor's.  All other state is
     immutable, so sharing an Ideal across threads is safe; at worst two
     threads compute the same canonical basis and one wins the (atomic)
     attribute write.
@@ -623,7 +653,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
-        self._twin = None  # the same generators under grevlex, made by _grevlex_basis
+        self._twin = None  # the same generators under grevlex, made by _grevlex_twin or _extend
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -710,15 +740,16 @@ def _tag_ring(ring: RingDescriptor, ntags: int) -> tuple:
 
 
 def _eliminate_tag(
-    ring: RingDescriptor, ntags: int, build: Callable[..., List[Polynomial]], seed: Sequence = ()
+    ring: RingDescriptor, ntags: int, build: Callable[..., List[Polynomial]], seed: tuple = ()
 ) -> Ideal:
     """K intersect k[ring] for K = <seed, build(lift, *tags)> in k[tags, ring]
     (``_tag_ring``): one Groebner basis under an order eliminating the tags,
     whose tag-free elements generate the answer.  ``seed`` is a grevlex
-    Groebner basis over ``ring``'s variables; lifted it is one in
+    Groebner basis over ``ring``'s variables in kernel form
+    (``ReducedGB._divisors``); lifted by ``_lift_divisors`` it is one in
     k[tags, ring] too, and the completion starts from it as settled."""
     aug, lift, tags = _tag_ring(ring, ntags)
-    G = _complete(aug, build(lift, *tags), [lift(g) for g in seed])
+    G = _complete(aug, build(lift, *tags), _lift_divisors(seed, ntags))
     drop = [None] * ntags + list(range(ring.nvars))
     out = []
     for p in G.basis:
@@ -785,17 +816,37 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     return _eliminate_tag(J.ring, 1, build)
 
 
-def _grevlex_basis(J: Ideal) -> ReducedGB:
-    """J's reduced basis under grevlex: the one J caches in a grevlex ring,
-    else the one cached on J's grevlex twin, the same generators in the
-    grevlex twin of its ring, made once per J."""
+def _grevlex_twin(J: Ideal) -> Ideal:
+    """J itself in a grevlex ring, else J's grevlex twin: the same
+    generators in the grevlex twin of its ring, made once per J."""
     if J.ring.order.kind == GREVLEX:
-        return J.groebner_basis()
+        return J
     twin = J._twin
     if twin is None:
         ring = RingDescriptor(J.ring.field, J.ring.variables)
         twin = J._twin = Ideal(ring, [remap_variables(g, ring, range(ring.nvars)) for g in J.generators])
-    return twin.groebner_basis()
+    return twin
+
+
+def _extend(J: Ideal, x: Polynomial) -> Ideal:
+    """J + <x>, the next ideal of a chain (``grade``'s J_{k+1} = J_k + <x_k>
+    and its replay), generated by J's generators and then x, with its bases
+    seeded: each one is the completion of x with J's basis in the same
+    order settled, so no pair inside J's basis is formed again (the
+    incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988).  In a
+    grevlex ring that is J + <x>'s own basis; in any other ring it is its
+    grevlex twin's, seeded from J's twin, and its own, seeded from J's.  A
+    replay of the same chain in the same engine context finds every seeded
+    basis in the memo."""
+    K = Ideal(J.ring, J.generators + (x,))
+    K._gb = _complete(J.ring, [x], J.groebner_basis()._divisors)
+    twin = _grevlex_twin(J)
+    if twin is not J:
+        ring = twin.ring
+        x = remap_variables(x, ring, range(ring.nvars))
+        K._twin = Ideal(ring, twin.generators + (x,))
+        K._twin._gb = _complete(ring, [x], twin.groebner_basis()._divisors)
+    return K
 
 
 def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
@@ -826,7 +877,7 @@ def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
     def build(lift, t, y=None):
         return [1 - t * _generic_element(gens, lift, y)]
 
-    sat = _eliminate_tag(J.ring, min(len(gens), 2), build, _grevlex_basis(J).basis)
+    sat = _eliminate_tag(J.ring, min(len(gens), 2), build, _grevlex_twin(J).groebner_basis()._divisors)
     gb = J.groebner_basis()
     out = sat, frozenset(normal_form(s, gb) for s in sat.generators)
     if memo is not None:
@@ -864,7 +915,7 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
         if regular is not None:
             return regular
     aug, lift, (t,) = _tag_ring(J.ring, 1)
-    seed = [lift(g) for g in _grevlex_basis(J).basis]
+    seed = _lift_divisors(_grevlex_twin(J).groebner_basis()._divisors, 1)
     regular = _grow(aug, [1 - t * lift(f)], seed, [], stop=lambda lm: not lm[0]) is not None
     if memo is not None:
         memo[memo_key] = regular

@@ -47,6 +47,7 @@ from .errors import (
 from .ideal_engine import (
     Ideal,
     SaturationResult,
+    _extend,
     ideal_equal,
     ideal_sum,
     is_nonzerodivisor,
@@ -318,14 +319,15 @@ def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) 
     """Check that ``sequence`` is an R/J-regular sequence inside I: each
     element lies in I and is regular on the quotient by J and the elements
     before it.  Returns J + <sequence>; raises EngineError naming the first
-    element that fails."""
+    element that fails.  Each quotient is ``_extend``'s, as in ``grade``, so
+    a replay in the engine context of the search finds its bases stored."""
     current = J
     for k, x in enumerate(sequence, 1):
         if not membership(x, I):
             raise EngineError("sequence element %d is not in the test ideal" % k)
         if not is_regular(current, x):
             raise EngineError("sequence element %d is not regular" % k)
-        current = ideal_sum(current, Ideal(J.ring, (x,)))
+        current = _extend(current, x)
     return current
 
 
@@ -457,7 +459,9 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     found by direct search and certified by the final saturation.  The pair
     (M, I) is checked once, here: every later J_k lies inside J + I, so no
     step needs a check of its own.  Step k runs ``find_regular_element`` on
-    J_k with seed ``seed + k`` under the engine context's search budget.
+    J_k with seed ``seed + k`` under the engine context's search budget, and
+    J_{k+1} = J_k + <x_k> comes from ``_extend``, whose bases are completed
+    from J_k's, not from the generators.
 
     A regular element found by the search proves by itself that the sequence
     extends, so no saturation runs on such a step.  The search returns None
@@ -497,7 +501,7 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
         if x is None:
             return GradeWitness(len(sequence), tuple(sequence), saturate(current, I))
         sequence.append(x)
-        current = ideal_sum(current, Ideal(M.ring, (x,)))
+        current = _extend(current, x)
 
 
 def verify_grade_witness(M: CyclicModule, I: Ideal, witness: GradeWitness) -> List[str]:

@@ -12,8 +12,8 @@ quotient dimension), so p-CM-gated suites never starve.
 A failing instance is shrunk greedily (dropping generators, then swapping a
 multi-term generator for its leading monomial or lowering an exponent, while
 the failure persists) and serialized to the little script language, so the
-reproducer declares the J and I that were checked and can be replayed by
-hand.
+reproducer declares the J and I that were checked, and any further test
+ideal the relation compares I with, and can be replayed by hand.
 """
 from __future__ import annotations
 
@@ -196,8 +196,15 @@ def _choose_prime(rng: random.Random, ring: RingDescriptor, J: Ideal) -> Monomia
     return q
 
 
-def serialize_instance(M: CyclicModule, I: Ideal, header: Sequence[str] = ()) -> str:
-    """Write the instance as a runnable script in the CLI input language."""
+def serialize_instance(
+    M: CyclicModule,
+    I: Ideal,
+    header: Sequence[str] = (),
+    others: Sequence[Tuple[str, Ideal]] = (),
+) -> str:
+    """Write the instance as a runnable script in the CLI input language:
+    J and I, then each further named test ideal of ``others``, and one
+    ``icm`` query of J per test ideal, I first."""
     ring = M.ring
     lines = ["# %s" % h for h in header]
     lines.append(
@@ -205,8 +212,9 @@ def serialize_instance(M: CyclicModule, I: Ideal, header: Sequence[str] = ()) ->
     )
     j_gens = M.defining_ideal.generators
     lines.append("ideal J = %s;" % (", ".join(str(g) for g in j_gens) if j_gens else "0"))
-    lines.append("ideal I = %s;" % ", ".join(str(g) for g in I.generators))
-    lines.append("icm J I;")
+    tests = [("I", I)] + list(others)
+    lines.extend("ideal %s = %s;" % (name, ", ".join(str(g) for g in K.generators)) for name, K in tests)
+    lines.extend("icm J %s;" % name for name, _ in tests)
     return "\n".join(lines) + "\n"
 
 
@@ -217,7 +225,10 @@ def serialize_instance(M: CyclicModule, I: Ideal, header: Sequence[str] = ()) ->
 # M and I are the module and test ideal the relation checks and check(M, I)
 # runs it.  Every other decision the check reads is drawn up front from the
 # trial's own stream and captured, so the check is a pure function of (M, I);
-# that purity is what lets the shrinker re-run it on smaller generators.
+# that purity is what lets the shrinker re-run it on smaller generators.  A
+# check that compares I with further test ideals made from it carries them
+# as ``check.test_ideals(I)``, (name, ideal) pairs, and the reproducer
+# declares and queries them too.
 
 Check = Callable[[CyclicModule, Ideal], RelationReport]
 Trial = Tuple[CyclicModule, Ideal, Check]
@@ -300,11 +311,14 @@ def _subideal_transfer(meta_seed: int) -> Trial:
         # a maximal-dimension minimal prime keeps the I-CM hypothesis alive
         I = _pcm_prime(M).as_ideal()
 
-    def check(M: CyclicModule, I: Ideal) -> RelationReport:
-        ring = M.ring
-        J2 = I if same_j2 else ideal_sum(I, Ideal(ring, [ring.monomial(e) for e in extra_exps]))
-        return subideal_transfer_check(M, I, J2, seed=spec.seed)
+    def j2(I: Ideal) -> Ideal:
+        ring = I.ring
+        return I if same_j2 else ideal_sum(I, Ideal(ring, [ring.monomial(e) for e in extra_exps]))
 
+    def check(M: CyclicModule, I: Ideal) -> RelationReport:
+        return subideal_transfer_check(M, I, j2(I), seed=spec.seed)
+
+    check.test_ideals = lambda I: (("J2", j2(I)),)
     return M, I, check
 
 
@@ -469,9 +483,9 @@ def _describe_failure(suite_id: str, meta_seed: int, rep: RelationReport) -> str
         "suite %s failed, trial seed %d" % (suite_id, meta_seed),
         "relation %s, log: %s" % (suite_id, " | ".join(rep.hypothesis_log)),
     ]
-    return serialize_instance(
-        CyclicModule(ring, Ideal(ring, j_small)), Ideal(ring, i_small), header=header
-    )
+    I = Ideal(ring, i_small)
+    others = check.test_ideals(I) if hasattr(check, "test_ideals") else ()
+    return serialize_instance(CyclicModule(ring, Ideal(ring, j_small)), I, header=header, others=others)
 
 
 def run_suite(suite_id: str, trials: int = 100, base_seed: int = 0) -> SuiteReport:

@@ -512,7 +512,8 @@ def minors_2xn(n, p=0, order="grevlex"):
 def tagged_completions(J, I):
     """The Rabinowitsch basis of J + <1 - t*f_y> in k[t, (y,) ring] twice:
     plainly from J's generators, and seeded, from J's reduced grevlex basis
-    settled plus 1 - t*f_y.  The ring must not name a variable t or y."""
+    settled plus 1 - t*f_y, the seed in kernel form as the engine lifts it.
+    The ring must not name a variable t or y."""
     ring = J.ring
     ntags = min(len(I.generators), 2)
     aug = RingDescriptor(ring.field, ("t", "y")[:ntags] + ring.variables, TermOrder("elimination-block", ntags))
@@ -525,7 +526,8 @@ def tagged_completions(J, I):
     twin = RingDescriptor(ring.field, ring.variables, TermOrder("grevlex"))
     seed = Ideal(twin, [remap_variables(g, twin, range(ring.nvars)) for g in J.generators])
     plain = buchberger([lift(h) for h in J.generators] + [rab], ring=aug)
-    seeded = ideal_engine._complete(aug, [rab], [lift(g) for g in seed.groebner_basis()])
+    settled = ideal_engine._lift_divisors(seed.groebner_basis()._divisors, ntags)
+    seeded = ideal_engine._complete(aug, [rab], settled)
     return plain, seeded
 
 
@@ -1114,6 +1116,123 @@ class TestNonzerodivisor:
             assert len(runs) == done
         with pytest.raises(ZeroElementError):
             is_nonzerodivisor(J, R.zero())
+
+
+class TestExtend:
+    """``_extend(J, x)``, the next ideal of a grade chain: J + <x> with its
+    bases completed from J's, settled."""
+
+    ORDERS = (TermOrder("grevlex"), TermOrder("lex"), TermOrder("elimination-block", 1))
+
+    @staticmethod
+    def element(rng, ring, homogeneous):
+        """A nonconstant element; its top-degree part when ``homogeneous``."""
+        f = ring.zero()
+        while f.is_zero or f.total_degree() < 1:
+            f = random_poly(rng, ring, max_terms=3, max_exp=2)
+        if homogeneous:
+            d = f.total_degree()
+            f = ring.polynomial({m: c for m, c in f.terms if sum(m) == d})
+        return f
+
+    def test_matches_the_completion_from_the_generators(self):
+        # a chain of two steps, with homogeneous and inhomogeneous x, against
+        # buchberger on J's generators and then x; outside a lex or
+        # elimination ring's own order the seeded basis is its grevlex twin's
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for order in self.ORDERS:
+                ring = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+                twin = RingDescriptor(FieldSpec(p), ring.variables, TermOrder("grevlex"))
+                rng = random.Random(53 * p + len(order.kind))
+                for trial in range(6):
+                    J = Ideal(ring, [self.element(rng, ring, True) for _ in range(rng.randint(1, 2))])
+                    for step in range(2):
+                        homogeneous = (trial + step) % 2 == 0
+                        x = self.element(rng, ring, homogeneous)
+                        with engine_context() if trial % 3 == 0 else contextlib.nullcontext():
+                            K = ideal_engine._extend(J, x)
+                        assert K.generators == J.generators + (x,)
+                        assert K.groebner_basis() == buchberger(K.generators, ring=ring), (J, x)
+                        grevlex = ideal_engine._grevlex_twin(K).groebner_basis()
+                        gens = [remap_variables(g, twin, range(3)) for g in K.generators]
+                        assert grevlex == buchberger(gens, ring=twin), (J, x)
+                        seen["homogeneous x" if homogeneous else "inhomogeneous x"] += 1
+                        seen["GF(%d)" % p if p else "QQ"] += 1
+                        seen[order.kind] += 1
+                        seen["unit ideal"] += K.groebner_basis().is_unit_ideal
+                        J = K
+        assert seen["homogeneous x"] == seen["inhomogeneous x"] == 72, seen
+        assert all(seen[f] == 36 for f in ("QQ", "GF(2)", "GF(3)", "GF(32003)")), seen
+        assert all(seen[o.kind] == 48 for o in self.ORDERS), seen
+        assert 0 < seen["unit ideal"] < 72, seen
+
+    def test_lifted_divisors_match_the_lifted_basis(self):
+        # _lift_divisors pads the kernel form; the divisors the kernel
+        # builds from the lifted monic basis are the same tuples, also where
+        # the shift pushes a mask bit past the last one of _BITS
+        nbits = len(ideal_engine._BITS)
+        rng = random.Random(2207)
+        pushed = 0
+        for p in (0, 2, 32003):
+            small = RingDescriptor(FieldSpec(p), ("x", "y", "z"))
+            systems = [(small, [random_poly(rng, small, max_terms=3) for _ in range(3)]) for _ in range(4)]
+            wide = wide_ring(p)
+            near = (0, nbits - 2, nbits - 1, nbits, 150, 299)
+            for _ in range(4):
+                gens = []
+                for _ in range(3):
+                    acc = {}
+                    for _ in range(rng.randint(1, 3)):
+                        e = [0] * wide.nvars
+                        for _ in range(rng.randint(1, 3)):
+                            e[rng.choice(near)] += 1
+                        acc[tuple(e)] = rng.randint(-4, 4)
+                    gens.append(wide.polynomial(acc))
+                systems.append((wide, gens))
+            for ring, gens in systems:
+                gb = buchberger(gens, ring=ring)
+                for ntags in (1, 2):
+                    _, lift, _ = ideal_engine._tag_ring(ring, ntags)
+                    want = tuple(ideal_engine._divisor(ideal_engine._integral(lift(g), p)[0]) for g in gb)
+                    assert ideal_engine._lift_divisors(gb._divisors, ntags) == want, gens
+                    pushed += any(d[4] >> (nbits - ntags) for d in gb._divisors)
+        assert pushed >= 6
+
+    @staticmethod
+    def minors_grade(monkeypatch, spied):
+        """The 2x4 minors over QQ, I = all variables: (M, I, ring, the
+        witness, the calls of ``spied`` during ``grade``, as argument tuples)."""
+        from icmlab.invariants import CyclicModule
+
+        ring, J, v = minors_2xn(4)
+        M, I = CyclicModule(ring, J), Ideal(ring, v)
+        calls = []
+        real = getattr(ideal_engine, spied)
+        monkeypatch.setattr(ideal_engine, spied, lambda *a, **k: calls.append(a) or real(*a, **k))
+        return M, I, ring, invariants.grade(M, I, seed=10000), calls
+
+    def test_grade_completes_no_chain_ideal_from_its_generators(self, monkeypatch):
+        with engine_context():
+            M, I, ring, w, calls = self.minors_grade(monkeypatch, "_complete")
+        J = M.defining_ideal.generators
+        chain = [list(J + w.sequence[:k]) for k in range(1, w.value + 1)]
+        assert w.value == 5  # dim of the 2x4 minors: 2 + 4 - 1
+        plain = [gens for r, gens, settled in calls if r == ring and not settled]
+        assert plain and not [gens for gens in plain if gens in chain]
+        # each step is one completion of x_k with J_k's basis settled
+        seeded = [gens for r, gens, settled in calls if r == ring and settled]
+        assert seeded == [[x] for x in w.sequence]
+
+    def test_verify_grade_witness_reuses_the_chain_bases(self, monkeypatch):
+        # in the context of the search, the replay completes only the
+        # certificate ideal, which the search never needed a basis of
+        with engine_context():
+            M, I, ring, w, runs = self.minors_grade(monkeypatch, "_grow")
+            del runs[:]
+            log = invariants.verify_grade_witness(M, I, w)
+        assert len(log) == w.value + 1
+        assert [list(gens) for _, gens, *_ in runs] == [list(w.certificate.ideal.generators)]
 
 
 class TestColonByIdeal:

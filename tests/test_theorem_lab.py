@@ -303,6 +303,10 @@ def declared_instance(text):
     return ring, ideals["J"], ideals["I"]
 
 
+# the test ideals each reproducer queries icm J on, in order
+REPRODUCER_TESTS = {"subideal-transfer": ("I", "J2")}
+
+
 class TestSuiteFailurePath:
     @pytest.mark.parametrize("suite_id", SUITE_IDS)
     def test_forced_failures_are_tallied_and_replayable(self, suite_id, monkeypatch, capsys):
@@ -310,15 +314,34 @@ class TestSuiteFailurePath:
         rep = run_suite(suite_id, trials=3, base_seed=1)
         assert rep.passed + rep.skipped_hypothesis + len(rep.failures) == 3
         assert len(rep.failures) == 3
+        tests = REPRODUCER_TESTS.get(suite_id, ("I",))
         for t, text in enumerate(rep.failures):
             assert text.startswith("# suite %s failed, trial seed %d\n" % (suite_id, 1_000_003 + t))
             assert "log: forced" in text
-            assert text.rstrip().endswith("icm J I;")
-            assert parse(text).statements[-1] == QueryStmt("icm", ("J", "I"))
+            assert text.rstrip().endswith("icm J %s;" % tests[-1])
+            queries = list(parse(text).statements[-len(tests) :])
+            assert queries == [QueryStmt("icm", ("J", name)) for name in tests]
         assert main(["verify", suite_id, "--trials", "2"]) == 3
         out = capsys.readouterr().out
         assert "passed=0 skipped=0 failures: 2" in out
         assert out.count("icm J I;") == 2
+
+    def test_subideal_transfer_reproducer_replays_both_test_ideals(self, monkeypatch, tmp_path, capsys):
+        # the relation compares the icm reports of I and J2, so the script
+        # declares J2 and prints both reports when run
+        force_failure_on(monkeypatch, "subideal-transfer", lambda inst: True)
+        rep = run_suite("subideal-transfer", trials=3, base_seed=0)
+        assert len(rep.failures) == 3
+        for k, text in enumerate(rep.failures):
+            assert "ideal J2 = " in text
+            assert text.endswith("icm J I;\nicm J J2;\n")
+            script = tmp_path / ("repro%d.icm" % k)
+            script.write_text(text)
+            capsys.readouterr()
+            assert main(["run", str(script)]) == 0
+            out = capsys.readouterr().out
+            assert out.count("I-Cohen-Macaulay: ") == 2
+            assert out.index("icm J I:") < out.index("icm J J2:")
 
     def test_reproducer_prints_the_checked_complete_intersection(self, monkeypatch):
         # trial 3 draws J = (x1*x2*x3) but checks the complete intersection (x2^2)
