@@ -1203,10 +1203,8 @@ class TestExtend:
     def minors_grade(monkeypatch, spied):
         """The 2x4 minors over QQ, I = all variables: (M, I, ring, the
         witness, the calls of ``spied`` during ``grade``, as argument tuples)."""
-        from icmlab.invariants import CyclicModule
-
         ring, J, v = minors_2xn(4)
-        M, I = CyclicModule(ring, J), Ideal(ring, v)
+        M, I = invariants.CyclicModule(ring, J), Ideal(ring, v)
         calls = []
         real = getattr(ideal_engine, spied)
         monkeypatch.setattr(ideal_engine, spied, lambda *a, **k: calls.append(a) or real(*a, **k))
