@@ -6,10 +6,9 @@ coprime leading terms at creation, and applies the chain criterion at pop
 time: a pair (i, j) is dropped when some third leading term divides its lcm
 and both companion pairs have already been settled.  A pair keeps its lcm,
 formed once; its leading terms are coprime exactly when the lcm's degree is
-the sum of theirs, and when every variable has a support-mask bit (below),
-exactly when their masks are disjoint, which is tested before any lcm is
-formed.  Output is always the reduced monic basis, which is unique for a
-given ideal and term order, so everything downstream is deterministic.
+the sum of theirs.  Output is always the reduced monic basis, which is
+unique for a given ideal and term order, so everything downstream is
+deterministic.
 
 Every remainder comes from one kernel on integer coefficients,
 ``_reduce``: the completion's reductions and ``normal_form``.  Over GF(p)
@@ -68,8 +67,8 @@ settled, and adds only 1 - t*f_y.  Every seed is passed in the kernel form
 its basis already carries: into the tagged ring it is lifted by padding
 each monomial with the tags' zero exponents and shifting each mask past
 the tags' bits, so no seed goes back through ``Polynomial``.  A grade
-chain's J + <x> (``_extend``) is seeded the same way, from J's basis with
-x the one new generator.  Whether one element f divides zero on R/J is
+chain's J + <x> (``_extend``) gets its grevlex basis the same way, from
+J's with x the one new generator, when the basis is first read.  Whether one element f divides zero on R/J is
 decided by that completion for 1 - t*f, stopped at the first element it
 adds with a t-free leading monomial: that element lies in
 (J : f^infinity) and not in J.  The colon by an ideal uses the
@@ -545,17 +544,12 @@ def _grow(
     table: dict = {}  # the kernel's monomial records, shared by every reduction below
     pending: set = set()
     heap: list = []
-    # with a variable past _BITS, disjoint masks do not make leading terms coprime
-    wide = ring.nvars > len(_BITS)
 
     def add_poly(terms: tuple) -> bool:
         """Adds a basis element; True when ``stop`` holds for it."""
         new = _divisor(terms)
-        j, ltj, degj, maskj = len(divs), new[0], new[1], new[4]
-        for i, (lti, degi, _, _, maski) in enumerate(divs):
-            if not (maski & maskj or wide):
-                # disjoint supports: coprime, and the S-polynomial reduces to zero
-                continue
+        j, ltj, degj = len(divs), new[0], new[1]
+        for i, (lti, degi, _, _, _) in enumerate(divs):
             lcm = monomial_lcm(lti, ltj)
             deg = sum(lcm)
             if deg == degi + degj:
@@ -632,14 +626,14 @@ class Ideal:
     The reduced Groebner basis is computed on first use and cached; in a
     ring under another order than grevlex, so is the grevlex twin that
     saturations and regularity tests start from.  An ideal of a grade chain
-    is made by ``_extend``, with both already completed from its
-    predecessor's.  All other state is
-    immutable, so sharing an Ideal across threads is safe; at worst two
-    threads compute the same canonical basis and one wins the (atomic)
-    attribute write.
+    is made by ``_extend``, which leaves it a seed: its grevlex basis is
+    then completed from its predecessor's, on first use as any other.  All
+    other state is immutable, so sharing an Ideal across threads is safe; at
+    worst two threads compute the same canonical basis and one wins the
+    (atomic) attribute write.
     """
 
-    __slots__ = ("ring", "generators", "_gb", "_twin")
+    __slots__ = ("ring", "generators", "_gb", "_twin", "_seed")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial] = ()):
         gens = []
@@ -654,6 +648,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = None
         self._twin = None  # the same generators under grevlex, made by _grevlex_twin or _extend
+        self._seed = None  # (P, x) from _extend: the basis completes x with P's settled
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -665,7 +660,12 @@ class Ideal:
         now, exactly as a fresh completion is."""
         gb = self._gb
         if gb is None:
-            gb = self._gb = buchberger(self.generators, ring=self.ring)
+            if self._seed is None:
+                gb = buchberger(self.generators, ring=self.ring)
+            else:
+                P, x = self._seed
+                gb = _complete(self.ring, [x], P.groebner_basis()._divisors)
+            self._gb = gb
         limit = _ENGINE.get().step_limit
         if gb.steps > limit:
             raise _step_limit_error(limit)
@@ -830,22 +830,22 @@ def _grevlex_twin(J: Ideal) -> Ideal:
 
 def _extend(J: Ideal, x: Polynomial) -> Ideal:
     """J + <x>, the next ideal of a chain (``grade``'s J_{k+1} = J_k + <x_k>
-    and its replay), generated by J's generators and then x, with its bases
-    seeded: each one is the completion of x with J's basis in the same
-    order settled, so no pair inside J's basis is formed again (the
-    incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988).  In a
-    grevlex ring that is J + <x>'s own basis; in any other ring it is its
-    grevlex twin's, seeded from J's twin, and its own, seeded from J's.  A
-    replay of the same chain in the same engine context finds every seeded
-    basis in the memo."""
+    and its replay), generated by J's generators and then x, with its
+    grevlex basis seeded: when first read, it is the completion of x with
+    J's grevlex basis settled, so no pair inside J's basis is formed again
+    (the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988).  In
+    a grevlex ring that is J + <x>'s own basis; in any other ring it is its
+    grevlex twin's, seeded from J's twin, and its own basis is completed
+    from the generators as for any ideal.  Nothing is completed here, so a
+    chain ideal whose basis nothing reads costs no completion.  A replay of
+    the same chain in the same engine context finds every seeded basis in
+    the memo."""
     K = Ideal(J.ring, J.generators + (x,))
-    K._gb = _complete(J.ring, [x], J.groebner_basis()._divisors)
-    twin = _grevlex_twin(J)
-    if twin is not J:
-        ring = twin.ring
-        x = remap_variables(x, ring, range(ring.nvars))
-        K._twin = Ideal(ring, twin.generators + (x,))
-        K._twin._gb = _complete(ring, [x], twin.groebner_basis()._divisors)
+    if J.ring.order.kind == GREVLEX:
+        K._seed = (J, x)
+    else:
+        twin = _grevlex_twin(J)
+        K._twin = _extend(twin, remap_variables(x, twin.ring, range(twin.ring.nvars)))
     return K
 
 

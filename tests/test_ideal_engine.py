@@ -1137,8 +1137,8 @@ class TestExtend:
 
     def test_matches_the_completion_from_the_generators(self):
         # a chain of two steps, with homogeneous and inhomogeneous x, against
-        # buchberger on J's generators and then x; outside a lex or
-        # elimination ring's own order the seeded basis is its grevlex twin's
+        # buchberger on J's generators and then x; in a lex or elimination
+        # ring the seeded basis is its grevlex twin's
         seen = Counter()
         for p in (0, 2, 3, 32003):
             for order in self.ORDERS:
@@ -1166,6 +1166,34 @@ class TestExtend:
         assert all(seen[f] == 36 for f in ("QQ", "GF(2)", "GF(3)", "GF(32003)")), seen
         assert all(seen[o.kind] == 48 for o in self.ORDERS), seen
         assert 0 < seen["unit ideal"] < 72, seen
+
+    def test_seeds_complete_on_first_use_and_only_under_grevlex(self, monkeypatch):
+        # _extend completes nothing; reading a chain ideal's grevlex basis
+        # completes x with its predecessor's settled, and a lex ring's own
+        # basis comes from its generators, as for any ideal
+        calls = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
+        for order in self.ORDERS:
+            ring = RingDescriptor(QQ, ("x", "y", "z"), order)
+            x, y, z = (ring.variable(i) for i in range(3))
+            J = Ideal(ring, [x * y - z**2])
+            J.groebner_basis()
+            ideal_engine._grevlex_twin(J).groebner_basis()
+            del calls[:]
+            K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
+            assert not calls
+            twin = ideal_engine._grevlex_twin(K)
+            twin.groebner_basis()
+            grevlex = twin.ring
+            assert grevlex.order.kind == "grevlex"
+            assert [(r, [g.terms for g in gens], bool(settled)) for r, gens, settled in calls] == [
+                (grevlex, [remap_variables(y**2 - x * z, grevlex, range(3)).terms], True),
+                (grevlex, [remap_variables(z**3, grevlex, range(3)).terms], True),
+            ]
+            del calls[:]
+            K.groebner_basis()
+            assert [bool(settled) for _, _, settled in calls] == ([] if twin is K else [False])
 
     def test_lifted_divisors_match_the_lifted_basis(self):
         # _lift_divisors pads the kernel form; the divisors the kernel
