@@ -68,13 +68,13 @@ its basis already carries: into the tagged ring it is lifted by padding
 each monomial with the tags' zero exponents and shifting each mask past
 the tags' bits, so no seed goes back through ``Polynomial``.  A grade
 chain's J + <x> (``_extend``) gets its grevlex basis the same way, from
-J's with x the one new generator, when the basis is first read.  Whether one element f divides zero on R/J is
-decided by that completion for 1 - t*f, stopped at the first element it
-adds with a t-free leading monomial: that element lies in
-(J : f^infinity) and not in J.  The colon by an ideal uses the
-same generic element: (J : I) = (J*R[y] : f_y) cap R, one colon by an
-element in R[y] and one elimination of y, in place of s colons and s - 1
-intersections.
+J's with x the one new generator, when the basis is first read.  Whether
+one element f divides zero on R/J is decided by that completion for
+1 - t*f, stopped at the first element it adds with a t-free leading
+monomial: that element lies in (J : f^infinity) and not in J.  The colon
+by an ideal uses the same generic element: (J : I) = (J*R[y] : f_y) cap R,
+one colon by an element in R[y] and one elimination of y, in place of s
+colons and s - 1 intersections.
 """
 from __future__ import annotations
 
