@@ -6,6 +6,11 @@ A cyclic module M = R/J is I-Cohen-Macaulay when
 
 The inequality <= always holds, so the report carries the nonnegative
 defect dim(M) - grade(I, M) - dim(M/IM) and the verdict is defect == 0.
+Proof of the inequality: take a prime P containing I + Ann M with
+dim R/P = dim M/IM.  Then grade(I, M) <= depth M_P <= dim M_P
+<= dim M - dim R/P (Bruns-Herzog, Cohen-Macaulay Rings, 1.2.10 and 1.2.12).
+So ``invariants.grade`` stops its chain at dim M - dim M/IM, and the
+report takes both dimensions from the same call.
 
 The relation checks each encode one transport statement: how the verdict,
 grade, and dimensions move under quotients by regular sequences, under the
@@ -98,10 +103,7 @@ def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
     lists are written down: everything flows through reduced Groebner
     bases.
     """
-    w = invariants.grade(M, I, seed=seed)
-    dim_m = invariants.krull_dimension(M)
-    quotient = CyclicModule(M.ring, ideal_sum(M.defining_ideal, I))
-    dim_mod = invariants.krull_dimension(quotient)
+    w, dim_m, dim_mod = invariants._grade_and_dimensions(M, I, seed)
     defect = dim_m - w.value - dim_mod
     height_i = None
     geh = None
@@ -129,8 +131,8 @@ def is_cohen_macaulay_graded(M: CyclicModule, seed: int = 0) -> bool:
             )
     ring = M.ring
     mvars = Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
-    w = invariants.grade(M, mvars, seed=seed)
-    return w.value == invariants.krull_dimension(M)
+    w, dim_m, _ = invariants._grade_and_dimensions(M, mvars, seed)
+    return w.value == dim_m
 
 
 def check_grade_height(I: Ideal, seed: int = 0) -> RelationReport:

@@ -21,10 +21,14 @@ regular element it finds already proves that one exists; existence is
 decided only at the first draw that does not succeed, or when the stream
 ends, so a step that finds an element before that never saturates by I.
 When no element exists, the current sequence length is the grade and that
-saturation ships with the answer as its certificate.  On a graded chain a
-candidate that divides zero at one step divides zero at every later step,
-so it is not tested again.  ``verify_grade_witness`` replays each element
-with the same test.
+saturation ships with the answer as its certificate.  The chain stops
+without a search at the bound b = dim M - dim M/IM, since
+grade(I, M) <= b always holds: a sequence of length b is maximal, and
+``saturate(J_b, I)`` is its certificate.  So only a chain below the bound
+pays for the search that finds nothing.  On a graded chain a candidate that
+divides zero at one step divides zero at every later step, so it is not
+tested again.  ``verify_grade_witness`` replays each element with the same
+test and never reads the bound.
 """
 from __future__ import annotations
 
@@ -419,7 +423,9 @@ def find_regular_element(
     """One step of ``grade``: search I for an element regular on R/J, where
     J is the step's ideal J_k; None exactly when I holds none.  The caller
     passes a valid pair: I is a nonzero proper ideal of J's ring and J + I
-    is proper, which ``grade`` checks once for the whole chain.
+    is proper, which ``grade`` checks once for the whole chain.  ``grade``
+    calls it only below the bound dim M - dim M/IM, so a None from it means
+    a chain that ends below the bound.
 
     The candidates come from ``_candidates`` seeded by ``seed``.  ``known``
     holds elements known to divide zero on R/J: a candidate in it is not
@@ -469,6 +475,13 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     with its exponent, is the certificate of maximality (inside an engine
     context it is a memo hit, as is its replay in the same context).
 
+    The chain never searches at the bound b = dim M - dim M/IM, where
+    grade(I, M) <= b (see ``icm_checker``): a sequence of length b is
+    maximal, and ``saturate(J_b, I)`` alone is its certificate.  The search
+    there would find nothing, so the witness is the one it would give.  An
+    exponent of 0 at the bound, (J_b : I^infinity) = J_b, would contradict
+    the inequality, and raises EngineError naming the step and b.
+
     When J and the reduced basis of I are homogeneous, every element of the
     sequence is homogeneous of positive degree, and for such an x regular on
     a graded module N the zero divisors of N divide zero on N/xN too (graded
@@ -478,30 +491,50 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     homogeneity this fails (over QQ[t, s] with J = (t^2 - t), t divides zero
     on R/J but not on R/(J + st - t + 1)), and every step tests afresh.
     """
+    return _grade_and_dimensions(M, I, seed)[0]
+
+
+def _grade_and_dimensions(
+    M: CyclicModule, I: Ideal, seed: int
+) -> Tuple[GradeWitness, int, int]:
+    """``grade`` with the two dimensions it bounds the chain by: the
+    witness, dim M and dim M/IM.  Both bases are built by the pair check."""
     if I.ring != M.ring:
         raise IncompatibleRingError("test ideal lives in a different ring")
     if not I.generators:
         raise ZeroElementError("the zero test ideal has no regular elements")
     if membership(M.ring.one(), I):
         raise ImproperIdealError("the test ideal is the unit ideal")
-    if membership(M.ring.one(), ideal_sum(M.defining_ideal, I)):
+    J = M.defining_ideal
+    J_plus_I = ideal_sum(J, I)
+    if membership(M.ring.one(), J_plus_I):
         raise IMEqualsMError(
             "I + J is the unit ideal, so I * (R/J) = R/J and grade is undefined"
         )
+    dim_m = _dim_of_quotient(J)
+    dim_mod = _dim_of_quotient(J_plus_I)
+    bound = dim_m - dim_mod
     graded = all(
-        p.is_homogeneous()
-        for p in M.defining_ideal.groebner_basis().basis + I.groebner_basis().basis
+        p.is_homogeneous() for p in J.groebner_basis().basis + I.groebner_basis().basis
     )
     known: Set[Polynomial] = set()
-    current = M.defining_ideal
+    current = J
     sequence: List[Polynomial] = []
-    while True:
+    while len(sequence) < bound:
         step_known = known if graded else set()
         x = find_regular_element(current, I, seed + len(sequence), step_known)
         if x is None:
-            return GradeWitness(len(sequence), tuple(sequence), saturate(current, I))
+            break
         sequence.append(x)
         current = _extend(current, x)
+    certificate = saturate(current, I)
+    if certificate.exponent == 0:
+        raise EngineError(
+            "grade step %d: (J_k : I^infinity) = J_k at the bound "
+            "b = dim M - dim M/IM = %d, so a dimension is wrong"
+            % (len(sequence), bound)
+        )
+    return GradeWitness(len(sequence), tuple(sequence), certificate), dim_m, dim_mod
 
 
 def verify_grade_witness(M: CyclicModule, I: Ideal, witness: GradeWitness) -> List[str]:

@@ -528,13 +528,15 @@ def minors_2xn(n):
 
 class TestSearchMemory:
     def test_graded_chain_skips_known_zero_divisors(self, monkeypatch):
-        # without the skip this chain makes 43 regularity tests: every step
-        # retests the basis elements that failed at the steps before it
+        # without the skip this chain makes 35 regularity tests: every step
+        # retests the basis elements that failed at the steps before it.
+        # The chain ends at the bound dim M - dim M/IM = 5 - 0, where no
+        # search runs (15 tests when the last step still searched)
         M, I = minors_2xn(4)
         tested = spy(monkeypatch, "is_regular")
         w = grade(M, I, seed=10000)
         assert w.value == 5
-        assert len(tested) == 15
+        assert len(tested) == 14
         monkeypatch.undo()
         failed = set()
         for call in tested:
@@ -556,12 +558,16 @@ class TestSearchMemory:
         assert is_regular(ideal_sum(J, Ideal(R, [x])), t)
 
     def test_inhomogeneous_grade_skips_nothing(self, monkeypatch):
-        # both basis elements of I = (x, y^2 + y) divide zero on R/(x*y) and
-        # are tested again on the second step of the chain
-        R = ring_qq("x", "y")
-        x, y = R.variable(0), R.variable(1)
-        M = CyclicModule(R, Ideal(R, [x * y]))
-        I = Ideal(R, [x, y**2 + y])
+        # every basis element of I = (x, y, z^2 + z) divides zero on
+        # R/(x*y, x*z), the plane x = 0 with the line y = z = 0, and is
+        # tested again on the second step of the chain.  That step lies
+        # below the bound dim M - dim M/IM = 2 - 0: the grade is 1, the
+        # depth at the origin, where the line meets the plane
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        M = CyclicModule(R, Ideal(R, [x * y, x * z]))
+        I = Ideal(R, [x, y, z**2 + z])
+        assert (krull_dimension(M), height(ideal_sum(M.defining_ideal, I))) == (2, 3)
         searches = spy(monkeypatch, "find_regular_element")
         tested = spy(monkeypatch, "is_regular")
         w = grade(M, I, seed=1)
@@ -691,8 +697,10 @@ class TestSaturationMemo:
     def test_regularity_tests_build_no_tagged_input(self, monkeypatch):
         # is_regular decides by a completion that stops at its witness and
         # builds no saturation: inside an engine context, grade on the 2x4
-        # minors makes one _eliminate_tag call per existence test, and the
-        # certificate and the replay reuse those builds
+        # minors makes one _eliminate_tag call per existence test and one
+        # for the certificate at the bound, where no existence test runs
+        # (at 15 tests, 2 existence tests and 2 builds the last step still
+        # searched), and the replay reuses those builds
         from icmlab import ideal_engine
 
         eliminations = []
@@ -705,11 +713,11 @@ class TestSaturationMemo:
         tested = spy(monkeypatch, "is_regular")
         with engine_context():
             w = grade(M, I, seed=10000)
-            assert w.value == 5 and len(tested) == 15
-            assert len(existence) == len(eliminations) == 2
+            assert w.value == 5 and len(tested) == 14
+            assert len(existence) == 1 and len(eliminations) == 2
             assert all(call["I"] is I for call in existence)
             verify_grade_witness(M, I, w)
-            assert len(tested) == 20 and len(eliminations) == 2
+            assert len(tested) == 19 and len(eliminations) == 2
         # x1 is regular on the minors; modulo them and x1, y1 * x2 = 0
         x1, x2, y1 = I.generators[0], I.generators[1], I.generators[4]
         J = ideal_sum(M.defining_ideal, Ideal(M.ring, [x1]))
