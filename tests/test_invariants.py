@@ -13,6 +13,7 @@ from icmlab.errors import (
     SearchExhaustedError,
     ZeroElementError,
 )
+from icmlab.icm_checker import icm_report
 from icmlab.ideal_engine import (
     Ideal,
     SaturationResult,
@@ -20,6 +21,7 @@ from icmlab.ideal_engine import (
     ideal_equal,
     ideal_quotient,
     ideal_sum,
+    is_saturated,
     membership,
     saturate,
 )
@@ -531,7 +533,7 @@ class TestSearchMemory:
         # without the skip this chain makes 35 regularity tests: every step
         # retests the basis elements that failed at the steps before it.
         # The chain ends at the bound dim M - dim M/IM = 5 - 0, where no
-        # search runs (15 tests when the last step still searched)
+        # search runs
         M, I = minors_2xn(4)
         tested = spy(monkeypatch, "is_regular")
         w = grade(M, I, seed=10000)
@@ -698,9 +700,8 @@ class TestSaturationMemo:
         # is_regular decides by a completion that stops at its witness and
         # builds no saturation: inside an engine context, grade on the 2x4
         # minors makes one _eliminate_tag call per existence test and one
-        # for the certificate at the bound, where no existence test runs
-        # (at 15 tests, 2 existence tests and 2 builds the last step still
-        # searched), and the replay reuses those builds
+        # for the certificate at the bound, where no existence test runs,
+        # and the replay reuses those builds
         from icmlab import ideal_engine
 
         eliminations = []
@@ -740,6 +741,77 @@ class TestSaturationMemo:
             done = len(builds)
             verify_grade_witness(M, I, w)
             assert len(builds) == done
+
+
+class TestGradeBound:
+    """grade(I, M) <= dim M - dim M/IM, and the chain stops there."""
+
+    def test_exponent_zero_at_the_bound_is_refused(self, monkeypatch):
+        # a wrong dim M/IM of 1 puts the bound at 1 on R = QQ[x, y] with
+        # I = (x, y), whose grade is 2: the sequence stops at one element,
+        # and the certificate (J_1 : I^infinity) = J_1 shows it extends
+        import icmlab.invariants as inv
+
+        R = ring_qq("x", "y")
+        M = CyclicModule(R, Ideal(R, []))
+        I = Ideal(R, [R.variable(0), R.variable(1)])
+        real = inv._dim_of_quotient
+        monkeypatch.setattr(inv, "_dim_of_quotient", lambda K: max(real(K), 1))
+        message = r"^grade step 1: .* bound b = dim M - dim M/IM = 1, so a dimension is wrong$"
+        with pytest.raises(EngineError, match=message):
+            grade(M, I, seed=1)
+        with pytest.raises(EngineError, match=message):
+            icm_report(M, I, seed=1)
+        monkeypatch.undo()
+        assert grade(M, I, seed=1).value == 2
+
+    def test_suite_instances_obey_the_bound(self):
+        # every suite's instance generator, over QQ and GF(32003): the
+        # inequality holds with the dimensions computed on their own, and a
+        # chain stopped at the bound is one the search could not extend
+        from icmlab.theorem_lab import SUITE_IDS, _SUITES
+
+        at_bound, below = set(), 0
+        for suite_id in SUITE_IDS:
+            for meta_seed in range(30):
+                M, I, _ = _SUITES[suite_id](meta_seed)
+                J, R = M.defining_ideal, M.ring
+                if membership(R.one(), ideal_sum(J, I)):
+                    continue
+                rep = icm_report(M, I, seed=meta_seed)
+                dim_m = krull_dimension(M)
+                dim_mod = krull_dimension(CyclicModule(R, ideal_sum(J, I)))
+                assert (rep.dim_m, rep.dim_m_mod_im) == (dim_m, dim_mod)
+                b = dim_m - dim_mod
+                assert rep.grade.value <= b
+                verify_grade_witness(M, I, rep.grade)
+                if rep.grade.value < b:
+                    below += 1
+                    continue
+                at_bound.add((suite_id, R.field.characteristic))
+                J_b = replay_regular_sequence(J, I, rep.grade.sequence)
+                assert find_regular_element(J_b, I, meta_seed + b, set()) is None
+                assert not is_saturated(J_b, I)
+        assert {suite for suite, _ in at_bound} == set(SUITE_IDS)
+        assert {p for _, p in at_bound} == {0, 32003}
+        assert below
+
+    @pytest.mark.parametrize("p", [0, 32003])
+    def test_rational_quartic_searches_below_the_bound(self, monkeypatch, p):
+        # grade 1 < b = 2 - 0: the chain stops below the bound, so its last
+        # step still searches and decides once that no element exists
+        R = RingDescriptor(FieldSpec(p), ("a", "b", "c", "d"))
+        a, b, c, d = (R.variable(i) for i in range(4))
+        J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d])
+        M, m = CyclicModule(R, J), Ideal(R, [a, b, c, d])
+        searches = spy(monkeypatch, "find_regular_element")
+        existence = spy(monkeypatch, "is_saturated")
+        rep = icm_report(M, m, seed=1)
+        assert (rep.grade.value, rep.dim_m, rep.dim_m_mod_im) == (1, 2, 0)
+        assert len(searches) == 2
+        last = [call for call in existence if call["J"] is searches[-1]["J"]]
+        assert len(last) == 1
+        assert not is_saturated(last[0]["J"], m)
 
 
 # ---------------------------------------------------------------------------
