@@ -50,31 +50,33 @@ and the engine fails loudly when the cap is hit rather than spinning.
 of every completion, the candidate budget of the regular-element search
 (read through ``search_budget``), and a memo: of reduced bases keyed by
 ring (order included), settled prefix (below; kernel divisor tuples, so
-integers only) and ordered generator terms, and of saturations and
-regularity decisions keyed by ring and both generator lists.  Outside any
+integers only) and ordered generator terms, of ``saturate``'s results
+under "saturate" and of ``is_nonzerodivisor``'s decisions under
+"regular", each keyed by ring and both generator lists.  Outside any
 context the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
 memoized.  The memo and the step limit share the context's lifetime, so a
 stored basis always met the limit in force; a basis cached on an ``Ideal``
 can outlive its context, and is handed out again only under a limit that
 a fresh completion would meet.
 
-Saturation by an ideal I = <g_1, ..., g_s> is one Groebner basis: with one
-new variable y and the generic element f_y = sum y^(i-1) * g_i,
-(J : I^infinity) = (J + <1 - t*f_y>) cap k[x], the tags t and y eliminated
-together; for s = 1 it is the Rabinowitsch test of one element.  That
-completion starts from J's reduced grevlex basis with the pairs inside it
-settled, and adds only 1 - t*f_y.  Every seed is passed in the kernel form
-its basis already carries: into the tagged ring it is lifted by padding
-each monomial with the tags' zero exponents and shifting each mask past
-the tags' bits, so no seed goes back through ``Polynomial``.  A grade
-chain's J + <x> (``_extend``) gets its grevlex basis the same way, from
-J's with x the one new generator, when the basis is first read.  Whether
-one element f divides zero on R/J is decided by that completion for
-1 - t*f, stopped at the first element it adds with a t-free leading
-monomial: that element lies in (J : f^infinity) and not in J.  The colon
-by an ideal uses the same generic element: (J : I) = (J*R[y] : f_y) cap R,
-one colon by an element in R[y] and one elimination of y, in place of s
-colons and s - 1 intersections.
+Saturation by an ideal I = <g_1, ..., g_s> is one Groebner basis, and
+``saturate`` is its one builder: with one new variable y and the generic
+element f_y = sum y^(i-1) * g_i, (J : I^infinity) = (J + <1 - t*f_y>) cap
+k[x], the tags t and y eliminated together; for s = 1 it is the
+Rabinowitsch test of one element.  That completion starts from J's reduced
+grevlex basis with the pairs inside it settled, and adds only 1 - t*f_y.
+Every seed is passed in the kernel form its basis already carries: into
+the tagged ring it is lifted by padding each monomial with the tags' zero
+exponents and shifting each mask past the tags' bits, so no seed goes back
+through ``Polynomial``.  A grade chain's J + <x> (``_extend``) gets its
+grevlex basis the same way, from J's with x the one new generator, when
+the basis is first read.  Whether one element f divides zero on R/J is
+decided by ``is_nonzerodivisor``, that completion for 1 - t*f stopped at
+the first element it adds with a t-free leading monomial: that element
+lies in (J : f^infinity) and not in J.  The colon by an ideal uses the
+same generic element: (J : I) = (J*R[y] : f_y) cap R, one colon by an
+element in R[y] and one elimination of y, in place of s colons and s - 1
+intersections.
 """
 from __future__ import annotations
 
@@ -849,9 +851,10 @@ def _extend(J: Ideal, x: Polynomial) -> Ideal:
     return K
 
 
-def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
-    """(J : I^infinity) as one Groebner basis, plus the normal forms modulo J
-    of its generators; all of them vanish exactly when the saturation is J.
+def saturate(J: Ideal, I: Ideal) -> SaturationResult:
+    """(J : I^infinity) as one Groebner basis, plus the least exponent k
+    with (J : I^k) already equal to it; k is 0 exactly when the saturation
+    is J.  The one builder of a saturation.
 
     For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i
     in one new variable y, (J : I^infinity) = (J*R[y] : f_y^infinity) cap R
@@ -859,9 +862,12 @@ def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
     when I lies in the prime P.  So the saturation is (J + <1 - t*f_y>) with
     t and y eliminated (Rabinowitsch); for s = 1, f_y = g_1 and no y is
     added.  The completion starts from J's reduced grevlex basis, settled.
-    Inside an engine context the result is memoized by (ring, J's and I's
-    generator terms) before anything is built, so ``is_saturated`` and
-    ``saturate`` on one pair share one build.
+
+    The exponent is the least k with I^k * sat inside J: normal forms modulo
+    J of sat's generators are multiplied by each g in I and reduced again
+    until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.  Inside an
+    engine context the result is memoized by (ring, J's and I's generator
+    terms) before anything is built.
     """
     _same_ring(J, I)
     gens = I.generators
@@ -869,7 +875,7 @@ def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
         raise ZeroElementError("saturation by the zero ideal is undefined")
     memo = _ENGINE.get().memo
     if memo is not None:
-        memo_key = ("saturation", J.ring, *(tuple(g.terms for g in K.generators) for K in (J, I)))
+        memo_key = ("saturate", J.ring, *(tuple(g.terms for g in K.generators) for K in (J, I)))
         hit = memo.get(memo_key)
         if hit is not None:
             return hit
@@ -879,7 +885,12 @@ def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
 
     sat = _eliminate_tag(J.ring, min(len(gens), 2), build, _grevlex_twin(J).groebner_basis()._divisors)
     gb = J.groebner_basis()
-    out = sat, frozenset(normal_form(s, gb) for s in sat.generators)
+    rest = {normal_form(s, gb) for s in sat.generators}
+    exponent = 0
+    while any(rest):
+        rest = {normal_form(g * h, gb) for g in gens for h in rest if h}
+        exponent += 1
+    out = SaturationResult(sat, exponent)
     if memo is not None:
         memo[memo_key] = out
     return out
@@ -888,7 +899,7 @@ def _saturation(J: Ideal, I: Ideal) -> Tuple[Ideal, frozenset]:
 def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     """True when f is a nonzerodivisor on R/J, i.e. (J : f^infinity) = J.
 
-    The completion of J + <1 - t*f> that ``_saturation`` runs, seeded with
+    The completion of J + <1 - t*f> that ``saturate`` runs, seeded with
     J's reduced grevlex basis settled, decides it on its way.  Every element
     it adds is a nonzero remainder reduced by a Groebner basis of J, so not
     in J; one whose leading monomial is free of t is free of t (the order
@@ -898,7 +909,8 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     For f in J it stops at the generator, since 1 - t*f reduces to 1.  No
     minimal basis, contraction or normal form is built.  Inside an engine context
     the answer is memoized by (ring, J's generator terms, f's terms) before
-    anything is lifted, and a stored saturation of the pair answers too.
+    anything is lifted, and a stored saturation of the pair answers too, by
+    its exponent.
     """
     if f.ring != J.ring:
         raise IncompatibleRingError("polynomial outside the ideal's ring")
@@ -907,9 +919,9 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     memo = _ENGINE.get().memo
     if memo is not None:
         pair = (J.ring, tuple(g.terms for g in J.generators), (f.terms,))
-        sat = memo.get(("saturation",) + pair)
+        sat = memo.get(("saturate",) + pair)
         if sat is not None:
-            return not any(sat[1])
+            return sat.exponent == 0
         memo_key = ("regular",) + pair
         regular = memo.get(memo_key)
         if regular is not None:
@@ -920,30 +932,6 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     if memo is not None:
         memo[memo_key] = regular
     return regular
-
-
-def is_saturated(J: Ideal, I: Ideal) -> bool:
-    """True when (J : I^infinity) = J, i.e. I holds an element regular on R/J:
-    the one saturation basis and a single normal-form pass, without
-    ``saturate``'s exponent count."""
-    return not any(_saturation(J, I)[1])
-
-
-def saturate(J: Ideal, I: Ideal) -> SaturationResult:
-    """Saturation (J : I^infinity) plus the least stabilizing exponent.
-
-    The exponent is the least k with I^k * sat inside J, i.e. (J : I^k) = sat:
-    normal forms modulo J of sat's generators are multiplied by each g in I
-    and reduced again until all vanish; NF(g * NF(h)) = NF(g * h) makes this
-    exact.
-    """
-    sat, rest = _saturation(J, I)
-    gb = J.groebner_basis()
-    exponent = 0
-    while any(rest):
-        rest = {normal_form(g * h, gb) for g in I.generators for h in rest if h}
-        exponent += 1
-    return SaturationResult(sat, exponent)
 
 
 def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:

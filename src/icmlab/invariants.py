@@ -6,12 +6,13 @@ smallest set of variables meeting the support of every minimal generator.
 Minimal primes, associated primes (via irreducible decomposition), regular
 elements, and the certified grade computation all build on this picture.
 
-Regularity rests on saturation: x is regular on R/J exactly when
-(J : x^infinity) = J, and I holds a regular element exactly when
-(J : I^infinity) = J.  ``is_regular`` decides the first by
-``is_nonzerodivisor``, whose Rabinowitsch completion stops at the first
-element of (J : x^infinity) outside J and builds no saturation; the second,
-the existence test, builds the saturation, which is also the certificate.
+Regularity rests on saturation: since J <= (J : x) <= (J : x^infinity), x
+is regular on R/J exactly when (J : x^infinity) = J, and I holds a regular
+element exactly when (J : I^infinity) = J.  ``is_nonzerodivisor`` decides
+the first: its Rabinowitsch completion stops at the first element of
+(J : x^infinity) outside J and builds no saturation.  ``saturate`` decides
+the second, the existence test, as exponent 0, and the saturation it
+builds is also the certificate.
 Grade is computed by actually finding a maximal regular sequence.
 ``grade`` checks (M, I) once per call; each step is one
 ``find_regular_element`` on the step's ideal J_k, which runs one test loop
@@ -55,7 +56,6 @@ from .ideal_engine import (
     ideal_equal,
     ideal_sum,
     is_nonzerodivisor,
-    is_saturated,
     membership,
     saturate,
     search_budget,
@@ -311,14 +311,6 @@ def associated_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
 # regular elements and grade
 
 
-def is_regular(J: Ideal, x: Polynomial) -> bool:
-    """True when x is regular on R/J.  Since J <= (J : x) <= (J : x^infinity),
-    (J : x) = J holds exactly when the saturation by x adds nothing, which
-    ``is_nonzerodivisor`` decides without building the saturation: its
-    completion stops at the first element of (J : x^infinity) outside J."""
-    return is_nonzerodivisor(J, x)
-
-
 def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) -> Ideal:
     """Check that ``sequence`` is an R/J-regular sequence inside I: each
     element lies in I and is regular on the quotient by J and the elements
@@ -329,7 +321,7 @@ def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) 
     for k, x in enumerate(sequence, 1):
         if not membership(x, I):
             raise EngineError("sequence element %d is not in the test ideal" % k)
-        if not is_regular(current, x):
+        if not is_nonzerodivisor(current, x):
             raise EngineError("sequence element %d is not regular" % k)
         current = _extend(current, x)
     return current
@@ -433,10 +425,12 @@ def find_regular_element(
     one set along a graded chain, where a zero divisor stays one, and a
     fresh set otherwise.
 
-    Existence, (J : I^infinity) = J, reads nothing from the seeded stream,
-    so it is decided late without changing the answer: at the first draw
-    that does not succeed (a candidate after the basis that fails, or a
-    None), or when the stream ends.  When it fails the answer is None.
+    Existence, (J : I^infinity) = J, is ``saturate(J, I).exponent == 0``.
+    It reads nothing from the seeded stream, so it is decided late without
+    changing the answer: at the first draw that does not succeed (a
+    candidate after the basis that fails, or a None), or when the stream
+    ends.  When it fails the answer is None, and that ``saturate`` result is
+    the certificate ``grade`` asks for next.
     Otherwise an exhausted stream raises SearchExhaustedError, although a
     regular element exists.
     """
@@ -446,11 +440,11 @@ def find_regular_element(
     stream = itertools.chain(_candidates(basis, random.Random(seed)), [None])
     for k, x in enumerate(stream):
         if x is not None and x not in known:
-            if is_regular(J, x):
+            if is_nonzerodivisor(J, x):
                 return x
             known.add(x)
         if (x is None or k >= len(basis)) and not exists:
-            if not is_saturated(J, I):
+            if saturate(J, I).exponent:
                 return None
             exists = True
     raise SearchExhaustedError(
@@ -539,7 +533,8 @@ def _grade_and_dimensions(
 
 def verify_grade_witness(M: CyclicModule, I: Ideal, witness: GradeWitness) -> List[str]:
     """Replay a witness: each element lies in I and is regular on the
-    successive quotient, and the certificate blocks any extension.  Returns
+    successive quotient, and the certificate blocks any extension and is
+    the saturation of the last quotient by I, ideal and exponent.  Returns
     a step-by-step log; raises EngineError on the first discrepancy."""
     current = replay_regular_sequence(M.defining_ideal, I, witness.sequence)
     log = [
@@ -554,6 +549,8 @@ def verify_grade_witness(M: CyclicModule, I: Ideal, witness: GradeWitness) -> Li
     check = saturate(current, I)
     if not ideal_equal(check.ideal, cert.ideal):
         raise EngineError("certificate ideal is not the saturation")
+    if check.exponent != cert.exponent:
+        raise EngineError("certificate exponent is not the saturation's")
     log.append(
         "certificate: (J + <sequence> : I^infinity) differs from J + <sequence>, "
         "so no further regular element exists"

@@ -17,7 +17,7 @@ from icmlab.icm_checker import (
     quotient_transport,
     subideal_transfer_check,
 )
-from icmlab.ideal_engine import Ideal, ideal_intersect
+from icmlab.ideal_engine import Ideal, ideal_intersect, saturate
 from icmlab.invariants import CyclicModule, MonomialPrime, grade, verify_grade_witness
 from icmlab.ring_core import FieldSpec, RingDescriptor
 
@@ -144,7 +144,8 @@ class TestIcmReport:
         # the quartic's image under a permuted unitriangular substitution
         # (entries in {-1, 0, 1}) keeps its closed form; I = (a, b, c, d) is
         # fixed by it.  The chain is mostly zero divisors, and each answer of
-        # is_regular is checked against the full saturation by the element
+        # is_nonzerodivisor is checked against the full saturation by the
+        # element
         R = RingDescriptor(FieldSpec(p), ("a", "b", "c", "d"))
         a, b, c, d = (R.variable(i) for i in range(4))
         images = phi(a, b, c, d)
@@ -154,20 +155,20 @@ class TestIcmReport:
         ])
         M, m = CyclicModule(R, J), Ideal(R, [a, b, c, d])
         answers = []
-        real = invariants.is_regular
+        real = invariants.is_nonzerodivisor
 
         def recorded(K, x):
             answers.append((K, x, real(K, x)))
             return answers[-1][2]
 
-        monkeypatch.setattr(invariants, "is_regular", recorded)
+        monkeypatch.setattr(invariants, "is_nonzerodivisor", recorded)
         rep = icm_report(M, m, seed=1)
         assert (rep.grade.value, rep.defect, rep.dim_m, rep.dim_m_mod_im) == (1, 1, 2, 0)
         assert rep.is_icm is False
         verify_grade_witness(M, m, rep.grade)
         assert [regular for _, _, regular in answers].count(False) >= 5
         for K, x, regular in answers:
-            assert regular == invariants.is_saturated(K, Ideal(R, [x])), x
+            assert regular == (saturate(K, Ideal(R, [x])).exponent == 0), x
 
     def test_defect_nonnegative_spot_checks(self):
         rng = random.Random(13)

@@ -31,7 +31,6 @@ from icmlab.ideal_engine import (
     normal_form,
     s_polynomial,
     is_nonzerodivisor,
-    is_saturated,
     saturate,
 )
 from icmlab.ring_core import (
@@ -842,7 +841,8 @@ class TestSaturationByIdeal:
             want, exponent = oracles.oracle_saturate(J, I)
             assert ideal_equal(got.ideal, want), (J, I)
             assert got.exponent == exponent, (J, I)
-            assert is_saturated(J, I) == (exponent == 0), (J, I)
+            if len(I.generators) == 1:
+                assert is_nonzerodivisor(J, I.generators[0]) == (exponent == 0), (J, I)
             seen["exponent %d" % min(exponent, 2)] += 1
             seen["%d generators" % len(I.generators)] += 1
             seen["inhomogeneous"] += not all(g.is_homogeneous() for g in I.generators)
@@ -867,10 +867,10 @@ class TestSaturationByIdeal:
         return Ideal(J.ring, gens)
 
     def test_seeded_saturation_matches_oracle(self):
-        # ``_saturation`` against the oracle: the ideal, the exponent and
-        # is_saturated, with J = 0, J by an unreduced generator list, and J
-        # as drawn; outside and inside an engine context; and the seeded
-        # completion against the plain one
+        # ``saturate`` against the oracle: the ideal and the exponent, with
+        # J = 0, J by an unreduced generator list, and J as drawn; outside
+        # and inside an engine context; and the seeded completion against
+        # the plain one
         seen = Counter()
         for p in (0, 2, 3, 32003):
             for order in ("lex", "grevlex"):
@@ -886,10 +886,9 @@ class TestSaturationByIdeal:
                     want, exponent = oracles.oracle_saturate(J, I)
                     for memoized in (False, True):
                         with engine_context() if memoized else contextlib.nullcontext():
-                            sat, forms = ideal_engine._saturation(J, I)
-                            assert ideal_equal(sat, want), (J, I)
-                            assert (not any(forms)) == is_saturated(J, I) == (exponent == 0), (J, I)
-                            assert saturate(J, I).exponent == exponent, (J, I)
+                            got = saturate(J, I)
+                            assert ideal_equal(got.ideal, want), (J, I)
+                            assert got.exponent == exponent, (J, I)
                     plain, seeded = tagged_completions(J, I)
                     assert seeded == plain and seeded.steps <= plain.steps, (J, I)
                     seen[kind] += 1
@@ -910,7 +909,7 @@ class TestSaturationByIdeal:
         for I in (Ideal(ring, v[:1]), Ideal(ring, [v[0], v[5]]), Ideal(ring, v)):
             plain, seeded = tagged_completions(J, I)
             assert seeded == plain and seeded.steps <= plain.steps
-            assert is_saturated(J, I)
+            assert saturate(J, I).exponent == 0
 
     @pytest.mark.parametrize("p", [0, 2, 32003])
     def test_lex_ring_seeds_from_the_grevlex_twin(self, p):
@@ -956,16 +955,15 @@ class TestSaturationMemo:
 
     def test_nothing_is_memoized_outside_a_context(self, builds):
         J, I = self.pair()
-        assert not is_saturated(J, I) and not is_saturated(J, I)
+        assert saturate(J, I).exponent == saturate(J, I).exponent == 1
         assert builds[0] == 2
 
     def test_one_build_per_pair_in_a_context(self, builds):
         J, I = self.pair()
         with engine_context():
-            assert not is_saturated(J, I)
             result = saturate(J, I)
             assert builds[0] == 1
-            assert saturate(J, I).ideal is result.ideal
+            assert saturate(J, I) is result
             assert builds[0] == 1
             # the key is the ordered generator lists
             assert saturate(Ideal(J.ring, J.generators[::-1]), I).exponent == result.exponent
@@ -987,7 +985,7 @@ class TestSaturationMemo:
 
 class TestNonzerodivisor:
     """``is_nonzerodivisor``, the completion of J + <1 - t*f> stopped at its
-    first t-free element, against the full saturation by f: ``_saturation``
+    first t-free element, against the full saturation by f: ``saturate``
     and ``oracles.oracle_saturate``."""
 
     KINDS = ("drawn J", "J by powers of f", "f in J", "J = 0", "inhomogeneous J")
@@ -1028,7 +1026,7 @@ class TestNonzerodivisor:
                     I = Ideal(ring, [f])
                     want = oracles.oracle_saturate(J, I)[1] == 0
                     assert is_nonzerodivisor(J, f) == want, (J, f)
-                    assert (not any(ideal_engine._saturation(J, I)[1])) == want, (J, f)
+                    assert (saturate(J, I).exponent == 0) == want, (J, f)
                     with engine_context():
                         assert is_nonzerodivisor(J, f) == is_nonzerodivisor(J, f) == want, (J, f)
                     seen[kind] += 1
@@ -1064,7 +1062,7 @@ class TestNonzerodivisor:
         assert kernel_runs[0] == 1
         unit = Ideal(ring, [ring.one()])
         unit.groebner_basis()
-        assert is_nonzerodivisor(unit, v[0]) and is_saturated(unit, Ideal(ring, v[:1]))
+        assert is_nonzerodivisor(unit, v[0]) and saturate(unit, Ideal(ring, v[:1])).exponent == 0
 
     def test_a_zero_divisor_stops_before_the_saturation_ends(self, kernel_runs):
         # the rational quartic has depth 1, so modulo it and a every
@@ -1077,7 +1075,7 @@ class TestNonzerodivisor:
         kernel_runs[0] = 0
         assert not is_nonzerodivisor(J, d)
         decided = kernel_runs[0]
-        assert not is_saturated(J, Ideal(R, [d]))
+        assert saturate(J, Ideal(R, [d])).exponent
         assert 0 < 3 * decided < kernel_runs[0] - decided
 
     def test_grevlex_twin_of_a_lex_ideal_is_completed_once(self, monkeypatch):
@@ -1091,7 +1089,7 @@ class TestNonzerodivisor:
         rings = []
         real = ideal_engine._complete
         monkeypatch.setattr(ideal_engine, "_complete", lambda ring, *a: rings.append(ring) or real(ring, *a))
-        answers = [invariants.is_regular(J, v) for v in (a, b, c, d)]
+        answers = [is_nonzerodivisor(J, v) for v in (a, b, c, d)]
         assert answers == [True] * 4  # J is prime and holds no variable
         assert rings.count(twin) == 1
 
@@ -1110,7 +1108,7 @@ class TestNonzerodivisor:
             assert not is_nonzerodivisor(J, y) and not is_nonzerodivisor(J, y)
             assert len(runs) == 3
             # a stored saturation of the pair answers without a completion
-            assert is_saturated(J, Ideal(R, [x + y]))
+            assert saturate(J, Ideal(R, [x + y])).exponent == 0
             done = len(runs)
             assert is_nonzerodivisor(J, x + y)
             assert len(runs) == done
@@ -1453,7 +1451,8 @@ class TestIdealCalculus:
             rule, steps = oracles.saturate_monomial(gens, others)
             assert ideal_equal(res.ideal, Ideal(R, [R.monomial(m) for m in rule]))
             assert res.exponent == steps
-            assert is_saturated(J, I) == (steps == 0)
+            if len(I.generators) == 1:
+                assert is_nonzerodivisor(J, I.generators[0]) == (steps == 0)
             deep += steps >= 2
             stable += steps == 0
         assert deep >= 5 and stable >= 3

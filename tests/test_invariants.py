@@ -21,7 +21,7 @@ from icmlab.ideal_engine import (
     ideal_equal,
     ideal_quotient,
     ideal_sum,
-    is_saturated,
+    is_nonzerodivisor,
     membership,
     saturate,
 )
@@ -33,7 +33,6 @@ from icmlab.invariants import (
     find_regular_element,
     grade,
     height,
-    is_regular,
     krull_dimension,
     local_dimension,
     minimal_primes_monomial,
@@ -279,7 +278,7 @@ class TestRegularElements:
                     if x.is_zero:
                         continue
                     expect = ideal_equal(ideal_quotient(J, x), J)
-                    assert is_regular(J, x) == expect, (J, x)
+                    assert is_nonzerodivisor(J, x) == expect, (J, x)
                     checked += 1
                     seen["regular" if expect else "zero divisor"] += 1
                     if saturate(J, Ideal(R, (x,))).exponent >= 2:
@@ -332,14 +331,14 @@ class TestRegularElements:
         M = CyclicModule(R, J)
         I = Ideal(R, [x, y**2 + y])
         basis = I.groebner_basis().basis
-        assert not any(is_regular(J, g) for g in basis)
+        assert not any(is_nonzerodivisor(J, g) for g in basis)
         expected = {0: -(y**2) + x - y, 1: y**2 - x + y, 2: -(y**2) - x - y}
         for seed, element in expected.items():
             found = find_regular_element(M.defining_ideal, I, seed=seed, known=set())
             assert found == element
             assert found not in basis
             assert membership(found, I)
-            assert is_regular(J, found)
+            assert is_nonzerodivisor(J, found)
             w = grade(M, I, seed=seed)
             assert w.value == 1
             verify_grade_witness(M, I, w)
@@ -422,7 +421,7 @@ class TestGrade:
         M = CyclicModule(R, Ideal(R, [x * y]))
         I = Ideal(R, [x, y])
         w = grade(M, I, seed=0)
-        assert (w.value, w.sequence) == (1, (y - x,))
+        assert (w.value, w.sequence, w.certificate.exponent) == (1, (y - x,), 2)
         extended = Ideal(R, [x * y, y - x])
         tampered = {
             "length disagrees": dataclasses.replace(w, value=w.value + 1),
@@ -431,6 +430,9 @@ class TestGrade:
             ),
             "is not the saturation": dataclasses.replace(
                 w, certificate=SaturationResult(Ideal(R, [x]), 1)
+            ),
+            "certificate exponent": dataclasses.replace(
+                w, certificate=SaturationResult(w.certificate.ideal, 7)
             ),
         }
         for message, bad in tampered.items():
@@ -503,8 +505,10 @@ class TestGrade:
 
 def spy(monkeypatch, name):
     """Record the arguments of every call to ``invariants.<name>``, by
-    parameter name.  Inside ``invariants`` only the existence test calls
-    ``is_saturated``, with ``I`` the test ideal."""
+    parameter name.  Inside ``invariants``, ``saturate`` is called by the
+    existence test, by ``grade`` for the certificate and by
+    ``verify_grade_witness`` for its replay, each time with ``I`` the test
+    ideal."""
     import icmlab.invariants as inv
 
     calls = []
@@ -535,16 +539,16 @@ class TestSearchMemory:
         # The chain ends at the bound dim M - dim M/IM = 5 - 0, where no
         # search runs
         M, I = minors_2xn(4)
-        tested = spy(monkeypatch, "is_regular")
+        tested = spy(monkeypatch, "is_nonzerodivisor")
         w = grade(M, I, seed=10000)
         assert w.value == 5
         assert len(tested) == 14
         monkeypatch.undo()
         failed = set()
         for call in tested:
-            assert call["x"] not in failed
-            if not is_regular(call["J"], call["x"]):
-                failed.add(call["x"])
+            assert call["f"] not in failed
+            if not is_nonzerodivisor(call["J"], call["f"]):
+                failed.add(call["f"])
         assert failed
         verify_grade_witness(M, I, w)
 
@@ -555,9 +559,9 @@ class TestSearchMemory:
         t, s = R.variable(0), R.variable(1)
         J = Ideal(R, [t**2 - t])
         x = s * t - t + 1
-        assert not is_regular(J, t)
-        assert is_regular(J, x)
-        assert is_regular(ideal_sum(J, Ideal(R, [x])), t)
+        assert not is_nonzerodivisor(J, t)
+        assert is_nonzerodivisor(J, x)
+        assert is_nonzerodivisor(ideal_sum(J, Ideal(R, [x])), t)
 
     def test_inhomogeneous_grade_skips_nothing(self, monkeypatch):
         # every basis element of I = (x, y, z^2 + z) divides zero on
@@ -571,12 +575,12 @@ class TestSearchMemory:
         I = Ideal(R, [x, y, z**2 + z])
         assert (krull_dimension(M), height(ideal_sum(M.defining_ideal, I))) == (2, 3)
         searches = spy(monkeypatch, "find_regular_element")
-        tested = spy(monkeypatch, "is_regular")
+        tested = spy(monkeypatch, "is_nonzerodivisor")
         w = grade(M, I, seed=1)
         assert w.value == 1
         assert len(searches) == 2
         for g in I.groebner_basis().basis:
-            assert len([call for call in tested if call["x"] == g]) == 2, g
+            assert len([call for call in tested if call["f"] == g]) == 2, g
 
     def test_first_regular_draw_decides_no_existence(self, monkeypatch):
         # seed 1: both basis elements fail and the first random draw is
@@ -585,8 +589,8 @@ class TestSearchMemory:
         x, y = R.variable(0), R.variable(1)
         M = CyclicModule(R, Ideal(R, [x * y]))
         I = Ideal(R, [x, y**2 + y])
-        saturations = spy(monkeypatch, "is_saturated")
-        tested = spy(monkeypatch, "is_regular")
+        saturations = spy(monkeypatch, "saturate")
+        tested = spy(monkeypatch, "is_nonzerodivisor")
         assert find_regular_element(M.defining_ideal, I, seed=1, known=set()) == y**2 - x + y
         assert len(tested) == 3
         assert not [c for c in saturations if c["I"] is I]
@@ -599,8 +603,8 @@ class TestSearchMemory:
         x, y, z = (R.variable(i) for i in range(3))
         M = CyclicModule(R, Ideal(R, [x * z, y * z]))
         I = Ideal(R, [x, y])
-        saturations = spy(monkeypatch, "is_saturated")
-        tested = spy(monkeypatch, "is_regular")
+        saturations = spy(monkeypatch, "saturate")
+        tested = spy(monkeypatch, "is_nonzerodivisor")
         for budget in (1, 2):
             del saturations[:], tested[:]
             with engine_context(budget=budget):
@@ -627,8 +631,8 @@ class TestSearchMemory:
         x, y = R.variable(0), R.variable(1)
         M = CyclicModule(R, Ideal(R, [x * y]))
         I = Ideal(R, [x])
-        saturations = spy(monkeypatch, "is_saturated")
-        tested = spy(monkeypatch, "is_regular")
+        saturations = spy(monkeypatch, "saturate")
+        tested = spy(monkeypatch, "is_nonzerodivisor")
         climbs = spy(monkeypatch, "_degree_span")
         for seed in range(20):
             del saturations[:], tested[:]
@@ -675,10 +679,11 @@ class TestSaturationMemo:
     def builds(self, monkeypatch):
         """The (J, I) generator pairs whose saturation builds its tagged
         input, one entry per build."""
+        import icmlab.invariants as inv
         from icmlab import ideal_engine
 
         out, current = [], []
-        saturation, eliminate = ideal_engine._saturation, ideal_engine._eliminate_tag
+        saturation, eliminate = inv.saturate, ideal_engine._eliminate_tag
 
         def tracked(J, I):
             current.append((J.generators, I.generators))
@@ -692,16 +697,17 @@ class TestSaturationMemo:
                 out.append(current[-1])
             return eliminate(*args)
 
-        monkeypatch.setattr(ideal_engine, "_saturation", tracked)
+        monkeypatch.setattr(inv, "saturate", tracked)
         monkeypatch.setattr(ideal_engine, "_eliminate_tag", counted)
         return out
 
     def test_regularity_tests_build_no_tagged_input(self, monkeypatch):
-        # is_regular decides by a completion that stops at its witness and
-        # builds no saturation: inside an engine context, grade on the 2x4
-        # minors makes one _eliminate_tag call per existence test and one
-        # for the certificate at the bound, where no existence test runs,
-        # and the replay reuses those builds
+        # is_nonzerodivisor decides by a completion that stops at its
+        # witness and builds no saturation: inside an engine context, grade
+        # on the 2x4 minors calls saturate once for its one existence test
+        # and once for the certificate at the bound, where no existence test
+        # runs, and each call makes one _eliminate_tag call; the replay
+        # calls saturate once more and reuses the certificate's build
         from icmlab import ideal_engine
 
         eliminations = []
@@ -710,27 +716,27 @@ class TestSaturationMemo:
             ideal_engine, "_eliminate_tag", lambda *args: eliminations.append(args) or real(*args)
         )
         M, I = minors_2xn(4)
-        existence = spy(monkeypatch, "is_saturated")
-        tested = spy(monkeypatch, "is_regular")
+        saturations = spy(monkeypatch, "saturate")
+        tested = spy(monkeypatch, "is_nonzerodivisor")
         with engine_context():
             w = grade(M, I, seed=10000)
             assert w.value == 5 and len(tested) == 14
-            assert len(existence) == 1 and len(eliminations) == 2
-            assert all(call["I"] is I for call in existence)
+            assert len(saturations) == 2 and len(eliminations) == 2
+            assert all(call["I"] is I for call in saturations)
             verify_grade_witness(M, I, w)
-            assert len(tested) == 19 and len(eliminations) == 2
+            assert len(tested) == 19 and len(saturations) == 3 and len(eliminations) == 2
         # x1 is regular on the minors; modulo them and x1, y1 * x2 = 0
         x1, x2, y1 = I.generators[0], I.generators[1], I.generators[4]
         J = ideal_sum(M.defining_ideal, Ideal(M.ring, [x1]))
         del eliminations[:]
-        assert is_regular(M.defining_ideal, x1) and not is_regular(J, y1)
+        assert is_nonzerodivisor(M.defining_ideal, x1) and not is_nonzerodivisor(J, y1)
         assert membership(x2 * y1, J) and not membership(x2, J)
         assert not eliminations
 
     def test_grade_and_replay_build_each_pair_once(self, builds):
-        # the last step of grade decides that (J_k : I^infinity) != J_k and
-        # then saturates (J_k, I) for the certificate: one build, not two;
-        # the replay of the witness then builds nothing at all
+        # each pair grade saturates, for an existence test or for the
+        # certificate at the bound, is built once however often saturate
+        # is called on it; the replay of the witness then builds nothing
         M, I = minors_2xn(3)
         with engine_context():
             w = grade(M, I, seed=10000)
@@ -791,7 +797,7 @@ class TestGradeBound:
                 at_bound.add((suite_id, R.field.characteristic))
                 J_b = replay_regular_sequence(J, I, rep.grade.sequence)
                 assert find_regular_element(J_b, I, meta_seed + b, set()) is None
-                assert not is_saturated(J_b, I)
+                assert saturate(J_b, I).exponent
         assert {suite for suite, _ in at_bound} == set(SUITE_IDS)
         assert {p for _, p in at_bound} == {0, 32003}
         assert below
@@ -799,19 +805,20 @@ class TestGradeBound:
     @pytest.mark.parametrize("p", [0, 32003])
     def test_rational_quartic_searches_below_the_bound(self, monkeypatch, p):
         # grade 1 < b = 2 - 0: the chain stops below the bound, so its last
-        # step still searches and decides once that no element exists
+        # step still searches and decides once that no element exists; then
+        # grade saturates the same pair again for the certificate
         R = RingDescriptor(FieldSpec(p), ("a", "b", "c", "d"))
         a, b, c, d = (R.variable(i) for i in range(4))
         J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d])
         M, m = CyclicModule(R, J), Ideal(R, [a, b, c, d])
         searches = spy(monkeypatch, "find_regular_element")
-        existence = spy(monkeypatch, "is_saturated")
+        saturations = spy(monkeypatch, "saturate")
         rep = icm_report(M, m, seed=1)
         assert (rep.grade.value, rep.dim_m, rep.dim_m_mod_im) == (1, 2, 0)
         assert len(searches) == 2
-        last = [call for call in existence if call["J"] is searches[-1]["J"]]
-        assert len(last) == 1
-        assert not is_saturated(last[0]["J"], m)
+        last = [call for call in saturations if call["J"] is searches[-1]["J"]]
+        assert len(last) == 2
+        assert saturate(last[0]["J"], m).exponent
 
 
 # ---------------------------------------------------------------------------
