@@ -48,12 +48,14 @@ and the engine fails loudly when the cap is hit rather than spinning.
 ``engine_context`` opens an engine context for the current thread or task
 (a ``ContextVar``), the one place that holds the budgets: the step limit
 of every completion, the candidate budget of the regular-element search
-(read through ``search_budget``), and a memo: of reduced bases keyed by
-ring (order included), settled prefix (below; kernel divisor tuples, so
-integers only) and ordered generator terms, of ``saturate``'s results
-under "saturate" and of ``is_nonzerodivisor``'s decisions under
-"regular", each keyed by ring and both generator lists.  Outside any
-context the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
+(read through ``search_budget``), and a memo that only ``_memoized``
+reads and writes.  A key names what is stored, not the route that built
+it: a reduced basis is keyed by its ideal's ring (order included) and
+ordered generator terms, so a chain ideal from ``_extend`` and an
+``Ideal`` with the same generators share one entry; ``saturate``'s results
+sit under "saturate" and ``is_nonzerodivisor``'s decisions under
+"regular", with the ring and both generator lists.  Outside any context
+the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
 memoized.  The memo and the step limit share the context's lifetime, so a
 stored basis always met the limit in force; a basis cached on an ``Ideal``
 can outlive its context, and is handed out again only under a limit that
@@ -121,7 +123,7 @@ _BITS = tuple(1 << k for k in range(63))
 class _Engine(NamedTuple):
     step_limit: int
     budget: int
-    memo: Optional[dict]  # reduced bases and saturations; None outside a context
+    memo: Optional[dict]  # read and written by _memoized only; None outside a context
 
 
 _ENGINE: ContextVar[_Engine] = ContextVar(
@@ -154,6 +156,23 @@ def search_budget() -> int:
     """The regular-element search budget in force: the engine context's,
     else ``SEARCH_BUDGET``."""
     return _ENGINE.get().budget
+
+
+def _memoized(key: tuple, build: Optional[Callable[[], object]] = None):
+    """The memo's value under ``key``, else ``build()``, stored; with no
+    ``build``, None on a miss.  Outside any context ``build()`` just runs."""
+    memo = _ENGINE.get().memo
+    if memo is None:
+        return None if build is None else build()
+    hit = memo.get(key)
+    if hit is None and build is not None:
+        hit = memo[key] = build()
+    return hit
+
+
+def _terms(gens: Iterable[Polynomial]) -> tuple:
+    """Generators as a memo key holds them: their term tuples, in order."""
+    return tuple(g.terms for g in gens)
 
 
 def _step_limit_error(limit: int) -> StepLimitExceededError:
@@ -353,9 +372,10 @@ class ReducedGB:
     leading monomial.  Unique per (ideal, term order).
 
     ``steps`` is the number of S-pair reductions the completion that built
-    it took.  It depends on the input (generators, settled prefix), not only
-    on the ideal, so it is not part of equality; a stored basis is handed
-    out again only under a step limit that a fresh completion would have met.
+    it took.  It depends on the route (generators, settled prefix), not only
+    on the ideal, so it is not part of equality; the memo keeps the first
+    route's, and hands a basis out again only under a step limit that a
+    fresh completion would have met.
     ``_divisors``, the basis as the division kernel views it, is the form
     its completion ended with; it is not part of equality either.
     """
@@ -455,8 +475,8 @@ def buchberger(
     The number of S-polynomial reductions is bounded by the step limit in
     force (the engine context's, else ``STEP_LIMIT``); exceeding it raises
     StepLimitExceededError.  Inside an engine context the result is
-    memoized by (ring, ordered generator terms), so a repeated input
-    returns the stored basis.
+    memoized by (ring, ordered generator terms), the key of every stored
+    basis, whichever route built it.
 
     The working basis is term tuples with integer coefficients, reduced by
     the kernel ``_reduce``: monic residues over GF(p), primitive integer
@@ -474,23 +494,16 @@ def buchberger(
     for g in gens:
         if g.ring != ring:
             raise IncompatibleRingError("generator outside the target ring")
-    return _complete(ring, gens, ())
+    return _memoized((ring, _terms(gens)), lambda: _complete(ring, gens, ()))
 
 
 def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: tuple) -> ReducedGB:
-    """``buchberger`` on ``settled`` + ``gens`` with ``settled`` a Groebner
-    basis already, given in kernel form (``ReducedGB._divisors``, lifted by
-    ``_lift_divisors`` into a tagged ring): the pairs inside it are never
-    formed, so never pending, and the chain criterion stays sound.  The memo
-    key keeps the settled divisors, integer tuples, apart from the
-    generators' terms."""
-    memo = _ENGINE.get().memo
-    if memo is not None:
-        memo_key = (ring, settled, tuple(g.terms for g in gens))
-        hit = memo.get(memo_key)
-        if hit is not None:
-            return hit
-
+    """The completion of ``buchberger`` on ``settled`` + ``gens`` with
+    ``settled`` a Groebner basis already, given in kernel form
+    (``ReducedGB._divisors``, lifted by ``_lift_divisors`` into a tagged
+    ring): the pairs inside it are never formed, so never pending, and the
+    chain criterion stays sound.  It reads only the step limit; its callers
+    memoize."""
     p = ring.field.characteristic
     dkey = ring.order.descending_key
     divs: List[tuple] = []  # the working basis, as the kernel views it
@@ -519,10 +532,7 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: tuple) -> R
 
     # minimal is ascending in the order and autoreduction keeps leading terms
     basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
-    gb = ReducedGB(ring, basis, steps, tuple(minimal))
-    if memo is not None:
-        memo[memo_key] = gb
-    return gb
+    return ReducedGB(ring, basis, steps, tuple(minimal))
 
 
 def _grow(
@@ -659,14 +669,18 @@ class Ideal:
     def groebner_basis(self) -> ReducedGB:
         """The reduced basis, computed once; the cached one may come from
         another engine context, so it is subject to the step limit in force
-        now, exactly as a fresh completion is."""
+        now, exactly as a fresh completion is.  A seeded basis is memoized
+        under the key ``buchberger`` gives the same generators."""
         gb = self._gb
         if gb is None:
             if self._seed is None:
                 gb = buchberger(self.generators, ring=self.ring)
             else:
                 P, x = self._seed
-                gb = _complete(self.ring, [x], P.groebner_basis()._divisors)
+                gb = _memoized(
+                    (self.ring, _terms(self.generators)),
+                    lambda: _complete(self.ring, [x], P.groebner_basis()._divisors),
+                )
             self._gb = gb
         limit = _ENGINE.get().step_limit
         if gb.steps > limit:
@@ -749,9 +763,11 @@ def _eliminate_tag(
     whose tag-free elements generate the answer.  ``seed`` is a grevlex
     Groebner basis over ``ring``'s variables in kernel form
     (``ReducedGB._divisors``); lifted by ``_lift_divisors`` it is one in
-    k[tags, ring] too, and the completion starts from it as settled."""
+    k[tags, ring] too, and the completion starts from it as settled.  Only
+    ``saturate`` seeds, and its memo entry covers the seeded completion."""
     aug, lift, tags = _tag_ring(ring, ntags)
-    G = _complete(aug, build(lift, *tags), _lift_divisors(seed, ntags))
+    gens = build(lift, *tags)
+    G = _complete(aug, gens, _lift_divisors(seed, ntags)) if seed else buchberger(gens, ring=aug)
     drop = [None] * ntags + list(range(ring.nvars))
     out = []
     for p in G.basis:
@@ -839,9 +855,10 @@ def _extend(J: Ideal, x: Polynomial) -> Ideal:
     a grevlex ring that is J + <x>'s own basis; in any other ring it is its
     grevlex twin's, seeded from J's twin, and its own basis is completed
     from the generators as for any ideal.  Nothing is completed here, so a
-    chain ideal whose basis nothing reads costs no completion.  A replay of
-    the same chain in the same engine context finds every seeded basis in
-    the memo."""
+    chain ideal whose basis nothing reads costs no completion.  The memo
+    keys a seeded basis by K's ring and generators, as any basis, so a replay
+    of the chain, or an ``Ideal`` with K's generators, in the same engine
+    context finds it stored."""
     K = Ideal(J.ring, J.generators + (x,))
     if J.ring.order.kind == GREVLEX:
         K._seed = (J, x)
@@ -866,34 +883,28 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     The exponent is the least k with I^k * sat inside J: normal forms modulo
     J of sat's generators are multiplied by each g in I and reduced again
     until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.  Inside an
-    engine context the result is memoized by (ring, J's and I's generator
-    terms) before anything is built.
+    engine context the result is memoized under "saturate" with the ring
+    and J's and I's generator terms, the only memo of its seeded completion.
     """
     _same_ring(J, I)
     gens = I.generators
     if not gens:
         raise ZeroElementError("saturation by the zero ideal is undefined")
-    memo = _ENGINE.get().memo
-    if memo is not None:
-        memo_key = ("saturate", J.ring, *(tuple(g.terms for g in K.generators) for K in (J, I)))
-        hit = memo.get(memo_key)
-        if hit is not None:
-            return hit
 
     def build(lift, t, y=None):
         return [1 - t * _generic_element(gens, lift, y)]
 
-    sat = _eliminate_tag(J.ring, min(len(gens), 2), build, _grevlex_twin(J).groebner_basis()._divisors)
-    gb = J.groebner_basis()
-    rest = {normal_form(s, gb) for s in sat.generators}
-    exponent = 0
-    while any(rest):
-        rest = {normal_form(g * h, gb) for g in gens for h in rest if h}
-        exponent += 1
-    out = SaturationResult(sat, exponent)
-    if memo is not None:
-        memo[memo_key] = out
-    return out
+    def saturation() -> SaturationResult:
+        sat = _eliminate_tag(J.ring, min(len(gens), 2), build, _grevlex_twin(J).groebner_basis()._divisors)
+        gb = J.groebner_basis()
+        rest = {normal_form(s, gb) for s in sat.generators}
+        exponent = 0
+        while any(rest):
+            rest = {normal_form(g * h, gb) for g in gens for h in rest if h}
+            exponent += 1
+        return SaturationResult(sat, exponent)
+
+    return _memoized(("saturate", J.ring, _terms(J.generators), _terms(gens)), saturation)
 
 
 def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
@@ -907,31 +918,26 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     completion stops there with False.  When the pairs run out without
     one, the tag-free part of the basis is J's, and the answer is True.
     For f in J it stops at the generator, since 1 - t*f reduces to 1.  No
-    minimal basis, contraction or normal form is built.  Inside an engine context
-    the answer is memoized by (ring, J's generator terms, f's terms) before
-    anything is lifted, and a stored saturation of the pair answers too, by
-    its exponent.
+    minimal basis, contraction or normal form is built.  Inside an engine
+    context a stored saturation of (J, <f>) answers by its exponent, and
+    otherwise the decision is memoized under "regular" with the ring and
+    J's and f's terms; both are read before anything is lifted.
     """
     if f.ring != J.ring:
         raise IncompatibleRingError("polynomial outside the ideal's ring")
     if f.is_zero:
         raise ZeroElementError("saturation by the zero ideal is undefined")
-    memo = _ENGINE.get().memo
-    if memo is not None:
-        pair = (J.ring, tuple(g.terms for g in J.generators), (f.terms,))
-        sat = memo.get(("saturate",) + pair)
-        if sat is not None:
-            return sat.exponent == 0
-        memo_key = ("regular",) + pair
-        regular = memo.get(memo_key)
-        if regular is not None:
-            return regular
-    aug, lift, (t,) = _tag_ring(J.ring, 1)
-    seed = _lift_divisors(_grevlex_twin(J).groebner_basis()._divisors, 1)
-    regular = _grow(aug, [1 - t * lift(f)], seed, [], stop=lambda lm: not lm[0]) is not None
-    if memo is not None:
-        memo[memo_key] = regular
-    return regular
+    pair = (J.ring, _terms(J.generators), (f.terms,))
+    sat = _memoized(("saturate",) + pair)
+    if sat is not None:
+        return sat.exponent == 0
+
+    def decide() -> bool:
+        aug, lift, (t,) = _tag_ring(J.ring, 1)
+        seed = _lift_divisors(_grevlex_twin(J).groebner_basis()._divisors, 1)
+        return _grow(aug, [1 - t * lift(f)], seed, [], stop=lambda lm: not lm[0]) is not None
+
+    return _memoized(("regular",) + pair, decide)
 
 
 def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:

@@ -12,7 +12,7 @@ element exactly when (J : I^infinity) = J.  ``is_nonzerodivisor`` decides
 the first: its Rabinowitsch completion stops at the first element of
 (J : x^infinity) outside J and builds no saturation.  ``saturate`` decides
 the second, the existence test, as exponent 0, and the saturation it
-builds is also the certificate.
+builds is also the certificate: the search hands it to ``grade``.
 Grade is computed by actually finding a maximal regular sequence.
 ``grade`` checks (M, I) once per call; each step is one
 ``find_regular_element`` on the step's ideal J_k, which runs one test loop
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
     EmptySupportError,
@@ -411,13 +411,15 @@ def _candidates(
 
 def find_regular_element(
     J: Ideal, I: Ideal, seed: int, known: Set[Polynomial]
-) -> Optional[Polynomial]:
+) -> Union[Polynomial, SaturationResult]:
     """One step of ``grade``: search I for an element regular on R/J, where
-    J is the step's ideal J_k; None exactly when I holds none.  The caller
-    passes a valid pair: I is a nonzero proper ideal of J's ring and J + I
-    is proper, which ``grade`` checks once for the whole chain.  ``grade``
-    calls it only below the bound dim M - dim M/IM, so a None from it means
-    a chain that ends below the bound.
+    J is the step's ideal J_k.  Returns the element found, or, exactly when
+    I holds none, ``saturate(J, I)``: the existence test that failed, and
+    the certificate ``grade`` ships.  The caller passes a valid pair: I is
+    a nonzero proper ideal of J's ring and J + I is proper, which ``grade``
+    checks once for the whole chain.  ``grade`` calls it only below the
+    bound dim M - dim M/IM, so a saturation from it means a chain that ends
+    below the bound.
 
     The candidates come from ``_candidates`` seeded by ``seed``.  ``known``
     holds elements known to divide zero on R/J: a candidate in it is not
@@ -429,10 +431,8 @@ def find_regular_element(
     It reads nothing from the seeded stream, so it is decided late without
     changing the answer: at the first draw that does not succeed (a
     candidate after the basis that fails, or a None), or when the stream
-    ends.  When it fails the answer is None, and that ``saturate`` result is
-    the certificate ``grade`` asks for next.
-    Otherwise an exhausted stream raises SearchExhaustedError, although a
-    regular element exists.
+    ends.  Otherwise an exhausted stream raises SearchExhaustedError,
+    although a regular element exists.
     """
     basis = I.groebner_basis().basis
     exists = False
@@ -444,8 +444,9 @@ def find_regular_element(
                 return x
             known.add(x)
         if (x is None or k >= len(basis)) and not exists:
-            if saturate(J, I).exponent:
-                return None
+            certificate = saturate(J, I)
+            if certificate.exponent:
+                return certificate
             exists = True
     raise SearchExhaustedError(
         "no regular element found within budget %d; raise the budget, and over "
@@ -464,10 +465,11 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     from J_k's, not from the generators.
 
     A regular element found by the search proves by itself that the sequence
-    extends, so no saturation runs on such a step.  The search returns None
-    only after deciding that (J_k : I^infinity) != J_k; then that saturation,
-    with its exponent, is the certificate of maximality (inside an engine
-    context it is a memo hit, as is its replay in the same context).
+    extends, so no saturation runs on such a step.  The search returns a
+    saturation only after deciding that (J_k : I^infinity) != J_k; that
+    saturation, with its exponent, is the certificate of maximality, built
+    once with or without an engine context (a replay in the same context
+    finds it stored).
 
     The chain never searches at the bound b = dim M - dim M/IM, where
     grade(I, M) <= b (see ``icm_checker``): a sequence of length b is
@@ -516,18 +518,20 @@ def _grade_and_dimensions(
     sequence: List[Polynomial] = []
     while len(sequence) < bound:
         step_known = known if graded else set()
-        x = find_regular_element(current, I, seed + len(sequence), step_known)
-        if x is None:
+        found = find_regular_element(current, I, seed + len(sequence), step_known)
+        if isinstance(found, SaturationResult):
+            certificate = found
             break
-        sequence.append(x)
-        current = _extend(current, x)
-    certificate = saturate(current, I)
-    if certificate.exponent == 0:
-        raise EngineError(
-            "grade step %d: (J_k : I^infinity) = J_k at the bound "
-            "b = dim M - dim M/IM = %d, so a dimension is wrong"
-            % (len(sequence), bound)
-        )
+        sequence.append(found)
+        current = _extend(current, found)
+    else:
+        certificate = saturate(current, I)
+        if certificate.exponent == 0:
+            raise EngineError(
+                "grade step %d: (J_k : I^infinity) = J_k at the bound "
+                "b = dim M - dim M/IM = %d, so a dimension is wrong"
+                % (len(sequence), bound)
+            )
     return GradeWitness(len(sequence), tuple(sequence), certificate), dim_m, dim_mod
 
 

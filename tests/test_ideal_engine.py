@@ -595,6 +595,33 @@ class TestEngineMemo:
                 assert buchberger(gens) is not outer
             assert buchberger(gens) is outer
 
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("chain_first", [True, False])
+    def test_chain_ideal_and_its_generators_share_one_entry(self, monkeypatch, order, chain_first):
+        # the key is the ideal's ring and generators, not the route: J + <x>
+        # seeded from J's basis (_extend) and an Ideal with the same
+        # generators cost one completion together, in either order; in a
+        # lex ring the shared basis is the grevlex twin's
+        ring, J, v = minors_2xn(3, order=order)
+        x = v[0] + v[4]
+        completions = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: completions.append(a) or real(*a))
+        with engine_context():
+            ideal_engine._grevlex_twin(J).groebner_basis()
+            chain = ideal_engine._grevlex_twin(ideal_engine._extend(J, x))
+            plain = ideal_engine._grevlex_twin(Ideal(ring, J.generators + (x,)))
+            del completions[:]
+            first, second = (chain, plain) if chain_first else (plain, chain)
+            gb = first.groebner_basis()
+            assert second.groebner_basis() is gb
+        assert gb.ring.order.kind == "grevlex"
+        # one completion: x with J's basis settled, or all the generators
+        assert [(len(gens), bool(settled)) for _, gens, settled in completions] == [
+            (1, True) if chain_first else (4, False)
+        ]
+        assert gb == buchberger(plain.generators)
+
     def test_cached_ideal_basis_honours_the_limit(self):
         gens = heavy_gens()
         ring = gens[0].ring
@@ -974,13 +1001,20 @@ class TestSaturationMemo:
         assert result.exponent == 1 and result.ideal == Ideal(J.ring, [J.ring.variable(0)])
 
     def test_seeded_and_plain_completions_keep_apart(self):
+        # the plain tagged basis is stored under its ring and generators, as
+        # any basis, so the second build is a memo hit; a direct _complete,
+        # the seeded completion only saturate runs, reads and stores nothing
+        # (saturate's own entry stands for it)
         ring, J, v = minors_2xn(3)
         I = Ideal(ring, [v[0], v[4]])
         with engine_context():
             plain, seeded = tagged_completions(J, I)
+            memo = dict(ideal_engine._ENGINE.get().memo)
             again_plain, again_seeded = tagged_completions(J, I)
+            assert ideal_engine._ENGINE.get().memo == memo
         assert seeded == plain and seeded is not plain and seeded.steps < plain.steps
-        assert again_plain is plain and again_seeded is seeded
+        assert again_plain is plain and any(gb is plain for gb in memo.values())
+        assert again_seeded == seeded and again_seeded is not seeded
 
 
 class TestNonzerodivisor:

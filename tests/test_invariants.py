@@ -1,4 +1,5 @@
 """Dimension, primes, regular sequences, and grade."""
+import contextlib
 import dataclasses
 import inspect
 import random
@@ -298,8 +299,8 @@ class TestRegularElements:
             replay_regular_sequence(J, I, (z, x - y))
 
     def test_has_regular_element_matches_search(self):
-        # the search answers None exactly when the monomial saturation rule
-        # says that I holds no element regular on R/J
+        # the search answers with the saturation exactly when the monomial
+        # saturation rule says that I holds no element regular on R/J
         rng = random.Random(89)
         seen = {True: 0, False: 0}
         for _ in range(25):
@@ -315,9 +316,11 @@ class TestRegularElements:
             units = [tuple(int(i == j) for j in range(n)) for i in range(k)]
             exists = oracles.saturate_monomial(monos, units)[1] == 0
             x = find_regular_element(M.defining_ideal, I, seed=5, known=set())
-            assert (x is not None) == exists
+            assert isinstance(x, SaturationResult) != exists
             seen[exists] += 1
-            if exists:
+            if not exists:
+                assert x == saturate(J, I) and x.exponent
+            else:
                 assert membership(x, I)
                 assert ideal_equal(ideal_quotient(J, x), J)
         assert min(seen.values()) >= 3, seen
@@ -595,10 +598,11 @@ class TestSearchMemory:
         assert len(tested) == 3
         assert not [c for c in saturations if c["I"] is I]
 
-    def test_budget_exhausted_without_element_returns_none_over_gf2(self, monkeypatch):
+    def test_budget_exhausted_without_element_returns_the_saturation_over_gf2(self, monkeypatch):
         # z kills (x, y) on R/(xz, yz), so I holds no regular element; a
         # budget of 1 or 2 ends inside the basis, and existence is decided
-        # just before the search would give up
+        # just before the search would give up: the search returns that
+        # saturation, (z) with exponent 1, in place of an element
         R = RingDescriptor(FieldSpec(2), ("x", "y", "z"))
         x, y, z = (R.variable(i) for i in range(3))
         M = CyclicModule(R, Ideal(R, [x * z, y * z]))
@@ -608,7 +612,8 @@ class TestSearchMemory:
         for budget in (1, 2):
             del saturations[:], tested[:]
             with engine_context(budget=budget):
-                assert find_regular_element(M.defining_ideal, I, seed=0, known=set()) is None
+                found = find_regular_element(M.defining_ideal, I, seed=0, known=set())
+            assert found == SaturationResult(Ideal(R, [z]), 1)
             assert len(tested) == budget
             assert len([c for c in saturations if c["I"] is I]) == 1
 
@@ -636,7 +641,8 @@ class TestSearchMemory:
         climbs = spy(monkeypatch, "_degree_span")
         for seed in range(20):
             del saturations[:], tested[:]
-            assert find_regular_element(M.defining_ideal, I, seed=seed, known=set()) is None
+            found = find_regular_element(M.defining_ideal, I, seed=seed, known=set())
+            assert found == SaturationResult(Ideal(R, [y]), 1)
             assert len(tested) <= 2  # the basis element and at most one draw
             assert len([c for c in saturations if c["I"] is I]) == 1
         assert not climbs
@@ -796,7 +802,7 @@ class TestGradeBound:
                     continue
                 at_bound.add((suite_id, R.field.characteristic))
                 J_b = replay_regular_sequence(J, I, rep.grade.sequence)
-                assert find_regular_element(J_b, I, meta_seed + b, set()) is None
+                assert find_regular_element(J_b, I, meta_seed + b, set()) == saturate(J_b, I)
                 assert saturate(J_b, I).exponent
         assert {suite for suite, _ in at_bound} == set(SUITE_IDS)
         assert {p for _, p in at_bound} == {0, 32003}
@@ -805,8 +811,8 @@ class TestGradeBound:
     @pytest.mark.parametrize("p", [0, 32003])
     def test_rational_quartic_searches_below_the_bound(self, monkeypatch, p):
         # grade 1 < b = 2 - 0: the chain stops below the bound, so its last
-        # step still searches and decides once that no element exists; then
-        # grade saturates the same pair again for the certificate
+        # step still searches and decides once that no element exists; that
+        # saturation is the certificate, so the pair is saturated once
         R = RingDescriptor(FieldSpec(p), ("a", "b", "c", "d"))
         a, b, c, d = (R.variable(i) for i in range(4))
         J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d])
@@ -817,8 +823,25 @@ class TestGradeBound:
         assert (rep.grade.value, rep.dim_m, rep.dim_m_mod_im) == (1, 2, 0)
         assert len(searches) == 2
         last = [call for call in saturations if call["J"] is searches[-1]["J"]]
-        assert len(last) == 2
-        assert saturate(last[0]["J"], m).exponent
+        assert len(last) == 1
+        assert saturate(last[0]["J"], m) == rep.grade.certificate and rep.grade.certificate.exponent
+
+    @pytest.mark.parametrize("context", [False, True])
+    def test_rational_quartic_builds_its_saturation_once(self, monkeypatch, context):
+        # the existence test's saturation is the certificate, so grade builds
+        # one tagged input with or without an engine context
+        import icmlab.ideal_engine as engine
+
+        R = ring_qq("a", "b", "c", "d")
+        a, b, c, d = (R.variable(i) for i in range(4))
+        J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d])
+        builds = []
+        real = engine._eliminate_tag
+        monkeypatch.setattr(engine, "_eliminate_tag", lambda *a: builds.append(a) or real(*a))
+        with engine_context() if context else contextlib.nullcontext():
+            w = grade(CyclicModule(R, J), Ideal(R, [a, b, c, d]), seed=1)
+        assert w.value == 1 and w.certificate.exponent
+        assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,21 @@ def test_benchmark_tracer_targets_resolve():
         if not callable(owner):
             missing.append("%s.%s" % (module, path))
     assert missing == []
+
+
+def test_public_api_is_the_readme_library_block():
+    # icmlab exports what README.md's Library block imports, plus the base
+    # of every engine error, so the docs and the exports cannot drift apart
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text[text.index("## Library") :]
+    block = block[block.index("from icmlab import (") : block.index(")")]
+    names = {
+        name.strip()
+        for line in block.splitlines()[1:]
+        for name in line.split("#")[0].split(",")
+        if name.strip()
+    }
+    assert len(names) == 18
+    assert sorted(icmlab.__all__) == sorted(names | {"EngineError"})
+    assert all(hasattr(icmlab, name) for name in icmlab.__all__)
