@@ -30,6 +30,7 @@ from . import invariants
 from .errors import EngineError, InhomogeneousIdealError, StepLimitExceededError
 from .ideal_engine import (
     Ideal,
+    _in_engine_context,
     ideal_intersect,
     ideal_quotient_ideal,
     ideal_sum,
@@ -96,12 +97,13 @@ def _skipped(reason: str) -> RelationReport:
     return RelationReport(True, (reason,), reason)
 
 
+@_in_engine_context
 def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
     """Decide whether M = R/J is I-Cohen-Macaulay, with full supporting data.
 
     The verdict only depends on the ideals, not on how their generator
     lists are written down: everything flows through reduced Groebner
-    bases.
+    bases.  Runs in a default engine context when none is open.
     """
     w, dim_m, dim_mod = invariants._grade_and_dimensions(M, I, seed)
     defect = dim_m - w.value - dim_mod

@@ -48,18 +48,20 @@ and the engine fails loudly when the cap is hit rather than spinning.
 ``engine_context`` opens an engine context for the current thread or task
 (a ``ContextVar``), the one place that holds the budgets: the step limit
 of every completion, the candidate budget of the regular-element search
-(read through ``search_budget``), and a memo that only ``_memoized``
-reads and writes.  A key names what is stored, not the route that built
-it: a reduced basis is keyed by its ideal's ring (order included) and
-ordered generator terms, so a chain ideal from ``_extend`` and an
-``Ideal`` with the same generators share one entry; ``saturate``'s results
-sit under "saturate" and ``is_nonzerodivisor``'s decisions under
-"regular", with the ring and both generator lists.  Outside any context
-the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
-memoized.  The memo and the step limit share the context's lifetime, so a
-stored basis always met the limit in force; a basis cached on an ``Ideal``
-can outlive its context, and is handed out again only under a limit that
-a fresh completion would meet.
+(read through ``search_budget``), and the memo, the engine's one store
+of results (an ``Ideal`` stores none), which only ``_memoized`` reads and
+writes.  A key names what is stored, not the route that built it: a
+reduced basis is keyed by its ideal's ring (order included) and ordered
+generator terms, so a chain ideal from ``_extend`` and an ``Ideal`` with
+the same generators share one entry; ``saturate``'s results sit under
+"saturate" and ``is_nonzerodivisor``'s decisions under "regular", with
+the ring and both generator lists.  Outside any context the budgets are
+``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored, so every read
+of a basis completes it again; ``grade``, ``verify_grade_witness``,
+``icm_report`` and ``run_suite``, which read one basis many times, open a
+default context when none is open (``_in_engine_context``).  The memo
+and the step limit share the context's lifetime, so no basis is handed
+out under a limit or in a context other than the one that built it.
 
 Saturation by an ideal I = <g_1, ..., g_s> is one Groebner basis, and
 ``saturate`` is its one builder: with one new variable y and the generic
@@ -82,10 +84,11 @@ intersections.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 from math import gcd, lcm as integer_lcm
@@ -138,8 +141,9 @@ def engine_context(
     """Run the enclosed computations with ``step_limit`` (default
     ``STEP_LIMIT``) as the S-pair reduction cap of every completion,
     ``budget`` (default ``SEARCH_BUDGET``) as the candidate budget of every
-    regular-element search, and a fresh memo of reduced Groebner bases; all
-    three are dropped on exit.  A nested context starts its own memo."""
+    regular-element search, and a fresh memo of reduced Groebner bases,
+    saturations and regularity decisions; all three are dropped on exit.  A
+    nested context starts its own memo."""
     limit = STEP_LIMIT if step_limit is None else step_limit
     budget = SEARCH_BUDGET if budget is None else budget
     for name, value in (("step limit", limit), ("search budget", budget)):
@@ -158,14 +162,27 @@ def search_budget() -> int:
     return _ENGINE.get().budget
 
 
-def _memoized(key: tuple, build: Optional[Callable[[], object]] = None):
-    """The memo's value under ``key``, else ``build()``, stored; with no
-    ``build``, None on a miss.  Outside any context ``build()`` just runs."""
+def _in_engine_context(entry: Callable) -> Callable:
+    """``entry`` run in the open engine context, else in a default one
+    opened for the call: for an entry point that reads one basis many
+    times.  Inside an open context it adds nothing."""
+
+    @wraps(entry)
+    def run(*args, **kwargs):
+        with engine_context() if _ENGINE.get().memo is None else nullcontext():
+            return entry(*args, **kwargs)
+
+    return run
+
+
+def _memoized(key: tuple, build: Callable[[], object]):
+    """The memo's value under ``key``, else ``build()``, stored; outside any
+    context ``build()`` just runs.  The memo's one reader and writer."""
     memo = _ENGINE.get().memo
     if memo is None:
-        return None if build is None else build()
+        return build()
     hit = memo.get(key)
-    if hit is None and build is not None:
+    if hit is None:
         hit = memo[key] = build()
     return hit
 
@@ -173,13 +190,6 @@ def _memoized(key: tuple, build: Optional[Callable[[], object]] = None):
 def _terms(gens: Iterable[Polynomial]) -> tuple:
     """Generators as a memo key holds them: their term tuples, in order."""
     return tuple(g.terms for g in gens)
-
-
-def _step_limit_error(limit: int) -> StepLimitExceededError:
-    return StepLimitExceededError(
-        "Buchberger completion exceeded %d S-pair reductions; raise the "
-        "step limit if the input really is this hard" % limit
-    )
 
 
 def _integral(g: Polynomial, p: int) -> tuple:
@@ -216,12 +226,12 @@ def _lift_divisors(divs: Sequence[tuple], ntags: int) -> tuple:
 def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dict] = None) -> tuple:
     """The division kernel: the completion's reductions and ``normal_form``.
 
-    ``work`` (f) maps monomials to nonzero integer coefficients; ``divs``
-    holds one ``(leading monomial, its degree, leading coefficient, tail
-    terms, support mask)`` per divisor d_i, monic over GF(p), as
-    ``_divisor`` builds it.  Returns ``(r, scale)`` with scale * f =
-    sum(q_i * d_i) + r over the integers for some q_i, r's terms sorted
-    decreasing; the scale is 1 over GF(p).
+    ``work`` (f) maps monomials to integer coefficients; ``divs`` holds one
+    ``(leading monomial, its degree, leading coefficient, tail terms,
+    support mask)`` per divisor d_i, monic over GF(p), as ``_divisor``
+    builds it.  Returns ``(r, scale)`` with scale * f = sum(q_i * d_i) + r
+    over the integers (modulo p over GF(p), r reduced) for some q_i, r's
+    terms sorted decreasing; the scale is 1 over GF(p).
 
     ``table`` maps each monomial the kernel has met to its record ``[key,
     monomial, coefficient, n, step]``: the ``TermOrder.descending_key``,
@@ -244,14 +254,16 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dic
     one it consumes, so r comes out already sorted, and a term cancelled
     to zero stays queued with coefficient 0 and is skipped when popped.
     Keys are distinct, one record per monomial, and a record is queued at
-    most once, so no comparison goes past the key.  Over QQ a step against
-    leading coefficient lc consumes c * x^a, with g the gcd of lc and c
-    given lc's sign, by scaling the queued coefficients by lc/g > 0 and
-    subtracting (c/g) * x^a/lm * tail: the field step times a unit, so
-    which divisor acts on which monomial is exactly as in the field
-    algorithm.  Emitted remainder terms keep the running scale at their
-    emission and get the missing factor once, at the end; the scale only
-    grows, so it ends at 1 only when no step scaled.
+    most once, so no comparison goes past the key.  One step serves both
+    fields: against leading coefficient lc it consumes c * x^a, with g the
+    gcd of lc and c given lc's sign, by scaling the queued coefficients by
+    lc/g > 0 and subtracting (c/g) * x^a/lm * tail, the field step times a
+    unit, so which divisor acts on which monomial is exactly as in the
+    field algorithm; lc = 1, as over GF(p), scales nothing.  GF(p) sums are
+    left unreduced, and a popped coefficient is reduced modulo p once,
+    before its zero test.  Emitted remainder terms keep the running scale
+    at their emission and get the missing factor once, at the end; the
+    scale only grows, so it ends at 1 only when no step scaled.
 
     A popped monomial's support mask is taken once; a divisor whose mask has
     a bit outside it cannot divide, and is passed over before the exponent
@@ -276,6 +288,8 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dic
         rec = heappop(heap)
         c = rec[2]
         rec[2] = None
+        if p:
+            c %= p  # the one reduction of a GF(p) coefficient, at its pop
         if not c:
             continue  # cancelled after it was queued
         mono = rec[1]
@@ -298,9 +312,7 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dic
                 continue
         else:
             lc, shifted, tail = step
-        if p:
-            q = p - c
-        elif lc == 1:
+        if lc == 1:
             q = -c
         else:
             g = gcd(lc, c) if lc > 0 else -gcd(lc, c)
@@ -318,25 +330,25 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dic
                 m = tuple(map(add, shift, m2))
                 r2 = table.get(m)
                 if r2 is None:
-                    r2 = table[m] = [dkey(m), m, q * c2 % p if p else q * c2, 0, None]
+                    r2 = table[m] = [dkey(m), m, q * c2, 0, None]
                     heappush(heap, r2)
                 else:
                     old = r2[2]
                     if old is None:
-                        r2[2] = q * c2 % p if p else q * c2
+                        r2[2] = q * c2
                         heappush(heap, r2)
                     else:
-                        r2[2] = (old + q * c2) % p if p else old + q * c2
+                        r2[2] = old + q * c2
                 shifted.append(r2)
             rec[4] = lc, shifted, tail
         else:
             for r2, (_, c2) in zip(shifted, tail):
                 old = r2[2]
                 if old is None:
-                    r2[2] = q * c2 % p if p else q * c2
+                    r2[2] = q * c2
                     heappush(heap, r2)
                 else:
-                    r2[2] = (old + q * c2) % p if p else old + q * c2
+                    r2[2] = old + q * c2
     if scale != 1:
         emitted = [(m, c * (scale // s)) for (m, c), s in zip(emitted, scales)]
     return tuple(emitted), scale
@@ -374,8 +386,7 @@ class ReducedGB:
     ``steps`` is the number of S-pair reductions the completion that built
     it took.  It depends on the route (generators, settled prefix), not only
     on the ideal, so it is not part of equality; the memo keeps the first
-    route's, and hands a basis out again only under a step limit that a
-    fresh completion would have met.
+    route's, which met the step limit of the context that stores it.
     ``_divisors``, the basis as the division kernel views it, is the form
     its completion ended with; it is not part of equality either.
     """
@@ -442,11 +453,11 @@ def _normalize(terms: tuple, p: int) -> tuple:
     return tuple((m, c // content) for m, c in terms)
 
 
-def _s_pair(lcm: Monomial, a: tuple, b: tuple, p: int) -> dict:
+def _s_pair(lcm: Monomial, a: tuple, b: tuple) -> dict:
     """The work of the S-pair of divisors ``a`` and ``b``: with g the gcd of
     their leading coefficients, (lc_b/g) * lcm/lm_a * a - (lc_a/g) * lcm/lm_b * b,
     whose leading terms cancel, so only the tails enter.  Over GF(p) both
-    cofactors are 1."""
+    cofactors are 1, and ``_reduce`` reduces the sums, 0 included."""
     lta, _, ca, taila, _ = a
     ltb, _, cb, tailb, _ = b
     g = gcd(ca, cb)
@@ -456,13 +467,7 @@ def _s_pair(lcm: Monomial, a: tuple, b: tuple, p: int) -> dict:
     shift = tuple(map(sub, lcm, ltb))
     for m2, c2 in tailb:
         m = tuple(map(add, shift, m2))
-        nc = work.get(m, 0) - fb * c2
-        if p:
-            nc %= p
-        if nc:
-            work[m] = nc
-        else:
-            work.pop(m, None)
+        work[m] = work.get(m, 0) - fb * c2
     return work
 
 
@@ -602,8 +607,11 @@ def _grow(
             continue
         steps += 1
         if steps > limit:
-            raise _step_limit_error(limit)
-        r = _reduce(_s_pair(lcm, divs[i], divs[j], p), divs, p, dkey, table)[0]
+            raise StepLimitExceededError(
+                "Buchberger completion exceeded %d S-pair reductions; raise the "
+                "step limit if the input really is this hard" % limit
+            )
+        r = _reduce(_s_pair(lcm, divs[i], divs[j]), divs, p, dkey, table)[0]
         if r and add_poly(_normalize(r, p)):
             return None
     return steps
@@ -635,17 +643,15 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
 class Ideal:
     """An ideal of an affine polynomial ring, held by generators.
 
-    The reduced Groebner basis is computed on first use and cached; in a
-    ring under another order than grevlex, so is the grevlex twin that
-    saturations and regularity tests start from.  An ideal of a grade chain
-    is made by ``_extend``, which leaves it a seed: its grevlex basis is
-    then completed from its predecessor's, on first use as any other.  All
-    other state is immutable, so sharing an Ideal across threads is safe; at
-    worst two threads compute the same canonical basis and one wins the
-    (atomic) attribute write.
+    An Ideal holds its ring, its generators and, for an ideal of a grade
+    chain made by ``_extend``, the seed that names its route: its grevlex
+    basis, or its grevlex twin's, is completed from its predecessor's.  It
+    stores no basis; the engine context's memo does (``groebner_basis``).
+    Nothing in it changes after construction, so sharing an Ideal across
+    threads is safe.
     """
 
-    __slots__ = ("ring", "generators", "_gb", "_twin", "_seed")
+    __slots__ = ("ring", "generators", "_seed")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial] = ()):
         gens = []
@@ -658,34 +664,25 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb = None
-        self._twin = None  # the same generators under grevlex, made by _grevlex_twin or _extend
-        self._seed = None  # (P, x) from _extend: the basis completes x with P's settled
+        self._seed = None  # (P, x) from _extend: the grevlex basis completes x with P's settled
 
     @property
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
     def groebner_basis(self) -> ReducedGB:
-        """The reduced basis, computed once; the cached one may come from
-        another engine context, so it is subject to the step limit in force
-        now, exactly as a fresh completion is.  A seeded basis is memoized
-        under the key ``buchberger`` gives the same generators."""
-        gb = self._gb
-        if gb is None:
-            if self._seed is None:
-                gb = buchberger(self.generators, ring=self.ring)
-            else:
-                P, x = self._seed
-                gb = _memoized(
-                    (self.ring, _terms(self.generators)),
-                    lambda: _complete(self.ring, [x], P.groebner_basis()._divisors),
-                )
-            self._gb = gb
-        limit = _ENGINE.get().step_limit
-        if gb.steps > limit:
-            raise _step_limit_error(limit)
-        return gb
+        """The reduced basis, read through the memo under the key
+        ``buchberger`` gives the same generators: stored in an engine
+        context, completed again on every read outside one.  A chain ideal
+        in a grevlex ring completes x with its predecessor's basis settled;
+        any other ideal completes its generators."""
+        if self._seed is None or self.ring.order.kind != GREVLEX:
+            return buchberger(self.generators, ring=self.ring)
+        P, x = self._seed
+        return _memoized(
+            (self.ring, _terms(self.generators)),
+            lambda: _complete(self.ring, [x], P.groebner_basis()._divisors),
+        )
 
     def contains(self, f: Polynomial) -> bool:
         return membership(f, self)
@@ -836,35 +833,34 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
 
 def _grevlex_twin(J: Ideal) -> Ideal:
     """J itself in a grevlex ring, else J's grevlex twin: the same
-    generators in the grevlex twin of its ring, made once per J."""
+    generators in the grevlex twin of its ring, built on each call; the
+    memo shares the twin's basis.  A chain ideal's twin is the chain of
+    twins, ``_extend`` of its predecessor's twin, so its basis is seeded."""
     if J.ring.order.kind == GREVLEX:
         return J
-    twin = J._twin
-    if twin is None:
-        ring = RingDescriptor(J.ring.field, J.ring.variables)
-        twin = J._twin = Ideal(ring, [remap_variables(g, ring, range(ring.nvars)) for g in J.generators])
-    return twin
+    if J._seed is not None:
+        P, x = J._seed
+        twin = _grevlex_twin(P)
+        return _extend(twin, remap_variables(x, twin.ring, range(twin.ring.nvars)))
+    ring = RingDescriptor(J.ring.field, J.ring.variables)
+    return Ideal(ring, [remap_variables(g, ring, range(ring.nvars)) for g in J.generators])
 
 
 def _extend(J: Ideal, x: Polynomial) -> Ideal:
     """J + <x>, the next ideal of a chain (``grade``'s J_{k+1} = J_k + <x_k>
     and its replay), generated by J's generators and then x, with its
-    grevlex basis seeded: when first read, it is the completion of x with
-    J's grevlex basis settled, so no pair inside J's basis is formed again
+    grevlex basis seeded: when read, it is the completion of x with J's
+    grevlex basis settled, so no pair inside J's basis is formed again
     (the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988).  In
     a grevlex ring that is J + <x>'s own basis; in any other ring it is its
-    grevlex twin's, seeded from J's twin, and its own basis is completed
-    from the generators as for any ideal.  Nothing is completed here, so a
-    chain ideal whose basis nothing reads costs no completion.  The memo
-    keys a seeded basis by K's ring and generators, as any basis, so a replay
-    of the chain, or an ``Ideal`` with K's generators, in the same engine
-    context finds it stored."""
+    grevlex twin's, which ``_grevlex_twin`` builds from J's twin and x, and
+    its own basis is completed from the generators as for any ideal.
+    Nothing is completed here, so a chain ideal whose basis nothing reads
+    costs no completion.  The memo keys a seeded basis by K's ring and
+    generators, as any basis, so a replay of the chain, or an ``Ideal``
+    with K's generators, in the same engine context finds it stored."""
     K = Ideal(J.ring, J.generators + (x,))
-    if J.ring.order.kind == GREVLEX:
-        K._seed = (J, x)
-    else:
-        twin = _grevlex_twin(J)
-        K._twin = _extend(twin, remap_variables(x, twin.ring, range(twin.ring.nvars)))
+    K._seed = (J, x)
     return K
 
 
@@ -895,8 +891,10 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
         return [1 - t * _generic_element(gens, lift, y)]
 
     def saturation() -> SaturationResult:
-        sat = _eliminate_tag(J.ring, min(len(gens), 2), build, _grevlex_twin(J).groebner_basis()._divisors)
-        gb = J.groebner_basis()
+        twin = _grevlex_twin(J)
+        seed = twin.groebner_basis()
+        gb = seed if twin is J else J.groebner_basis()
+        sat = _eliminate_tag(J.ring, min(len(gens), 2), build, seed._divisors)
         rest = {normal_form(s, gb) for s in sat.generators}
         exponent = 0
         while any(rest):
@@ -919,25 +917,21 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     one, the tag-free part of the basis is J's, and the answer is True.
     For f in J it stops at the generator, since 1 - t*f reduces to 1.  No
     minimal basis, contraction or normal form is built.  Inside an engine
-    context a stored saturation of (J, <f>) answers by its exponent, and
-    otherwise the decision is memoized under "regular" with the ring and
-    J's and f's terms; both are read before anything is lifted.
+    context the decision is memoized under "regular" with the ring and J's
+    and f's terms, read before anything is lifted; outside one it is made
+    again on every call.
     """
     if f.ring != J.ring:
         raise IncompatibleRingError("polynomial outside the ideal's ring")
     if f.is_zero:
         raise ZeroElementError("saturation by the zero ideal is undefined")
-    pair = (J.ring, _terms(J.generators), (f.terms,))
-    sat = _memoized(("saturate",) + pair)
-    if sat is not None:
-        return sat.exponent == 0
 
     def decide() -> bool:
         aug, lift, (t,) = _tag_ring(J.ring, 1)
         seed = _lift_divisors(_grevlex_twin(J).groebner_basis()._divisors, 1)
         return _grow(aug, [1 - t * lift(f)], seed, [], stop=lambda lm: not lm[0]) is not None
 
-    return _memoized(("regular",) + pair, decide)
+    return _memoized(("regular", J.ring, _terms(J.generators), (f.terms,)), decide)
 
 
 def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:

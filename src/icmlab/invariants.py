@@ -51,8 +51,10 @@ from .errors import (
 )
 from .ideal_engine import (
     Ideal,
+    ReducedGB,
     SaturationResult,
     _extend,
+    _in_engine_context,
     ideal_equal,
     ideal_sum,
     is_nonzerodivisor,
@@ -169,20 +171,18 @@ def minimal_transversals(supports: Sequence[FrozenSet[int]]) -> List[Tuple[int, 
     return sorted(tuple(sorted(c)) for c in covers)
 
 
-def _proper_gb(J: Ideal):
-    G = J.groebner_basis()
-    if G.is_unit_ideal:
-        raise ImproperIdealError("the ideal is the whole ring")
-    return G
+def _dimension(G: ReducedGB) -> int:
+    """dim R/J from the reduced basis G of a proper J (of R itself when G
+    is empty: the one transversal of no supports is empty)."""
+    supports = [monomial_support(p.leading_monomial()) for p in G.basis]
+    return G.ring.nvars - min(map(len, minimal_transversals(supports)))
 
 
 def _dim_of_quotient(J: Ideal) -> int:
-    G = _proper_gb(J)
-    supports = [monomial_support(p.leading_monomial()) for p in G.basis]
-    if not supports:
-        return J.ring.nvars
-    covers = minimal_transversals(supports)
-    return J.ring.nvars - min(len(c) for c in covers)
+    G = J.groebner_basis()
+    if G.is_unit_ideal:
+        raise ImproperIdealError("the ideal is the whole ring")
+    return _dimension(G)
 
 
 def krull_dimension(M: CyclicModule) -> int:
@@ -455,6 +455,7 @@ def find_regular_element(
     )
 
 
+@_in_engine_context
 def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     """grade(I, M): the length of a maximal M-regular sequence inside I,
     found by direct search and certified by the final saturation.  The pair
@@ -494,25 +495,26 @@ def _grade_and_dimensions(
     M: CyclicModule, I: Ideal, seed: int
 ) -> Tuple[GradeWitness, int, int]:
     """``grade`` with the two dimensions it bounds the chain by: the
-    witness, dim M and dim M/IM.  Both bases are built by the pair check."""
+    witness, dim M and dim M/IM.  It reads the bases of I, J + I and J
+    once each: the pair check, both dimensions and the homogeneity test
+    come from them."""
     if I.ring != M.ring:
         raise IncompatibleRingError("test ideal lives in a different ring")
     if not I.generators:
         raise ZeroElementError("the zero test ideal has no regular elements")
-    if membership(M.ring.one(), I):
+    gb_i = I.groebner_basis()
+    if gb_i.is_unit_ideal:
         raise ImproperIdealError("the test ideal is the unit ideal")
     J = M.defining_ideal
-    J_plus_I = ideal_sum(J, I)
-    if membership(M.ring.one(), J_plus_I):
+    gb_sum = ideal_sum(J, I).groebner_basis()
+    if gb_sum.is_unit_ideal:
         raise IMEqualsMError(
             "I + J is the unit ideal, so I * (R/J) = R/J and grade is undefined"
         )
-    dim_m = _dim_of_quotient(J)
-    dim_mod = _dim_of_quotient(J_plus_I)
+    gb_j = J.groebner_basis()
+    dim_m, dim_mod = _dimension(gb_j), _dimension(gb_sum)
     bound = dim_m - dim_mod
-    graded = all(
-        p.is_homogeneous() for p in J.groebner_basis().basis + I.groebner_basis().basis
-    )
+    graded = all(p.is_homogeneous() for p in gb_j.basis + gb_i.basis)
     known: Set[Polynomial] = set()
     current = J
     sequence: List[Polynomial] = []
@@ -535,6 +537,7 @@ def _grade_and_dimensions(
     return GradeWitness(len(sequence), tuple(sequence), certificate), dim_m, dim_mod
 
 
+@_in_engine_context
 def verify_grade_witness(M: CyclicModule, I: Ideal, witness: GradeWitness) -> List[str]:
     """Replay a witness: each element lies in I and is regular on the
     successive quotient, and the certificate blocks any extension and is

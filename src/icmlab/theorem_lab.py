@@ -34,7 +34,7 @@ from .icm_checker import (
     quotient_transport,
     subideal_transfer_check,
 )
-from .ideal_engine import Ideal, ideal_sum
+from .ideal_engine import Ideal, _in_engine_context, ideal_sum
 from .invariants import CyclicModule, MonomialPrime
 from .ring_core import FieldSpec, Monomial, Polynomial, RingDescriptor
 
@@ -488,9 +488,10 @@ def _describe_failure(suite_id: str, meta_seed: int, rep: RelationReport) -> str
     return serialize_instance(CyclicModule(ring, Ideal(ring, j_small)), I, header=header, others=others)
 
 
+@_in_engine_context
 def run_suite(suite_id: str, trials: int = 100, base_seed: int = 0) -> SuiteReport:
     """Run one suite; deterministic in (suite_id, trials, base_seed) under
-    the engine context's budgets.
+    the engine context's budgets, in a default context when none is open.
 
     Trials are independent (seeded per trial), so the tally would come out
     the same under any execution order; failures are reported sorted by

@@ -241,10 +241,12 @@ class TestDivision:
 
 
 def division_rings():
-    """Every field and term order the division kernel distinguishes."""
+    """Every field and term order the division kernel distinguishes; at
+    2^31 - 1, the widest prime field, the kernel's unreduced GF(p) sums
+    leave machine words."""
     orders = [TermOrder("lex"), TermOrder("grevlex")]
     orders += [TermOrder("elimination-block", b) for b in (1, 2)]
-    for p in (0, 2, 3, 32003):
+    for p in (0, 2, 3, 32003, 2**31 - 1):
         for order in orders:
             yield RingDescriptor(FieldSpec(p), ("x", "y", "z", "w"), order)
 
@@ -623,24 +625,37 @@ class TestEngineMemo:
         assert gb == buchberger(plain.generators)
 
     def test_cached_ideal_basis_honours_the_limit(self):
+        # a basis read in one context is stored in that context's memo only:
+        # under a later context's limit the Ideal completes again, and fails
+        # exactly where a fresh completion does
         gens = heavy_gens()
-        ring = gens[0].ring
-        J = Ideal(ring, gens)
-        cached = J.groebner_basis()
-        assert len(cached) == 6
-        with engine_context(step_limit=1):
-            with pytest.raises(StepLimitExceededError):
-                Ideal(ring, gens).groebner_basis()
-            with pytest.raises(StepLimitExceededError, match="exceeded 1 S-pair"):
-                J.groebner_basis()
+        J = Ideal(gens[0].ring, gens)
+        with engine_context():
+            warm = J.groebner_basis()
+            assert len(warm) == 6 and J.groebner_basis() is warm
         needed = self.fresh_steps(gens)
         for limit in range(1, needed + 2):
             with engine_context(step_limit=limit):
                 if limit < needed:
-                    with pytest.raises(StepLimitExceededError):
+                    with pytest.raises(StepLimitExceededError, match="exceeded %d S-pair" % limit):
                         J.groebner_basis()
                 else:
-                    assert J.groebner_basis() is cached
+                    gb = J.groebner_basis()
+                    assert gb == warm and gb is not warm and J.groebner_basis() is gb
+
+    def test_an_ideal_stores_no_basis(self, monkeypatch):
+        # the memo is the one store: outside a context every read completes
+        # again, inside one the first read completes and the second is a hit
+        J = Ideal(heavy_gens()[0].ring, heavy_gens())
+        completions = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: completions.append(a) or real(*a))
+        assert J.groebner_basis() == J.groebner_basis()
+        assert len(completions) == 2
+        del completions[:]
+        with engine_context():
+            assert J.groebner_basis() is J.groebner_basis()
+        assert len(completions) == 1
 
 
 def cyclic(ring):
@@ -774,7 +789,7 @@ class TestNormalForm:
     basis with field arithmetic.  The remainders must agree term for term."""
 
     @pytest.mark.parametrize("order", oracles.HARD_ORDERS, ids=str)
-    @pytest.mark.parametrize("p", (0, 2, 3, 32003))
+    @pytest.mark.parametrize("p", (0, 2, 3, 32003, 2**31 - 1))
     def test_matches_oracle_divide_on_the_reduced_basis(self, p, order):
         rng = random.Random(4271 + 7 * p + len(str(order)) + (order.block or 0))
         R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
@@ -1087,16 +1102,18 @@ class TestNonzerodivisor:
 
     def test_f_in_J_is_decided_at_the_generator(self, kernel_runs):
         # 1 - t*f reduces to 1 modulo J, which is t-free: one kernel run, no
-        # pair; for J = R it reduces to 0 and f is regular, as (R : f) = R
+        # pair, once J's basis is stored in the context; for J = R it
+        # reduces to 0 and f is regular, as (R : f) = R
         ring, J, v = minors_2xn(4)
-        J.groebner_basis()
         f = J.generators[0] * (v[0] + v[5])
-        kernel_runs[0] = 0
-        assert not is_nonzerodivisor(J, f)
-        assert kernel_runs[0] == 1
         unit = Ideal(ring, [ring.one()])
-        unit.groebner_basis()
-        assert is_nonzerodivisor(unit, v[0]) and saturate(unit, Ideal(ring, v[:1])).exponent == 0
+        with engine_context():
+            J.groebner_basis()
+            kernel_runs[0] = 0
+            assert not is_nonzerodivisor(J, f)
+            assert kernel_runs[0] == 1
+            unit.groebner_basis()
+            assert is_nonzerodivisor(unit, v[0]) and saturate(unit, Ideal(ring, v[:1])).exponent == 0
 
     def test_a_zero_divisor_stops_before_the_saturation_ends(self, kernel_runs):
         # the rational quartic has depth 1, so modulo it and a every
@@ -1105,17 +1122,18 @@ class TestNonzerodivisor:
         R = ring_qq("a", "b", "c", "d")
         a, b, c, d = (R.variable(i) for i in range(4))
         J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d, a])
-        J.groebner_basis()
-        kernel_runs[0] = 0
-        assert not is_nonzerodivisor(J, d)
-        decided = kernel_runs[0]
-        assert saturate(J, Ideal(R, [d])).exponent
+        with engine_context():
+            J.groebner_basis()
+            kernel_runs[0] = 0
+            assert not is_nonzerodivisor(J, d)
+            decided = kernel_runs[0]
+            assert saturate(J, Ideal(R, [d])).exponent
         assert 0 < 3 * decided < kernel_runs[0] - decided
 
     def test_grevlex_twin_of_a_lex_ideal_is_completed_once(self, monkeypatch):
-        # outside a context nothing is memoized, so only the twin cached on
-        # J keeps four tests on the lex rational quartic to one completion
-        # of its grevlex basis
+        # each test builds J's grevlex twin afresh, and the memo shares the
+        # twin's basis: in one context four tests on the lex rational
+        # quartic complete it once; outside a context, once per test
         R = ring_qq("a", "b", "c", "d", order="lex")
         a, b, c, d = (R.variable(i) for i in range(4))
         J = Ideal(R, [b * c - a * d, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d])
@@ -1123,9 +1141,12 @@ class TestNonzerodivisor:
         rings = []
         real = ideal_engine._complete
         monkeypatch.setattr(ideal_engine, "_complete", lambda ring, *a: rings.append(ring) or real(ring, *a))
-        answers = [is_nonzerodivisor(J, v) for v in (a, b, c, d)]
-        assert answers == [True] * 4  # J is prime and holds no variable
-        assert rings.count(twin) == 1
+        for context, completions in ((True, 1), (False, 4)):
+            del rings[:]
+            with engine_context() if context else contextlib.nullcontext():
+                answers = [is_nonzerodivisor(J, v) for v in (a, b, c, d)]
+            assert answers == [True] * 4  # J is prime and holds no variable
+            assert rings.count(twin) == completions
 
     def test_memo(self, monkeypatch):
         runs = []
@@ -1134,18 +1155,21 @@ class TestNonzerodivisor:
         R = ring_qq("x", "y", "z")
         x, y, z = (R.variable(i) for i in range(3))
         J = Ideal(R, [x * y, x * z])
-        J.groebner_basis()
-        del runs[:]
+        # nothing is stored outside a context: each test completes J's basis
+        # and decides again
         assert not is_nonzerodivisor(J, y) and not is_nonzerodivisor(J, y)
-        assert len(runs) == 2  # nothing is memoized outside a context
+        assert len(runs) == 4
         with engine_context():
+            J.groebner_basis()
+            del runs[:]
             assert not is_nonzerodivisor(J, y) and not is_nonzerodivisor(J, y)
-            assert len(runs) == 3
-            # a stored saturation of the pair answers without a completion
+            assert len(runs) == 1
+            # a stored saturation of the pair does not answer: the decision
+            # has its own entry, made once
             assert saturate(J, Ideal(R, [x + y])).exponent == 0
             done = len(runs)
-            assert is_nonzerodivisor(J, x + y)
-            assert len(runs) == done
+            assert is_nonzerodivisor(J, x + y) and is_nonzerodivisor(J, x + y)
+            assert len(runs) == done + 1
         with pytest.raises(ZeroElementError):
             is_nonzerodivisor(J, R.zero())
 
@@ -1210,22 +1234,23 @@ class TestExtend:
             ring = RingDescriptor(QQ, ("x", "y", "z"), order)
             x, y, z = (ring.variable(i) for i in range(3))
             J = Ideal(ring, [x * y - z**2])
-            J.groebner_basis()
-            ideal_engine._grevlex_twin(J).groebner_basis()
-            del calls[:]
-            K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
-            assert not calls
-            twin = ideal_engine._grevlex_twin(K)
-            twin.groebner_basis()
-            grevlex = twin.ring
-            assert grevlex.order.kind == "grevlex"
-            assert [(r, [g.terms for g in gens], bool(settled)) for r, gens, settled in calls] == [
-                (grevlex, [remap_variables(y**2 - x * z, grevlex, range(3)).terms], True),
-                (grevlex, [remap_variables(z**3, grevlex, range(3)).terms], True),
-            ]
-            del calls[:]
-            K.groebner_basis()
-            assert [bool(settled) for _, _, settled in calls] == ([] if twin is K else [False])
+            with engine_context():
+                J.groebner_basis()
+                ideal_engine._grevlex_twin(J).groebner_basis()
+                del calls[:]
+                K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
+                assert not calls
+                twin = ideal_engine._grevlex_twin(K)
+                twin.groebner_basis()
+                grevlex = twin.ring
+                assert grevlex.order.kind == "grevlex"
+                assert [(r, [g.terms for g in gens], bool(settled)) for r, gens, settled in calls] == [
+                    (grevlex, [remap_variables(y**2 - x * z, grevlex, range(3)).terms], True),
+                    (grevlex, [remap_variables(z**3, grevlex, range(3)).terms], True),
+                ]
+                del calls[:]
+                K.groebner_basis()
+                assert [bool(settled) for _, _, settled in calls] == ([] if twin is K else [False])
 
     def test_lifted_divisors_match_the_lifted_basis(self):
         # _lift_divisors pads the kernel form; the divisors the kernel
@@ -1281,6 +1306,22 @@ class TestExtend:
         # each step is one completion of x_k with J_k's basis settled
         seeded = [gens for r, gens, settled in calls if r == ring and settled]
         assert seeded == [[x] for x in w.sequence]
+
+    def test_grade_opens_its_own_context(self, monkeypatch):
+        # grade reads each basis many times; outside a context it opens a
+        # default one, so it completes exactly as often as inside one
+        ring, J, v = minors_2xn(4)
+        M, I = invariants.CyclicModule(ring, J), Ideal(ring, v)
+        calls = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
+        counts = []
+        for context in (True, False):
+            del calls[:]
+            with engine_context() if context else contextlib.nullcontext():
+                assert invariants.grade(M, I, seed=10000).value == 5
+            counts.append(len(calls))
+        assert counts == [10, 10]
 
     def test_verify_grade_witness_reuses_the_chain_bases(self, monkeypatch):
         # in the context of the search, the replay completes only the

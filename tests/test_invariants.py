@@ -667,17 +667,24 @@ class TestSearchStream:
 
     def test_grade_checks_the_pair_once_and_builds_no_module(self, monkeypatch):
         # every J_k lies inside J + I, so the checks of I and of J + I made
-        # at the start of grade hold on every step
+        # at the start of grade hold on every step; each is a unit test on
+        # the reduced basis grade reads for its dimensions, and no membership
+        # test of 1 runs
+        from icmlab.ideal_engine import ReducedGB
+
         M, I = minors_2xn(4)
         one = M.ring.one()
+        unit_tests = []
+        real = ReducedGB.is_unit_ideal
+        monkeypatch.setattr(ReducedGB, "is_unit_ideal", property(lambda G: unit_tests.append(G) or real.fget(G)))
         memberships = spy(monkeypatch, "membership")
         modules = spy(monkeypatch, "CyclicModule")
         w = grade(M, I, seed=10000)
         assert w.value == 5
         assert not modules
-        unit_tests = [call["J"] for call in memberships if call["f"] == one]
+        assert not [call for call in memberships if call["f"] == one]
         assert len(unit_tests) == 2
-        assert unit_tests[0] is I
+        assert unit_tests == [I.groebner_basis(), ideal_sum(M.defining_ideal, I).groebner_basis()]
 
 
 class TestSaturationMemo:
@@ -767,8 +774,8 @@ class TestGradeBound:
         R = ring_qq("x", "y")
         M = CyclicModule(R, Ideal(R, []))
         I = Ideal(R, [R.variable(0), R.variable(1)])
-        real = inv._dim_of_quotient
-        monkeypatch.setattr(inv, "_dim_of_quotient", lambda K: max(real(K), 1))
+        real = inv._dimension
+        monkeypatch.setattr(inv, "_dimension", lambda G: max(real(G), 1))
         message = r"^grade step 1: .* bound b = dim M - dim M/IM = 1, so a dimension is wrong$"
         with pytest.raises(EngineError, match=message):
             grade(M, I, seed=1)
