@@ -11,7 +11,8 @@ unique for a given ideal and term order, so everything downstream is
 deterministic.
 
 Every remainder comes from one kernel on integer coefficients,
-``_reduce``: the completion's reductions and ``normal_form``.  Over GF(p)
+``_reduce``: the completion's reductions, ``normal_form`` and the
+saturation's exponent loop.  Over GF(p)
 its divisors are monic residues; over QQ they are integer polynomials,
 reduced fraction-free by the primitive pseudo-remainder of Geddes, Czapor
 & Labahn, *Algorithms for Computer Algebra* (1992).  Inside the completion
@@ -55,11 +56,13 @@ reduced basis is keyed by its ideal's ring (order included) and ordered
 generator terms, so a chain ideal from ``_extend`` and an ``Ideal`` with
 the same generators share one entry; ``saturate``'s results sit under
 "saturate" and ``is_nonzerodivisor``'s decisions under "regular", with
-the ring and both generator lists.  Outside any context the budgets are
-``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored, so every read
-of a basis completes it again; ``grade``, ``verify_grade_witness``,
-``icm_report`` and ``run_suite``, which read one basis many times, open a
-default context when none is open (``_in_engine_context``).  The memo
+the ring and both generator lists, and ``_tag_ring``'s tagged rings under
+"tag ring", with the ring and the number of tags.  Outside any context the
+budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored, so
+every read of a basis completes it again; ``grade``,
+``verify_grade_witness``, ``replay_regular_sequence``, ``icm_report`` and
+``run_suite``, which read one basis many times, open a default context
+when none is open (``_in_engine_context``).  The memo
 and the step limit share the context's lifetime, so no basis is handed
 out under a limit or in a context other than the one that built it.
 
@@ -69,18 +72,22 @@ element f_y = sum y^(i-1) * g_i, (J : I^infinity) = (J + <1 - t*f_y>) cap
 k[x], the tags t and y eliminated together; for s = 1 it is the
 Rabinowitsch test of one element.  That completion starts from J's reduced
 grevlex basis with the pairs inside it settled, and adds only 1 - t*f_y.
-Every seed is passed in the kernel form its basis already carries: into
-the tagged ring it is lifted by padding each monomial with the tags' zero
-exponents and shifting each mask past the tags' bits, so no seed goes back
-through ``Polynomial``.  A grade chain's J + <x> (``_extend``) gets its
-grevlex basis the same way, from J's with x the one new generator, when
-the basis is first read.  Whether one element f divides zero on R/J is
-decided by ``is_nonzerodivisor``, that completion for 1 - t*f stopped at
-the first element it adds with a t-free leading monomial: that element
-lies in (J : f^infinity) and not in J.  The colon by an ideal uses the
-same generic element: (J : I) = (J*R[y] : f_y) cap R, one colon by an
-element in R[y] and one elimination of y, in place of s colons and s - 1
-intersections.
+Its whole input is in the kernel's integer form, and none of it passes
+through ``Polynomial``: the seed is the kernel form J's basis already
+carries, lifted into the tagged ring by padding each monomial with the
+tags' zero exponents and shifting each mask past the tags' bits, and
+1 - t*f_y is a work dict read off I's generator terms (``_rabinowitsch``),
+scaled over QQ by the lcm of the denominators.  The tag-free elements of
+the result are contracted by slicing the tags off their monomials, and
+the exponent loop multiplies and reduces integer terms.  A grade chain's
+J + <x> (``_extend``) gets its grevlex basis the same way, from J's with
+x the one new generator, when the basis is first read.  Whether one
+element f divides zero on R/J is decided by ``is_nonzerodivisor``, that
+completion for 1 - t*f stopped at the first element it adds with a t-free
+leading monomial: that element lies in (J : f^infinity) and not in J.
+The colon by an ideal uses the same generic element: (J : I) =
+(J*R[y] : f_y) cap R, one colon by an element in R[y] and one elimination
+of y, in place of s colons and s - 1 intersections.
 """
 from __future__ import annotations
 
@@ -224,7 +231,8 @@ def _lift_divisors(divs: Sequence[tuple], ntags: int) -> tuple:
 
 
 def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dict] = None) -> tuple:
-    """The division kernel: the completion's reductions and ``normal_form``.
+    """The division kernel: the completion's reductions, ``normal_form`` and
+    the exponent loop of ``saturate``.
 
     ``work`` (f) maps monomials to integer coefficients; ``divs`` holds one
     ``(leading monomial, its degree, leading coefficient, tail terms,
@@ -247,8 +255,9 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dic
     no divisor divided is scanned only against ``divs[n:]``; the divisor
     chosen, the remainder and the step count are the same as with a fresh
     table.  ``normal_form`` and the autoreduction pass a different divisor
-    list on each call, so they get a fresh table; a table never outlives
-    its completion, and neither the memo nor a ``ReducedGB`` holds one.
+    list on each call, so they get a fresh table, as does each reduction of
+    the exponent loop; a table never outlives its completion, and neither
+    the memo nor a ``ReducedGB`` holds one.
 
     The work is a heap of queued records; a step adds only terms below the
     one it consumes, so r comes out already sorted, and a term cancelled
@@ -502,17 +511,20 @@ def buchberger(
     return _memoized((ring, _terms(gens)), lambda: _complete(ring, gens, ()))
 
 
-def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: tuple) -> ReducedGB:
+def _complete(ring: RingDescriptor, gens: Sequence, settled: tuple) -> ReducedGB:
     """The completion of ``buchberger`` on ``settled`` + ``gens`` with
     ``settled`` a Groebner basis already, given in kernel form
     (``ReducedGB._divisors``, lifted by ``_lift_divisors`` into a tagged
     ring): the pairs inside it are never formed, so never pending, and the
-    chain criterion stays sound.  It reads only the step limit; its callers
-    memoize."""
+    chain criterion stays sound.  A generator is a ``Polynomial`` or a
+    work dict of the kernel (``_rabinowitsch``); this is the one place a
+    ``Polynomial`` generator is converted, over QQ by ``_integral``.  It
+    reads only the step limit; its callers memoize."""
     p = ring.field.characteristic
     dkey = ring.order.descending_key
+    works = [g if isinstance(g, dict) else dict(g.terms if p else _integral(g, p)[0]) for g in gens if g]
     divs: List[tuple] = []  # the working basis, as the kernel views it
-    steps = _grow(ring, gens, settled, divs)
+    steps = _grow(ring, works, settled, divs)
 
     # minimal basis: scan by increasing leading monomial, drop dominated ones;
     # leading monomials are distinct, each one reduced by those before it
@@ -542,18 +554,19 @@ def _complete(ring: RingDescriptor, gens: List[Polynomial], settled: tuple) -> R
 
 def _grow(
     ring: RingDescriptor,
-    gens: List[Polynomial],
+    works: Sequence[dict],
     settled: Sequence[tuple],
     divs: List[tuple],
     stop: Optional[Callable[[Monomial], bool]] = None,
 ) -> Optional[int]:
     """The pair loop of ``_complete``: appends the kernel divisors
-    ``settled``, then every nonzero remainder of ``gens`` and of the
-    S-pairs, to ``divs`` in kernel form, and returns the number of S-pair
-    reductions, under the step limit in force.  With ``stop`` given, it
-    returns None as soon as an element joins whose leading monomial
-    satisfies it.  ``divs`` is the loop's only record of a basis element,
-    and each pair's lcm rides in its heap entry."""
+    ``settled``, then every nonzero remainder of the work dicts ``works``
+    (monomials to integer coefficients, any unit multiple of a generator)
+    and of the S-pairs, to ``divs`` in kernel form, and returns the number
+    of S-pair reductions, under the step limit in force.  With ``stop``
+    given, it returns None as soon as an element joins whose leading
+    monomial satisfies it.  ``divs`` is the loop's only record of a basis
+    element, and each pair's lcm rides in its heap entry."""
     limit = _ENGINE.get().step_limit
     p = ring.field.characteristic
     dkey = ring.order.descending_key
@@ -580,10 +593,8 @@ def _grow(
         divs.append(new)
         return stop is not None and stop(ltj)
 
-    for g in gens:
-        if g.is_zero:
-            continue
-        r = _reduce(dict(g.terms if p else _integral(g, p)[0]), divs, p, dkey, table)[0]
+    for work in works:
+        r = _reduce(work, divs, p, dkey, table)[0]
         if r and add_poly(_normalize(r, p)):
             return None
 
@@ -743,33 +754,50 @@ def _tag_ring(ring: RingDescriptor, ntags: int) -> tuple:
     """``(aug, lift, tags)``: k[tags, ring] with ``ntags`` fresh tag
     variables (t, then y) under an order eliminating them, the inclusion
     ``lift`` of ``ring`` into it, and the tags as polynomials of ``aug``.
-    Tag-free monomials compare by the order's grevlex tail block."""
-    tags: Tuple[str, ...] = ()
-    for base in ("t",) + ("y",) * (ntags - 1):
-        tags += (_fresh_name(ring.variables + tags, base),)
-    aug = RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
-    positions = list(range(ntags, ntags + ring.nvars))
-    return aug, lambda g: remap_variables(g, aug, positions), [aug.variable(i) for i in range(ntags)]
+    Tag-free monomials compare by the order's grevlex tail block.  Built
+    once per engine context and pair of arguments (``_memoized``)."""
+
+    def build() -> tuple:
+        tags: Tuple[str, ...] = ()
+        for base in ("t",) + ("y",) * (ntags - 1):
+            tags += (_fresh_name(ring.variables + tags, base),)
+        aug = RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
+        positions = list(range(ntags, ntags + ring.nvars))
+        return aug, lambda g: remap_variables(g, aug, positions), tuple(map(aug.variable, range(ntags)))
+
+    return _memoized(("tag ring", ring, ntags), build)
 
 
 def _eliminate_tag(
-    ring: RingDescriptor, ntags: int, build: Callable[..., List[Polynomial]], seed: tuple = ()
+    ring: RingDescriptor, ntags: int, build: Callable[..., list], seed: Optional[tuple] = None
 ) -> Ideal:
     """K intersect k[ring] for K = <seed, build(lift, *tags)> in k[tags, ring]
     (``_tag_ring``): one Groebner basis under an order eliminating the tags,
-    whose tag-free elements generate the answer.  ``seed`` is a grevlex
-    Groebner basis over ``ring``'s variables in kernel form
-    (``ReducedGB._divisors``); lifted by ``_lift_divisors`` it is one in
-    k[tags, ring] too, and the completion starts from it as settled.  Only
-    ``saturate`` seeds, and its memo entry covers the seeded completion."""
+    whose tag-free elements generate the answer.  Without a seed, ``build``
+    gives ``Polynomial`` generators and ``buchberger`` completes them.
+    ``seed`` is a grevlex Groebner basis over ``ring``'s variables in kernel
+    form (``ReducedGB._divisors``; empty for the zero ideal); lifted by
+    ``_lift_divisors`` it is one in k[tags, ring] too, and ``_complete``
+    starts from it as settled, so ``build`` may give work dicts over
+    k[tags, ring] (``_rabinowitsch``).  Only ``saturate`` seeds, and its
+    memo entry covers the seeded completion.
+
+    The contraction slices the tags off the monomials of the tag-free
+    elements, which lead the ascending basis.  The order compares tag-free
+    monomials by its grevlex tail block, so the sliced terms stay sorted
+    for a grevlex ``ring`` and are sorted again for any other."""
     aug, lift, tags = _tag_ring(ring, ntags)
     gens = build(lift, *tags)
-    G = _complete(aug, gens, _lift_divisors(seed, ntags)) if seed else buchberger(gens, ring=aug)
-    drop = [None] * ntags + list(range(ring.nvars))
+    G = buchberger(gens, ring=aug) if seed is None else _complete(aug, gens, _lift_divisors(seed, ntags))
+    dkey = None if ring.order.kind == GREVLEX else ring.order.descending_key
     out = []
-    for p in G.basis:
-        if all(not any(m[:ntags]) for m, _ in p.terms):
-            out.append(remap_variables(p, ring, drop))
+    for g in G.basis:
+        if any(g.terms[0][0][:ntags]):
+            break  # a tag in the leading monomial, and so in every later one
+        terms = tuple((m[ntags:], c) for m, c in g.terms)
+        if dkey is not None:
+            terms = tuple(sorted(terms, key=lambda term: dkey(term[0])))
+        out.append(Polynomial(ring, terms))
     return Ideal(ring, out)
 
 
@@ -806,6 +834,39 @@ def _generic_element(gens: Sequence[Polynomial], lift, y) -> Polynomial:
     for g in reversed(gens[:-1]):
         f = lift(g) + y * f
     return f
+
+
+def _rabinowitsch(gens: Sequence[Polynomial]) -> dict:
+    """1 - t*f_y for the generic element f_y of ``gens`` (``_generic_element``)
+    as a work dict of the kernel over k[t, (y,) ring], the ``_tag_ring`` of
+    min(s, 2) tags, read off the generators' terms with no ``Polynomial`` in
+    between: over GF(p) its residues, over QQ its numerators over the lcm
+    v > 0 of the denominators, the terms ``_integral`` gives.  No two terms
+    share a monomial, since the terms of g_i carry t*y^(i-1) and the
+    constant carries no t."""
+    ring = gens[0].ring
+    p = ring.field.characteristic
+    ntags = min(len(gens), 2)
+    v = 1 if p else integer_lcm(*(c.denominator for g in gens for _, c in g.terms))
+    work = {(0,) * (ntags + ring.nvars): v}
+    for i, g in enumerate(gens):
+        head = (1, i) if ntags == 2 else (1,)
+        if p:
+            work.update((head + m, -c % p) for m, c in g.terms)
+        else:
+            work.update((head + m, -c.numerator * (v // c.denominator)) for m, c in g.terms)
+    return work
+
+
+def _product(a: tuple, b: tuple) -> dict:
+    """The work dict of the product of two polynomials given by integer
+    terms; over GF(p) the kernel reduces the sums."""
+    work: dict = {}
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = tuple(map(add, m1, m2))
+            work[m] = work.get(m, 0) + c1 * c2
+    return work
 
 
 def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
@@ -874,31 +935,47 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     over every field (Eisenbud-Huneke-Vasconcelos): f_y lies in P[y] exactly
     when I lies in the prime P.  So the saturation is (J + <1 - t*f_y>) with
     t and y eliminated (Rabinowitsch); for s = 1, f_y = g_1 and no y is
-    added.  The completion starts from J's reduced grevlex basis, settled.
+    added.  The completion starts from J's reduced grevlex basis, settled,
+    and adds 1 - t*f_y as the kernel's work dict (``_rabinowitsch``).
 
     The exponent is the least k with I^k * sat inside J: normal forms modulo
     J of sat's generators are multiplied by each g in I and reduced again
-    until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.  Inside an
-    engine context the result is memoized under "saturate" with the ring
-    and J's and I's generator terms, the only memo of its seeded completion.
+    until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.  The loop
+    runs on the kernel's integer terms: each product is formed from them,
+    reduced by ``_reduce`` against J's basis in kernel form, and kept once
+    per normalized remainder.  A remainder is a unit times the field's
+    normal form, and NF is linear, so the remainders vanish in the same
+    round as the field's.  Inside an engine context the result is memoized
+    under "saturate" with the ring and J's and I's generator terms, the
+    only memo of its seeded completion.
     """
     _same_ring(J, I)
     gens = I.generators
     if not gens:
         raise ZeroElementError("saturation by the zero ideal is undefined")
 
-    def build(lift, t, y=None):
-        return [1 - t * _generic_element(gens, lift, y)]
-
     def saturation() -> SaturationResult:
         twin = _grevlex_twin(J)
         seed = twin.groebner_basis()
         gb = seed if twin is J else J.groebner_basis()
-        sat = _eliminate_tag(J.ring, min(len(gens), 2), build, seed._divisors)
-        rest = {normal_form(s, gb) for s in sat.generators}
+        sat = _eliminate_tag(J.ring, min(len(gens), 2), lambda *_: [_rabinowitsch(gens)], seed._divisors)
+        p = J.ring.field.characteristic
+        dkey = J.ring.order.descending_key
+
+        def remainders(works: Iterable[dict]) -> set:
+            """The distinct nonzero normal forms modulo J, normalized."""
+            out = set()
+            for work in works:
+                r = _reduce(work, gb._divisors, p, dkey)[0]
+                if r:
+                    out.add(_normalize(r, p))
+            return out
+
+        factors = [_integral(g, p)[0] for g in gens]
+        rest = remainders(dict(_integral(s, p)[0]) for s in sat.generators)
         exponent = 0
-        while any(rest):
-            rest = {normal_form(g * h, gb) for g in gens for h in rest if h}
+        while rest:
+            rest = remainders(_product(g, h) for g in factors for h in rest)
             exponent += 1
         return SaturationResult(sat, exponent)
 
@@ -915,8 +992,9 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     eliminates t), so it lies in (J : f^infinity) outside J, and the
     completion stops there with False.  When the pairs run out without
     one, the tag-free part of the basis is J's, and the answer is True.
-    For f in J it stops at the generator, since 1 - t*f reduces to 1.  No
-    minimal basis, contraction or normal form is built.  Inside an engine
+    For f in J it stops at the generator, since 1 - t*f reduces to 1.  The
+    generator is the kernel's work dict (``_rabinowitsch``), and no minimal
+    basis, contraction or normal form is built.  Inside an engine
     context the decision is memoized under "regular" with the ring and J's
     and f's terms, read before anything is lifted; outside one it is made
     again on every call.
@@ -927,9 +1005,9 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
         raise ZeroElementError("saturation by the zero ideal is undefined")
 
     def decide() -> bool:
-        aug, lift, (t,) = _tag_ring(J.ring, 1)
+        aug = _tag_ring(J.ring, 1)[0]
         seed = _lift_divisors(_grevlex_twin(J).groebner_basis()._divisors, 1)
-        return _grow(aug, [1 - t * lift(f)], seed, [], stop=lambda lm: not lm[0]) is not None
+        return _grow(aug, [_rabinowitsch([f])], seed, [], stop=lambda lm: not lm[0]) is not None
 
     return _memoized(("regular", J.ring, _terms(J.generators), (f.terms,)), decide)
 

@@ -311,12 +311,15 @@ def associated_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
 # regular elements and grade
 
 
+@_in_engine_context
 def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) -> Ideal:
     """Check that ``sequence`` is an R/J-regular sequence inside I: each
     element lies in I and is regular on the quotient by J and the elements
     before it.  Returns J + <sequence>; raises EngineError naming the first
     element that fails.  Each quotient is ``_extend``'s, as in ``grade``, so
-    a replay in the engine context of the search finds its bases stored."""
+    a replay in the engine context of the search finds its bases stored;
+    outside any context it opens a default one, since step k reads the
+    basis of step k - 1, seeded from the chain below it."""
     current = J
     for k, x in enumerate(sequence, 1):
         if not membership(x, I):

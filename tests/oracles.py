@@ -17,7 +17,9 @@ completion, shared by the oracle and the sympy cross-checks.
 ``oracle_saturate`` and ``oracle_colon_ideal`` are the exceptions: the
 engine's earlier saturation by an ideal and colon by an ideal, built from
 the engine's own eliminations and colons, kept as the references for the
-generic-element formulas that replaced them.
+generic-element formulas that replaced them.  So is
+``oracle_saturation_exponent``, the engine's earlier exponent loop on
+``Polynomial`` products, the reference for the one on kernel terms.
 """
 from __future__ import annotations
 
@@ -306,13 +308,21 @@ def oracle_saturate(J: Ideal, I: Ideal) -> Tuple[Ideal, int]:
     sat = parts[0]
     for part in parts[1:]:
         sat = ideal_intersect(sat, part)
+    return sat, oracle_saturation_exponent(J, I, sat)
+
+
+def oracle_saturation_exponent(J: Ideal, I: Ideal, sat: Ideal) -> int:
+    """The least k with I^k * sat inside J, by the engine's earlier exponent
+    loop on ``Polynomial`` products: the normal forms modulo J of sat's
+    generators are multiplied by each generator of I and reduced again
+    until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact."""
     gb = J.groebner_basis()
     rest = {normal_form(s, gb) for s in sat.generators}
     exponent = 0
     while any(rest):
         rest = {normal_form(g * h, gb) for g in I.generators for h in rest if h}
         exponent += 1
-    return sat, exponent
+    return exponent
 
 
 def oracle_colon_ideal(J: Ideal, I: Ideal) -> Ideal:

@@ -1,5 +1,7 @@
 """Groebner machinery: division, Buchberger, and the ideal calculus."""
 import contextlib
+import glob
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icmlab import ideal_engine, invariants
+from icmlab.cli_app import IdealStmt, ParseError, RingStmt, parse
 from icmlab.errors import (
     EngineError,
     IncompatibleRingError,
@@ -975,6 +978,114 @@ class TestSaturationByIdeal:
         assert sum(seen["%d generators" % k] for k in (2, 3, 4)) >= 3, seen
 
 
+class TestRabinowitschInput:
+    """``_rabinowitsch``, the tagged input 1 - t*f_y of ``saturate`` and
+    ``is_nonzerodivisor`` in kernel form, against the ``Polynomial`` one."""
+
+    @staticmethod
+    def generators(rng, ring, s):
+        # coefficients with denominators 1, 3, 5 and 7, units in every field
+        # tested, so that over QQ the lcm scaling shows
+        gens = []
+        while len(gens) < s:
+            g = ring.polynomial(
+                {
+                    tuple(rng.randint(0, 2) for _ in range(ring.nvars)): Fraction(
+                        rng.randint(-9, 9), rng.choice((1, 3, 5, 7))
+                    )
+                    for _ in range(rng.randint(1, 3))
+                }
+            )
+            if g.terms and g.total_degree() > 0:
+                gens.append(g)
+        return gens
+
+    @pytest.mark.parametrize("p", [0, 2, 32003, 2**31 - 1])
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_matches_the_polynomial_one(self, p, order):
+        ring = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder(order))
+        rng = random.Random(p + len(order))
+        scaled = 0
+        for s in (1, 2, 3):
+            for _ in range(4):
+                gens = self.generators(rng, ring, s)
+                ntags = min(s, 2)
+                aug, lift, tags = ideal_engine._tag_ring(ring, ntags)
+                y = tags[1] if ntags == 2 else None
+                want = 1 - tags[0] * ideal_engine._generic_element(gens, lift, y)
+                got = ideal_engine._rabinowitsch(gens)
+                assert sorted(got) == sorted(m for m, _ in want.terms), gens
+                unit = got[(0,) * aug.nvars]  # the constant term of want is 1
+                if p:
+                    assert unit % p and all(got[m] % p == unit * c % p for m, c in want.terms), gens
+                else:
+                    assert type(unit) is int and unit > 0, gens
+                    assert all(type(got[m]) is int and got[m] == unit * c for m, c in want.terms), gens
+                    scaled += unit > 1
+                # J = 0: the seed is empty, and the completion still seeded
+                sat = saturate(Ideal(ring, ()), Ideal(ring, gens))
+                assert sat.ideal.is_zero_ideal and sat.exponent == 0, gens
+                if s == 1:
+                    assert is_nonzerodivisor(Ideal(ring, ()), gens[0]), gens
+        assert scaled or p, "no QQ input had a denominator"
+
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+class TestSaturationExponent:
+    """``saturate``'s exponent loop on kernel terms against the loop on
+    ``Polynomial`` products it replaced (``oracles.oracle_saturation_exponent``),
+    and its saturation against ``oracles.oracle_saturate``: on the ideals of
+    the corpus scripts, in each declared ring and in its lex twin."""
+
+    @staticmethod
+    def corpus_rings():
+        """(ring, ideals) per ring statement of the parsed corpus scripts,
+        with the ideals declared after it, intersections included."""
+        for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.icm"))):
+            with open(path, encoding="utf-8") as handle:
+                try:
+                    script = parse(handle.read())
+                except ParseError:
+                    continue
+            ring, named = None, {}
+            for stmt in script.statements + (None,):
+                if (stmt is None or isinstance(stmt, RingStmt)) and named:
+                    yield ring, list(named.values())
+                if isinstance(stmt, RingStmt):
+                    ring, named = stmt.ring, {}
+                elif isinstance(stmt, IdealStmt):
+                    if stmt.generators is None:
+                        a, b = stmt.intersect_of
+                        named[stmt.name] = ideal_intersect(named[a], named[b])
+                    else:
+                        named[stmt.name] = Ideal(ring, stmt.generators)
+
+    def test_matches_the_polynomial_loop_on_the_corpus(self):
+        seen = Counter()
+        for ring, ideals in self.corpus_rings():
+            # and the ideal of all the variables, with s = nvars generators
+            tests = [I for I in ideals if not I.is_zero_ideal]
+            tests.append(Ideal(ring, [ring.variable(i) for i in range(ring.nvars)]))
+            lex = RingDescriptor(ring.field, ring.variables, TermOrder("lex"))
+            for target in (ring, lex):
+                for J in ideals:
+                    for I in tests:
+                        J2, I2 = (Ideal(target, [remap(g, target) for g in K.generators]) for K in (J, I))
+                        got = saturate(J2, I2)
+                        want, exponent = oracles.oracle_saturate(J2, I2)
+                        assert ideal_equal(got.ideal, want), (J2, I2)
+                        assert got.exponent == exponent, (J2, I2)
+                        assert oracles.oracle_saturation_exponent(J2, I2, got.ideal) == exponent, (J2, I2)
+                        seen[target.order.kind] += 1
+                        seen["s >= 2" if len(I2.generators) > 1 else "s = 1"] += 1
+                        seen["exponent %d" % min(exponent, 2)] += 1
+        assert seen["lex"] >= 150 and seen["grevlex"] >= 150, seen
+        assert seen["s >= 2"] >= 150 and seen["s = 1"] >= 100, seen
+        assert seen["exponent 0"] >= 100 and seen["exponent 1"] >= 100 and seen["exponent 2"], seen
+
+
 class TestSaturationMemo:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -1323,6 +1434,24 @@ class TestExtend:
             counts.append(len(calls))
         assert counts == [10, 10]
 
+    def test_replay_opens_its_own_context(self, monkeypatch):
+        # step k of a replay reads the basis of step k - 1, seeded from the
+        # chain below it; outside a context the replay opens a default one,
+        # so it completes each chain ideal once, as inside one
+        ring, J, v = minors_2xn(4)
+        I = Ideal(ring, v)
+        w = invariants.grade(invariants.CyclicModule(ring, J), I, seed=10000)
+        calls = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
+        counts = []
+        for context in (True, False):
+            del calls[:]
+            with engine_context() if context else contextlib.nullcontext():
+                invariants.replay_regular_sequence(J, I, w.sequence)
+            counts.append(len(calls))
+        assert counts == [6, 6]
+
     def test_verify_grade_witness_reuses_the_chain_bases(self, monkeypatch):
         # in the context of the search, the replay completes only the
         # certificate ideal, which the search never needed a basis of
@@ -1331,7 +1460,9 @@ class TestExtend:
             del runs[:]
             log = invariants.verify_grade_witness(M, I, w)
         assert len(log) == w.value + 1
-        assert [list(gens) for _, gens, *_ in runs] == [list(w.certificate.ideal.generators)]
+        # _grow reads the generators as the kernel's work dicts
+        want = [dict(ideal_engine._integral(g, 0)[0]) for g in w.certificate.ideal.generators]
+        assert [list(works) for _, works, *_ in runs] == [want]
 
 
 class TestColonByIdeal:
