@@ -57,7 +57,8 @@ generator terms, so a chain ideal from ``_extend`` and an ``Ideal`` with
 the same generators share one entry; ``saturate``'s results sit under
 "saturate" and ``is_nonzerodivisor``'s decisions under "regular", with
 the ring and both generator lists, and ``_tag_ring``'s tagged rings under
-"tag ring", with the ring and the number of tags.  Outside any context the
+"tag ring", with the ring and the number of tags; no tagged basis is
+stored.  Outside any context the
 budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored, so
 every read of a basis completes it again; ``grade``,
 ``verify_grade_witness``, ``replay_regular_sequence``, ``icm_report`` and
@@ -66,28 +67,28 @@ when none is open (``_in_engine_context``).  The memo
 and the step limit share the context's lifetime, so no basis is handed
 out under a limit or in a context other than the one that built it.
 
-Saturation by an ideal I = <g_1, ..., g_s> is one Groebner basis, and
-``saturate`` is its one builder: with one new variable y and the generic
-element f_y = sum y^(i-1) * g_i, (J : I^infinity) = (J + <1 - t*f_y>) cap
-k[x], the tags t and y eliminated together; for s = 1 it is the
-Rabinowitsch test of one element.  That completion starts from J's reduced
-grevlex basis with the pairs inside it settled, and adds only 1 - t*f_y.
-Its whole input is in the kernel's integer form, and none of it passes
-through ``Polynomial``: the seed is the kernel form J's basis already
-carries, lifted into the tagged ring by padding each monomial with the
-tags' zero exponents and shifting each mask past the tags' bits, and
-1 - t*f_y is a work dict read off I's generator terms (``_rabinowitsch``),
-scaled over QQ by the lcm of the denominators.  The tag-free elements of
-the result are contracted by slicing the tags off their monomials, and
-the exponent loop multiplies and reduces integer terms.  A grade chain's
-J + <x> (``_extend``) gets its grevlex basis the same way, from J's with
-x the one new generator, when the basis is first read.  Whether one
-element f divides zero on R/J is decided by ``is_nonzerodivisor``, that
-completion for 1 - t*f stopped at the first element it adds with a t-free
-leading monomial: that element lies in (J : f^infinity) and not in J.
-The colon by an ideal uses the same generic element: (J : I) =
-(J*R[y] : f_y) cap R, one colon by an element in R[y] and one elimination
-of y, in place of s colons and s - 1 intersections.
+A tagged ring k[tags, ring] (``_tag_ring``) has one way in,
+``_eliminate_tag``: one completion that starts from a Groebner basis with
+its pairs settled and adds the kernel's work dicts, and whose tag-free
+elements, the tags sliced off, generate the answer.  The settled basis is
+J's reduced grevlex basis in the kernel form it carries (its grevlex
+twin's in another ring), times a tag monomial (``_lift_divisors``): if G
+is a Groebner basis of J, t*G is one of t*J (the incremental step of
+Gebauer-Moeller, J. Symb. Comp. 6, 1988), since the order compares
+multiples of one tag monomial by its grevlex tail block.  So a cap b
+settles t*G_a and adds (1 - t)*g for each generator g of b, and (J : f)
+divides the generators of J cap <f> by f.  With I = <g_1, ..., g_s> and
+its generic element f_y = sum y^(i-1) * g_i, read off I's generator terms
+(``_generic_terms``), (J : I^infinity) = (J + <1 - t*f_y>) cap k[x], t and
+y eliminated together, is one completion, whose one builder is
+``saturate``, and (J : I) = (J*R[y] : f_y) cap R is one colon by f_y in
+R[y] and one elimination of y; for s = 1, f_y = g_1 and no y is added.
+A grade chain's J + <x> (``_extend``) gets its grevlex basis the same
+way, from J's with x the one new generator, when the basis is first read.
+Whether f divides zero on R/J is decided by ``is_nonzerodivisor``, the
+saturation's completion for 1 - t*f stopped at the first element it adds
+with a t-free leading monomial: that element lies in (J : f^infinity) and
+not in J.
 """
 from __future__ import annotations
 
@@ -115,6 +116,7 @@ from .ring_core import (
     Polynomial,
     RingDescriptor,
     TermOrder,
+    _from_dict,
     _same_ring,
     monomial_div,
     monomial_divides,
@@ -199,15 +201,15 @@ def _terms(gens: Iterable[Polynomial]) -> tuple:
     return tuple(g.terms for g in gens)
 
 
-def _integral(g: Polynomial, p: int) -> tuple:
-    """A nonzero g as ``(terms, v)`` with integer terms = v * g: over GF(p)
-    the monic residues and v the inverse of the leading coefficient, over QQ
-    the numerators over the lcm v of the denominators."""
+def _integral(terms: Sequence[tuple], p: int) -> tuple:
+    """The nonzero g with field ``terms`` as ``(integer terms = v * g, v)``:
+    over GF(p) the monic residues and v the inverse of the first
+    coefficient, over QQ the numerators over the lcm v of the denominators."""
     if p:
-        v = pow(g.terms[0][1], -1, p)
-        return tuple((m, c * v % p) for m, c in g.terms), v
-    v = integer_lcm(*(c.denominator for _, c in g.terms))
-    return tuple((m, c.numerator * (v // c.denominator)) for m, c in g.terms), v
+        v = pow(terms[0][1], -1, p)
+        return tuple((m, c * v % p) for m, c in terms), v
+    v = integer_lcm(*(c.denominator for _, c in terms))
+    return tuple((m, c.numerator * (v // c.denominator)) for m, c in terms), v
 
 
 def _divisor(terms: tuple) -> tuple:
@@ -216,16 +218,26 @@ def _divisor(terms: tuple) -> tuple:
     return ltm, sum(ltm), lc, terms[1:], sum(compress(_BITS, ltm))
 
 
-def _lift_divisors(divs: Sequence[tuple], ntags: int) -> tuple:
-    """Kernel divisors over a ring's variables as divisors over k[tags, ring]
-    with ``ntags`` tag variables in front (``_tag_ring``): each monomial
-    padded with ``ntags`` zeros, and each mask shifted past the tags' bits,
-    keeping only the bits of ``_BITS``.  The same tuples ``_divisor`` builds
-    from the lifted monic basis, without going through it."""
-    pad = (0,) * ntags
+def _work(g: Polynomial, p: int) -> dict:
+    """A nonzero g as a work dict of the kernel: its residues over GF(p),
+    its numerators over the lcm of the denominators over QQ."""
+    return dict(g.terms if p else _integral(g.terms, 0)[0])
+
+
+def _lift_divisors(divs: Sequence[tuple], head: Monomial) -> tuple:
+    """Kernel divisors over a ring's variables times the tag monomial
+    ``head`` (zeros for a saturation, t for an intersection), as divisors
+    over k[tags, ring] (``_tag_ring``): each monomial prefixed by ``head``,
+    each degree raised by head's, and each mask shifted past the tags' bits,
+    cut to ``_BITS`` and joined with head's; the tuples ``_divisor`` builds
+    from the lifted basis.  Head times a grevlex basis of J is a Groebner
+    basis of head * J, as the order compares multiples of one tag monomial
+    by its grevlex tail block."""
+    ntags, hdeg = len(head), sum(head)
+    hmask = sum(compress(_BITS, head))
     keep = (1 << len(_BITS)) - 1
     return tuple(
-        (pad + ltm, deg, lc, tuple((pad + m, c) for m, c in tail), (mask << ntags) & keep)
+        (head + ltm, deg + hdeg, lc, tuple((head + m, c) for m, c in tail), (mask << ntags) & keep | hmask)
         for ltm, deg, lc, tail, mask in divs
     )
 
@@ -516,13 +528,13 @@ def _complete(ring: RingDescriptor, gens: Sequence, settled: tuple) -> ReducedGB
     ``settled`` a Groebner basis already, given in kernel form
     (``ReducedGB._divisors``, lifted by ``_lift_divisors`` into a tagged
     ring): the pairs inside it are never formed, so never pending, and the
-    chain criterion stays sound.  A generator is a ``Polynomial`` or a
-    work dict of the kernel (``_rabinowitsch``); this is the one place a
-    ``Polynomial`` generator is converted, over QQ by ``_integral``.  It
-    reads only the step limit; its callers memoize."""
+    chain criterion stays sound.  A generator is a ``Polynomial``
+    (``buchberger``, a chain's x), converted by ``_work``, or a work dict
+    of the kernel (``_eliminate_tag``).  It reads only the step limit; its
+    callers memoize."""
     p = ring.field.characteristic
     dkey = ring.order.descending_key
-    works = [g if isinstance(g, dict) else dict(g.terms if p else _integral(g, p)[0]) for g in gens if g]
+    works = [g if isinstance(g, dict) else _work(g, p) for g in gens if g]
     divs: List[tuple] = []  # the working basis, as the kernel views it
     steps = _grow(ring, works, settled, divs)
 
@@ -645,7 +657,7 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
     if p:
         return Polynomial(ring, _reduce(dict(f.terms), basis._divisors, p, dkey)[0])
     # w * f = sum(q_i * d_i) + r over the integers, so f's remainder is r / w
-    terms, v = _integral(f, 0)
+    terms, v = _integral(f.terms, 0)
     r, scale = _reduce(dict(terms), basis._divisors, 0, dkey)
     w = v * scale
     return Polynomial(ring, tuple((m, Fraction(c, w)) for m, c in r))
@@ -741,54 +753,34 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, a.generators + b.generators)
 
 
-def _fresh_name(existing: Sequence[str], base: str) -> str:
-    if base not in existing:
-        return base
-    k = 0
-    while "%s%d" % (base, k) in existing:
-        k += 1
-    return "%s%d" % (base, k)
+def _tag_ring(ring: RingDescriptor, ntags: int) -> RingDescriptor:
+    """k[tags, ring] with ``ntags`` tag variables (t, then y, or t0, t1, ...
+    when taken) in front, under an order eliminating them that compares
+    tag-free monomials by its grevlex tail block.  Built once per engine
+    context and pair of arguments (``_memoized``)."""
 
-
-def _tag_ring(ring: RingDescriptor, ntags: int) -> tuple:
-    """``(aug, lift, tags)``: k[tags, ring] with ``ntags`` fresh tag
-    variables (t, then y) under an order eliminating them, the inclusion
-    ``lift`` of ``ring`` into it, and the tags as polynomials of ``aug``.
-    Tag-free monomials compare by the order's grevlex tail block.  Built
-    once per engine context and pair of arguments (``_memoized``)."""
-
-    def build() -> tuple:
+    def build() -> RingDescriptor:
         tags: Tuple[str, ...] = ()
         for base in ("t",) + ("y",) * (ntags - 1):
-            tags += (_fresh_name(ring.variables + tags, base),)
-        aug = RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
-        positions = list(range(ntags, ntags + ring.nvars))
-        return aug, lambda g: remap_variables(g, aug, positions), tuple(map(aug.variable, range(ntags)))
+            name, k = base, 0
+            while name in ring.variables + tags:
+                name, k = "%s%d" % (base, k), k + 1
+            tags += (name,)
+        return RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
 
     return _memoized(("tag ring", ring, ntags), build)
 
 
-def _eliminate_tag(
-    ring: RingDescriptor, ntags: int, build: Callable[..., list], seed: Optional[tuple] = None
-) -> Ideal:
-    """K intersect k[ring] for K = <seed, build(lift, *tags)> in k[tags, ring]
-    (``_tag_ring``): one Groebner basis under an order eliminating the tags,
-    whose tag-free elements generate the answer.  Without a seed, ``build``
-    gives ``Polynomial`` generators and ``buchberger`` completes them.
-    ``seed`` is a grevlex Groebner basis over ``ring``'s variables in kernel
-    form (``ReducedGB._divisors``; empty for the zero ideal); lifted by
-    ``_lift_divisors`` it is one in k[tags, ring] too, and ``_complete``
-    starts from it as settled, so ``build`` may give work dicts over
-    k[tags, ring] (``_rabinowitsch``).  Only ``saturate`` seeds, and its
-    memo entry covers the seeded completion.
-
-    The contraction slices the tags off the monomials of the tag-free
-    elements, which lead the ascending basis.  The order compares tag-free
-    monomials by its grevlex tail block, so the sliced terms stay sorted
+def _eliminate_tag(ring: RingDescriptor, ntags: int, works: Sequence[dict], settled: tuple) -> Ideal:
+    """K intersect k[ring] for K = <settled, works> in k[tags, ring]
+    (``_tag_ring``), the one route into a tagged ring: one ``_complete``
+    from ``settled``, a Groebner basis there in kernel form lifted by
+    ``_lift_divisors``, with the work dicts ``works`` added.  The basis is
+    not stored.  Its tag-free elements lead it and generate the answer,
+    contracted by slicing the tags off their monomials; the order compares
+    tag-free monomials by its grevlex tail block, so the terms stay sorted
     for a grevlex ``ring`` and are sorted again for any other."""
-    aug, lift, tags = _tag_ring(ring, ntags)
-    gens = build(lift, *tags)
-    G = buchberger(gens, ring=aug) if seed is None else _complete(aug, gens, _lift_divisors(seed, ntags))
+    G = _complete(_tag_ring(ring, ntags), works, settled)
     dkey = None if ring.order.kind == GREVLEX else ring.order.descending_key
     out = []
     for g in G.basis:
@@ -801,60 +793,68 @@ def _eliminate_tag(
     return Ideal(ring, out)
 
 
+def _meet(ring: RingDescriptor, seed: tuple, gens: Sequence[Polynomial]) -> Ideal:
+    """a cap <gens> = (t*a + (1 - t)*<gens>) cap k[ring] for the ideal a
+    with reduced grevlex basis ``seed`` in kernel form: t*seed settled, and
+    (1 - t)*g for each generator g as a work dict."""
+    p = ring.field.characteristic
+    # (1 - t)*g: each term c*x^m of g gives c*x^m and -c*t*x^m
+    works = [{(k,) + m: -c if k else c for m, c in _work(g, p).items() for k in (0, 1)} for g in gens]
+    return _eliminate_tag(ring, 1, works, _lift_divisors(seed, (1,)))
+
+
+def _seed(J: Ideal) -> tuple:
+    """J's reduced grevlex basis in kernel form, its grevlex twin's in any
+    other ring: the seed of every tagged completion from J."""
+    return _grevlex_twin(J).groebner_basis()._divisors
+
+
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
-    """Intersection via a tag variable: (t*J1 + (1-t)*J2) with t eliminated."""
+    """Intersection via a tag variable: (t*a + (1-t)*b) with t eliminated,
+    completed from t times a's reduced grevlex basis, settled."""
     _same_ring(a, b)
     if a.is_zero_ideal or b.is_zero_ideal:
         return Ideal(a.ring, ())
-    return _eliminate_tag(
-        a.ring,
-        1,
-        lambda lift, t: [t * lift(g) for g in a.generators]
-        + [(1 - t) * lift(g) for g in b.generators],
-    )
+    return _meet(a.ring, _seed(a), b.generators)
+
+
+def _colon(ring: RingDescriptor, seed: tuple, f: Polynomial) -> Ideal:
+    """(J : f) = (1/f) * (J cap <f>) for the ideal J with reduced grevlex
+    basis ``seed``: each generator of ``_meet``'s answer divided by f."""
+    return Ideal(ring, [divide(g, f) for g in _meet(ring, seed, (f,)).generators])
 
 
 def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
-    """The colon ideal (J : f), computed as (1/f) * (J intersect <f>): each
-    generator of the intersection divided exactly by f."""
+    """The colon ideal (J : f), computed as (1/f) * (J intersect <f>)."""
     if f.ring != J.ring:
         raise IncompatibleRingError("polynomial outside the ideal's ring")
     if f.is_zero:
         raise ZeroElementError("colon by the zero polynomial is undefined")
-    if J.is_zero_ideal:
-        return Ideal(J.ring, ())
-    K = ideal_intersect(J, Ideal(J.ring, (f,)))
-    return Ideal(J.ring, [divide(g, f) for g in K.generators])
+    return _colon(J.ring, _seed(J), f)
 
 
-def _generic_element(gens: Sequence[Polynomial], lift, y) -> Polynomial:
-    """The generic element f_y = sum y^(i-1) * lift(g_i) of <g_1, ..., g_s>,
-    by Horner's rule; for s = 1 it is lift(g_1) and ``y`` is not read."""
-    f = lift(gens[-1])
-    for g in reversed(gens[:-1]):
-        f = lift(g) + y * f
-    return f
+def _generic_terms(gens: Sequence[Polynomial], head: Monomial) -> Iterator[tuple]:
+    """The terms of head * f_y for the generic element f_y = sum y^(i-1) *
+    g_i of ``gens``, read off the generators' terms with their field
+    coefficients: the monomials of g_i carry ``head`` and then y^(i-1), or
+    ``head`` alone for s = 1, which adds no y.  No two share a monomial."""
+    for i, g in enumerate(gens):
+        lead = head + (i,) if len(gens) > 1 else head
+        for m, c in g.terms:
+            yield lead + m, c
 
 
 def _rabinowitsch(gens: Sequence[Polynomial]) -> dict:
-    """1 - t*f_y for the generic element f_y of ``gens`` (``_generic_element``)
-    as a work dict of the kernel over k[t, (y,) ring], the ``_tag_ring`` of
-    min(s, 2) tags, read off the generators' terms with no ``Polynomial`` in
-    between: over GF(p) its residues, over QQ its numerators over the lcm
-    v > 0 of the denominators, the terms ``_integral`` gives.  No two terms
-    share a monomial, since the terms of g_i carry t*y^(i-1) and the
-    constant carries no t."""
+    """v * (1 - t*f_y) for the generic element f_y of ``gens``
+    (``_generic_terms``) as a work dict of the kernel over k[t, (y,) ring],
+    the ``_tag_ring`` of min(s, 2) tags, with no ``Polynomial`` in between:
+    v * t*f_y is the integer form ``_integral`` gives, and v is a unit, over
+    QQ the lcm of the denominators.  The constant carries no t, so it
+    shares a monomial with no other term."""
     ring = gens[0].ring
-    p = ring.field.characteristic
-    ntags = min(len(gens), 2)
-    v = 1 if p else integer_lcm(*(c.denominator for g in gens for _, c in g.terms))
-    work = {(0,) * (ntags + ring.nvars): v}
-    for i, g in enumerate(gens):
-        head = (1, i) if ntags == 2 else (1,)
-        if p:
-            work.update((head + m, -c % p) for m, c in g.terms)
-        else:
-            work.update((head + m, -c.numerator * (v // c.denominator)) for m, c in g.terms)
+    terms, v = _integral(tuple(_generic_terms(gens, (1,))), ring.field.characteristic)
+    work = {(0,) * (min(len(gens), 2) + ring.nvars): v}
+    work.update((m, -c) for m, c in terms)
     return work
 
 
@@ -875,8 +875,9 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i
     in one new variable y, (J : I) = (J*R[y] : f_y) cap R: h * f_y =
     sum y^(i-1) * h*g_i lies in J*R[y] exactly when every h*g_i lies in J.
-    So the colon is one ``ideal_quotient`` in R[y] and one elimination of
-    y; for s = 1 it is ``ideal_quotient(J, g_1)``.
+    So it is one colon by f_y in R[y] = ``_tag_ring(ring, 1)`` and one
+    elimination of y, both from J's reduced grevlex basis lifted into R[y],
+    a Groebner basis of J*R[y]; for s = 1 it is ``ideal_quotient(J, g_1)``.
     """
     _same_ring(J, I)
     gens = I.generators
@@ -884,12 +885,11 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
         raise ZeroElementError("colon by the zero ideal is undefined")
     if len(gens) == 1:
         return ideal_quotient(J, gens[0])
-
-    def build(lift, y):
-        Jy = Ideal(y.ring, [lift(h) for h in J.generators])
-        return list(ideal_quotient(Jy, _generic_element(gens, lift, y)).generators)
-
-    return _eliminate_tag(J.ring, 1, build)
+    Ry = _tag_ring(J.ring, 1)
+    seed = _lift_divisors(_seed(J), (0,))
+    colon = _colon(Ry, seed, _from_dict(Ry, dict(_generic_terms(gens, ()))))
+    p = J.ring.field.characteristic
+    return _eliminate_tag(J.ring, 1, [_work(g, p) for g in colon.generators], seed)
 
 
 def _grevlex_twin(J: Ideal) -> Ideal:
@@ -934,20 +934,18 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     in one new variable y, (J : I^infinity) = (J*R[y] : f_y^infinity) cap R
     over every field (Eisenbud-Huneke-Vasconcelos): f_y lies in P[y] exactly
     when I lies in the prime P.  So the saturation is (J + <1 - t*f_y>) with
-    t and y eliminated (Rabinowitsch); for s = 1, f_y = g_1 and no y is
-    added.  The completion starts from J's reduced grevlex basis, settled,
-    and adds 1 - t*f_y as the kernel's work dict (``_rabinowitsch``).
+    t and y eliminated (Rabinowitsch): J's reduced grevlex basis, settled,
+    and 1 - t*f_y as the kernel's work dict (``_rabinowitsch``).
 
     The exponent is the least k with I^k * sat inside J: normal forms modulo
     J of sat's generators are multiplied by each g in I and reduced again
     until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.  The loop
-    runs on the kernel's integer terms: each product is formed from them,
-    reduced by ``_reduce`` against J's basis in kernel form, and kept once
-    per normalized remainder.  A remainder is a unit times the field's
-    normal form, and NF is linear, so the remainders vanish in the same
-    round as the field's.  Inside an engine context the result is memoized
-    under "saturate" with the ring and J's and I's generator terms, the
-    only memo of its seeded completion.
+    runs on the kernel's integer terms, against the same grevlex basis of J:
+    whether a product lies in J does not depend on the order, and a
+    remainder is a unit times the field's normal form, which is linear, so
+    the remainders vanish in the same round in any order and field.  Inside
+    an engine context the result is memoized under "saturate" with the ring
+    and J's and I's generator terms, the only memo of its seeded completion.
     """
     _same_ring(J, I)
     gens = I.generators
@@ -955,24 +953,23 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
         raise ZeroElementError("saturation by the zero ideal is undefined")
 
     def saturation() -> SaturationResult:
-        twin = _grevlex_twin(J)
-        seed = twin.groebner_basis()
-        gb = seed if twin is J else J.groebner_basis()
-        sat = _eliminate_tag(J.ring, min(len(gens), 2), lambda *_: [_rabinowitsch(gens)], seed._divisors)
+        seed = _seed(J)
+        ntags = min(len(gens), 2)
+        sat = _eliminate_tag(J.ring, ntags, [_rabinowitsch(gens)], _lift_divisors(seed, (0,) * ntags))
         p = J.ring.field.characteristic
-        dkey = J.ring.order.descending_key
+        dkey = TermOrder(GREVLEX).descending_key
 
         def remainders(works: Iterable[dict]) -> set:
-            """The distinct nonzero normal forms modulo J, normalized."""
+            """The distinct nonzero remainders modulo J, normalized."""
             out = set()
             for work in works:
-                r = _reduce(work, gb._divisors, p, dkey)[0]
+                r = _reduce(work, seed, p, dkey)[0]
                 if r:
                     out.add(_normalize(r, p))
             return out
 
-        factors = [_integral(g, p)[0] for g in gens]
-        rest = remainders(dict(_integral(s, p)[0]) for s in sat.generators)
+        factors = [_integral(g.terms, p)[0] for g in gens]
+        rest = remainders(_work(s, p) for s in sat.generators)
         exponent = 0
         while rest:
             rest = remainders(_product(g, h) for g in factors for h in rest)
@@ -1005,8 +1002,7 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
         raise ZeroElementError("saturation by the zero ideal is undefined")
 
     def decide() -> bool:
-        aug = _tag_ring(J.ring, 1)[0]
-        seed = _lift_divisors(_grevlex_twin(J).groebner_basis()._divisors, 1)
+        aug, seed = _tag_ring(J.ring, 1), _lift_divisors(_seed(J), (0,))
         return _grow(aug, [_rabinowitsch([f])], seed, [], stop=lambda lm: not lm[0]) is not None
 
     return _memoized(("regular", J.ring, _terms(J.generators), (f.terms,)), decide)

@@ -275,6 +275,8 @@ class RingDescriptor:
                 raise DimensionMismatchError(
                     "expected %d exponents, got %d" % (self.nvars, len(mono))
                 )
+            if any(e < 0 for e in mono):
+                raise ValueError("exponents must be nonnegative")
             cc = self.field.coerce(c)
             if mono in acc:
                 cc = self.field.add(acc[mono], cc)

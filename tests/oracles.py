@@ -14,12 +14,16 @@ purpose, simple on purpose.
 polynomials whose coefficients strain the engine's fraction-free
 completion, shared by the oracle and the sympy cross-checks.
 
-``oracle_saturate`` and ``oracle_colon_ideal`` are the exceptions: the
-engine's earlier saturation by an ideal and colon by an ideal, built from
-the engine's own eliminations and colons, kept as the references for the
-generic-element formulas that replaced them.  So is
-``oracle_saturation_exponent``, the engine's earlier exponent loop on
-``Polynomial`` products, the reference for the one on kernel terms.
+``oracle_saturate``, ``oracle_intersect``, ``oracle_quotient`` and
+``oracle_colon_ideal`` are the exceptions: the engine's earlier saturation,
+intersection and colons, kept as the references for the seeded eliminations
+and generic-element formulas that replaced them.  They build their own tag
+ring with ``RingDescriptor`` and ``remap_variables``, complete ``Polynomial``
+generators with the engine's ``buchberger`` and divide with
+``oracle_divide``; none of them calls the engine's eliminations, colons or
+intersections.  So is ``oracle_saturation_exponent``, the engine's earlier
+exponent loop on ``Polynomial`` products, the reference for the one on
+kernel terms.
 """
 from __future__ import annotations
 
@@ -30,13 +34,7 @@ from math import gcd
 from typing import Dict, List, Sequence, Set, Tuple
 
 from icmlab.errors import IncompatibleRingError, ZeroElementError
-from icmlab.ideal_engine import (
-    Ideal,
-    _eliminate_tag,
-    ideal_intersect,
-    ideal_quotient,
-    normal_form,
-)
+from icmlab.ideal_engine import Ideal, buchberger, normal_form
 from icmlab.ring_core import (
     Polynomial,
     RingDescriptor,
@@ -46,6 +44,7 @@ from icmlab.ring_core import (
     monomial_div,
     monomial_divides,
     monomial_mul,
+    remap_variables,
 )
 
 Mono = Tuple[int, ...]
@@ -284,30 +283,66 @@ def oracle_buchberger(gens: Sequence[Polynomial]) -> List[Polynomial]:
 
 
 # ---------------------------------------------------------------------------
-# saturation and colon by an ideal, the engine's earlier formulas
+# saturation, intersection and colons, the engine's earlier formulas
+
+
+def oracle_eliminate(ring: RingDescriptor, build) -> Ideal:
+    """K cap k[ring] for K = <build(lift, t)> in k[t, ring], t a fresh
+    variable eliminated by a block order: ``buchberger`` completes the
+    ``Polynomial`` generators, and the t-free elements of the basis, moved
+    back into ``ring``, generate the answer."""
+    name, k = "t", 0
+    while name in ring.variables:
+        name, k = "t%d" % k, k + 1
+    aug = RingDescriptor(ring.field, (name,) + ring.variables, TermOrder("elimination-block", 1))
+    down = [None] + list(range(ring.nvars))
+
+    def lift(g: Polynomial) -> Polynomial:
+        return remap_variables(g, aug, range(1, aug.nvars))
+
+    G = buchberger(build(lift, aug.variable(0)), ring=aug)
+    return Ideal(ring, [remap_variables(g, ring, down) for g in G if not any(m[0] for m, _ in g.terms)])
+
+
+def oracle_intersect(a: Ideal, b: Ideal) -> Ideal:
+    """a cap b = (t*a + (1 - t)*b) cap k[ring]."""
+    _same_ring(a, b)
+    if not a.generators or not b.generators:
+        return Ideal(a.ring, ())
+    return oracle_eliminate(
+        a.ring, lambda lift, t: [t * lift(g) for g in a.generators] + [(1 - t) * lift(g) for g in b.generators]
+    )
+
+
+def oracle_quotient(J: Ideal, f: Polynomial) -> Ideal:
+    """(J : f) = (1/f) * (J cap <f>), each generator divided exactly."""
+    if f.is_zero:
+        raise ZeroElementError("colon by the zero polynomial is undefined")
+    out = []
+    for g in oracle_intersect(J, Ideal(J.ring, (f,))).generators:
+        (q,), r = oracle_divide(g, [f])
+        assert r.is_zero, "%s is not a multiple of %s" % (g, f)
+        out.append(q)
+    return Ideal(J.ring, out)
 
 
 def oracle_saturate(J: Ideal, I: Ideal) -> Tuple[Ideal, int]:
     """(J : I^infinity) and the least k with I^k * (J : I^infinity) inside J.
 
     One Rabinowitsch elimination (J : g^infinity) = (J + <1 - t*g>) cap k[x]
-    per generator g of I, the parts intersected with ``ideal_intersect``;
+    per generator g of I, the parts intersected with ``oracle_intersect``;
     the exponent is counted by normal forms modulo J."""
     if J.ring != I.ring:
         raise IncompatibleRingError("operands live in different rings")
     if not I.generators:
         raise ZeroElementError("saturation by the zero ideal is undefined")
     parts = [
-        _eliminate_tag(
-            J.ring,
-            1,
-            lambda lift, t, g=g: [lift(h) for h in J.generators] + [1 - t * lift(g)],
-        )
+        oracle_eliminate(J.ring, lambda lift, t, g=g: [lift(h) for h in J.generators] + [1 - t * lift(g)])
         for g in I.generators
     ]
     sat = parts[0]
     for part in parts[1:]:
-        sat = ideal_intersect(sat, part)
+        sat = oracle_intersect(sat, part)
     return sat, oracle_saturation_exponent(J, I, sat)
 
 
@@ -330,10 +365,10 @@ def oracle_colon_ideal(J: Ideal, I: Ideal) -> Ideal:
     _same_ring(J, I)
     if not I.generators:
         raise ZeroElementError("colon by the zero ideal is undefined")
-    parts = [ideal_quotient(J, g) for g in I.generators]
+    parts = [oracle_quotient(J, g) for g in I.generators]
     out = parts[0]
     for part in parts[1:]:
-        out = ideal_intersect(out, part)
+        out = oracle_intersect(out, part)
     return out
 
 

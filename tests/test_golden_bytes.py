@@ -6,7 +6,10 @@ seeds 0, 1 and 7, and of ``run --json`` on the scripts in ``golden/``:
 variables, for N = 3, 4, 5 over QQ and GF(32003) at seeds 10000-10002 and
 N = 6 over QQ at seed 10000, and ``lex_sat_grade_icm``, ``sat``, ``grade``
 and ``icm`` queries in lex-ordered rings over QQ and GF(32003) at seeds
-10000-10002.  These scripts live in ``golden/``, not in ``corpus/``, so the
+10000-10002, and ``lex_colon_intersect``, ``intersect`` and ``colon``
+queries (by one generator and by several, J = 0 and a unit in I included)
+and an ideal declared as an intersection, in the same two lex rings at
+seed 10000.  These scripts live in ``golden/``, not in ``corpus/``, so the
 corpus keeps its 50 files.
 
 The fixture ``golden/cli_bytes.json`` keeps the sha256 of each stream, so a
@@ -38,6 +41,7 @@ GOLDEN = (
     ("minors_2x5_gf", SEEDS),
     ("minors_2x6_qq", (10000,)),
     ("lex_sat_grade_icm", SEEDS),
+    ("lex_colon_intersect", (10000,)),
 )
 
 
@@ -81,7 +85,7 @@ def test_cli_output_matches_recorded_bytes(monkeypatch):
         recorded = json.load(handle)
     argvs = list(_argvs())
     assert [entry["argv"] for entry in recorded] == argvs
-    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + 22  # 22 runs of golden/ scripts
+    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + 23  # 23 runs of golden/ scripts
     changed = [" ".join(entry["argv"]) for entry in recorded if _record(entry["argv"]) != entry]
     assert not changed, "output bytes changed for: %s" % "; ".join(changed)
 

@@ -263,8 +263,8 @@ def kernel_remainder(f, divisors, table=None):
         return f
     ring = f.ring
     p = ring.field.characteristic
-    divs = [ideal_engine._divisor(ideal_engine._integral(d, p)[0]) for d in divisors]
-    terms, v = ideal_engine._integral(f, p)
+    divs = [ideal_engine._divisor(ideal_engine._integral(d.terms, p)[0]) for d in divisors]
+    terms, v = ideal_engine._integral(f.terms, p)
     r, scale = ideal_engine._reduce(dict(terms), divs, p, ring.order.descending_key, table)
     w = v * scale
     return Polynomial(ring, tuple((m, c * pow(w, -1, p) % p if p else Fraction(c, w)) for m, c in r))
@@ -513,24 +513,31 @@ def minors_2xn(n, p=0, order="grevlex"):
     return ring, J, v
 
 
+def generic_element(gens, lift, y):
+    """The generic element f_y = sum y^(i-1) * lift(g_i) of <g_1, ..., g_s>
+    as a ``Polynomial``, by Horner's rule; for s = 1 it is lift(g_1)."""
+    f = lift(gens[-1])
+    for g in reversed(gens[:-1]):
+        f = lift(g) + y * f
+    return f
+
+
+def tag_lift(ring, ntags):
+    """``_tag_ring(ring, ntags)``, the inclusion of ``ring`` into it, and
+    its tags as polynomials."""
+    aug = ideal_engine._tag_ring(ring, ntags)
+    return aug, lambda g: remap_variables(g, aug, range(ntags, aug.nvars)), [aug.variable(i) for i in range(ntags)]
+
+
 def tagged_completions(J, I):
     """The Rabinowitsch basis of J + <1 - t*f_y> in k[t, (y,) ring] twice:
     plainly from J's generators, and seeded, from J's reduced grevlex basis
-    settled plus 1 - t*f_y, the seed in kernel form as the engine lifts it.
-    The ring must not name a variable t or y."""
-    ring = J.ring
+    settled plus 1 - t*f_y, the seed in kernel form as the engine lifts it."""
     ntags = min(len(I.generators), 2)
-    aug = RingDescriptor(ring.field, ("t", "y")[:ntags] + ring.variables, TermOrder("elimination-block", ntags))
-
-    def lift(g):
-        return remap_variables(g, aug, range(ntags, aug.nvars))
-
-    y = aug.variable(1) if ntags == 2 else None
-    rab = 1 - aug.variable(0) * ideal_engine._generic_element(I.generators, lift, y)
-    twin = RingDescriptor(ring.field, ring.variables, TermOrder("grevlex"))
-    seed = Ideal(twin, [remap_variables(g, twin, range(ring.nvars)) for g in J.generators])
+    aug, lift, tags = tag_lift(J.ring, ntags)
+    rab = 1 - tags[0] * generic_element(I.generators, lift, tags[-1])
     plain = buchberger([lift(h) for h in J.generators] + [rab], ring=aug)
-    settled = ideal_engine._lift_divisors(seed.groebner_basis()._divisors, ntags)
+    settled = ideal_engine._lift_divisors(ideal_engine._seed(J), (0,) * ntags)
     seeded = ideal_engine._complete(aug, [rab], settled)
     return plain, seeded
 
@@ -844,7 +851,7 @@ class TestNormalForm:
             else:
                 gens = [oracles.hard_rational_poly(rng, R) for _ in range(2)]
             for gb in (buchberger(gens, ring=R), buchberger(gens[:1], ring=R)):
-                want = tuple(ideal_engine._divisor(ideal_engine._integral(g, p)[0]) for g in gb)
+                want = tuple(ideal_engine._divisor(ideal_engine._integral(g.terms, p)[0]) for g in gb)
                 assert gb._divisors == want, gens
                 autoreduced += len(gb) > 1
         assert autoreduced >= 5
@@ -856,7 +863,7 @@ class TestNormalForm:
 
 class TestSaturationByIdeal:
     """The one-basis generic-element saturation against the per-generator
-    eliminations glued by ``ideal_intersect`` (``oracles.oracle_saturate``)."""
+    eliminations glued by the oracle's intersections (``oracles.oracle_saturate``)."""
 
     @staticmethod
     def random_pair(rng, ring):
@@ -980,7 +987,9 @@ class TestSaturationByIdeal:
 
 class TestRabinowitschInput:
     """``_rabinowitsch``, the tagged input 1 - t*f_y of ``saturate`` and
-    ``is_nonzerodivisor`` in kernel form, against the ``Polynomial`` one."""
+    ``is_nonzerodivisor`` in kernel form, and f_y in R[y], the input of the
+    colon by an ideal, both read off the generators by ``_generic_terms``,
+    against the ``Polynomial`` ones."""
 
     @staticmethod
     def generators(rng, ring, s):
@@ -1009,10 +1018,8 @@ class TestRabinowitschInput:
         for s in (1, 2, 3):
             for _ in range(4):
                 gens = self.generators(rng, ring, s)
-                ntags = min(s, 2)
-                aug, lift, tags = ideal_engine._tag_ring(ring, ntags)
-                y = tags[1] if ntags == 2 else None
-                want = 1 - tags[0] * ideal_engine._generic_element(gens, lift, y)
+                aug, lift, tags = tag_lift(ring, min(s, 2))
+                want = 1 - tags[0] * generic_element(gens, lift, tags[-1])
                 got = ideal_engine._rabinowitsch(gens)
                 assert sorted(got) == sorted(m for m, _ in want.terms), gens
                 unit = got[(0,) * aug.nvars]  # the constant term of want is 1
@@ -1022,6 +1029,10 @@ class TestRabinowitschInput:
                     assert type(unit) is int and unit > 0, gens
                     assert all(type(got[m]) is int and got[m] == unit * c for m, c in want.terms), gens
                     scaled += unit > 1
+                if s > 1:
+                    Ry, lift, (y,) = tag_lift(ring, 1)
+                    fy = generic_element(gens, lift, y)
+                    assert sorted(ideal_engine._generic_terms(gens, ())) == sorted(fy.terms), gens
                 # J = 0: the seed is empty, and the completion still seeded
                 sat = saturate(Ideal(ring, ()), Ideal(ring, gens))
                 assert sat.ideal.is_zero_ideal and sat.exponent == 0, gens
@@ -1085,6 +1096,24 @@ class TestSaturationExponent:
         assert seen["s >= 2"] >= 150 and seen["s = 1"] >= 100, seen
         assert seen["exponent 0"] >= 100 and seen["exponent 1"] >= 100 and seen["exponent 2"], seen
 
+    def test_lex_saturation_of_a_chain_ideal_completes_no_lex_basis(self, monkeypatch):
+        # the exponent loop reduces against the grevlex seed that the
+        # tagged completion starts from: whether a product lies in J does
+        # not depend on the order, so J's lex basis is never needed
+        R = RingDescriptor(QQ, ("x", "y", "z", "w"), TermOrder("lex"))
+        x, y, z, w = (R.variable(i) for i in range(4))
+        gens = [x**2 * z - x * y**2, y * x * w - y**2 * z, y * w - z**2]
+        J = ideal_engine._extend(ideal_engine._extend(Ideal(R, gens[:1]), gens[1]), gens[2])
+        I = Ideal(R, [x, y])
+        rings = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda ring, *a: rings.append(ring) or real(ring, *a))
+        with engine_context():
+            got = saturate(J, I)
+        assert rings and not [r for r in rings if r.order.kind == "lex"], rings
+        want, exponent = oracles.oracle_saturate(Ideal(R, gens), I)
+        assert ideal_equal(got.ideal, want) and got.exponent == exponent == 1
+
 
 class TestSaturationMemo:
     @pytest.fixture
@@ -1129,7 +1158,7 @@ class TestSaturationMemo:
     def test_seeded_and_plain_completions_keep_apart(self):
         # the plain tagged basis is stored under its ring and generators, as
         # any basis, so the second build is a memo hit; a direct _complete,
-        # the seeded completion only saturate runs, reads and stores nothing
+        # the seeded completion that _eliminate_tag runs, reads and stores nothing
         # (saturate's own entry stands for it)
         ring, J, v = minors_2xn(3)
         I = Ideal(ring, [v[0], v[4]])
@@ -1364,9 +1393,10 @@ class TestExtend:
                 assert [bool(settled) for _, _, settled in calls] == ([] if twin is K else [False])
 
     def test_lifted_divisors_match_the_lifted_basis(self):
-        # _lift_divisors pads the kernel form; the divisors the kernel
-        # builds from the lifted monic basis are the same tuples, also where
-        # the shift pushes a mask bit past the last one of _BITS
+        # _lift_divisors multiplies the kernel form by a tag monomial; the
+        # divisors the kernel builds from the lifted monic basis times that
+        # monomial are the same tuples, also where the shift pushes a mask
+        # bit past the last one of _BITS
         nbits = len(ideal_engine._BITS)
         rng = random.Random(2207)
         pushed = 0
@@ -1388,12 +1418,13 @@ class TestExtend:
                 systems.append((wide, gens))
             for ring, gens in systems:
                 gb = buchberger(gens, ring=ring)
-                for ntags in (1, 2):
-                    _, lift, _ = ideal_engine._tag_ring(ring, ntags)
-                    want = tuple(ideal_engine._divisor(ideal_engine._integral(lift(g), p)[0]) for g in gb)
-                    assert ideal_engine._lift_divisors(gb._divisors, ntags) == want, gens
-                    pushed += any(d[4] >> (nbits - ntags) for d in gb._divisors)
-        assert pushed >= 6
+                for head in ((0,), (0, 0), (1,), (1, 0), (0, 2)):
+                    aug, lift, tags = tag_lift(ring, len(head))
+                    t = aug.monomial(head + (0,) * ring.nvars)
+                    want = tuple(ideal_engine._divisor(ideal_engine._integral((t * lift(g)).terms, p)[0]) for g in gb)
+                    assert ideal_engine._lift_divisors(gb._divisors, head) == want, (gens, head)
+                    pushed += any(d[4] >> (nbits - len(head)) for d in gb._divisors)
+        assert pushed >= 15
 
     @staticmethod
     def minors_grade(monkeypatch, spied):
@@ -1461,13 +1492,18 @@ class TestExtend:
             log = invariants.verify_grade_witness(M, I, w)
         assert len(log) == w.value + 1
         # _grow reads the generators as the kernel's work dicts
-        want = [dict(ideal_engine._integral(g, 0)[0]) for g in w.certificate.ideal.generators]
+        want = [ideal_engine._work(g, 0) for g in w.certificate.ideal.generators]
         assert [list(works) for _, works, *_ in runs] == [want]
+
+
+def _terms(K):
+    """The term tuples of an ideal's generators, in order."""
+    return [g.terms for g in K.generators]
 
 
 class TestColonByIdeal:
     """The colon through the generic element against the per-generator colons
-    glued by ``ideal_intersect`` (``oracles.oracle_colon_ideal``)."""
+    glued by the oracle's intersections (``oracles.oracle_colon_ideal``)."""
 
     @staticmethod
     def random_pair(rng, ring):
@@ -1505,6 +1541,28 @@ class TestColonByIdeal:
         assert len(seen) == 6, seen
         assert min(seen.values()) >= 5, seen
 
+    def test_intersection_and_colon_by_an_element_match_the_oracle(self):
+        # the seeded eliminations against the oracle's plain ones in a tag
+        # ring of its own: the same contracted generators, term for term
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for order in ("lex", "grevlex"):
+                ring = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder(order))
+                rng = random.Random(17 * p + len(order))
+                for _ in range(8):
+                    J, I = self.random_pair(rng, ring)
+                    for a, b in ((J, I), (I, J)):
+                        got, want = ideal_intersect(a, b), oracles.oracle_intersect(a, b)
+                        assert _terms(got) == _terms(want), (a, b)
+                    for f in I.generators:
+                        got, want = ideal_quotient(J, f), oracles.oracle_quotient(J, f)
+                        assert _terms(got) == _terms(want), (J, f)
+                    seen["GF(%d), %s" % (p, order) if p else "QQ, %s" % order] += 1
+                    seen["J = 0"] += J.is_zero_ideal
+                    seen["unit in I"] += any(g.total_degree() == 0 for g in I.generators)
+                    seen["s >= 2"] += len(I.generators) > 1
+        assert len(seen) == 11 and min(seen.values()) >= 3, seen
+
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("p", [0, 32003])
     def test_minors_by_all_variables(self, n, p):
@@ -1519,23 +1577,32 @@ class TestColonByIdeal:
         assert got == J.groebner_basis()
 
     def test_one_colon_and_one_intersection(self, monkeypatch):
+        # one colon by f_y in R[y], whose intersection is one elimination of
+        # its tag, and one elimination of y: two tagged completions, each
+        # from a lifted basis, and buchberger only on J in R
         calls = Counter()
+        rings = []
 
         def spy(name):
             real = getattr(ideal_engine, name)
 
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls[name] += 1
-                return real(*args)
+                if name in ("buchberger", "_complete"):
+                    rings.append((name, kwargs.get("ring", args[0])))
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(ideal_engine, name, counted)
 
-        spy("ideal_quotient")
-        spy("ideal_intersect")
+        for name in ("ideal_quotient", "ideal_intersect", "_colon", "_eliminate_tag", "_complete", "buchberger"):
+            spy(name)
         R = ring_qq("x", "y", "z")
         x, y, z = (R.variable(i) for i in range(3))
         got = ideal_quotient_ideal(Ideal(R, [x**2, y**2, z**2]), Ideal(R, [x, y, z]))
-        assert calls == {"ideal_quotient": 1, "ideal_intersect": 1}
+        assert calls == {"_colon": 1, "_eliminate_tag": 2, "_complete": 3, "buchberger": 1}
+        Ry = ideal_engine._tag_ring(R, 1)
+        want = [("buchberger", R), ("_complete", R), ("_complete", ideal_engine._tag_ring(Ry, 1)), ("_complete", Ry)]
+        assert rings == want
         assert got == Ideal(R, [x**2, y**2, z**2, x * y * z])
 
 
@@ -1725,14 +1792,18 @@ class TestIdealCalculus:
         # the tag variables are fresh although the ring already uses t and y
         R = ring_qq("t", "y")
         a, b = R.variable(0), R.variable(1)
-        one = _eliminate_tag(R, 1, lambda lift, t: [t * lift(a), (1 - t) * lift(b)])
+        assert ideal_engine._tag_ring(R, 1).variables == ("t0", "t", "y")
+        assert ideal_engine._tag_ring(R, 2).variables == ("t0", "y0", "t", "y")
+        seed = ideal_engine._seed(Ideal(R, [a]))
+        aug, lift, (t,) = tag_lift(R, 1)
+        one = _eliminate_tag(R, 1, [ideal_engine._work((1 - t) * lift(b), 0)], ideal_engine._lift_divisors(seed, (1,)))
         assert [str(g) for g in one.groebner_basis()] == ["t*y"]
-        # two tags: <a> cap <b> cap <a + b> = (t1*<a> + t2*<b> + (1 - t1 - t2)*<a + b>) cap R
-        three = _eliminate_tag(
-            R,
-            2,
-            lambda lift, t1, t2: [t1 * lift(a), t2 * lift(b), (1 - t1 - t2) * lift(a + b)],
-        )
+        assert ideal_intersect(Ideal(R, [a]), Ideal(R, [b])).generators == one.generators
+        # two tags: <a> cap <b> cap <a + b> = (t1*<a> + t2*<b> + (1 - t1 - t2)*<a + b>) cap R,
+        # from t1 times a's basis, settled
+        aug, lift, (t1, t2) = tag_lift(R, 2)
+        works = [ideal_engine._work(g, 0) for g in (t2 * lift(b), (1 - t1 - t2) * lift(a + b))]
+        three = _eliminate_tag(R, 2, works, ideal_engine._lift_divisors(seed, (1, 0)))
         assert [str(g) for g in three.groebner_basis()] == ["t^2*y + t*y^2"]
 
     def test_extend_ring_preserves_generators(self):

@@ -352,6 +352,15 @@ class TestRingDescriptor:
         for T in (pickle.loads(pickle.dumps(R)), copy.deepcopy(R)):
             assert T == S and hash(T) == hash(S)
 
+    def test_negative_exponents_rejected(self):
+        # a negative exponent once printed x^-1 as 1 and made <x^-1 + 2> the
+        # unit ideal; both builders refuse it
+        R = ring_qq("x", "y")
+        for build in (lambda: R.polynomial({(-1, 0): 1, (0, 0): 2}), lambda: R.monomial((-1, 0))):
+            with pytest.raises(ValueError, match="exponents must be nonnegative"):
+                build()
+        assert str(R.polynomial({(1, 0): 1, (0, 0): 2})) == "x + 2"
+
     def test_remap_variables_moves_supports(self):
         A = ring_qq("x", "y")
         B = ring_qq("t", "x", "y")
