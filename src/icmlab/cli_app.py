@@ -16,8 +16,9 @@ Polynomials are signed sums of products; every product needs explicit
 ``*`` between factors; a factor is an integer literal, a rational ``a/b``,
 or a variable with optional ``^`` power.
 
-Exit codes: 0 success, 1 engine error (reported with the failing query),
-2 parse error (reported with line and column), 3 verify failures.
+Exit codes: 0 success, 1 engine error (reported with the failing query) or
+an unreadable or non-UTF-8 script (``cannot read``), 2 parse error
+(reported with line and column), 3 verify failures.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import invariants, theorem_lab
 from .errors import EngineError
@@ -40,10 +41,6 @@ from .ideal_engine import (
     saturate,
 )
 from .ring_core import FieldSpec, Polynomial, RingDescriptor, TermOrder
-
-ONE_ARG_QUERIES = ("gb", "dim", "height", "ass", "minprimes")
-TWO_ARG_QUERIES = ("grade", "icm", "colon", "sat", "intersect")
-QUERY_KEYWORDS = ONE_ARG_QUERIES + TWO_ARG_QUERIES + ("verify",)
 
 
 class ParseError(Exception):
@@ -81,46 +78,36 @@ class Token:
 
 def _lex(source: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     i, n = 0, len(source)
     while i < n:
-        ch = source[i]
+        start, ch = i, source[i]
+        i += 1
         if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+            line, line_start = line + 1, i
             continue
         if ch in " \t\r":
-            i += 1
-            col += 1
             continue
         if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
+            i = source.find("\n", i)
+            if i < 0:  # the end of input sits where the comment starts
+                i = start
+                break
             continue
         if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
             while i < n and (source[i].isalnum() or source[i] == "_"):
                 i += 1
-                col += 1
-            tokens.append(Token("ident", source[start:i], line, start_col))
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and source[i].isdigit():
+            kind = "ident"
+        elif ch.isdecimal():  # what int() accepts, so no superscript digits
+            while i < n and source[i].isdecimal():
                 i += 1
-                col += 1
-            tokens.append(Token("int", source[start:i], line, start_col))
-            continue
-        if ch in ";,=[]()+-*^/":
-            tokens.append(Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise LexError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("eof", "", line, col))
+            kind = "int"
+        elif ch in ";,=[]()+-*^/":
+            kind = "sym"
+        else:
+            raise LexError("unexpected character %r" % ch, line, start - line_start + 1)
+        tokens.append(Token(kind, source[start:i], line, start - line_start + 1))
+    tokens.append(Token("eof", "", line, i - line_start + 1))
     return tokens
 
 
@@ -167,36 +154,26 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text != sym:
-            raise ParseSyntaxError(
-                "expected %r, found %r" % (sym, tok.text or "end of input"),
-                tok.line,
-                tok.col,
-            )
-        return self.advance()
+    def accept(self, *texts: str) -> str:
+        """Consume the next token if its text is one of ``texts`` and return
+        that text, else "".  No identifier or integer is spelled like a
+        symbol, so a symbol in ``texts`` matches only that symbol."""
+        return self.advance().text if self.peek().text in texts else ""
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect(self, want: str, what: str = "") -> Token:
+        """Consume the next token, which must be the symbol ``want`` or,
+        when ``what`` names it for the error, a token of kind ``want``."""
         tok = self.peek()
-        if tok.kind != "ident":
+        if (tok.kind if what else tok.text) != want:
             raise ParseSyntaxError(
-                "expected %s, found %r" % (what, tok.text or "end of input"),
+                "expected %s, found %r" % (what or repr(want), tok.text or "end of input"),
                 tok.line,
                 tok.col,
             )
         return self.advance()
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise ParseSyntaxError(
-                "expected integer, found %r" % (tok.text or "end of input"),
-                tok.line,
-                tok.col,
-            )
-        self.advance()
-        return int(tok.text)
+        return int(self.expect("int", "integer").text)
 
     # ---- statements ----
 
@@ -216,7 +193,7 @@ class _Parser:
             return self.parse_ring()
         if tok.text == "ideal":
             return self.parse_ideal()
-        if tok.text in QUERY_KEYWORDS:
+        if tok.text in QUERIES:
             return self.parse_query()
         raise ParseSyntaxError(
             "unknown statement keyword %r" % tok.text, tok.line, tok.col
@@ -224,15 +201,15 @@ class _Parser:
 
     def parse_ring(self) -> RingStmt:
         self.advance()  # ring
-        name = self.expect_ident("ring name").text
-        self.expect_sym("=")
-        field_tok = self.expect_ident("field (QQ or GF(p))")
+        name = self.expect("ident", "ring name").text
+        self.expect("=")
+        field_tok = self.expect("ident", "field (QQ or GF(p))")
         if field_tok.text == "QQ":
             fld = FieldSpec(0)
         elif field_tok.text == "GF":
-            self.expect_sym("(")
+            self.expect("(")
             p = self.expect_int()
-            self.expect_sym(")")
+            self.expect(")")
             try:
                 if p == 0:
                     raise ValueError("GF(0) is not a field; write QQ for the rationals")
@@ -245,22 +222,20 @@ class _Parser:
                 field_tok.line,
                 field_tok.col,
             )
-        self.expect_sym("[")
-        names = [self.expect_ident("variable name").text]
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.advance()
-            names.append(self.expect_ident("variable name").text)
-        self.expect_sym("]")
+        self.expect("[")
+        names = [self.expect("ident", "variable name").text]
+        while self.accept(","):
+            names.append(self.expect("ident", "variable name").text)
+        self.expect("]")
         order_kind = "grevlex"
-        if self.peek().kind == "ident" and self.peek().text == "order":
-            self.advance()
-            kind_tok = self.expect_ident("term order (lex or grevlex)")
+        if self.accept("order"):
+            kind_tok = self.expect("ident", "term order (lex or grevlex)")
             if kind_tok.text not in ("lex", "grevlex"):
                 raise ParseSyntaxError(
                     "unknown term order %r" % kind_tok.text, kind_tok.line, kind_tok.col
                 )
             order_kind = kind_tok.text
-        self.expect_sym(";")
+        self.expect(";")
         try:
             ring = RingDescriptor(fld, tuple(names), TermOrder(order_kind))
         except ValueError as exc:
@@ -274,7 +249,8 @@ class _Parser:
             raise ParseSyntaxError("no ring declared yet", tok.line, tok.col)
         return self.ring
 
-    def _require_ideal_name(self, tok: Token) -> str:
+    def _ideal_name(self) -> str:
+        tok = self.expect("ident", "ideal name")
         if tok.text not in self.ideal_names:
             raise UndeclaredNameError(
                 "undeclared ideal %r" % tok.text, tok.line, tok.col
@@ -282,126 +258,89 @@ class _Parser:
         return tok.text
 
     def parse_ideal(self) -> IdealStmt:
-        kw = self.advance()  # ideal
-        ring = self._require_ring(kw)
-        name = self.expect_ident("ideal name").text
-        self.expect_sym("=")
-        nxt = self.peek()
-        if (
-            nxt.kind == "ident"
-            and nxt.text == "intersect"
-            and self.peek(1).kind == "sym"
-            and self.peek(1).text == "("
-        ):
+        ring = self._require_ring(self.advance())  # ideal
+        name = self.expect("ident", "ideal name").text
+        self.expect("=")
+        if self.peek().text == "intersect" and self.peek(1).text == "(":
             self.advance()
-            self.expect_sym("(")
-            a = self._require_ideal_name(self.expect_ident("ideal name"))
-            self.expect_sym(",")
-            b = self._require_ideal_name(self.expect_ident("ideal name"))
-            self.expect_sym(")")
-            self.expect_sym(";")
-            self.ideal_names.add(name)
-            return IdealStmt(name, None, (a, b))
-        gens = [self.parse_polynomial(ring)]
-        while self.peek().kind == "sym" and self.peek().text == ",":
             self.advance()
-            gens.append(self.parse_polynomial(ring))
-        self.expect_sym(";")
+            a = self._ideal_name()
+            self.expect(",")
+            b = self._ideal_name()
+            self.expect(")")
+            stmt = IdealStmt(name, None, (a, b))
+        else:
+            gens = [self.parse_polynomial(ring)]
+            while self.accept(","):
+                gens.append(self.parse_polynomial(ring))
+            stmt = IdealStmt(name, tuple(gens))
+        self.expect(";")
         self.ideal_names.add(name)
-        return IdealStmt(name, tuple(gens))
+        return stmt
 
     def parse_query(self) -> QueryStmt:
         kw = self.advance()
         self._require_ring(kw)
         if kw.text == "verify":
-            parts = [self.expect_ident("suite id").text]
-            while self.peek().kind == "sym" and self.peek().text == "-":
-                self.advance()
-                parts.append(self.expect_ident("suite id").text)
+            parts = [self.expect("ident", "suite id").text]
+            while self.accept("-"):
+                parts.append(self.expect("ident", "suite id").text)
             args: Tuple[str, ...] = ("-".join(parts),)
         else:
-            arity = 1 if kw.text in ONE_ARG_QUERIES else 2
-            names = []
-            for _ in range(arity):
-                tok = self.peek()
-                if tok.kind != "ident":
-                    raise ArityError(
-                        "query %r takes %d ideal name(s)" % (kw.text, arity),
-                        tok.line,
-                        tok.col,
-                    )
-                names.append(self._require_ideal_name(self.advance()))
-            if self.peek().kind == "ident":
-                tok = self.peek()
+            arity = QUERIES[kw.text][0]
+            names: List[str] = []
+            while len(names) < arity and self.peek().kind == "ident":
+                names.append(self._ideal_name())
+            tok = self.peek()
+            if len(names) < arity or tok.kind == "ident":
                 raise ArityError(
-                    "query %r takes %d ideal name(s)" % (kw.text, arity),
-                    tok.line,
-                    tok.col,
+                    "query %r takes %d ideal name(s)" % (kw.text, arity), tok.line, tok.col
                 )
             args = tuple(names)
-        self.expect_sym(";")
+        self.expect(";")
         return QueryStmt(kw.text, args)
 
     # ---- polynomials ----
 
     def parse_polynomial(self, ring: RingDescriptor) -> Polynomial:
         acc: Dict[tuple, Fraction] = {}
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        self._parse_term(ring, acc, sign)
+        sign = self.accept("+", "-")
         while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in "+-":
-                self.advance()
-                self._parse_term(ring, acc, -1 if tok.text == "-" else 1)
-            else:
+            exps = [0] * ring.nvars
+            coeff = Fraction(-1 if sign == "-" else 1) * self._parse_factor(ring, exps)
+            while self.accept("*"):
+                coeff *= self._parse_factor(ring, exps)
+            mono = tuple(exps)
+            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            sign = self.accept("+", "-")
+            if not sign:
                 break
+        tok = self.peek()
         try:
             return ring.polynomial(acc)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseSyntaxError(str(exc), tok.line, tok.col)
 
-    def _parse_term(self, ring: RingDescriptor, acc: Dict[tuple, Fraction], sign: int) -> None:
-        coeff = Fraction(sign)
-        exps = [0] * ring.nvars
-        self._parse_factor(ring, exps, coeff_box := [coeff])
-        while self.peek().kind == "sym" and self.peek().text == "*":
-            self.advance()
-            self._parse_factor(ring, exps, coeff_box)
-        mono = tuple(exps)
-        acc[mono] = acc.get(mono, Fraction(0)) + coeff_box[0]
-
-    def _parse_factor(self, ring: RingDescriptor, exps: List[int], coeff_box: List[Fraction]) -> None:
-        tok = self.peek()
+    def _parse_factor(self, ring: RingDescriptor, exps: List[int]) -> Union[int, Fraction]:
+        """Read one factor: a variable's power goes into ``exps``, and the
+        factor's coefficient (1 for a variable) is returned."""
+        tok = self.advance()
         if tok.kind == "int":
-            self.advance()
-            num = int(tok.text)
-            if self.peek().kind == "sym" and self.peek().text == "/":
-                self.advance()
-                den = self.expect_int()
-                if den == 0:
-                    raise ParseSyntaxError("division by zero", tok.line, tok.col)
-                coeff_box[0] *= Fraction(num, den)
-            else:
-                coeff_box[0] *= num
-            return
+            if not self.accept("/"):
+                return int(tok.text)
+            den = self.expect_int()
+            if den == 0:
+                raise ParseSyntaxError("division by zero", tok.line, tok.col)
+            return Fraction(int(tok.text), den)
         if tok.kind == "ident":
-            self.advance()
             try:
                 idx = ring.var_index(tok.text)
             except KeyError:
                 raise UndeclaredNameError(
                     "undeclared variable %r" % tok.text, tok.line, tok.col
                 )
-            power = 1
-            if self.peek().kind == "sym" and self.peek().text == "^":
-                self.advance()
-                power = self.expect_int()
-            exps[idx] += power
-            return
+            exps[idx] += self.expect_int() if self.accept("^") else 1
+            return 1
         raise ParseSyntaxError(
             "expected a factor, found %r" % (tok.text or "end of input"),
             tok.line,
@@ -448,117 +387,135 @@ def print_script(script: Script) -> str:
 
 
 # ---------------------------------------------------------------------------
-# execution
+# execution: a query handler takes the keyword, the arguments, the ideals in
+# scope, the seed and the trial count, and returns its output lines and the
+# fields of its JSON record
 
 
-def _basis_strings(gb) -> List[str]:
-    return [str(g) for g in gb]
+_Args = Tuple[str, ...]
+_Scope = Dict[str, Ideal]
+_Result = Tuple[List[str], dict]
 
 
-class _Session:
-    def __init__(self, seed: int, trials: int) -> None:
-        self.seed = seed
-        self.trials = trials
-        self.ideals: Dict[str, Ideal] = {}
-        self.text: List[str] = []
-        self.payload: List[dict] = []
-        self.verify_failures = 0
+def _basis(ideal: Ideal) -> List[str]:
+    return [str(g) for g in ideal.groebner_basis()]
 
-    def declare_ideal(self, stmt: IdealStmt, ring: RingDescriptor) -> None:
-        if stmt.intersect_of is not None:
-            a, b = stmt.intersect_of
-            self.ideals[stmt.name] = ideal_intersect(self.ideals[a], self.ideals[b])
-        else:
-            self.ideals[stmt.name] = Ideal(ring, stmt.generators)
 
-    def run_query(self, stmt: QueryStmt, ring: RingDescriptor) -> None:
-        kw = stmt.keyword
-        record: dict = {"query": kw, "args": list(stmt.args)}
-        out: List[str] = []
-        if kw == "verify":
-            report = theorem_lab.run_suite(stmt.args[0], trials=self.trials, base_seed=self.seed)
-            self.verify_failures += len(report.failures)
-            out.append(report.summary_line())
-            out.extend(report.failures)
-            record["report"] = report.to_json()
-        elif kw in ONE_ARG_QUERIES:
-            J = self.ideals[stmt.args[0]]
-            name = stmt.args[0]
-            if kw == "gb":
-                basis = _basis_strings(J.groebner_basis())
-                out.append("gb %s = [%s]" % (name, ", ".join(basis)))
-                record["basis"] = basis
-            elif kw == "dim":
-                value = invariants.krull_dimension(invariants.CyclicModule(ring, J))
-                out.append("dim R/%s = %d" % (name, value))
-                record["value"] = value
-            elif kw == "height":
-                value = invariants.height(J)
-                out.append("height %s = %d" % (name, value))
-                record["value"] = value
-            elif kw == "ass":
-                primes = invariants.sorted_primes(invariants.associated_primes_monomial(J))
-                out.append("ass %s = [%s]" % (name, ", ".join(str(q) for q in primes)))
-                record["primes"] = [list(q.variables) for q in primes]
-            else:  # minprimes
-                primes = invariants.sorted_primes(invariants.minimal_primes_monomial(J))
-                out.append(
-                    "minprimes %s = [%s]" % (name, ", ".join(str(q) for q in primes))
-                )
-                record["primes"] = [list(q.variables) for q in primes]
-        else:
-            j_name, i_name = stmt.args
-            J = self.ideals[j_name]
-            I = self.ideals[i_name]
-            if kw == "colon":
-                basis = _basis_strings(ideal_quotient_ideal(J, I).groebner_basis())
-                out.append("colon(%s, %s) = [%s]" % (j_name, i_name, ", ".join(basis)))
-                record["basis"] = basis
-            elif kw == "sat":
-                result = saturate(J, I)
-                basis = _basis_strings(result.ideal.groebner_basis())
-                out.append(
-                    "sat(%s, %s) = [%s], exponent = %d"
-                    % (j_name, i_name, ", ".join(basis), result.exponent)
-                )
-                record["basis"] = basis
-                record["exponent"] = result.exponent
-            elif kw == "intersect":
-                basis = _basis_strings(ideal_intersect(J, I).groebner_basis())
-                out.append(
-                    "intersect(%s, %s) = [%s]" % (j_name, i_name, ", ".join(basis))
-                )
-                record["basis"] = basis
-            elif kw == "grade":
-                M = invariants.CyclicModule(ring, J)
-                w = invariants.grade(M, I, seed=self.seed)
-                out.append("grade(%s, R/%s) = %d" % (i_name, j_name, w.value))
-                out.append("witness = [%s]" % ", ".join(str(x) for x in w.sequence))
-                out.append("certificate exponent = %d" % w.certificate.exponent)
-                record["grade"] = w.value
-                record["witness"] = [str(x) for x in w.sequence]
-                record["certificate_exponent"] = w.certificate.exponent
-            else:  # icm
-                M = invariants.CyclicModule(ring, J)
-                rep = icm_report(M, I, seed=self.seed)
-                out.append("icm %s %s:" % (j_name, i_name))
-                out.append("  grade = %d" % rep.grade.value)
-                out.append(
-                    "  witness = [%s]" % ", ".join(str(x) for x in rep.grade.sequence)
-                )
-                out.append("  dim M = %d" % rep.dim_m)
-                out.append("  dim M/IM = %d" % rep.dim_m_mod_im)
-                out.append("  defect = %d" % rep.defect)
-                out.append("  I-Cohen-Macaulay: %s" % ("yes" if rep.is_icm else "no"))
-                if rep.height_i is not None:
-                    out.append("  height I = %d" % rep.height_i)
-                    out.append(
-                        "  grade equals height: %s"
-                        % ("yes" if rep.grade_equals_height else "no")
-                    )
-                record["report"] = rep.to_json()
-        self.text.extend(out)
-        self.payload.append(record)
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _listing(kw: str, args: _Args, scope: _Scope, seed: int, trials: int) -> _Result:
+    """gb, ass and minprimes print ``kw NAME = [...]``."""
+    J = scope[args[0]]
+    if kw == "gb":
+        items = _basis(J)
+        fields: dict = {"basis": items}
+    else:
+        find = (
+            invariants.associated_primes_monomial
+            if kw == "ass"
+            else invariants.minimal_primes_monomial
+        )
+        primes = invariants.sorted_primes(find(J))
+        items = [str(q) for q in primes]
+        fields = {"primes": [list(q.variables) for q in primes]}
+    return ["%s %s = [%s]" % (kw, args[0], ", ".join(items))], fields
+
+
+def _value(kw: str, args: _Args, scope: _Scope, seed: int, trials: int) -> _Result:
+    """dim and height print one integer."""
+    J = scope[args[0]]
+    if kw == "dim":
+        value = invariants.krull_dimension(invariants.CyclicModule(J.ring, J))
+        return ["dim R/%s = %d" % (args[0], value)], {"value": value}
+    value = invariants.height(J)
+    return ["height %s = %d" % (args[0], value)], {"value": value}
+
+
+def _calculus(kw: str, args: _Args, scope: _Scope, seed: int, trials: int) -> _Result:
+    """colon, intersect and sat print ``kw(A, B) = [...]``."""
+    J, I = scope[args[0]], scope[args[1]]
+    fields: dict = {}
+    suffix = ""
+    if kw == "sat":
+        result = saturate(J, I)
+        ideal = result.ideal
+        fields["exponent"] = result.exponent
+        suffix = ", exponent = %d" % result.exponent
+    else:
+        ideal = (ideal_quotient_ideal if kw == "colon" else ideal_intersect)(J, I)
+    fields["basis"] = _basis(ideal)
+    line = "%s(%s) = [%s]%s" % (kw, ", ".join(args), ", ".join(fields["basis"]), suffix)
+    return [line], fields
+
+
+def _grade(kw: str, args: _Args, scope: _Scope, seed: int, trials: int) -> _Result:
+    J, I = scope[args[0]], scope[args[1]]
+    w = invariants.grade(invariants.CyclicModule(J.ring, J), I, seed=seed)
+    witness = [str(x) for x in w.sequence]
+    lines = [
+        "grade(%s, R/%s) = %d" % (args[1], args[0], w.value),
+        "witness = [%s]" % ", ".join(witness),
+        "certificate exponent = %d" % w.certificate.exponent,
+    ]
+    return lines, {
+        "grade": w.value,
+        "witness": witness,
+        "certificate_exponent": w.certificate.exponent,
+    }
+
+
+def _icm(kw: str, args: _Args, scope: _Scope, seed: int, trials: int) -> _Result:
+    J, I = scope[args[0]], scope[args[1]]
+    rep = icm_report(invariants.CyclicModule(J.ring, J), I, seed=seed)
+    lines = [
+        "icm %s %s:" % args,
+        "  grade = %d" % rep.grade.value,
+        "  witness = [%s]" % ", ".join(str(x) for x in rep.grade.sequence),
+        "  dim M = %d" % rep.dim_m,
+        "  dim M/IM = %d" % rep.dim_m_mod_im,
+        "  defect = %d" % rep.defect,
+        "  I-Cohen-Macaulay: %s" % _yes(rep.is_icm),
+    ]
+    if rep.height_i is not None:
+        lines.append("  height I = %d" % rep.height_i)
+        lines.append("  grade equals height: %s" % _yes(rep.grade_equals_height))
+    return lines, {"report": rep.to_json()}
+
+
+def _verify(kw: str, args: _Args, scope: _Scope, seed: int, trials: int) -> _Result:
+    """The tally and failures of suite ``args[0]``, for the script query and
+    the ``verify`` subcommand."""
+    report = theorem_lab.run_suite(args[0], trials=trials, base_seed=seed)
+    return [report.summary_line(), *report.failures], {"report": report.to_json()}
+
+
+# keyword -> (number of arguments, handler); every argument names a declared
+# ideal, except verify's suite id
+QUERIES: Dict[str, Tuple[int, Callable[[str, _Args, _Scope, int, int], _Result]]] = {
+    "gb": (1, _listing),
+    "dim": (1, _value),
+    "height": (1, _value),
+    "ass": (1, _listing),
+    "minprimes": (1, _listing),
+    "grade": (2, _grade),
+    "icm": (2, _icm),
+    "colon": (2, _calculus),
+    "sat": (2, _calculus),
+    "intersect": (2, _calculus),
+    "verify": (1, _verify),
+}
+
+
+def _render(lines: List[str], payload: object, as_json: bool) -> str:
+    if as_json:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(line + "\n" for line in lines)
+
+
+def _error(label: str, exc: EngineError) -> str:
+    return "error in query '%s': %s\n" % (label, exc)
 
 
 def execute(
@@ -570,33 +527,33 @@ def execute(
 ) -> Tuple[str, int]:
     """Run a parsed script under the engine context's budgets; returns
     (output text, exit code)."""
-    session = _Session(seed, trials)
     ring: Optional[RingDescriptor] = None
+    scope: _Scope = {}
+    text: List[str] = []
+    payload: List[dict] = []
     for stmt in script.statements:
         try:
             if isinstance(stmt, RingStmt):
-                ring = stmt.ring
-                session.ideals = {}
+                ring, scope = stmt.ring, {}
             elif ring is None:
                 raise EngineError("no ring declared yet")
             elif isinstance(stmt, IdealStmt):
-                session.declare_ideal(stmt, ring)
+                scope[stmt.name] = (
+                    Ideal(ring, stmt.generators)
+                    if stmt.intersect_of is None
+                    else ideal_intersect(*(scope[a] for a in stmt.intersect_of))
+                )
             else:
-                session.run_query(stmt, ring)
+                handler = QUERIES[stmt.keyword][1]
+                lines, fields = handler(stmt.keyword, stmt.args, scope, seed, trials)
+                text.extend(lines)
+                payload.append({"query": stmt.keyword, "args": list(stmt.args), **fields})
         except EngineError as exc:
-            label = (
-                "%s %s" % (stmt.keyword, " ".join(stmt.args))
-                if isinstance(stmt, QueryStmt)
-                else "ideal %s" % stmt.name
-            )
-            message = "error in query '%s': %s" % (label, exc)
-            return message + "\n", 1
-    if as_json:
-        text = json.dumps(session.payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(session.text) + ("\n" if session.text else "")
-    code = 3 if session.verify_failures else 0
-    return text, code
+            if isinstance(stmt, QueryStmt):
+                return _error("%s %s" % (stmt.keyword, " ".join(stmt.args)), exc), 1
+            return _error("ideal %s" % stmt.name, exc), 1
+    failed = any(r["query"] == "verify" and r["report"]["failures"] for r in payload)
+    return _render(text, payload, as_json), 3 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +573,11 @@ def _build_argparser() -> argparse.ArgumentParser:
         "dimension, and the I-Cohen-Macaulay condition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    run_p = sub.add_parser("run", help="execute a script file")
+    run_p.add_argument("file", help="script file")
+    ver_p = sub.add_parser("verify", help="run one randomized theorem suite")
+    ver_p.add_argument("suite", help="suite id, e.g. poly-extension")
+    for p in (run_p, ver_p):
         p.add_argument("--json", action="store_true", help="emit stable JSON")
         p.add_argument("--seed", type=int, default=0, help="base random seed")
         p.add_argument(
@@ -633,55 +593,34 @@ def _build_argparser() -> argparse.ArgumentParser:
             help="max S-pair reduction steps per basis computation "
             "(env ICM_STEP_LIMIT; the flag wins)",
         )
-
-    run_p = sub.add_parser("run", help="execute a script file")
-    run_p.add_argument("file", help="script file")
-    common(run_p)
-
-    ver_p = sub.add_parser("verify", help="run one randomized theorem suite")
-    ver_p.add_argument("suite", help="suite id, e.g. poly-extension")
-    common(ver_p)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_argparser().parse_args(argv)
     with engine_context(args.step_limit, args.budget):
-        return _run(args)
-
-
-def _run(args: argparse.Namespace) -> int:
-    if args.command == "verify":
+        if args.command == "verify":
+            try:
+                lines, fields = _verify("verify", (args.suite,), {}, args.seed, args.trials)
+            except EngineError as exc:
+                print(_error("verify " + args.suite, exc), end="", file=sys.stderr)
+                return 1
+            print(_render(lines, fields["report"], args.json), end="")
+            return 3 if fields["report"]["failures"] else 0
         try:
-            report = theorem_lab.run_suite(args.suite, trials=args.trials, base_seed=args.seed)
-        except EngineError as exc:
-            print("error in query 'verify %s': %s" % (args.suite, exc), file=sys.stderr)
+            with open(args.file, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print("cannot read %s: %s" % (args.file, exc), file=sys.stderr)
             return 1
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-        else:
-            print(report.summary_line())
-            for failure in report.failures:
-                print(failure)
-        return 3 if report.failures else 0
-
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        print("cannot read %s: %s" % (args.file, exc), file=sys.stderr)
-        return 1
-    try:
-        script = parse(source)
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return 2
-    text, code = execute(script, seed=args.seed, trials=args.trials, as_json=args.json)
-    if code == 1:
-        print(text, end="", file=sys.stderr)
-    else:
-        print(text, end="")
-    return code
+        try:
+            script = parse(source)
+        except ParseError as exc:
+            print("parse error: %s" % exc, file=sys.stderr)
+            return 2
+        text, code = execute(script, seed=args.seed, trials=args.trials, as_json=args.json)
+        print(text, end="", file=sys.stderr if code == 1 else sys.stdout)
+        return code
 
 
 if __name__ == "__main__":

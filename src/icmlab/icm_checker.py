@@ -110,7 +110,8 @@ def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
     height_i = None
     geh = None
     if M.defining_ideal.is_zero_ideal:
-        height_i = invariants.height(I)
+        # dim M = n and J + I = I, so height I = n - dim R/I = dim M - dim M/IM
+        height_i = dim_m - dim_mod
         geh = w.value == height_i
     return IcmReport(
         grade=w,

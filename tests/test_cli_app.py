@@ -52,6 +52,18 @@ class TestLexer:
         assert info.value.col == 3
         assert "(line 2, column 3)" in str(info.value)
 
+    def test_superscript_digit_is_a_lex_error(self):
+        # "²" passes str.isdigit but not int(); an int is what int() reads
+        with pytest.raises(LexError) as info:
+            parse("ring R = QQ[x];\nideal J = x^\u00b2;")
+        assert str(info.value) == "unexpected character '\u00b2' (line 2, column 13)"
+
+    def test_end_of_input_after_a_trailing_comment(self):
+        # the end of input sits where the comment starts, not after it
+        with pytest.raises(ParseSyntaxError) as info:
+            parse("ring R = QQ[x] # note")
+        assert str(info.value) == "expected ';', found 'end of input' (line 1, column 16)"
+
 
 class TestParser:
     def test_example_script(self):
@@ -336,6 +348,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 1
         assert "cannot read" in err
+
+    def test_superscript_digit_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "power.icm"
+        script.write_text("ring R = QQ[x];\nideal J = x^\u00b2;\n", encoding="utf-8")
+        rc = main(["run", str(script)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "parse error: unexpected character '\u00b2' (line 2, column 13)\n"
+
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        script = tmp_path / "latin1.icm"
+        script.write_bytes(b"# caf\xe9\n")
+        rc = main(["run", str(script)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read %s: " % script)
 
     def test_verify_subcommand(self, capsys):
         rc = main(["verify", "grade-height", "--trials", "5", "--seed", "1"])

@@ -2,8 +2,10 @@
 import ast
 import importlib
 import pathlib
+import re
 
 import icmlab
+from icmlab import cli_app
 
 SOURCES = sorted(pathlib.Path(icmlab.__file__).parent.glob("*.py"))
 
@@ -129,3 +131,20 @@ def test_public_api_is_the_readme_library_block():
     assert len(names) == 18
     assert sorted(icmlab.__all__) == sorted(names | {"EngineError"})
     assert all(hasattr(icmlab, name) for name in icmlab.__all__)
+
+
+def test_query_table_is_the_readme_grammar():
+    # each query alternative of README.md's grammar block quotes its
+    # keywords and then has one NAME or SUITE-ID per argument; together they
+    # are the front end's query table, so the docs and the table cannot
+    # drift apart
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text[text.index("query    :=") : text.index("poly     :=")]
+    arities = {
+        keyword: len(re.findall(r"NAME|SUITE-ID", line))
+        for line in block.splitlines()
+        for keyword in re.findall(r'"(\w+)"', line)
+    }
+    assert len(arities) == 11
+    assert arities == {kw: arity for kw, (arity, _) in cli_app.QUERIES.items()}
