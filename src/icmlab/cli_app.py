@@ -18,13 +18,18 @@ or a variable with optional ``^`` power.
 
 Exit codes: 0 success, 1 engine error (reported with the failing query) or
 an unreadable or non-UTF-8 script (``cannot read``), 2 parse error
-(reported with line and column), 3 verify failures.
+(reported with line and column) or usage error, 3 verify failures.
+
+``main`` builds its argument parser once per process, on its first call,
+and reads ``ICM_STEP_LIMIT`` on every call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,47 +73,49 @@ class ArityError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+# a token is (kind, text, line, column), kind "ident" | "int" | "sym" | "eof"
+Token = Tuple[str, str, int, int]
+
+# one pass over the source: each match skips blanks and comments, then reads
+# a newline (group 1), an int (group 2; \d is what int() accepts, so no
+# superscript digits), a word (group 3), a symbol (group 4), any other
+# character (group 5), or the end of input (no group)
+_TOKEN = re.compile(
+    r"(?:[ \t\r]+|#[^\n]*)*(?:(\n)|(\d+)|(\w+)|([;,=\[\]()+\-*^/])|(.)|\Z)", re.DOTALL
+)
+_KINDS = (None, None, "int", "ident", "sym")
 
 
 def _lex(source: str) -> List[Token]:
     tokens: List[Token] = []
     line, line_start = 1, 0
-    i, n = 0, len(source)
-    while i < n:
-        start, ch = i, source[i]
-        i += 1
-        if ch == "\n":
-            line, line_start = line + 1, i
+    for m in _TOKEN.finditer(source):
+        group = m.lastindex
+        if group is None:  # the end of input, after any final blanks
+            break
+        if group == 1:
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            continue
-        if ch == "#":
-            i = source.find("\n", i)
-            if i < 0:  # the end of input sits where the comment starts
-                i = start
-                break
-            continue
-        if ch.isalpha() or ch == "_":
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            kind = "ident"
-        elif ch.isdecimal():  # what int() accepts, so no superscript digits
-            while i < n and source[i].isdecimal():
-                i += 1
-            kind = "int"
-        elif ch in ";,=[]()+-*^/":
-            kind = "sym"
-        else:
-            raise LexError("unexpected character %r" % ch, line, start - line_start + 1)
-        tokens.append(Token(kind, source[start:i], line, start - line_start + 1))
-    tokens.append(Token("eof", "", line, i - line_start + 1))
+        text, start = m.group(group), m.start(group)
+        # \w also matches digits that \d misses ("²", "½"); a word starts
+        # with a letter or "_"
+        if group == 5 or (group == 3 and not (text[0].isalpha() or text[0] == "_")):
+            raise LexError("unexpected character %r" % text[0], line, start - line_start + 1)
+        tokens.append((_KINDS[group], text, line, start - line_start + 1))
+    end = source.find("#", m.start())  # the end of input sits where a final comment starts
+    tokens.append(("eof", "", line, (len(source) if end < 0 else end) - line_start + 1))
     return tokens
+
+
+def _integer(tok: Token) -> int:
+    """The value of an int token; a literal longer than ``int()`` converts
+    (``sys.get_int_max_str_digits``) is a syntax error at its position."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseSyntaxError(
+            "integer literal too long (%d digits)" % len(tok[1]), tok[2], tok[3]
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -145,68 +152,70 @@ class _Parser:
         self.ring: Optional[RingDescriptor] = None
         self.ideal_names: set = set()
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def accept(self, *texts: str) -> str:
         """Consume the next token if its text is one of ``texts`` and return
         that text, else "".  No identifier or integer is spelled like a
-        symbol, so a symbol in ``texts`` matches only that symbol."""
-        return self.advance().text if self.peek().text in texts else ""
+        symbol, so a symbol in ``texts`` matches only that symbol, and the
+        end of input, spelled "", matches nothing."""
+        text = self.tokens[self.pos][1]
+        if text in texts:
+            self.pos += 1
+            return text
+        return ""
 
     def expect(self, want: str, what: str = "") -> Token:
         """Consume the next token, which must be the symbol ``want`` or,
         when ``what`` names it for the error, a token of kind ``want``."""
-        tok = self.peek()
-        if (tok.kind if what else tok.text) != want:
+        tok = self.tokens[self.pos]
+        if tok[0 if what else 1] != want:
             raise ParseSyntaxError(
-                "expected %s, found %r" % (what or repr(want), tok.text or "end of input"),
-                tok.line,
-                tok.col,
+                "expected %s, found %r" % (what or repr(want), tok[1] or "end of input"),
+                tok[2],
+                tok[3],
             )
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_int(self) -> int:
-        return int(self.expect("int", "integer").text)
+        return _integer(self.expect("int", "integer"))
 
     # ---- statements ----
 
     def parse_script(self) -> Script:
         stmts: List[Stmt] = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             stmts.append(self.parse_stmt())
         return Script(tuple(stmts))
 
     def parse_stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseSyntaxError(
-                "expected a statement, found %r" % tok.text, tok.line, tok.col
-            )
-        if tok.text == "ring":
+        kind, text, line, col = self.peek()
+        if kind != "ident":
+            raise ParseSyntaxError("expected a statement, found %r" % text, line, col)
+        if text == "ring":
             return self.parse_ring()
-        if tok.text == "ideal":
+        if text == "ideal":
             return self.parse_ideal()
-        if tok.text in QUERIES:
+        if text in QUERIES:
             return self.parse_query()
-        raise ParseSyntaxError(
-            "unknown statement keyword %r" % tok.text, tok.line, tok.col
-        )
+        raise ParseSyntaxError("unknown statement keyword %r" % text, line, col)
 
     def parse_ring(self) -> RingStmt:
         self.advance()  # ring
-        name = self.expect("ident", "ring name").text
+        name = self.expect("ident", "ring name")[1]
         self.expect("=")
-        field_tok = self.expect("ident", "field (QQ or GF(p))")
-        if field_tok.text == "QQ":
+        _, field, line, col = self.expect("ident", "field (QQ or GF(p))")
+        if field == "QQ":
             fld = FieldSpec(0)
-        elif field_tok.text == "GF":
+        elif field == "GF":
             self.expect("(")
             p = self.expect_int()
             self.expect(")")
@@ -215,55 +224,46 @@ class _Parser:
                     raise ValueError("GF(0) is not a field; write QQ for the rationals")
                 fld = FieldSpec(p)
             except ValueError as exc:
-                raise ParseSyntaxError(str(exc), field_tok.line, field_tok.col)
+                raise ParseSyntaxError(str(exc), line, col)
         else:
-            raise ParseSyntaxError(
-                "unknown field %r (use QQ or GF(p))" % field_tok.text,
-                field_tok.line,
-                field_tok.col,
-            )
+            raise ParseSyntaxError("unknown field %r (use QQ or GF(p))" % field, line, col)
         self.expect("[")
-        names = [self.expect("ident", "variable name").text]
+        names = [self.expect("ident", "variable name")[1]]
         while self.accept(","):
-            names.append(self.expect("ident", "variable name").text)
+            names.append(self.expect("ident", "variable name")[1])
         self.expect("]")
         order_kind = "grevlex"
         if self.accept("order"):
-            kind_tok = self.expect("ident", "term order (lex or grevlex)")
-            if kind_tok.text not in ("lex", "grevlex"):
-                raise ParseSyntaxError(
-                    "unknown term order %r" % kind_tok.text, kind_tok.line, kind_tok.col
-                )
-            order_kind = kind_tok.text
+            _, order_kind, order_line, order_col = self.expect("ident", "term order (lex or grevlex)")
+            if order_kind not in ("lex", "grevlex"):
+                raise ParseSyntaxError("unknown term order %r" % order_kind, order_line, order_col)
         self.expect(";")
         try:
             ring = RingDescriptor(fld, tuple(names), TermOrder(order_kind))
         except ValueError as exc:
-            raise ParseSyntaxError(str(exc), field_tok.line, field_tok.col)
+            raise ParseSyntaxError(str(exc), line, col)
         self.ring = ring
         self.ideal_names = set()
         return RingStmt(name, ring)
 
     def _require_ring(self, tok: Token) -> RingDescriptor:
         if self.ring is None:
-            raise ParseSyntaxError("no ring declared yet", tok.line, tok.col)
+            raise ParseSyntaxError("no ring declared yet", tok[2], tok[3])
         return self.ring
 
     def _ideal_name(self) -> str:
-        tok = self.expect("ident", "ideal name")
-        if tok.text not in self.ideal_names:
-            raise UndeclaredNameError(
-                "undeclared ideal %r" % tok.text, tok.line, tok.col
-            )
-        return tok.text
+        _, name, line, col = self.expect("ident", "ideal name")
+        if name not in self.ideal_names:
+            raise UndeclaredNameError("undeclared ideal %r" % name, line, col)
+        return name
 
     def parse_ideal(self) -> IdealStmt:
         ring = self._require_ring(self.advance())  # ideal
-        name = self.expect("ident", "ideal name").text
+        name = self.expect("ident", "ideal name")[1]
         self.expect("=")
-        if self.peek().text == "intersect" and self.peek(1).text == "(":
-            self.advance()
-            self.advance()
+        # a token other than the end of input has one after it
+        if self.peek()[1] == "intersect" and self.tokens[self.pos + 1][1] == "(":
+            self.pos += 2
             a = self._ideal_name()
             self.expect(",")
             b = self._ideal_name()
@@ -281,37 +281,41 @@ class _Parser:
     def parse_query(self) -> QueryStmt:
         kw = self.advance()
         self._require_ring(kw)
-        if kw.text == "verify":
-            parts = [self.expect("ident", "suite id").text]
+        keyword = kw[1]
+        if keyword == "verify":
+            parts = [self.expect("ident", "suite id")[1]]
             while self.accept("-"):
-                parts.append(self.expect("ident", "suite id").text)
+                parts.append(self.expect("ident", "suite id")[1])
             args: Tuple[str, ...] = ("-".join(parts),)
         else:
-            arity = QUERIES[kw.text][0]
+            arity = QUERIES[keyword][0]
             names: List[str] = []
-            while len(names) < arity and self.peek().kind == "ident":
+            while len(names) < arity and self.peek()[0] == "ident":
                 names.append(self._ideal_name())
             tok = self.peek()
-            if len(names) < arity or tok.kind == "ident":
+            if len(names) < arity or tok[0] == "ident":
                 raise ArityError(
-                    "query %r takes %d ideal name(s)" % (kw.text, arity), tok.line, tok.col
+                    "query %r takes %d ideal name(s)" % (keyword, arity), tok[2], tok[3]
                 )
             args = tuple(names)
         self.expect(";")
-        return QueryStmt(kw.text, args)
+        return QueryStmt(keyword, args)
 
     # ---- polynomials ----
 
     def parse_polynomial(self, ring: RingDescriptor) -> Polynomial:
-        acc: Dict[tuple, Fraction] = {}
+        """A signed sum of products, its coefficients summed in QQ and then
+        taken into the ring's field.  Integer factors multiply and add as
+        ints; a Fraction appears only where a "/" does."""
+        acc: Dict[tuple, Union[int, Fraction]] = {}
         sign = self.accept("+", "-")
         while True:
             exps = [0] * ring.nvars
-            coeff = Fraction(-1 if sign == "-" else 1) * self._parse_factor(ring, exps)
+            coeff = self._parse_factor(ring, exps)
             while self.accept("*"):
                 coeff *= self._parse_factor(ring, exps)
             mono = tuple(exps)
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            acc[mono] = acc.get(mono, 0) + (-coeff if sign == "-" else coeff)
             sign = self.accept("+", "-")
             if not sign:
                 break
@@ -319,32 +323,29 @@ class _Parser:
         try:
             return ring.polynomial(acc)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseSyntaxError(str(exc), tok.line, tok.col)
+            raise ParseSyntaxError(str(exc), tok[2], tok[3])
 
     def _parse_factor(self, ring: RingDescriptor, exps: List[int]) -> Union[int, Fraction]:
         """Read one factor: a variable's power goes into ``exps``, and the
         factor's coefficient (1 for a variable) is returned."""
         tok = self.advance()
-        if tok.kind == "int":
+        kind, text, line, col = tok
+        if kind == "int":
             if not self.accept("/"):
-                return int(tok.text)
+                return _integer(tok)
             den = self.expect_int()
             if den == 0:
-                raise ParseSyntaxError("division by zero", tok.line, tok.col)
-            return Fraction(int(tok.text), den)
-        if tok.kind == "ident":
+                raise ParseSyntaxError("division by zero", line, col)
+            return Fraction(_integer(tok), den)
+        if kind == "ident":
             try:
-                idx = ring.var_index(tok.text)
+                idx = ring.var_index(text)
             except KeyError:
-                raise UndeclaredNameError(
-                    "undeclared variable %r" % tok.text, tok.line, tok.col
-                )
+                raise UndeclaredNameError("undeclared variable %r" % text, line, col)
             exps[idx] += self.expect_int() if self.accept("^") else 1
             return 1
         raise ParseSyntaxError(
-            "expected a factor, found %r" % (tok.text or "end of input"),
-            tok.line,
-            tok.col,
+            "expected a factor, found %r" % (text or "end of input"), line, col
         )
 
 
@@ -357,9 +358,9 @@ def parse_polynomial(source: str, ring: RingDescriptor) -> Polynomial:
     """Parse a single polynomial against a ring (a test and tooling hook)."""
     parser = _Parser(_lex(source))
     poly = parser.parse_polynomial(ring)
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseSyntaxError("trailing input %r" % tok.text, tok.line, tok.col)
+    kind, text, line, col = parser.peek()
+    if kind != "eof":
+        raise ParseSyntaxError("trailing input %r" % text, line, col)
     return poly
 
 
@@ -566,7 +567,9 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _build_argparser() -> Tuple[argparse.ArgumentParser, Tuple[argparse.ArgumentParser, ...]]:
+    """The parser and its two subparsers, built on the first call only."""
     parser = argparse.ArgumentParser(
         prog="icm-lab",
         description="Exact commutative algebra: Groebner bases, grade, "
@@ -589,15 +592,19 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument(
             "--step-limit",
             type=_positive_int,
-            default=os.environ.get("ICM_STEP_LIMIT") or None,
             help="max S-pair reduction steps per basis computation "
             "(env ICM_STEP_LIMIT; the flag wins)",
         )
-    return parser
+    return parser, (run_p, ver_p)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_argparser().parse_args(argv)
+    parser, subparsers = _build_argparser()
+    for p in subparsers:
+        # a string default is converted, or rejected, by --step-limit's type
+        # when the flag is absent, so the environment is read on every call
+        p.set_defaults(step_limit=os.environ.get("ICM_STEP_LIMIT") or None)
+    args = parser.parse_args(argv)
     with engine_context(args.step_limit, args.budget):
         if args.command == "verify":
             try:

@@ -56,9 +56,11 @@ reduced basis is keyed by its ideal's ring (order included) and ordered
 generator terms, so a chain ideal from ``_extend`` and an ``Ideal`` with
 the same generators share one entry; ``saturate``'s results sit under
 "saturate" and ``is_nonzerodivisor``'s decisions under "regular", with
-the ring and both generator lists, and ``_tag_ring``'s tagged rings under
-"tag ring", with the ring and the number of tags; no tagged basis is
-stored.  Outside any context the
+the ring and both generator lists, ``ideal_intersect``'s,
+``ideal_quotient``'s and ``ideal_quotient_ideal``'s answers under
+"intersect", "quotient" and "colon", keyed the same way, and
+``_tag_ring``'s tagged rings under "tag ring", with the ring and the
+number of tags; no tagged basis is stored.  Outside any context the
 budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored, so
 every read of a basis completes it again; ``grade``,
 ``verify_grade_witness``, ``replay_regular_sequence``, ``icm_report`` and
@@ -151,8 +153,8 @@ def engine_context(
     ``STEP_LIMIT``) as the S-pair reduction cap of every completion,
     ``budget`` (default ``SEARCH_BUDGET``) as the candidate budget of every
     regular-element search, and a fresh memo of reduced Groebner bases,
-    saturations and regularity decisions; all three are dropped on exit.  A
-    nested context starts its own memo."""
+    saturations, intersections, colons and regularity decisions; all three
+    are dropped on exit.  A nested context starts its own memo."""
     limit = STEP_LIMIT if step_limit is None else step_limit
     budget = SEARCH_BUDGET if budget is None else budget
     for name, value in (("step limit", limit), ("search budget", budget)):
@@ -811,11 +813,15 @@ def _seed(J: Ideal) -> tuple:
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     """Intersection via a tag variable: (t*a + (1-t)*b) with t eliminated,
-    completed from t times a's reduced grevlex basis, settled."""
+    completed from t times a's reduced grevlex basis, settled; memoized
+    under "intersect" with the ring and both generator lists."""
     _same_ring(a, b)
     if a.is_zero_ideal or b.is_zero_ideal:
         return Ideal(a.ring, ())
-    return _meet(a.ring, _seed(a), b.generators)
+    return _memoized(
+        ("intersect", a.ring, _terms(a.generators), _terms(b.generators)),
+        lambda: _meet(a.ring, _seed(a), b.generators),
+    )
 
 
 def _colon(ring: RingDescriptor, seed: tuple, f: Polynomial) -> Ideal:
@@ -825,12 +831,16 @@ def _colon(ring: RingDescriptor, seed: tuple, f: Polynomial) -> Ideal:
 
 
 def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
-    """The colon ideal (J : f), computed as (1/f) * (J intersect <f>)."""
+    """The colon ideal (J : f), computed as (1/f) * (J intersect <f>);
+    memoized under "quotient" with the ring and J's and f's terms."""
     if f.ring != J.ring:
         raise IncompatibleRingError("polynomial outside the ideal's ring")
     if f.is_zero:
         raise ZeroElementError("colon by the zero polynomial is undefined")
-    return _colon(J.ring, _seed(J), f)
+    return _memoized(
+        ("quotient", J.ring, _terms(J.generators), (f.terms,)),
+        lambda: _colon(J.ring, _seed(J), f),
+    )
 
 
 def _generic_terms(gens: Sequence[Polynomial], head: Monomial) -> Iterator[tuple]:
@@ -878,6 +888,8 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     So it is one colon by f_y in R[y] = ``_tag_ring(ring, 1)`` and one
     elimination of y, both from J's reduced grevlex basis lifted into R[y],
     a Groebner basis of J*R[y]; for s = 1 it is ``ideal_quotient(J, g_1)``.
+    For s >= 2 it is memoized under "colon" with the ring and J's and I's
+    generator terms.
     """
     _same_ring(J, I)
     gens = I.generators
@@ -885,11 +897,15 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
         raise ZeroElementError("colon by the zero ideal is undefined")
     if len(gens) == 1:
         return ideal_quotient(J, gens[0])
-    Ry = _tag_ring(J.ring, 1)
-    seed = _lift_divisors(_seed(J), (0,))
-    colon = _colon(Ry, seed, _from_dict(Ry, dict(_generic_terms(gens, ()))))
-    p = J.ring.field.characteristic
-    return _eliminate_tag(J.ring, 1, [_work(g, p) for g in colon.generators], seed)
+
+    def colon_ideal() -> Ideal:
+        Ry = _tag_ring(J.ring, 1)
+        seed = _lift_divisors(_seed(J), (0,))
+        colon = _colon(Ry, seed, _from_dict(Ry, dict(_generic_terms(gens, ()))))
+        p = J.ring.field.characteristic
+        return _eliminate_tag(J.ring, 1, [_work(g, p) for g in colon.generators], seed)
+
+    return _memoized(("colon", J.ring, _terms(J.generators), _terms(gens)), colon_ideal)
 
 
 def _grevlex_twin(J: Ideal) -> Ideal:

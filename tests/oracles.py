@@ -24,18 +24,37 @@ generators with the engine's ``buchberger`` and divide with
 intersections.  So is ``oracle_saturation_exponent``, the engine's earlier
 exponent loop on ``Polynomial`` products, the reference for the one on
 kernel terms.
+
+``oracle_lex`` and ``OracleParser`` (``oracle_parse``) are the script front
+end's earlier lexer and parser, kept as the reference for the one-pass
+lexer and the parser over its tuples: a script must give the same
+statements and coefficients, or the same error at the same position.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from icmlab.cli_app import (
+    QUERIES,
+    ArityError,
+    IdealStmt,
+    LexError,
+    ParseSyntaxError,
+    QueryStmt,
+    RingStmt,
+    Script,
+    Stmt,
+    UndeclaredNameError,
+)
 from icmlab.errors import IncompatibleRingError, ZeroElementError
 from icmlab.ideal_engine import Ideal, buchberger, normal_form
 from icmlab.ring_core import (
+    FieldSpec,
     Polynomial,
     RingDescriptor,
     TermOrder,
@@ -630,3 +649,266 @@ def local_dimension_brute(nvars: int, gens: Sequence[Mono], p_vars: Sequence[int
     if best is None:
         raise ValueError("the prime does not contain the ideal")
     return best
+
+
+# ---------------------------------------------------------------------------
+# the script front end's earlier lexer and parser: a per-character loop that
+# builds frozen tokens, and a parser that reads them through peek and accept
+# and multiplies every factor as a Fraction
+
+
+@dataclass(frozen=True)
+class OracleToken:
+    kind: str  # "ident" | "int" | "sym" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def oracle_lex(source: str) -> List[OracleToken]:
+    tokens: List[OracleToken] = []
+    line, line_start = 1, 0
+    i, n = 0, len(source)
+    while i < n:
+        start, ch = i, source[i]
+        i += 1
+        if ch == "\n":
+            line, line_start = line + 1, i
+            continue
+        if ch in " \t\r":
+            continue
+        if ch == "#":
+            i = source.find("\n", i)
+            if i < 0:  # the end of input sits where the comment starts
+                i = start
+                break
+            continue
+        if ch.isalpha() or ch == "_":
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            kind = "ident"
+        elif ch.isdecimal():  # what int() accepts, so no superscript digits
+            while i < n and source[i].isdecimal():
+                i += 1
+            kind = "int"
+        elif ch in ";,=[]()+-*^/":
+            kind = "sym"
+        else:
+            raise LexError("unexpected character %r" % ch, line, start - line_start + 1)
+        tokens.append(OracleToken(kind, source[start:i], line, start - line_start + 1))
+    tokens.append(OracleToken("eof", "", line, i - line_start + 1))
+    return tokens
+
+
+class OracleParser:
+    def __init__(self, tokens: List[OracleToken]) -> None:
+        self.tokens = tokens
+        self.pos = 0
+        self.ring: Optional[RingDescriptor] = None
+        self.ideal_names: set = set()
+
+    def peek(self, ahead: int = 0) -> OracleToken:
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def advance(self) -> OracleToken:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def accept(self, *texts: str) -> str:
+        """Consume the next token if its text is one of ``texts`` and return
+        that text, else "".  No identifier or integer is spelled like a
+        symbol, so a symbol in ``texts`` matches only that symbol."""
+        return self.advance().text if self.peek().text in texts else ""
+
+    def expect(self, want: str, what: str = "") -> OracleToken:
+        """Consume the next token, which must be the symbol ``want`` or,
+        when ``what`` names it for the error, a token of kind ``want``."""
+        tok = self.peek()
+        if (tok.kind if what else tok.text) != want:
+            raise ParseSyntaxError(
+                "expected %s, found %r" % (what or repr(want), tok.text or "end of input"),
+                tok.line,
+                tok.col,
+            )
+        return self.advance()
+
+    def expect_int(self) -> int:
+        return int(self.expect("int", "integer").text)
+
+    # ---- statements ----
+
+    def parse_script(self) -> Script:
+        stmts: List[Stmt] = []
+        while self.peek().kind != "eof":
+            stmts.append(self.parse_stmt())
+        return Script(tuple(stmts))
+
+    def parse_stmt(self) -> Stmt:
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise ParseSyntaxError(
+                "expected a statement, found %r" % tok.text, tok.line, tok.col
+            )
+        if tok.text == "ring":
+            return self.parse_ring()
+        if tok.text == "ideal":
+            return self.parse_ideal()
+        if tok.text in QUERIES:
+            return self.parse_query()
+        raise ParseSyntaxError(
+            "unknown statement keyword %r" % tok.text, tok.line, tok.col
+        )
+
+    def parse_ring(self) -> RingStmt:
+        self.advance()  # ring
+        name = self.expect("ident", "ring name").text
+        self.expect("=")
+        field_tok = self.expect("ident", "field (QQ or GF(p))")
+        if field_tok.text == "QQ":
+            fld = FieldSpec(0)
+        elif field_tok.text == "GF":
+            self.expect("(")
+            p = self.expect_int()
+            self.expect(")")
+            try:
+                if p == 0:
+                    raise ValueError("GF(0) is not a field; write QQ for the rationals")
+                fld = FieldSpec(p)
+            except ValueError as exc:
+                raise ParseSyntaxError(str(exc), field_tok.line, field_tok.col)
+        else:
+            raise ParseSyntaxError(
+                "unknown field %r (use QQ or GF(p))" % field_tok.text,
+                field_tok.line,
+                field_tok.col,
+            )
+        self.expect("[")
+        names = [self.expect("ident", "variable name").text]
+        while self.accept(","):
+            names.append(self.expect("ident", "variable name").text)
+        self.expect("]")
+        order_kind = "grevlex"
+        if self.accept("order"):
+            kind_tok = self.expect("ident", "term order (lex or grevlex)")
+            if kind_tok.text not in ("lex", "grevlex"):
+                raise ParseSyntaxError(
+                    "unknown term order %r" % kind_tok.text, kind_tok.line, kind_tok.col
+                )
+            order_kind = kind_tok.text
+        self.expect(";")
+        try:
+            ring = RingDescriptor(fld, tuple(names), TermOrder(order_kind))
+        except ValueError as exc:
+            raise ParseSyntaxError(str(exc), field_tok.line, field_tok.col)
+        self.ring = ring
+        self.ideal_names = set()
+        return RingStmt(name, ring)
+
+    def _require_ring(self, tok: OracleToken) -> RingDescriptor:
+        if self.ring is None:
+            raise ParseSyntaxError("no ring declared yet", tok.line, tok.col)
+        return self.ring
+
+    def _ideal_name(self) -> str:
+        tok = self.expect("ident", "ideal name")
+        if tok.text not in self.ideal_names:
+            raise UndeclaredNameError(
+                "undeclared ideal %r" % tok.text, tok.line, tok.col
+            )
+        return tok.text
+
+    def parse_ideal(self) -> IdealStmt:
+        ring = self._require_ring(self.advance())  # ideal
+        name = self.expect("ident", "ideal name").text
+        self.expect("=")
+        if self.peek().text == "intersect" and self.peek(1).text == "(":
+            self.advance()
+            self.advance()
+            a = self._ideal_name()
+            self.expect(",")
+            b = self._ideal_name()
+            self.expect(")")
+            stmt = IdealStmt(name, None, (a, b))
+        else:
+            gens = [self.parse_polynomial(ring)]
+            while self.accept(","):
+                gens.append(self.parse_polynomial(ring))
+            stmt = IdealStmt(name, tuple(gens))
+        self.expect(";")
+        self.ideal_names.add(name)
+        return stmt
+
+    def parse_query(self) -> QueryStmt:
+        kw = self.advance()
+        self._require_ring(kw)
+        if kw.text == "verify":
+            parts = [self.expect("ident", "suite id").text]
+            while self.accept("-"):
+                parts.append(self.expect("ident", "suite id").text)
+            args: Tuple[str, ...] = ("-".join(parts),)
+        else:
+            arity = QUERIES[kw.text][0]
+            names: List[str] = []
+            while len(names) < arity and self.peek().kind == "ident":
+                names.append(self._ideal_name())
+            tok = self.peek()
+            if len(names) < arity or tok.kind == "ident":
+                raise ArityError(
+                    "query %r takes %d ideal name(s)" % (kw.text, arity), tok.line, tok.col
+                )
+            args = tuple(names)
+        self.expect(";")
+        return QueryStmt(kw.text, args)
+
+    # ---- polynomials ----
+
+    def parse_polynomial(self, ring: RingDescriptor) -> Polynomial:
+        acc: Dict[tuple, Fraction] = {}
+        sign = self.accept("+", "-")
+        while True:
+            exps = [0] * ring.nvars
+            coeff = Fraction(-1 if sign == "-" else 1) * self._parse_factor(ring, exps)
+            while self.accept("*"):
+                coeff *= self._parse_factor(ring, exps)
+            mono = tuple(exps)
+            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            sign = self.accept("+", "-")
+            if not sign:
+                break
+        tok = self.peek()
+        try:
+            return ring.polynomial(acc)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseSyntaxError(str(exc), tok.line, tok.col)
+
+    def _parse_factor(self, ring: RingDescriptor, exps: List[int]) -> Union[int, Fraction]:
+        """Read one factor: a variable's power goes into ``exps``, and the
+        factor's coefficient (1 for a variable) is returned."""
+        tok = self.advance()
+        if tok.kind == "int":
+            if not self.accept("/"):
+                return int(tok.text)
+            den = self.expect_int()
+            if den == 0:
+                raise ParseSyntaxError("division by zero", tok.line, tok.col)
+            return Fraction(int(tok.text), den)
+        if tok.kind == "ident":
+            try:
+                idx = ring.var_index(tok.text)
+            except KeyError:
+                raise UndeclaredNameError(
+                    "undeclared variable %r" % tok.text, tok.line, tok.col
+                )
+            exps[idx] += self.expect_int() if self.accept("^") else 1
+            return 1
+        raise ParseSyntaxError(
+            "expected a factor, found %r" % (tok.text or "end of input"),
+            tok.line,
+            tok.col,
+        )
+
+
+def oracle_parse(source: str) -> Script:
+    return OracleParser(oracle_lex(source)).parse_script()

@@ -1,13 +1,16 @@
 """Tests for the script language and CLI: lexing, parsing, printing,
 execution semantics, exit codes, and JSON stability."""
 
+import argparse
 import glob
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from icmlab import ideal_engine, invariants, theorem_lab
+import oracles
+from icmlab import cli_app, ideal_engine, invariants, theorem_lab
 from icmlab.cli_app import (
     ArityError,
     IdealStmt,
@@ -63,6 +66,36 @@ class TestLexer:
         with pytest.raises(ParseSyntaxError) as info:
             parse("ring R = QQ[x] # note")
         assert str(info.value) == "expected ';', found 'end of input' (line 1, column 16)"
+
+    @pytest.mark.parametrize(
+        "source, line, col",
+        [
+            ("ring R = QQ[x];\nideal J = %s*x;", 2, 11),  # a coefficient
+            ("ring R = QQ[x];\nideal J = 1/%s;", 2, 13),  # a denominator
+            ("ring R = QQ[x];\nideal J = %s/2;", 2, 11),  # a numerator
+            ("ring R = QQ[x];\nideal J = x^%s;", 2, 13),  # an exponent
+            ("ring R = GF(%s)[x];", 1, 13),  # the prime
+        ],
+    )
+    def test_long_integer_literal_is_a_syntax_error(self, source, line, col):
+        # by default int() converts at most 4,300 digits (sys.get_int_max_str_digits)
+        with pytest.raises(ParseSyntaxError) as info:
+            parse(source % ("1" * 5000))
+        assert (info.value.line, info.value.col) == (line, col)
+        assert str(info.value).startswith("integer literal too long (5000 digits) ")
+
+    def test_tokens_are_plain_tuples(self):
+        assert cli_app._lex("x1^2 # c\n+ 3/4;") == [
+            ("ident", "x1", 1, 1),
+            ("sym", "^", 1, 3),
+            ("int", "2", 1, 4),
+            ("sym", "+", 2, 1),
+            ("int", "3", 2, 3),
+            ("sym", "/", 2, 4),
+            ("int", "4", 2, 5),
+            ("sym", ";", 2, 6),
+            ("eof", "", 2, 7),
+        ]
 
 
 class TestParser:
@@ -149,6 +182,136 @@ class TestParser:
     def test_all_errors_are_parse_errors(self):
         for cls in (LexError, ParseSyntaxError, UndeclaredNameError, ArityError):
             assert issubclass(cls, ParseError)
+
+
+# scripts drawn from README's grammar, tokens joined by blanks, newlines
+# and comments (or nothing, which may glue two words into one)
+GAPS = st.sampled_from([" "] * 5 + ["", "\n", "\t", "\r\n", "  # note\n"])
+VARIABLES = ["x", "y", "x", "y", "z", "_w1"]
+IDEALS = ["J", "J", "I", "K"]
+
+
+@st.composite
+def factor_tokens(draw):
+    if draw(st.booleans()):
+        tokens = [str(draw(st.integers(0, 40)))]
+        if draw(st.integers(0, 3)) == 0:
+            tokens += ["/", str(draw(st.integers(0, 12)))]
+        return tokens
+    tokens = [draw(st.sampled_from(VARIABLES))]
+    if draw(st.booleans()):
+        tokens += ["^", str(draw(st.integers(0, 4)))]
+    return tokens
+
+
+@st.composite
+def polynomial_tokens(draw):
+    tokens = []
+    for k in range(draw(st.integers(1, 4))):
+        if k or draw(st.booleans()):
+            tokens.append(draw(st.sampled_from("+-")))
+        for j in range(draw(st.integers(1, 3))):
+            tokens += (["*"] if j else []) + draw(factor_tokens())
+    return tokens
+
+
+@st.composite
+def statement_tokens(draw):
+    kind = draw(st.sampled_from(["ring", "ideal", "ideal", "query"]))
+    if kind == "ring":
+        field = draw(st.sampled_from([["QQ"]] + [["GF", "(", p, ")"] for p in ("2", "7", "32003", "0", "4")]))
+        names = ["x", "y"] + draw(st.lists(st.sampled_from(VARIABLES), max_size=2))
+        tokens = ["ring", "R", "="] + field + ["["] + " , ".join(names).split() + ["]"]
+        if draw(st.booleans()):
+            tokens += ["order", draw(st.sampled_from(["lex", "grevlex"]))]
+        return tokens + [";"]
+    name = draw(st.sampled_from(IDEALS))
+    if kind == "ideal" and draw(st.integers(0, 3)) == 0:
+        a, b = draw(st.sampled_from(IDEALS)), draw(st.sampled_from(IDEALS))
+        return ["ideal", name, "=", "intersect", "(", a, ",", b, ")", ";"]
+    if kind == "ideal":
+        tokens = ["ideal", name, "="] + draw(polynomial_tokens())
+        for _ in range(draw(st.integers(0, 2))):
+            tokens += [","] + draw(polynomial_tokens())
+        return tokens + [";"]
+    keyword = draw(st.sampled_from(sorted(cli_app.QUERIES)))
+    if keyword == "verify":
+        return ["verify", "grade", "-", "height", ";"]
+    arity = cli_app.QUERIES[keyword][0] + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return [keyword] + draw(st.lists(st.sampled_from(IDEALS), min_size=arity, max_size=arity)) + [";"]
+
+
+@st.composite
+def grammar_scripts(draw):
+    tokens = ["ring", "R", "=", "QQ", "[", "x", ",", "y", "]", ";", "ideal", "J", "=", "x", ";"]
+    for _ in range(draw(st.integers(0, 5))):
+        tokens += draw(statement_tokens())
+    return "".join(tok + draw(GAPS) for tok in tokens)
+
+
+# characters the lexer must place: digits int() rejects (superscript,
+# vulgar fraction) and one it reads (Arabic-Indic three), a titlecase
+# letter, blanks it does not skip, and its own comment and line breaks
+ODD_CHARACTERS = st.sampled_from(
+    ["\u00b2", "\u00bd", "\u0663", "\u01c5", "\x0b", "\u00a0", "#", "\r", "\n", "_", "/", "^", "0"]
+)
+
+
+@st.composite
+def mutated_scripts(draw):
+    text = draw(grammar_scripts())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.one_of(ODD_CHARACTERS, st.characters()))
+        cut = draw(st.integers(0, 1))  # insert ch, or replace the character at i
+        text = text[:i] + ch + text[i + cut:]
+    if draw(st.booleans()):
+        text += "# a trailing comment, no newline"
+    return text
+
+
+def outcome(read, source):
+    """What ``read`` makes of ``source``: each statement, with every
+    coefficient's type, or the class, message and position of its error."""
+    try:
+        script = read(source)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return [
+        (stmt, [[(m, type(c), c) for m, c in g.terms] for g in stmt.generators or ()])
+        if isinstance(stmt, IdealStmt)
+        else stmt
+        for stmt in script.statements
+    ]
+
+
+class TestAgainstTheEarlierParser:
+    """The one-pass lexer and the parser over its tuples read every script
+    as the per-character lexer and the Fraction-per-factor parser did
+    (``oracles.oracle_parse``): the same statements and coefficients, or
+    the same error at the same line and column."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text())
+    def test_lexer_on_any_text(self, source):
+        try:
+            want = [(t.kind, t.text, t.line, t.col) for t in oracles.oracle_lex(source)]
+        except LexError as exc:
+            with pytest.raises(LexError) as info:
+                cli_app._lex(source)
+            assert (str(info.value), info.value.line, info.value.col) == (str(exc), exc.line, exc.col)
+        else:
+            assert cli_app._lex(source) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(grammar_scripts())
+    def test_grammar_scripts(self, source):
+        assert outcome(parse, source) == outcome(oracles.oracle_parse, source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_scripts())
+    def test_mutated_scripts(self, source):
+        assert outcome(parse, source) == outcome(oracles.oracle_parse, source)
 
 
 class TestPolynomialParsing:
@@ -357,6 +520,15 @@ class TestMain:
         assert rc == 2
         assert err == "parse error: unexpected character '\u00b2' (line 2, column 13)\n"
 
+    def test_long_integer_literal_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "long.icm"
+        script.write_text("ring R = QQ[x];\nideal J = %s*x;\n" % ("1" * 5000))
+        rc = main(["run", str(script)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "parse error: integer literal too long (5000 digits) (line 2, column 11)\n"
+
     def test_non_utf8_file_exits_1(self, tmp_path, capsys):
         script = tmp_path / "latin1.icm"
         script.write_bytes(b"# caf\xe9\n")
@@ -462,6 +634,48 @@ class TestMain:
         script.write_text(self.STEP_LIMIT_SCRIPT)
         assert main(["run", str(script), "--step-limit", "100000"]) == 0
         capsys.readouterr()
+
+    def test_one_argparser_per_process_and_the_env_read_per_call(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the parser and its two subparsers are built on the first call
+        # only, yet every call reads ICM_STEP_LIMIT: a bad value is a usage
+        # error that wins over the missing file argument, and the next
+        # calls see the variable unset, set to 1, and set to 0 for verify
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli_app._build_argparser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("ICM_STEP_LIMIT", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: icm-lab run [-h] [--json] [--seed SEED] [--trials TRIALS]\n"
+            "                   [--budget BUDGET] [--step-limit STEP_LIMIT]\n"
+            "                   file\n"
+            "icm-lab run: error: argument --step-limit: must be a positive integer, got 'abc'\n"
+        )
+        assert built == ["icm-lab", "icm-lab run", "icm-lab verify"]
+        script = tmp_path / "heavy.icm"
+        script.write_text(self.STEP_LIMIT_SCRIPT)
+        monkeypatch.delenv("ICM_STEP_LIMIT")
+        assert main(["run", str(script)]) == 0
+        monkeypatch.setenv("ICM_STEP_LIMIT", "1")
+        assert main(["run", str(script)]) == 1
+        capsys.readouterr()
+        monkeypatch.setenv("ICM_STEP_LIMIT", "0")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "grade-height"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: icm-lab verify")
+        assert len(built) == 3
 
     @pytest.mark.parametrize(
         "env, flag",

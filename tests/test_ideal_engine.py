@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icmlab import ideal_engine, invariants
-from icmlab.cli_app import IdealStmt, ParseError, RingStmt, parse
+from icmlab.cli_app import IdealStmt, ParseError, RingStmt, execute, parse
 from icmlab.errors import (
     EngineError,
     IncompatibleRingError,
@@ -1170,6 +1170,78 @@ class TestSaturationMemo:
         assert seeded == plain and seeded is not plain and seeded.steps < plain.steps
         assert again_plain is plain and any(gb is plain for gb in memo.values())
         assert again_seeded == seeded and again_seeded is not seeded
+
+
+class TestCalculusMemo:
+    """An intersection, a colon by f and a colon by an ideal are each
+    completed once per engine context and pair of generator lists."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts the tagged completions, one per ``_eliminate_tag`` call."""
+        count = [0]
+        real = ideal_engine._eliminate_tag
+
+        def counting(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ideal_engine, "_eliminate_tag", counting)
+        return count
+
+    SCRIPT = (
+        "ring R = QQ[x, y, z];\n"
+        "ideal J = x*y, x*z;\n"
+        "ideal I = y, z;\n"
+        "ideal F = y;\n"
+        "ideal K = intersect(J, I);\n"
+        "intersect J I;\n"
+        "intersect J I;\n"
+        "colon J I;\n"
+        "colon J I;\n"
+        "colon J F;\n"
+        "colon J F;\n"
+    )
+
+    def test_a_script_that_repeats_each_query(self, builds):
+        # the declared intersection and the two queries share one
+        # completion, a colon by I = <y, z> takes two (its colon by f_y and
+        # the elimination of y) and a colon by F = <y> one
+        with engine_context():
+            text, code = execute(parse(self.SCRIPT))
+        assert code == 0
+        assert builds[0] == 1 + 2 + 1
+        assert text.splitlines() == [
+            "intersect(J, I) = [x*z, x*y]",
+            "intersect(J, I) = [x*z, x*y]",
+            "colon(J, I) = [x]",
+            "colon(J, I) = [x]",
+            "colon(J, F) = [x]",
+            "colon(J, F) = [x]",
+        ]
+
+    def test_nothing_is_memoized_outside_a_context(self, builds):
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        J, I = Ideal(R, [x * y, x * z]), Ideal(R, [y, z])
+        assert ideal_intersect(J, I) == ideal_intersect(J, I)
+        assert ideal_quotient(J, y) == ideal_quotient(J, y)
+        assert ideal_quotient_ideal(J, I) == ideal_quotient_ideal(J, I)
+        assert builds[0] == 2 + 2 + 4
+
+    def test_the_key_is_both_ordered_generator_lists(self, builds):
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        J, I = Ideal(R, [x * y, x * z]), Ideal(R, [y, z])
+        with engine_context():
+            meet = ideal_intersect(J, I)
+            assert ideal_intersect(Ideal(R, J.generators), Ideal(R, I.generators)) is meet
+            assert builds[0] == 1
+            swapped = ideal_intersect(I, J)
+            assert swapped == meet and swapped is not meet
+            colon = ideal_quotient_ideal(J, I)
+            assert ideal_quotient_ideal(J, Ideal(R, I.generators[::-1])) is not colon
+            assert builds[0] == 2 + 2 + 2
 
 
 class TestNonzerodivisor:
