@@ -86,7 +86,7 @@ y eliminated together, is one completion, whose one builder is
 ``saturate``, and (J : I) = (J*R[y] : f_y) cap R is one colon by f_y in
 R[y] and one elimination of y; for s = 1, f_y = g_1 and no y is added.
 A grade chain's J + <x> (``_extend``) gets its grevlex basis the same
-way, from J's with x the one new generator, when the basis is first read.
+way, from J's with x the one new generator, when the chain ideal is built.
 Whether f divides zero on R/J is decided by ``is_nonzerodivisor``, the
 saturation's completion for 1 - t*f stopped at the first element it adds
 with a t-free leading monomial: that element lies in (J : f^infinity) and
@@ -668,15 +668,12 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
 class Ideal:
     """An ideal of an affine polynomial ring, held by generators.
 
-    An Ideal holds its ring, its generators and, for an ideal of a grade
-    chain made by ``_extend``, the seed that names its route: its grevlex
-    basis, or its grevlex twin's, is completed from its predecessor's.  It
-    stores no basis; the engine context's memo does (``groebner_basis``).
-    Nothing in it changes after construction, so sharing an Ideal across
-    threads is safe.
+    An Ideal holds its ring and its generators.  It stores no basis; the
+    engine context's memo does (``groebner_basis``).  Nothing in it changes
+    after construction, so sharing an Ideal across threads is safe.
     """
 
-    __slots__ = ("ring", "generators", "_seed")
+    __slots__ = ("ring", "generators")
 
     def __init__(self, ring: RingDescriptor, generators: Iterable[Polynomial] = ()):
         gens = []
@@ -689,7 +686,6 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._seed = None  # (P, x) from _extend: the grevlex basis completes x with P's settled
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -698,16 +694,8 @@ class Ideal:
     def groebner_basis(self) -> ReducedGB:
         """The reduced basis, read through the memo under the key
         ``buchberger`` gives the same generators: stored in an engine
-        context, completed again on every read outside one.  A chain ideal
-        in a grevlex ring completes x with its predecessor's basis settled;
-        any other ideal completes its generators."""
-        if self._seed is None or self.ring.order.kind != GREVLEX:
-            return buchberger(self.generators, ring=self.ring)
-        P, x = self._seed
-        return _memoized(
-            (self.ring, _terms(self.generators)),
-            lambda: _complete(self.ring, [x], P.groebner_basis()._divisors),
-        )
+        context, completed again on every read outside one."""
+        return buchberger(self.generators, ring=self.ring)
 
     def contains(self, f: Polynomial) -> bool:
         return membership(f, self)
@@ -911,33 +899,23 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
 def _grevlex_twin(J: Ideal) -> Ideal:
     """J itself in a grevlex ring, else J's grevlex twin: the same
     generators in the grevlex twin of its ring, built on each call; the
-    memo shares the twin's basis.  A chain ideal's twin is the chain of
-    twins, ``_extend`` of its predecessor's twin, so its basis is seeded."""
+    memo shares the twin's basis."""
     if J.ring.order.kind == GREVLEX:
         return J
-    if J._seed is not None:
-        P, x = J._seed
-        twin = _grevlex_twin(P)
-        return _extend(twin, remap_variables(x, twin.ring, range(twin.ring.nvars)))
     ring = RingDescriptor(J.ring.field, J.ring.variables)
     return Ideal(ring, [remap_variables(g, ring, range(ring.nvars)) for g in J.generators])
 
 
 def _extend(J: Ideal, x: Polynomial) -> Ideal:
     """J + <x>, the next ideal of a chain (``grade``'s J_{k+1} = J_k + <x_k>
-    and its replay), generated by J's generators and then x, with its
-    grevlex basis seeded: when read, it is the completion of x with J's
-    grevlex basis settled, so no pair inside J's basis is formed again
-    (the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988).  In
-    a grevlex ring that is J + <x>'s own basis; in any other ring it is its
-    grevlex twin's, which ``_grevlex_twin`` builds from J's twin and x, and
-    its own basis is completed from the generators as for any ideal.
-    Nothing is completed here, so a chain ideal whose basis nothing reads
-    costs no completion.  The memo keys a seeded basis by K's ring and
-    generators, as any basis, so a replay of the chain, or an ``Ideal``
-    with K's generators, in the same engine context finds it stored."""
+    and its replay), generated by J's generators and then x.  Its grevlex
+    basis, its grevlex twin's in any other ring, is completed here from x
+    with J's (``_seed``) settled, so no pair inside J's basis is formed
+    again (the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988),
+    and stored under the key ``buchberger`` gives the twin's generators."""
     K = Ideal(J.ring, J.generators + (x,))
-    K._seed = (J, x)
+    twin = _grevlex_twin(K)
+    _memoized((twin.ring, _terms(twin.generators)), lambda: _complete(twin.ring, twin.generators[-1:], _seed(J)))
     return K
 
 

@@ -319,7 +319,7 @@ def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) 
     element that fails.  Each quotient is ``_extend``'s, as in ``grade``, so
     a replay in the engine context of the search finds its bases stored;
     outside any context it opens a default one, since step k reads the
-    basis of step k - 1, seeded from the chain below it."""
+    basis of step k - 1, which ``_extend`` stored."""
     current = J
     for k, x in enumerate(sequence, 1):
         if not membership(x, I):

@@ -40,6 +40,27 @@ GREVLEX = "grevlex"
 ELIMINATION = "elimination-block"
 
 _MAX_PRIME = 2**31
+_CHUNK = 10**4000  # str() refuses more than 4,300 digits (Python 3.11's default limit)
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n >= 0 at any length: ``str(n)`` below 10^4000,
+    else the digits of n's quotient and remainder by 10^k, the remainder
+    zero-padded to k digits, for the k = 4000 * 2^j with 10^k <= n < 10^2k."""
+    if n < _CHUNK:
+        return str(n)
+    k = 4000
+    while n >= 10 ** (2 * k):
+        k *= 2
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _coeff_str(c: Coeff) -> str:
+    """A nonnegative coefficient as ``str`` prints it, at any length."""
+    if isinstance(c, Fraction) and c.denominator != 1:
+        return "%s/%s" % (_decimal(c.numerator), _decimal(c.denominator))
+    return _decimal(int(c))
 
 
 def _is_prime(n: int) -> bool:
@@ -473,11 +494,11 @@ class Polynomial:
             elif e > 1:
                 factors.append("%s^%d" % (name, e))
         if not factors:
-            return negative, str(mag)
+            return negative, _coeff_str(mag)
         body = "*".join(factors)
         if mag == 1:
             return negative, body
-        return negative, "%s*%s" % (mag, body)
+        return negative, "%s*%s" % (_coeff_str(mag), body)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -231,6 +231,27 @@ def oracle_divide(f: Polynomial, divisors: Sequence[Polynomial]):
     return quots, _from_dict(ring, remainder)
 
 
+def oracle_s_polynomial(fi: OraclePoly, fj: OraclePoly, key) -> OraclePoly:
+    """(lcm/mi)*fi/ci - (lcm/mj)*fj/cj for leading terms ci*mi and cj*mj
+    under ``key``, built term by term."""
+    ring = fi.ring
+    field = ring.field
+    mi, ci = fi.leading(key)
+    mj, cj = fj.leading(key)
+    lcm = _mono_lcm(mi, mj)
+    s = OraclePoly(ring, {})
+    for src, mono, coeff in ((fi, mi, ci), (fj, mj, cj)):
+        shift = _mono_div(lcm, mono)
+        sign = field.one if src is fi else _fsub(field, field.zero, field.one)
+        scale = _fdiv(field, sign, coeff)
+        acc = dict(s.coeffs)
+        for m, c in src.coeffs.items():
+            mm = _mono_mul(m, shift)
+            acc[mm] = field.add(acc.get(mm, field.zero), field.mul(scale, c))
+        s = OraclePoly(ring, acc)
+    return s
+
+
 def oracle_buchberger(gens: Sequence[Polynomial]) -> List[Polynomial]:
     """Criteria-free FIFO Buchberger plus naive minimalization/reduction.
 
@@ -251,22 +272,7 @@ def oracle_buchberger(gens: Sequence[Polynomial]) -> List[Polynomial]:
         if guard > 200_000:
             raise RuntimeError("oracle pair queue exploded")
         i, j = queue.pop(0)
-        fi, fj = basis[i], basis[j]
-        mi, ci = fi.leading(key)
-        mj, cj = fj.leading(key)
-        lcm = _mono_lcm(mi, mj)
-        # s-polynomial (lcm/mi)*fi/ci - (lcm/mj)*fj/cj, built term by term
-        s = OraclePoly(ring, {})
-        for src, mono, coeff in ((fi, mi, ci), (fj, mj, cj)):
-            shift = _mono_div(lcm, mono)
-            sign = field.one if src is fi else _fsub(field, field.zero, field.one)
-            scale = _fdiv(field, sign, coeff)
-            acc = dict(s.coeffs)
-            for m, c in src.coeffs.items():
-                mm = _mono_mul(m, shift)
-                acc[mm] = field.add(acc.get(mm, field.zero), field.mul(scale, c))
-            s = OraclePoly(ring, acc)
-        r = oracle_reduce(s, basis, key)
+        r = oracle_reduce(oracle_s_polynomial(basis[i], basis[j], key), basis, key)
         if not r.is_zero:
             basis.append(r)
             queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))

@@ -5,6 +5,7 @@ import argparse
 import glob
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -528,6 +529,24 @@ class TestMain:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == "parse error: integer literal too long (5000 digits) (line 2, column 11)\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_long_coefficient_prints_in_full(self, tmp_path, capsys, flags):
+        # the monic basis of a^2*x + 1 is x + 1/a^2, whose 6,000 digits are
+        # past the 4,300 that str() prints (and int() reads), so the printed
+        # denominator is read back slice by slice
+        a = int("7" * 3000)
+        script = tmp_path / "long_coefficient.icm"
+        script.write_text("ring R = QQ[x];\nideal J = %s*%s*x + 1;\ngb J;\n" % (a, a))
+        rc = main(["run", str(script)] + flags)
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        digits = re.search(r"x \+ 1/([0-9]+)", captured.out).group(1)
+        assert len(digits) == 6000 and digits[0] != "0"
+        value = 0
+        for k in range(0, len(digits), 4000):
+            value = value * 10 ** len(digits[k : k + 4000]) + int(digits[k : k + 4000])
+        assert value == a * a
 
     def test_non_utf8_file_exits_1(self, tmp_path, capsys):
         script = tmp_path / "latin1.icm"

@@ -32,7 +32,6 @@ from icmlab.ideal_engine import (
     ideal_sum,
     membership,
     normal_form,
-    s_polynomial,
     is_nonzerodivisor,
     saturate,
 )
@@ -427,10 +426,11 @@ class TestBuchberger:
             if not gens:
                 continue
             gb = buchberger(gens)
-            basis = list(gb)
+            basis = [oracles.OraclePoly.from_poly(g) for g in gb]
+            key = oracles.oracle_key(R)
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    s = s_polynomial(basis[i], basis[j])
+                    s = oracles.oracle_s_polynomial(basis[i], basis[j], key).to_poly()
                     assert normal_form(s, gb).is_zero
 
     def test_reduced_basis_is_self_reduced_and_monic(self):
@@ -579,6 +579,11 @@ class TestEngineMemo:
         a, b = buchberger(gens), buchberger(gens)
         assert a == b and a is not b
 
+    def test_an_ideal_holds_its_ring_and_generators_only(self):
+        # the memo is the one store of bases and routes: no basis, twin or
+        # seed rides on an Ideal
+        assert Ideal.__slots__ == ("ring", "generators")
+
     def test_hit_honours_the_context_limit(self):
         # a failed completion stores nothing, so a repeat fails the same way
         gens = heavy_gens()
@@ -611,22 +616,26 @@ class TestEngineMemo:
     @pytest.mark.parametrize("chain_first", [True, False])
     def test_chain_ideal_and_its_generators_share_one_entry(self, monkeypatch, order, chain_first):
         # the key is the ideal's ring and generators, not the route: J + <x>
-        # seeded from J's basis (_extend) and an Ideal with the same
-        # generators cost one completion together, in either order; in a
-        # lex ring the shared basis is the grevlex twin's
+        # completed from J's basis by _extend and an Ideal with the same
+        # generators cost one completion together, in either order, and
+        # _extend completes nothing when the plain basis was read first; in
+        # a lex ring the shared basis is the grevlex twin's
         ring, J, v = minors_2xn(3, order=order)
         x = v[0] + v[4]
+        plain = ideal_engine._grevlex_twin(Ideal(ring, J.generators + (x,)))
         completions = []
         real = ideal_engine._complete
         monkeypatch.setattr(ideal_engine, "_complete", lambda *a: completions.append(a) or real(*a))
+
+        def chain():
+            return ideal_engine._grevlex_twin(ideal_engine._extend(J, x)).groebner_basis()
+
         with engine_context():
             ideal_engine._grevlex_twin(J).groebner_basis()
-            chain = ideal_engine._grevlex_twin(ideal_engine._extend(J, x))
-            plain = ideal_engine._grevlex_twin(Ideal(ring, J.generators + (x,)))
             del completions[:]
-            first, second = (chain, plain) if chain_first else (plain, chain)
-            gb = first.groebner_basis()
-            assert second.groebner_basis() is gb
+            first, second = (chain, plain.groebner_basis) if chain_first else (plain.groebner_basis, chain)
+            gb = first()
+            assert second() is gb
         assert gb.ring.order.kind == "grevlex"
         # one completion: x with J's basis settled, or all the generators
         assert [(len(gens), bool(settled)) for _, gens, settled in completions] == [
@@ -1435,10 +1444,11 @@ class TestExtend:
         assert all(seen[o.kind] == 48 for o in self.ORDERS), seen
         assert 0 < seen["unit ideal"] < 72, seen
 
-    def test_seeds_complete_on_first_use_and_only_under_grevlex(self, monkeypatch):
-        # _extend completes nothing; reading a chain ideal's grevlex basis
-        # completes x with its predecessor's settled, and a lex ring's own
-        # basis comes from its generators, as for any ideal
+    def test_extend_completes_the_grevlex_basis_once(self, monkeypatch):
+        # _extend completes x with its predecessor's grevlex basis settled,
+        # once: reading the chain ideal's grevlex basis (its twin's in a lex
+        # or elimination ring) completes nothing more, and a non-grevlex
+        # ring's own basis comes from its generators, as for any ideal
         calls = []
         real = ideal_engine._complete
         monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
@@ -1451,9 +1461,7 @@ class TestExtend:
                 ideal_engine._grevlex_twin(J).groebner_basis()
                 del calls[:]
                 K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
-                assert not calls
                 twin = ideal_engine._grevlex_twin(K)
-                twin.groebner_basis()
                 grevlex = twin.ring
                 assert grevlex.order.kind == "grevlex"
                 assert [(r, [g.terms for g in gens], bool(settled)) for r, gens, settled in calls] == [
@@ -1461,8 +1469,27 @@ class TestExtend:
                     (grevlex, [remap_variables(z**3, grevlex, range(3)).terms], True),
                 ]
                 del calls[:]
+                twin.groebner_basis()
+                assert not calls
                 K.groebner_basis()
                 assert [bool(settled) for _, _, settled in calls] == ([] if twin is K else [False])
+
+    def test_the_seed_of_a_chain_ideal_is_stored(self, monkeypatch):
+        # the tagged completions from a chain ideal start from the basis
+        # _extend stored, also in a lex or elimination ring, where it is
+        # the grevlex twin's
+        calls = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
+        for order in self.ORDERS:
+            ring = RingDescriptor(QQ, ("x", "y", "z"), order)
+            x, y, z = (ring.variable(i) for i in range(3))
+            with engine_context():
+                K = ideal_engine._extend(Ideal(ring, [x * y - z**2]), y**2 - x * z)
+                del calls[:]
+                seed = ideal_engine._seed(K)
+                assert not calls
+            assert seed == buchberger(ideal_engine._grevlex_twin(K).generators)._divisors
 
     def test_lifted_divisors_match_the_lifted_basis(self):
         # _lift_divisors multiplies the kernel form by a tag monomial; the
@@ -1518,7 +1545,7 @@ class TestExtend:
         plain = [gens for r, gens, settled in calls if r == ring and not settled]
         assert plain and not [gens for gens in plain if gens in chain]
         # each step is one completion of x_k with J_k's basis settled
-        seeded = [gens for r, gens, settled in calls if r == ring and settled]
+        seeded = [list(gens) for r, gens, settled in calls if r == ring and settled]
         assert seeded == [[x] for x in w.sequence]
 
     def test_grade_opens_its_own_context(self, monkeypatch):
@@ -1538,9 +1565,9 @@ class TestExtend:
         assert counts == [10, 10]
 
     def test_replay_opens_its_own_context(self, monkeypatch):
-        # step k of a replay reads the basis of step k - 1, seeded from the
-        # chain below it; outside a context the replay opens a default one,
-        # so it completes each chain ideal once, as inside one
+        # step k of a replay reads the basis of step k - 1, which _extend
+        # stored; outside a context the replay opens a default one, so it
+        # completes each chain ideal once, as inside one, the last included
         ring, J, v = minors_2xn(4)
         I = Ideal(ring, v)
         w = invariants.grade(invariants.CyclicModule(ring, J), I, seed=10000)
@@ -1553,7 +1580,7 @@ class TestExtend:
             with engine_context() if context else contextlib.nullcontext():
                 invariants.replay_regular_sequence(J, I, w.sequence)
             counts.append(len(calls))
-        assert counts == [6, 6]
+        assert counts == [7, 7]
 
     def test_verify_grade_witness_reuses_the_chain_bases(self, monkeypatch):
         # in the context of the search, the replay completes only the
