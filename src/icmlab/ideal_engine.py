@@ -2,95 +2,75 @@
 
 The completion uses the normal selection strategy (pairs with the smallest
 lcm degree first, ties broken by the term order), discards pairs with
-coprime leading terms at creation, and applies the chain criterion at pop
-time: a pair (i, j) is dropped when some third leading term divides its lcm
-and both companion pairs have already been settled.  A pair keeps its lcm,
-formed once; its leading terms are coprime exactly when the lcm's degree is
-the sum of theirs.  Output is always the reduced monic basis, which is
-unique for a given ideal and term order, so everything downstream is
-deterministic.
+coprime leading terms at creation, before their lcm is formed, and applies
+the chain criterion at pop time: a pair (i, j) is dropped when some third
+leading term divides its lcm and both companion pairs are settled.  Output
+is always the reduced monic basis, unique per ideal and term order, so
+everything downstream is deterministic.
 
-Every remainder comes from one kernel on integer coefficients,
-``_reduce``: the completion's reductions, ``normal_form`` and the
-saturation's exponent loop.  Over GF(p)
-its divisors are monic residues; over QQ they are integer polynomials,
-reduced fraction-free by the primitive pseudo-remainder of Geddes, Czapor
-& Labahn, *Algorithms for Computer Algebra* (1992).  Inside the completion
-the working basis is primitive (content removed, positive leading
-coefficient).  ``Fraction`` coefficients are cleared on entry and come back
-only at the boundary: when the reduced basis leaves, made monic, and when
-``normal_form`` returns its remainder, which is exactly the field
-algorithm's; the reduced basis carries the kernel form its completion
-ended with.  ``divide`` is exact division by one polynomial, the last step
-of the colon by an element.
+Every remainder comes from one kernel on integer coefficients, ``_reduce``:
+the completion's reductions, ``normal_form`` and the saturation's exponent
+loop.  Over GF(p) its divisors are monic residues; over QQ they are
+primitive integer polynomials with a positive leading coefficient, reduced
+fraction-free by the primitive pseudo-remainder of Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra* (1992).  ``Fraction`` coefficients are
+cleared on entry and come back only when the reduced basis leaves, made
+monic, and when ``normal_form`` returns the field algorithm's remainder;
+the reduced basis carries the kernel form its completion ended with.
+``divide`` is exact division by one polynomial, the colon's last step.
 
-Every divisibility test (the kernel's, the chain criterion's and the
-minimal-basis scan's) first compares support masks: one bit per variable,
-set where the exponent is nonzero, so a monomial whose mask has a bit
-outside another's cannot divide it (the "short exponent vectors" of
-Bachmann & Schoenemann, ISSAC 1998, cut to one bit per variable).  Each
-divisor carries its leading monomial's mask; variables past ``_BITS`` get
-no bit, which only weakens the filter.  It passes over non-divisors only,
-so every basis and step count is the same as without it.
-
-Each completion keeps one table of monomial records, shared by all of its
-reductions and dropped when it returns: a monomial's heap key, computed
-once, and after its first pop either how many divisors passed it over or
-its reducer, the shifted tail as records of the same table (the reused
-multiples of F4's symbolic preprocessing, Faugere, J. Pure Appl. Algebra
-139, 1999, without the matrix).  A completion only appends divisors, so
-the first divisor that divides a monomial never changes, and the records
-give every remainder and step count exactly.  No table outlives its
-completion: neither the memo nor a ``ReducedGB`` holds one.
-
-Completion is budgeted: the number of S-polynomial reductions is capped,
-and the engine fails loudly when the cap is hit rather than spinning.
+Inside the kernel a monomial is one int (``_Packing``, the packed exponent
+vectors of Monagan & Pearce, CASC 2007): the entries of its
+``descending_key``, each in a field of fixed width under a guard bit.  Int
+order is the pop order, a product one add, divisibility one subtraction and
+one mask, and a field that outgrows its width flips its guard bit; the work
+is then redone at twice the width (``_packed``), the same pairs in the same
+order, so no overflow wraps or changes a result.  Each completion keeps one
+table of monomial records, keyed by the packed monomial, shared by its
+reductions and dropped when it returns: how many divisors passed a monomial
+over, or its reducer, the shifted tail as records of the same table (the
+reused multiples of F4's symbolic preprocessing, Faugere, J. Pure Appl.
+Algebra 139, 1999, without the matrix).  A completion only appends
+divisors, so the records give every remainder and step count exactly.
 
 ``engine_context`` opens an engine context for the current thread or task
 (a ``ContextVar``), the one place that holds the budgets: the step limit
-of every completion, the candidate budget of the regular-element search
-(read through ``search_budget``), and the memo, the engine's one store
-of results (an ``Ideal`` stores none), which only ``_memoized`` reads and
-writes.  A key names what is stored, not the route that built it: a
-reduced basis is keyed by its ideal's ring (order included) and ordered
-generator terms, so a chain ideal from ``_extend`` and an ``Ideal`` with
-the same generators share one entry; ``saturate``'s results sit under
-"saturate" and ``is_nonzerodivisor``'s decisions under "regular", with
-the ring and both generator lists, ``ideal_intersect``'s,
-``ideal_quotient``'s and ``ideal_quotient_ideal``'s answers under
-"intersect", "quotient" and "colon", keyed the same way, and
-``_tag_ring``'s tagged rings under "tag ring", with the ring and the
-number of tags; no tagged basis is stored.  Outside any context the
-budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored, so
-every read of a basis completes it again; ``grade``,
-``verify_grade_witness``, ``replay_regular_sequence``, ``icm_report`` and
-``run_suite``, which read one basis many times, open a default context
-when none is open (``_in_engine_context``).  The memo
-and the step limit share the context's lifetime, so no basis is handed
-out under a limit or in a context other than the one that built it.
+of every completion (hit, it raises rather than spins), the candidate
+budget of the regular-element search (``search_budget``), and the memo,
+the engine's one store of results (an ``Ideal`` stores none), which only
+``_memoized`` reads and writes.  A key names what is stored, not the route
+that built it: a reduced basis is keyed by its ideal's ring (order
+included) and ordered generator terms, so a chain ideal from ``_extend``
+and an ``Ideal`` with the same generators share one entry; ``saturate``'s
+results sit under "saturate", ``is_nonzerodivisor``'s decisions under
+"regular", ``ideal_intersect``'s, ``ideal_quotient``'s and
+``ideal_quotient_ideal``'s answers under "intersect", "quotient" and
+"colon", each with the ring and both generator lists, and ``_tag_ring``'s
+rings under "tag ring"; no tagged basis is stored.  Outside any context
+the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
+stored; ``grade``, ``verify_grade_witness``, ``replay_regular_sequence``,
+``icm_report`` and ``run_suite``, which read one basis many times, open a
+default context when none is open (``_in_engine_context``).  No basis is
+handed out under a limit or in a context other than the one that built it.
 
 A tagged ring k[tags, ring] (``_tag_ring``) has one way in,
 ``_eliminate_tag``: one completion that starts from a Groebner basis with
 its pairs settled and adds the kernel's work dicts, and whose tag-free
 elements, the tags sliced off, generate the answer.  The settled basis is
-J's reduced grevlex basis in the kernel form it carries (its grevlex
-twin's in another ring), times a tag monomial (``_lift_divisors``): if G
-is a Groebner basis of J, t*G is one of t*J (the incremental step of
-Gebauer-Moeller, J. Symb. Comp. 6, 1988), since the order compares
-multiples of one tag monomial by its grevlex tail block.  So a cap b
-settles t*G_a and adds (1 - t)*g for each generator g of b, and (J : f)
-divides the generators of J cap <f> by f.  With I = <g_1, ..., g_s> and
-its generic element f_y = sum y^(i-1) * g_i, read off I's generator terms
-(``_generic_terms``), (J : I^infinity) = (J + <1 - t*f_y>) cap k[x], t and
-y eliminated together, is one completion, whose one builder is
-``saturate``, and (J : I) = (J*R[y] : f_y) cap R is one colon by f_y in
-R[y] and one elimination of y; for s = 1, f_y = g_1 and no y is added.
-A grade chain's J + <x> (``_extend``) gets its grevlex basis the same
-way, from J's with x the one new generator, when the chain ideal is built.
-Whether f divides zero on R/J is decided by ``is_nonzerodivisor``, the
-saturation's completion for 1 - t*f stopped at the first element it adds
-with a t-free leading monomial: that element lies in (J : f^infinity) and
-not in J.
+J's reduced grevlex basis (its grevlex twin's in another ring) times a tag
+monomial (``_lift_divisors``): if G is a Groebner basis of J, t*G is one of
+t*J (the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988), as
+the order compares multiples of one tag monomial by its grevlex tail
+block.  So a cap b settles t*G_a and adds (1 - t)*g for each generator g of
+b, and (J : f) divides the generators of J cap <f> by f.  With I = <g_1,
+..., g_s> and its generic element f_y = sum y^(i-1) * g_i
+(``_generic_terms``), (J : I^infinity) = (J + <1 - t*f_y>) cap k[x] is one
+completion, and (J : I) = (J*R[y] : f_y) cap R one colon by f_y in R[y] and
+one elimination of y; for s = 1 no y is added.  A grade chain's J + <x>
+(``_extend``) gets its grevlex basis from J's with x the one new generator.
+``is_nonzerodivisor`` runs the saturation's completion for 1 - t*f and
+stops at the first element with a t-free leading monomial: it lies in
+(J : f^infinity) and not in J.
 """
 from __future__ import annotations
 
@@ -98,11 +78,11 @@ from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from heapq import heapify, heappop, heappush
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from math import gcd, lcm as integer_lcm
-from operator import add, neg, sub
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -128,10 +108,6 @@ from .ring_core import (
 
 STEP_LIMIT = 100_000  # S-pair reductions per completion outside any context
 SEARCH_BUDGET = 200  # regular-element candidates per search outside any context
-
-# bit k stands for variable k in a support mask; 63 bits keep every mask a
-# machine-word sum, and variables past them get no bit (the filter weakens)
-_BITS = tuple(1 << k for k in range(63))
 
 
 class _Engine(NamedTuple):
@@ -214,122 +190,191 @@ def _integral(terms: Sequence[tuple], p: int) -> tuple:
     return tuple((m, c.numerator * (v // c.denominator)) for m, c in terms), v
 
 
-def _divisor(terms: tuple) -> tuple:
-    """The kernel's view of a divisor given by its integer terms."""
-    ltm, lc = terms[0]
-    return ltm, sum(ltm), lc, terms[1:], sum(compress(_BITS, ltm))
+class _Overflow(Exception):
+    """A packed monomial outgrew its fields; ``_packed`` redoes the work wider."""
+
+
+class _Packing:
+    """The monomials of one ring as ints at one field width w (Monagan &
+    Pearce, CASC 2007).  P(m) holds the entries of ``descending_key(m)``,
+    the first one highest, each in w bits under a guard bit; an entry that
+    is negated (a degree, a lex exponent) is stored complemented, guard bit
+    set, so every field is non-negative.  Then int order is key order,
+    P(a*b) = P(a) + P(b) - P(1) whenever no field overflows, and an overflow
+    flips its field's guard bit.  A variable's exponent field is the last
+    entry it enters, of sign ``flip``; a degree is at most ``top``."""
+
+    __slots__ = ("width", "top", "one", "vecs", "shifts", "flip", "guard", "ok", "fill", "emask", "nzbase")
+
+    def __init__(self, order: TermOrder, n: int, width: int):
+        key = order.descending_key
+        # the key entries each variable enters, as (entry, sign)
+        units = [list(compress(enumerate(u), u)) for u in (key((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n))]
+        at = [(width + 1) * k for k in range(len(key((0,) * n)) - 1, -1, -1)]  # each entry's shift
+        low = sum(1 << s for s in at)
+        self.width, self.top, self.guard = width, (1 << width) - 1, low << width
+        self.fill = self.guard - low  # top in every field
+        self.vecs = tuple(sum(e << at[k] for k, e in u) for u in units)  # P(x_i) - P(1)
+        self.one = sum(((2 << width) - 1) << at[k] for k in {k for u in units for k, e in u if e < 0})
+        self.shifts, self.flip = tuple(at[u[-1][0]] for u in units), units[0][-1][1]
+        self.ok = self.one & self.guard  # the guard bits of every valid P
+        self.emask = sum(1 << (s + width) for s in self.shifts)
+        efill = sum(self.top << s for s in self.shifts)
+        self.nzbase = efill if self.flip > 0 else self.one + efill
+
+    def pack(self, m: Monomial) -> int:
+        return self.one + sum(map(mul, m, self.vecs))
+
+    def unpack(self, packed: int) -> Monomial:
+        x, full = packed if self.flip > 0 else ~packed, (2 << self.width) - 1
+        return tuple([(x >> s) & full for s in self.shifts])
+
+    def work(self, work: dict) -> dict:
+        """``work`` with its monomials packed; _Overflow for a degree past ``top``."""
+        one, vecs, top, out = self.one, self.vecs, self.top, {}
+        for m, c in work.items():
+            if sum(m) > top:
+                raise _Overflow
+            out[one + sum(map(mul, m, vecs))] = c
+        return out
+
+
+# a layout, not a result, so built once per process and shared by every context
+_packing = lru_cache(maxsize=256)(_Packing)
+
+
+def _width(degree: int) -> int:
+    """The width a completion starts at for works of total degree ``degree``."""
+    return max(5, (4 * degree).bit_length())
+
+
+def _packed(ring: RingDescriptor, works: Sequence[dict], settled: Optional[tuple], run: Callable):
+    """``run(packing, works, divisors)`` with the work dicts ``works`` packed
+    and the kernel divisors of ``settled`` (a basis and the tag monomial it
+    is multiplied by, ``_lift_divisors``), if any, at the basis' width, else
+    ``_width``'s; redone at twice the width while a monomial overflows,
+    which changes no order, so no result."""
+    width = settled[0]._packing.width if settled else _width(max(map(sum, chain.from_iterable(works)), default=0))
+    pk = settled[0]._packing if settled and settled[0].ring is ring else _packing(ring.order, ring.nvars, width)
+    while True:
+        try:
+            divs = _lift_divisors(*settled, pk) if settled else ()
+            return run(pk, [pk.work(w) for w in works], divs)
+        except _Overflow:
+            pk = _packing(ring.order, ring.nvars, 2 * pk.width)
+
+
+def _divisor(terms: Sequence[tuple], pk: _Packing, lm: Optional[Monomial] = None) -> tuple:
+    """The kernel's view (``_lead``) of a divisor given by packed integer terms."""
+    plm, lc = terms[0]
+    return _lead(plm, lc, tuple([(m - plm, c) for m, c in islice(terms, 1, None)]) if len(terms) > 1 else (), pk, lm)
+
+
+def _lead(plm: int, lc: int, tail: tuple, pk: _Packing, lm: Optional[Monomial] = None) -> tuple:
+    """``(h, lc, tail, plm, nonzero-field mask, lm)`` for packed leading
+    monomial ``plm`` (``lm`` unpacked) and tail ``(P(m) - plm, c)``: lm | m
+    exactly when ``h - flip * P(m)`` sets no exponent guard bit."""
+    x = pk.flip * plm
+    return x + pk.fill, lc, tail, plm, (x + pk.nzbase) & pk.emask, lm or pk.unpack(plm)
+
+
+def _full(d: tuple) -> tuple:
+    """A kernel divisor's packed terms."""
+    plm = d[3]
+    return ((plm, d[1]),) + tuple((plm + off, c) for off, c in d[2])
 
 
 def _work(g: Polynomial, p: int) -> dict:
-    """A nonzero g as a work dict of the kernel: its residues over GF(p),
-    its numerators over the lcm of the denominators over QQ."""
+    """A nonzero g as a kernel work dict: residues, or numerators over the lcm of the denominators."""
     return dict(g.terms if p else _integral(g.terms, 0)[0])
 
 
-def _lift_divisors(divs: Sequence[tuple], head: Monomial) -> tuple:
-    """Kernel divisors over a ring's variables times the tag monomial
-    ``head`` (zeros for a saturation, t for an intersection), as divisors
-    over k[tags, ring] (``_tag_ring``): each monomial prefixed by ``head``,
-    each degree raised by head's, and each mask shifted past the tags' bits,
-    cut to ``_BITS`` and joined with head's; the tuples ``_divisor`` builds
-    from the lifted basis.  Head times a grevlex basis of J is a Groebner
-    basis of head * J, as the order compares multiples of one tag monomial
-    by its grevlex tail block."""
-    ntags, hdeg = len(head), sum(head)
-    hmask = sum(compress(_BITS, head))
-    keep = (1 << len(_BITS)) - 1
-    return tuple(
-        (head + ltm, deg + hdeg, lc, tuple((head + m, c) for m, c in tail), (mask << ntags) & keep | hmask)
-        for ltm, deg, lc, tail, mask in divs
-    )
+def _lift_divisors(gb: "ReducedGB", head: Monomial, pk: _Packing) -> tuple:
+    """The kernel divisors of ``gb`` times the tag monomial ``head`` (zeros
+    for a saturation, t for an intersection, none for the ring itself),
+    packed by ``pk``.  Where ``pk`` packs the ring's variables as ``gb``
+    does, as a grevlex tail block at the same width does, that adds P(head)
+    - P(1) to each leading monomial and keeps the tails; else every monomial
+    is packed again."""
+    src = gb._packing
+    if pk is src:
+        return gb._divisors
+    if pk.vecs[len(head) :] != src.vecs:
+        # pk is at least as wide as src, so a lifted field overflows into its guard bit
+        lifted = [[(pk.pack(head + src.unpack(m)), c) for m, c in _full(d)] for d in gb._divisors]
+        if any(m & pk.guard != pk.ok for terms in lifted for m, _ in terms):
+            raise _Overflow
+        return tuple(_divisor(terms, pk) for terms in lifted)
+    shift = pk.pack(head + (0,) * len(src.vecs)) - src.one
+    return tuple(_lead(d[3] + shift, d[1], d[2], pk, head + d[5]) for d in gb._divisors)
 
 
-def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dict] = None) -> tuple:
-    """The division kernel: the completion's reductions, ``normal_form`` and
-    the exponent loop of ``saturate``.
+def _reduce(work: dict, divs: Sequence[tuple], p: int, pk: _Packing, table: Optional[dict] = None) -> tuple:
+    """The division kernel.  ``work`` (f) maps packed monomials to integer
+    coefficients; ``divs`` holds the divisors d_i as ``_divisor`` builds
+    them, monic over GF(p).  Returns ``(r, scale)`` with scale * f =
+    sum(q_i * d_i) + r over the integers (modulo p over GF(p), r reduced),
+    r's terms packed and sorted decreasing; the scale is 1 over GF(p).
+    Raises ``_Overflow`` for a monomial that outgrows the packing.
 
-    ``work`` (f) maps monomials to integer coefficients; ``divs`` holds one
-    ``(leading monomial, its degree, leading coefficient, tail terms,
-    support mask)`` per divisor d_i, monic over GF(p), as ``_divisor``
-    builds it.  Returns ``(r, scale)`` with scale * f = sum(q_i * d_i) + r
-    over the integers (modulo p over GF(p), r reduced) for some q_i, r's
-    terms sorted decreasing; the scale is 1 over GF(p).
+    ``table`` maps each packed monomial met to its record ``[P,
+    coefficient, n, step]``: the coefficient while queued (0 once
+    cancelled), else None; n divisors known not to divide it; and None
+    until a divisor is found, then ``(lc, shifted tail, tail)`` of the
+    first, the shifted tail as records of the same table.  ``_grow`` passes
+    one table to all of its reductions: a completion only appends to
+    ``divs``, so the first divisor that divides a monomial never changes,
+    and one no divisor divided is tested only against ``divs[n:]``.  Other
+    callers get a fresh table; none outlives its completion.
 
-    ``table`` maps each monomial the kernel has met to its record ``[key,
-    monomial, coefficient, n, step]``: the ``TermOrder.descending_key``,
-    computed once; the work coefficient while the record is queued (0 once
-    cancelled), else None; ``n``, the number of divisors known not to
-    divide the monomial; and ``step``, None until a divisor is found, then
-    ``(leading coefficient, shifted tail, tail)`` of the first one, the
-    shifted tail as records of the same table.  A completion (``_grow``)
-    passes one table to all of its reductions, so a monomial met again is
-    neither scanned against the divisors that passed it over nor shifted
-    again.  This is exact because a completion only appends to ``divs``:
-    the first divisor that divides a monomial never changes, and one that
-    no divisor divided is scanned only against ``divs[n:]``; the divisor
-    chosen, the remainder and the step count are the same as with a fresh
-    table.  ``normal_form`` and the autoreduction pass a different divisor
-    list on each call, so they get a fresh table, as does each reduction of
-    the exponent loop; a table never outlives its completion, and neither
-    the memo nor a ``ReducedGB`` holds one.
-
-    The work is a heap of queued records; a step adds only terms below the
-    one it consumes, so r comes out already sorted, and a term cancelled
-    to zero stays queued with coefficient 0 and is skipped when popped.
-    Keys are distinct, one record per monomial, and a record is queued at
-    most once, so no comparison goes past the key.  One step serves both
-    fields: against leading coefficient lc it consumes c * x^a, with g the
-    gcd of lc and c given lc's sign, by scaling the queued coefficients by
-    lc/g > 0 and subtracting (c/g) * x^a/lm * tail, the field step times a
-    unit, so which divisor acts on which monomial is exactly as in the
-    field algorithm; lc = 1, as over GF(p), scales nothing.  GF(p) sums are
-    left unreduced, and a popped coefficient is reduced modulo p once,
-    before its zero test.  Emitted remainder terms keep the running scale
-    at their emission and get the missing factor once, at the end; the
-    scale only grows, so it ends at 1 only when no step scaled.
-
-    A popped monomial's support mask is taken once; a divisor whose mask has
-    a bit outside it cannot divide, and is passed over before the exponent
-    comparison.  The filter only rejects non-divisors, so the first divisor
-    that divides is the same with it as without.
+    The work is a heap of packed monomials; a step adds only terms below the
+    one it consumes, so r comes out sorted, and a term cancelled to zero is
+    skipped when popped.  Against leading coefficient lc a step consumes c *
+    x^a, with g the gcd of lc and c given lc's sign, by scaling the queued
+    coefficients by lc/g > 0 and subtracting (c/g) * x^a/lm * tail, the
+    field step times a unit, so which divisor acts on which monomial is the
+    field algorithm's; lc = 1, as over GF(p), scales nothing.  A popped
+    GF(p) coefficient is reduced once, before its zero test.  Emitted terms
+    keep the running scale and get the missing factor at the end.  A shifted
+    term, P(x^a) + P(m) - P(lm), has its guard bits read on entering the table.
     """
     if table is None:
         table = {}
+    flip, emask, guard, ok = pk.flip, pk.emask, pk.guard, pk.ok
     heap = []
     for m, c in work.items():
         rec = table.get(m)
         if rec is None:
-            rec = table[m] = [dkey(m), m, c, 0, None]
+            if m & guard != ok:
+                raise _Overflow
+            table[m] = [m, c, 0, None]
         else:
-            rec[2] = c
-        heap.append(rec)
+            rec[1] = c
+        heap.append(m)
     heapify(heap)
     ndivs = len(divs)
     emitted, scales = [], []  # remainder terms, the running scale at each emission
     scale = 1
     while heap:
-        rec = heappop(heap)
-        c = rec[2]
-        rec[2] = None
+        mono = heappop(heap)
+        rec = table[mono]
+        c = rec[1]
+        rec[1] = None
         if p:
             c %= p  # the one reduction of a GF(p) coefficient, at its pop
         if not c:
             continue  # cancelled after it was queued
-        mono = rec[1]
-        step = rec[4]
+        step = rec[3]
         if step is None:
-            n = rec[3]
+            n = rec[2]
+            if n < ndivs:
+                probe = flip * mono
+                for h, lc, tail, _, _, _ in islice(divs, n, None) if n else divs:
+                    if not (h - probe) & emask:
+                        break
+                else:
+                    rec[2] = n = ndivs
             if n == ndivs:
-                emitted.append((mono, c))
-                scales.append(scale)
-                continue
-            deg = sum(mono)
-            outside = ~sum(compress(_BITS, mono))
-            for ltm, ltdeg, lc, tail, mask in islice(divs, n, None) if n else divs:
-                if ltdeg <= deg and not mask & outside and all(map(int.__le__, ltm, mono)):
-                    break
-            else:
-                rec[3] = ndivs
                 emitted.append((mono, c))
                 scales.append(scale)
                 continue
@@ -343,35 +388,36 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dic
             s = lc // g
             if s != 1:
                 scale *= s
-                for r2 in heap:
-                    r2[2] *= s
+                for m in heap:
+                    table[m][1] *= s
         if step is None:
             # the first step on this monomial shifts the tail as it applies it
-            shift = tuple(map(sub, mono, ltm))
             shifted = []
-            for m2, c2 in tail:
-                m = tuple(map(add, shift, m2))
+            for off, c2 in tail:
+                m = mono + off
                 r2 = table.get(m)
                 if r2 is None:
-                    r2 = table[m] = [dkey(m), m, q * c2, 0, None]
-                    heappush(heap, r2)
+                    if m & guard != ok:
+                        raise _Overflow
+                    r2 = table[m] = [m, q * c2, 0, None]
+                    heappush(heap, m)
                 else:
-                    old = r2[2]
+                    old = r2[1]
                     if old is None:
-                        r2[2] = q * c2
-                        heappush(heap, r2)
+                        r2[1] = q * c2
+                        heappush(heap, m)
                     else:
-                        r2[2] = old + q * c2
+                        r2[1] = old + q * c2
                 shifted.append(r2)
-            rec[4] = lc, shifted, tail
+            rec[3] = lc, shifted, tail
         else:
             for r2, (_, c2) in zip(shifted, tail):
-                old = r2[2]
+                old = r2[1]
                 if old is None:
-                    r2[2] = q * c2
-                    heappush(heap, r2)
+                    r2[1] = q * c2
+                    heappush(heap, r2[0])
                 else:
-                    r2[2] = old + q * c2
+                    r2[1] = old + q * c2
     if scale != 1:
         emitted = [(m, c * (scale // s)) for (m, c), s in zip(emitted, scales)]
     return tuple(emitted), scale
@@ -379,13 +425,9 @@ def _reduce(work: dict, divs: Sequence[tuple], p: int, dkey, table: Optional[dic
 
 def divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """The exact quotient f / g by a nonzero g; raises ``EngineError`` when
-    g does not divide f.
-
-    Long division by g alone, largest term first.  {g} is a Groebner basis
-    of <g>, so g divides f exactly when every leading term met on the way
-    is a multiple of g's; the first that is not would stay in a nonzero
-    remainder.  The quotient's terms come out already sorted.
-    """
+    g does not divide f.  Long division by g alone, largest term first: {g}
+    is a Groebner basis of <g>, so g divides f exactly when every leading
+    term met on the way is a multiple of g's."""
     _same_ring(f, g)
     if g.is_zero:
         raise ZeroElementError("cannot divide by the zero polynomial")
@@ -406,21 +448,17 @@ class ReducedGB:
     """The reduced monic Groebner basis of an ideal, sorted by increasing
     leading monomial.  Unique per (ideal, term order).
 
-    ``steps`` is the number of S-pair reductions the completion that built
-    it took.  It depends on the route (generators, settled prefix), not only
-    on the ideal, so it is not part of equality; the memo keeps the first
-    route's, which met the step limit of the context that stores it.
-    ``_divisors``, the basis as the division kernel views it, is the form
-    its completion ended with; it is not part of equality either.
+    ``steps``, the S-pair reductions of the completion that built it,
+    depends on the route (generators, settled prefix), so it is not part of
+    equality; the memo keeps the first route's, which met the step limit of
+    the context that stores it.  Nor is ``_divisors``, the kernel form its
+    completion ended with, packed by ``_packing``.
     """
 
-    __slots__ = ("ring", "basis", "steps", "_divisors")
+    __slots__ = ("ring", "basis", "steps", "_divisors", "_packing")
 
-    def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...], steps: int, divs: tuple):
-        self.ring = ring
-        self.basis = basis
-        self.steps = steps
-        self._divisors = divs
+    def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...], steps: int, divs: tuple, pk: _Packing):
+        self.ring, self.basis, self.steps, self._divisors, self._packing = ring, basis, steps, divs, pk
 
     @property
     def is_unit_ideal(self) -> bool:
@@ -457,11 +495,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a - b
 
 
-def _monic(ltm: Monomial, lc: int, tail: tuple, p: int) -> tuple:
-    """A normalized basis element as the monic terms of the field."""
-    if p:
-        return ((ltm, 1),) + tail
-    return ((ltm, Fraction(1)),) + tuple((m, Fraction(c, lc)) for m, c in tail)
+def _monic(d: tuple, p: int, pk: _Packing) -> tuple:
+    """A normalized kernel divisor as the monic terms of the field."""
+    _, lc, tail, plm, _, lm = d
+    unpack = pk.unpack
+    return ((lm, 1 if p else Fraction(1)),) + tuple([(unpack(plm + o), c if p else Fraction(c, lc)) for o, c in tail])
 
 
 def _normalize(terms: tuple, p: int) -> tuple:
@@ -476,43 +514,30 @@ def _normalize(terms: tuple, p: int) -> tuple:
     return tuple((m, c // content) for m, c in terms)
 
 
-def _s_pair(lcm: Monomial, a: tuple, b: tuple) -> dict:
-    """The work of the S-pair of divisors ``a`` and ``b``: with g the gcd of
-    their leading coefficients, (lc_b/g) * lcm/lm_a * a - (lc_a/g) * lcm/lm_b * b,
-    whose leading terms cancel, so only the tails enter.  Over GF(p) both
-    cofactors are 1, and ``_reduce`` reduces the sums, 0 included."""
-    lta, _, ca, taila, _ = a
-    ltb, _, cb, tailb, _ = b
-    g = gcd(ca, cb)
-    fa, fb = cb // g, ca // g
-    shift = tuple(map(sub, lcm, lta))
-    work = {tuple(map(add, shift, m)): fa * c for m, c in taila}
-    shift = tuple(map(sub, lcm, ltb))
-    for m2, c2 in tailb:
-        m = tuple(map(add, shift, m2))
+def _s_pair(lcm: int, a: tuple, b: tuple) -> dict:
+    """The work of the S-pair of divisors ``a`` and ``b``, packed lcm ``lcm``:
+    with g the gcd of their leading coefficients, (lc_b/g) * lcm/lm_a * a -
+    (lc_a/g) * lcm/lm_b * b, whose leading terms cancel, so only tails enter."""
+    g = gcd(a[1], b[1])
+    fa, fb = b[1] // g, a[1] // g
+    work = {lcm + off: fa * c for off, c in a[2]}
+    for off, c2 in b[2]:
+        m = lcm + off
         work[m] = work.get(m, 0) - fb * c2
     return work
 
 
-def buchberger(
-    generators: Iterable[Polynomial], *, ring: Optional[RingDescriptor] = None
-) -> ReducedGB:
+def buchberger(generators: Iterable[Polynomial], *, ring: Optional[RingDescriptor] = None) -> ReducedGB:
     """Complete ``generators`` to the reduced Groebner basis under the ring's
     term order.
 
     The number of S-polynomial reductions is bounded by the step limit in
     force (the engine context's, else ``STEP_LIMIT``); exceeding it raises
     StepLimitExceededError.  Inside an engine context the result is
-    memoized by (ring, ordered generator terms), the key of every stored
-    basis, whichever route built it.
-
-    The working basis is term tuples with integer coefficients, reduced by
-    the kernel ``_reduce``: monic residues over GF(p), primitive integer
-    polynomials with a positive leading coefficient over QQ.  Each is a
-    unit multiple of the monic basis element the field algorithm keeps, so
-    the leading monomials, the pairs reduced and ``steps`` are the field
-    algorithm's.  The reduced basis is made monic, with ``Fraction``
-    coefficients over QQ, only when it leaves.
+    memoized by (ring, ordered generator terms), whichever route built it.
+    Each working basis element is a unit multiple of the monic one the field
+    algorithm keeps, so the leading monomials, the pairs reduced and
+    ``steps`` are the field algorithm's.
     """
     gens = list(generators)
     if ring is None:
@@ -520,70 +545,51 @@ def buchberger(
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = gens[0].ring
     for g in gens:
-        if g.ring != ring:
+        if g.ring is not ring and g.ring != ring:
             raise IncompatibleRingError("generator outside the target ring")
-    return _memoized((ring, _terms(gens)), lambda: _complete(ring, gens, ()))
+    return _memoized((ring, _terms(gens)), lambda: _complete(ring, gens, None))
 
 
-def _complete(ring: RingDescriptor, gens: Sequence, settled: tuple) -> ReducedGB:
-    """The completion of ``buchberger`` on ``settled`` + ``gens`` with
-    ``settled`` a Groebner basis already, given in kernel form
-    (``ReducedGB._divisors``, lifted by ``_lift_divisors`` into a tagged
-    ring): the pairs inside it are never formed, so never pending, and the
-    chain criterion stays sound.  A generator is a ``Polynomial``
-    (``buchberger``, a chain's x), converted by ``_work``, or a work dict
-    of the kernel (``_eliminate_tag``).  It reads only the step limit; its
-    callers memoize."""
+def _complete(ring: RingDescriptor, gens: Sequence, settled: Optional[tuple]) -> ReducedGB:
+    """The completion of ``buchberger`` on ``gens``, each a ``Polynomial`` or
+    a work dict of the kernel, from ``settled``, a basis and the tag monomial
+    it is multiplied by (``_lift_divisors``), or None: a Groebner basis
+    already, so the pairs inside it are never formed, and the chain
+    criterion stays sound.  It reads only the step limit; callers memoize."""
     p = ring.field.characteristic
-    dkey = ring.order.descending_key
-    works = [g if isinstance(g, dict) else _work(g, p) for g in gens if g]
-    divs: List[tuple] = []  # the working basis, as the kernel views it
-    steps = _grow(ring, works, settled, divs)
 
-    # minimal basis: scan by increasing leading monomial, drop dominated ones;
-    # leading monomials are distinct, each one reduced by those before it
-    minimal: List[tuple] = []
-    for d in sorted(divs, key=lambda d: dkey(d[0]), reverse=True):
-        lm, deg, _, _, mask = d
-        outside = ~mask
-        if any(
-            k[1] <= deg and not k[4] & outside and all(map(int.__le__, k[0], lm))
-            for k in minimal
-        ):
-            continue
-        minimal.append(d)
+    def complete(pk: _Packing, works: List[dict], settled: tuple) -> ReducedGB:
+        flip, emask = pk.flip, pk.emask
+        divs: List[tuple] = []  # the working basis, as the kernel views it
+        steps = _grow(pk, works, settled, divs, p)
+        # minimal basis: scan by increasing leading monomial, drop dominated ones
+        minimal: List[tuple] = []
+        for d in sorted(divs, key=itemgetter(3), reverse=True):
+            probe = flip * d[3]
+            if all((k[0] - probe) & emask for k in minimal):
+                minimal.append(d)
+        # full autoreduction; leading terms are pairwise non-dividing so they survive
+        for idx in range(len(minimal)):
+            others = minimal[:idx] + minimal[idx + 1 :]
+            if others:
+                r = _reduce(dict(_full(minimal[idx])), others, p, pk)[0]
+                minimal[idx] = _divisor(_normalize(r, p), pk, minimal[idx][5])
+        # minimal is ascending in the order and autoreduction keeps leading terms
+        basis = tuple(Polynomial(ring, _monic(d, p, pk)) for d in minimal)
+        return ReducedGB(ring, basis, steps, tuple(minimal), pk)
 
-    # full autoreduction; leading terms are pairwise non-dividing so they survive
-    for idx in range(len(minimal)):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        if others:
-            ltm, _, lc, tail, _ = minimal[idx]
-            r = _reduce(dict(((ltm, lc),) + tail), others, p, dkey)[0]
-            minimal[idx] = _divisor(_normalize(r, p))
-
-    # minimal is ascending in the order and autoreduction keeps leading terms
-    basis = tuple(Polynomial(ring, _monic(ltm, lc, tail, p)) for ltm, _, lc, tail, _ in minimal)
-    return ReducedGB(ring, basis, steps, tuple(minimal))
+    return _packed(ring, [g if isinstance(g, dict) else _work(g, p) for g in gens if g], settled, complete)
 
 
-def _grow(
-    ring: RingDescriptor,
-    works: Sequence[dict],
-    settled: Sequence[tuple],
-    divs: List[tuple],
-    stop: Optional[Callable[[Monomial], bool]] = None,
-) -> Optional[int]:
-    """The pair loop of ``_complete``: appends the kernel divisors
-    ``settled``, then every nonzero remainder of the work dicts ``works``
-    (monomials to integer coefficients, any unit multiple of a generator)
-    and of the S-pairs, to ``divs`` in kernel form, and returns the number
-    of S-pair reductions, under the step limit in force.  With ``stop``
-    given, it returns None as soon as an element joins whose leading
-    monomial satisfies it.  ``divs`` is the loop's only record of a basis
-    element, and each pair's lcm rides in its heap entry."""
+def _grow(pk: _Packing, works: Sequence[dict], settled: tuple, divs: List[tuple], p: int, stop=None) -> Optional[int]:
+    """The pair loop of ``_complete`` over GF(p), or QQ for p = 0: appends
+    the kernel divisors ``settled``, then every nonzero remainder of the
+    packed work dicts ``works`` (unit multiples of generators) and of the
+    S-pairs, to ``divs``, and returns the number of S-pair reductions, under
+    the step limit in force; None as soon as an element joins whose leading
+    monomial satisfies ``stop``.  A pair's packed lcm rides in its heap entry."""
     limit = _ENGINE.get().step_limit
-    p = ring.field.characteristic
-    dkey = ring.order.descending_key
+    flip, emask, guard, ok = pk.flip, pk.emask, pk.guard, pk.ok
     divs.extend(settled)
     table: dict = {}  # the kernel's monomial records, shared by every reduction below
     pending: set = set()
@@ -591,63 +597,57 @@ def _grow(
 
     def add_poly(terms: tuple) -> bool:
         """Adds a basis element; True when ``stop`` holds for it."""
-        new = _divisor(terms)
-        j, ltj, degj = len(divs), new[0], new[1]
-        for i, (lti, degi, _, _, _) in enumerate(divs):
-            lcm = monomial_lcm(lti, ltj)
-            deg = sum(lcm)
-            if deg == degi + degj:
-                # coprime leading terms: the S-polynomial reduces to zero
-                continue
+        new = _divisor(terms, pk)
+        j, nzj, ltj = len(divs), new[4], new[5]
+        for i, d in enumerate(divs):
+            if not d[4] & nzj:
+                continue  # coprime leading terms: the S-polynomial reduces to zero
+            lcm = tuple(map(max, d[5], ltj))
+            plcm = pk.pack(lcm)
+            if plcm & guard != ok:
+                raise _Overflow
             pending.add((i, j))
-            # one flat entry per pair: pairs pop by lcm degree, then by
-            # increasing lcm in the term order (the negated descending key);
-            # no two entries share (i, j), so the lcm is never compared
-            heappush(heap, (deg, *map(neg, dkey(lcm)), i, j, lcm))
+            # pairs pop by lcm degree, then by increasing lcm in the term
+            # order (decreasing P); no two entries share (i, j)
+            heappush(heap, (sum(lcm), -plcm, i, j))
         divs.append(new)
         return stop is not None and stop(ltj)
 
     for work in works:
-        r = _reduce(work, divs, p, dkey, table)[0]
+        r = _reduce(work, divs, p, pk, table)[0]
         if r and add_poly(_normalize(r, p)):
             return None
 
     steps = 0
     while heap:
-        pair = heappop(heap)
-        deg, i, j, lcm = pair[0], pair[-3], pair[-2], pair[-1]
+        _, plcm, i, j = heappop(heap)
         pending.remove((i, j))
-        outside = ~(divs[i][4] | divs[j][4])  # the lcm's support is the union
-        chained = False
-        for t, (ltt, degt, _, _, mask) in enumerate(divs):
-            if t == i or t == j:
-                continue
-            if degt <= deg and not mask & outside and all(map(int.__le__, ltt, lcm)):
+        probe = -flip * plcm  # plcm is stored negated
+        # the chain criterion, newest divisor first: it only asks whether
+        # some t has lm_t | lcm and both companion pairs settled
+        for t in range(len(divs) - 1, -1, -1):
+            if not (divs[t][0] - probe) & emask and t != i and t != j:
                 a = (i, t) if i < t else (t, i)
                 b = (j, t) if j < t else (t, j)
                 if a not in pending and b not in pending:
-                    chained = True
                     break
-        if chained:
-            continue
-        steps += 1
-        if steps > limit:
-            raise StepLimitExceededError(
-                "Buchberger completion exceeded %d S-pair reductions; raise the "
-                "step limit if the input really is this hard" % limit
-            )
-        r = _reduce(_s_pair(lcm, divs[i], divs[j]), divs, p, dkey, table)[0]
-        if r and add_poly(_normalize(r, p)):
-            return None
+        else:
+            steps += 1
+            if steps > limit:
+                raise StepLimitExceededError(
+                    "Buchberger completion exceeded %d S-pair reductions; raise the "
+                    "step limit if the input really is this hard" % limit
+                )
+            r = _reduce(_s_pair(-plcm, divs[i], divs[j]), divs, p, pk, table)[0]
+            if r and add_poly(_normalize(r, p)):
+                return None
     return steps
 
 
 def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
     """The remainder of f on division by the reduced basis: canonical, and
-    zero exactly when f lies in the ideal.
-
-    One run of the kernel ``_reduce`` against the kernel form the basis
-    carries, so a normal form converts only f and its remainder.
+    zero exactly when f lies in the ideal.  One run of the kernel against
+    the kernel form the basis carries, converting only f and its remainder.
     """
     ring = f.ring
     if ring is not basis.ring and ring != basis.ring:
@@ -655,14 +655,15 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
     if f.is_zero or not basis.basis:
         return f
     p = ring.field.characteristic
-    dkey = ring.order.descending_key
-    if p:
-        return Polynomial(ring, _reduce(dict(f.terms), basis._divisors, p, dkey)[0])
     # w * f = sum(q_i * d_i) + r over the integers, so f's remainder is r / w
-    terms, v = _integral(f.terms, 0)
-    r, scale = _reduce(dict(terms), basis._divisors, 0, dkey)
-    w = v * scale
-    return Polynomial(ring, tuple((m, Fraction(c, w)) for m, c in r))
+    terms, v = (f.terms, 1) if p else _integral(f.terms, 0)
+
+    def reduce(pk: _Packing, works: List[dict], divs: tuple) -> tuple:
+        r, scale = _reduce(works[0], divs, p, pk)
+        w = v * scale
+        return tuple((pk.unpack(m), c if p else Fraction(c, w)) for m, c in r)
+
+    return Polynomial(ring, _packed(ring, [dict(terms)], (basis, ()), reduce))
 
 
 class Ideal:
@@ -680,7 +681,7 @@ class Ideal:
         for g in generators:
             if not isinstance(g, Polynomial):
                 raise TypeError("ideal generators must be Polynomials, got %r" % (g,))
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise IncompatibleRingError("generator outside the ideal's ring")
             if g.terms:
                 gens.append(g)
@@ -762,14 +763,12 @@ def _tag_ring(ring: RingDescriptor, ntags: int) -> RingDescriptor:
 
 
 def _eliminate_tag(ring: RingDescriptor, ntags: int, works: Sequence[dict], settled: tuple) -> Ideal:
-    """K intersect k[ring] for K = <settled, works> in k[tags, ring]
+    """K intersect k[ring] for K = <head * G, works> in k[tags, ring]
     (``_tag_ring``), the one route into a tagged ring: one ``_complete``
-    from ``settled``, a Groebner basis there in kernel form lifted by
-    ``_lift_divisors``, with the work dicts ``works`` added.  The basis is
-    not stored.  Its tag-free elements lead it and generate the answer,
-    contracted by slicing the tags off their monomials; the order compares
-    tag-free monomials by its grevlex tail block, so the terms stay sorted
-    for a grevlex ``ring`` and are sorted again for any other."""
+    from ``settled`` = (G, head), a grevlex basis times a tag monomial, with
+    the work dicts ``works`` added; the basis is not stored.  Its tag-free
+    elements lead it and, the tags sliced off, generate the answer, sorted
+    again unless ``ring`` is grevlex."""
     G = _complete(_tag_ring(ring, ntags), works, settled)
     dkey = None if ring.order.kind == GREVLEX else ring.order.descending_key
     out = []
@@ -783,20 +782,21 @@ def _eliminate_tag(ring: RingDescriptor, ntags: int, works: Sequence[dict], sett
     return Ideal(ring, out)
 
 
-def _meet(ring: RingDescriptor, seed: tuple, gens: Sequence[Polynomial]) -> Ideal:
+def _meet(ring: RingDescriptor, settled: tuple, gens: Sequence[Polynomial]) -> Ideal:
     """a cap <gens> = (t*a + (1 - t)*<gens>) cap k[ring] for the ideal a
-    with reduced grevlex basis ``seed`` in kernel form: t*seed settled, and
+    with Groebner basis head * G, ``settled`` = (G, head): t*a settled, and
     (1 - t)*g for each generator g as a work dict."""
     p = ring.field.characteristic
     # (1 - t)*g: each term c*x^m of g gives c*x^m and -c*t*x^m
     works = [{(k,) + m: -c if k else c for m, c in _work(g, p).items() for k in (0, 1)} for g in gens]
-    return _eliminate_tag(ring, 1, works, _lift_divisors(seed, (1,)))
+    seed, head = settled
+    return _eliminate_tag(ring, 1, works, (seed, (1,) + head))
 
 
-def _seed(J: Ideal) -> tuple:
-    """J's reduced grevlex basis in kernel form, its grevlex twin's in any
-    other ring: the seed of every tagged completion from J."""
-    return _grevlex_twin(J).groebner_basis()._divisors
+def _seed(J: Ideal) -> ReducedGB:
+    """J's reduced grevlex basis, its grevlex twin's in any other ring: the
+    seed of every tagged completion from J."""
+    return _grevlex_twin(J).groebner_basis()
 
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -808,14 +808,15 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
         return Ideal(a.ring, ())
     return _memoized(
         ("intersect", a.ring, _terms(a.generators), _terms(b.generators)),
-        lambda: _meet(a.ring, _seed(a), b.generators),
+        lambda: _meet(a.ring, (_seed(a), ()), b.generators),
     )
 
 
-def _colon(ring: RingDescriptor, seed: tuple, f: Polynomial) -> Ideal:
-    """(J : f) = (1/f) * (J cap <f>) for the ideal J with reduced grevlex
-    basis ``seed``: each generator of ``_meet``'s answer divided by f."""
-    return Ideal(ring, [divide(g, f) for g in _meet(ring, seed, (f,)).generators])
+def _colon(ring: RingDescriptor, settled: tuple, f: Polynomial) -> Ideal:
+    """(J : f) = (1/f) * (J cap <f>) for the ideal J with Groebner basis
+    head * G, ``settled`` = (G, head): each generator of ``_meet``'s answer
+    divided by f."""
+    return Ideal(ring, [divide(g, f) for g in _meet(ring, settled, (f,)).generators])
 
 
 def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
@@ -827,7 +828,7 @@ def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
         raise ZeroElementError("colon by the zero polynomial is undefined")
     return _memoized(
         ("quotient", J.ring, _terms(J.generators), (f.terms,)),
-        lambda: _colon(J.ring, _seed(J), f),
+        lambda: _colon(J.ring, (_seed(J), ()), f),
     )
 
 
@@ -844,11 +845,9 @@ def _generic_terms(gens: Sequence[Polynomial], head: Monomial) -> Iterator[tuple
 
 def _rabinowitsch(gens: Sequence[Polynomial]) -> dict:
     """v * (1 - t*f_y) for the generic element f_y of ``gens``
-    (``_generic_terms``) as a work dict of the kernel over k[t, (y,) ring],
-    the ``_tag_ring`` of min(s, 2) tags, with no ``Polynomial`` in between:
-    v * t*f_y is the integer form ``_integral`` gives, and v is a unit, over
-    QQ the lcm of the denominators.  The constant carries no t, so it
-    shares a monomial with no other term."""
+    (``_generic_terms``) as a work dict over k[t, (y,) ring], the
+    ``_tag_ring`` of min(s, 2) tags: v * t*f_y is the integer form
+    ``_integral`` gives, v a unit; the constant carries no t."""
     ring = gens[0].ring
     terms, v = _integral(tuple(_generic_terms(gens, (1,))), ring.field.characteristic)
     work = {(0,) * (min(len(gens), 2) + ring.nvars): v}
@@ -856,13 +855,15 @@ def _rabinowitsch(gens: Sequence[Polynomial]) -> dict:
     return work
 
 
-def _product(a: tuple, b: tuple) -> dict:
-    """The work dict of the product of two polynomials given by integer
-    terms; over GF(p) the kernel reduces the sums."""
+def _product(a: Iterable[tuple], b: tuple, one: int) -> dict:
+    """The work dict of the product of two polynomials given by packed
+    integer terms, P(1) being ``one``; over GF(p) the kernel reduces the
+    sums, and reads the guard bits of each new monomial."""
     work: dict = {}
     for m1, c1 in a:
+        m1 -= one
         for m2, c2 in b:
-            m = tuple(map(add, m1, m2))
+            m = m1 + m2
             work[m] = work.get(m, 0) + c1 * c2
     return work
 
@@ -871,13 +872,11 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     """The colon ideal (J : I) = {h : h*I inside J}.
 
     For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i
-    in one new variable y, (J : I) = (J*R[y] : f_y) cap R: h * f_y =
-    sum y^(i-1) * h*g_i lies in J*R[y] exactly when every h*g_i lies in J.
-    So it is one colon by f_y in R[y] = ``_tag_ring(ring, 1)`` and one
-    elimination of y, both from J's reduced grevlex basis lifted into R[y],
-    a Groebner basis of J*R[y]; for s = 1 it is ``ideal_quotient(J, g_1)``.
-    For s >= 2 it is memoized under "colon" with the ring and J's and I's
-    generator terms.
+    in one new variable y, (J : I) = (J*R[y] : f_y) cap R: h * f_y lies in
+    J*R[y] exactly when every h*g_i lies in J.  So it is one colon by f_y in
+    R[y] = ``_tag_ring(ring, 1)`` and one elimination of y, both from J's
+    reduced grevlex basis lifted into R[y]; for s = 1 it is
+    ``ideal_quotient(J, g_1)``, and else memoized under "colon".
     """
     _same_ring(J, I)
     gens = I.generators
@@ -887,11 +886,10 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
         return ideal_quotient(J, gens[0])
 
     def colon_ideal() -> Ideal:
-        Ry = _tag_ring(J.ring, 1)
-        seed = _lift_divisors(_seed(J), (0,))
-        colon = _colon(Ry, seed, _from_dict(Ry, dict(_generic_terms(gens, ()))))
+        Ry, settled = _tag_ring(J.ring, 1), (_seed(J), (0,))
+        colon = _colon(Ry, settled, _from_dict(Ry, dict(_generic_terms(gens, ()))))
         p = J.ring.field.characteristic
-        return _eliminate_tag(J.ring, 1, [_work(g, p) for g in colon.generators], seed)
+        return _eliminate_tag(J.ring, 1, [_work(g, p) for g in colon.generators], settled)
 
     return _memoized(("colon", J.ring, _terms(J.generators), _terms(gens)), colon_ideal)
 
@@ -908,14 +906,18 @@ def _grevlex_twin(J: Ideal) -> Ideal:
 
 def _extend(J: Ideal, x: Polynomial) -> Ideal:
     """J + <x>, the next ideal of a chain (``grade``'s J_{k+1} = J_k + <x_k>
-    and its replay), generated by J's generators and then x.  Its grevlex
-    basis, its grevlex twin's in any other ring, is completed here from x
-    with J's (``_seed``) settled, so no pair inside J's basis is formed
-    again (the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988),
-    and stored under the key ``buchberger`` gives the twin's generators."""
+    and its replay), generated by J's generators and then x.  In an engine
+    context its grevlex basis, its grevlex twin's in any other ring, is
+    completed here from x with J's (``_seed``) settled, so no pair inside
+    J's basis is formed again (the incremental step of Gebauer-Moeller, J.
+    Symb. Comp. 6, 1988), and stored under the key ``buchberger`` gives the
+    twin's generators; outside one nothing would keep it."""
     K = Ideal(J.ring, J.generators + (x,))
-    twin = _grevlex_twin(K)
-    _memoized((twin.ring, _terms(twin.generators)), lambda: _complete(twin.ring, twin.generators[-1:], _seed(J)))
+    if _ENGINE.get().memo is not None:
+        twin = _grevlex_twin(K)
+        _memoized(
+            (twin.ring, _terms(twin.generators)), lambda: _complete(twin.ring, twin.generators[-1:], (_seed(J), ()))
+        )
     return K
 
 
@@ -924,22 +926,19 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     with (J : I^k) already equal to it; k is 0 exactly when the saturation
     is J.  The one builder of a saturation.
 
-    For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i
-    in one new variable y, (J : I^infinity) = (J*R[y] : f_y^infinity) cap R
-    over every field (Eisenbud-Huneke-Vasconcelos): f_y lies in P[y] exactly
-    when I lies in the prime P.  So the saturation is (J + <1 - t*f_y>) with
-    t and y eliminated (Rabinowitsch): J's reduced grevlex basis, settled,
-    and 1 - t*f_y as the kernel's work dict (``_rabinowitsch``).
+    For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i,
+    (J : I^infinity) = (J*R[y] : f_y^infinity) cap R over every field
+    (Eisenbud-Huneke-Vasconcelos), which is (J + <1 - t*f_y>) with t and y
+    eliminated (Rabinowitsch): J's reduced grevlex basis settled, and
+    1 - t*f_y as the kernel's work dict (``_rabinowitsch``).
 
     The exponent is the least k with I^k * sat inside J: normal forms modulo
     J of sat's generators are multiplied by each g in I and reduced again
     until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.  The loop
-    runs on the kernel's integer terms, against the same grevlex basis of J:
-    whether a product lies in J does not depend on the order, and a
-    remainder is a unit times the field's normal form, which is linear, so
-    the remainders vanish in the same round in any order and field.  Inside
-    an engine context the result is memoized under "saturate" with the ring
-    and J's and I's generator terms, the only memo of its seeded completion.
+    runs in the kernel, against the same grevlex basis of J: membership does
+    not depend on the order, and a remainder is a unit times the field's
+    linear normal form.  In an engine context the result is memoized under
+    "saturate" with the ring and J's and I's generator terms.
     """
     _same_ring(J, I)
     gens = I.generators
@@ -949,26 +948,29 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     def saturation() -> SaturationResult:
         seed = _seed(J)
         ntags = min(len(gens), 2)
-        sat = _eliminate_tag(J.ring, ntags, [_rabinowitsch(gens)], _lift_divisors(seed, (0,) * ntags))
+        sat = _eliminate_tag(J.ring, ntags, [_rabinowitsch(gens)], (seed, (0,) * ntags))
         p = J.ring.field.characteristic
-        dkey = TermOrder(GREVLEX).descending_key
 
-        def remainders(works: Iterable[dict]) -> set:
-            """The distinct nonzero remainders modulo J, normalized."""
-            out = set()
-            for work in works:
-                r = _reduce(work, seed, p, dkey)[0]
-                if r:
-                    out.add(_normalize(r, p))
-            return out
+        def rounds(pk: _Packing, works: List[dict], divs: tuple) -> int:
+            def remainders(works: Iterable[dict]) -> set:
+                """The distinct nonzero remainders modulo J, normalized."""
+                out = set()
+                for work in works:
+                    r = _reduce(work, divs, p, pk)[0]
+                    if r:
+                        out.add(_normalize(r, p))
+                return out
 
-        factors = [_integral(g.terms, p)[0] for g in gens]
-        rest = remainders(_work(s, p) for s in sat.generators)
-        exponent = 0
-        while rest:
-            rest = remainders(_product(g, h) for g in factors for h in rest)
-            exponent += 1
-        return SaturationResult(sat, exponent)
+            factors = [w.items() for w in works[: len(gens)]]
+            rest = remainders(works[len(gens) :])
+            exponent = 0
+            while rest:
+                rest = remainders(_product(g, h, pk.one) for g in factors for h in rest)
+                exponent += 1
+            return exponent
+
+        works = [dict(_integral(g.terms, p)[0]) for g in gens] + [_work(s, p) for s in sat.generators]
+        return SaturationResult(sat, _packed(seed.ring, works, (seed, ()), rounds))
 
     return _memoized(("saturate", J.ring, _terms(J.generators), _terms(gens)), saturation)
 
@@ -976,31 +978,29 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
 def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     """True when f is a nonzerodivisor on R/J, i.e. (J : f^infinity) = J.
 
-    The completion of J + <1 - t*f> that ``saturate`` runs, seeded with
-    J's reduced grevlex basis settled, decides it on its way.  Every element
-    it adds is a nonzero remainder reduced by a Groebner basis of J, so not
-    in J; one whose leading monomial is free of t is free of t (the order
-    eliminates t), so it lies in (J : f^infinity) outside J, and the
-    completion stops there with False.  When the pairs run out without
-    one, the tag-free part of the basis is J's, and the answer is True.
-    For f in J it stops at the generator, since 1 - t*f reduces to 1.  The
-    generator is the kernel's work dict (``_rabinowitsch``), and no minimal
-    basis, contraction or normal form is built.  Inside an engine
-    context the decision is memoized under "regular" with the ring and J's
-    and f's terms, read before anything is lifted; outside one it is made
-    again on every call.
+    The completion of J + <1 - t*f> that ``saturate`` runs, from J's reduced
+    grevlex basis settled, decides it on its way.  Every element it adds is
+    a nonzero remainder modulo a Groebner basis of J, so not in J; one with
+    a t-free leading monomial is t-free (the order eliminates t), so it lies
+    in (J : f^infinity) outside J, and the completion stops with False.
+    When the pairs run out without one, the answer is True; for f in J,
+    1 - t*f reduces to 1 at once.  No minimal basis, contraction or normal
+    form is built.  In an engine context the decision is memoized under
+    "regular" with the ring and J's and f's terms.
     """
     if f.ring != J.ring:
         raise IncompatibleRingError("polynomial outside the ideal's ring")
     if f.is_zero:
         raise ZeroElementError("saturation by the zero ideal is undefined")
 
-    def decide() -> bool:
-        aug, seed = _tag_ring(J.ring, 1), _lift_divisors(_seed(J), (0,))
-        return _grow(aug, [_rabinowitsch([f])], seed, [], stop=lambda lm: not lm[0]) is not None
+    def decide(pk: _Packing, works: List[dict], settled: tuple) -> bool:
+        return _grow(pk, works, settled, [], p, stop=lambda lm: not lm[0]) is not None
 
-    return _memoized(("regular", J.ring, _terms(J.generators), (f.terms,)), decide)
-
+    p = J.ring.field.characteristic
+    return _memoized(
+        ("regular", J.ring, _terms(J.generators), (f.terms,)),
+        lambda: _packed(_tag_ring(J.ring, 1), [_rabinowitsch([f])], (_seed(J), (0,)), decide),
+    )
 
 def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:
     """The extension of J to the polynomial ring with extra variables

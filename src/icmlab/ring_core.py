@@ -12,10 +12,10 @@ always the first entry and never needs a search.
 A term order has one encoding, ``TermOrder.descending_key``: a flat tuple
 of ints that sorts monomials in decreasing order, so ``sorted`` on it puts
 the leading monomial first and a ``heapq`` min-heap keyed by it pops the
-largest monomial first.  Every sort and heap of the engine reads it: the
-terms of each polynomial, the division kernel's work terms (one key per
-term, output emitted already sorted), and the S-pairs and minimal basis of
-the Groebner completion.
+largest monomial first.  Every sort of a polynomial's terms reads it, and
+the division kernel packs its entries into one int per monomial
+(``ideal_engine._Packing``), so the kernel's heap, S-pairs and minimal
+basis follow the same order with int comparisons.
 
 No floating point appears anywhere; equality of polynomials is exact.
 """

@@ -548,6 +548,28 @@ class TestMain:
             value = value * 10 ** len(digits[k : k + 4000]) + int(digits[k : k + 4000])
         assert value == a * a
 
+    def test_degrees_past_two_to_the_fifteen(self, tmp_path, capsys, monkeypatch):
+        # y^160000 outgrows the field width the kernel starts the lex
+        # completion at (fit for four times the input degree 20000), which
+        # is then redone wider; the bytes are those of exponent tuples
+        script = tmp_path / "high_degree.icm"
+        script.write_text(
+            "ring R = GF(32003)[x, y] order lex;\nideal J = x - y^8, x^20000 - 1;\ngb J;\n"
+            "ring S = QQ[a, b, c];\nideal K = a^40000*b - c, b^2 - a*c, c^3;\ngb K;\n"
+        )
+        widths = set()
+        original = ideal_engine._reduce
+        monkeypatch.setattr(ideal_engine, "_reduce", lambda *a: widths.add(a[3].width) or original(*a))
+        assert main(["run", str(script), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        want = [
+            {"args": ["J"], "basis": ["y^160000 + 32002", "x + 32002*y^8"], "query": "gb"},
+            {"args": ["K"], "basis": ["b^2 - a*c", "c^3", "a^40000*b - c", "a^40001*c - b*c"], "query": "gb"},
+        ]
+        assert captured.out == json.dumps(want, indent=2) + "\n"
+        assert {17, 34} <= widths
+
     def test_non_utf8_file_exits_1(self, tmp_path, capsys):
         script = tmp_path / "latin1.icm"
         script.write_bytes(b"# caf\xe9\n")

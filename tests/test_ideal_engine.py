@@ -4,11 +4,12 @@ import glob
 import os
 import random
 from collections import Counter
+from unittest import mock
 from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from icmlab import ideal_engine, invariants
 from icmlab.cli_app import IdealStmt, ParseError, RingStmt, execute, parse
@@ -164,9 +165,9 @@ class TestDivision:
                 assert assert_same_remainder(f, divisors) == a * s * (z - y)
 
     # One table shared by several kernel runs, divisors appended between
-    # them, as in a completion.  A record is ``[key, monomial, coefficient,
-    # n, step]``: n divisors known not to divide the monomial, and the step
-    # of the first divisor that does, once found.
+    # them, as in a completion.  A record is ``[packed monomial,
+    # coefficient, n, step]``: n divisors known not to divide the monomial,
+    # and the step of the first divisor that does, once found.
 
     def test_shared_table_matches_oracle_and_a_fresh_table(self):
         rng = random.Random(47)
@@ -186,14 +187,14 @@ class TestDivision:
                     for d in divisors[:k]:
                         f = f + random_poly(rng, R, max_terms=3) * d
                     dividends.append(f)
-                steps = {m: rec[4] for m, rec in table.items() if rec[4] is not None}
+                steps = {m: rec[3] for m, rec in table.items() if rec[3] is not None}
                 for f in dividends:
                     r = kernel_remainder(f, divisors[:k], table)
                     assert r.terms == oracles.oracle_divide(f, divisors[:k])[1].terms
                     assert r == kernel_remainder(f, divisors[:k])
-                kept += sum(table[m][4] is step for m, step in steps.items())
-                assert all(rec[2] is None for rec in table.values())  # no work left behind
-            late += sum(rec[3] > 0 and rec[4] is not None for rec in table.values())
+                kept += sum(table[m][3] is step for m, step in steps.items())
+                assert all(rec[1] is None for rec in table.values())  # no work left behind
+            late += sum(rec[2] > 0 and rec[3] is not None for rec in table.values())
         # records passed over by some divisors and reduced by a later one,
         # and steps found again after divisors were appended
         assert late >= 50 and kept >= 500, (late, kept)
@@ -203,12 +204,14 @@ class TestDivision:
         x, y = R.variable(0), R.variable(1)
         table, divisors = {}, [x**2 + y]
         assert kernel_remainder(x**2 + y**2, divisors, table) == y**2 - y
-        y2 = table[(0, 2)]
-        assert (y2[3], y2[4]) == (1, None)  # passed over by the one divisor
+        pk = packing(R)
+        y2 = table[pk.pack((0, 2))]
+        assert (y2[2], y2[3]) == (1, None)  # passed over by the one divisor
         divisors.append(y**2 - 2 * x)
         assert assert_same_remainder(y**2 + x, divisors) == 3 * x
         assert kernel_remainder(y**2 + x, divisors, table) == 3 * x
-        assert y2[4] is not None and y2[4][2] == ((x.terms[0][0], -2),)
+        # the reducer's tail, each term as its offset from the leading monomial
+        assert y2[3] is not None and y2[3][2] == ((pk.pack((1, 0)) - pk.pack((0, 2)), -2),)
 
     def test_reducer_is_kept_when_a_later_divisor_also_divides(self):
         # x*y - 1 reduces x*y first; x*y + y, appended later, has the same
@@ -217,12 +220,13 @@ class TestDivision:
         x, y = R.variable(0), R.variable(1)
         table, divisors = {}, [x * y - 1]
         assert kernel_remainder(x * y + x, divisors, table) == x + 1
-        step = table[(1, 1)][4]
+        xy = packing(R).pack((1, 1))
+        step = table[xy][3]
         divisors.append(x * y + y)
         for f in (x * y + x, x**2 * y**2 + x * y):
             want = assert_same_remainder(f, divisors)
             assert kernel_remainder(f, divisors, table) == want
-        assert table[(1, 1)][4] is step
+        assert table[xy][3] is step
 
     def test_shared_table_with_a_negative_leading_coefficient(self):
         # over QQ the divisor -2*x + y keeps lc -2 in kernel form, so every
@@ -239,7 +243,7 @@ class TestDivision:
             for f in dividends:
                 want = assert_same_remainder(f, divisors)
                 assert kernel_remainder(f, divisors, table) == want
-        assert sum(rec[4] is not None and rec[4][0] == -2 for rec in table.values()) >= 10
+        assert sum(rec[3] is not None and rec[3][0] == -2 for rec in table.values()) >= 10
 
 
 def division_rings():
@@ -253,20 +257,39 @@ def division_rings():
             yield RingDescriptor(FieldSpec(p), ("x", "y", "z", "w"), order)
 
 
+def packing(ring, width=16):
+    """The kernel's packing of ``ring``'s monomials, 16 bits a field: room
+    for every degree the division tests reach."""
+    return ideal_engine._packing(ring.order, ring.nvars, width)
+
+
+def packed(pk, terms):
+    """``terms`` with their monomials packed by ``pk``, each checked to fit."""
+    out = [(pk.pack(m), c) for m, c in terms]
+    assert all(sum(m) <= pk.top for m, _ in terms) and all(m & pk.guard == pk.ok for m, _ in out)
+    return out
+
+
+def kernel_divisors(divisors, pk):
+    """``divisors`` as the kernel views them, packed by ``pk``."""
+    p = divisors[0].ring.field.characteristic
+    return [ideal_engine._divisor(packed(pk, ideal_engine._integral(d.terms, p)[0]), pk) for d in divisors]
+
+
 def kernel_remainder(f, divisors, table=None):
     """The remainder of f by ``divisors``, tried in order, from one kernel
-    run on integer terms as ``normal_form`` makes it: w * f = sum(q_i * d_i)
-    + r over the integers, and the remainder is r / w.  ``table`` is the
-    kernel's table of monomial records, fresh when None."""
+    run on packed integer terms as ``normal_form`` makes it: w * f =
+    sum(q_i * d_i) + r over the integers, and the remainder is r / w.
+    ``table`` is the kernel's table of monomial records, fresh when None."""
     if f.is_zero:
         return f
     ring = f.ring
     p = ring.field.characteristic
-    divs = [ideal_engine._divisor(ideal_engine._integral(d.terms, p)[0]) for d in divisors]
+    pk = packing(ring)
     terms, v = ideal_engine._integral(f.terms, p)
-    r, scale = ideal_engine._reduce(dict(terms), divs, p, ring.order.descending_key, table)
+    r, scale = ideal_engine._reduce(dict(packed(pk, terms)), kernel_divisors(divisors, pk), p, pk, table)
     w = v * scale
-    return Polynomial(ring, tuple((m, c * pow(w, -1, p) % p if p else Fraction(c, w)) for m, c in r))
+    return Polynomial(ring, tuple((pk.unpack(m), c * pow(w, -1, p) % p if p else Fraction(c, w)) for m, c in r))
 
 
 def assert_same_remainder(f, divisors):
@@ -275,48 +298,93 @@ def assert_same_remainder(f, divisors):
     return r
 
 
-def support_mask(m):
-    """The support mask the kernel gives a divisor with leading monomial m."""
-    return ideal_engine._divisor(((m, 1),))[4]
-
-
 def wide_ring(p, order="grevlex"):
-    """A ring of 300 variables, most of them past the support mask's bits."""
+    """A ring of 300 variables, each packed in a field of its own."""
     return RingDescriptor(FieldSpec(p), tuple("x%d" % i for i in range(300)), TermOrder(order))
 
 
-class TestSupportMask:
-    """The kernel passes over a divisor whose leading monomial's support
-    mask has a bit outside the work monomial's.  That filter must never
-    pass over a divisor that divides, also in a ring with more variables
-    than the mask has bits."""
+ORDERS = (TermOrder("lex"), TermOrder("grevlex"), TermOrder("elimination-block", 1), TermOrder("elimination-block", 2))
 
-    @settings(max_examples=300, deadline=None)
+
+class TestPacking:
+    """Inside the kernel a monomial is one int, the entries of its
+    ``descending_key`` in fields under guard bits (``_Packing``).  Int order
+    must be the key's order, a product one add, the divisor and coprime
+    tests exact, and an overflowing field must show in its guard bit, in
+    every order, at every width, in rings of up to 300 variables."""
+
+    @staticmethod
+    def draw_packing(data):
+        n = data.draw(st.sampled_from([1, 3, 4, 63, 64, 300]), label="nvars")
+        order = data.draw(st.sampled_from([o for o in ORDERS if (o.block or 0) < n]), label="order")
+        return ideal_engine._packing(order, n, data.draw(st.integers(2, 12), label="width")), n, order
+
+    @staticmethod
+    def draw_mono(data, n, most, label):
+        # sparse exponent vectors of total degree at most ``most``, the zero
+        # vector included, and now and then all of it in one variable
+        if data.draw(st.booleans(), label=label + " is a power"):
+            return tuple(most if k == n - 1 else 0 for k in range(n))
+        exps = data.draw(st.lists(st.integers(0, n - 1), max_size=min(most, 12)), label=label)
+        return tuple(exps.count(k) for k in range(n))
+
+    @settings(max_examples=400, deadline=None)
     @given(st.data())
-    def test_never_rejects_a_dividing_leading_monomial(self, data):
-        nbits = len(ideal_engine._BITS)
-        n = data.draw(st.sampled_from([1, 4, nbits - 1, nbits, nbits + 1, 300]), label="nvars")
-        # sparse exponent vectors: most exponents zero, the zero vector included
-        support = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=6)
-        mono = support.map(lambda e: tuple(e.get(k, 0) for k in range(n)))
-        a, b = data.draw(mono, label="a"), data.draw(mono, label="b")
-        # a random b, and a multiple of a
-        for m in (b, tuple(map(add, a, b))):
-            if monomial_divides(a, m):
-                assert not support_mask(a) & ~support_mask(m)
-        # every variable that has a bit sets it exactly when it occurs
-        assert support_mask(a) == sum(1 << k for k, e in enumerate(a[:nbits]) if e)
+    def test_order_product_and_tests_are_exact(self, data):
+        pk, n, order = self.draw_packing(data)
+        a = self.draw_mono(data, n, pk.top // 2, "a")
+        b = self.draw_mono(data, n, pk.top // 2, "b")
+        P, ab = pk.pack, tuple(map(add, a, b))
+        assert pk.unpack(P(a)) == a and pk.unpack(P(ab)) == ab
+        assert (P(a) < P(b)) == (order.descending_key(a) < order.descending_key(b))
+        assert P(ab) == P(a) + P(b) - pk.one and P(ab) & pk.guard == pk.ok
+        da, db = (ideal_engine._divisor(((P(m), 1),), pk) for m in (a, b))
+        for m in (b, ab):
+            assert (not (da[0] - pk.flip * P(m)) & pk.emask) == monomial_divides(a, m)
+        # disjoint nonzero-field masks exactly for coprime monomials
+        assert (not da[4] & db[4]) == (not any(map(min, a, b)))
 
-    def test_remainders_match_oracle_in_a_ring_wider_than_the_mask(self):
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_an_overflowing_product_shows_in_its_guard_bits(self, data):
+        pk, n, order = self.draw_packing(data)
+        a = self.draw_mono(data, n, pk.top, "a")
+        b = self.draw_mono(data, n, pk.top, "b")
+        product, ab = pk.pack(a) + pk.pack(b) - pk.one, tuple(map(add, a, b))
+        fits = max(map(abs, order.descending_key(ab))) <= pk.top
+        assert (product & pk.guard == pk.ok) == fits
+        if fits:
+            assert product == pk.pack(ab)
+
+    @seed(3217)
+    @settings(max_examples=160, deadline=None)
+    @given(st.data())
+    def test_kernel_and_completion_match_the_oracles(self, data):
+        # each field and order against oracles.py, the completion and the
+        # normal form starting at any width from 1 bit a field, so that
+        # many of them overflow and are redone wider
+        p = data.draw(st.sampled_from([0, 2, 3, 32003]), label="p")
+        order = data.draw(st.sampled_from(ORDERS), label="order")
+        start = data.draw(st.integers(1, 6), label="starting width")
+        R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="rng"))
+        gens = [g for g in (random_poly(rng, R, max_terms=3, low=-5, high=5) for _ in range(rng.randint(1, 3))) if g]
+        f = random_poly(rng, R, max_terms=5, max_exp=4)
+        if not gens:
+            return
+        assert assert_same_remainder(f, gens) == kernel_remainder(f, gens)
+        with mock.patch.object(ideal_engine, "_width", lambda degree: start):
+            gb = buchberger(gens)
+            assert list(gb) == oracles.oracle_buchberger(gens)
+            assert normal_form(f, gb) == oracles.oracle_divide(f, list(gb))[1]
+
+    def test_remainders_match_oracle_in_a_ring_of_300_variables(self):
         rng = random.Random(59)
-        nbits = len(ideal_engine._BITS)
-        # variables on both sides of the last bit, and far past it
-        hot = (0, 1, nbits - 2, nbits - 1, nbits, nbits + 1, 150, 299)
-        unmasked = 0  # divisors led by variables without a bit
+        hot = (0, 1, 61, 62, 63, 64, 150, 299)
+        dividing = 0  # divisors whose leading monomial divides a term of the dividend
         for p in (0, 32003):
             for order in ("lex", "grevlex"):
-                names = tuple("x%d" % i for i in range(300))
-                R = RingDescriptor(FieldSpec(p), names, TermOrder(order))
+                R = wide_ring(p, order)
 
                 def poly(nterms, degree):
                     acc = {}
@@ -333,23 +401,19 @@ class TestSupportMask:
                     for d in divisors:
                         f = f + poly(2, 2) * d
                     assert_same_remainder(f, divisors)
-                    unmasked += sum(
-                        support_mask(d.leading_monomial()) == 0
-                        and any(monomial_divides(d.leading_monomial(), m) for m, _ in f.terms)
+                    dividing += sum(
+                        any(monomial_divides(d.leading_monomial(), m) for m, _ in f.terms)
                         for d in divisors
                         if sum(d.leading_monomial())
                     )
-        # such divisors divide terms of the dividends, so the oracle checks them
-        assert unmasked >= 5
+        assert dividing >= 20
 
-    def test_pair_criteria_match_oracle_where_leading_monomials_meet_past_the_mask(self):
-        # every generator leads with a cubic in variables without a bit, so
-        # leading monomials meet only there: a coprime test on masks would
-        # drop those pairs, the degree test must keep them
+    def test_pair_criteria_match_oracle_in_a_ring_of_300_variables(self):
+        # every generator leads with a cubic in far variables, so leading
+        # monomials meet only there: the coprime test must keep those pairs
         rng = random.Random(61)
-        nbits = len(ideal_engine._BITS)
-        past = (nbits, nbits + 1, 150, 299)
-        anywhere = (0, 1, nbits - 1) + past
+        past = (63, 64, 150, 299)
+        anywhere = (0, 1, 62) + past
         meeting = grown = 0
         for p in (0, 32003):
             R = wide_ring(p)
@@ -369,7 +433,6 @@ class TestSupportMask:
             for _ in range(6):
                 gens = [poly() for _ in range(3)]
                 lms = [g.leading_monomial() for g in gens]
-                assert not any(map(support_mask, lms))
                 meeting += sum(any(map(min, a, b)) for k, a in enumerate(lms) for b in lms[k + 1 :])
                 gb = buchberger(gens)
                 assert list(gb) == oracles.oracle_buchberger(gens), gens
@@ -537,8 +600,7 @@ def tagged_completions(J, I):
     aug, lift, tags = tag_lift(J.ring, ntags)
     rab = 1 - tags[0] * generic_element(I.generators, lift, tags[-1])
     plain = buchberger([lift(h) for h in J.generators] + [rab], ring=aug)
-    settled = ideal_engine._lift_divisors(ideal_engine._seed(J), (0,) * ntags)
-    seeded = ideal_engine._complete(aug, [rab], settled)
+    seeded = ideal_engine._complete(aug, [rab], (ideal_engine._seed(J), (0,) * ntags))
     return plain, seeded
 
 
@@ -751,11 +813,10 @@ class TestStepCounts:
         assert seeded == plain
         assert (plain.steps, seeded.steps) == (plain_steps, seeded_steps)
 
-    def test_step_count_past_the_mask(self):
-        # cyclic-5 on five variables without a support-mask bit: every
-        # leading monomial has mask 0, and the count is the 5-variable one
-        nbits = len(ideal_engine._BITS)
-        at = (nbits, nbits + 1, 150, 298, 299)
+    def test_step_count_in_a_ring_of_300_variables(self):
+        # cyclic-5 on five far variables of a wide ring, whose packed
+        # monomials hold 301 fields: the count is the 5-variable one
+        at = (63, 64, 150, 298, 299)
         R = wide_ring(32003)
         gb = buchberger([remap_variables(g, R, at) for g in frozen_system(cyclic, 32003, 5)])
         assert (gb.steps, len(gb)) == (103, 20)
@@ -767,6 +828,24 @@ class TestStepCounts:
                 buchberger(gens)
         with engine_context(step_limit=103):
             assert buchberger(gens).steps == 103
+
+    @pytest.mark.parametrize("p, order", [(0, "lex"), (32003, "grevlex"), (3, "elimination-block")])
+    def test_an_overflow_mid_completion_is_redone_wider(self, monkeypatch, p, order):
+        # katsura-3 started at 2 bits a field outgrows them after some
+        # reductions and is redone wider, with the same pairs in the same
+        # order: the oracle's basis, and the step count of an unforced run
+        order = TermOrder(order, 2) if order == "elimination-block" else TermOrder(order)
+        gens = katsura(RingDescriptor(FieldSpec(p), tuple("v%d" % i for i in range(4)), order))
+        plain = buchberger(gens)
+        runs = []  # the width of each kernel run
+        real = ideal_engine._reduce
+        monkeypatch.setattr(ideal_engine, "_reduce", lambda *a: runs.append(a[3].width) or real(*a))
+        monkeypatch.setattr(ideal_engine, "_width", lambda degree: 2)
+        forced = buchberger(gens)
+        # reductions at 2 bits, then an overflow (in a reduction or an lcm), then all again wider
+        assert runs.count(2) >= 3 and runs[-1] > 2, runs
+        assert list(forced) == oracles.oracle_buchberger(gens) and forced == plain
+        assert forced.steps == plain.steps
 
     def test_least_passing_step_limit_over_qq(self):
         gens = frozen_system(katsura, 0, 4, "lex")
@@ -860,7 +939,8 @@ class TestNormalForm:
             else:
                 gens = [oracles.hard_rational_poly(rng, R) for _ in range(2)]
             for gb in (buchberger(gens, ring=R), buchberger(gens[:1], ring=R)):
-                want = tuple(ideal_engine._divisor(ideal_engine._integral(g.terms, p)[0]) for g in gb)
+                pk = gb._packing
+                want = tuple(kernel_divisors(list(gb), pk)) if len(gb) else ()
                 assert gb._divisors == want, gens
                 autoreduced += len(gb) > 1
         assert autoreduced >= 5
@@ -1474,6 +1554,29 @@ class TestExtend:
                 K.groebner_basis()
                 assert [bool(settled) for _, _, settled in calls] == ([] if twin is K else [False])
 
+    def test_extend_completes_nothing_outside_a_context(self, monkeypatch):
+        # outside a context _memoized stores nothing, so a chain completion
+        # there would be thrown away: two _extend calls complete nothing, and
+        # a read of the chain ideal's basis completes it from its generators;
+        # inside a context J's basis and each chain step complete once
+        calls = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
+        for order in self.ORDERS:
+            ring = RingDescriptor(QQ, ("x", "y", "z"), order)
+            x, y, z = (ring.variable(i) for i in range(3))
+            J = Ideal(ring, [x * y - z**2])
+            del calls[:]
+            K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
+            assert calls == []
+            gb = K.groebner_basis()
+            assert [bool(settled) for _, _, settled in calls] == [False]
+            del calls[:]
+            with engine_context():
+                K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
+                assert [bool(settled) for _, _, settled in calls] == [False, True, True]
+                assert ideal_engine._grevlex_twin(K).groebner_basis() == ideal_engine._grevlex_twin(Ideal(ring, gb.basis)).groebner_basis()
+
     def test_the_seed_of_a_chain_ideal_is_stored(self, monkeypatch):
         # the tagged completions from a chain ideal start from the basis
         # _extend stored, also in a lex or elimination ring, where it is
@@ -1489,21 +1592,21 @@ class TestExtend:
                 del calls[:]
                 seed = ideal_engine._seed(K)
                 assert not calls
-            assert seed == buchberger(ideal_engine._grevlex_twin(K).generators)._divisors
+            assert seed is not None and seed == buchberger(ideal_engine._grevlex_twin(K).generators)
 
     def test_lifted_divisors_match_the_lifted_basis(self):
         # _lift_divisors multiplies the kernel form by a tag monomial; the
         # divisors the kernel builds from the lifted monic basis times that
-        # monomial are the same tuples, also where the shift pushes a mask
-        # bit past the last one of _BITS
-        nbits = len(ideal_engine._BITS)
+        # monomial are the same tuples, by one add at the basis' width and
+        # by unpacking and packing again at any other, or into the colon's
+        # k[t, y, ring], where y moves the ring's fields
         rng = random.Random(2207)
-        pushed = 0
+        added = repacked = 0
         for p in (0, 2, 32003):
             small = RingDescriptor(FieldSpec(p), ("x", "y", "z"))
             systems = [(small, [random_poly(rng, small, max_terms=3) for _ in range(3)]) for _ in range(4)]
             wide = wide_ring(p)
-            near = (0, nbits - 2, nbits - 1, nbits, 150, 299)
+            near = (0, 61, 62, 63, 150, 299)
             for _ in range(4):
                 gens = []
                 for _ in range(3):
@@ -1517,13 +1620,24 @@ class TestExtend:
                 systems.append((wide, gens))
             for ring, gens in systems:
                 gb = buchberger(gens, ring=ring)
+                if not len(gb):
+                    continue
+                width = gb._packing.width
+                colon = ideal_engine._tag_ring(ideal_engine._tag_ring(ring, 1), 1)
                 for head in ((0,), (0, 0), (1,), (1, 0), (0, 2)):
-                    aug, lift, tags = tag_lift(ring, len(head))
-                    t = aug.monomial(head + (0,) * ring.nvars)
-                    want = tuple(ideal_engine._divisor(ideal_engine._integral((t * lift(g)).terms, p)[0]) for g in gb)
-                    assert ideal_engine._lift_divisors(gb._divisors, head) == want, (gens, head)
-                    pushed += any(d[4] >> (nbits - len(head)) for d in gb._divisors)
-        assert pushed >= 15
+                    aug = ideal_engine._tag_ring(ring, len(head))
+                    for target, w in ((aug, width), (aug, 2 * width), (colon, width)):
+                        if target is colon and len(head) != 2:
+                            continue
+                        pk = ideal_engine._packing(target.order, target.nvars, w)
+                        t = target.monomial(head + (0,) * ring.nvars)
+                        lift = [t * remap_variables(g, target, range(len(head), target.nvars)) for g in gb]
+                        want = tuple(kernel_divisors(lift, pk))
+                        assert ideal_engine._lift_divisors(gb, head, pk) == want, (gens, head)
+                        same = pk.vecs[len(head) :] == gb._packing.vecs
+                        added += same
+                        repacked += not same
+        assert added >= 100 and repacked >= 150, (added, repacked)
 
     @staticmethod
     def minors_grade(monkeypatch, spied):
@@ -1590,9 +1704,9 @@ class TestExtend:
             del runs[:]
             log = invariants.verify_grade_witness(M, I, w)
         assert len(log) == w.value + 1
-        # _grow reads the generators as the kernel's work dicts
+        # _grow reads the generators as the kernel's work dicts, packed
         want = [ideal_engine._work(g, 0) for g in w.certificate.ideal.generators]
-        assert [list(works) for _, works, *_ in runs] == [want]
+        assert [[{pk.unpack(m): c for m, c in work.items()} for work in works] for pk, works, *_ in runs] == [want]
 
 
 def _terms(K):
@@ -1895,14 +2009,14 @@ class TestIdealCalculus:
         assert ideal_engine._tag_ring(R, 2).variables == ("t0", "y0", "t", "y")
         seed = ideal_engine._seed(Ideal(R, [a]))
         aug, lift, (t,) = tag_lift(R, 1)
-        one = _eliminate_tag(R, 1, [ideal_engine._work((1 - t) * lift(b), 0)], ideal_engine._lift_divisors(seed, (1,)))
+        one = _eliminate_tag(R, 1, [ideal_engine._work((1 - t) * lift(b), 0)], (seed, (1,)))
         assert [str(g) for g in one.groebner_basis()] == ["t*y"]
         assert ideal_intersect(Ideal(R, [a]), Ideal(R, [b])).generators == one.generators
         # two tags: <a> cap <b> cap <a + b> = (t1*<a> + t2*<b> + (1 - t1 - t2)*<a + b>) cap R,
         # from t1 times a's basis, settled
         aug, lift, (t1, t2) = tag_lift(R, 2)
         works = [ideal_engine._work(g, 0) for g in (t2 * lift(b), (1 - t1 - t2) * lift(a + b))]
-        three = _eliminate_tag(R, 2, works, ideal_engine._lift_divisors(seed, (1, 0)))
+        three = _eliminate_tag(R, 2, works, (seed, (1, 0)))
         assert [str(g) for g in three.groebner_basis()] == ["t^2*y + t*y^2"]
 
     def test_extend_ring_preserves_generators(self):
