@@ -30,7 +30,7 @@ from . import invariants
 from .errors import EngineError, InhomogeneousIdealError, StepLimitExceededError
 from .ideal_engine import (
     Ideal,
-    _in_engine_context,
+    _fresh_names,
     ideal_intersect,
     ideal_quotient_ideal,
     ideal_sum,
@@ -97,13 +97,12 @@ def _skipped(reason: str) -> RelationReport:
     return RelationReport(True, (reason,), reason)
 
 
-@_in_engine_context
 def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
     """Decide whether M = R/J is I-Cohen-Macaulay, with full supporting data.
 
     The verdict only depends on the ideals, not on how their generator
     lists are written down: everything flows through reduced Groebner
-    bases.  Runs in a default engine context when none is open.
+    bases.  Its grade chain opens a default engine context when none is open.
     """
     w, dim_m, dim_mod = invariants._grade_and_dimensions(M, I, seed)
     defect = dim_m - w.value - dim_mod
@@ -337,19 +336,6 @@ def localization_cm_check(
     return RelationReport(holds, tuple(log))
 
 
-def _extension_names(ring, k: int) -> Tuple[str, ...]:
-    names = []
-    taken = set(ring.variables)
-    i = 1
-    while len(names) < k:
-        cand = "t%d" % i
-        if cand not in taken:
-            names.append(cand)
-            taken.add(cand)
-        i += 1
-    return tuple(names)
-
-
 def polynomial_extension_check(
     M: CyclicModule, I: Ideal, k_new: int = 1, seed: int = 0
 ) -> RelationReport:
@@ -358,8 +344,7 @@ def polynomial_extension_check(
     variable-generated prime the height does not move."""
     if k_new < 1:
         raise ValueError("need at least one new variable")
-    ring = M.ring
-    names = _extension_names(ring, k_new)
+    names = _fresh_names(M.ring, ["t%d" % i for i in range(1, k_new + 1)])
     ext_j = extend_ring(M.defining_ideal, names)
     ext_i = extend_ring(I, names)
     ext_m = CyclicModule(ext_j.ring, ext_j)

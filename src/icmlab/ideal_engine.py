@@ -45,13 +45,15 @@ and an ``Ideal`` with the same generators share one entry; ``saturate``'s
 results sit under "saturate", ``is_nonzerodivisor``'s decisions under
 "regular", ``ideal_intersect``'s, ``ideal_quotient``'s and
 ``ideal_quotient_ideal``'s answers under "intersect", "quotient" and
-"colon", each with the ring and both generator lists, and ``_tag_ring``'s
-rings under "tag ring"; no tagged basis is stored.  Outside any context
-the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is
-stored; ``grade``, ``verify_grade_witness``, ``replay_regular_sequence``,
-``icm_report`` and ``run_suite``, which read one basis many times, open a
-default context when none is open (``_in_engine_context``).  No basis is
-handed out under a limit or in a context other than the one that built it.
+"colon", each with the ring and both generator lists; no tagged basis is
+stored.  The memo holds results only: the layouts ``_packing`` and
+``_tag_ring`` are built once per process.  Outside any context the budgets
+are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored;
+``verify_grade_witness``, ``replay_regular_sequence``, ``run_suite`` and the
+grade chain (``invariants._grade_and_dimensions``) read one basis many
+times, so each opens a default context when none is open
+(``_in_engine_context``).  No basis is handed out under another limit or
+context than the one that built it.
 
 A tagged ring k[tags, ring] (``_tag_ring``) has one way in,
 ``_eliminate_tag``: one completion that starts from a Groebner basis with
@@ -744,22 +746,24 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, a.generators + b.generators)
 
 
+def _fresh_names(ring: RingDescriptor, bases: Sequence[str]) -> Tuple[str, ...]:
+    """A new variable name per base: the base, else base0, base1, ...,
+    skipping ``ring``'s names and those already picked."""
+    names: Tuple[str, ...] = ()
+    for base in bases:
+        name, k = base, 0
+        while name in ring.variables + names:
+            name, k = "%s%d" % (base, k), k + 1
+        names += (name,)
+    return names
+
+
+@lru_cache(maxsize=256)
 def _tag_ring(ring: RingDescriptor, ntags: int) -> RingDescriptor:
-    """k[tags, ring] with ``ntags`` tag variables (t, then y, or t0, t1, ...
-    when taken) in front, under an order eliminating them that compares
-    tag-free monomials by its grevlex tail block.  Built once per engine
-    context and pair of arguments (``_memoized``)."""
-
-    def build() -> RingDescriptor:
-        tags: Tuple[str, ...] = ()
-        for base in ("t",) + ("y",) * (ntags - 1):
-            name, k = base, 0
-            while name in ring.variables + tags:
-                name, k = "%s%d" % (base, k), k + 1
-            tags += (name,)
-        return RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
-
-    return _memoized(("tag ring", ring, ntags), build)
+    """k[tags, ring]: ``ntags`` tags (t, then y) in front, eliminated by an
+    order with a grevlex tail block.  A layout, so built once per process."""
+    tags = _fresh_names(ring, ("t",) + ("y",) * (ntags - 1))
+    return RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
 
 
 def _eliminate_tag(ring: RingDescriptor, ntags: int, works: Sequence[dict], settled: tuple) -> Ideal:

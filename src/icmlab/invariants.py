@@ -458,22 +458,21 @@ def find_regular_element(
     )
 
 
-@_in_engine_context
 def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     """grade(I, M): the length of a maximal M-regular sequence inside I,
-    found by direct search and certified by the final saturation.  The pair
-    (M, I) is checked once, here: every later J_k lies inside J + I, so no
-    step needs a check of its own.  Step k runs ``find_regular_element`` on
-    J_k with seed ``seed + k`` under the engine context's search budget, and
-    J_{k+1} = J_k + <x_k> comes from ``_extend``, whose bases are completed
-    from J_k's, not from the generators.
+    found by direct search and certified by the final saturation.  The
+    chain runs in ``_grade_and_dimensions`` (in a default engine context
+    when none is open), which checks the pair (M, I) once: every later J_k
+    lies inside J + I.  Step k runs ``find_regular_element`` on J_k with
+    seed ``seed + k`` under the context's search budget, and J_{k+1} =
+    J_k + <x_k> comes from ``_extend``, whose bases are completed from
+    J_k's, not from the generators.
 
     A regular element found by the search proves by itself that the sequence
     extends, so no saturation runs on such a step.  The search returns a
     saturation only after deciding that (J_k : I^infinity) != J_k; that
     saturation, with its exponent, is the certificate of maximality, built
-    once with or without an engine context (a replay in the same context
-    finds it stored).
+    once (a replay in the same context finds it stored).
 
     The chain never searches at the bound b = dim M - dim M/IM, where
     grade(I, M) <= b (see ``icm_checker``): a sequence of length b is
@@ -494,13 +493,15 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     return _grade_and_dimensions(M, I, seed)[0]
 
 
+@_in_engine_context
 def _grade_and_dimensions(
     M: CyclicModule, I: Ideal, seed: int
 ) -> Tuple[GradeWitness, int, int]:
     """``grade`` with the two dimensions it bounds the chain by: the
     witness, dim M and dim M/IM.  It reads the bases of I, J + I and J
     once each: the pair check, both dimensions and the homogeneity test
-    come from them."""
+    come from them.  The grade chain's one runner, so the one that opens a
+    default engine context when none is open."""
     if I.ring != M.ring:
         raise IncompatibleRingError("test ideal lives in a different ring")
     if not I.generators:

@@ -449,6 +449,14 @@ class TestPolynomialExtension:
         rep = polynomial_extension_check(M, I, k_new=2, seed=8)
         assert rep.holds, rep.hypothesis_log
 
+    def test_new_variables_are_not_in_the_ring(self):
+        # t1 is taken, so the name picker gives t10 in its place
+        R = ring_qq("t1", "x")
+        M = CyclicModule(R, Ideal(R, []))
+        rep = polynomial_extension_check(M, Ideal(R, [R.variable(1)]), k_new=2, seed=8)
+        assert rep.holds, rep.hypothesis_log
+        assert rep.hypothesis_log[0] == "extended by 2 variable(s): t10, t2"
+
     def test_quotient_module_variant(self):
         R = ring_qq("x", "y", "z")
         x, y, z = (R.variable(i) for i in range(3))

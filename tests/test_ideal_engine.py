@@ -11,7 +11,7 @@ from operator import add
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from icmlab import ideal_engine, invariants
+from icmlab import icm_checker, ideal_engine, invariants, theorem_lab
 from icmlab.cli_app import IdealStmt, ParseError, RingStmt, execute, parse
 from icmlab.errors import (
     EngineError,
@@ -635,6 +635,21 @@ class TestEngineMemo:
             assert lex is not first
             assert buchberger([remap(g, lex_ring) for g in gens]) is lex
         assert first == buchberger(gens)
+
+    def test_a_tag_ring_is_built_once_per_process(self):
+        # a layout, not a result: no context stores it, and none builds its own
+        R = ring_qq("x", "y")
+        outside = ideal_engine._tag_ring(R, 1)
+        for _ in range(2):
+            with engine_context():
+                assert ideal_engine._tag_ring(R, 1) is outside
+
+    def test_the_memo_holds_results_only(self):
+        J, I = TestSaturationMemo.pair()
+        with engine_context():
+            saturate(J, I)
+            kinds = {key[0] for key in ideal_engine._ENGINE.get().memo if isinstance(key[0], str)}
+        assert "saturate" in kinds and "tag ring" not in kinds
 
     def test_nothing_is_memoized_outside_a_context(self):
         gens = heavy_gens()
@@ -1662,11 +1677,33 @@ class TestExtend:
         seeded = [list(gens) for r, gens, settled in calls if r == ring and settled]
         assert seeded == [[x] for x in w.sequence]
 
-    def test_grade_opens_its_own_context(self, monkeypatch):
-        # grade reads each basis many times; outside a context it opens a
-        # default one, so it completes exactly as often as inside one
+    @pytest.mark.parametrize(
+        "entry, completions",
+        [
+            ("grade", 10),
+            ("icm_report", 10),
+            ("is_cohen_macaulay_graded", 10),
+            ("verify_grade_witness", 9),
+            ("replay_regular_sequence", 7),
+            ("run_suite", 23),
+        ],
+    )
+    def test_entry_points_open_their_own_context(self, monkeypatch, entry, completions):
+        # each entry point reads one basis many times (step k of a chain or
+        # a replay reads the basis of step k - 1, which _extend stored);
+        # outside a context it opens a default one, so it completes exactly
+        # as often as inside one
         ring, J, v = minors_2xn(4)
         M, I = invariants.CyclicModule(ring, J), Ideal(ring, v)
+        w = invariants.grade(M, I, seed=10000)
+        run = {
+            "grade": lambda: invariants.grade(M, I, seed=10000),
+            "icm_report": lambda: icm_checker.icm_report(M, I, seed=10000),
+            "is_cohen_macaulay_graded": lambda: icm_checker.is_cohen_macaulay_graded(M, seed=10000),
+            "verify_grade_witness": lambda: invariants.verify_grade_witness(M, I, w),
+            "replay_regular_sequence": lambda: invariants.replay_regular_sequence(J, I, w.sequence),
+            "run_suite": lambda: theorem_lab.run_suite("poly-extension", trials=2, base_seed=10000),
+        }[entry]
         calls = []
         real = ideal_engine._complete
         monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
@@ -1674,27 +1711,9 @@ class TestExtend:
         for context in (True, False):
             del calls[:]
             with engine_context() if context else contextlib.nullcontext():
-                assert invariants.grade(M, I, seed=10000).value == 5
+                run()
             counts.append(len(calls))
-        assert counts == [10, 10]
-
-    def test_replay_opens_its_own_context(self, monkeypatch):
-        # step k of a replay reads the basis of step k - 1, which _extend
-        # stored; outside a context the replay opens a default one, so it
-        # completes each chain ideal once, as inside one, the last included
-        ring, J, v = minors_2xn(4)
-        I = Ideal(ring, v)
-        w = invariants.grade(invariants.CyclicModule(ring, J), I, seed=10000)
-        calls = []
-        real = ideal_engine._complete
-        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
-        counts = []
-        for context in (True, False):
-            del calls[:]
-            with engine_context() if context else contextlib.nullcontext():
-                invariants.replay_regular_sequence(J, I, w.sequence)
-            counts.append(len(calls))
-        assert counts == [7, 7]
+        assert counts == [completions, completions]
 
     def test_verify_grade_witness_reuses_the_chain_bases(self, monkeypatch):
         # in the context of the search, the replay completes only the
