@@ -19,7 +19,9 @@ under localization at a monomial prime, and under polynomial ring
 extension.  Each returns a RelationReport: the verdict, the log that
 explains it, and a skip reason.  A check that hypothesizes a property (say,
 that M is p-CM) evaluates the hypothesis first and reports a skip when it
-fails instead of passing vacuously.
+fails instead of passing vacuously.  A check that runs more than one
+grade chain or replay opens a default engine context when none is open
+(``ideal_engine._in_engine_context``), so its reports share one memo.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .errors import EngineError, InhomogeneousIdealError, StepLimitExceededError
 from .ideal_engine import (
     Ideal,
     _fresh_names,
+    _in_engine_context,
     ideal_intersect,
     ideal_quotient_ideal,
     ideal_sum,
@@ -160,6 +163,7 @@ def check_grade_height(I: Ideal, seed: int = 0) -> RelationReport:
     return RelationReport(holds, tuple(log))
 
 
+@_in_engine_context
 def quotient_transport(
     M: CyclicModule,
     I: Ideal,
@@ -192,6 +196,7 @@ def quotient_transport(
     return RelationReport(holds, tuple(log))
 
 
+@_in_engine_context
 def subideal_transfer_check(
     M: CyclicModule, I: Ideal, J2: Ideal, seed: int = 0
 ) -> RelationReport:
@@ -248,6 +253,7 @@ def subideal_transfer_check(
     )
 
 
+@_in_engine_context
 def annihilator_transport(M: CyclicModule, I: Ideal, seed: int = 0) -> RelationReport:
     """Quotienting by the annihilator of the image of I preserves the whole
     picture, provided the annihilator sits inside I.
@@ -336,6 +342,7 @@ def localization_cm_check(
     return RelationReport(holds, tuple(log))
 
 
+@_in_engine_context
 def polynomial_extension_check(
     M: CyclicModule, I: Ideal, k_new: int = 1, seed: int = 0
 ) -> RelationReport:
@@ -374,6 +381,7 @@ def polynomial_extension_check(
     return RelationReport(holds, tuple(log))
 
 
+@_in_engine_context
 def cm_implies_icm_check(M: CyclicModule, I: Ideal, seed: int = 0) -> RelationReport:
     """A classically Cohen-Macaulay graded module is I-CM for every proper
     test ideal I."""

@@ -49,10 +49,10 @@ results sit under "saturate", ``is_nonzerodivisor``'s decisions under
 stored.  The memo holds results only: the layouts ``_packing`` and
 ``_tag_ring`` are built once per process.  Outside any context the budgets
 are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored;
-``verify_grade_witness``, ``replay_regular_sequence``, ``run_suite`` and the
-grade chain (``invariants._grade_and_dimensions``) read one basis many
-times, so each opens a default context when none is open
-(``_in_engine_context``).  No basis is handed out under another limit or
+``verify_grade_witness``, ``replay_regular_sequence``, ``run_suite``, the
+grade chain (``invariants._grade_and_dimensions``) and the relation checks
+that run several chains read one basis many times, so each opens a default
+context when none is open (``_in_engine_context``).  No basis is handed out under another limit or
 context than the one that built it.
 
 A tagged ring k[tags, ring] (``_tag_ring``) has one way in,
@@ -287,8 +287,8 @@ def _full(d: tuple) -> tuple:
 
 
 def _work(g: Polynomial, p: int) -> dict:
-    """A nonzero g as a kernel work dict: residues, or numerators over the lcm of the denominators."""
-    return dict(g.terms if p else _integral(g.terms, 0)[0])
+    """A nonzero g as a kernel work dict: its integer form ``_integral``, over both fields."""
+    return dict(_integral(g.terms, p)[0])
 
 
 def _lift_divisors(gb: "ReducedGB", head: Monomial, pk: _Packing) -> tuple:
@@ -651,9 +651,8 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
     zero exactly when f lies in the ideal.  One run of the kernel against
     the kernel form the basis carries, converting only f and its remainder.
     """
+    _same_ring(f, basis)
     ring = f.ring
-    if ring is not basis.ring and ring != basis.ring:
-        raise IncompatibleRingError("polynomial and basis live in different rings")
     if f.is_zero or not basis.basis:
         return f
     p = ring.field.characteristic
@@ -728,8 +727,7 @@ class SaturationResult:
 
 
 def membership(f: Polynomial, J: Ideal) -> bool:
-    if f.ring != J.ring:
-        raise IncompatibleRingError("polynomial outside the ideal's ring")
+    _same_ring(f, J)
     if f.is_zero:
         return True
     return normal_form(f, J.groebner_basis()).is_zero
@@ -826,8 +824,7 @@ def _colon(ring: RingDescriptor, settled: tuple, f: Polynomial) -> Ideal:
 def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
     """The colon ideal (J : f), computed as (1/f) * (J intersect <f>);
     memoized under "quotient" with the ring and J's and f's terms."""
-    if f.ring != J.ring:
-        raise IncompatibleRingError("polynomial outside the ideal's ring")
+    _same_ring(f, J)
     if f.is_zero:
         raise ZeroElementError("colon by the zero polynomial is undefined")
     return _memoized(
@@ -973,7 +970,7 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
                 exponent += 1
             return exponent
 
-        works = [dict(_integral(g.terms, p)[0]) for g in gens] + [_work(s, p) for s in sat.generators]
+        works = [_work(g, p) for g in gens + sat.generators]
         return SaturationResult(sat, _packed(seed.ring, works, (seed, ()), rounds))
 
     return _memoized(("saturate", J.ring, _terms(J.generators), _terms(gens)), saturation)
@@ -992,8 +989,7 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     form is built.  In an engine context the decision is memoized under
     "regular" with the ring and J's and f's terms.
     """
-    if f.ring != J.ring:
-        raise IncompatibleRingError("polynomial outside the ideal's ring")
+    _same_ring(f, J)
     if f.is_zero:
         raise ZeroElementError("saturation by the zero ideal is undefined")
 

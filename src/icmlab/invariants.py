@@ -66,6 +66,7 @@ from .ring_core import (
     Monomial,
     Polynomial,
     RingDescriptor,
+    _same_ring,
     monomial_divides,
     monomial_support,
 )
@@ -74,16 +75,15 @@ from .ring_core import (
 class CyclicModule:
     """The cyclic module R/J for a proper ideal J.
 
-    Constructing the zero module (1 in J) is rejected outright so that
-    dimension and grade never have to special-case it.
-    """
+    The zero module (1 in J: J's reduced basis is {1}) is rejected outright
+    so that dimension and grade never have to special-case it."""
 
     __slots__ = ("ring", "defining_ideal")
 
     def __init__(self, ring: RingDescriptor, defining_ideal: Ideal):
         if defining_ideal.ring != ring:
             raise IncompatibleRingError("defining ideal lives in a different ring")
-        if membership(ring.one(), defining_ideal):
+        if defining_ideal.groebner_basis().is_unit_ideal:
             raise ZeroModuleError("the defining ideal contains 1; the module is zero")
         self.ring = ring
         self.defining_ideal = defining_ideal
@@ -502,8 +502,7 @@ def _grade_and_dimensions(
     once each: the pair check, both dimensions and the homogeneity test
     come from them.  The grade chain's one runner, so the one that opens a
     default engine context when none is open."""
-    if I.ring != M.ring:
-        raise IncompatibleRingError("test ideal lives in a different ring")
+    _same_ring(M, I)
     if not I.generators:
         raise ZeroElementError("the zero test ideal has no regular elements")
     gb_i = I.groebner_basis()
@@ -577,8 +576,7 @@ def local_dimension(M: CyclicModule, p: MonomialPrime) -> int:
     """dim of the localization of M = R/J at p, for monomial J: the longest
     climb from a minimal prime of J inside p up to p, which for variable
     primes is |p| - |q| for the smallest such q."""
-    if p.ring != M.ring:
-        raise IncompatibleRingError("prime lives in a different ring")
+    _same_ring(M, p)
     mins = minimal_primes_monomial(M.defining_ideal)
     inside = [q for q in mins if p.contains(q)]
     if not inside:

@@ -263,29 +263,21 @@ class RingDescriptor:
         return self.constant(1)
 
     def constant(self, c: Union[int, Fraction]) -> "Polynomial":
-        cc = self.field.coerce(c)
-        if cc == 0:
-            return Polynomial(self, ())
-        return Polynomial(self, (((0,) * self.nvars, cc),))
+        """The constant c: ``monomial`` at exponent zero."""
+        return self.monomial((0,) * self.nvars, c)
 
     def variable(self, which: Union[int, str]) -> "Polynomial":
-        i = which if isinstance(which, int) else self.var_index(which)
+        """The variable named ``which``, or at index ``which`` in 0 ... nvars - 1."""
+        i = self.var_index(which) if isinstance(which, str) else which
+        if isinstance(i, bool) or not 0 <= i < self.nvars:
+            raise ValueError("variable index out of range: %r" % (which,))
         exps = [0] * self.nvars
         exps[i] = 1
         return Polynomial(self, ((tuple(exps), self.field.one),))
 
     def monomial(self, exps: Sequence[int], coeff: Union[int, Fraction] = 1) -> "Polynomial":
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise DimensionMismatchError(
-                "expected %d exponents, got %d" % (self.nvars, len(exps))
-            )
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
-        c = self.field.coerce(coeff)
-        if c == 0:
-            return Polynomial(self, ())
-        return Polynomial(self, ((exps, c),))
+        """coeff * x^exps: ``polynomial`` of the one term, its checks and coercion."""
+        return self.polynomial({tuple(exps): coeff})
 
     def polynomial(self, terms: Mapping[Monomial, Union[int, Fraction]]) -> "Polynomial":
         """Build a polynomial from a monomial -> coefficient mapping."""

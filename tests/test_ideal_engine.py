@@ -1686,11 +1686,17 @@ class TestExtend:
             ("verify_grade_witness", 9),
             ("replay_regular_sequence", 7),
             ("run_suite", 23),
+            ("quotient_transport", 15),
+            ("subideal_transfer_check", 18),
+            ("annihilator_transport", 22),
+            ("polynomial_extension_check", 20),
+            ("cm_implies_icm_check", 10),
         ],
     )
     def test_entry_points_open_their_own_context(self, monkeypatch, entry, completions):
         # each entry point reads one basis many times (step k of a chain or
-        # a replay reads the basis of step k - 1, which _extend stored);
+        # a replay reads the basis of step k - 1, which _extend stored, and
+        # a relation check runs several chains or replays on one module);
         # outside a context it opens a default one, so it completes exactly
         # as often as inside one
         ring, J, v = minors_2xn(4)
@@ -1703,6 +1709,13 @@ class TestExtend:
             "verify_grade_witness": lambda: invariants.verify_grade_witness(M, I, w),
             "replay_regular_sequence": lambda: invariants.replay_regular_sequence(J, I, w.sequence),
             "run_suite": lambda: theorem_lab.run_suite("poly-extension", trials=2, base_seed=10000),
+            "quotient_transport": lambda: icm_checker.quotient_transport(M, I, w.sequence[:2], seed=10000),
+            "subideal_transfer_check": lambda: icm_checker.subideal_transfer_check(
+                M, Ideal(ring, v[:4]), I, seed=10000
+            ),
+            "annihilator_transport": lambda: icm_checker.annihilator_transport(M, I, seed=10000),
+            "polynomial_extension_check": lambda: icm_checker.polynomial_extension_check(M, I, 1, seed=10000),
+            "cm_implies_icm_check": lambda: icm_checker.cm_implies_icm_check(M, I, seed=10000),
         }[entry]
         calls = []
         real = ideal_engine._complete

@@ -6,13 +6,16 @@ import random
 
 import pytest
 
+from icmlab import ideal_engine
 from icmlab.errors import (
     EngineError,
     IMEqualsMError,
     ImproperIdealError,
+    IncompatibleRingError,
     NonMonomialError,
     SearchExhaustedError,
     ZeroElementError,
+    ZeroModuleError,
 )
 from icmlab.icm_checker import icm_report
 from icmlab.ideal_engine import (
@@ -24,6 +27,7 @@ from icmlab.ideal_engine import (
     ideal_sum,
     is_nonzerodivisor,
     membership,
+    normal_form,
     saturate,
 )
 from icmlab.invariants import (
@@ -111,13 +115,24 @@ class TestDimension:
         assert krull_dimension(CyclicModule(R, monomial_ideal(R, [(1, 0), (0, 1)]))) == 0
 
     def test_unit_ideal_rejected(self):
-        from icmlab.errors import ZeroModuleError
-
         R = ring_qq("x")
         J = Ideal(R, [R.one()])
         # the module R/<1> is zero and cannot even be constructed
         with pytest.raises(ZeroModuleError):
             CyclicModule(R, J)
+
+    def test_properness_is_read_off_the_basis(self, monkeypatch):
+        # the reduced basis says whether 1 lies in J, so no normal form is
+        # taken, even when the generators do not show the 1
+        calls = []
+        real = ideal_engine.normal_form
+        monkeypatch.setattr(ideal_engine, "normal_form", lambda *a: calls.append(a) or real(*a))
+        R = ring_qq("x", "y")
+        x = R.variable(0)
+        CyclicModule(R, Ideal(R, [x * x]))
+        with pytest.raises(ZeroModuleError):
+            CyclicModule(R, Ideal(R, [x, x - 1]))
+        assert calls == []
 
     def test_matches_brute_force_on_random_monomials(self):
         rng = random.Random(67)
@@ -134,6 +149,27 @@ class TestDimension:
         J = monomial_ideal(R, [(1, 0, 0), (0, 1, 0)])
         assert height(J) == 2
         assert height(Ideal(R, [])) == 0
+
+
+@pytest.mark.parametrize(
+    "entry", ["normal_form", "membership", "ideal_quotient", "is_nonzerodivisor", "grade", "local_dimension"]
+)
+def test_operands_in_two_rings_name_both(entry):
+    # one ring check for two operands, whose message names both rings
+    R, S = ring_qq("x", "y"), RingDescriptor(FieldSpec(7), ("u", "v"))
+    J, f = Ideal(R, [R.variable(0)]), S.variable(1)
+    M = CyclicModule(R, J)
+    run = {
+        "normal_form": lambda: normal_form(f, J.groebner_basis()),
+        "membership": lambda: membership(f, J),
+        "ideal_quotient": lambda: ideal_quotient(J, f),
+        "is_nonzerodivisor": lambda: is_nonzerodivisor(J, f),
+        "grade": lambda: grade(M, Ideal(S, [f])),
+        "local_dimension": lambda: local_dimension(M, MonomialPrime(S, (1,))),
+    }[entry]
+    with pytest.raises(IncompatibleRingError) as err:
+        run()
+    assert str(R) in str(err.value) and str(S) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

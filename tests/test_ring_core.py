@@ -360,6 +360,38 @@ class TestRingDescriptor:
             with pytest.raises(ValueError, match="exponents must be nonnegative"):
                 build()
         assert str(R.polynomial({(1, 0): 1, (0, 0): 2})) == "x + 2"
+        # monomial and constant are polynomial of one term: the same
+        # polynomial, or the same error class, on a wrong length, a negative
+        # exponent, a zero coefficient and a denominator vanishing in GF(7)
+        S = RingDescriptor(GF7, ("x", "y"))
+
+        def outcome(build):
+            try:
+                return build()
+            except Exception as exc:
+                return type(exc)
+
+        cases = [(R, (1, 0, 0), 3), (R, (-1, 0), 3), (R, (1, 1), 0), (R, (0, 2), Fraction(-2, 3)), (S, (2, 1), 9)]
+        cases += [(S, (1, 0), Fraction(1, 7)), (S, (0, 1), 7), (R, (0, 0), 0), (S, (0, 0), Fraction(3, 14))]
+        for ring, exps, c in cases:
+            want = outcome(lambda: ring.polynomial({exps: c}))
+            assert outcome(lambda: ring.monomial(exps, c)) == want
+            if not any(exps):
+                assert outcome(lambda: ring.constant(c)) == want
+        assert outcome(lambda: R.monomial((1, 0, 0))) is DimensionMismatchError
+        assert outcome(lambda: S.constant(Fraction(1, 7))) is ZeroDivisionError
+        assert R.monomial((1, 1), 0).is_zero and S.constant(14).is_zero
+
+    def test_variable_index_is_checked(self):
+        # an index outside 0 .. n - 1 or a bool once picked a variable by
+        # Python's list indexing, or ended in a bare IndexError
+        R = ring_qq("x", "y", "z")
+        assert [str(R.variable(i)) for i in (0, 2, "y")] == ["x", "z", "y"]
+        for which in (-1, -3, 3, True, False):
+            with pytest.raises(ValueError, match="variable index out of range"):
+                R.variable(which)
+        with pytest.raises(KeyError):
+            R.variable("w")
 
     def test_remap_variables_moves_supports(self):
         A = ring_qq("x", "y")
