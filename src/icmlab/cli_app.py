@@ -20,15 +20,13 @@ Exit codes: 0 success, 1 engine error (reported with the failing query) or
 an unreadable or non-UTF-8 script (``cannot read``), 2 parse error
 (reported with line and column) or usage error, 3 verify failures.
 
-``main`` builds its argument parser once per process, on its first call,
-and reads ``ICM_STEP_LIMIT`` on every call.
+``main`` builds its argument parser once per process, on its first call.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -481,7 +479,7 @@ def _icm(kw: str, args: _Args, scope: _Scope, seed: int, trials: int) -> _Result
     ]
     if rep.height_i is not None:
         lines.append("  height I = %d" % rep.height_i)
-        lines.append("  grade equals height: %s" % _yes(rep.grade_equals_height))
+        lines.append("  grade equals height: %s" % _yes(rep.is_icm))
     return lines, {"report": rep.to_json()}
 
 
@@ -568,8 +566,8 @@ def _positive_int(text: str) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_argparser() -> Tuple[argparse.ArgumentParser, Tuple[argparse.ArgumentParser, ...]]:
-    """The parser and its two subparsers, built on the first call only."""
+def _build_argparser() -> argparse.ArgumentParser:
+    """The parser, built on the first call only."""
     parser = argparse.ArgumentParser(
         prog="icm-lab",
         description="Exact commutative algebra: Groebner bases, grade, "
@@ -592,19 +590,13 @@ def _build_argparser() -> Tuple[argparse.ArgumentParser, Tuple[argparse.Argument
         p.add_argument(
             "--step-limit",
             type=_positive_int,
-            help="max S-pair reduction steps per basis computation "
-            "(env ICM_STEP_LIMIT; the flag wins)",
+            help="max S-pair reduction steps per basis computation",
         )
-    return parser, (run_p, ver_p)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser, subparsers = _build_argparser()
-    for p in subparsers:
-        # a string default is converted, or rejected, by --step-limit's type
-        # when the flag is absent, so the environment is read on every call
-        p.set_defaults(step_limit=os.environ.get("ICM_STEP_LIMIT") or None)
-    args = parser.parse_args(argv)
+    args = _build_argparser().parse_args(argv)
     with engine_context(args.step_limit, args.budget):
         if args.command == "verify":
             try:

@@ -47,8 +47,8 @@ from .ring_core import Polynomial
 @dataclass(frozen=True)
 class IcmReport:
     """Everything the decision produces: the certified grade, the two
-    dimensions, the defect, and the verdict.  When the module is the whole
-    ring the comparison of grade against height comes along too."""
+    dimensions, the defect, and the verdict; for the whole ring also height
+    I, which the grade equals exactly when the verdict is positive."""
 
     grade: GradeWitness
     dim_m: int
@@ -56,7 +56,6 @@ class IcmReport:
     defect: int
     is_icm: bool
     height_i: Optional[int] = None
-    grade_equals_height: Optional[bool] = None
 
     def to_json(self) -> dict:
         return {
@@ -109,20 +108,14 @@ def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
     """
     w, dim_m, dim_mod = invariants._grade_and_dimensions(M, I, seed)
     defect = dim_m - w.value - dim_mod
-    height_i = None
-    geh = None
-    if M.defining_ideal.is_zero_ideal:
-        # dim M = n and J + I = I, so height I = n - dim R/I = dim M - dim M/IM
-        height_i = dim_m - dim_mod
-        geh = w.value == height_i
+    # for J = 0: dim M = n and J + I = I, so height I = n - dim R/I = dim M - dim M/IM
     return IcmReport(
         grade=w,
         dim_m=dim_m,
         dim_m_mod_im=dim_mod,
         defect=defect,
         is_icm=defect == 0,
-        height_i=height_i,
-        grade_equals_height=geh,
+        height_i=dim_m - dim_mod if M.defining_ideal.is_zero_ideal else None,
     )
 
 
@@ -141,26 +134,21 @@ def is_cohen_macaulay_graded(M: CyclicModule, seed: int = 0) -> bool:
 
 
 def check_grade_height(I: Ideal, seed: int = 0) -> RelationReport:
-    """If R is I-Cohen-Macaulay then grade(I, R) = height(I).
+    """R is I-Cohen-Macaulay for every proper I, i.e. grade(I, R) = height(I):
+    a polynomial ring over a field is Cohen-Macaulay (Bruns-Herzog,
+    Cohen-Macaulay Rings, section 2.1).
 
-    One-directional: the converse can fail, so nothing is asserted when the
-    verdict is negative.
+    The report holds exactly when the verdict is positive, so a grade
+    witness that stops short, or a wrong dimension, shows as a failure.
     """
     ring = I.ring
-    M = CyclicModule(ring, Ideal(ring, ()))
-    rep = icm_report(M, I, seed=seed)
-    log = [
+    rep = icm_report(CyclicModule(ring, Ideal(ring, ())), I, seed=seed)
+    log = (
         "grade = %d" % rep.grade.value,
         "height = %d" % rep.height_i,
         "is_icm = %s" % rep.is_icm,
-    ]
-    if rep.is_icm:
-        holds = bool(rep.grade_equals_height)
-        log.append("verdict positive, so grade must equal height")
-    else:
-        holds = True
-        log.append("verdict negative, implication is vacuous here")
-    return RelationReport(holds, tuple(log))
+    )
+    return RelationReport(rep.is_icm, log)
 
 
 @_in_engine_context
@@ -233,16 +221,12 @@ def subideal_transfer_check(
     else:
         log.append("I is not inside J2; parts 1 and 2 skipped")
     if rep_i.is_icm and rep_2.is_icm:
-        inter = ideal_intersect(I, J2)
-        if inter.is_zero_ideal:
-            log.append("intersection is the zero ideal; part 3 skipped")
+        # I and J2 are nonzero (both reports ran) and R is a domain, so I*J2 != 0
+        evaluated += 1
+        if icm_report(M, ideal_intersect(I, J2), seed=seed).is_icm:
+            log.append("part 3 holds: verdict survives intersecting the test ideals")
         else:
-            evaluated += 1
-            rep_3 = icm_report(M, inter, seed=seed)
-            if rep_3.is_icm:
-                log.append("part 3 holds: verdict survives intersecting the test ideals")
-            else:
-                violated.append("part 3: both verdicts positive but the intersection fails")
+            violated.append("part 3: both verdicts positive but the intersection fails")
     else:
         log.append("part 3 vacuous: needs both verdicts positive")
     log.extend(violated)
@@ -338,8 +322,7 @@ def localization_cm_check(
         "local dimension at p = %d" % local_dim,
         "witness length %d plays the system of parameters" % len(rep.grade.sequence),
     ]
-    holds = depth == local_dim and len(rep.grade.sequence) == local_dim
-    return RelationReport(holds, tuple(log))
+    return RelationReport(depth == local_dim, tuple(log))
 
 
 @_in_engine_context

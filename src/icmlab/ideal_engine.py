@@ -1002,13 +1002,11 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
         lambda: _packed(_tag_ring(J.ring, 1), [_rabinowitsch([f])], (_seed(J), (0,)), decide),
     )
 
+
 def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:
     """The extension of J to the polynomial ring with extra variables
     appended; generators are carried over verbatim."""
     ring = J.ring
-    new_names = tuple(new_names)
-    if not new_names:
-        return J
-    ext = RingDescriptor(ring.field, ring.variables + new_names, ring.order)
+    ext = RingDescriptor(ring.field, ring.variables + tuple(new_names), ring.order)
     lift = list(range(ring.nvars))
     return Ideal(ext, [remap_variables(g, ext, lift) for g in J.generators])

@@ -105,10 +105,11 @@ class MonomialPrime:
     indices: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(sorted(set(self.indices)))
-        if idx and (idx[0] < 0 or idx[-1] >= self.ring.nvars):
-            raise ValueError("variable index out of range")
-        object.__setattr__(self, "indices", idx)
+        idx = tuple(self.indices)
+        for i in idx:
+            if type(i) is not int or not 0 <= i < self.ring.nvars:
+                raise ValueError("variable index out of range: %r" % (i,))
+        object.__setattr__(self, "indices", tuple(sorted(set(idx))))
 
     @classmethod
     def from_names(cls, ring: RingDescriptor, names: Iterable[str]) -> "MonomialPrime":

@@ -269,7 +269,7 @@ class RingDescriptor:
     def variable(self, which: Union[int, str]) -> "Polynomial":
         """The variable named ``which``, or at index ``which`` in 0 ... nvars - 1."""
         i = self.var_index(which) if isinstance(which, str) else which
-        if isinstance(i, bool) or not 0 <= i < self.nvars:
+        if type(i) is not int or not 0 <= i < self.nvars:
             raise ValueError("variable index out of range: %r" % (which,))
         exps = [0] * self.nvars
         exps[i] = 1
@@ -288,8 +288,9 @@ class RingDescriptor:
                 raise DimensionMismatchError(
                     "expected %d exponents, got %d" % (self.nvars, len(mono))
                 )
-            if any(e < 0 for e in mono):
-                raise ValueError("exponents must be nonnegative")
+            # a bool passes isinstance(e, int), and a float would print truncated
+            if any(type(e) is not int or e < 0 for e in mono):
+                raise ValueError("exponents must be nonnegative integers, got %r" % (mono,))
             cc = self.field.coerce(c)
             if mono in acc:
                 cc = self.field.add(acc[mono], cc)

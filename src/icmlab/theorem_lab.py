@@ -470,8 +470,6 @@ def _describe_failure(suite_id: str, meta_seed: int, rep: RelationReport) -> str
     ring = M.ring
 
     def rerun(j_gens: Tuple[Polynomial, ...], i_gens: Tuple[Polynomial, ...]) -> bool:
-        if not i_gens:
-            return False
         try:
             again = check(CyclicModule(ring, Ideal(ring, j_gens)), Ideal(ring, i_gens))
             return (not again.skipped) and (not again.holds)

@@ -507,6 +507,44 @@ class TestMain:
         assert rc == 1
         assert "error in query 'dim J'" in err
 
+    @pytest.mark.parametrize(
+        "source, flags, code, err",
+        [
+            (
+                "ring R = GF(3)[x, y];\nideal J = x + 1/3*y;\ngb J;\n",
+                [],
+                2,
+                "parse error: denominator vanishes in GF(3) (line 2, column 20)\n",
+            ),
+            (
+                "ring R = QQ[x,y,z];\nideal J = x^2 + y*z, y^2 + x*z, z^2 + x*y;\n"
+                "ideal I = x + y + z, x*y*z;\nideal K = intersect(J, I);\n",
+                ["--step-limit", "1"],
+                1,
+                "error in query 'ideal K': Buchberger completion exceeded 1 S-pair reductions",
+            ),
+            (
+                "ring R = QQ[x, y];\nideal J = x, x + 1;\nheight J;\n",
+                [],
+                1,
+                "error in query 'height J': the ideal is the whole ring\n",
+            ),
+            (
+                "ring R = QQ[x, y];\nideal J = 1;\nass J;\n",
+                [],
+                1,
+                "error in query 'ass J': the ideal is the whole ring\n",
+            ),
+        ],
+    )
+    def test_refused_scripts_exit_1_or_2(self, tmp_path, capsys, source, flags, code, err):
+        script = tmp_path / "refused.icm"
+        script.write_text(source)
+        rc = main(["run", str(script)] + flags)
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.out == "" and captured.err.startswith(err)
+
     def test_missing_file_exits_1(self, capsys):
         rc = main(["run", "/no/such/file.icm"])
         err = capsys.readouterr().err
@@ -653,36 +691,9 @@ class TestMain:
         assert main(["run", str(script)]) == 0
         capsys.readouterr()
 
-    def test_step_limit_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ICM_STEP_LIMIT", "1")
-        script = tmp_path / "heavy.icm"
-        script.write_text(self.STEP_LIMIT_SCRIPT)
-        rc = main(["run", str(script)])
-        capsys.readouterr()
-        assert rc == 1
-
-    def test_step_limit_flag_beats_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ICM_STEP_LIMIT", "1")
-        script = tmp_path / "heavy.icm"
-        script.write_text(self.STEP_LIMIT_SCRIPT)
-        rc = main(["run", str(script), "--step-limit", "100000"])
-        capsys.readouterr()
-        assert rc == 0
-
-    def test_step_limit_flag_beats_bad_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ICM_STEP_LIMIT", "abc")
-        script = tmp_path / "heavy.icm"
-        script.write_text(self.STEP_LIMIT_SCRIPT)
-        assert main(["run", str(script), "--step-limit", "100000"]) == 0
-        capsys.readouterr()
-
-    def test_one_argparser_per_process_and_the_env_read_per_call(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_one_argparser_per_process(self, tmp_path, capsys, monkeypatch):
         # the parser and its two subparsers are built on the first call
-        # only, yet every call reads ICM_STEP_LIMIT: a bad value is a usage
-        # error that wins over the missing file argument, and the next
-        # calls see the variable unset, set to 1, and set to 0 for verify
+        # only, and a usage error leaves the built parser in place
         built = []
         real_init = argparse.ArgumentParser.__init__
 
@@ -693,7 +704,6 @@ class TestMain:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         cli_app._build_argparser.cache_clear()
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.setenv("ICM_STEP_LIMIT", "abc")
         with pytest.raises(SystemExit) as exc:
             main(["run"])
         assert exc.value.code == 2
@@ -701,36 +711,25 @@ class TestMain:
             "usage: icm-lab run [-h] [--json] [--seed SEED] [--trials TRIALS]\n"
             "                   [--budget BUDGET] [--step-limit STEP_LIMIT]\n"
             "                   file\n"
-            "icm-lab run: error: argument --step-limit: must be a positive integer, got 'abc'\n"
+            "icm-lab run: error: the following arguments are required: file\n"
         )
         assert built == ["icm-lab", "icm-lab run", "icm-lab verify"]
         script = tmp_path / "heavy.icm"
         script.write_text(self.STEP_LIMIT_SCRIPT)
-        monkeypatch.delenv("ICM_STEP_LIMIT")
         assert main(["run", str(script)]) == 0
-        monkeypatch.setenv("ICM_STEP_LIMIT", "1")
-        assert main(["run", str(script)]) == 1
+        assert main(["run", str(script), "--step-limit", "1"]) == 1
         capsys.readouterr()
-        monkeypatch.setenv("ICM_STEP_LIMIT", "0")
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "grade-height"])
+            main(["verify", "grade-height", "--step-limit", "0"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: icm-lab verify")
         assert len(built) == 3
 
-    @pytest.mark.parametrize(
-        "env, flag",
-        [("abc", []), ("0", []), (None, ["--step-limit", "0"])],
-    )
-    def test_bad_step_limit_is_a_usage_error(self, tmp_path, capsys, monkeypatch, env, flag):
-        if env is None:
-            monkeypatch.delenv("ICM_STEP_LIMIT", raising=False)
-        else:
-            monkeypatch.setenv("ICM_STEP_LIMIT", env)
+    def test_bad_step_limit_is_a_usage_error(self, tmp_path, capsys):
         script = tmp_path / "heavy.icm"
         script.write_text(self.STEP_LIMIT_SCRIPT)
         with pytest.raises(SystemExit) as exc:
-            main(["run", str(script)] + flag)
+            main(["run", str(script), "--step-limit", "0"])
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert err.startswith("usage: icm-lab run")

@@ -79,8 +79,7 @@ def _record(argv):
     }
 
 
-def test_cli_output_matches_recorded_bytes(monkeypatch):
-    monkeypatch.delenv("ICM_STEP_LIMIT", raising=False)
+def test_cli_output_matches_recorded_bytes():
     with open(FIXTURE, "r", encoding="utf-8") as handle:
         recorded = json.load(handle)
     argvs = list(_argvs())
@@ -91,5 +90,4 @@ def test_cli_output_matches_recorded_bytes(monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("ICM_STEP_LIMIT", None)
     print("[\n%s\n]" % ",\n".join(json.dumps(_record(argv)) for argv in _argvs()))

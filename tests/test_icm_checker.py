@@ -87,7 +87,6 @@ class TestIcmReport:
         assert rep.defect == 0
         assert rep.is_icm is True
         assert rep.height_i == 1
-        assert rep.grade_equals_height is True
 
     def test_hypersurface_cases(self):
         # J = <x*y>, I = <x>: I sits inside an associated prime, so grade 0,

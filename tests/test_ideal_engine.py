@@ -460,6 +460,17 @@ class TestBuchberger:
         assert gb.is_unit_ideal
         assert [str(g) for g in gb] == ["1"]
 
+    def test_generators_are_checked(self):
+        R, S = ring_qq("x", "y"), ring_qq("u", "v")
+        with pytest.raises(ValueError, match="empty generator list"):
+            buchberger([])
+        with pytest.raises(IncompatibleRingError, match="outside the target ring"):
+            buchberger([R.variable(0), S.variable(0)], ring=R)
+        with pytest.raises(TypeError, match="must be Polynomials"):
+            Ideal(R, [R.variable(0), 1])
+        with pytest.raises(IncompatibleRingError, match="outside the ideal's ring"):
+            Ideal(R, [S.variable(1)])
+
     def test_matches_oracle_on_random_ideals(self):
         rng = random.Random(17)
         checked = 0

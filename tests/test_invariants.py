@@ -8,6 +8,7 @@ import pytest
 
 from icmlab import ideal_engine
 from icmlab.errors import (
+    EmptySupportError,
     EngineError,
     IMEqualsMError,
     ImproperIdealError,
@@ -114,6 +115,11 @@ class TestDimension:
         assert krull_dimension(CyclicModule(R, monomial_ideal(R, [(1, 1)]))) == 1
         assert krull_dimension(CyclicModule(R, monomial_ideal(R, [(1, 0), (0, 1)]))) == 0
 
+    def test_defining_ideal_from_another_ring_rejected(self):
+        R, S = ring_qq("x", "y"), ring_qq("x", "z")
+        with pytest.raises(IncompatibleRingError, match="different ring"):
+            CyclicModule(R, Ideal(S, [S.variable(0)]))
+
     def test_unit_ideal_rejected(self):
         R = ring_qq("x")
         J = Ideal(R, [R.one()])
@@ -188,6 +194,14 @@ class TestMonomialPrime:
         assert p.contains(q)
         assert not q.contains(p)
         assert str(p) == "<x, z>"
+
+    @pytest.mark.parametrize("indices", [(True,), (0, False), (1.0,), ("1",), (3,), (-1,)])
+    def test_indices_must_be_integers_in_range(self, indices):
+        # (True,) once stood for <y> with indices (True,), and (1.0,)
+        # constructed but could not be printed
+        R = ring_qq("x", "y", "z")
+        with pytest.raises(ValueError, match="variable index out of range"):
+            MonomialPrime(R, indices)
 
     def test_zero_prime_allowed(self):
         R = ring_qq("x")
@@ -892,6 +906,13 @@ class TestGradeBound:
 
 
 class TestLocalDimension:
+    def test_prime_without_a_minimal_prime_is_refused(self):
+        # R/<x> is zero at <y>: no minimal prime of J lies inside it
+        R = ring_qq("x", "y")
+        M = CyclicModule(R, Ideal(R, [R.variable(0)]))
+        with pytest.raises(EmptySupportError, match="does not contain any minimal prime"):
+            local_dimension(M, MonomialPrime(R, (1,)))
+
     def test_frozen_example(self):
         R = ring_qq("x", "y", "z")
         J = monomial_ideal(R, [(1, 1, 0)])

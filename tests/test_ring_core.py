@@ -382,12 +382,22 @@ class TestRingDescriptor:
         assert outcome(lambda: S.constant(Fraction(1, 7))) is ZeroDivisionError
         assert R.monomial((1, 1), 0).is_zero and S.constant(14).is_zero
 
+    @pytest.mark.parametrize("exps", [(1.5, 0), (1.0, 0), (True, 0), (0, False), ("1", 0)])
+    def test_exponents_must_be_integers(self, exps):
+        # a float exponent once printed x^1.5 as x^1 and failed inside the
+        # kernel, a bool was stored as it came, and a string failed with a
+        # bare TypeError; every builder now refuses all of them
+        R = ring_qq("x", "y")
+        for build in (lambda: R.polynomial({exps: 1}), lambda: R.monomial(exps, 2)):
+            with pytest.raises(ValueError, match="exponents must be nonnegative"):
+                build()
+
     def test_variable_index_is_checked(self):
         # an index outside 0 .. n - 1 or a bool once picked a variable by
         # Python's list indexing, or ended in a bare IndexError
         R = ring_qq("x", "y", "z")
         assert [str(R.variable(i)) for i in (0, 2, "y")] == ["x", "z", "y"]
-        for which in (-1, -3, 3, True, False):
+        for which in (-1, -3, 3, True, False, 1.0):
             with pytest.raises(ValueError, match="variable index out of range"):
                 R.variable(which)
         with pytest.raises(KeyError):

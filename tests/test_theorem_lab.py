@@ -7,12 +7,12 @@ import random
 
 import pytest
 
-from icmlab import theorem_lab
+from icmlab import invariants, theorem_lab
 from icmlab.cli_app import IdealStmt, QueryStmt, RingStmt, main, parse
 from icmlab.errors import EngineError, UnknownSuiteError
 from icmlab.icm_checker import RelationReport
 from icmlab.ideal_engine import Ideal
-from icmlab.invariants import CyclicModule, MonomialPrime
+from icmlab.invariants import CyclicModule, GradeWitness, MonomialPrime
 from icmlab.ring_core import FieldSpec, RingDescriptor
 from icmlab.theorem_lab import (
     BINOMIAL,
@@ -199,7 +199,7 @@ TRIAL_FINGERPRINTS = {
     "quotient-transport": "759477b39493b4188942f800e3f3d96e65e86ec8b087c7bba3abc9d625487556",
     "subideal-transfer": "850da96b2cf14a888b85e71273b0572aa9c1f9de70ce3c0687dec241d7c3db5c",
     "annihilator-transport": "c4e90d04b831601013198dc26ba1b28a47e38e19b0da5dd47dade217824a5ab0",
-    "grade-height": "88944106841c6c8fab492bb18b35f82f9b1bd38af8497379c5a4e51cebfe3044",
+    "grade-height": "7106a8570c35bdcf81b26b89911c0231d63135b46883ffaa1eb128bb7d81d576",
     "cm-implies-icm": "342cc4cadce070cfab8ddf1ef607030780aec663809068c83e5ea341c7322676",
     "ass-dimension": "aba82537680bcb4405a9f25a4cd530a0d99b60e7f78124db3b88e9960feafd8f",
     "localization-cm": "124a4df8bee3070d259717b5971dde22fa071feecabc93abf08b3e05090eba65",
@@ -325,6 +325,20 @@ class TestSuiteFailurePath:
         out = capsys.readouterr().out
         assert "passed=0 skipped=0 failures: 2" in out
         assert out.count("icm J I;") == 2
+
+    def test_grade_height_fails_on_a_witness_one_element_short(self, monkeypatch):
+        # R is I-CM for every proper I, so a grade chain that stops one
+        # element short of height I must fail every trial
+        real = invariants._grade_and_dimensions
+
+        def short(M, I, seed):
+            w, dim_m, dim_mod = real(M, I, seed)
+            return GradeWitness(w.value - 1, w.sequence[:-1], w.certificate), dim_m, dim_mod
+
+        monkeypatch.setattr(invariants, "_grade_and_dimensions", short)
+        rep = run_suite("grade-height", trials=8, base_seed=0)
+        assert len(rep.failures) == 8
+        assert all("log: grade = " in text for text in rep.failures)
 
     def test_subideal_transfer_reproducer_replays_both_test_ideals(self, monkeypatch, tmp_path, capsys):
         # the relation compares the icm reports of I and J2, so the script
