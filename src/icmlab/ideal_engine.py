@@ -73,6 +73,12 @@ one elimination of y; for s = 1 no y is added.  A grade chain's J + <x>
 ``is_nonzerodivisor`` runs the saturation's completion for 1 - t*f and
 stops at the first element with a t-free leading monomial: it lies in
 (J : f^infinity) and not in J.
+
+Monomial ideals skip the pair loop.  The S-polynomial of two monomials is
+zero (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2), so
+the minimal ones of monomial generators are the reduced basis, packed as
+the kernel divisors any route seeds from; and a term f is regular modulo a
+monomial ideal exactly when it shares no variable with its basis.
 """
 from __future__ import annotations
 
@@ -453,7 +459,9 @@ class ReducedGB:
     ``steps``, the S-pair reductions of the completion that built it,
     depends on the route (generators, settled prefix), so it is not part of
     equality; the memo keeps the first route's, which met the step limit of
-    the context that stores it.  Nor is ``_divisors``, the kernel form its
+    the context that stores it.  It is 0 for monomial generators completed
+    from nothing settled, which form no pair, so no step limit trips on
+    them.  Nor is ``_divisors``, the kernel form its
     completion ended with, packed by ``_packing``.
     """
 
@@ -557,30 +565,39 @@ def _complete(ring: RingDescriptor, gens: Sequence, settled: Optional[tuple]) ->
     a work dict of the kernel, from ``settled``, a basis and the tag monomial
     it is multiplied by (``_lift_divisors``), or None: a Groebner basis
     already, so the pairs inside it are never formed, and the chain
-    criterion stays sound.  It reads only the step limit; callers memoize."""
+    criterion stays sound.  It reads only the step limit; callers memoize.
+    Monomial generators with nothing settled are a Groebner basis already,
+    as the S-polynomial of two monomials is zero: their minimal ones are
+    the reduced basis, with no pair formed and 0 steps."""
     p = ring.field.characteristic
+    works = [g if isinstance(g, dict) else _work(g, p) for g in gens if g]
+    monomial = settled is None and all(len(w) == 1 for w in works)
 
     def complete(pk: _Packing, works: List[dict], settled: tuple) -> ReducedGB:
         flip, emask = pk.flip, pk.emask
         divs: List[tuple] = []  # the working basis, as the kernel views it
-        steps = _grow(pk, works, settled, divs, p)
+        if monomial:
+            steps, divs = 0, [_divisor(((m, 1),), pk) for w in works for m in w]
+        else:
+            steps = _grow(pk, works, settled, divs, p)
         # minimal basis: scan by increasing leading monomial, drop dominated ones
         minimal: List[tuple] = []
         for d in sorted(divs, key=itemgetter(3), reverse=True):
             probe = flip * d[3]
             if all((k[0] - probe) & emask for k in minimal):
                 minimal.append(d)
-        # full autoreduction; leading terms are pairwise non-dividing so they survive
+        # full autoreduction of the tails; leading terms are pairwise
+        # non-dividing so they survive, and a monomial is reduced already
         for idx in range(len(minimal)):
             others = minimal[:idx] + minimal[idx + 1 :]
-            if others:
+            if others and minimal[idx][2]:
                 r = _reduce(dict(_full(minimal[idx])), others, p, pk)[0]
                 minimal[idx] = _divisor(_normalize(r, p), pk, minimal[idx][5])
         # minimal is ascending in the order and autoreduction keeps leading terms
         basis = tuple(Polynomial(ring, _monic(d, p, pk)) for d in minimal)
         return ReducedGB(ring, basis, steps, tuple(minimal), pk)
 
-    return _packed(ring, [g if isinstance(g, dict) else _work(g, p) for g in gens if g], settled, complete)
+    return _packed(ring, works, settled, complete)
 
 
 def _grow(pk: _Packing, works: Sequence[dict], settled: tuple, divs: List[tuple], p: int, stop=None) -> Optional[int]:
@@ -986,8 +1003,11 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     in (J : f^infinity) outside J, and the completion stops with False.
     When the pairs run out without one, the answer is True; for f in J,
     1 - t*f reduces to 1 at once.  No minimal basis, contraction or normal
-    form is built.  In an engine context the decision is memoized under
-    "regular" with the ring and J's and f's terms.
+    form is built.  For a term f and a monomial basis of J no completion
+    runs: f is regular exactly when it shares no variable with any element
+    of the basis (Herzog-Hibi, *Monomial Ideals*, GTM 260).  In an engine
+    context the decision is memoized under "regular" with the ring and J's
+    and f's terms.
     """
     _same_ring(f, J)
     if f.is_zero:
@@ -996,11 +1016,15 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     def decide(pk: _Packing, works: List[dict], settled: tuple) -> bool:
         return _grow(pk, works, settled, [], p, stop=lambda lm: not lm[0]) is not None
 
+    def decision() -> bool:
+        seed = _seed(J)  # read once: outside a context each read completes it again
+        if len(f.terms) == 1 and all(len(g.terms) == 1 for g in seed):
+            m = f.terms[0][0]
+            return not any(any(map(min, m, g.terms[0][0])) for g in seed)
+        return _packed(_tag_ring(J.ring, 1), [_rabinowitsch([f])], (seed, (0,)), decide)
+
     p = J.ring.field.characteristic
-    return _memoized(
-        ("regular", J.ring, _terms(J.generators), (f.terms,)),
-        lambda: _packed(_tag_ring(J.ring, 1), [_rabinowitsch([f])], (_seed(J), (0,)), decide),
-    )
+    return _memoized(("regular", J.ring, _terms(J.generators), (f.terms,)), decision)
 
 
 def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:

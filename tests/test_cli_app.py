@@ -684,6 +684,21 @@ class TestMain:
         assert rc == 1
         assert "error in query 'gb J'" in err
 
+    @pytest.mark.parametrize(
+        "gens, rc, out",
+        [("x^2, x*y, y^2", 0, "gb J = [y^2, x*y, x^2]\n"), ("x^2 - y, x*y", 1, "")],
+        ids=["monomial", "binomial"],
+    )
+    def test_step_limit_spares_a_monomial_basis(self, tmp_path, capsys, gens, rc, out):
+        # a monomial ideal's basis is its minimal generators, reached with
+        # no S-pair reduction, so a limit of 1 lets it through
+        script = tmp_path / "gb.icm"
+        script.write_text("ring R = QQ[x,y];\nideal J = %s;\ngb J;\n" % gens)
+        assert main(["run", str(script), "--step-limit", "1"]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert ("exceeded 1 S-pair" in captured.err) == bool(rc)
+
     def test_step_limit_does_not_outlive_the_call(self, tmp_path, capsys):
         script = tmp_path / "heavy.icm"
         script.write_text(self.STEP_LIMIT_SCRIPT)

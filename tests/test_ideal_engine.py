@@ -1481,13 +1481,15 @@ class TestNonzerodivisor:
         monkeypatch.setattr(ideal_engine, "_grow", lambda *a, **k: runs.append(a) or real(*a, **k))
         R = ring_qq("x", "y", "z")
         x, y, z = (R.variable(i) for i in range(3))
-        J = Ideal(R, [x * y, x * z])
+        # J's basis is not monomial, so both J's basis and the decisions on
+        # y (x*y in J) run the kernel's completion
+        J = Ideal(R, [x * y, x * z + z**2])
         # nothing is stored outside a context: each test completes J's basis
         # and decides again
         assert not is_nonzerodivisor(J, y) and not is_nonzerodivisor(J, y)
         assert len(runs) == 4
         with engine_context():
-            J.groebner_basis()
+            assert [str(g) for g in J.groebner_basis()] == ["x*z + z^2", "x*y", "y*z^2"]
             del runs[:]
             assert not is_nonzerodivisor(J, y) and not is_nonzerodivisor(J, y)
             assert len(runs) == 1
@@ -1499,6 +1501,130 @@ class TestNonzerodivisor:
             assert len(runs) == done + 1
         with pytest.raises(ZeroElementError):
             is_nonzerodivisor(J, R.zero())
+
+
+def tagged_decision(J, f):
+    """``is_nonzerodivisor``'s completion of J + <1 - t*f> from J's grevlex
+    basis, run whatever J and f are."""
+    p = J.ring.field.characteristic
+
+    def decide(pk, works, settled):
+        return ideal_engine._grow(pk, works, settled, [], p, stop=lambda lm: not lm[0]) is not None
+
+    aug = ideal_engine._tag_ring(J.ring, 1)
+    return ideal_engine._packed(aug, [ideal_engine._rabinowitsch([f])], (ideal_engine._seed(J), (0,)), decide)
+
+
+class TestMonomialIdeals:
+    """Monomial generators skip the pair loop: their minimal ones, monic, are
+    the reduced basis (``oracles.oracle_buchberger``, ``oracles.minimalize``),
+    and a term f is regular modulo a monomial ideal J exactly when it shares
+    no variable with J's basis, i.e. (J : f) = J (``oracles.colon_monomial``),
+    as the tagged decision finds."""
+
+    ORDERS = (TermOrder("lex"), TermOrder("grevlex"), TermOrder("elimination-block", 1))
+
+    @staticmethod
+    def coefficient(rng, p):
+        return rng.randint(1, p - 1) if p else Fraction(rng.choice([-7, -1, 1, 2, 5]), rng.choice([1, 3]))
+
+    @classmethod
+    def monomials(cls, rng, ring, kind):
+        """Monomial generators of ``kind`` with random nonzero coefficients,
+        and their exponent vectors."""
+        exps = [tuple(rng.randint(0, 3) for _ in range(ring.nvars)) for _ in range(rng.randint(1, 4))]
+        if kind == "repeated":
+            exps.insert(rng.randrange(len(exps) + 1), rng.choice(exps))
+        elif kind == "dividing":
+            # a multiple of one generator, before or after it
+            m = tuple(e + rng.randint(0, 1) for e in rng.choice(exps))
+            exps.insert(rng.randrange(len(exps) + 1), m)
+        elif kind == "unit":
+            exps.insert(rng.randrange(len(exps) + 1), (0,) * ring.nvars)
+        elif kind == "zero":
+            exps = []
+        return [ring.monomial(m, cls.coefficient(rng, ring.field.characteristic)) for m in exps], exps
+
+    @pytest.fixture
+    def grown(self, monkeypatch):
+        runs = []
+        real = ideal_engine._grow
+        monkeypatch.setattr(ideal_engine, "_grow", lambda *a, **k: runs.append(a) or real(*a, **k))
+        return runs
+
+    def test_completion_matches_the_oracles(self, grown):
+        # every field and order, at starting widths from 1 bit a field, so
+        # that many bases overflow and are packed again wider
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for order in self.ORDERS:
+                R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+                rng = random.Random(97 * p + len(order.kind))
+                for trial in range(12):
+                    kind = ("drawn", "repeated", "dividing", "unit")[trial % 4]
+                    gens, exps = self.monomials(rng, R, kind)
+                    start = 1 + trial % 6
+                    with mock.patch.object(ideal_engine, "_width", lambda degree: start):
+                        gb = buchberger(gens)
+                    assert list(gb) == oracles.oracle_buchberger(gens), gens
+                    assert sorted(g.leading_monomial() for g in gb) == sorted(oracles.minimalize(exps))
+                    assert gb.steps == 0 and gb.is_unit_ideal == ((0,) * 3 in exps)
+                    # the basis' kernel divisors divide as the field algorithm does
+                    f = random_poly(rng, R, max_terms=5, max_exp=4)
+                    assert normal_form(f, gb) == oracles.oracle_divide(f, list(gb))[1]
+                    seen[kind] += len(exps) > len(gb)  # a generator dropped
+                    seen["redone wider"] += gb._packing.width > start
+        assert grown == []
+        assert seen["repeated"] == seen["dividing"] == seen["unit"] == 36, seen
+        assert seen["redone wider"] >= 36, seen
+
+    def test_regularity_matches_the_tagged_decision_and_the_colon(self, grown):
+        # f a term, a constant or not, with a coefficient that need not be
+        # 1; J drawn, zero or the unit ideal; a lex J is read through its
+        # grevlex twin, whose basis is monomial too
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for order in self.ORDERS:
+                R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+                rng = random.Random(89 * p + len(order.kind))
+                for trial in range(15):
+                    kind = ("drawn", "dividing", "zero", "unit", "drawn")[trial % 5]
+                    gens, exps = self.monomials(rng, R, kind)
+                    J = Ideal(R, gens)
+                    m = (0,) * 3 if trial % 3 == 0 else tuple(rng.randint(0, 2) for _ in range(3))
+                    f = R.monomial(m, self.coefficient(rng, p))
+                    want = oracles.equal_monomial_ideals(oracles.colon_monomial(exps, m), exps)
+                    with engine_context():
+                        del grown[:]
+                        assert is_nonzerodivisor(J, f) == want, (J, f)
+                        assert grown == []  # J's basis and the decision, with no completion
+                        assert tagged_decision(J, f) == want, (J, f)
+                    seen["regular" if want else "zero divisor"] += 1
+                    seen["constant f"] += not any(m)
+                    seen["coefficient not 1"] += f.terms[0][1] != 1
+                    seen[kind] += 1
+        assert seen["zero"] == seen["unit"] == 36, seen
+        assert seen["regular"] >= 60 and seen["zero divisor"] >= 40, seen
+        assert seen["constant f"] >= 40 and seen["coefficient not 1"] >= 60, seen
+
+    def test_a_binomial_basis_takes_the_tagged_decision(self, grown):
+        # a term modulo an ideal whose basis is not monomial runs the kernel
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        J = Ideal(R, [x * y - z**2])
+        assert is_nonzerodivisor(J, x) and not is_nonzerodivisor(Ideal(R, [x * y - z**2, x * z]), y)
+        assert grown
+
+    def test_step_limit(self):
+        # a monomial basis costs no step, so even a limit of 1 lets it
+        # through; a binomial ideal still trips the limit
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        with engine_context(step_limit=1):
+            gb = buchberger([x**2, x * y, y**2])
+            assert gb.steps == 0 and [str(g) for g in gb] == ["y^2", "x*y", "x^2"]
+            with pytest.raises(StepLimitExceededError, match="exceeded 1 S-pair"):
+                buchberger([x**2 - y, x * y])
 
 
 class TestExtend:
@@ -1743,13 +1869,18 @@ class TestExtend:
         # in the context of the search, the replay completes only the
         # certificate ideal, which the search never needed a basis of
         with engine_context():
-            M, I, ring, w, runs = self.minors_grade(monkeypatch, "_grow")
-            del runs[:]
+            M, I, ring, w, calls = self.minors_grade(monkeypatch, "_complete")
+            runs = []
+            real = ideal_engine._grow
+            monkeypatch.setattr(ideal_engine, "_grow", lambda *a, **k: runs.append(a) or real(*a, **k))
+            del calls[:]
             log = invariants.verify_grade_witness(M, I, w)
         assert len(log) == w.value + 1
-        # _grow reads the generators as the kernel's work dicts, packed
-        want = [ideal_engine._work(g, 0) for g in w.certificate.ideal.generators]
-        assert [[{pk.unpack(m): c for m, c in work.items()} for work in works] for pk, works, *_ in runs] == [want]
+        cert = w.certificate.ideal.generators
+        assert [(r, list(gens), settled) for r, gens, settled in calls] == [(ring, list(cert), None)]
+        # the certificate, the unit ideal here, is monomial, so its basis is
+        # its minimal generators, and no decision runs the kernel again
+        assert [g.terms for g in cert] == [(((0,) * ring.nvars, 1),)] and runs == []
 
 
 def _terms(K):
