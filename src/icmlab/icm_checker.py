@@ -53,9 +53,15 @@ class IcmReport:
     grade: GradeWitness
     dim_m: int
     dim_m_mod_im: int
-    defect: int
-    is_icm: bool
     height_i: Optional[int] = None
+
+    @property
+    def defect(self) -> int:
+        return self.dim_m - self.grade.value - self.dim_m_mod_im
+
+    @property
+    def is_icm(self) -> bool:
+        return self.defect == 0
 
     def to_json(self) -> dict:
         return {
@@ -107,30 +113,20 @@ def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
     bases.  Its grade chain opens a default engine context when none is open.
     """
     w, dim_m, dim_mod = invariants._grade_and_dimensions(M, I, seed)
-    defect = dim_m - w.value - dim_mod
     # for J = 0: dim M = n and J + I = I, so height I = n - dim R/I = dim M - dim M/IM
-    return IcmReport(
-        grade=w,
-        dim_m=dim_m,
-        dim_m_mod_im=dim_mod,
-        defect=defect,
-        is_icm=defect == 0,
-        height_i=dim_m - dim_mod if M.defining_ideal.is_zero_ideal else None,
-    )
+    return IcmReport(w, dim_m, dim_mod, dim_m - dim_mod if M.defining_ideal.is_zero_ideal else None)
 
 
 def is_cohen_macaulay_graded(M: CyclicModule, seed: int = 0) -> bool:
-    """Classical Cohen-Macaulayness of R/J for homogeneous J, read off at
-    the ideal of all variables: depth equals dimension."""
+    """Classical Cohen-Macaulayness of R/J for homogeneous J: the verdict at
+    the ideal m of all variables, where dim M/mM = 0."""
     for g in M.defining_ideal.generators:
         if not g.is_homogeneous():
             raise InhomogeneousIdealError(
                 "Cohen-Macaulay test needs homogeneous generators; %s mixes degrees" % g
             )
     ring = M.ring
-    mvars = Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
-    w, dim_m, _ = invariants._grade_and_dimensions(M, mvars, seed)
-    return w.value == dim_m
+    return icm_report(M, Ideal(ring, [ring.variable(i) for i in range(ring.nvars)]), seed).is_icm
 
 
 def check_grade_height(I: Ideal, seed: int = 0) -> RelationReport:
@@ -353,10 +349,7 @@ def polynomial_extension_check(
         and ext.dim_m == base.dim_m + k_new
         and ext.dim_m_mod_im == base.dim_m_mod_im + k_new
     )
-    is_var_prime = bool(I.generators) and all(
-        g.is_monomial and g.total_degree() == 1 for g in I.generators
-    )
-    if is_var_prime:
+    if I.generators and invariants.variable_prime(I) is not None:
         h_base = invariants.height(I)
         h_ext = invariants.height(ext_i)
         log.append("prime test ideal: height %d base, %d extended" % (h_base, h_ext))

@@ -76,9 +76,10 @@ stops at the first element with a t-free leading monomial: it lies in
 
 Monomial ideals skip the pair loop.  The S-polynomial of two monomials is
 zero (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2), so
-the minimal ones of monomial generators are the reduced basis, packed as
-the kernel divisors any route seeds from; and a term f is regular modulo a
-monomial ideal exactly when it shares no variable with its basis.
+when a completion's works and settled basis are all monomials, on every
+route, their minimal ones are the reduced basis, with 0 steps; and a term
+f is regular modulo a monomial ideal exactly when it shares no variable
+with its basis.
 """
 from __future__ import annotations
 
@@ -459,9 +460,9 @@ class ReducedGB:
     ``steps``, the S-pair reductions of the completion that built it,
     depends on the route (generators, settled prefix), so it is not part of
     equality; the memo keeps the first route's, which met the step limit of
-    the context that stores it.  It is 0 for monomial generators completed
-    from nothing settled, which form no pair, so no step limit trips on
-    them.  Nor is ``_divisors``, the kernel form its
+    the context that stores it.  It is 0 on every route whose inputs, work
+    and settled basis, are all monomials: they form no pair, so no step
+    limit trips on them.  Nor is ``_divisors``, the kernel form its
     completion ended with, packed by ``_packing``.
     """
 
@@ -566,19 +567,18 @@ def _complete(ring: RingDescriptor, gens: Sequence, settled: Optional[tuple]) ->
     it is multiplied by (``_lift_divisors``), or None: a Groebner basis
     already, so the pairs inside it are never formed, and the chain
     criterion stays sound.  It reads only the step limit; callers memoize.
-    Monomial generators with nothing settled are a Groebner basis already,
-    as the S-polynomial of two monomials is zero: their minimal ones are
-    the reduced basis, with no pair formed and 0 steps."""
+    Monomial works and a monomial settled basis are a Groebner basis
+    already, as the S-polynomial of two monomials is zero: their minimal
+    ones are the reduced basis, with no pair formed and 0 steps."""
     p = ring.field.characteristic
     works = [g if isinstance(g, dict) else _work(g, p) for g in gens if g]
-    monomial = settled is None and all(len(w) == 1 for w in works)
 
     def complete(pk: _Packing, works: List[dict], settled: tuple) -> ReducedGB:
         flip, emask = pk.flip, pk.emask
-        divs: List[tuple] = []  # the working basis, as the kernel views it
-        if monomial:
-            steps, divs = 0, [_divisor(((m, 1),), pk) for w in works for m in w]
+        if all(len(w) == 1 for w in works) and not any(d[2] for d in settled):
+            steps, divs = 0, [*settled, *(_divisor(((m, 1),), pk) for w in works for m in w)]
         else:
+            divs = []  # the working basis, as the kernel views it
             steps = _grow(pk, works, settled, divs, p)
         # minimal basis: scan by increasing leading monomial, drop dominated ones
         minimal: List[tuple] = []

@@ -139,6 +139,14 @@ class MonomialPrime:
         return "<%s>" % ", ".join(self.variables)
 
 
+def variable_prime(I: Ideal) -> Optional[MonomialPrime]:
+    """I as a MonomialPrime when each generator is a variable (up to a unit;
+    the zero ideal is the zero prime), else None."""
+    if not all(g.is_monomial and g.total_degree() == 1 for g in I.generators):
+        return None
+    return MonomialPrime(I.ring, tuple(g.leading_monomial().index(1) for g in I.generators))
+
+
 @dataclass(frozen=True)
 class GradeWitness:
     """A certified grade value: the maximal regular sequence actually found,
@@ -197,21 +205,19 @@ def height(J: Ideal) -> int:
 
 
 def _minimal_monomial_gens(J: Ideal) -> List[Monomial]:
-    """The minimal generators of a proper monomial ideal.  The zero ideal has
-    none, and both callers then return the zero prime: the empty set is its
-    only transversal and its only irreducible component."""
-    gens = []
+    """The minimal generators of a proper monomial ideal, its reduced basis.
+    The zero ideal has none, and both callers then return the zero prime:
+    the empty set is its only transversal and its only irreducible component."""
     for g in J.generators:
         if len(g.terms) != 1:
             raise NonMonomialError(
                 "operation needs a monomial ideal; generator %s has %d terms"
                 % (g, len(g.terms))
             )
-        gens.append(g.terms[0][0])
-    gens = minimalize_monomials(gens)
-    if any(sum(m) == 0 for m in gens):
+    G = J.groebner_basis()
+    if G.is_unit_ideal:
         raise ImproperIdealError("the ideal is the whole ring")
-    return gens
+    return [g.terms[0][0] for g in G.basis]
 
 
 def minimalize_monomials(gens: Iterable[Monomial]) -> List[Monomial]:

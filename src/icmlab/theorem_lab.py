@@ -74,9 +74,12 @@ class SuiteReport:
 
     suite_id: str
     trials: int
-    passed: int
     skipped_hypothesis: int
     failures: Tuple[str, ...]
+
+    @property
+    def passed(self) -> int:
+        return self.trials - self.skipped_hypothesis - len(self.failures)
 
     def to_json(self) -> dict:
         return {
@@ -275,12 +278,10 @@ def _free_module(ring: RingDescriptor) -> CyclicModule:
 
 def _variable_prime(I: Ideal) -> MonomialPrime:
     """The prime I, which must be generated by variables."""
-    indices = []
-    for g in I.generators:
-        if not (g.is_monomial and g.total_degree() == 1):
-            raise EngineError("test ideal generator %s is not a variable" % g)
-        indices.append(g.leading_monomial().index(1))
-    return MonomialPrime(I.ring, tuple(indices))
+    prime = invariants.variable_prime(I)
+    if prime is None:
+        raise EngineError("test ideal %s is not generated by variables" % (I,))
+    return prime
 
 
 def _quotient_transport(meta_seed: int) -> Trial:
@@ -511,7 +512,6 @@ def run_suite(suite_id: str, trials: int = 100, base_seed: int = 0) -> SuiteRepo
     return SuiteReport(
         suite_id=suite_id,
         trials=trials,
-        passed=trials - skipped - len(failures),
         skipped_hypothesis=skipped,
         failures=tuple(text for _, text in failures),
     )

@@ -644,7 +644,6 @@ class TestMain:
         fake = SuiteReport(
             suite_id="grade-height",
             trials=2,
-            passed=1,
             skipped_hypothesis=0,
             failures=("# reproducer script",),
         )
@@ -659,7 +658,6 @@ class TestMain:
         fake = SuiteReport(
             suite_id="grade-height",
             trials=2,
-            passed=1,
             skipped_hypothesis=0,
             failures=("# reproducer script",),
         )

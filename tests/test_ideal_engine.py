@@ -1626,6 +1626,94 @@ class TestMonomialIdeals:
             with pytest.raises(StepLimitExceededError, match="exceeded 1 S-pair"):
                 buchberger([x**2 - y, x * y])
 
+    @pytest.fixture
+    def completions(self, monkeypatch, grown):
+        """Per ``_complete`` call: whether its works and settled basis are
+        all monomials, whether it was seeded, whether it ran ``_grow``, its
+        steps, and whether it was packed wider than its settled basis."""
+        out = []
+        real = ideal_engine._complete
+
+        def complete(ring, gens, settled):
+            before = len(grown)
+            gb = real(ring, gens, settled)
+            sizes = [len(g) if isinstance(g, dict) else len(g.terms) for g in gens]
+            sizes += [len(g.terms) for g in settled[0]] if settled else []
+            wider = settled is not None and gb._packing.width > settled[0]._packing.width
+            out.append((max(sizes, default=1) == 1, settled is not None, len(grown) > before, gb.steps, wider))
+            return gb
+
+        monkeypatch.setattr(ideal_engine, "_complete", complete)
+        return out
+
+    @staticmethod
+    def assert_monomial_rule(completions):
+        """Every completion whose inputs are all monomials ran no ``_grow``
+        and reports 0 steps; returns the seeded ones as (count, redone wider)."""
+        monomial = [c for c in completions if c[0]]
+        assert all(not grew and steps == 0 for _, _, grew, steps, _ in monomial)
+        seeded = [wider for _, seeded, _, _, wider in monomial if seeded]
+        return len(seeded), sum(seeded)
+
+    def test_extend_matches_the_oracle(self, grown, completions):
+        # J + <x> for a monomial J and a term x, completed from J's basis
+        # settled: its grevlex basis (its twin's in a lex ring) is the
+        # oracle's, with no pair formed, also when x overflows the width J's
+        # basis was packed at and the completion is redone wider
+        for p in (0, 2, 32003):
+            for order in (TermOrder("grevlex"), TermOrder("lex")):
+                R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+                rng = random.Random(71 * p + len(order.kind))
+                for trial in range(12):
+                    gens, _ = self.monomials(rng, R, ("drawn", "repeated", "dividing", "unit")[trial % 4])
+                    m = tuple(rng.randint(0, 2 + 6 * (trial % 2)) for _ in range(3))
+                    x = R.monomial(m, self.coefficient(rng, p))
+                    start = 1 + trial % 3
+                    with engine_context(), mock.patch.object(ideal_engine, "_width", lambda degree: start):
+                        K = ideal_engine._extend(Ideal(R, gens), x)
+                        twin = ideal_engine._grevlex_twin(K)
+                        assert list(twin.groebner_basis()) == oracles.oracle_buchberger(twin.generators), K
+                        assert list(K.groebner_basis()) == oracles.oracle_buchberger(K.generators), K
+        assert grown == []
+        seeded, wider = self.assert_monomial_rule(completions)
+        assert seeded == 72 and wider >= 12, (seeded, wider)
+
+    def test_colon_by_an_ideal_matches_the_oracle(self, grown, completions):
+        # (J : I) for monomial J and I with s >= 2 generators, from starting
+        # widths of 1 to 3 bits a field: where the colon by f_y in R[y] is
+        # monomial, the elimination of y from J's monomial basis settled
+        # forms no pair
+        for p in (0, 2, 32003):
+            for order in (TermOrder("grevlex"), TermOrder("lex")):
+                R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+                rng = random.Random(67 * p + len(order.kind))
+                for trial in range(12):
+                    gens, exps = self.monomials(rng, R, ("drawn", "repeated", "dividing")[trial % 3])
+                    others = []
+                    while len(others) < 2:
+                        others, oexps = self.monomials(rng, R, "drawn")
+                    start = 1 + trial % 3
+                    with engine_context(), mock.patch.object(ideal_engine, "_width", lambda degree: start):
+                        basis = ideal_quotient_ideal(Ideal(R, gens), Ideal(R, others)).groebner_basis()
+                    want = oracles.minimalize(oracles.colon_ideal_monomial(exps, oexps))
+                    assert all(len(g.terms) == 1 for g in basis), (gens, others)
+                    assert sorted(g.leading_monomial() for g in basis) == sorted(want), (gens, others)
+        # the colon divides J's generators, so its elimination stays at the
+        # width of J's basis
+        seeded, _ = self.assert_monomial_rule(completions)
+        assert seeded >= 36, seeded
+
+    def test_extend_of_a_monomial_basis_forms_no_pair(self, grown):
+        # <x^2, x*y> + <y^2> through _extend reports the steps buchberger on
+        # the same generators reports, 0, and runs no _grow
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        with engine_context(step_limit=1):
+            K = ideal_engine._extend(Ideal(R, [x**2, x * y]), y**2)
+            gb = K.groebner_basis()
+        assert gb.steps == buchberger(K.generators).steps == 0
+        assert [str(g) for g in gb] == ["y^2", "x*y", "x^2"] and grown == []
+
 
 class TestExtend:
     """``_extend(J, x)``, the next ideal of a grade chain: J + <x> with its

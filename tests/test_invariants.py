@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,7 @@ from icmlab.invariants import (
     minimal_primes_monomial,
     minimal_transversals,
     replay_regular_sequence,
+    variable_prime,
     verify_grade_witness,
 )
 from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder
@@ -214,6 +216,15 @@ class TestMonomialPrime:
         p = MonomialPrime.from_names(R, ["y"])
         assert [str(g) for g in p.as_ideal().generators] == ["y"]
 
+    def test_variable_prime(self):
+        # an ideal generated by variables, up to units, is its prime; any
+        # other generator gives None
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        assert variable_prime(Ideal(R, [z, R.monomial((1, 0, 0), 2), z])) == MonomialPrime(R, (0, 2))
+        assert variable_prime(Ideal(R, [])) == MonomialPrime(R, ())
+        assert [variable_prime(Ideal(R, [x, g])) for g in (y * z, x + y, R.one())] == [None] * 3
+
 
 class TestMinimalPrimes:
     def test_frozen_examples(self):
@@ -282,6 +293,40 @@ class TestAssociatedPrimes:
             ass = {p.indices for p in associated_primes_monomial(J)}
             mins = {p.indices for p in minimal_primes_monomial(J)}
             assert mins <= ass
+
+
+class TestPrimesOfAPresentation:
+    """The primes read the minimal generators off the ideal's reduced basis,
+    so how the generators are written down does not move them."""
+
+    def test_repeats_multiples_and_coefficients(self):
+        rng = random.Random(131)
+        for p in (0, 2, 32003):
+            for order in ("grevlex", "lex"):
+                R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder(order))
+                for trial in range(8):
+                    monos = random_monomials(rng, 3, 3, rng.randint(1, 3))
+                    # a repeat and a multiple of a generator, anywhere
+                    written = monos + [rng.choice(monos), tuple(e + 1 for e in rng.choice(monos))]
+                    rng.shuffle(written)
+                    coefficients = [
+                        rng.randint(1, p - 1) if p else Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 4]))
+                        for _ in written
+                    ]
+                    J = Ideal(R, [R.monomial(m, c) for m, c in zip(written, coefficients)])
+                    want = oracles.associated_primes_witness(3, monos)
+                    assert {q.indices for q in associated_primes_monomial(J)} == want, written
+                    minimal = {a for a in want if not any(set(b) < set(a) for b in want)}
+                    assert {q.indices for q in minimal_primes_monomial(J)} == minimal, written
+
+    def test_nonmonomial_and_improper_ideals_rejected(self):
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        for primes in (minimal_primes_monomial, associated_primes_monomial):
+            with pytest.raises(NonMonomialError):
+                primes(Ideal(R, [x**2 - y]))
+            with pytest.raises(ImproperIdealError):
+                primes(Ideal(R, [x, R.one()]))
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ class TestRunTrial:
         # the at-prime suites read their test ideal back as a variable prime
         M, _, check = theorem_lab._SUITES[suite_id](0)
         x = M.ring.variable(0)
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="not generated by variables"):
             check(M, Ideal(M.ring, [x * x]))
 
 
