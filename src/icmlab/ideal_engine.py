@@ -77,9 +77,10 @@ stops at the first element with a t-free leading monomial: it lies in
 Monomial ideals skip the pair loop.  The S-polynomial of two monomials is
 zero (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2), so
 when a completion's works and settled basis are all monomials, on every
-route, their minimal ones are the reduced basis, with 0 steps; and a term
-f is regular modulo a monomial ideal exactly when it shares no variable
-with its basis.
+route, their minimal ones are the reduced basis, with 0 steps; a term f is
+regular modulo a monomial ideal exactly when it shares no variable with
+its basis; and the saturation of a monomial J by terms, and its exponent,
+are read off the exponents, with no tagged ring (``_monomial_saturation``).
 """
 from __future__ import annotations
 
@@ -109,9 +110,11 @@ from .ring_core import (
     TermOrder,
     _from_dict,
     _same_ring,
+    minimalize_monomials,
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
     remap_variables,
 )
 
@@ -955,8 +958,11 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.  The loop
     runs in the kernel, against the same grevlex basis of J: membership does
     not depend on the order, and a remainder is a unit times the field's
-    linear normal form.  In an engine context the result is memoized under
-    "saturate" with the ring and J's and I's generator terms.
+    linear normal form.  When J's basis and I's generators are all terms,
+    neither the completion nor the kernel runs: ``_monomial_saturation``
+    reads both off the exponents, with 0 steps.  In an engine context the
+    result is memoized under "saturate" with the ring and J's and I's
+    generator terms, whichever route built it.
     """
     _same_ring(J, I)
     gens = I.generators
@@ -965,6 +971,8 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
 
     def saturation() -> SaturationResult:
         seed = _seed(J)
+        if all(len(g.terms) == 1 for g in chain(seed, gens)):
+            return _monomial_saturation(J.ring, seed, gens)
         ntags = min(len(gens), 2)
         sat = _eliminate_tag(J.ring, ntags, [_rabinowitsch(gens)], (seed, (0,) * ntags))
         p = J.ring.field.characteristic
@@ -991,6 +999,35 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
         return SaturationResult(sat, _packed(seed.ring, works, (seed, ()), rounds))
 
     return _memoized(("saturate", J.ring, _terms(J.generators), _terms(gens)), saturation)
+
+
+def _monomial_saturation(ring: RingDescriptor, seed: ReducedGB, gens: Sequence[Polynomial]) -> SaturationResult:
+    """``saturate`` for J with a monomial basis ``seed`` and I generated by
+    the terms ``gens``, read off the exponents.  (J : m^infinity) is J's
+    minimal monomials with the exponents of supp(m) set to 0, and (J :
+    I^infinity) their intersection over I's generators m, generated by
+    lcms (Herzog-Hibi, *Monomial Ideals*, GTM 260, 1.2).  The exponent is
+    ``saturate``'s loop on exponent tuples: a term's remainder modulo a
+    monomial basis is itself or 0.  The generators come out monic and
+    ascending in grevlex, as ``_eliminate_tag`` leaves them."""
+    basis = [g.terms[0][0] for g in seed]
+    ms = [g.terms[0][0] for g in gens]
+    sat: List[Monomial] = []
+    for i, m in enumerate(ms):
+        part = [tuple(0 if k else e for e, k in zip(b, m)) for b in basis]
+        sat = minimalize_monomials([monomial_lcm(a, b) for a in sat for b in part] if i else part)
+
+    def outside(h: Monomial) -> bool:
+        return not any(monomial_divides(b, h) for b in basis)
+
+    rest = {h for h in sat if outside(h)}
+    exponent = 0
+    while rest:
+        rest = {h for h in (monomial_mul(m, h) for m in ms for h in rest) if outside(h)}
+        exponent += 1
+    sat.sort(key=seed.ring.order.descending_key, reverse=True)
+    one = ring.field.one
+    return SaturationResult(Ideal(ring, [Polynomial(ring, ((h, one),)) for h in sat]), exponent)
 
 
 def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:

@@ -67,6 +67,7 @@ from .ring_core import (
     Polynomial,
     RingDescriptor,
     _same_ring,
+    minimalize_monomials,
     monomial_divides,
     monomial_support,
 )
@@ -218,18 +219,6 @@ def _minimal_monomial_gens(J: Ideal) -> List[Monomial]:
     if G.is_unit_ideal:
         raise ImproperIdealError("the ideal is the whole ring")
     return [g.terms[0][0] for g in G.basis]
-
-
-def minimalize_monomials(gens: Iterable[Monomial]) -> List[Monomial]:
-    """Drop monomials divisible by another; the result is the unique minimal
-    generating set, sorted for determinism."""
-    uniq = sorted(set(gens))
-    out = []
-    for m in uniq:
-        if any(o != m and monomial_divides(o, m) for o in uniq):
-            continue
-        out.append(m)
-    return out
 
 
 def minimal_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:

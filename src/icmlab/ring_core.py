@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -199,6 +199,13 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. every exponent of a is at most that of b."""
     return all(x <= y for x, y in zip(a, b))
+
+
+def minimalize_monomials(gens: Iterable[Monomial]) -> List[Monomial]:
+    """Drop monomials divisible by another; the result is the unique minimal
+    generating set, sorted for determinism."""
+    uniq = sorted(set(gens))
+    return [m for m in uniq if not any(o != m and monomial_divides(o, m) for o in uniq)]
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:

@@ -801,8 +801,18 @@ class TestEngineContext:
         "gb A;\n"
         "gb B;\n"
     )
-    # one pair saturated twice: within a call the second is a memo hit
-    SAT_SCRIPT = "ring R = QQ[x,y,z];\nideal A = x*y, x*z;\nideal I = y, z;\nsat A I;\nsat A I;\n"
+    # two pairs, each saturated twice: within a call the second is a memo
+    # hit; A by I takes the monomial route, A by K the tagged one
+    SAT_SCRIPT = (
+        "ring R = QQ[x,y,z];\n"
+        "ideal A = x*y, x*z;\n"
+        "ideal I = y, z;\n"
+        "ideal K = y + z, z;\n"
+        "sat A I;\n"
+        "sat A K;\n"
+        "sat A I;\n"
+        "sat A K;\n"
+    )
 
     @pytest.fixture
     def reductions(self, monkeypatch):
@@ -834,24 +844,24 @@ class TestEngineContext:
         buchberger(gens)
         assert reductions[0] == 5 * per_basis  # and nothing is kept outside a call
 
-        builds = [0]  # tagged inputs built, one per saturation that is not a hit
-        eliminate = ideal_engine._eliminate_tag
+        builds = [0]  # saturations built, one per pair that is not a hit
+        for name in ("_eliminate_tag", "_monomial_saturation"):
 
-        def counted(*args):
-            builds[0] += 1
-            return eliminate(*args)
+            def counted(*args, build=getattr(ideal_engine, name)):
+                builds[0] += 1
+                return build(*args)
 
-        monkeypatch.setattr(ideal_engine, "_eliminate_tag", counted)
+            monkeypatch.setattr(ideal_engine, name, counted)
         script.write_text(self.SAT_SCRIPT)
         assert main(["run", str(script)]) == 0
-        assert builds[0] == 1  # the second sat was a hit
+        assert builds[0] == 2  # the second sat of each pair was a hit
         assert main(["run", str(script)]) == 0
-        assert builds[0] == 2  # nothing carried over from the last call
-        ring_stmt, *ideals = parse(self.SAT_SCRIPT).statements[:3]
-        A, I = (Ideal(ring_stmt.ring, stmt.generators) for stmt in ideals)
-        saturate(A, I)
-        saturate(A, I)
-        assert builds[0] == 4  # and nothing is kept outside a call
+        assert builds[0] == 4  # nothing carried over from the last call
+        ring_stmt, *ideals = parse(self.SAT_SCRIPT).statements[:4]
+        A, I, K = (Ideal(ring_stmt.ring, stmt.generators) for stmt in ideals)
+        for J in (I, K, I, K):
+            saturate(A, J)
+        assert builds[0] == 8  # and nothing is kept outside a call
         capsys.readouterr()
 
     def test_corpus_output_does_not_depend_on_the_context(self):

@@ -656,7 +656,7 @@ class TestEngineMemo:
                 assert ideal_engine._tag_ring(R, 1) is outside
 
     def test_the_memo_holds_results_only(self):
-        J, I = TestSaturationMemo.pair()
+        J, I = TestSaturationMemo.pairs()[1]  # the tagged route, which builds a tag ring
         with engine_context():
             saturate(J, I)
             kinds = {key[0] for key in ideal_engine._ENGINE.get().memo if isinstance(key[0], str)}
@@ -1233,42 +1233,46 @@ class TestSaturationExponent:
 class TestSaturationMemo:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts the tagged inputs built, one per ``_eliminate_tag`` call."""
+        """Counts the saturations built: one per ``_monomial_saturation``
+        call on a monomial pair, one per ``_eliminate_tag`` call on any other."""
         count = [0]
-        real = ideal_engine._eliminate_tag
+        for name in ("_eliminate_tag", "_monomial_saturation"):
 
-        def counting(*args):
-            count[0] += 1
-            return real(*args)
+            def counting(*args, real=getattr(ideal_engine, name)):
+                count[0] += 1
+                return real(*args)
 
-        monkeypatch.setattr(ideal_engine, "_eliminate_tag", counting)
+            monkeypatch.setattr(ideal_engine, name, counting)
         return count
 
     @staticmethod
-    def pair():
+    def pairs():
+        """<xy, xz> by <y, z>, once by terms (the monomial route) and once
+        as <y + z, z> (the tagged route)."""
         R = ring_qq("x", "y", "z")
         x, y, z = (R.variable(i) for i in range(3))
-        return Ideal(R, [x * y, x * z]), Ideal(R, [y, z])
+        J = Ideal(R, [x * y, x * z])
+        return [(J, Ideal(R, [y, z])), (J, Ideal(R, [y + z, z]))]
 
     def test_nothing_is_memoized_outside_a_context(self, builds):
-        J, I = self.pair()
-        assert saturate(J, I).exponent == saturate(J, I).exponent == 1
-        assert builds[0] == 2
+        for J, I in self.pairs():
+            assert saturate(J, I).exponent == saturate(J, I).exponent == 1
+        assert builds[0] == 4
 
     def test_one_build_per_pair_in_a_context(self, builds):
-        J, I = self.pair()
-        with engine_context():
-            result = saturate(J, I)
-            assert builds[0] == 1
-            assert saturate(J, I) is result
-            assert builds[0] == 1
-            # the key is the ordered generator lists
-            assert saturate(Ideal(J.ring, J.generators[::-1]), I).exponent == result.exponent
-            assert builds[0] == 2
+        for n, (J, I) in enumerate(self.pairs()):
             with engine_context():
-                saturate(J, I)
-            assert builds[0] == 3
-        assert result.exponent == 1 and result.ideal == Ideal(J.ring, [J.ring.variable(0)])
+                result = saturate(J, I)
+                assert builds[0] == 3 * n + 1
+                assert saturate(J, I) is result
+                assert builds[0] == 3 * n + 1
+                # the key is the ordered generator lists
+                assert saturate(Ideal(J.ring, J.generators[::-1]), I).exponent == result.exponent
+                assert builds[0] == 3 * n + 2
+                with engine_context():
+                    saturate(J, I)
+                assert builds[0] == 3 * n + 3
+            assert result.exponent == 1 and result.ideal == Ideal(J.ring, [J.ring.variable(0)])
 
     def test_seeded_and_plain_completions_keep_apart(self):
         # the plain tagged basis is stored under its ring and generators, as
@@ -1616,8 +1620,9 @@ class TestMonomialIdeals:
         assert grown
 
     def test_step_limit(self):
-        # a monomial basis costs no step, so even a limit of 1 lets it
-        # through; a binomial ideal still trips the limit
+        # a monomial basis, and a saturation of a monomial ideal by terms,
+        # cost no step, so even a limit of 1 lets them through; a binomial
+        # ideal, or a saturation by one, still trips the limit
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)
         with engine_context(step_limit=1):
@@ -1625,6 +1630,11 @@ class TestMonomialIdeals:
             assert gb.steps == 0 and [str(g) for g in gb] == ["y^2", "x*y", "x^2"]
             with pytest.raises(StepLimitExceededError, match="exceeded 1 S-pair"):
                 buchberger([x**2 - y, x * y])
+            J = Ideal(R, [x**2 * y**3])
+            sat = saturate(J, Ideal(R, [y]))
+            assert [str(g) for g in sat.ideal.generators] == ["x^2"] and sat.exponent == 3
+            with pytest.raises(StepLimitExceededError, match="exceeded 1 S-pair"):
+                saturate(J, Ideal(R, [x + y]))
 
     @pytest.fixture
     def completions(self, monkeypatch, grown):
@@ -1713,6 +1723,74 @@ class TestMonomialIdeals:
             gb = K.groebner_basis()
         assert gb.steps == buchberger(K.generators).steps == 0
         assert [str(g) for g in gb] == ["y^2", "x*y", "x^2"] and grown == []
+
+    def test_saturation_matches_the_oracles(self, monkeypatch):
+        # (J : I^infinity) and its exponent for a monomial J and terms I,
+        # read off the exponents: against the colon chain on exponents
+        # (``oracles.saturate_monomial``), the per-generator tagged route
+        # (``oracles.oracle_saturate``) and the engine's one tagged
+        # elimination, generator terms in order; with J = 0, J by a
+        # non-monomial presentation and I holding a constant; no monomial
+        # pair reaches ``_eliminate_tag``
+        tagged = []
+        monkeypatch.setattr(ideal_engine, "_eliminate_tag", lambda *a: tagged.append(a) or _eliminate_tag(*a))
+        seen = Counter()
+        for p in (0, 2, 3, 32003):
+            for order in ("lex", "grevlex"):
+                R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder(order))
+                x, y = R.variable(0), R.variable(1)
+                rng = random.Random(53 * p + len(order))
+                cases = [("presented", [x**2, x**2 + y**3, y**3], [(2, 0, 0), (0, 3, 0)])]
+                for trial in range(16):
+                    kind = ("drawn", "zero", "presented", "constant in I")[trial % 4]
+                    gens, exps = self.monomials(rng, R, "zero" if kind == "zero" else "drawn")
+                    if kind == "presented":
+                        gens.insert(rng.randrange(len(gens) + 1), gens[0] + gens[-1] * x)  # a binomial in J
+                    cases.append((kind, gens, exps))
+                for n, (kind, gens, exps) in enumerate(cases):
+                    others, oexps = self.monomials(rng, R, "unit" if kind == "constant in I" else "drawn")
+                    J, I = Ideal(R, gens), Ideal(R, others)
+                    with engine_context() if n % 2 else contextlib.nullcontext():
+                        got = saturate(J, I)
+                    assert tagged == [], (J, I)
+                    rule, steps = oracles.saturate_monomial(exps, oexps)
+                    assert all(g.terms[0][1] == 1 for g in got.ideal.generators), (J, I)
+                    assert sorted(g.terms[0][0] for g in got.ideal.generators) == sorted(rule), (J, I)
+                    assert got.exponent == steps, (J, I)
+                    want, exponent = oracles.oracle_saturate(J, I)
+                    assert ideal_equal(got.ideal, want) and got.exponent == exponent, (J, I)
+                    ntags = min(len(others), 2)
+                    seed = ideal_engine._seed(J)
+                    sat = _eliminate_tag(R, ntags, [ideal_engine._rabinowitsch(others)], (seed, (0,) * ntags))
+                    assert _terms(got.ideal) == _terms(sat), (J, I)
+                    del tagged[:]
+                    seen[kind] += 1
+                    seen["exponent %s" % ("0" if not steps else ">= 2" if steps > 1 else "1")] += 1
+                    seen["GF(%d)" % p if p else "QQ"] += 1
+        assert seen["zero"] == seen["constant in I"] == 32 and seen["presented"] == 40, seen
+        assert all(seen[f] == 34 for f in ("QQ", "GF(2)", "GF(3)", "GF(32003)")), seen
+        assert seen["exponent 0"] >= 60 and seen["exponent >= 2"] >= 15, seen
+
+    def test_saturation_bytes_in_a_lex_ring(self):
+        # recorded from the tagged route before monomial pairs left it: the
+        # printed basis and the generators, ascending in grevlex, in a lex
+        # ring over GF(2), with exponent 2
+        script = parse(
+            "ring R = GF(2)[x,y,z] order lex;\n"
+            "ideal J = x^3*y, x*y^2*z, y^3*z^2, x^2*z^3;\n"
+            "ideal K = y, z^2;\n"
+            "sat J K;\n"
+        )
+        assert execute(script, seed=0) == ("sat(J, K) = [y^3*z^2, x*y^2*z, x^2*z, x^3], exponent = 2\n", 0)
+        ring_stmt, J, K = script.statements[:3]
+        got = saturate(Ideal(ring_stmt.ring, J.generators), Ideal(ring_stmt.ring, K.generators))
+        assert _terms(got.ideal) == [
+            (((2, 0, 1), 1),),
+            (((3, 0, 0), 1),),
+            (((1, 2, 1), 1),),
+            (((0, 3, 2), 1),),
+        ]
+        assert got.exponent == 2
 
 
 class TestExtend:
@@ -1910,7 +1988,7 @@ class TestExtend:
             ("is_cohen_macaulay_graded", 10),
             ("verify_grade_witness", 9),
             ("replay_regular_sequence", 7),
-            ("run_suite", 23),
+            ("run_suite", 19),
             ("quotient_transport", 15),
             ("subideal_transfer_check", 18),
             ("annihilator_transport", 22),
