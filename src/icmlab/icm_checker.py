@@ -117,10 +117,11 @@ def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
     return IcmReport(w, dim_m, dim_mod, dim_m - dim_mod if M.defining_ideal.is_zero_ideal else None)
 
 
+@_in_engine_context
 def is_cohen_macaulay_graded(M: CyclicModule, seed: int = 0) -> bool:
-    """Classical Cohen-Macaulayness of R/J for homogeneous J: the verdict at
-    the ideal m of all variables, where dim M/mM = 0."""
-    for g in M.defining_ideal.generators:
+    """Classical Cohen-Macaulayness of R/J for homogeneous J, which its reduced
+    basis shows: the verdict at the ideal m of all variables, where dim M/mM = 0."""
+    for g in M.defining_ideal.groebner_basis():
         if not g.is_homogeneous():
             raise InhomogeneousIdealError(
                 "Cohen-Macaulay test needs homogeneous generators; %s mixes degrees" % g
@@ -349,7 +350,7 @@ def polynomial_extension_check(
         and ext.dim_m == base.dim_m + k_new
         and ext.dim_m_mod_im == base.dim_m_mod_im + k_new
     )
-    if I.generators and invariants.variable_prime(I) is not None:
+    if invariants.variable_prime(I) is not None:
         h_base = invariants.height(I)
         h_ext = invariants.height(ext_i)
         log.append("prime test ideal: height %d base, %d extended" % (h_base, h_ext))

@@ -458,7 +458,8 @@ def divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 class ReducedGB:
     """The reduced monic Groebner basis of an ideal, sorted by increasing
-    leading monomial.  Unique per (ideal, term order).
+    leading monomial.  Unique per (ideal, term order), so the ideal's facts,
+    ``is_unit_ideal`` and ``monomials``, are read here, not off generators.
 
     ``steps``, the S-pair reductions of the completion that built it,
     depends on the route (generators, settled prefix), so it is not part of
@@ -477,6 +478,11 @@ class ReducedGB:
     @property
     def is_unit_ideal(self) -> bool:
         return bool(self.basis) and sum(self.basis[0].leading_monomial()) == 0
+
+    @property
+    def monomials(self) -> Optional[Tuple[Monomial, ...]]:
+        """The exponents of a basis of single terms, the ideal's minimal generators, ascending; else None."""
+        return tuple(p.terms[0][0] for p in self.basis) if all(len(p.terms) == 1 for p in self.basis) else None
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -971,7 +977,7 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
 
     def saturation() -> SaturationResult:
         seed = _seed(J)
-        if all(len(g.terms) == 1 for g in chain(seed, gens)):
+        if seed.monomials is not None and all(len(g.terms) == 1 for g in gens):
             return _monomial_saturation(J.ring, seed, gens)
         ntags = min(len(gens), 2)
         sat = _eliminate_tag(J.ring, ntags, [_rabinowitsch(gens)], (seed, (0,) * ntags))
@@ -1010,7 +1016,7 @@ def _monomial_saturation(ring: RingDescriptor, seed: ReducedGB, gens: Sequence[P
     ``saturate``'s loop on exponent tuples: a term's remainder modulo a
     monomial basis is itself or 0.  The generators come out monic and
     ascending in grevlex, as ``_eliminate_tag`` leaves them."""
-    basis = [g.terms[0][0] for g in seed]
+    basis = seed.monomials
     ms = [g.terms[0][0] for g in gens]
     sat: List[Monomial] = []
     for i, m in enumerate(ms):
@@ -1055,9 +1061,9 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
 
     def decision() -> bool:
         seed = _seed(J)  # read once: outside a context each read completes it again
-        if len(f.terms) == 1 and all(len(g.terms) == 1 for g in seed):
+        if len(f.terms) == 1 and seed.monomials is not None:
             m = f.terms[0][0]
-            return not any(any(map(min, m, g.terms[0][0])) for g in seed)
+            return not any(any(map(min, m, b)) for b in seed.monomials)
         return _packed(_tag_ring(J.ring, 1), [_rabinowitsch([f])], (seed, (0,)), decide)
 
     p = J.ring.field.characteristic

@@ -141,11 +141,12 @@ class MonomialPrime:
 
 
 def variable_prime(I: Ideal) -> Optional[MonomialPrime]:
-    """I as a MonomialPrime when each generator is a variable (up to a unit;
-    the zero ideal is the zero prime), else None."""
-    if not all(g.is_monomial and g.total_degree() == 1 for g in I.generators):
+    """I as a MonomialPrime when its reduced basis is variables, whatever
+    the generators (<x, x + y> is <x, y>; <0> is the zero prime), else None."""
+    gens = I.groebner_basis().monomials
+    if gens is None or any(sum(m) != 1 for m in gens):
         return None
-    return MonomialPrime(I.ring, tuple(g.leading_monomial().index(1) for g in I.generators))
+    return MonomialPrime(I.ring, tuple(m.index(1) for m in gens))
 
 
 @dataclass(frozen=True)
@@ -205,20 +206,17 @@ def height(J: Ideal) -> int:
     return J.ring.nvars - _dim_of_quotient(J)
 
 
-def _minimal_monomial_gens(J: Ideal) -> List[Monomial]:
-    """The minimal generators of a proper monomial ideal, its reduced basis.
+def _minimal_monomial_gens(J: Ideal) -> Tuple[Monomial, ...]:
+    """The minimal generators of a proper monomial ideal, read off its basis.
     The zero ideal has none, and both callers then return the zero prime:
     the empty set is its only transversal and its only irreducible component."""
-    for g in J.generators:
-        if len(g.terms) != 1:
-            raise NonMonomialError(
-                "operation needs a monomial ideal; generator %s has %d terms"
-                % (g, len(g.terms))
-            )
     G = J.groebner_basis()
     if G.is_unit_ideal:
         raise ImproperIdealError("the ideal is the whole ring")
-    return [g.terms[0][0] for g in G.basis]
+    if G.monomials is None:
+        g = next(p for p in G.basis if len(p.terms) > 1)
+        raise NonMonomialError("operation needs a monomial ideal; generator %s has %d terms" % (g, len(g.terms)))
+    return G.monomials
 
 
 def minimal_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:

@@ -358,11 +358,6 @@ class Polynomial:
             raise ZeroLeadingTermError("the zero polynomial has no degree")
         return max(sum(m) for m, _ in self.terms)
 
-    @property
-    def is_monomial(self) -> bool:
-        """Exactly one term (any coefficient)."""
-        return len(self.terms) == 1
-
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True

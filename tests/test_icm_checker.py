@@ -247,8 +247,16 @@ class TestGradedCM:
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)
         M = CyclicModule(R, Ideal(R, [x**2 - y]))
-        with pytest.raises(InhomogeneousIdealError):
+        with pytest.raises(InhomogeneousIdealError, match=r"x\^2 - y mixes degrees"):
             is_cohen_macaulay_graded(M, seed=1)
+
+    def test_homogeneity_is_read_off_the_basis(self):
+        # <x, x + y^2> is <x, y^2>, homogeneous, though one generator mixes
+        # degrees; R/<x, y^2> has dimension 0, so it is Cohen-Macaulay
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        for gens in ([x, x + y**2], [x, y**2]):
+            assert is_cohen_macaulay_graded(CyclicModule(R, Ideal(R, gens)), seed=1)
 
 
 class TestGradeHeight:

@@ -1573,6 +1573,7 @@ class TestMonomialIdeals:
                     assert list(gb) == oracles.oracle_buchberger(gens), gens
                     assert sorted(g.leading_monomial() for g in gb) == sorted(oracles.minimalize(exps))
                     assert gb.steps == 0 and gb.is_unit_ideal == ((0,) * 3 in exps)
+                    assert gb.monomials == tuple(g.leading_monomial() for g in gb)
                     # the basis' kernel divisors divide as the field algorithm does
                     f = random_poly(rng, R, max_terms=5, max_exp=4)
                     assert normal_form(f, gb) == oracles.oracle_divide(f, list(gb))[1]
@@ -1581,6 +1582,16 @@ class TestMonomialIdeals:
         assert grown == []
         assert seen["repeated"] == seen["dividing"] == seen["unit"] == 36, seen
         assert seen["redone wider"] >= 36, seen
+
+    def test_monomials_are_read_off_the_basis(self):
+        # <x^2, x^2 + y^3, y^3> is <x^2, y^3>: its minimal generators,
+        # ascending, whatever the presentation; a binomial ideal has none
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        assert buchberger([x**2, x**2 + y**3, y**3]).monomials == ((2, 0), (0, 3))
+        assert buchberger([y**3, x**2 * 5]).monomials == ((2, 0), (0, 3))
+        assert buchberger([], ring=R).monomials == ()
+        assert buchberger([x**2 - y]).monomials is None
 
     def test_regularity_matches_the_tagged_decision_and_the_colon(self, grown):
         # f a term, a constant or not, with a coefficient that need not be

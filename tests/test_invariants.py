@@ -217,13 +217,14 @@ class TestMonomialPrime:
         assert [str(g) for g in p.as_ideal().generators] == ["y"]
 
     def test_variable_prime(self):
-        # an ideal generated by variables, up to units, is its prime; any
-        # other generator gives None
+        # an ideal generated by variables, in any presentation, is its
+        # prime: <x, x + y> is <x, y>; any other ideal gives None
         R = ring_qq("x", "y", "z")
         x, y, z = (R.variable(i) for i in range(3))
         assert variable_prime(Ideal(R, [z, R.monomial((1, 0, 0), 2), z])) == MonomialPrime(R, (0, 2))
         assert variable_prime(Ideal(R, [])) == MonomialPrime(R, ())
-        assert [variable_prime(Ideal(R, [x, g])) for g in (y * z, x + y, R.one())] == [None] * 3
+        assert variable_prime(Ideal(R, [x, x + y])) == MonomialPrime(R, (0, 1))
+        assert [variable_prime(Ideal(R, [x, g])) for g in (y * z, R.one())] == [None] * 2
 
 
 class TestMinimalPrimes:
@@ -319,14 +320,26 @@ class TestPrimesOfAPresentation:
                     minimal = {a for a in want if not any(set(b) < set(a) for b in want)}
                     assert {q.indices for q in minimal_primes_monomial(J)} == minimal, written
 
+    def test_a_sum_of_generators_is_read_off_the_basis(self):
+        # <x^2, x^2 + y^3, y^3> is <x^2, y^3>, a monomial ideal, though one
+        # generator has two terms
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        written, minimal = Ideal(R, [x**2, x**2 + y**3, y**3]), Ideal(R, [x**2, y**3])
+        for primes in (minimal_primes_monomial, associated_primes_monomial):
+            assert primes(written) == primes(minimal) == {MonomialPrime(R, (0, 1))}
+
     def test_nonmonomial_and_improper_ideals_rejected(self):
+        # the refusal names the basis element with more than one term; the
+        # unit ideal is improper however it is written
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)
         for primes in (minimal_primes_monomial, associated_primes_monomial):
-            with pytest.raises(NonMonomialError):
+            with pytest.raises(NonMonomialError, match=r"generator x\^2 - y has 2 terms"):
                 primes(Ideal(R, [x**2 - y]))
-            with pytest.raises(ImproperIdealError):
-                primes(Ideal(R, [x, R.one()]))
+            for gens in ([x, R.one()], [x + R.one(), x]):
+                with pytest.raises(ImproperIdealError):
+                    primes(Ideal(R, gens))
 
 
 # ---------------------------------------------------------------------------

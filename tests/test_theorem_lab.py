@@ -203,7 +203,7 @@ TRIAL_FINGERPRINTS = {
     "cm-implies-icm": "342cc4cadce070cfab8ddf1ef607030780aec663809068c83e5ea341c7322676",
     "ass-dimension": "aba82537680bcb4405a9f25a4cd530a0d99b60e7f78124db3b88e9960feafd8f",
     "localization-cm": "124a4df8bee3070d259717b5971dde22fa071feecabc93abf08b3e05090eba65",
-    "poly-extension": "18f7b7d2f9bbc288be2e5488f8aabcc513a68271b18d3534457d60f0f9cb7e59",
+    "poly-extension": "c606894c49db81e3df77a32455959d1628046fb4bea3fad64edc700461d5d34a",
 }
 
 
