@@ -41,19 +41,19 @@ the engine's one store of results (an ``Ideal`` stores none), which only
 ``_memoized`` reads and writes.  A key names what is stored, not the route
 that built it: a reduced basis is keyed by its ideal's ring (order
 included) and ordered generator terms, so a chain ideal from ``_extend``
-and an ``Ideal`` with the same generators share one entry; ``saturate``'s
-results sit under "saturate", ``is_nonzerodivisor``'s decisions under
-"regular", ``ideal_intersect``'s, ``ideal_quotient``'s and
-``ideal_quotient_ideal``'s answers under "intersect", "quotient" and
-"colon", each with the ring and both generator lists; no tagged basis is
-stored.  The memo holds results only: the layouts ``_packing`` and
-``_tag_ring`` are built once per process.  Outside any context the budgets
-are ``STEP_LIMIT`` and ``SEARCH_BUDGET`` and nothing is stored;
-``verify_grade_witness``, ``replay_regular_sequence``, ``run_suite``, the
-grade chain (``invariants._grade_and_dimensions``) and the relation checks
-that run several chains read one basis many times, so each opens a default
-context when none is open (``_in_engine_context``).  No basis is handed out under another limit or
-context than the one that built it.
+and an ``Ideal`` with the same generators share one entry; a derived fact
+by its operands' reduced grevlex bases (``_seed``), so every presentation
+of the ideals shares one: "saturate", "intersect" and "colon" with the
+ring and both bases, "regular" and "quotient" with J's basis and the
+element; no tagged basis is stored.  The memo holds results only: the
+layouts ``_packing`` and ``_tag_ring`` are built once per process.
+Outside any context the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET``
+and nothing is stored; ``verify_grade_witness``,
+``replay_regular_sequence``, ``run_suite``, the grade chain
+(``invariants._grade_and_dimensions``) and the relation checks that run
+several chains read one basis many times, so each opens a default context
+when none is open (``_in_engine_context``).  No basis is handed out under
+another limit or context than the one that built it.
 
 A tagged ring k[tags, ring] (``_tag_ring``) has one way in,
 ``_eliminate_tag``: one completion that starts from a Groebner basis with
@@ -63,12 +63,13 @@ J's reduced grevlex basis (its grevlex twin's in another ring) times a tag
 monomial (``_lift_divisors``): if G is a Groebner basis of J, t*G is one of
 t*J (the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988), as
 the order compares multiples of one tag monomial by its grevlex tail
-block.  So a cap b settles t*G_a and adds (1 - t)*g for each generator g of
-b, and (J : f) divides the generators of J cap <f> by f.  With I = <g_1,
-..., g_s> and its generic element f_y = sum y^(i-1) * g_i
-(``_generic_terms``), (J : I^infinity) = (J + <1 - t*f_y>) cap k[x] is one
-completion, and (J : I) = (J*R[y] : f_y) cap R one colon by f_y in R[y] and
-one elimination of y; for s = 1 no y is added.  A grade chain's J + <x>
+block.  So a cap b settles t*G_a and adds (1 - t)*g for each g in b's
+reduced grevlex basis, and (J : f) divides the generators of J cap <f> by
+f.  With I's reduced grevlex basis g_1, ..., g_s and its generic element
+f_y = sum y^(i-1) * g_i (``_generic_terms``), (J : I^infinity) = (J +
+<1 - t*f_y>) cap k[x] is one completion, and (J : I) = (J*R[y] : f_y) cap
+R one colon by f_y in R[y] and one elimination of y; for s = 1 no y is
+added, and the colon is ``ideal_quotient``'s.  A grade chain's J + <x>
 (``_extend``) gets its grevlex basis from J's with x the one new generator.
 ``is_nonzerodivisor`` runs the saturation's completion for 1 - t*f and
 stops at the first element with a t-free leading monomial: it lies in
@@ -79,8 +80,9 @@ zero (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2), so
 when a completion's works and settled basis are all monomials, on every
 route, their minimal ones are the reduced basis, with 0 steps; a term f is
 regular modulo a monomial ideal exactly when it shares no variable with
-its basis; and the saturation of a monomial J by terms, and its exponent,
-are read off the exponents, with no tagged ring (``_monomial_saturation``).
+its basis; and the saturation of a monomial J by a monomial I, both read
+off their bases whatever their generators, and its exponent, are read off
+the exponents, with no tagged ring (``_monomial_saturation``).
 """
 from __future__ import annotations
 
@@ -830,14 +832,12 @@ def _seed(J: Ideal) -> ReducedGB:
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     """Intersection via a tag variable: (t*a + (1-t)*b) with t eliminated,
     completed from t times a's reduced grevlex basis, settled; memoized
-    under "intersect" with the ring and both generator lists."""
+    under "intersect" with the ring and both bases."""
     _same_ring(a, b)
     if a.is_zero_ideal or b.is_zero_ideal:
         return Ideal(a.ring, ())
-    return _memoized(
-        ("intersect", a.ring, _terms(a.generators), _terms(b.generators)),
-        lambda: _meet(a.ring, (_seed(a), ()), b.generators),
-    )
+    seed_a, seed_b = _seed(a), _seed(b)
+    return _memoized(("intersect", a.ring, seed_a, seed_b), lambda: _meet(a.ring, (seed_a, ()), seed_b.basis))
 
 
 def _colon(ring: RingDescriptor, settled: tuple, f: Polynomial) -> Ideal:
@@ -849,14 +849,12 @@ def _colon(ring: RingDescriptor, settled: tuple, f: Polynomial) -> Ideal:
 
 def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
     """The colon ideal (J : f), computed as (1/f) * (J intersect <f>);
-    memoized under "quotient" with the ring and J's and f's terms."""
+    memoized under "quotient" with J's basis and f."""
     _same_ring(f, J)
     if f.is_zero:
         raise ZeroElementError("colon by the zero polynomial is undefined")
-    return _memoized(
-        ("quotient", J.ring, _terms(J.generators), (f.terms,)),
-        lambda: _colon(J.ring, (_seed(J), ()), f),
-    )
+    seed = _seed(J)
+    return _memoized(("quotient", seed, f), lambda: _colon(J.ring, (seed, ()), f))
 
 
 def _generic_terms(gens: Sequence[Polynomial], head: Monomial) -> Iterator[tuple]:
@@ -902,23 +900,24 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     in one new variable y, (J : I) = (J*R[y] : f_y) cap R: h * f_y lies in
     J*R[y] exactly when every h*g_i lies in J.  So it is one colon by f_y in
     R[y] = ``_tag_ring(ring, 1)`` and one elimination of y, both from J's
-    reduced grevlex basis lifted into R[y]; for s = 1 it is
-    ``ideal_quotient(J, g_1)``, and else memoized under "colon".
+    reduced grevlex basis lifted into R[y].  The g_i are I's reduced grevlex
+    basis: for s = 1 it is ``ideal_quotient(J, g_1)``, g_1 in J's ring, and
+    else memoized under "colon" with the ring and both bases.
     """
     _same_ring(J, I)
-    gens = I.generators
-    if not gens:
+    if I.is_zero_ideal:
         raise ZeroElementError("colon by the zero ideal is undefined")
-    if len(gens) == 1:
-        return ideal_quotient(J, gens[0])
+    seed_J, seed_I = _seed(J), _seed(I)
+    if len(seed_I) == 1:
+        return ideal_quotient(J, _from_dict(J.ring, dict(seed_I.basis[0].terms)))
 
     def colon_ideal() -> Ideal:
-        Ry, settled = _tag_ring(J.ring, 1), (_seed(J), (0,))
-        colon = _colon(Ry, settled, _from_dict(Ry, dict(_generic_terms(gens, ()))))
+        Ry, settled = _tag_ring(J.ring, 1), (seed_J, (0,))
+        colon = _colon(Ry, settled, _from_dict(Ry, dict(_generic_terms(seed_I.basis, ()))))
         p = J.ring.field.characteristic
         return _eliminate_tag(J.ring, 1, [_work(g, p) for g in colon.generators], settled)
 
-    return _memoized(("colon", J.ring, _terms(J.generators), _terms(gens)), colon_ideal)
+    return _memoized(("colon", J.ring, seed_J, seed_I), colon_ideal)
 
 
 def _grevlex_twin(J: Ideal) -> Ideal:
@@ -953,34 +952,34 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     with (J : I^k) already equal to it; k is 0 exactly when the saturation
     is J.  The one builder of a saturation.
 
-    For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i,
-    (J : I^infinity) = (J*R[y] : f_y^infinity) cap R over every field
-    (Eisenbud-Huneke-Vasconcelos), which is (J + <1 - t*f_y>) with t and y
-    eliminated (Rabinowitsch): J's reduced grevlex basis settled, and
-    1 - t*f_y as the kernel's work dict (``_rabinowitsch``).
+    For any generators g_1, ..., g_s of I and the generic element f_y = sum
+    y^(i-1) * g_i, (J : I^infinity) = (J*R[y] : f_y^infinity) cap R over
+    every field (Eisenbud-Huneke-Vasconcelos), which is (J + <1 - t*f_y>)
+    with t and y eliminated (Rabinowitsch): J's reduced grevlex basis
+    settled, and 1 - t*f_y as the kernel's work dict (``_rabinowitsch``);
+    the g_i are I's reduced grevlex basis, shared by every presentation.
 
     The exponent is the least k with I^k * sat inside J: normal forms modulo
-    J of sat's generators are multiplied by each g in I and reduced again
+    J of sat's generators are multiplied by each g_i and reduced again
     until all vanish; NF(g * NF(h)) = NF(g * h) makes this exact.  The loop
     runs in the kernel, against the same grevlex basis of J: membership does
     not depend on the order, and a remainder is a unit times the field's
-    linear normal form.  When J's basis and I's generators are all terms,
-    neither the completion nor the kernel runs: ``_monomial_saturation``
-    reads both off the exponents, with 0 steps.  In an engine context the
-    result is memoized under "saturate" with the ring and J's and I's
-    generator terms, whichever route built it.
+    linear normal form.  When both bases are all terms, neither the
+    completion nor the kernel runs: ``_monomial_saturation`` reads both off
+    the exponents, with 0 steps.  In an engine context the result is
+    memoized under "saturate" with the ring and both bases, whichever route
+    built it.
     """
     _same_ring(J, I)
-    gens = I.generators
-    if not gens:
+    if I.is_zero_ideal:
         raise ZeroElementError("saturation by the zero ideal is undefined")
+    seed_J, seed_I = _seed(J), _seed(I)
 
     def saturation() -> SaturationResult:
-        seed = _seed(J)
-        if seed.monomials is not None and all(len(g.terms) == 1 for g in gens):
-            return _monomial_saturation(J.ring, seed, gens)
-        ntags = min(len(gens), 2)
-        sat = _eliminate_tag(J.ring, ntags, [_rabinowitsch(gens)], (seed, (0,) * ntags))
+        if seed_J.monomials is not None and seed_I.monomials is not None:
+            return _monomial_saturation(J.ring, seed_J, seed_I.monomials)
+        ntags = min(len(seed_I), 2)
+        sat = _eliminate_tag(J.ring, ntags, [_rabinowitsch(seed_I.basis)], (seed_J, (0,) * ntags))
         p = J.ring.field.characteristic
 
         def rounds(pk: _Packing, works: List[dict], divs: tuple) -> int:
@@ -993,31 +992,30 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
                         out.add(_normalize(r, p))
                 return out
 
-            factors = [w.items() for w in works[: len(gens)]]
-            rest = remainders(works[len(gens) :])
+            factors = [w.items() for w in works[: len(seed_I)]]
+            rest = remainders(works[len(seed_I) :])
             exponent = 0
             while rest:
                 rest = remainders(_product(g, h, pk.one) for g in factors for h in rest)
                 exponent += 1
             return exponent
 
-        works = [_work(g, p) for g in gens + sat.generators]
-        return SaturationResult(sat, _packed(seed.ring, works, (seed, ()), rounds))
+        works = [_work(g, p) for g in seed_I.basis + sat.generators]
+        return SaturationResult(sat, _packed(seed_J.ring, works, (seed_J, ()), rounds))
 
-    return _memoized(("saturate", J.ring, _terms(J.generators), _terms(gens)), saturation)
+    return _memoized(("saturate", J.ring, seed_J, seed_I), saturation)
 
 
-def _monomial_saturation(ring: RingDescriptor, seed: ReducedGB, gens: Sequence[Polynomial]) -> SaturationResult:
-    """``saturate`` for J with a monomial basis ``seed`` and I generated by
-    the terms ``gens``, read off the exponents.  (J : m^infinity) is J's
+def _monomial_saturation(ring: RingDescriptor, seed: ReducedGB, ms: Sequence[Monomial]) -> SaturationResult:
+    """``saturate`` for J with a monomial basis ``seed`` and I with the
+    monomial basis ``ms``, read off the exponents.  (J : m^infinity) is J's
     minimal monomials with the exponents of supp(m) set to 0, and (J :
-    I^infinity) their intersection over I's generators m, generated by
+    I^infinity) their intersection over the m in ``ms``, generated by
     lcms (Herzog-Hibi, *Monomial Ideals*, GTM 260, 1.2).  The exponent is
     ``saturate``'s loop on exponent tuples: a term's remainder modulo a
     monomial basis is itself or 0.  The generators come out monic and
     ascending in grevlex, as ``_eliminate_tag`` leaves them."""
     basis = seed.monomials
-    ms = [g.terms[0][0] for g in gens]
     sat: List[Monomial] = []
     for i, m in enumerate(ms):
         part = [tuple(0 if k else e for e, k in zip(b, m)) for b in basis]
@@ -1049,8 +1047,7 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
     form is built.  For a term f and a monomial basis of J no completion
     runs: f is regular exactly when it shares no variable with any element
     of the basis (Herzog-Hibi, *Monomial Ideals*, GTM 260).  In an engine
-    context the decision is memoized under "regular" with the ring and J's
-    and f's terms.
+    context the decision is memoized under "regular" with J's basis and f.
     """
     _same_ring(f, J)
     if f.is_zero:
@@ -1060,14 +1057,14 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
         return _grow(pk, works, settled, [], p, stop=lambda lm: not lm[0]) is not None
 
     def decision() -> bool:
-        seed = _seed(J)  # read once: outside a context each read completes it again
         if len(f.terms) == 1 and seed.monomials is not None:
             m = f.terms[0][0]
             return not any(any(map(min, m, b)) for b in seed.monomials)
         return _packed(_tag_ring(J.ring, 1), [_rabinowitsch([f])], (seed, (0,)), decide)
 
     p = J.ring.field.characteristic
-    return _memoized(("regular", J.ring, _terms(J.generators), (f.terms,)), decision)
+    seed = _seed(J)  # read once: outside a context each read completes it again
+    return _memoized(("regular", seed, f), decision)
 
 
 def extend_ring(J: Ideal, new_names: Sequence[str]) -> Ideal:

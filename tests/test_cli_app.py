@@ -802,12 +802,13 @@ class TestEngineContext:
         "gb B;\n"
     )
     # two pairs, each saturated twice: within a call the second is a memo
-    # hit; A by I takes the monomial route, A by K the tagged one
+    # hit; A by I takes the monomial route, A by K, whose basis is not
+    # terms, the tagged one
     SAT_SCRIPT = (
         "ring R = QQ[x,y,z];\n"
         "ideal A = x*y, x*z;\n"
         "ideal I = y, z;\n"
-        "ideal K = y + z, z;\n"
+        "ideal K = y + z;\n"
         "sat A I;\n"
         "sat A K;\n"
         "sat A I;\n"

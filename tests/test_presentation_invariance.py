@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from icmlab import invariants
+from icmlab import ideal_engine, invariants
 from icmlab.cli_app import IdealStmt, main, parse, print_script
 from icmlab.errors import EngineError
 from icmlab.icm_checker import (
@@ -31,9 +31,16 @@ from icmlab.icm_checker import (
     is_cohen_macaulay_graded,
     polynomial_extension_check,
 )
-from icmlab.ideal_engine import Ideal, engine_context
+from icmlab.ideal_engine import (
+    Ideal,
+    engine_context,
+    ideal_intersect,
+    ideal_quotient_ideal,
+    is_nonzerodivisor,
+    saturate,
+)
 from icmlab.invariants import CyclicModule
-from icmlab.ring_core import FieldSpec
+from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder
 from icmlab.theorem_lab import BINOMIAL, MIXED, MONOMIAL, InstanceSpec, gen_instance
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -137,3 +144,45 @@ def test_library_answers_the_same_for_every_presentation():
             got = facts(CyclicModule(M.ring, J2), I2, monomial)
             differ += ["seed %d rewrite %d: %s" % (spec.seed, r, key) for key in want if got[key] != want[key]]
     assert not differ, "\n".join(differ)
+
+
+def calculus(J, I, f):
+    """The derived facts of (J, I): saturation, colon, intersection and
+    the regularity of f."""
+    return saturate(J, I), ideal_quotient_ideal(J, I), ideal_intersect(J, I), is_nonzerodivisor(J, f)
+
+
+@pytest.mark.parametrize(
+    "p, order, monomial",
+    [(0, "grevlex", False), (32003, "lex", False), (0, "grevlex", True), (2, "lex", True)],
+)
+def test_presentations_share_each_derived_fact(monkeypatch, p, order, monomial):
+    # the calculus keys by its operands' reduced bases, so within one
+    # engine context a rewritten (J, I) builds no fact again once the
+    # rewrites' own bases are known
+    R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder(order))
+    x, y, z = (R.variable(i) for i in range(3))
+    if monomial:
+        J, I, f = Ideal(R, [x**2 * y, x * z**3]), Ideal(R, [x, y**2]), x + z
+    else:
+        J, I, f = Ideal(R, [x**2 - y * z, x * y * z + z**3]), Ideal(R, [x + y, z**2]), x + y
+    builds = []
+    for name in ("_eliminate_tag", "_monomial_saturation", "_grow"):
+
+        def counted(*args, name=name, real=getattr(ideal_engine, name), **kwargs):
+            builds.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ideal_engine, name, counted)
+    with engine_context():
+        want = calculus(J, I, f)
+        assert ("_monomial_saturation" in builds) == monomial and "_eliminate_tag" in builds
+        assert "_grow" in builds
+        for r in REWRITES:
+            rng = random.Random(r)
+            J2, I2 = (Ideal(R, rewrite(K.generators, rng)) for K in (J, I))
+            ideal_engine._seed(J2), ideal_engine._seed(I2)
+            del builds[:]
+            got = calculus(J2, I2, f)
+            assert builds == [], (r, J2, I2)
+            assert all(a is b for a, b in zip(got[:3], want[:3])) and got[3] == want[3], (r, J2, I2)
