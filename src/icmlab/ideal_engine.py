@@ -469,13 +469,14 @@ class ReducedGB:
     the context that stores it.  It is 0 on every route whose inputs, work
     and settled basis, are all monomials: they form no pair, so no step
     limit trips on them.  Nor is ``_divisors``, the kernel form its
-    completion ended with, packed by ``_packing``.
+    completion ended with, packed by ``_packing``, or ``_hash``, taken once.
     """
 
-    __slots__ = ("ring", "basis", "steps", "_divisors", "_packing")
+    __slots__ = ("ring", "basis", "steps", "_divisors", "_packing", "_hash")
 
     def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...], steps: int, divs: tuple, pk: _Packing):
         self.ring, self.basis, self.steps, self._divisors, self._packing = ring, basis, steps, divs, pk
+        self._hash: Optional[int] = None
 
     @property
     def is_unit_ideal(self) -> bool:
@@ -498,7 +499,9 @@ class ReducedGB:
         return self.ring == other.ring and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.ring, self.basis))
+        if self._hash is None:
+            self._hash = hash((self.ring, self.basis))
+        return self._hash
 
     def __repr__(self) -> str:
         return "ReducedGB[%s]" % ", ".join(str(p) for p in self.basis)

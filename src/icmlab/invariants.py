@@ -15,12 +15,13 @@ the second, the existence test, as exponent 0, and the saturation it
 builds is also the certificate: the search hands it to ``grade``.
 Grade is computed by actually finding a maximal regular sequence.
 ``grade`` checks (M, I) once per call; each step is one
-``find_regular_element`` on the step's ideal J_k, which runs one test loop
-over one seeded candidate stream, ``_candidates``: the reduced basis of I,
-then random draws, then a climb in degree.  The search runs first, since a
+``find_regular_element`` on the step's ideal J_k, which tests one seeded
+candidate stream, ``_candidates``, in phases: the reduced basis of I, whose
+failures do not decide existence, then ``_dense`` random draws and a
+``_climb`` in degree, whose failures do.  The search runs first, since a
 regular element it finds already proves that one exists; existence is
-decided only at the first draw that does not succeed, or when the stream
-ends, so a step that finds an element before that never saturates by I.
+decided only at the first failure that decides, or when the stream ends,
+so a step that finds an element before that never saturates by I.
 When no element exists, the current sequence length is the grade and that
 saturation ships with the answer as its certificate.  The chain stops
 without a search at the bound b = dim M - dim M/IM, since
@@ -324,9 +325,6 @@ def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) 
     return current
 
 
-_DEGREE_DRAWS = 8  # draws per degree once the search climbs above the basis
-
-
 def _degree_span(basis: Sequence[Polynomial], degree: int) -> List[Polynomial]:
     """m * g for every g in the basis and every monomial m of degree
     ``degree - deg g``, without repeats: a spanning set of the degree part
@@ -344,66 +342,68 @@ def _degree_span(basis: Sequence[Polynomial], degree: int) -> List[Polynomial]:
     return list(span)
 
 
-def _candidates(
-    basis: Sequence[Polynomial], rng: random.Random
-) -> Iterator[Optional[Polynomial]]:
-    """The search's candidate stream from the reduced basis of I, seeded by
-    ``rng``; None stands for a draw that is zero or repeats an earlier
-    candidate.
-
-    The basis comes first, so the answer only depends on the ideal, not its
-    presentation.  Random combinations with integer coefficients from a
-    growing range follow.  When I is homogeneous the combinations stay
-    homogeneous: a target degree is drawn among the basis degrees and
-    lower-degree basis elements are lifted to it by a random variable power
-    (the lift stays inside I).  After 50 * budget draws the stream climbs
-    one degree at a time above the top basis degree, 8 draws per degree,
-    each a random combination of every m * g with g in the basis and m a
-    monomial of the complementary degree: over a small prime field the
-    elements outside every associated prime may all lie in higher degree.
-
-    The stream ends after ``search_budget()`` distinct candidates, or after
-    100 * budget draws.
-    """
-    budget = search_budget()
-    seen = set(basis[:budget])
-    yield from basis[:budget]
-    ring = basis[0].ring
-    homogeneous = all(p.is_homogeneous() for p in basis)
-    degrees = sorted({p.total_degree() for p in basis})
-    for attempt in range(1, 100 * budget + 1):
-        if len(seen) >= budget:
-            return
-        bound = 1 + len(seen) // 8
-        if attempt > 50 * budget:
-            climbed, draw = divmod(attempt - 50 * budget - 1, _DEGREE_DRAWS)
-            if draw == 0:
-                span = _degree_span(basis, degrees[-1] + 1 + climbed)
-            pool = span
-        elif homogeneous:
+def _dense(basis: Sequence[Polynomial], rng: random.Random) -> Iterator[Sequence[Polynomial]]:
+    """The dense phase's pools, one per draw: the basis or, when it is
+    homogeneous, its elements up to a random basis degree, each lifted to it
+    by a random variable power (the lift stays inside I)."""
+    if not all(p.is_homogeneous() for p in basis):
+        yield from itertools.repeat(basis)
+    else:
+        ring = basis[0].ring
+        degrees = sorted({p.total_degree() for p in basis})
+        while True:
             d = degrees[rng.randrange(len(degrees))]
-            pool = []
-            for p in basis:
+            pool = [p for p in basis if p.total_degree() <= d]
+            for i, p in enumerate(pool):
                 gap = d - p.total_degree()
-                if gap < 0:
-                    continue
-                if gap > 0:
+                if gap:
                     lift = [0] * ring.nvars
                     lift[rng.randrange(ring.nvars)] = gap
-                    p = p.shift(tuple(lift), ring.field.one)
-                pool.append(p)
-        else:
-            pool = basis
-        x = ring.zero()
-        for p in pool:
-            c = rng.randint(-bound, bound)
-            if c:
-                x = x + p * c
-        if x.is_zero or x in seen:
-            yield None
-        else:
-            seen.add(x)
-            yield x
+                    pool[i] = p.shift(tuple(lift), ring.field.one)
+            yield pool
+
+
+def _climb(basis: Sequence[Polynomial]) -> Iterator[List[Polynomial]]:
+    """The climb's pools: ``_degree_span`` of each degree above the basis
+    degrees in turn, for 8 draws each; over a small prime field the elements
+    outside every associated prime may all lie in higher degree."""
+    for degree in itertools.count(max(p.total_degree() for p in basis) + 1):
+        yield from itertools.repeat(_degree_span(basis, degree), 8)
+
+
+def _candidates(
+    basis: Sequence[Polynomial], rng: random.Random
+) -> Iterator[Tuple[Optional[Polynomial], bool]]:
+    """The search's candidate stream from the reduced basis of I, seeded by
+    ``rng``: pairs of a candidate, or None for a draw that is zero or
+    repeats one, and its phase's flag, whether a failure there decides
+    existence.  The phases are the basis, which does not decide (it comes
+    first, so the answer only depends on the ideal, not its presentation),
+    then ``_dense``, which decides, repeats included, and ``_climb``, which
+    decides.  Each of the last two makes up to 50 * budget draws, random
+    combinations of its pools with integer coefficients from a range that
+    grows with the candidates so far.  The stream ends after
+    ``search_budget()`` distinct candidates."""
+    budget = search_budget()
+    seen = set(basis[:budget])
+    yield from ((x, False) for x in basis[:budget])
+    ring = basis[0].ring
+    for pools, decides in ((_dense(basis, rng), True), (_climb(basis), True)):
+        for _ in range(50 * budget):
+            if len(seen) >= budget:
+                return
+            pool = next(pools)
+            bound = 1 + len(seen) // 8
+            x = ring.zero()
+            for p in pool:
+                c = rng.randint(-bound, bound)
+                if c:
+                    x = x + p * c
+            if x.is_zero or x in seen:
+                x = None
+            else:
+                seen.add(x)
+            yield x, decides
 
 
 def find_regular_element(
@@ -426,21 +426,20 @@ def find_regular_element(
 
     Existence, (J : I^infinity) = J, is ``saturate(J, I).exponent == 0``.
     It reads nothing from the seeded stream, so it is decided late without
-    changing the answer: at the first draw that does not succeed (a
-    candidate after the basis that fails, or a None), or when the stream
-    ends.  Otherwise an exhausted stream raises SearchExhaustedError,
-    although a regular element exists.
+    changing the answer: at the first item of a phase that decides and is
+    not a regular element (a failure, a known zero divisor or a None), or
+    when the stream ends.  Otherwise an exhausted stream raises
+    SearchExhaustedError, although a regular element exists.
     """
-    basis = I.groebner_basis().basis
     exists = False
-    # a trailing None marks the end of the stream, which decides existence
-    stream = itertools.chain(_candidates(basis, random.Random(seed)), [None])
-    for k, x in enumerate(stream):
+    stream = _candidates(I.groebner_basis().basis, random.Random(seed))
+    # the end of the stream decides existence too
+    for x, decides in itertools.chain(stream, [(None, True)]):
         if x is not None and x not in known:
             if is_nonzerodivisor(J, x):
                 return x
             known.add(x)
-        if (x is None or k >= len(basis)) and not exists:
+        if decides and not exists:
             certificate = saturate(J, I)
             if certificate.exponent:
                 return certificate

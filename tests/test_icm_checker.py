@@ -228,6 +228,33 @@ class TestIcmReport:
         assert payload["witness"] == []
 
 
+# the 6-vertex triangulation of the real projective plane, by its non-faces
+RP2_NONFACES = ("123", "125", "134", "146", "156", "236", "245", "246", "345", "356")
+
+
+class TestCharacteristic:
+    @pytest.mark.parametrize(
+        "p, grade_value, defect, exponent",
+        [(0, 3, 0, 3), (3, 3, 0, 3), (32003, 3, 0, 3), (2, 2, 1, 1)],
+    )
+    def test_rp2_verdict_flips_over_gf2(self, p, grade_value, defect, exponent):
+        # the Stanley-Reisner ring k[Delta] of RP^2 at the ideal of all the
+        # variables: by Reisner's criterion it is Cohen-Macaulay exactly when
+        # the reduced homology of Delta and of its links vanishes below the
+        # top degree, and H_1(RP^2; k) is k over GF(2) and 0 otherwise; so
+        # the depth, the grade here, drops from dim k[Delta] = 3 to 2
+        R = RingDescriptor(FieldSpec(p), tuple("x%d" % i for i in range(1, 7)))
+        xs = [R.variable(i) for i in range(6)]
+        J = Ideal(R, [xs[int(a) - 1] * xs[int(b) - 1] * xs[int(c) - 1] for a, b, c in RP2_NONFACES])
+        M, I = CyclicModule(R, J), Ideal(R, xs)
+        rep = icm_report(M, I, seed=0)
+        assert (rep.grade.value, rep.dim_m, rep.dim_m_mod_im) == (grade_value, 3, 0)
+        assert rep.defect == defect
+        assert rep.grade.certificate.exponent == exponent
+        assert rep.is_icm is (defect == 0)
+        verify_grade_witness(M, I, rep.grade)
+
+
 class TestGradedCM:
     def test_complete_intersection_is_cm(self):
         R = ring_qq("x", "y", "z")

@@ -647,6 +647,24 @@ class TestEngineMemo:
             assert buchberger([remap(g, lex_ring) for g in gens]) is lex
         assert first == buchberger(gens)
 
+    def test_a_basis_hashes_its_polynomials_once(self, monkeypatch):
+        # every calculus key holds two bases, so the memo hashes a basis on
+        # every lookup; the first hash is kept, and a basis that is never a
+        # key, as in a cold completion, is never hashed
+        G = buchberger(heavy_gens())
+        hashed = []
+        real = Polynomial.__hash__
+        monkeypatch.setattr(Polynomial, "__hash__", lambda p: hashed.append(p) or real(p))
+        first = hash(G)
+        assert len(hashed) == len(G.basis)
+        assert hash(G) == first
+        assert len(hashed) == len(G.basis)
+
+    def test_the_kept_hash_is_that_of_ring_and_basis(self):
+        G = buchberger(heavy_gens())
+        assert hash(G) == hash((G.ring, G.basis))
+        assert hash(G) == hash((G.ring, G.basis))
+
     def test_a_tag_ring_is_built_once_per_process(self):
         # a layout, not a result: no context stores it, and none builds its own
         R = ring_qq("x", "y")

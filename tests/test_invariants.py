@@ -759,19 +759,46 @@ class TestSearchMemory:
 
 class TestSearchStream:
     def test_candidates_pinned_on_a_homogeneous_basis(self):
-        # I = (x, y^2): after the basis come homogeneous draws, where x is
-        # lifted to degree 2 by a variable power; at seed 2 the fourth item
-        # is a zero draw and the fifth repeats x
+        # I = (x, y^2): after the basis, whose failures do not decide
+        # existence, come the dense phase's homogeneous draws, whose
+        # failures do, where x is lifted to degree 2 by a variable power; at
+        # seed 2 the fourth item is a zero draw and the fifth repeats x
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)
         basis = Ideal(R, [x, y**2]).groebner_basis().basis
         assert basis == (x, y**2)
         with engine_context(budget=4):
             stream = list(_candidates(basis, random.Random(2)))
-        assert stream == [x, y**2, -x, None, None, x * y - y**2]
-        assert len([c for c in stream if c is not None]) == 4
+        assert stream == [(x, False), (y**2, False), (-x, True), (None, True), (None, True), (x * y - y**2, True)]
+        assert len([c for c, _ in stream if c is not None]) == 4
         with engine_context(budget=1):
-            assert list(_candidates(basis, random.Random(2))) == [x]
+            assert list(_candidates(basis, random.Random(2))) == [(x, False)]
+
+    def test_phase_boundaries_over_gf2(self):
+        # I = (x, y) over GF(2) at budget 4: the basis y, x, which does not
+        # decide existence; then the dense phase's cap of 50 * 4 draws, which
+        # decide, and whose only new candidate is x + y, since every other
+        # combination of x and y is 0, x or y; then the climb, whose first
+        # draw, from the degree-2 span, is the fourth candidate and ends it
+        R = RingDescriptor(FieldSpec(2), ("x", "y"))
+        x, y = R.variable(0), R.variable(1)
+        basis = Ideal(R, [x, y]).groebner_basis().basis
+        with engine_context(budget=4):
+            stream = list(_candidates(basis, random.Random(0)))
+        assert len(stream) == 203
+        assert stream[:6] == [(y, False), (x, False), (None, True), (None, True), (None, True), (x + y, True)]
+        assert stream[2:202].count((None, True)) == 199
+        assert stream[202] == (x * y + y**2, True)
+
+    def test_inhomogeneous_pool_is_the_whole_basis(self):
+        # I = (x, y^2 + y) is not homogeneous, so each dense draw combines
+        # the basis as it is, with no target degree and no lift
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        basis = Ideal(R, [x, y**2 + y]).groebner_basis().basis
+        with engine_context(budget=4):
+            stream = list(_candidates(basis, random.Random(1)))
+        assert stream == [(x, False), (y**2 + y, False), (y**2 - x + y, True), (-x, True)]
 
     def test_grade_checks_the_pair_once_and_builds_no_module(self, monkeypatch):
         # every J_k lies inside J + I, so the checks of I and of J + I made

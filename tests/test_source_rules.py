@@ -148,3 +148,20 @@ def test_query_table_is_the_readme_grammar():
     }
     assert len(arities) == 11
     assert arities == {kw: arity for kw, (arity, _) in cli_app.QUERIES.items()}
+
+
+def test_sources_parse_with_the_oldest_supported_grammar():
+    # pyproject's requires-python floor is the first Python of CI's matrix,
+    # and every file of src/icmlab and tests must parse with its grammar, so
+    # that at a 3.10 floor an except* (3.11) fails here; this checks syntax
+    # only, not whether the stdlib APIs a file calls exist at the floor
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    matrix = re.search(r"python-version: \[(.*)\]", workflow).group(1)
+    assert min(tuple(map(int, v.strip(' "').split("."))) for v in matrix.split(",")) == floor
+    files = SOURCES + sorted((root / "tests").rglob("*.py"))
+    assert len(files) > len(SOURCES)
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
