@@ -29,7 +29,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -43,7 +42,7 @@ from .ideal_engine import (
     ideal_quotient_ideal,
     saturate,
 )
-from .ring_core import FieldSpec, Polynomial, RingDescriptor, TermOrder
+from .ring_core import FieldSpec, Polynomial, Record, RingDescriptor, TermOrder
 
 
 class ParseError(Exception):
@@ -116,31 +115,25 @@ def _integer(tok: Token) -> int:
         ) from None
 
 
-@dataclass(frozen=True)
-class RingStmt:
-    name: str
-    ring: RingDescriptor
+class RingStmt(Record):
+    __slots__ = ("name", "ring")
 
 
-@dataclass(frozen=True)
-class IdealStmt:
-    name: str
-    generators: Optional[Tuple[Polynomial, ...]]  # None when intersect form
-    intersect_of: Optional[Tuple[str, str]] = None
+class IdealStmt(Record):
+    # generators is None in the intersect form, which names its two ideals
+    __slots__ = ("name", "generators", "intersect_of")
+    _defaults = {"intersect_of": None}
 
 
-@dataclass(frozen=True)
-class QueryStmt:
-    keyword: str
-    args: Tuple[str, ...]
+class QueryStmt(Record):
+    __slots__ = ("keyword", "args")
 
 
 Stmt = Union[RingStmt, IdealStmt, QueryStmt]
 
 
-@dataclass(frozen=True)
-class Script:
-    statements: Tuple[Stmt, ...]
+class Script(Record):
+    __slots__ = ("statements",)
 
 
 class _Parser:

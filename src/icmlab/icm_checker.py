@@ -25,8 +25,7 @@ grade chain or replay opens a default engine context when none is open
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import invariants
 from .errors import EngineError, InhomogeneousIdealError, StepLimitExceededError
@@ -40,20 +39,17 @@ from .ideal_engine import (
     extend_ring,
     membership,
 )
-from .invariants import CyclicModule, GradeWitness, MonomialPrime
-from .ring_core import Polynomial
+from .invariants import CyclicModule, MonomialPrime
+from .ring_core import Polynomial, Record
 
 
-@dataclass(frozen=True)
-class IcmReport:
+class IcmReport(Record):
     """Everything the decision produces: the certified grade, the two
     dimensions, the defect, and the verdict; for the whole ring also height
     I, which the grade equals exactly when the verdict is positive."""
 
-    grade: GradeWitness
-    dim_m: int
-    dim_m_mod_im: int
-    height_i: Optional[int] = None
+    __slots__ = ("grade", "dim_m", "dim_m_mod_im", "height_i")
+    _defaults = {"height_i": None}
 
     @property
     def defect(self) -> int:
@@ -80,8 +76,7 @@ class IcmReport:
         )
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     """Outcome of one structural relation check.
 
     ``holds`` is the verdict for the instance; a report with
@@ -91,9 +86,8 @@ class RelationReport:
     broke.
     """
 
-    holds: bool
-    hypothesis_log: Tuple[str, ...]
-    skipped_reason: Optional[str] = None
+    __slots__ = ("holds", "hypothesis_log", "skipped_reason")
+    _defaults = {"skipped_reason": None}
 
     @property
     def skipped(self) -> bool:

@@ -88,7 +88,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from heapq import heapify, heappop, heappush
@@ -108,6 +107,7 @@ from .ring_core import (
     GREVLEX,
     Monomial,
     Polynomial,
+    Record,
     RingDescriptor,
     TermOrder,
     _from_dict,
@@ -748,13 +748,11 @@ class Ideal:
         return "Ideal<%s>" % ", ".join(str(g) for g in self.generators)
 
 
-@dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(Record):
     """Outcome of saturating J by I: the stable ideal (J : I^infinity) and
     the least exponent k with (J : I^k) already equal to it."""
 
-    ideal: Ideal
-    exponent: int
+    __slots__ = ("ideal", "exponent")
 
 
 def membership(f: Polynomial, J: Ideal) -> bool:

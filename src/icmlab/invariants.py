@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
@@ -66,6 +65,7 @@ from .ideal_engine import (
 from .ring_core import (
     Monomial,
     Polynomial,
+    Record,
     RingDescriptor,
     _same_ring,
     minimalize_monomials,
@@ -94,8 +94,7 @@ class CyclicModule:
         return "CyclicModule(R/%r)" % (self.defining_ideal,)
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
+class MonomialPrime(Record):
     """A prime generated by a subset of the variables.
 
     The empty subset is allowed and stands for the zero prime; it shows up
@@ -103,15 +102,14 @@ class MonomialPrime:
     equal primes compare and hash equal.
     """
 
-    ring: RingDescriptor
-    indices: Tuple[int, ...]
+    __slots__ = ("ring", "indices")
 
-    def __post_init__(self) -> None:
-        idx = tuple(self.indices)
+    def __init__(self, ring: RingDescriptor, indices: Iterable[int]) -> None:
+        idx = tuple(indices)
         for i in idx:
-            if type(i) is not int or not 0 <= i < self.ring.nvars:
+            if type(i) is not int or not 0 <= i < ring.nvars:
                 raise ValueError("variable index out of range: %r" % (i,))
-        object.__setattr__(self, "indices", tuple(sorted(set(idx))))
+        super().__init__(ring, tuple(sorted(set(idx))))
 
     @classmethod
     def from_names(cls, ring: RingDescriptor, names: Iterable[str]) -> "MonomialPrime":
@@ -150,14 +148,11 @@ def variable_prime(I: Ideal) -> Optional[MonomialPrime]:
     return MonomialPrime(I.ring, tuple(m.index(1) for m in gens))
 
 
-@dataclass(frozen=True)
-class GradeWitness:
+class GradeWitness(Record):
     """A certified grade value: the maximal regular sequence actually found,
     plus the saturation certificate showing it cannot be extended."""
 
-    value: int
-    sequence: Tuple[Polynomial, ...]
-    certificate: SaturationResult
+    __slots__ = ("value", "sequence", "certificate")
 
 
 # ---------------------------------------------------------------------------

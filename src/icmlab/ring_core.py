@@ -21,9 +21,8 @@ No floating point appears anywhere; equality of polynomials is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
+from operator import attrgetter, neg
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -76,8 +75,71 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Record:
+    """An immutable value whose fields are the names in the ``__slots__`` of
+    its class and bases that do not start with an underscore, in order.
+
+    ``_defaults`` maps fields to the values a call may leave out.  Equality
+    and hash go by class and fields, the repr is ``Name(field=value, ...)``,
+    and a copy or pickle is rebuilt through ``__init__``.  A class that
+    checks its fields takes them in its own ``__init__`` and passes them on
+    to this one.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        slots = [name for klass in reversed(cls.__mro__) for name in klass.__dict__.get("__slots__", ())]
+        cls._fields = tuple(name for name in slots if not name.startswith("_"))
+        # an attrgetter is no method, so ``self._key(self)`` reads the fields
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            # keywords may only name fields after the positional ones, and
+            # with the defaults every field must have its value
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            named = set(fields[len(args) :])
+            if len(args) > len(fields) or not kwargs.keys() <= named or len(values) != len(fields):
+                raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(fields)))
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields),
+        )
+
+    def __reduce__(self):
+        # a string's hash differs between processes: a kept hash such as
+        # RingDescriptor's is taken again by __init__, never copied
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes: object) -> "Record":
+        """A copy with the named fields changed, checked as a new value is."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
+class FieldSpec(Record):
     """An exact coefficient field: the rationals, or GF(p) for a word-sized prime.
 
     Characteristic 0 elements are Fractions (always in lowest terms with a
@@ -85,16 +147,17 @@ class FieldSpec:
     elements are ints reduced to the canonical residue in [0, p).
     """
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self) -> None:
-        c = self.characteristic
+    def __init__(self, characteristic: int = 0) -> None:
+        c = characteristic
         if not isinstance(c, int) or isinstance(c, bool):
             raise ValueError("field characteristic must be an int, got %r" % (c,))
         if c != 0 and (c < 2 or c >= _MAX_PRIME or not _is_prime(c)):
             raise ValueError(
                 "field characteristic must be 0 or a prime below 2^31, got %r" % (c,)
             )
+        super().__init__(c)
 
     def coerce(self, value: Union[int, Fraction]) -> Coeff:
         p = self.characteristic
@@ -149,8 +212,7 @@ class FieldSpec:
         return "QQ" if self.characteristic == 0 else "GF(%d)" % self.characteristic
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Record):
     """A monomial well-order: lex, graded reverse lex, or a two-block
     elimination order (grevlex inside each block, first block dominant).
 
@@ -159,18 +221,17 @@ class TermOrder:
     ``heapq`` do the rest.
     """
 
-    kind: str = GREVLEX
-    block: Optional[int] = None
+    __slots__ = ("kind", "block")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (LEX, GREVLEX, ELIMINATION):
-            raise ValueError("unknown term order kind %r" % (self.kind,))
-        if self.kind == ELIMINATION:
-            b = self.block
-            if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-                raise ValueError("elimination-block order needs a positive int block, got %r" % (b,))
-        elif self.block is not None:
+    def __init__(self, kind: str = GREVLEX, block: Optional[int] = None) -> None:
+        if kind not in (LEX, GREVLEX, ELIMINATION):
+            raise ValueError("unknown term order kind %r" % (kind,))
+        if kind == ELIMINATION:
+            if not isinstance(block, int) or isinstance(block, bool) or block < 1:
+                raise ValueError("elimination-block order needs a positive int block, got %r" % (block,))
+        elif block is not None:
             raise ValueError("block size only applies to elimination-block orders")
+        super().__init__(kind, block)
 
     def descending_key(self, mono: Monomial) -> tuple:
         """a > b in this order exactly when descending_key(a) <
@@ -221,37 +282,31 @@ def monomial_support(a: Monomial) -> frozenset:
     return frozenset(i for i, e in enumerate(a) if e)
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(Record):
     """An affine polynomial ring k[x_1, ..., x_n] with a fixed term order."""
 
-    field: FieldSpec
-    variables: Tuple[str, ...]
-    order: TermOrder = TermOrder()
+    __slots__ = ("field", "variables", "order", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
+    def __init__(self, field: FieldSpec, variables: Iterable[str], order: TermOrder = TermOrder()) -> None:
+        variables = tuple(variables)
+        if not variables:
             raise ValueError("a ring needs at least one variable")
         seen = set()
-        for name in self.variables:
+        for name in variables:
             if not name or not isinstance(name, str):
                 raise ValueError("variable names must be nonempty strings")
             if name in seen:
                 raise ValueError("duplicate variable name %r" % name)
             seen.add(name)
-        if self.order.kind == ELIMINATION and self.order.block >= len(self.variables):
+        if order.kind == ELIMINATION and order.block >= len(variables):
             raise ValueError("elimination block must leave at least one variable")
+        super().__init__(field, variables, order)
         # every memo key and polynomial hash holds a ring, so its hash is
-        # taken once here rather than through three dataclass hashes per use
-        object.__setattr__(self, "_hash", hash((self.field, self.variables, self.order)))
+        # taken once here rather than from the three fields at every use
+        object.__setattr__(self, "_hash", hash((field, variables, order)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # a string's hash differs between processes: rebuild, never copy, it
-        return RingDescriptor, (self.field, self.variables, self.order)
 
     @property
     def nvars(self) -> int:

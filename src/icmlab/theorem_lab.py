@@ -18,7 +18,6 @@ ideal the relation compares I with, and can be replayed by hand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import invariants
@@ -36,7 +35,7 @@ from .icm_checker import (
 )
 from .ideal_engine import Ideal, _in_engine_context, ideal_sum
 from .invariants import CyclicModule, MonomialPrime
-from .ring_core import FieldSpec, Monomial, Polynomial, RingDescriptor
+from .ring_core import FieldSpec, Monomial, Polynomial, Record, RingDescriptor
 
 MONOMIAL = "monomial"
 BINOMIAL = "binomial"
@@ -45,37 +44,31 @@ MIXED = "mixed"
 MAX_VARS = 8
 MAX_DEGREE = 4
 
-@dataclass(frozen=True)
-class InstanceSpec:
+
+class InstanceSpec(Record):
     """Input to the instance generator.  Same spec, same instance, always."""
 
-    n_vars: int
-    field: FieldSpec
-    ideal_kind: str
-    max_degree: int
-    max_generators: int
-    seed: int
+    __slots__ = ("n_vars", "field", "ideal_kind", "max_degree", "max_generators", "seed")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_vars <= MAX_VARS:
+    def __init__(
+        self, n_vars: int, field: FieldSpec, ideal_kind: str, max_degree: int, max_generators: int, seed: int
+    ) -> None:
+        if not 1 <= n_vars <= MAX_VARS:
             raise ValueError("n_vars must be between 1 and %d" % MAX_VARS)
-        if not 1 <= self.max_degree <= MAX_DEGREE:
+        if not 1 <= max_degree <= MAX_DEGREE:
             raise ValueError("max_degree must be between 1 and %d" % MAX_DEGREE)
-        if self.max_generators < 1:
+        if max_generators < 1:
             raise ValueError("need at least one generator")
-        if self.ideal_kind not in (MONOMIAL, BINOMIAL, MIXED):
-            raise ValueError("unknown ideal kind %r" % (self.ideal_kind,))
+        if ideal_kind not in (MONOMIAL, BINOMIAL, MIXED):
+            raise ValueError("unknown ideal kind %r" % (ideal_kind,))
+        super().__init__(n_vars, field, ideal_kind, max_degree, max_generators, seed)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     """Tally of one suite run; passed + skipped_hypothesis + failures
     always add up to trials."""
 
-    suite_id: str
-    trials: int
-    skipped_hypothesis: int
-    failures: Tuple[str, ...]
+    __slots__ = ("suite_id", "trials", "skipped_hypothesis", "failures")
 
     @property
     def passed(self) -> int:

@@ -1,6 +1,5 @@
 """Dimension, primes, regular sequences, and grade."""
 import contextlib
-import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -535,16 +534,10 @@ class TestGrade:
         assert (w.value, w.sequence, w.certificate.exponent) == (1, (y - x,), 2)
         extended = Ideal(R, [x * y, y - x])
         tampered = {
-            "length disagrees": dataclasses.replace(w, value=w.value + 1),
-            "does not block": dataclasses.replace(
-                w, certificate=SaturationResult(extended, 0)
-            ),
-            "is not the saturation": dataclasses.replace(
-                w, certificate=SaturationResult(Ideal(R, [x]), 1)
-            ),
-            "certificate exponent": dataclasses.replace(
-                w, certificate=SaturationResult(w.certificate.ideal, 7)
-            ),
+            "length disagrees": w.replace(value=w.value + 1),
+            "does not block": w.replace(certificate=SaturationResult(extended, 0)),
+            "is not the saturation": w.replace(certificate=SaturationResult(Ideal(R, [x]), 1)),
+            "certificate exponent": w.replace(certificate=SaturationResult(w.certificate.ideal, 7)),
         }
         for message, bad in tampered.items():
             with pytest.raises(EngineError, match=message):

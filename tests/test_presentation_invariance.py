@@ -13,7 +13,6 @@ the monomial primes and the logs of two relation checks must not move.
 """
 
 import contextlib
-import dataclasses
 import glob
 import io
 import os
@@ -82,13 +81,13 @@ def test_scripts_answer_the_same_for_every_presentation(path, tmp_path):
     for r in REWRITES:
         rng = random.Random("%s:%d" % (os.path.basename(path), r))
         statements = tuple(
-            dataclasses.replace(s, generators=tuple(rewrite(s.generators, rng)))
+            s.replace(generators=tuple(rewrite(s.generators, rng)))
             if isinstance(s, IdealStmt) and s.intersect_of is None
             else s
             for s in script.statements
         )
         written = tmp_path / ("rewrite%d.icm" % r)
-        written.write_text(print_script(dataclasses.replace(script, statements=statements)), encoding="utf-8")
+        written.write_text(print_script(script.replace(statements=statements)), encoding="utf-8")
         assert run_json(str(written)) == want, "rewrite %d:\n%s" % (r, written.read_text(encoding="utf-8"))
 
 

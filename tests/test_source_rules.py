@@ -1,8 +1,11 @@
 """Rules the engine source keeps, checked on its syntax tree."""
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import icmlab
 from icmlab import cli_app
@@ -72,7 +75,13 @@ def test_no_unused_imports():
     assert offenders == []
 
 
-def test_every_dataclass_field_is_read():
+RECORDS = {
+    "FieldSpec", "TermOrder", "RingDescriptor", "SaturationResult", "MonomialPrime", "GradeWitness", "IcmReport",
+    "RelationReport", "InstanceSpec", "SuiteReport", "RingStmt", "IdealStmt", "QueryStmt", "Script",
+}
+
+
+def test_every_record_field_is_read():
     # a field nothing reads is dead weight on every construction; the rule
     # matches attribute names, so a field read under another class counts
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
@@ -82,16 +91,43 @@ def test_every_dataclass_field_is_read():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    unread = [
-        "%s.%s" % (node.name, stmt.target.id)
+    slots = {
+        node.name: ast.literal_eval(stmt.value)
         for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+        if isinstance(node, ast.ClassDef) and any(ast.unparse(b) == "Record" for b in node.bases)
         for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
-    ]
+        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__slots__"
+    }
+    assert set(slots) >= RECORDS
+    unread = ["%s.%s" % (name, field) for name, fields in slots.items() for field in fields if field not in read]
     assert unread == []
+
+
+def test_no_dataclasses():
+    # dataclasses costs a cold start its import (with inspect, ast, dis and
+    # tokenize) and the exec of each decorated class's generated methods;
+    # ring_core.Record is the value base instead
+    offenders = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert offenders == []
+
+
+def test_cold_import_leaves_out_the_introspection_modules():
+    # every icm-lab call starts cold, so what `import icmlab.cli_app` pulls
+    # in is paid on every call; -S keeps site-packages' own start-up imports
+    # out of the check
+    code = "import sys, icmlab.cli_app; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    src = str(pathlib.Path(icmlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code] + heavy, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_benchmark_tracer_targets_resolve():
