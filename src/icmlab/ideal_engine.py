@@ -75,6 +75,11 @@ added, and the colon is ``ideal_quotient``'s.  A grade chain's J + <x>
 stops at the first element with a t-free leading monomial: it lies in
 (J : f^infinity) and not in J.
 
+Outside grevlex, the basis of a zero-dimensional ideal is converted from
+its grevlex twin's by FGLM (``_fglm``, the kernel's normal forms against
+the twin's divisors) and carries the twin's steps; the ring's own order
+completes only the other ideals (``_build``).
+
 Monomial ideals skip the pair loop.  The S-polynomial of two monomials is
 zero (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2), so
 when a completion's works and settled basis are all monomials, on every
@@ -461,15 +466,17 @@ def divide(f: Polynomial, g: Polynomial) -> Polynomial:
 class ReducedGB:
     """The reduced monic Groebner basis of an ideal, sorted by increasing
     leading monomial.  Unique per (ideal, term order), so the ideal's facts,
-    ``is_unit_ideal`` and ``monomials``, are read here, not off generators.
+    ``is_unit_ideal``, ``monomials`` and ``is_zero_dimensional``, are read
+    here, not off generators.
 
-    ``steps``, the S-pair reductions of the completion that built it,
-    depends on the route (generators, settled prefix), so it is not part of
-    equality; the memo keeps the first route's, which met the step limit of
-    the context that stores it.  It is 0 on every route whose inputs, work
-    and settled basis, are all monomials: they form no pair, so no step
-    limit trips on them.  Nor is ``_divisors``, the kernel form its
-    completion ended with, packed by ``_packing``, or ``_hash``, taken once.
+    ``steps``, the S-pair reductions of the completion that built it (its
+    grevlex twin's for a basis ``_fglm`` converts), depends on the route
+    (generators, settled prefix), so it is not part of equality; the memo
+    keeps the first route's, which met the step limit of the context that
+    stores it.  It is 0 on every route whose inputs, work and settled
+    basis, are all monomials: they form no pair, so no step limit trips on
+    them.  Nor is ``_divisors``, the kernel form its completion ended with,
+    packed by ``_packing``, or ``_hash``, taken once.
     """
 
     __slots__ = ("ring", "basis", "steps", "_divisors", "_packing", "_hash")
@@ -486,6 +493,16 @@ class ReducedGB:
     def monomials(self) -> Optional[Tuple[Monomial, ...]]:
         """The exponents of a basis of single terms, the ideal's minimal generators, ascending; else None."""
         return tuple(p.terms[0][0] for p in self.basis) if all(len(p.terms) == 1 for p in self.basis) else None
+
+    @property
+    def is_zero_dimensional(self) -> bool:
+        """A pure power of every variable, or 1, leads an element."""
+        pure = set()
+        for g in self.basis:
+            support = [i for i, e in enumerate(g.terms[0][0]) if e]
+            if len(support) < 2:
+                pure.update(support or range(self.ring.nvars))
+        return len(pure) == self.ring.nvars
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -559,10 +576,10 @@ def buchberger(generators: Iterable[Polynomial], *, ring: Optional[RingDescripto
     The number of S-polynomial reductions is bounded by the step limit in
     force (the engine context's, else ``STEP_LIMIT``); exceeding it raises
     StepLimitExceededError.  Inside an engine context the result is
-    memoized by (ring, ordered generator terms), whichever route built it.
-    Each working basis element is a unit multiple of the monic one the field
-    algorithm keeps, so the leading monomials, the pairs reduced and
-    ``steps`` are the field algorithm's.
+    memoized by (ring, ordered generator terms), whichever route built it
+    (``_build``).  Each working basis element is a unit multiple of the
+    monic one the field algorithm keeps, so the leading monomials, the
+    pairs reduced and ``steps`` are the field algorithm's.
     """
     gens = list(generators)
     if ring is None:
@@ -572,7 +589,20 @@ def buchberger(generators: Iterable[Polynomial], *, ring: Optional[RingDescripto
     for g in gens:
         if g.ring is not ring and g.ring != ring:
             raise IncompatibleRingError("generator outside the target ring")
-    return _memoized((ring, _terms(gens)), lambda: _complete(ring, gens, None))
+    return _memoized((ring, _terms(gens)), lambda: _build(ring, gens))
+
+
+def _build(ring: RingDescriptor, gens: Sequence[Polynomial]) -> ReducedGB:
+    """``buchberger``'s builder.  Outside grevlex, an ideal with at least
+    as many generators as variables reads its grevlex twin's basis first
+    (with fewer, it is the unit ideal or positive-dimensional, by Krull's
+    height theorem): a zero-dimensional one is converted (``_fglm``), and
+    else the ring completes in its own order."""
+    if ring.order.kind != GREVLEX and sum(1 for g in gens if g.terms) >= ring.nvars:
+        twin = _grevlex_twin(Ideal(ring, gens)).groebner_basis()
+        if twin.is_zero_dimensional:
+            return _fglm(ring, twin)
+    return _complete(ring, gens, None)
 
 
 def _complete(ring: RingDescriptor, gens: Sequence, settled: Optional[tuple]) -> ReducedGB:
@@ -675,6 +705,90 @@ def _grow(pk: _Packing, works: Sequence[dict], settled: tuple, divs: List[tuple]
             if r and add_poly(_normalize(r, p)):
                 return None
     return steps
+
+
+def _fglm(ring: RingDescriptor, gb: ReducedGB) -> ReducedGB:
+    """The reduced basis in ``ring``'s order of the zero-dimensional ideal
+    with reduced grevlex basis ``gb``, and gb's steps, by FGLM (Faugere,
+    Gianni, Lazard & Mora, J. Symb. Comp. 16, 1993).  Candidates m pop in
+    increasing order, packed in ``ring``'s order at gb's width, and
+    multiples of the leading monomials found are skipped.  NF(x_i*s), s on
+    the staircase, is one kernel run on x_i * NF(s), the step to x_i*b
+    being ``+ vecs[i]``, against gb's divisors with one record table.  The
+    staircase's forms stay in echelon form, on ints modulo p or Fractions,
+    each row kept with the multiples of earlier rows it was reduced by: a
+    form reduced to zero unwinds into NF(m) = sum c_s NF(s), and m - sum c_s
+    s is the next basis element; any other puts m on the staircase.  No
+    degree met exceeds dim R/J, at most the product of gb's pure powers; a
+    width that cannot hold it is doubled first (``_packed``)."""
+    p = ring.field.characteristic
+    bound = 1
+    for d in gb._divisors:
+        if sum(d[5]) == max(d[5]):  # a pure power, or 1
+            bound *= sum(d[5])
+
+    def eliminate(vec: dict, rows: dict) -> dict:
+        """Clears the keys of ``rows`` from ``vec``, largest first, each row
+        (scale, rest, tag) holding only smaller keys: w = scale * vec[key]
+        is recorded under tag and w * rest subtracted."""
+        out, todo = {}, [-k for k in vec if k in rows]
+        heapify(todo)
+        while todo:
+            k = -heappop(todo)
+            if k in vec:  # else a duplicate, or cleared already
+                scale, rest, tag = rows[k]
+                w = out[tag] = vec.pop(k) * scale % p if p else vec.pop(k) * scale
+                for key, c in rest.items():
+                    x = vec.get(key, 0) - w * c
+                    if p:
+                        x %= p
+                    if not x:
+                        del vec[key]
+                    else:
+                        if key not in vec and key in rows:
+                            heappush(todo, -key)
+                        vec[key] = x
+        return out
+
+    def convert(pk: _Packing, works: List[dict], divs: tuple) -> ReducedGB:
+        if bound > pk.top:
+            raise _Overflow
+        tk = _packing(ring.order, ring.nvars, pk.width)
+        flip, emask, table = tk.flip, tk.emask, {}
+        stair, forms, rows, unwind, found, heads = [], [], {}, {}, [], []
+        heap, last = [(-tk.one, 0, -1)], None  # (-P(m), i, k): m = x_i * stair[k], or 1
+        while heap:
+            m, i, k = heappop(heap)
+            m = -m
+            if m == last or heads and any(not (h - flip * m) & emask for h in heads):
+                continue
+            last = m
+            (nf, den), shift = (forms[k], pk.vecs[i]) if k >= 0 else ((((pk.one, 1),), 1), 0)
+            r, scale = _reduce({b + shift: c for b, c in nf}, divs, p, pk, table)
+            den *= scale
+            vec = dict(r) if p else {b: Fraction(c, den) for b, c in r}
+            used = eliminate(vec, rows)  # vec = NF(m) - sum(used[j] * row j)
+            if not vec:  # NF(m) = sum(coef[j] * NF(stair[j]))
+                coef = eliminate(used, unwind)
+                found.append((m, [(stair[j], -c % p if p else -c) for j, c in coef.items()]))
+                heads.append(flip * m + tk.fill)
+                continue
+            piv, j = max(vec), len(stair)
+            inv = pow(vec.pop(piv), -1, p) if p else 1 / vec.pop(piv)
+            rows[piv] = (1, {key: c * inv % p if p else c * inv for key, c in vec.items()}, j)
+            unwind[j] = (inv, used, j)
+            for i, v in enumerate(tk.vecs):
+                heappush(heap, (-m - v, i, j))
+            stair.append(m)
+            forms.append((r, den))
+        basis, kdivs = [], []
+        for m, tail in found:
+            terms = ((m, 1 if p else Fraction(1)),) + tuple(sorted(tail))
+            basis.append(Polynomial(ring, tuple([(tk.unpack(x), c) for x, c in terms])))
+            kdivs.append(_divisor(terms if p else _integral(terms, p)[0], tk, basis[-1].terms[0][0]))
+        return ReducedGB(ring, tuple(basis), gb.steps, tuple(kdivs), tk)
+
+    return _packed(gb.ring, [], (gb, ()), convert)
 
 
 def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
@@ -928,7 +1042,7 @@ def _grevlex_twin(J: Ideal) -> Ideal:
     if J.ring.order.kind == GREVLEX:
         return J
     ring = RingDescriptor(J.ring.field, J.ring.variables)
-    return Ideal(ring, [remap_variables(g, ring, range(ring.nvars)) for g in J.generators])
+    return Ideal(ring, [_from_dict(ring, dict(g.terms)) for g in J.generators])
 
 
 def _extend(J: Ideal, x: Polynomial) -> Ideal:

@@ -10,9 +10,12 @@ and ``icm`` queries in lex-ordered rings over QQ and GF(32003) at seeds
 queries (by one generator and by several, J = 0 and a unit in I included)
 and an ideal declared as an intersection, in the same two lex rings at
 seed 10000, and ``icm J I`` with J the Stanley-Reisner ideal of the
-6-vertex RP^2 and I all variables over QQ and GF(2) at seeds
-10000-10002: "yes" over QQ, and grade 2, defect 1, "no" over GF(2), since
-H_1(RP^2; k) is nonzero only in characteristic 2 (Reisner's criterion).
+6-vertex RP^2 and I all variables over QQ, GF(2) and GF(3) at seeds
+10000-10002: "yes" over QQ and GF(3), and grade 2, defect 1, "no" over
+GF(2), since H_1(RP^2; k) is nonzero only in characteristic 2 (Reisner's
+criterion), and ``katsura3_lex``, ``gb`` of katsura-3 in lex rings over QQ
+and GF(32003), where it is zero-dimensional, and over GF(2), where it is
+not, at seed 10000.
 These scripts live in ``golden/``, not in ``corpus/``, so the corpus keeps
 its 50 files.
 
@@ -48,6 +51,8 @@ GOLDEN = (
     ("lex_colon_intersect", (10000,)),
     ("rp2_qq", SEEDS),
     ("rp2_gf2", SEEDS),
+    ("rp2_gf3", SEEDS),
+    ("katsura3_lex", (10000,)),
 )
 
 
@@ -90,7 +95,7 @@ def test_cli_output_matches_recorded_bytes():
         recorded = json.load(handle)
     argvs = list(_argvs())
     assert [entry["argv"] for entry in recorded] == argvs
-    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + 29  # 29 runs of golden/ scripts
+    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + 33  # 33 runs of golden/ scripts
     changed = [" ".join(entry["argv"]) for entry in recorded if _record(entry["argv"]) != entry]
     assert not changed, "output bytes changed for: %s" % "; ".join(changed)
 

@@ -37,6 +37,8 @@ from icmlab.ideal_engine import (
     saturate,
 )
 from icmlab.ring_core import (
+    GREVLEX,
+    LEX,
     FieldSpec,
     Polynomial,
     RingDescriptor,
@@ -819,6 +821,16 @@ def katsura(ring):
     return out
 
 
+def katsura_but_last(ring):
+    """katsura-n without its last generator: positive-dimensional."""
+    return katsura(ring)[:-1]
+
+
+def katsura_but_first(ring):
+    """katsura-n without its linear generator: positive-dimensional."""
+    return katsura(ring)[1:]
+
+
 def frozen_system(system, p, nvars, order="grevlex"):
     names = tuple("v%d" % i for i in range(nvars))
     return system(RingDescriptor(FieldSpec(p), names, TermOrder(order)))
@@ -827,7 +839,10 @@ def frozen_system(system, p, nvars, order="grevlex"):
 class TestStepCounts:
     """S-pair reductions per completion, measured before division kept its
     work terms in a heap.  A change to the division kernel must not change
-    which pairs get reduced, so these numbers must not move."""
+    which pairs get reduced, so these numbers must not move.  The lex basis
+    of a zero-dimensional ideal is converted from its grevlex twin's and
+    carries the twin's count (katsura in 4 and 5 variables: 8 and 26, as in
+    the grevlex rows); a positive-dimensional one still completes in lex."""
 
     @pytest.mark.parametrize(
         "system, p, nvars, order, steps, size",
@@ -835,10 +850,12 @@ class TestStepCounts:
             (cyclic, 0, 4, "grevlex", 8, 7),
             (katsura, 0, 4, "grevlex", 8, 7),
             (katsura, 32003, 4, "grevlex", 8, 7),
-            (katsura, 0, 4, "lex", 15, 4),
+            (katsura, 0, 4, "lex", 8, 4),
             (katsura, 32003, 5, "grevlex", 26, 13),
             (cyclic, 32003, 5, "grevlex", 103, 20),
-            (katsura, 32003, 5, "lex", 147, 5),
+            (katsura, 32003, 5, "lex", 26, 5),
+            (katsura_but_last, 0, 4, "lex", 4, 5),
+            (katsura_but_first, 32003, 4, "lex", 25, 8),
         ],
     )
     def test_memo_stores_the_frozen_step_count(self, system, p, nvars, order, steps, size):
@@ -892,12 +909,109 @@ class TestStepCounts:
         assert forced.steps == plain.steps
 
     def test_least_passing_step_limit_over_qq(self):
+        # the grevlex twin's completion is the one the step limit bounds
         gens = frozen_system(katsura, 0, 4, "lex")
-        with engine_context(step_limit=14):
-            with pytest.raises(StepLimitExceededError, match="exceeded 14 S-pair"):
+        with engine_context(step_limit=7):
+            with pytest.raises(StepLimitExceededError, match="exceeded 7 S-pair"):
                 buchberger(gens)
-        with engine_context(step_limit=15):
-            assert buchberger(gens).steps == 15
+        with engine_context(step_limit=8):
+            assert buchberger(gens).steps == 8
+
+
+class TestFglm:
+    """Outside grevlex, the basis of a zero-dimensional ideal is converted
+    from its grevlex twin's (``_fglm``) and never completed in the ring's
+    own order: against the oracle's Buchberger in that order, over QQ and
+    three prime fields, in lex and elimination orders, with a spy on the
+    ring of each ``_complete``."""
+
+    FIELDS = (0, 2, 3, 32003)
+    ORDERS = (TermOrder("lex"), TermOrder("elimination-block", 1), TermOrder("elimination-block", 2))
+
+    @pytest.fixture
+    def rings(self, monkeypatch):
+        """The ring of each ``_complete`` call."""
+        out = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: out.append(a[0]) or real(*a))
+        return out
+
+    @staticmethod
+    def zero_dimensional(rng, ring):
+        """A pure power of each variable over terms of lower degree, so that
+        it leads in grevlex; sometimes one random element more."""
+        gens = []
+        for i in range(ring.nvars):
+            d = rng.randint(1, 3)
+            acc = {tuple(d * (j == i) for j in range(ring.nvars)): 1}
+            for _ in range(rng.randint(0, 3)):
+                m = [0] * ring.nvars
+                for _ in range(rng.randint(0, d - 1)):
+                    m[rng.randrange(ring.nvars)] += 1
+                acc[tuple(m)] = acc.get(tuple(m), 0) + rng.randint(-4, 4)
+            gens.append(ring.polynomial(acc))
+        if rng.random() < 0.5:
+            gens.append(random_poly(rng, ring, max_terms=3))
+        rng.shuffle(gens)
+        return [g for g in gens if not g.is_zero]
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    @pytest.mark.parametrize("p", FIELDS)
+    def test_seeded_bases_match_the_oracle(self, rings, p, order):
+        rng = random.Random(4409 + 7 * p + len(str(order)) + (order.block or 0))
+        R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+        for _ in range(8):
+            gens = self.zero_dimensional(rng, R)
+            del rings[:]
+            gb = buchberger(gens)
+            assert rings and all(ring.order.kind == GREVLEX for ring in rings)
+            assert list(gb) == oracles.oracle_buchberger(gens), gens
+            assert gb._divisors == tuple(kernel_divisors(list(gb), gb._packing))
+            assert gb.steps == ideal_engine._seed(Ideal(R, gens)).steps
+
+    @pytest.mark.parametrize("p", FIELDS)
+    def test_the_unit_ideal_a_non_radical_ideal_and_a_point(self, rings, p):
+        for order in self.ORDERS:
+            R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), order)
+            x, y, z = (R.variable(i) for i in range(3))
+            unit, fat, point = [x * y + 1, x, z, y], [x**2, y**3, z**2 - x * y], [x - 1, y + 3, z - x]
+            for gens in (unit, fat, point):
+                del rings[:]
+                gb = buchberger(gens)
+                assert rings and all(ring.order.kind == GREVLEX for ring in rings)
+                assert list(gb) == oracles.oracle_buchberger(gens), gens
+            assert [str(g) for g in buchberger(unit)] == ["1"]
+            assert len(buchberger(point)) == 3
+
+    @pytest.mark.parametrize("p", FIELDS)
+    def test_positive_dimensional_bases_still_complete_in_the_ring(self, rings, p):
+        R = RingDescriptor(FieldSpec(p), ("x", "y", "z"), TermOrder("lex"))
+        x, y, z = (R.variable(i) for i in range(3))
+        # the coordinate axes and the line x = y = z: the twin, then lex;
+        # two generators in three variables: lex alone (Krull)
+        for gens, kinds in (
+            ([x * y, y * z, x * z], [GREVLEX, LEX]),
+            ([x**2 - y * z, y**2 - x * z, z**2 - x * y], [GREVLEX, LEX]),
+            ([x - y**2, x * z - 1], [LEX]),
+        ):
+            del rings[:]
+            assert list(buchberger(gens)) == oracles.oracle_buchberger(gens)
+            assert [ring.order.kind for ring in rings] == kinds
+
+    def test_an_overflow_is_redone_wider(self, monkeypatch):
+        # at 3 bits a field holds degree 7: the twin completes there, but
+        # its pure powers x^2, y^3, z^4 bound dim R/J by 24, so the
+        # conversion is redone at 6 bits
+        R = RingDescriptor(FieldSpec(32003), ("x", "y", "z"), TermOrder("lex"))
+        x, y, z = (R.variable(i) for i in range(3))
+        gens = [x**2, y**3, z**2 - x * y]
+        monkeypatch.setattr(ideal_engine, "_width", lambda degree: 3)
+        with engine_context():
+            twin = ideal_engine._seed(Ideal(R, gens))
+            gb = buchberger(gens)
+        assert (twin._packing.width, gb._packing.width) == (3, 6)
+        assert list(gb) == oracles.oracle_buchberger(gens)
+        assert gb._divisors == tuple(kernel_divisors(list(gb), gb._packing))
 
 
 class TestFractionFree:
@@ -1941,7 +2055,10 @@ class TestExtend:
             K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
             assert calls == []
             gb = K.groebner_basis()
-            assert [bool(settled) for _, _, settled in calls] == [False]
+            # outside grevlex the twin's basis is read first; K is
+            # positive-dimensional, so the ring then completes in its own order
+            want = [GREVLEX] + ([] if order.kind == GREVLEX else [order.kind])
+            assert [(ring.order.kind, bool(settled)) for ring, _, settled in calls] == [(k, False) for k in want]
             del calls[:]
             with engine_context():
                 K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)

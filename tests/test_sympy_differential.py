@@ -1,9 +1,12 @@
 """Reduced Groebner bases against sympy's ``groebner`` on seeded random
 ideals, over QQ and GF(32003), in lex and grevlex, with the engine memo
-inactive and active; and over QQ on coefficients that strain the
-fraction-free completion, in elimination orders too.  A second, independent
-implementation; it complements the in-repo oracles in ``oracles.py``."""
+inactive and active; over QQ on coefficients that strain the
+fraction-free completion, in elimination orders too; and katsura-4 in lex,
+converted from its grevlex basis, against sympy's ``fglm("lex")``.  A
+second, independent implementation; it complements the in-repo oracles in
+``oracles.py``."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -96,3 +99,32 @@ def test_hard_rational_coefficients_match_sympy(order):
         gens = [g for g in gens if not g.is_zero]
         want = sympy_basis(gens, sympy_order(order), 0)
         assert sorted(canonical(dict(g.terms), 0) for g in buchberger(gens)) == want, gens
+
+
+def katsura(ring):
+    """The katsura-n system in the n + 1 variables of ``ring``."""
+    n = ring.nvars - 1
+    u = [ring.variable(i) for i in range(n + 1)] + [ring.zero()] * n
+    linear = u[0] + sum((2 * v for v in u[1 : n + 1]), ring.zero()) - 1
+    return [linear] + [sum((u[abs(k)] * u[abs(m - k)] for k in range(-n, n + 1)), ring.zero()) - u[m] for m in range(n)]
+
+
+@pytest.mark.parametrize("p", [0, P])
+def test_katsura4_in_lex_matches_sympy_fglm(p):
+    # the lex basis comes from the grevlex one (26 steps) by conversion;
+    # completing in lex takes 147 steps over GF(32003) and did not finish in
+    # a minute over QQ, so it would trip this step limit or the time bound
+    names = tuple("u%d" % i for i in range(5))
+    ring = RingDescriptor(FieldSpec(p), names, TermOrder("lex"))
+    gens = katsura(ring)
+    start = time.perf_counter()
+    with engine_context(step_limit=26):
+        gb = buchberger(gens)
+    assert time.perf_counter() - start < 5.0
+    assert (gb.steps, len(gb)) == (26, 5)
+    symbols = sp.symbols(names)
+    opts = {"modulus": p} if p else {"domain": sp.QQ}
+    polys = [sp.Poly.from_dict({m: sp.Rational(str(c)) for m, c in g.terms}, *symbols, **opts) for g in gens]
+    ref = sp.groebner(polys, *symbols, order="grevlex", **opts).fglm("lex")
+    want = sorted(canonical({m: Fraction(str(c)) for m, c in q.as_dict().items()}, p) for q in ref.polys)
+    assert sorted(canonical(dict(g.terms), p) for g in gb) == want
