@@ -15,7 +15,13 @@ seed 10000, and ``icm J I`` with J the Stanley-Reisner ideal of the
 GF(2), since H_1(RP^2; k) is nonzero only in characteristic 2 (Reisner's
 criterion), and ``katsura3_lex``, ``gb`` of katsura-3 in lex rings over QQ
 and GF(32003), where it is zero-dimensional, and over GF(2), where it is
-not, at seed 10000.
+not, at seed 10000, and ``translated_2x4_qq`` and ``translated_2x4_gf``,
+``icm J I`` with J the 2x2 minors of a generic 2x4 matrix after x_i -> x_i
++ i and y_i -> y_i - (i mod 2) and I the maximal ideal of that point, over
+QQ and GF(32003) at seeds 10000-10002: an inhomogeneous chain, grade 5,
+dims 5 and 0, "yes", and ``small_field_calculus``, ``sat`` and ``colon`` by
+one generator and by two, ``intersect`` and ``icm`` over GF(2) in grevlex
+and GF(3) in lex at seeds 10000 and 10001.
 These scripts live in ``golden/``, not in ``corpus/``, so the corpus keeps
 its 50 files.
 
@@ -53,6 +59,9 @@ GOLDEN = (
     ("rp2_gf2", SEEDS),
     ("rp2_gf3", SEEDS),
     ("katsura3_lex", (10000,)),
+    ("translated_2x4_qq", SEEDS),
+    ("translated_2x4_gf", SEEDS),
+    ("small_field_calculus", (10000, 10001)),
 )
 
 
@@ -95,7 +104,7 @@ def test_cli_output_matches_recorded_bytes():
         recorded = json.load(handle)
     argvs = list(_argvs())
     assert [entry["argv"] for entry in recorded] == argvs
-    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + 33  # 33 runs of golden/ scripts
+    assert len(argvs) == 50 + 3 * len(SUITE_IDS) + 41  # 41 runs of golden/ scripts
     changed = [" ".join(entry["argv"]) for entry in recorded if _record(entry["argv"]) != entry]
     assert not changed, "output bytes changed for: %s" % "; ".join(changed)
 

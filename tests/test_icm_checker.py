@@ -254,6 +254,37 @@ class TestCharacteristic:
         assert rep.is_icm is (defect == 0)
         verify_grade_witness(M, I, rep.grade)
 
+    @pytest.mark.parametrize(
+        "nvars, extra, p, grade_value, exponent",
+        [
+            (7, (), 0, 4, 3),
+            (7, (), 3, 4, 3),
+            (7, (), 2, 3, 1),
+            (8, ((6, 7),), 0, 4, 4),
+            (8, ((6, 7),), 3, 4, 4),
+            (8, ((6, 7),), 2, 3, 1),
+        ],
+        ids=["cone-qq", "cone-gf3", "cone-gf2", "suspension-qq", "suspension-gf3", "suspension-gf2"],
+    )
+    def test_cone_and_suspension_keep_the_characteristic(self, nvars, extra, p, grade_value, exponent):
+        # the cone over RP^2 (J_Delta in 7 variables) and its suspension
+        # (J_Delta + <x7*x8> in 8) have dimension 4; k[cone] is k[Delta][x7]
+        # and k[suspension] is k[Delta] tensor k[x7, x8]/<x7*x8>, and depth
+        # adds over a tensor product over a field, so each is 1 deeper than
+        # k[Delta]: grade 4 and Cohen-Macaulay, except over GF(2), where
+        # the grade is 3 and the defect 1
+        R = RingDescriptor(FieldSpec(p), tuple("x%d" % i for i in range(1, nvars + 1)))
+        xs = [R.variable(i) for i in range(nvars)]
+        nonfaces = [xs[int(a) - 1] * xs[int(b) - 1] * xs[int(c) - 1] for a, b, c in RP2_NONFACES]
+        J = Ideal(R, nonfaces + [xs[a] * xs[b] for a, b in extra])
+        M, I = CyclicModule(R, J), Ideal(R, xs)
+        rep = icm_report(M, I, seed=0)
+        assert (rep.grade.value, rep.dim_m, rep.dim_m_mod_im) == (grade_value, 4, 0)
+        assert rep.defect == 4 - grade_value
+        assert rep.grade.certificate.exponent == exponent
+        assert rep.is_icm is (grade_value == 4)
+        verify_grade_witness(M, I, rep.grade)
+
 
 class TestGradedCM:
     def test_complete_intersection_is_cm(self):

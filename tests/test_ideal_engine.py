@@ -1,6 +1,7 @@
 """Groebner machinery: division, Buchberger, and the ideal calculus."""
 import contextlib
 import glob
+import io
 import os
 import random
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from icmlab import icm_checker, ideal_engine, invariants, theorem_lab
-from icmlab.cli_app import IdealStmt, ParseError, RingStmt, execute, parse
+from icmlab.cli_app import IdealStmt, ParseError, RingStmt, execute, main, parse
 from icmlab.errors import (
     EngineError,
     IncompatibleRingError,
@@ -916,6 +917,47 @@ class TestStepCounts:
                 buchberger(gens)
         with engine_context(step_limit=8):
             assert buchberger(gens).steps == 8
+
+
+class TestWorkCounts:
+    """The engine's machine-independent work on one small pass: ``verify
+    <suite> --json --seed 10000 --trials 16`` for every suite, then ``run
+    --json --seed 10000`` on the golden 2x3 minors over QQ and 2x4 minors
+    over GF(32003), counted by spies on ``_complete``, ``_grow`` (its pair
+    loops, the S-pair reductions they report and the loops that stopped
+    early) and ``_reduce`` (kernel runs).  A refactor that keeps the bytes
+    keeps these too; a change that moves them re-pins them on purpose and
+    lists old and new values in its change log, as ``TestStepCounts``."""
+
+    def test_one_pass_does_the_pinned_work(self, monkeypatch):
+        counts = Counter()
+
+        def spy(name, record):
+            real = getattr(ideal_engine, name)
+
+            def counting(*args, **kwargs):
+                out = real(*args, **kwargs)
+                record(out)
+                return out
+
+            monkeypatch.setattr(ideal_engine, name, counting)
+
+        spy("_complete", lambda out: counts.update(completions=1))
+        spy("_grow", lambda out: counts.update(pair_loops=1, stopped=out is None, s_pairs=out or 0))
+        spy("_reduce", lambda out: counts.update(kernel_runs=1))
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        argvs = [["verify", suite, "--json", "--seed", "10000", "--trials", "16"] for suite in theorem_lab.SUITE_IDS]
+        argvs += [["run", os.path.join(golden, name), "--json", "--seed", "10000"] for name in ("minors_2x3_qq.icm", "minors_2x4_gf.icm")]
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        assert dict(counts) == {
+            "completions": 585,
+            "pair_loops": 130,
+            "stopped": 16,
+            "s_pairs": 319,
+            "kernel_runs": 931,
+        }
 
 
 class TestFglm:
