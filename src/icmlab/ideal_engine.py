@@ -14,9 +14,9 @@ loop.  Over GF(p) its divisors are monic residues; over QQ they are
 primitive integer polynomials with a positive leading coefficient, reduced
 fraction-free by the primitive pseudo-remainder of Geddes, Czapor & Labahn,
 *Algorithms for Computer Algebra* (1992).  ``Fraction`` coefficients are
-cleared on entry and come back only when the reduced basis leaves, made
-monic, and when ``normal_form`` returns the field algorithm's remainder;
-the reduced basis carries the kernel form its completion ended with.
+cleared on entry and come back only in ``normal_form``'s remainder and in
+the monic basis a ``ReducedGB`` builds from the one form its completion,
+or ``_fglm``, hands it: its kernel divisors.
 ``divide`` is exact division by one polynomial, the colon's last step.
 
 Inside the kernel a monomial is one int (``_Packing``, the packed exponent
@@ -46,7 +46,8 @@ by its operands' reduced grevlex bases (``_seed``), so every presentation
 of the ideals shares one: "saturate", "intersect" and "colon" with the
 ring and both bases, "regular" and "quotient" with J's basis and the
 element; no tagged basis is stored.  The memo holds results only: the
-layouts ``_packing`` and ``_tag_ring`` are built once per process.
+layouts ``_packing``, ``_tag_ring`` and ``_grevlex_ring`` are built once
+per process.
 Outside any context the budgets are ``STEP_LIMIT`` and ``SEARCH_BUDGET``
 and nothing is stored; ``verify_grade_witness``,
 ``replay_regular_sequence``, ``run_suite``, the grade chain
@@ -258,8 +259,10 @@ class _Packing:
         return out
 
 
-# a layout, not a result, so built once per process and shared by every context
+# layouts, not results, so built once per process and shared by every context:
+# the packings, and k[variables] in grevlex, the twin of every order on them
 _packing = lru_cache(maxsize=256)(_Packing)
+_grevlex_ring = lru_cache(maxsize=256)(RingDescriptor)
 
 
 def _width(degree: int) -> int:
@@ -465,9 +468,10 @@ def divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 class ReducedGB:
     """The reduced monic Groebner basis of an ideal, sorted by increasing
-    leading monomial.  Unique per (ideal, term order), so the ideal's facts,
-    ``is_unit_ideal``, ``monomials`` and ``is_zero_dimensional``, are read
-    here, not off generators.
+    leading monomial, built from its kernel divisors ``_divisors``, packed
+    by ``_packing``: the one maker of its monic ``Polynomial``s, ``basis``.
+    Unique per (ideal, term order), so the ideal's facts, ``is_unit_ideal``,
+    ``monomials`` and ``is_zero_dimensional``, are read off the divisors.
 
     ``steps``, the S-pair reductions of the completion that built it (its
     grevlex twin's for a basis ``_fglm`` converts), depends on the route
@@ -475,34 +479,32 @@ class ReducedGB:
     keeps the first route's, which met the step limit of the context that
     stores it.  It is 0 on every route whose inputs, work and settled
     basis, are all monomials: they form no pair, so no step limit trips on
-    them.  Nor is ``_divisors``, the kernel form its completion ended with,
-    packed by ``_packing``, or ``_hash``, taken once.
+    them.  Equality and ``_hash``, taken once, read ``basis``, as a packed
+    monomial depends on the packing's width.
     """
 
     __slots__ = ("ring", "basis", "steps", "_divisors", "_packing", "_hash")
 
-    def __init__(self, ring: RingDescriptor, basis: Tuple[Polynomial, ...], steps: int, divs: tuple, pk: _Packing):
-        self.ring, self.basis, self.steps, self._divisors, self._packing = ring, basis, steps, divs, pk
+    def __init__(self, ring: RingDescriptor, divisors: tuple, steps: int, packing: _Packing):
+        p = ring.field.characteristic
+        self.ring, self.steps, self._divisors, self._packing = ring, steps, divisors, packing
+        self.basis = tuple([Polynomial(ring, _monic(d, p, packing)) for d in divisors])
         self._hash: Optional[int] = None
 
     @property
     def is_unit_ideal(self) -> bool:
-        return bool(self.basis) and sum(self.basis[0].leading_monomial()) == 0
+        return bool(self._divisors) and not any(self._divisors[0][5])
 
     @property
     def monomials(self) -> Optional[Tuple[Monomial, ...]]:
         """The exponents of a basis of single terms, the ideal's minimal generators, ascending; else None."""
-        return tuple(p.terms[0][0] for p in self.basis) if all(len(p.terms) == 1 for p in self.basis) else None
+        return None if any(d[2] for d in self._divisors) else tuple(d[5] for d in self._divisors)
 
     @property
     def is_zero_dimensional(self) -> bool:
         """A pure power of every variable, or 1, leads an element."""
-        pure = set()
-        for g in self.basis:
-            support = [i for i, e in enumerate(g.terms[0][0]) if e]
-            if len(support) < 2:
-                pure.update(support or range(self.ring.nvars))
-        return len(pure) == self.ring.nvars
+        lms = [d[5] for d in self._divisors]
+        return self.is_unit_ideal or all(any(sum(m) == m[i] > 0 for m in lms) for i in range(self.ring.nvars))
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -599,7 +601,7 @@ def _build(ring: RingDescriptor, gens: Sequence[Polynomial]) -> ReducedGB:
     height theorem): a zero-dimensional one is converted (``_fglm``), and
     else the ring completes in its own order."""
     if ring.order.kind != GREVLEX and sum(1 for g in gens if g.terms) >= ring.nvars:
-        twin = _grevlex_twin(Ideal(ring, gens)).groebner_basis()
+        twin = _seed(Ideal(ring, gens))
         if twin.is_zero_dimensional:
             return _fglm(ring, twin)
     return _complete(ring, gens, None)
@@ -638,8 +640,7 @@ def _complete(ring: RingDescriptor, gens: Sequence, settled: Optional[tuple]) ->
                 r = _reduce(dict(_full(minimal[idx])), others, p, pk)[0]
                 minimal[idx] = _divisor(_normalize(r, p), pk, minimal[idx][5])
         # minimal is ascending in the order and autoreduction keeps leading terms
-        basis = tuple(Polynomial(ring, _monic(d, p, pk)) for d in minimal)
-        return ReducedGB(ring, basis, steps, tuple(minimal), pk)
+        return ReducedGB(ring, tuple(minimal), steps, pk)
 
     return _packed(ring, works, settled, complete)
 
@@ -770,7 +771,8 @@ def _fglm(ring: RingDescriptor, gb: ReducedGB) -> ReducedGB:
             used = eliminate(vec, rows)  # vec = NF(m) - sum(used[j] * row j)
             if not vec:  # NF(m) = sum(coef[j] * NF(stair[j]))
                 coef = eliminate(used, unwind)
-                found.append((m, [(stair[j], -c % p if p else -c) for j, c in coef.items()]))
+                tail = sorted((stair[j], -c % p if p else -c) for j, c in coef.items())
+                found.append(_divisor(_integral(((m, 1), *tail), p)[0], tk))
                 heads.append(flip * m + tk.fill)
                 continue
             piv, j = max(vec), len(stair)
@@ -781,12 +783,7 @@ def _fglm(ring: RingDescriptor, gb: ReducedGB) -> ReducedGB:
                 heappush(heap, (-m - v, i, j))
             stair.append(m)
             forms.append((r, den))
-        basis, kdivs = [], []
-        for m, tail in found:
-            terms = ((m, 1 if p else Fraction(1)),) + tuple(sorted(tail))
-            basis.append(Polynomial(ring, tuple([(tk.unpack(x), c) for x, c in terms])))
-            kdivs.append(_divisor(terms if p else _integral(terms, p)[0], tk, basis[-1].terms[0][0]))
-        return ReducedGB(ring, tuple(basis), gb.steps, tuple(kdivs), tk)
+        return ReducedGB(ring, tuple(found), gb.steps, tk)
 
     return _packed(gb.ring, [], (gb, ()), convert)
 
@@ -1037,11 +1034,11 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
 
 def _grevlex_twin(J: Ideal) -> Ideal:
     """J itself in a grevlex ring, else J's grevlex twin: the same
-    generators in the grevlex twin of its ring, built on each call; the
-    memo shares the twin's basis."""
+    generators in the grevlex twin of its ring; the memo shares the twin's
+    basis."""
     if J.ring.order.kind == GREVLEX:
         return J
-    ring = RingDescriptor(J.ring.field, J.ring.variables)
+    ring = _grevlex_ring(J.ring.field, J.ring.variables)
     return Ideal(ring, [_from_dict(ring, dict(g.terms)) for g in J.generators])
 
 
