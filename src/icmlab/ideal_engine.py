@@ -40,8 +40,9 @@ budget of the regular-element search (``search_budget``), and the memo,
 the engine's one store of results (an ``Ideal`` stores none), which only
 ``_memoized`` reads and writes.  A key names what is stored, not the route
 that built it: a reduced basis is keyed by its ideal's ring (order
-included) and ordered generator terms, so a chain ideal from ``_extend``
-and an ``Ideal`` with the same generators share one entry; a derived fact
+included) and ordered generators, each of which keeps its hash, so a
+chain ideal from ``_extend`` and an ``Ideal`` with the same generators
+share one entry; a derived fact
 by its operands' reduced grevlex bases (``_seed``), so every presentation
 of the ideals shares one: "saturate", "intersect" and "colon" with the
 ring and both bases, "regular" and "quotient" with J's basis and the
@@ -102,6 +103,7 @@ from math import gcd, lcm as integer_lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import staircase
 from .errors import (
     EngineError,
     IncompatibleRingError,
@@ -192,11 +194,6 @@ def _memoized(key: tuple, build: Callable[[], object]):
     if hit is None:
         hit = memo[key] = build()
     return hit
-
-
-def _terms(gens: Iterable[Polynomial]) -> tuple:
-    """Generators as a memo key holds them: their term tuples, in order."""
-    return tuple(g.terms for g in gens)
 
 
 def _integral(terms: Sequence[tuple], p: int) -> tuple:
@@ -471,7 +468,8 @@ class ReducedGB:
     leading monomial, built from its kernel divisors ``_divisors``, packed
     by ``_packing``: the one maker of its monic ``Polynomial``s, ``basis``.
     Unique per (ideal, term order), so the ideal's facts, ``is_unit_ideal``,
-    ``monomials`` and ``is_zero_dimensional``, are read off the divisors.
+    ``monomials``, ``leading_monomials`` and ``is_zero_dimensional``, are
+    read off the divisors.
 
     ``steps``, the S-pair reductions of the completion that built it (its
     grevlex twin's for a basis ``_fglm`` converts), depends on the route
@@ -498,13 +496,17 @@ class ReducedGB:
     @property
     def monomials(self) -> Optional[Tuple[Monomial, ...]]:
         """The exponents of a basis of single terms, the ideal's minimal generators, ascending; else None."""
-        return None if any(d[2] for d in self._divisors) else tuple(d[5] for d in self._divisors)
+        return None if any(d[2] for d in self._divisors) else self.leading_monomials
+
+    @property
+    def leading_monomials(self) -> Tuple[Monomial, ...]:
+        """The exponents of the leading monomials, ascending: what ``staircase`` reads."""
+        return tuple(d[5] for d in self._divisors)
 
     @property
     def is_zero_dimensional(self) -> bool:
         """A pure power of every variable, or 1, leads an element."""
-        lms = [d[5] for d in self._divisors]
-        return self.is_unit_ideal or all(any(sum(m) == m[i] > 0 for m in lms) for i in range(self.ring.nvars))
+        return self.is_unit_ideal or staircase.is_zero_dimensional(self.leading_monomials, self.ring.nvars)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -578,7 +580,7 @@ def buchberger(generators: Iterable[Polynomial], *, ring: Optional[RingDescripto
     The number of S-polynomial reductions is bounded by the step limit in
     force (the engine context's, else ``STEP_LIMIT``); exceeding it raises
     StepLimitExceededError.  Inside an engine context the result is
-    memoized by (ring, ordered generator terms), whichever route built it
+    memoized by (ring, ordered generators), whichever route built it
     (``_build``).  Each working basis element is a unit multiple of the
     monic one the field algorithm keeps, so the leading monomials, the
     pairs reduced and ``steps`` are the field algorithm's.
@@ -591,7 +593,7 @@ def buchberger(generators: Iterable[Polynomial], *, ring: Optional[RingDescripto
     for g in gens:
         if g.ring is not ring and g.ring != ring:
             raise IncompatibleRingError("generator outside the target ring")
-    return _memoized((ring, _terms(gens)), lambda: _build(ring, gens))
+    return _memoized((ring, tuple(gens)), lambda: _build(ring, gens))
 
 
 def _build(ring: RingDescriptor, gens: Sequence[Polynomial]) -> ReducedGB:
@@ -1054,7 +1056,7 @@ def _extend(J: Ideal, x: Polynomial) -> Ideal:
     if _ENGINE.get().memo is not None:
         twin = _grevlex_twin(K)
         _memoized(
-            (twin.ring, _terms(twin.generators)), lambda: _complete(twin.ring, twin.generators[-1:], (_seed(J), ()))
+            (twin.ring, twin.generators), lambda: _complete(twin.ring, twin.generators[-1:], (_seed(J), ()))
         )
     return K
 

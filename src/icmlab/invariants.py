@@ -2,7 +2,8 @@
 
 Krull dimension is read off the leading-term ideal: dim R/J equals
 dim R/LT(J), and for a monomial ideal the codimension is the size of the
-smallest set of variables meeting the support of every minimal generator.
+smallest set of variables meeting the support of every minimal generator
+(``staircase``, which holds every fact read off leading monomials).
 Minimal primes, associated primes (via irreducible decomposition), regular
 elements, and the certified grade computation all build on this picture.
 
@@ -31,13 +32,24 @@ pays for the search that finds nothing.  On a graded chain a candidate that
 divides zero at one step divides zero at every later step, so it is not
 tested again.  ``verify_grade_witness`` replays each element with the same
 test and never reads the bound.
+
+At I = m, all the variables, with J homogeneous, dim M/mM = 0 and the
+question is whether R/J is Cohen-Macaulay.  There ``_parameter_chain``
+runs first: it accepts a candidate of the same stream when it cuts the
+dimension by one, with no regularity test, and at dimension 0 compares
+the length of R/J_b with e(R/J) (Serre's criterion).  On equality the
+parameters it found are the regular sequence the search would find, and
+the certificate exponent is read off J_b's staircase; otherwise the chain
+of regular elements runs from the start.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from . import staircase
 from .errors import (
     EmptySupportError,
     EngineError,
@@ -55,6 +67,7 @@ from .ideal_engine import (
     SaturationResult,
     _extend,
     _in_engine_context,
+    _seed,
     ideal_equal,
     ideal_sum,
     is_nonzerodivisor,
@@ -63,15 +76,18 @@ from .ideal_engine import (
     search_budget,
 )
 from .ring_core import (
+    Coeff,
     Monomial,
     Polynomial,
     Record,
     RingDescriptor,
+    _from_dict,
     _same_ring,
     minimalize_monomials,
     monomial_divides,
     monomial_support,
 )
+from .staircase import minimal_transversals
 
 
 class CyclicModule:
@@ -159,30 +175,10 @@ class GradeWitness(Record):
 # dimension and primes
 
 
-def minimal_transversals(supports: Sequence[FrozenSet[int]]) -> List[Tuple[int, ...]]:
-    """All inclusion-minimal sets meeting every support, built incrementally:
-    each new support either is already met or forks the partial transversal
-    one variable at a time, pruning non-minimal results after each round."""
-    covers: List[FrozenSet[int]] = [frozenset()]
-    for sup in supports:
-        if not sup:
-            raise ValueError("a generator with empty support means the unit ideal")
-        nxt: Set[FrozenSet[int]] = set()
-        for c in covers:
-            if c & sup:
-                nxt.add(c)
-            else:
-                for v in sorted(sup):
-                    nxt.add(c | {v})
-        covers = [c for c in nxt if not any(d < c for d in nxt)]
-    return sorted(tuple(sorted(c)) for c in covers)
-
-
 def _dimension(G: ReducedGB) -> int:
     """dim R/J from the reduced basis G of a proper J (of R itself when G
     is empty: the one transversal of no supports is empty)."""
-    supports = [monomial_support(p.leading_monomial()) for p in G.basis]
-    return G.ring.nvars - min(map(len, minimal_transversals(supports)))
+    return staircase.dimension(G.leading_monomials, G.ring.nvars)
 
 
 def _dim_of_quotient(J: Ideal) -> int:
@@ -377,23 +373,27 @@ def _candidates(
     then ``_dense``, which decides, repeats included, and ``_climb``, which
     decides.  Each of the last two makes up to 50 * budget draws, random
     combinations of its pools with integer coefficients from a range that
-    grows with the candidates so far.  The stream ends after
+    grows with the candidates so far, each summed in one coefficient dict
+    in the field.  The stream ends after
     ``search_budget()`` distinct candidates."""
     budget = search_budget()
     seen = set(basis[:budget])
     yield from ((x, False) for x in basis[:budget])
     ring = basis[0].ring
+    p = ring.field.characteristic
     for pools, decides in ((_dense(basis, rng), True), (_climb(basis), True)):
         for _ in range(50 * budget):
             if len(seen) >= budget:
                 return
             pool = next(pools)
             bound = 1 + len(seen) // 8
-            x = ring.zero()
-            for p in pool:
+            acc: Dict[Monomial, Coeff] = {}
+            for g in pool:
                 c = rng.randint(-bound, bound)
                 if c:
-                    x = x + p * c
+                    for m, a in g.terms:
+                        acc[m] = acc.get(m, 0) + c * a
+            x = _from_dict(ring, {m: a % p for m, a in acc.items()} if p else acc)
             if x.is_zero or x in seen:
                 x = None
             else:
@@ -477,6 +477,10 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     along the chain, and later steps do not test them again.  Without
     homogeneity this fails (over QQ[t, s] with J = (t^2 - t), t divides zero
     on R/J but not on R/(J + st - t + 1)), and every step tests afresh.
+
+    At I = m, all the variables, such a chain on a J whose basis is not all
+    terms first runs ``_parameter_chain``, which tests no regularity and
+    answers only when R/J is Cohen-Macaulay, with the same witness.
     """
     return _grade_and_dimensions(M, I, seed)[0]
 
@@ -489,7 +493,10 @@ def _grade_and_dimensions(
     witness, dim M and dim M/IM.  It reads the bases of I, J + I and J
     once each: the pair check, both dimensions and the homogeneity test
     come from them.  The grade chain's one runner, so the one that opens a
-    default engine context when none is open."""
+    default engine context when none is open.  A graded chain at I = m,
+    J's basis not all terms, tries ``_parameter_chain`` first; any other
+    input, and any outcome of it but a certified "yes", runs
+    ``_regular_chain`` from the start."""
     _same_ring(M, I)
     if not I.generators:
         raise ZeroElementError("the zero test ideal has no regular elements")
@@ -504,8 +511,19 @@ def _grade_and_dimensions(
         )
     gb_j = J.groebner_basis()
     dim_m, dim_mod = _dimension(gb_j), _dimension(gb_sum)
-    bound = dim_m - dim_mod
     graded = all(p.is_homogeneous() for p in gb_j.basis + gb_i.basis)
+    lms = gb_i.monomials
+    at_m = lms is not None and len(lms) == I.ring.nvars and all(sum(m) == 1 for m in lms)
+    witness = _parameter_chain(J, gb_i.basis, seed, dim_m) if graded and at_m and gb_j.monomials is None else None
+    if witness is None:
+        witness = _regular_chain(J, I, seed, dim_m - dim_mod, graded)
+    return witness, dim_m, dim_mod
+
+
+def _regular_chain(J: Ideal, I: Ideal, seed: int, bound: int, graded: bool) -> GradeWitness:
+    """The chain of regular elements: ``find_regular_element`` at each step
+    below ``bound``, with one known set along a ``graded`` chain, and the
+    saturation at the bound as the certificate."""
     known: Set[Polynomial] = set()
     current = J
     sequence: List[Polynomial] = []
@@ -525,7 +543,57 @@ def _grade_and_dimensions(
                 "b = dim M - dim M/IM = %d, so a dimension is wrong"
                 % (len(sequence), bound)
             )
-    return GradeWitness(len(sequence), tuple(sequence), certificate), dim_m, dim_mod
+    return GradeWitness(len(sequence), tuple(sequence), certificate)
+
+
+def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: int) -> Optional[GradeWitness]:
+    """The graded chain at I = m certified by length and multiplicity, with
+    no regularity test: J homogeneous of dimension ``dim``, and
+    ``variables`` I's reduced basis, all the variables.  None unless R/J is
+    Cohen-Macaulay.
+
+    Step k draws from ``_candidates`` at seed ``seed + k``, as
+    ``find_regular_element``, and accepts the first new candidate x that is
+    a parameter: dim R/(J_k + x), read off ``_extend``'s basis, is one
+    less.  A candidate that is not one lies in a minimal prime of J_k of
+    top dimension, and so in one of every later J_k of the chain, so it
+    joins the known set as a zero divisor does.  At dimension 0 the
+    accepted theta is a homogeneous system of parameters, and R/J is
+    Cohen-Macaulay exactly when l(R/J_b) = e(theta; R/J) = e(R/J) * prod
+    deg theta_i, and otherwise the length is larger (Serre; Bruns-Herzog,
+    Sec. 4.7), both read off leading monomials (``staircase``), as R/J and
+    R/in(J) share their Hilbert function.  On a graded Cohen-Macaulay module
+    the parameters and the regular elements are the same, at every step,
+    so theta is the sequence ``_regular_chain`` finds, candidate for
+    candidate.  J_b is then m-primary, so (J_b : m^infinity) = R, and the
+    least e with m^e inside J_b is one more than the top degree of its
+    staircase (Macaulay).
+
+    The route gives up, for ``_regular_chain`` to run, when the length
+    check fails, when the stream ends, and at its first candidate above
+    degree 1: the climb, which only a small field reaches, and whose
+    spans, each completed with J_k, grow with the degree."""
+    current, sequence, known = J, [], set()
+    for k in range(dim):
+        for x, _ in _candidates(variables, random.Random(seed + k)):
+            if x is None or x in known:
+                continue
+            if x.total_degree() > 1:
+                return None
+            extended = _extend(current, x)
+            if _dimension(_seed(extended)) < dim - k:
+                break
+            known.add(x)
+        else:
+            return None
+        sequence.append(x)
+        current = extended
+    lms = _seed(current).leading_monomials
+    length, top = staircase.staircase(lms, J.ring.nvars)
+    multiplicity = staircase.degree(_seed(J).leading_monomials, J.ring.nvars)
+    if length != multiplicity * math.prod(x.total_degree() for x in sequence):
+        return None
+    return GradeWitness(dim, tuple(sequence), SaturationResult(Ideal(J.ring, [J.ring.one()]), top + 1))
 
 
 @_in_engine_context

@@ -384,14 +384,17 @@ class Polynomial:
     ``terms`` is a tuple of (monomial, coefficient) pairs sorted strictly
     decreasing in the ring's term order with no zero coefficients, so
     ``terms[0]`` is the leading term.  Instances are immutable by
-    convention; all arithmetic returns fresh objects.
+    convention; all arithmetic returns fresh objects.  The hash is taken
+    once and kept, as the engine memo's keys hold generators; a copy or
+    pickle is rebuilt without it, as a hash seed is per process.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: RingDescriptor, terms: Tuple[Tuple[Monomial, Coeff], ...]):
         self.ring = ring
         self.terms = terms
+        self._hash: Optional[int] = None
 
     @property
     def is_zero(self) -> bool:
@@ -528,7 +531,12 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.terms))
+        if self._hash is None:
+            self._hash = hash((self.ring, self.terms))
+        return self._hash
+
+    def __reduce__(self):
+        return Polynomial, (self.ring, self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)

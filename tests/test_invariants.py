@@ -636,17 +636,26 @@ def minors_2xn(n):
     return CyclicModule(R, J), Ideal(R, xs + ys)
 
 
+def minors_2xn_but_yn(n):
+    """``minors_2xn`` with y_n left out of I, so that I != m and grade runs
+    the chain of regular elements: J + I = I, so dim M/IM = 1 and the
+    chain stops at the bound 2n - 2 (at I = m, ``_parameter_chain`` tests
+    no regularity)."""
+    M, I = minors_2xn(n)
+    return M, Ideal(M.ring, I.generators[:-1])
+
+
 class TestSearchMemory:
     def test_graded_chain_skips_known_zero_divisors(self, monkeypatch):
-        # without the skip this chain makes 35 regularity tests: every step
+        # without the skip this chain makes 23 regularity tests: every step
         # retests the basis elements that failed at the steps before it.
-        # The chain ends at the bound dim M - dim M/IM = 5 - 0, where no
+        # The chain ends at the bound dim M - dim M/IM = 5 - 1, where no
         # search runs
-        M, I = minors_2xn(4)
+        M, I = minors_2xn_but_yn(4)
         tested = spy(monkeypatch, "is_nonzerodivisor")
         w = grade(M, I, seed=10000)
-        assert w.value == 5
-        assert len(tested) == 14
+        assert w.value == 4
+        assert len(tested) == 13
         monkeypatch.undo()
         failed = set()
         for call in tested:
@@ -845,10 +854,11 @@ class TestSaturationMemo:
     def test_regularity_tests_build_no_tagged_input(self, monkeypatch):
         # is_nonzerodivisor decides by a completion that stops at its
         # witness and builds no saturation: inside an engine context, grade
-        # on the 2x4 minors calls saturate once for its one existence test
-        # and once for the certificate at the bound, where no existence test
-        # runs, and each call makes one _eliminate_tag call; the replay
-        # calls saturate once more and reuses the certificate's build
+        # on the 2x4 minors, with y4 left out of I, calls saturate once for
+        # its one existence test and once for the certificate at the bound,
+        # where no existence test runs, and each call makes one
+        # _eliminate_tag call; the replay calls saturate once more and
+        # reuses the certificate's build
         from icmlab import ideal_engine
 
         eliminations = []
@@ -856,16 +866,16 @@ class TestSaturationMemo:
         monkeypatch.setattr(
             ideal_engine, "_eliminate_tag", lambda *args: eliminations.append(args) or real(*args)
         )
-        M, I = minors_2xn(4)
+        M, I = minors_2xn_but_yn(4)
         saturations = spy(monkeypatch, "saturate")
         tested = spy(monkeypatch, "is_nonzerodivisor")
         with engine_context():
             w = grade(M, I, seed=10000)
-            assert w.value == 5 and len(tested) == 14
+            assert w.value == 4 and len(tested) == 13
             assert len(saturations) == 2 and len(eliminations) == 2
             assert all(call["I"] is I for call in saturations)
             verify_grade_witness(M, I, w)
-            assert len(tested) == 19 and len(saturations) == 3 and len(eliminations) == 2
+            assert len(tested) == 17 and len(saturations) == 3 and len(eliminations) == 2
         # x1 is regular on the minors; modulo them and x1, y1 * x2 = 0
         x1, x2, y1 = I.generators[0], I.generators[1], I.generators[4]
         J = ideal_sum(M.defining_ideal, Ideal(M.ring, [x1]))
@@ -878,11 +888,11 @@ class TestSaturationMemo:
         # each pair grade saturates, for an existence test or for the
         # certificate at the bound, is built once however often saturate
         # is called on it; the replay of the witness then builds nothing
-        M, I = minors_2xn(3)
+        M, I = minors_2xn_but_yn(3)
         with engine_context():
             w = grade(M, I, seed=10000)
             last = (M.defining_ideal.generators + w.sequence, I.generators)
-            assert w.value == 4
+            assert w.value == 3
             assert builds.count(last) == 1
             assert max(builds.count(pair) for pair in builds) == 1
             done = len(builds)

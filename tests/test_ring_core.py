@@ -213,6 +213,16 @@ class TestPolynomialArithmetic:
         assert not f.is_homogeneous()
         assert (x**2 * y + x * y**2).is_homogeneous()
 
+    def test_hash_is_taken_once_and_rebuilt_by_a_copy(self):
+        # the memo's keys hold generators, so a polynomial keeps its hash;
+        # a pickle or copy computes it again, as for RingDescriptor
+        R = ring_qq("x", "y")
+        f, g = R.variable("x") + 1, R.variable("x") + 1
+        assert f is not g and hash(f) == hash(g) and len({f, g}) == 1
+        f._hash = hash(f) + 1
+        for h in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert h == g and hash(h) == hash(g)
+
     def test_zero_polynomial_behavior(self):
         R = ring_qq("x")
         z = R.zero()
