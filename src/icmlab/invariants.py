@@ -28,10 +28,8 @@ saturation ships with the answer as its certificate.  The chain stops
 without a search at the bound b = dim M - dim M/IM, since
 grade(I, M) <= b always holds: a sequence of length b is maximal, and
 ``saturate(J_b, I)`` is its certificate.  So only a chain below the bound
-pays for the search that finds nothing.  On a graded chain a candidate that
-divides zero at one step divides zero at every later step, so it is not
-tested again.  ``verify_grade_witness`` replays each element with the same
-test and never reads the bound.
+pays for the search that finds nothing.  ``verify_grade_witness`` replays
+each element with the same test and never reads the bound.
 
 At I = m, all the variables, with J homogeneous, dim M/mM = 0 and the
 question is whether R/J is Cohen-Macaulay.  There ``_parameter_chain``
@@ -401,9 +399,7 @@ def _candidates(
             yield x, decides
 
 
-def find_regular_element(
-    J: Ideal, I: Ideal, seed: int, known: Set[Polynomial]
-) -> Union[Polynomial, SaturationResult]:
+def find_regular_element(J: Ideal, I: Ideal, seed: int) -> Union[Polynomial, SaturationResult]:
     """One step of ``grade``: search I for an element regular on R/J, where
     J is the step's ideal J_k.  Returns the element found, or, exactly when
     I holds none, ``saturate(J, I)``: the existence test that failed, and
@@ -413,27 +409,22 @@ def find_regular_element(
     bound dim M - dim M/IM, so a saturation from it means a chain that ends
     below the bound.
 
-    The candidates come from ``_candidates`` seeded by ``seed``.  ``known``
-    holds elements known to divide zero on R/J: a candidate in it is not
-    tested, and every candidate that fails is added to it.  ``grade`` passes
-    one set along a graded chain, where a zero divisor stays one, and a
-    fresh set otherwise.
+    The candidates come from ``_candidates`` seeded by ``seed``, each once,
+    so the answer depends on J, I, the seed and the budget alone.
 
     Existence, (J : I^infinity) = J, is ``saturate(J, I).exponent == 0``.
     It reads nothing from the seeded stream, so it is decided late without
     changing the answer: at the first item of a phase that decides and is
-    not a regular element (a failure, a known zero divisor or a None), or
-    when the stream ends.  Otherwise an exhausted stream raises
-    SearchExhaustedError, although a regular element exists.
+    not a regular element (a failure or a None), or when the stream ends.
+    Otherwise an exhausted stream raises SearchExhaustedError, although a
+    regular element exists.
     """
     exists = False
     stream = _candidates(I.groebner_basis().basis, random.Random(seed))
     # the end of the stream decides existence too
     for x, decides in itertools.chain(stream, [(None, True)]):
-        if x is not None and x not in known:
-            if is_nonzerodivisor(J, x):
-                return x
-            known.add(x)
+        if x is not None and is_nonzerodivisor(J, x):
+            return x
         if decides and not exists:
             certificate = saturate(J, I)
             if certificate.exponent:
@@ -469,18 +460,10 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     exponent of 0 at the bound, (J_b : I^infinity) = J_b, would contradict
     the inequality, and raises EngineError naming the step and b.
 
-    When J and the reduced basis of I are homogeneous, every element of the
-    sequence is homogeneous of positive degree, and for such an x regular on
-    a graded module N the zero divisors of N divide zero on N/xN too (graded
-    Krull intersection: a nonzero m killed by a is x^n * m' with m' not in
-    xN, and a kills m').  So one set of the candidates that failed is handed
-    along the chain, and later steps do not test them again.  Without
-    homogeneity this fails (over QQ[t, s] with J = (t^2 - t), t divides zero
-    on R/J but not on R/(J + st - t + 1)), and every step tests afresh.
-
-    At I = m, all the variables, such a chain on a J whose basis is not all
-    terms first runs ``_parameter_chain``, which tests no regularity and
-    answers only when R/J is Cohen-Macaulay, with the same witness.
+    At I = m, all the variables, with J homogeneous and its basis not all
+    terms, the chain first runs ``_parameter_chain``, which tests no
+    regularity and answers only when R/J is Cohen-Macaulay, with the same
+    witness.
     """
     return _grade_and_dimensions(M, I, seed)[0]
 
@@ -516,20 +499,18 @@ def _grade_and_dimensions(
     at_m = lms is not None and len(lms) == I.ring.nvars and all(sum(m) == 1 for m in lms)
     witness = _parameter_chain(J, gb_i.basis, seed, dim_m) if graded and at_m and gb_j.monomials is None else None
     if witness is None:
-        witness = _regular_chain(J, I, seed, dim_m - dim_mod, graded)
+        witness = _regular_chain(J, I, seed, dim_m - dim_mod)
     return witness, dim_m, dim_mod
 
 
-def _regular_chain(J: Ideal, I: Ideal, seed: int, bound: int, graded: bool) -> GradeWitness:
+def _regular_chain(J: Ideal, I: Ideal, seed: int, bound: int) -> GradeWitness:
     """The chain of regular elements: ``find_regular_element`` at each step
-    below ``bound``, with one known set along a ``graded`` chain, and the
-    saturation at the bound as the certificate."""
-    known: Set[Polynomial] = set()
+    below ``bound``, each on its own step's ideal, and the saturation at the
+    bound as the certificate."""
     current = J
     sequence: List[Polynomial] = []
     while len(sequence) < bound:
-        step_known = known if graded else set()
-        found = find_regular_element(current, I, seed + len(sequence), step_known)
+        found = find_regular_element(current, I, seed + len(sequence))
         if isinstance(found, SaturationResult):
             certificate = found
             break
@@ -557,7 +538,7 @@ def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: 
     a parameter: dim R/(J_k + x), read off ``_extend``'s basis, is one
     less.  A candidate that is not one lies in a minimal prime of J_k of
     top dimension, and so in one of every later J_k of the chain, so it
-    joins the known set as a zero divisor does.  At dimension 0 the
+    joins the route's set of known non-parameters.  At dimension 0 the
     accepted theta is a homogeneous system of parameters, and R/J is
     Cohen-Macaulay exactly when l(R/J_b) = e(theta; R/J) = e(R/J) * prod
     deg theta_i, and otherwise the length is larger (Serre; Bruns-Herzog,

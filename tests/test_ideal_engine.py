@@ -953,10 +953,10 @@ class TestWorkCounts:
                 assert main(argv) == 0
         assert dict(counts) == {
             "completions": 599,
-            "pair_loops": 117,
-            "stopped": 2,
+            "pair_loops": 121,
+            "stopped": 6,
             "s_pairs": 284,
-            "kernel_runs": 787,
+            "kernel_runs": 794,
         }
 
 

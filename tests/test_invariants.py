@@ -2,11 +2,12 @@
 import contextlib
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from icmlab import ideal_engine
+from icmlab import ideal_engine, invariants
 from icmlab.errors import (
     EmptySupportError,
     EngineError,
@@ -50,6 +51,7 @@ from icmlab.invariants import (
 from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder
 
 import oracles
+from test_closed_forms import FAMILIES
 
 
 QQ = FieldSpec(0)
@@ -422,7 +424,7 @@ class TestRegularElements:
             I = Ideal(R, [R.variable(i) for i in range(k)])
             units = [tuple(int(i == j) for j in range(n)) for i in range(k)]
             exists = oracles.saturate_monomial(monos, units)[1] == 0
-            x = find_regular_element(M.defining_ideal, I, seed=5, known=set())
+            x = find_regular_element(M.defining_ideal, I, seed=5)
             assert isinstance(x, SaturationResult) != exists
             seen[exists] += 1
             if not exists:
@@ -444,7 +446,7 @@ class TestRegularElements:
         assert not any(is_nonzerodivisor(J, g) for g in basis)
         expected = {0: -(y**2) + x - y, 1: y**2 - x + y, 2: -(y**2) - x - y}
         for seed, element in expected.items():
-            found = find_regular_element(M.defining_ideal, I, seed=seed, known=set())
+            found = find_regular_element(M.defining_ideal, I, seed=seed)
             assert found == element
             assert found not in basis
             assert membership(found, I)
@@ -459,7 +461,7 @@ class TestRegularElements:
         x1, x2, x3 = (R.variable(i) for i in range(3))
         J = Ideal(R, [x1 * x3])
         I = Ideal(R, [x1, x2 * x3])
-        x = find_regular_element(J, I, seed=0, known=set())
+        x = find_regular_element(J, I, seed=0)
         assert membership(x, I)
         assert ideal_equal(ideal_quotient(J, x), J)
 
@@ -645,29 +647,72 @@ def minors_2xn_but_yn(n):
     return M, Ideal(M.ring, I.generators[:-1])
 
 
+def assert_fold_of_fresh_searches(M, I, seed, witness):
+    """``witness`` is a fold of fresh searches: element x_k is
+    ``find_regular_element(J_k, I, seed + k)`` run in a fresh engine
+    context, J_k = J + <x_1, ..., x_{k-1}>, and so is the certificate at the
+    step after the last.  At the bound, where the chain runs no search, that
+    search finds no element and returns the saturation too."""
+    J = M.defining_ideal
+    for k, expected in enumerate(witness.sequence + (witness.certificate,)):
+        with engine_context():
+            found = find_regular_element(Ideal(M.ring, J.generators + witness.sequence[:k]), I, seed + k)
+        assert found == expected, k
+
+
+NO_FAMILIES = [f[:2] for f in FAMILIES if not f[0].startswith("cubic")]
+
+
 class TestSearchMemory:
-    def test_graded_chain_skips_known_zero_divisors(self, monkeypatch):
-        # without the skip this chain makes 23 regularity tests: every step
-        # retests the basis elements that failed at the steps before it.
-        # The chain ends at the bound dim M - dim M/IM = 5 - 1, where no
-        # search runs
+    """Each step of the chain of regular elements depends on its ideal J_k,
+    I, its seed and the budget alone: nothing crosses from one step to the
+    next, so the chain is a fold of fresh searches."""
+
+    def test_chain_below_m_is_a_fold_of_fresh_searches(self):
         M, I = minors_2xn_but_yn(4)
-        tested = spy(monkeypatch, "is_nonzerodivisor")
         w = grade(M, I, seed=10000)
         assert w.value == 4
-        assert len(tested) == 13
-        monkeypatch.undo()
-        failed = set()
-        for call in tested:
-            assert call["f"] not in failed
-            if not is_nonzerodivisor(call["J"], call["f"]):
-                failed.add(call["f"])
-        assert failed
-        verify_grade_witness(M, I, w)
+        assert_fold_of_fresh_searches(M, I, 10000, w)
+
+    def test_graded_suite_instances_are_folds_of_fresh_searches(self):
+        # seeded suite instances, over QQ and GF(32003), with J and I's
+        # reduced basis homogeneous and I not all the variables, so that
+        # grade runs the chain of regular elements on a graded chain
+        from icmlab.theorem_lab import SUITE_IDS, _SUITES
+
+        grades = Counter()
+        for suite_id in SUITE_IDS:
+            for meta_seed in range(10):
+                M, I, _ = _SUITES[suite_id](meta_seed)
+                J, ring = M.defining_ideal, M.ring
+                if ideal_sum(J, I).groebner_basis().is_unit_ideal:
+                    continue
+                if variable_prime(I) == MonomialPrime(ring, range(ring.nvars)):
+                    continue
+                if not all(g.is_homogeneous() for g in J.groebner_basis().basis + I.groebner_basis().basis):
+                    continue
+                w = grade(M, I, seed=meta_seed)
+                assert_fold_of_fresh_searches(M, I, meta_seed, w)
+                grades[ring.field.characteristic, w.value] += 1
+        assert {p for p, _ in grades} == {0, 32003}
+        assert {value for _, value in grades} == {0, 1, 2, 3}, grades
+
+    @pytest.mark.parametrize("name, instance", NO_FAMILIES, ids=[f[0] for f in NO_FAMILIES])
+    def test_no_families_are_folds_of_fresh_searches(self, name, instance):
+        # the "no" families at I = m: the parameter route declines, and the
+        # chain of regular elements answers; dim M/mM = 0 puts the bound at
+        # dim M
+        M, I = instance()
+        bound = krull_dimension(M)
+        with engine_context():
+            w = invariants._regular_chain(M.defining_ideal, I, 10000, bound)
+        assert w.value == 1 and w == grade(M, I, seed=10000)
+        assert_fold_of_fresh_searches(M, I, 10000, w)
 
     def test_inhomogeneous_zero_divisor_can_become_regular(self):
-        # why the skip needs homogeneity: over QQ[t, s] with J = (t^2 - t),
-        # t divides zero on R/J but is regular on R/(J + x)
+        # a zero divisor at one step of a chain can be regular at the next,
+        # so no step reuses an earlier step's failures: over QQ[t, s] with
+        # J = (t^2 - t), t divides zero on R/J but is regular on R/(J + x)
         R = ring_qq("t", "s")
         t, s = R.variable(0), R.variable(1)
         J = Ideal(R, [t**2 - t])
@@ -677,9 +722,10 @@ class TestSearchMemory:
         assert is_nonzerodivisor(ideal_sum(J, Ideal(R, [x])), t)
 
     def test_inhomogeneous_grade_skips_nothing(self, monkeypatch):
-        # every basis element of I = (x, y, z^2 + z) divides zero on
-        # R/(x*y, x*z), the plane x = 0 with the line y = z = 0, and is
-        # tested again on the second step of the chain.  That step lies
+        # each step searches afresh: every basis element of
+        # I = (x, y, z^2 + z) divides zero on R/(x*y, x*z), the plane x = 0
+        # with the line y = z = 0, and the second step of the chain tests
+        # it again.  That step lies
         # below the bound dim M - dim M/IM = 2 - 0: the grade is 1, the
         # depth at the origin, where the line meets the plane
         R = ring_qq("x", "y", "z")
@@ -704,7 +750,7 @@ class TestSearchMemory:
         I = Ideal(R, [x, y**2 + y])
         saturations = spy(monkeypatch, "saturate")
         tested = spy(monkeypatch, "is_nonzerodivisor")
-        assert find_regular_element(M.defining_ideal, I, seed=1, known=set()) == y**2 - x + y
+        assert find_regular_element(M.defining_ideal, I, seed=1) == y**2 - x + y
         assert len(tested) == 3
         assert not [c for c in saturations if c["I"] is I]
 
@@ -722,7 +768,7 @@ class TestSearchMemory:
         for budget in (1, 2):
             del saturations[:], tested[:]
             with engine_context(budget=budget):
-                found = find_regular_element(M.defining_ideal, I, seed=0, known=set())
+                found = find_regular_element(M.defining_ideal, I, seed=0)
             assert found == SaturationResult(Ideal(R, [z]), 1)
             assert len(tested) == budget
             assert len([c for c in saturations if c["I"] is I]) == 1
@@ -734,7 +780,7 @@ class TestSearchMemory:
         x, y = R.variable(0), R.variable(1)
         M = CyclicModule(R, Ideal(R, [x**2 * y + x * y**2]))
         with engine_context(budget=2), pytest.raises(SearchExhaustedError):
-            find_regular_element(M.defining_ideal, Ideal(R, [x, y]), seed=0, known=set())
+            find_regular_element(M.defining_ideal, Ideal(R, [x, y]), seed=0)
 
     @pytest.mark.parametrize("p", [0, 2])
     def test_principal_zero_divisor_stops_after_one_draw(self, monkeypatch, p):
@@ -751,7 +797,7 @@ class TestSearchMemory:
         climbs = spy(monkeypatch, "_degree_span")
         for seed in range(20):
             del saturations[:], tested[:]
-            found = find_regular_element(M.defining_ideal, I, seed=seed, known=set())
+            found = find_regular_element(M.defining_ideal, I, seed=seed)
             assert found == SaturationResult(Ideal(R, [y]), 1)
             assert len(tested) <= 2  # the basis element and at most one draw
             assert len([c for c in saturations if c["I"] is I]) == 1
@@ -871,11 +917,11 @@ class TestSaturationMemo:
         tested = spy(monkeypatch, "is_nonzerodivisor")
         with engine_context():
             w = grade(M, I, seed=10000)
-            assert w.value == 4 and len(tested) == 13
+            assert w.value == 4 and len(tested) == 23
             assert len(saturations) == 2 and len(eliminations) == 2
             assert all(call["I"] is I for call in saturations)
             verify_grade_witness(M, I, w)
-            assert len(tested) == 17 and len(saturations) == 3 and len(eliminations) == 2
+            assert len(tested) == 27 and len(saturations) == 3 and len(eliminations) == 2
         # x1 is regular on the minors; modulo them and x1, y1 * x2 = 0
         x1, x2, y1 = I.generators[0], I.generators[1], I.generators[4]
         J = ideal_sum(M.defining_ideal, Ideal(M.ring, [x1]))
@@ -947,7 +993,7 @@ class TestGradeBound:
                     continue
                 at_bound.add((suite_id, R.field.characteristic))
                 J_b = replay_regular_sequence(J, I, rep.grade.sequence)
-                assert find_regular_element(J_b, I, meta_seed + b, set()) == saturate(J_b, I)
+                assert find_regular_element(J_b, I, meta_seed + b) == saturate(J_b, I)
                 assert saturate(J_b, I).exponent
         assert {suite for suite, _ in at_bound} == set(SUITE_IDS)
         assert {p for _, p in at_bound} == {0, 32003}
