@@ -57,7 +57,7 @@ several chains read one basis many times, so each opens a default context
 when none is open (``_in_engine_context``).  No basis is handed out under
 another limit or context than the one that built it.
 
-A tagged ring k[tags, ring] (``_tag_ring``) has one way in,
+A tagged ring k[t, y, ring] (``_tag_ring``) has one way in,
 ``_eliminate_tag``: one completion that starts from a Groebner basis with
 its pairs settled and adds the kernel's work dicts, and whose tag-free
 elements, the tags sliced off, generate the answer.  The settled basis is
@@ -70,9 +70,10 @@ reduced grevlex basis, and (J : f) divides the generators of J cap <f> by
 f.  With I's reduced grevlex basis g_1, ..., g_s and its generic element
 f_y = sum y^(i-1) * g_i (``_generic_terms``), (J : I^infinity) = (J +
 <1 - t*f_y>) cap k[x] is one completion, and (J : I) = (J*R[y] : f_y) cap
-R one colon by f_y in R[y] and one elimination of y; for s = 1 no y is
-added, and the colon is ``ideal_quotient``'s.  A grade chain's J + <x>
-(``_extend``) gets its grevlex basis from J's with x the one new generator.
+R one colon by f_y in R[y], t idle, and one elimination of y; for s = 1
+the colon is ``ideal_quotient``'s, and f_y = g_1 leaves y idle, exponent 0
+throughout.  A grade chain's J + <x> (``_extend``) gets its grevlex basis
+from J's with x the one new generator.
 ``is_nonzerodivisor`` runs the saturation's completion for 1 - t*f and
 stops at the first element with a t-free leading monomial: it lies in
 (J : f^infinity) and not in J.
@@ -899,27 +900,27 @@ def _fresh_names(ring: RingDescriptor, bases: Sequence[str]) -> Tuple[str, ...]:
 
 
 @lru_cache(maxsize=256)
-def _tag_ring(ring: RingDescriptor, ntags: int) -> RingDescriptor:
-    """k[tags, ring]: ``ntags`` tags (t, then y) in front, eliminated by an
-    order with a grevlex tail block.  A layout, so built once per process."""
-    tags = _fresh_names(ring, ("t",) + ("y",) * (ntags - 1))
-    return RingDescriptor(ring.field, tags + ring.variables, TermOrder(ELIMINATION, ntags))
+def _tag_ring(ring: RingDescriptor) -> RingDescriptor:
+    """k[t, y, ring]: two tags in front, eliminated by an order with a
+    grevlex tail block; an idle tag, 0 in every monomial, changes no
+    comparison, divisor or pair.  A layout, so built once per process."""
+    return RingDescriptor(ring.field, _fresh_names(ring, ("t", "y")) + ring.variables, TermOrder(ELIMINATION, 2))
 
 
-def _eliminate_tag(ring: RingDescriptor, ntags: int, works: Sequence[dict], settled: tuple) -> Ideal:
-    """K intersect k[ring] for K = <head * G, works> in k[tags, ring]
+def _eliminate_tag(ring: RingDescriptor, works: Sequence[dict], settled: tuple) -> Ideal:
+    """K intersect k[ring] for K = <head * G, works> in k[t, y, ring]
     (``_tag_ring``), the one route into a tagged ring: one ``_complete``
     from ``settled`` = (G, head), a grevlex basis times a tag monomial, with
     the work dicts ``works`` added; the basis is not stored.  Its tag-free
-    elements lead it and, the tags sliced off, generate the answer, sorted
+    elements lead it and, t and y sliced off, generate the answer, sorted
     again unless ``ring`` is grevlex."""
-    G = _complete(_tag_ring(ring, ntags), works, settled)
+    G = _complete(_tag_ring(ring), works, settled)
     dkey = None if ring.order.kind == GREVLEX else ring.order.descending_key
     out = []
     for g in G.basis:
-        if any(g.terms[0][0][:ntags]):
+        if any(g.terms[0][0][:2]):
             break  # a tag in the leading monomial, and so in every later one
-        terms = tuple((m[ntags:], c) for m, c in g.terms)
+        terms = tuple((m[2:], c) for m, c in g.terms)
         if dkey is not None:
             terms = tuple(sorted(terms, key=lambda term: dkey(term[0])))
         out.append(Polynomial(ring, terms))
@@ -932,9 +933,9 @@ def _meet(ring: RingDescriptor, settled: tuple, gens: Sequence[Polynomial]) -> I
     (1 - t)*g for each generator g as a work dict."""
     p = ring.field.characteristic
     # (1 - t)*g: each term c*x^m of g gives c*x^m and -c*t*x^m
-    works = [{(k,) + m: -c if k else c for m, c in _work(g, p).items() for k in (0, 1)} for g in gens]
+    works = [{(k, 0) + m: -c if k else c for m, c in _work(g, p).items() for k in (0, 1)} for g in gens]
     seed, head = settled
-    return _eliminate_tag(ring, 1, works, (seed, (1,) + head))
+    return _eliminate_tag(ring, works, (seed, (1, 0) + head))
 
 
 def _seed(J: Ideal) -> ReducedGB:
@@ -974,22 +975,21 @@ def ideal_quotient(J: Ideal, f: Polynomial) -> Ideal:
 def _generic_terms(gens: Sequence[Polynomial], head: Monomial) -> Iterator[tuple]:
     """The terms of head * f_y for the generic element f_y = sum y^(i-1) *
     g_i of ``gens``, read off the generators' terms with their field
-    coefficients: the monomials of g_i carry ``head`` and then y^(i-1), or
-    ``head`` alone for s = 1, which adds no y.  No two share a monomial."""
+    coefficients: the monomials of g_i carry ``head`` and then y^(i-1).  No
+    two share a monomial."""
     for i, g in enumerate(gens):
-        lead = head + (i,) if len(gens) > 1 else head
         for m, c in g.terms:
-            yield lead + m, c
+            yield head + (i,) + m, c
 
 
 def _rabinowitsch(gens: Sequence[Polynomial]) -> dict:
     """v * (1 - t*f_y) for the generic element f_y of ``gens``
-    (``_generic_terms``) as a work dict over k[t, (y,) ring], the
-    ``_tag_ring`` of min(s, 2) tags: v * t*f_y is the integer form
-    ``_integral`` gives, v a unit; the constant carries no t."""
+    (``_generic_terms``) as a work dict over k[t, y, ring], the
+    ``_tag_ring``: v * t*f_y is the integer form ``_integral`` gives, v a
+    unit; the constant carries no t, and for s = 1 no term carries y."""
     ring = gens[0].ring
     terms, v = _integral(tuple(_generic_terms(gens, (1,))), ring.field.characteristic)
-    work = {(0,) * (min(len(gens), 2) + ring.nvars): v}
+    work = {(0,) * (2 + ring.nvars): v}
     work.update((m, -c) for m, c in terms)
     return work
 
@@ -1013,10 +1013,10 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     For I = <g_1, ..., g_s> and the generic element f_y = sum y^(i-1) * g_i
     in one new variable y, (J : I) = (J*R[y] : f_y) cap R: h * f_y lies in
     J*R[y] exactly when every h*g_i lies in J.  So it is one colon by f_y in
-    R[y] = ``_tag_ring(ring, 1)`` and one elimination of y, both from J's
-    reduced grevlex basis lifted into R[y].  The g_i are I's reduced grevlex
-    basis: for s = 1 it is ``ideal_quotient(J, g_1)``, g_1 in J's ring, and
-    else memoized under "colon" with the ring and both bases.
+    R[y] = ``_tag_ring(ring)``, t idle, and one elimination of y, both from
+    J's reduced grevlex basis lifted into R[y].  The g_i are I's reduced
+    grevlex basis: for s = 1 it is ``ideal_quotient(J, g_1)``, g_1 in J's
+    ring, and else memoized under "colon" with the ring and both bases.
     """
     _same_ring(J, I)
     if I.is_zero_ideal:
@@ -1026,10 +1026,10 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
         return ideal_quotient(J, _from_dict(J.ring, dict(seed_I.basis[0].terms)))
 
     def colon_ideal() -> Ideal:
-        Ry, settled = _tag_ring(J.ring, 1), (seed_J, (0,))
-        colon = _colon(Ry, settled, _from_dict(Ry, dict(_generic_terms(seed_I.basis, ()))))
+        Ry, settled = _tag_ring(J.ring), (seed_J, (0, 0))
+        colon = _colon(Ry, settled, _from_dict(Ry, dict(_generic_terms(seed_I.basis, (0,)))))
         p = J.ring.field.characteristic
-        return _eliminate_tag(J.ring, 1, [_work(g, p) for g in colon.generators], settled)
+        return _eliminate_tag(J.ring, [_work(g, p) for g in colon.generators], settled)
 
     return _memoized(("colon", J.ring, seed_J, seed_I), colon_ideal)
 
@@ -1092,8 +1092,7 @@ def saturate(J: Ideal, I: Ideal) -> SaturationResult:
     def saturation() -> SaturationResult:
         if seed_J.monomials is not None and seed_I.monomials is not None:
             return _monomial_saturation(J.ring, seed_J, seed_I.monomials)
-        ntags = min(len(seed_I), 2)
-        sat = _eliminate_tag(J.ring, ntags, [_rabinowitsch(seed_I.basis)], (seed_J, (0,) * ntags))
+        sat = _eliminate_tag(J.ring, [_rabinowitsch(seed_I.basis)], (seed_J, (0, 0)))
         p = J.ring.field.characteristic
 
         def rounds(pk: _Packing, works: List[dict], divs: tuple) -> int:
@@ -1174,7 +1173,7 @@ def is_nonzerodivisor(J: Ideal, f: Polynomial) -> bool:
         if len(f.terms) == 1 and seed.monomials is not None:
             m = f.terms[0][0]
             return not any(any(map(min, m, b)) for b in seed.monomials)
-        return _packed(_tag_ring(J.ring, 1), [_rabinowitsch([f])], (seed, (0,)), decide)
+        return _packed(_tag_ring(J.ring), [_rabinowitsch([f])], (seed, (0, 0)), decide)
 
     p = J.ring.field.characteristic
     seed = _seed(J)  # read once: outside a context each read completes it again

@@ -10,6 +10,10 @@ are known in closed form, not from an engine run.
 - The rational quartic (s^4, s^3 t, s t^3, t^4): dim 2, depth 1, "no".
 - The twisted cubic, the 2x2 minors of a generic 2x3 Hankel matrix:
   Cohen-Macaulay of dim 2, "yes".
+- The 4x4 Pfaffians of a generic skew 5x5 matrix, in its 10 entries above
+  the diagonal and moved by ``unitriangular``: Gorenstein of codimension 3
+  (Buchsbaum-Eisenbud, Amer. J. Math. 99, 1977), so Cohen-Macaulay of dim
+  7, "yes".
 
 Every witness is replayed by ``verify_grade_witness``.  These are graded
 instances at I = m, so the "yes" answer comes from
@@ -17,6 +21,7 @@ instances at I = m, so the "yes" answer comes from
 elements after the route's length check fails.
 """
 import random
+from itertools import combinations
 
 import pytest
 
@@ -60,6 +65,17 @@ def curve(p, which):
     return CyclicModule(ring, Ideal(ring, gens)), Ideal(ring, [a, b, c, d])
 
 
+def pfaffians(p):
+    """(M, m) for the five 4x4 Pfaffians of the skew 5x5 matrix (x_ij),
+    x_ij for i < j, moved by ``unitriangular``."""
+    pairs = list(combinations(range(1, 6), 2))
+    ring = RingDescriptor(FieldSpec(p), ["x%d%d" % ij for ij in pairs])
+    x = dict(zip(pairs, unitriangular(ring, 51)))
+    quads = combinations(range(1, 6), 4)
+    J = Ideal(ring, [x[a, b] * x[c, d] - x[a, c] * x[b, d] + x[a, d] * x[b, c] for a, b, c, d in quads])
+    return CyclicModule(ring, J), Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
+
+
 # (name, instance, grade, dim M, dim M/mM); the verdict is defect == 0
 FAMILIES = [
     ("two_planes_d%d_%s" % (d, "qq" if p == 0 else "gf"), lambda d=d, p=p: two_planes(d, p, 46 + d), 1, d, 0)
@@ -69,6 +85,8 @@ FAMILIES = [
     ("quartic_%s" % f, lambda p=p: curve(p, "quartic"), 1, 2, 0) for f, p in (("qq", 0), ("gf", 32003))
 ] + [
     ("cubic_%s" % f, lambda p=p: curve(p, "cubic"), 2, 2, 0) for f, p in (("qq", 0), ("gf", 32003))
+] + [
+    ("pfaffians_%s" % f, lambda p=p: pfaffians(p), 7, 7, 0) for f, p in (("qq", 0), ("gf", 32003))
 ]
 
 

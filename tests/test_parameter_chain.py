@@ -101,7 +101,8 @@ def test_golden_scripts(monkeypatch):
 def test_closed_form_families(monkeypatch):
     pairs = [(name, *instance()) for name, instance, *_ in FAMILIES]
     answered = compare(monkeypatch, pairs, (10000, 10001))
-    assert answered == [name.startswith("cubic") for name, *_ in pairs for _ in (0, 1)]
+    # the route answers exactly the "yes" families, by their closed forms
+    assert answered == [grade == dim_m - dim_mod for _, _, grade, dim_m, dim_mod in FAMILIES for _ in (0, 1)]
 
 
 @pytest.mark.parametrize("p", [0, 32003, 2, 3])

@@ -92,3 +92,16 @@ def test_degree_of_rp2_is_its_ten_facets():
     lms = [tuple(int(i + 1 in face) for i in range(6)) for face in non_faces]
     assert staircase.dimension(lms, 6) == 3
     assert staircase.degree(lms, 6) == 10
+
+
+def test_degree_of_the_pfaffians_is_that_of_g25():
+    # the 4x4 Pfaffians of a generic skew 5x5 matrix cut out the Grassmannian
+    # G(2, 5) in its Pluecker embedding: degree 5, and its cone has dim 7
+    pairs = list(itertools.combinations(range(5), 2))
+    ring = RingDescriptor(FieldSpec(0), ["x%d%d" % ij for ij in pairs])
+    x = {ij: ring.variable(k) for k, ij in enumerate(pairs)}
+    quads = itertools.combinations(range(5), 4)
+    J = Ideal(ring, [x[a, b] * x[c, d] - x[a, c] * x[b, d] + x[a, d] * x[b, c] for a, b, c, d in quads])
+    lms = J.groebner_basis().leading_monomials
+    assert staircase.dimension(lms, 10) == 7
+    assert staircase.degree(lms, 10) == 5
