@@ -57,26 +57,26 @@ several chains read one basis many times, so each opens a default context
 when none is open (``_in_engine_context``).  No basis is handed out under
 another limit or context than the one that built it.
 
-A tagged ring k[t, y, ring] (``_tag_ring``) has one way in,
-``_eliminate_tag``: one completion that starts from a Groebner basis with
-its pairs settled and adds the kernel's work dicts, and whose tag-free
-elements, the tags sliced off, generate the answer.  The settled basis is
-J's reduced grevlex basis (its grevlex twin's in another ring) times a tag
-monomial (``_lift_divisors``): if G is a Groebner basis of J, t*G is one of
-t*J (the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988), as
-the order compares multiples of one tag monomial by its grevlex tail
-block.  So a cap b settles t*G_a and adds (1 - t)*g for each g in b's
-reduced grevlex basis, and (J : f) divides the generators of J cap <f> by
-f.  With I's reduced grevlex basis g_1, ..., g_s and its generic element
-f_y = sum y^(i-1) * g_i (``_generic_terms``), (J : I^infinity) = (J +
-<1 - t*f_y>) cap k[x] is one completion, and (J : I) = (J*R[y] : f_y) cap
-R one colon by f_y in R[y], t idle, and one elimination of y; for s = 1
-the colon is ``ideal_quotient``'s, and f_y = g_1 leaves y idle, exponent 0
-throughout.  A grade chain's J + <x> (``_extend``) gets its grevlex basis
-from J's with x the one new generator.
-``is_nonzerodivisor`` runs the saturation's completion for 1 - t*f and
-stops at the first element with a t-free leading monomial: it lies in
-(J : f^infinity) and not in J.
+A tagged ring k[t, y, ring] (``_tag_ring``) has two ways in, each a run of
+the pair loop that starts from a Groebner basis with its pairs settled and
+adds the kernel's work dicts: ``_eliminate_tag``, one completion whose
+tag-free elements, the tags sliced off, generate the answer, and
+``is_nonzerodivisor``, the saturation's completion for 1 - t*f stopped at
+the first element with a t-free leading monomial, which lies in (J :
+f^infinity) and not in J.  In both the settled basis is J's reduced
+grevlex basis (its grevlex twin's in another ring) times a tag monomial
+(``_lift_divisors``): if G is a Groebner basis of J, t*G is one of t*J
+(the incremental step of Gebauer-Moeller, J. Symb. Comp. 6, 1988), as the
+order compares multiples of one tag monomial by its grevlex tail block.
+So a cap b settles t*G_a and adds (1 - t)*g for each g in b's reduced
+grevlex basis, and (J : f) divides the generators of J cap <f> by f.  With
+I's reduced grevlex basis g_1, ..., g_s and its generic element f_y = sum
+y^(i-1) * g_i (``_generic_terms``), (J : I^infinity) = (J + <1 - t*f_y>)
+cap k[x] is one completion, and (J : I) = (J*R[y] : f_y) cap R one colon
+by f_y in R[y], t idle, and one elimination of y; for s = 1 the colon is
+``ideal_quotient``'s, and f_y = g_1 leaves y idle, exponent 0 throughout.
+A grade chain's J + <x> (``_extend``) gets its grevlex basis from J's with
+x the one new generator.
 
 Outside grevlex, the basis of a zero-dimensional ideal is converted from
 its grevlex twin's by FGLM (``_fglm``, the kernel's normal forms against
@@ -275,7 +275,7 @@ def _packed(ring: RingDescriptor, works: Sequence[dict], settled: Optional[tuple
     ``_width``'s; redone at twice the width while a monomial overflows,
     which changes no order, so no result."""
     width = settled[0]._packing.width if settled else _width(max(map(sum, chain.from_iterable(works)), default=0))
-    pk = settled[0]._packing if settled and settled[0].ring is ring else _packing(ring.order, ring.nvars, width)
+    pk = _packing(ring.order, ring.nvars, width)
     while True:
         try:
             divs = _lift_divisors(*settled, pk) if settled else ()
@@ -575,34 +575,22 @@ def _s_pair(lcm: int, a: tuple, b: tuple) -> dict:
 
 
 def buchberger(generators: Iterable[Polynomial], *, ring: Optional[RingDescriptor] = None) -> ReducedGB:
-    """Complete ``generators`` to the reduced Groebner basis under the ring's
-    term order.
-
-    The number of S-polynomial reductions is bounded by the step limit in
-    force (the engine context's, else ``STEP_LIMIT``); exceeding it raises
-    StepLimitExceededError.  Inside an engine context the result is
-    memoized by (ring, ordered generators), whichever route built it
-    (``_build``).  Each working basis element is a unit multiple of the
-    monic one the field algorithm keeps, so the leading monomials, the
-    pairs reduced and ``steps`` are the field algorithm's.
-    """
+    """The public spelling of ``Ideal(ring, generators).groebner_basis()``,
+    with ``ring`` read off the first generator when not given."""
     gens = list(generators)
     if ring is None:
         if not gens:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = gens[0].ring
-    for g in gens:
-        if g.ring is not ring and g.ring != ring:
-            raise IncompatibleRingError("generator outside the target ring")
-    return _memoized((ring, tuple(gens)), lambda: _build(ring, gens))
+    return Ideal(ring, gens).groebner_basis()
 
 
 def _build(ring: RingDescriptor, gens: Sequence[Polynomial]) -> ReducedGB:
-    """``buchberger``'s builder.  Outside grevlex, an ideal with at least
-    as many generators as variables reads its grevlex twin's basis first
-    (with fewer, it is the unit ideal or positive-dimensional, by Krull's
-    height theorem): a zero-dimensional one is converted (``_fglm``), and
-    else the ring completes in its own order."""
+    """``Ideal.groebner_basis``'s builder.  Outside grevlex, an ideal with
+    at least as many generators as variables reads its grevlex twin's basis
+    first (with fewer, it is the unit ideal or positive-dimensional, by
+    Krull's height theorem): a zero-dimensional one is converted
+    (``_fglm``), and else the ring completes in its own order."""
     if ring.order.kind != GREVLEX and sum(1 for g in gens if g.terms) >= ring.nvars:
         twin = _seed(Ideal(ring, gens))
         if twin.is_zero_dimensional:
@@ -611,11 +599,11 @@ def _build(ring: RingDescriptor, gens: Sequence[Polynomial]) -> ReducedGB:
 
 
 def _complete(ring: RingDescriptor, gens: Sequence, settled: Optional[tuple]) -> ReducedGB:
-    """The completion of ``buchberger`` on ``gens``, each a ``Polynomial`` or
-    a work dict of the kernel, from ``settled``, a basis and the tag monomial
-    it is multiplied by (``_lift_divisors``), or None: a Groebner basis
-    already, so the pairs inside it are never formed, and the chain
-    criterion stays sound.  It reads only the step limit; callers memoize.
+    """The completion of ``gens``, each a ``Polynomial`` or a work dict of
+    the kernel, from ``settled``, a basis and the tag monomial it is
+    multiplied by (``_lift_divisors``), or None: a Groebner basis already,
+    so the pairs inside it are never formed, and the chain criterion stays
+    sound.  It reads only the step limit; callers memoize.
     Monomial works and a monomial settled basis are a Groebner basis
     already, as the S-polynomial of two monomials is zero: their minimal
     ones are the reduced basis, with no pair formed and 0 steps."""
@@ -839,10 +827,16 @@ class Ideal:
         return not self.generators
 
     def groebner_basis(self) -> ReducedGB:
-        """The reduced basis, read through the memo under the key
-        ``buchberger`` gives the same generators: stored in an engine
-        context, completed again on every read outside one."""
-        return buchberger(self.generators, ring=self.ring)
+        """The reduced basis under the ring's term order, the one reader of
+        the memo's bases.  The S-pair reductions are bounded by the step
+        limit in force (the engine context's, else ``STEP_LIMIT``); past it,
+        StepLimitExceededError.  In an engine context the basis is memoized
+        by (ring, ordered generators), whichever route built it (``_build``
+        or ``_extend``); outside one each read completes it again.  Each
+        working basis element is a unit multiple of the monic one the field
+        algorithm keeps, so the leading monomials, the pairs reduced and
+        ``steps`` are the field algorithm's."""
+        return _memoized((self.ring, self.generators), lambda: _build(self.ring, self.generators))
 
     def contains(self, f: Polynomial) -> bool:
         return membership(f, self)
@@ -909,9 +903,9 @@ def _tag_ring(ring: RingDescriptor) -> RingDescriptor:
 
 def _eliminate_tag(ring: RingDescriptor, works: Sequence[dict], settled: tuple) -> Ideal:
     """K intersect k[ring] for K = <head * G, works> in k[t, y, ring]
-    (``_tag_ring``), the one route into a tagged ring: one ``_complete``
-    from ``settled`` = (G, head), a grevlex basis times a tag monomial, with
-    the work dicts ``works`` added; the basis is not stored.  Its tag-free
+    (``_tag_ring``), one of its two ways in: one ``_complete`` from
+    ``settled`` = (G, head), a grevlex basis times a tag monomial, with the
+    work dicts ``works`` added; the basis is not stored.  Its tag-free
     elements lead it and, t and y sliced off, generate the answer, sorted
     again unless ``ring`` is grevlex."""
     G = _complete(_tag_ring(ring), works, settled)
@@ -1050,8 +1044,8 @@ def _extend(J: Ideal, x: Polynomial) -> Ideal:
     context its grevlex basis, its grevlex twin's in any other ring, is
     completed here from x with J's (``_seed``) settled, so no pair inside
     J's basis is formed again (the incremental step of Gebauer-Moeller, J.
-    Symb. Comp. 6, 1988), and stored under the key ``buchberger`` gives the
-    twin's generators; outside one nothing would keep it."""
+    Symb. Comp. 6, 1988), and stored under the key ``groebner_basis`` reads
+    for the twin; outside one nothing would keep it."""
     K = Ideal(J.ring, J.generators + (x,))
     if _ENGINE.get().memo is not None:
         twin = _grevlex_twin(K)

@@ -467,12 +467,23 @@ class TestBuchberger:
         R, S = ring_qq("x", "y"), ring_qq("u", "v")
         with pytest.raises(ValueError, match="empty generator list"):
             buchberger([])
-        with pytest.raises(IncompatibleRingError, match="outside the target ring"):
+        # buchberger hands its generators to Ideal, the one check of them
+        with pytest.raises(IncompatibleRingError, match="outside the ideal's ring"):
             buchberger([R.variable(0), S.variable(0)], ring=R)
+        with pytest.raises(TypeError, match="must be Polynomials"):
+            buchberger([R.variable(0), 1], ring=R)
         with pytest.raises(TypeError, match="must be Polynomials"):
             Ideal(R, [R.variable(0), 1])
         with pytest.raises(IncompatibleRingError, match="outside the ideal's ring"):
             Ideal(R, [S.variable(1)])
+
+    def test_is_the_ideals_basis(self):
+        # one memo entry per ideal: a zero generator is dropped by Ideal, so
+        # buchberger with one reads the entry of the zero-free ideal
+        R = ring_qq("x", "y")
+        x, y = R.variable(0), R.variable(1)
+        with engine_context():
+            assert buchberger([x, R.zero(), y]) is Ideal(R, [x, y]).groebner_basis()
 
     def test_matches_oracle_on_random_ideals(self):
         rng = random.Random(17)
@@ -2358,29 +2369,32 @@ class TestColonByIdeal:
     def test_one_colon_and_one_intersection(self, monkeypatch):
         # one colon by f_y in R[y], whose intersection is one elimination of
         # its tag, and one elimination of y: two tagged completions, each
-        # from a lifted basis, and buchberger only on J and I in R
+        # from a lifted basis, and bases read only for J and I in R
         calls = Counter()
         rings = []
 
-        def spy(name):
-            real = getattr(ideal_engine, name)
+        def spy(owner, name):
+            real = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
-                if name in ("buchberger", "_complete"):
-                    rings.append((name, kwargs.get("ring", args[0])))
+                if name == "groebner_basis":
+                    rings.append((name, args[0].ring))
+                elif name == "_complete":
+                    rings.append((name, args[0]))
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(ideal_engine, name, counted)
+            monkeypatch.setattr(owner, name, counted)
 
-        for name in ("ideal_quotient", "ideal_intersect", "_colon", "_eliminate_tag", "_complete", "buchberger"):
-            spy(name)
+        for name in ("ideal_quotient", "ideal_intersect", "_colon", "_eliminate_tag", "_complete"):
+            spy(ideal_engine, name)
+        spy(Ideal, "groebner_basis")
         R = ring_qq("x", "y", "z")
         x, y, z = (R.variable(i) for i in range(3))
         got = ideal_quotient_ideal(Ideal(R, [x**2, y**2, z**2]), Ideal(R, [x, y, z]))
-        assert calls == {"_colon": 1, "_eliminate_tag": 2, "_complete": 4, "buchberger": 2}
+        assert calls == {"_colon": 1, "_eliminate_tag": 2, "_complete": 4, "groebner_basis": 2}
         Ry = ideal_engine._tag_ring(R)
-        want = [("buchberger", R), ("_complete", R)] * 2
+        want = [("groebner_basis", R), ("_complete", R)] * 2
         want += [("_complete", ideal_engine._tag_ring(Ry)), ("_complete", Ry)]
         assert rings == want
         assert got == Ideal(R, [x**2, y**2, z**2, x * y * z])

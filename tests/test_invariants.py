@@ -48,7 +48,7 @@ from icmlab.invariants import (
     variable_prime,
     verify_grade_witness,
 )
-from icmlab.ring_core import FieldSpec, RingDescriptor, TermOrder
+from icmlab.ring_core import FieldSpec, Polynomial, RingDescriptor, TermOrder
 
 import oracles
 from test_closed_forms import FAMILIES
@@ -848,6 +848,22 @@ class TestSearchStream:
         with engine_context(budget=4):
             stream = list(_candidates(basis, random.Random(1)))
         assert stream == [(x, False), (y**2 + y, False), (y**2 - x + y, True), (-x, True)]
+
+    def test_dense_pools_read_each_basis_degree_once(self, monkeypatch):
+        # a homogeneous basis of degrees 1, 2 and 3: each draw picks one of
+        # them and lifts the lower elements to it; the degrees are read once
+        # per call, not once per element and draw
+        R = ring_qq("x", "y", "z")
+        x, y, z = (R.variable(i) for i in range(3))
+        basis = (x, y**2, z**3)
+        reads = []
+        real = Polynomial.total_degree
+        monkeypatch.setattr(Polynomial, "total_degree", lambda p: reads.append(p) or real(p))
+        dense = invariants._dense(basis, random.Random(0))
+        pools = [next(dense) for _ in range(50)]
+        assert len(reads) == len(basis)
+        assert {len(pool) for pool in pools} == {1, 2, 3}
+        assert all(len({sum(m) for p in pool for m, _ in p.terms}) == 1 for pool in pools)
 
     def test_grade_checks_the_pair_once_and_builds_no_module(self, monkeypatch):
         # every J_k lies inside J + I, so the checks of I and of J + I made
