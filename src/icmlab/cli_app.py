@@ -20,17 +20,20 @@ Exit codes: 0 success, 1 engine error (reported with the failing query) or
 an unreadable or non-UTF-8 script (``cannot read``), 2 parse error
 (reported with line and column) or usage error, 3 verify failures.
 
-``main`` builds its argument parser once per process, on its first call.
+``main`` reads the documented command line itself: ``run FILE`` or
+``verify SUITE``, then any of ``--json`` and ``--flag VALUE``.  Help, usage
+errors and the other spellings argparse accepts go to argparse, which is
+imported, and its parser built once per process, only then.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import invariants, theorem_lab
 from .errors import EngineError
@@ -43,6 +46,9 @@ from .ideal_engine import (
     saturate,
 )
 from .ring_core import FieldSpec, Polynomial, Record, RingDescriptor, TermOrder
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class ParseError(Exception):
@@ -554,13 +560,63 @@ def execute(
 
 def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
+        import argparse  # a usage error, which argparse reports
+
         raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
     return int(text)
+
+
+# the options of both subcommands: flag, converter (None for a switch),
+# default and help text
+_OPTIONS = (
+    ("--json", None, False, "emit stable JSON"),
+    ("--seed", int, 0, "base random seed"),
+    ("--trials", _positive_int, 100, "trials per suite"),
+    ("--budget", _positive_int, None, "regular-element search budget"),
+    ("--step-limit", _positive_int, None, "max S-pair reduction steps per basis computation"),
+)
+_FLAGS = {flag: (flag[2:].replace("-", "_"), convert) for flag, convert, _, _ in _OPTIONS}
+_DEFAULTS = {flag[2:].replace("-", "_"): default for flag, _, default, _ in _OPTIONS}
+_POSITIONALS = {"run": "file", "verify": "suite"}
+# a value that starts with "-" is one to argparse only when it reads as a
+# negative number
+_NEGATIVE = re.compile(r"^-\d+$")
+
+
+def _scan(argv: Optional[Sequence[str]]) -> Optional[SimpleNamespace]:
+    """The namespace argparse returns for ``COMMAND POSITIONAL`` followed by
+    exact option flags, each with its value; None for any other argv (help,
+    ``--flag=value``, an abbreviation, an option before the positional,
+    ``--``, a missing or bad value), which ``main`` leaves to argparse."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if len(argv) < 2 or argv[0] not in _POSITIONALS or argv[1].startswith("-"):
+        return None
+    values = dict(_DEFAULTS, command=argv[0])
+    values[_POSITIONALS[argv[0]]] = argv[1]
+    rest = iter(argv[2:])
+    for flag in rest:
+        if flag not in _FLAGS:
+            return None
+        dest, convert = _FLAGS[flag]
+        if convert is None:
+            values[dest] = True
+            continue
+        text = next(rest, None)
+        if text is None or (text.startswith("-") and not _NEGATIVE.match(text)):
+            return None
+        try:
+            values[dest] = convert(text)
+        except Exception:  # any bad value is argparse's to report
+            return None
+    return SimpleNamespace(**values)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_argparser() -> argparse.ArgumentParser:
     """The parser, built on the first call only."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="icm-lab",
         description="Exact commutative algebra: Groebner bases, grade, "
@@ -572,24 +628,18 @@ def _build_argparser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser("verify", help="run one randomized theorem suite")
     ver_p.add_argument("suite", help="suite id, e.g. poly-extension")
     for p in (run_p, ver_p):
-        p.add_argument("--json", action="store_true", help="emit stable JSON")
-        p.add_argument("--seed", type=int, default=0, help="base random seed")
-        p.add_argument(
-            "--trials", type=_positive_int, default=100, help="trials per suite"
-        )
-        p.add_argument(
-            "--budget", type=_positive_int, help="regular-element search budget"
-        )
-        p.add_argument(
-            "--step-limit",
-            type=_positive_int,
-            help="max S-pair reduction steps per basis computation",
-        )
+        for flag, convert, default, text in _OPTIONS:
+            if convert is None:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, type=convert, default=default, help=text)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_argparser().parse_args(argv)
+    args = _scan(argv)
+    if args is None:
+        args = _build_argparser().parse_args(argv)
     with engine_context(args.step_limit, args.budget):
         if args.command == "verify":
             try:

@@ -363,10 +363,10 @@ def _climb(basis: Sequence[Polynomial]) -> Iterator[List[Polynomial]]:
 
 
 def _candidates(
-    basis: Sequence[Polynomial], rng: random.Random
+    basis: Sequence[Polynomial], seed: int
 ) -> Iterator[Tuple[Optional[Polynomial], bool]]:
     """The search's candidate stream from the reduced basis of I, seeded by
-    ``rng``: pairs of a candidate, or None for a draw that is zero or
+    ``seed``: pairs of a candidate, or None for a draw that is zero or
     repeats one, and its phase's flag, whether a failure there decides
     existence.  The phases are the basis, which does not decide (it comes
     first, so the answer only depends on the ideal, not its presentation),
@@ -375,10 +375,12 @@ def _candidates(
     combinations of its pools with integer coefficients from a range that
     grows with the candidates so far, each summed in one coefficient dict
     in the field.  The stream ends after
-    ``search_budget()`` distinct candidates."""
+    ``search_budget()`` distinct candidates.  The basis phase draws nothing,
+    so the seeded generator is built only when the stream leaves it."""
     budget = search_budget()
     seen = set(basis[:budget])
     yield from ((x, False) for x in basis[:budget])
+    rng = random.Random(seed)
     ring = basis[0].ring
     p = ring.field.characteristic
     for pools, decides in ((_dense(basis, rng), True), (_climb(basis), True)):
@@ -422,7 +424,7 @@ def find_regular_element(J: Ideal, I: Ideal, seed: int) -> Union[Polynomial, Sat
     regular element exists.
     """
     exists = False
-    stream = _candidates(I.groebner_basis().basis, random.Random(seed))
+    stream = _candidates(I.groebner_basis().basis, seed)
     # the end of the stream decides existence too
     for x, decides in itertools.chain(stream, [(None, True)]):
         if x is not None and is_nonzerodivisor(J, x):
@@ -561,7 +563,7 @@ def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: 
     spans, each completed with J_k, grow with the degree."""
     current, sequence, known = J, [], set()
     for k in range(dim):
-        for x, _ in _candidates(variables, random.Random(seed + k)):
+        for x, _ in _candidates(variables, seed + k):
             if x is None or x in known:
                 continue
             if x.total_degree() > 1:

@@ -22,6 +22,7 @@ No floating point appears anywhere; equality of polynomials is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter, neg
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -62,6 +63,7 @@ def _coeff_str(c: Coeff) -> str:
     return _decimal(int(c))
 
 
+@lru_cache(maxsize=None)  # every parsed ring and suite trial asks again
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

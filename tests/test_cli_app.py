@@ -2,10 +2,13 @@
 execution semantics, exit codes, and JSON stability."""
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -705,8 +708,8 @@ class TestMain:
         capsys.readouterr()
 
     def test_one_argparser_per_process(self, tmp_path, capsys, monkeypatch):
-        # the parser and its two subparsers are built on the first call
-        # only, and a usage error leaves the built parser in place
+        # the documented command line builds no parser; the first usage
+        # error builds it and its two subparsers, and a later one reuses it
         built = []
         real_init = argparse.ArgumentParser.__init__
 
@@ -717,6 +720,13 @@ class TestMain:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         cli_app._build_argparser.cache_clear()
         monkeypatch.setenv("COLUMNS", "80")
+        script = tmp_path / "heavy.icm"
+        script.write_text(self.STEP_LIMIT_SCRIPT)
+        assert main(["run", str(script)]) == 0
+        assert main(["run", str(script), "--step-limit", "1"]) == 1
+        assert main(["verify", "no-such-suite", "--json", "--seed", "-5", "--trials", "2"]) == 1
+        capsys.readouterr()
+        assert built == []
         with pytest.raises(SystemExit) as exc:
             main(["run"])
         assert exc.value.code == 2
@@ -727,11 +737,6 @@ class TestMain:
             "icm-lab run: error: the following arguments are required: file\n"
         )
         assert built == ["icm-lab", "icm-lab run", "icm-lab verify"]
-        script = tmp_path / "heavy.icm"
-        script.write_text(self.STEP_LIMIT_SCRIPT)
-        assert main(["run", str(script)]) == 0
-        assert main(["run", str(script), "--step-limit", "1"]) == 1
-        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["verify", "grade-height", "--step-limit", "0"])
         assert exc.value.code == 2
@@ -757,6 +762,106 @@ class TestMain:
         assert exc.value.code == 2
         assert err.startswith("usage: icm-lab verify")
         assert "argument %s: must be a positive integer" % flag in err
+
+
+# argv tokens: the flags, spellings only argparse reads ("=" forms,
+# abbreviations, help, "--"), values that int reads but argparse takes for a
+# flag ("-5_0"), non-ASCII digits, and, as positionals, a small corpus
+# script and a suite id that does not exist, so a whole main() call is cheap
+_SCAN_SCRIPT = os.path.join(CORPUS_DIR, "ok_12_grade_on_quotient.icm")
+_SCAN_FLAGS = ["--json", "--seed", "--trials", "--budget", "--step-limit"]
+_SCAN_TOKENS = _SCAN_FLAGS + [
+    "--seed=3", "--json=1", "--st", "--se", "--js", "-h", "--help", "--", "-", "",
+    "-5", "-5_0", "5_0", "+5", "3", "0", "1", "٣", "-٣", "x", "-x", "5 ", "-5 ", "-5.0",
+    "run", "verify", _SCAN_SCRIPT, "no-such-suite",
+]
+_well_formed = st.tuples(
+    st.sampled_from(["run", "verify"]),
+    st.sampled_from([_SCAN_SCRIPT, "no-such-suite"] * 3 + ["-h", "--json", "--", "-5", "-", ""]),
+    st.lists(
+        st.one_of(
+            st.just(["--json"]),
+            st.tuples(
+                st.sampled_from(_SCAN_FLAGS[1:]),
+                st.sampled_from(["3", "1", "12", "٣", "5_0", "5 ", "-5", "-٣"]),
+            ).map(list),
+        ),
+        max_size=5,
+    ),
+).map(lambda t: [t[0], t[1]] + [tok for part in t[2] for tok in part])
+# the documented form (with repeated flags and, at times, an odd
+# positional), the same with one token put in, and any short token list
+_scan_argv = st.one_of(
+    _well_formed,
+    st.tuples(_well_formed, st.integers(0, 12), st.sampled_from(_SCAN_TOKENS)).map(
+        lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] :]
+    ),
+    st.lists(st.sampled_from(_SCAN_TOKENS), max_size=7),
+)
+
+
+def _through_argparse(argv):
+    """argparse's namespace for ``argv``, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli_app._build_argparser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCommandLineScan:
+    @settings(max_examples=400, deadline=None)
+    @given(_scan_argv)
+    def test_scan_agrees_with_argparse(self, argv):
+        # whenever the scan accepts an argv, argparse returns the same
+        # values; whenever argparse exits (help or a usage error), the scan
+        # declines
+        scanned = cli_app._scan(argv)
+        parsed = _through_argparse(argv)
+        if scanned is not None:
+            assert parsed is not None
+            assert vars(scanned) == vars(parsed)
+        if parsed is None:
+            assert scanned is None
+
+    def test_documented_forms_are_scanned(self):
+        assert vars(cli_app._scan(["run", "a.icm"])) == {
+            "command": "run", "file": "a.icm", "json": False, "seed": 0,
+            "trials": 100, "budget": None, "step_limit": None,
+        }
+        assert vars(cli_app._scan(["verify", "grade-height", "--json", "--seed", "-7", "--trials", "٣",
+                                   "--budget", "5", "--step-limit", "9", "--seed", "2"])) == {
+            "command": "verify", "suite": "grade-height", "json": True, "seed": 2,
+            "trials": 3, "budget": 5, "step_limit": 9,
+        }
+        for argv in (["run", "a.icm", "--seed=3"], ["run", "--json", "a.icm"], ["run", "a.icm", "--st", "3"],
+                     ["run", "a.icm", "--seed", "-5_0"], ["run", "a.icm", "--"], ["run", "a.icm", "--seed"],
+                     ["run", "a.icm", "-h"], ["run", "a.icm", "--trials", "0"], ["-h"], []):
+            assert cli_app._scan(argv) is None, argv
+
+    def test_scan_reads_sys_argv_when_argv_is_none(self, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["icm-lab", "verify", "poly-extension", "--trials", "4"])
+        assert cli_app._scan(None).trials == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(_scan_argv)
+    def test_main_output_is_argparse_output(self, argv):
+        # the exit code, stdout and stderr of main are those of the same
+        # call read by argparse alone
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            direct = _main_output(argv)
+            with mock.patch.object(cli_app, "_scan", lambda argv: None):
+                assert _main_output(argv) == direct
 
 
 class TestSearchBudget:

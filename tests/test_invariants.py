@@ -817,11 +817,11 @@ class TestSearchStream:
         basis = Ideal(R, [x, y**2]).groebner_basis().basis
         assert basis == (x, y**2)
         with engine_context(budget=4):
-            stream = list(_candidates(basis, random.Random(2)))
+            stream = list(_candidates(basis, 2))
         assert stream == [(x, False), (y**2, False), (-x, True), (None, True), (None, True), (x * y - y**2, True)]
         assert len([c for c, _ in stream if c is not None]) == 4
         with engine_context(budget=1):
-            assert list(_candidates(basis, random.Random(2))) == [(x, False)]
+            assert list(_candidates(basis, 2)) == [(x, False)]
 
     def test_phase_boundaries_over_gf2(self):
         # I = (x, y) over GF(2) at budget 4: the basis y, x, which does not
@@ -833,7 +833,7 @@ class TestSearchStream:
         x, y = R.variable(0), R.variable(1)
         basis = Ideal(R, [x, y]).groebner_basis().basis
         with engine_context(budget=4):
-            stream = list(_candidates(basis, random.Random(0)))
+            stream = list(_candidates(basis, 0))
         assert len(stream) == 203
         assert stream[:6] == [(y, False), (x, False), (None, True), (None, True), (None, True), (x + y, True)]
         assert stream[2:202].count((None, True)) == 199
@@ -846,7 +846,7 @@ class TestSearchStream:
         x, y = R.variable(0), R.variable(1)
         basis = Ideal(R, [x, y**2 + y]).groebner_basis().basis
         with engine_context(budget=4):
-            stream = list(_candidates(basis, random.Random(1)))
+            stream = list(_candidates(basis, 1))
         assert stream == [(x, False), (y**2 + y, False), (y**2 - x + y, True), (-x, True)]
 
     def test_dense_pools_read_each_basis_degree_once(self, monkeypatch):
