@@ -15,8 +15,8 @@ primitive integer polynomials with a positive leading coefficient, reduced
 fraction-free by the primitive pseudo-remainder of Geddes, Czapor & Labahn,
 *Algorithms for Computer Algebra* (1992).  ``Fraction`` coefficients are
 cleared on entry and come back only in ``normal_form``'s remainder and in
-the monic basis a ``ReducedGB`` builds from the one form its completion,
-or ``_fglm``, hands it: its kernel divisors.
+the monic basis a ``ReducedGB`` builds, when it is first read, from the one
+form its completion, or ``_fglm``, hands it: its kernel divisors.
 ``divide`` is exact division by one polynomial, the colon's last step.
 
 Inside the kernel a monomial is one int (``_Packing``, the packed exponent
@@ -467,10 +467,11 @@ def divide(f: Polynomial, g: Polynomial) -> Polynomial:
 class ReducedGB:
     """The reduced monic Groebner basis of an ideal, sorted by increasing
     leading monomial, built from its kernel divisors ``_divisors``, packed
-    by ``_packing``: the one maker of its monic ``Polynomial``s, ``basis``.
-    Unique per (ideal, term order), so the ideal's facts, ``is_unit_ideal``,
-    ``monomials``, ``leading_monomials`` and ``is_zero_dimensional``, are
-    read off the divisors.
+    by ``_packing``: the one maker of its monic ``Polynomial``s, ``basis``,
+    which it builds when first read, since most bases of a grade chain are
+    only measured.  Unique per (ideal, term order), so the ideal's facts,
+    ``is_unit_ideal``, ``monomials``, ``leading_monomials`` and
+    ``is_zero_dimensional``, are read off the divisors.
 
     ``steps``, the S-pair reductions of the completion that built it (its
     grevlex twin's for a basis ``_fglm`` converts), depends on the route
@@ -482,13 +483,19 @@ class ReducedGB:
     monomial depends on the packing's width.
     """
 
-    __slots__ = ("ring", "basis", "steps", "_divisors", "_packing", "_hash")
+    __slots__ = ("ring", "steps", "_divisors", "_packing", "_basis", "_hash")
 
     def __init__(self, ring: RingDescriptor, divisors: tuple, steps: int, packing: _Packing):
-        p = ring.field.characteristic
         self.ring, self.steps, self._divisors, self._packing = ring, steps, divisors, packing
-        self.basis = tuple([Polynomial(ring, _monic(d, p, packing)) for d in divisors])
+        self._basis: Optional[Tuple[Polynomial, ...]] = None
         self._hash: Optional[int] = None
+
+    @property
+    def basis(self) -> Tuple[Polynomial, ...]:
+        if self._basis is None:
+            p, pk = self.ring.field.characteristic, self._packing
+            self._basis = tuple([Polynomial(self.ring, _monic(d, p, pk)) for d in self._divisors])
+        return self._basis
 
     @property
     def is_unit_ideal(self) -> bool:
@@ -510,7 +517,7 @@ class ReducedGB:
         return self.is_unit_ideal or staircase.is_zero_dimensional(self.leading_monomials, self.ring.nvars)
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self._divisors)
 
     def __iter__(self):
         return iter(self.basis)

@@ -545,17 +545,19 @@ def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: 
     a parameter: dim R/(J_k + x), read off ``_extend``'s basis, is one
     less.  A candidate that is not one lies in a minimal prime of J_k of
     top dimension, and so in one of every later J_k of the chain, so it
-    joins the route's set of known non-parameters.  At dimension 0 the
-    accepted theta is a homogeneous system of parameters, and R/J is
-    Cohen-Macaulay exactly when l(R/J_b) = e(theta; R/J) = e(R/J) * prod
-    deg theta_i, and otherwise the length is larger (Serre; Bruns-Herzog,
-    Sec. 4.7), both read off leading monomials (``staircase``), as R/J and
-    R/in(J) share their Hilbert function.  On a graded Cohen-Macaulay module
-    the parameters and the regular elements are the same, at every step,
-    so theta is the sequence ``_regular_chain`` finds, candidate for
-    candidate.  J_b is then m-primary, so (J_b : m^infinity) = R, and the
-    least e with m^e inside J_b is one more than the top degree of its
-    staircase (Macaulay).
+    joins the route's set of known non-parameters.  So does an accepted x,
+    exactly: it lies in every later J_k, so J_k + x = J_k keeps the
+    dimension, and the stream draws the same whatever its reader skips.  At
+    dimension 0 the accepted theta is a homogeneous system of parameters,
+    and R/J is Cohen-Macaulay exactly when l(R/J_b) = e(theta; R/J) =
+    e(R/J) * prod deg theta_i, and otherwise the length is larger (Serre;
+    Bruns-Herzog, Sec. 4.7), both read off leading monomials
+    (``staircase``), as R/J and R/in(J) share their Hilbert function.  On a
+    graded Cohen-Macaulay module the parameters and the regular elements
+    are the same, at every step, so theta is the sequence
+    ``_regular_chain`` finds, candidate for candidate.  J_b is then
+    m-primary, so (J_b : m^infinity) = R, and the least e with m^e inside
+    J_b is one more than the top degree of its staircase (Macaulay).
 
     The route gives up, for ``_regular_chain`` to run, when the length
     check fails, when the stream ends, and at its first candidate above
@@ -569,9 +571,9 @@ def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: 
             if x.total_degree() > 1:
                 return None
             extended = _extend(current, x)
+            known.add(x)
             if _dimension(_seed(extended)) < dim - k:
                 break
-            known.add(x)
         else:
             return None
         sequence.append(x)

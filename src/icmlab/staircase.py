@@ -36,8 +36,38 @@ def minimal_transversals(supports: Sequence[FrozenSet[int]]) -> List[Tuple[int, 
 
 
 def dimension(lms: Sequence[Monomial], nvars: int) -> int:
-    """dim R/J for a proper J whose Groebner basis has leading monomials ``lms``."""
-    return nvars - min(map(len, minimal_transversals([monomial_support(m) for m in lms])))
+    """dim R/J for a proper J whose Groebner basis has leading monomials
+    ``lms``: n minus the least size of a transversal, found by branch and
+    bound on the supports as bit masks.  Only the inclusion-minimal supports
+    are kept, as a transversal meeting one meets its supersets.  A branch
+    takes the lowest variable v of the smallest unmet support, or leaves v
+    out of every support; it is cut when its size plus a greedy packing of
+    pairwise disjoint unmet supports, each met by a variable of its own,
+    reaches the best size found.  The search ends at a least transversal T,
+    whose complement is an independent set of top size: no leading monomial
+    is supported in it (Kredel-Weispfenning, J. Symb. Comp. 6, 1988)."""
+    masks = sorted({sum(1 << i for i, e in enumerate(m) if e) for m in lms}, key=int.bit_count)
+    if masks and not masks[0]:
+        raise ValueError("a generator with empty support means the unit ideal")
+    minimal: List[int] = []
+    for s in masks:
+        if not any(t & s == t for t in minimal):
+            minimal.append(s)
+
+    def least(unmet: List[int], size: int, best: int) -> int:
+        packed, bound = 0, size
+        for s in unmet:
+            if not s & packed:
+                packed, bound = packed | s, bound + 1
+        if bound >= best or not unmet:
+            return min(bound, best)
+        v = unmet[0] & -unmet[0]
+        best = least([s for s in unmet if not s & v], size + 1, best)
+        if unmet[0] != v:
+            best = least(sorted([s & ~v for s in unmet], key=int.bit_count), size, best)
+        return best
+
+    return nvars - least(minimal, 0, nvars + 1)
 
 
 def is_zero_dimensional(lms: Sequence[Monomial], nvars: int) -> bool:

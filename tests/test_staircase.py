@@ -75,6 +75,48 @@ def test_seeded_monomial_ideals_match_brute_force(n):
     assert 10 < zero_dimensional < 40
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_dimension_by_branch_and_bound_matches_brute_force(n):
+    # square-free and not: each draw adds, half the time, a multiple of an
+    # earlier generator (a support that contains another) and a repeat of
+    # one (the same support twice), which the search must drop unharmed
+    rng = random.Random(2800 + n)
+    for _ in range(150):
+        gens = []
+        for _ in range(rng.randint(1, 7)):
+            e = [0] * n
+            for _ in range(rng.randint(1, 4)):
+                e[rng.randrange(n)] += rng.randint(1, 2)
+            gens.append(tuple(e))
+        if rng.random() < 0.5:
+            g, j = rng.choice(gens), rng.randrange(n)
+            gens.append(tuple(a + (i == j) for i, a in enumerate(g)))
+            gens.append(rng.choice(gens))
+        rng.shuffle(gens)
+        assert staircase.dimension(gens, n) == brute_dimension(gens, n), gens
+
+
+@pytest.mark.parametrize("k", [12, 16, 40])
+def test_dimension_of_the_cross_polytope_ideal_is_k(k):
+    # <x_1*y_1, ..., x_k*y_k> has 2^k minimal transversals, all of size k;
+    # the least one is found without listing them
+    lms = [tuple(int(j in (i, k + i)) for j in range(2 * k)) for i in range(k)]
+    assert staircase.dimension(lms, 2 * k) == k
+
+
+def edge_ideal(edges, n):
+    return [tuple(int(i in e) for i in range(n)) for e in edges]
+
+
+def test_dimension_of_edge_ideals_with_known_covers():
+    # the least vertex cover of K_24 has 23 vertices, and that of six
+    # disjoint 5-cycles 18, where a packing holds only 12 disjoint edges in
+    # either: inputs on which the packing bound is loose
+    assert staircase.dimension(edge_ideal(itertools.combinations(range(24), 2), 24), 24) == 1
+    cycles = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(6) for i in range(5)]
+    assert staircase.dimension(edge_ideal(cycles, 30), 30) == 12
+
+
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_degree_of_the_2xn_minors_is_n(N):
     # the Segre embedding of P^1 x P^(N-1) has degree N
