@@ -4,8 +4,8 @@ Krull dimension is read off the leading-term ideal: dim R/J equals
 dim R/LT(J), and for a monomial ideal the codimension is the size of the
 smallest set of variables meeting the support of every minimal generator
 (``staircase``, which holds every fact read off leading monomials).
-Minimal primes, associated primes (via irreducible decomposition), regular
-elements, and the certified grade computation all build on this picture.
+Minimal primes, associated primes (via polarization), regular elements,
+and the certified grade computation all build on this picture.
 
 Regularity rests on saturation: since J <= (J : x) <= (J : x^infinity), x
 is regular on R/J exactly when (J : x^infinity) = J, and I holds a regular
@@ -43,9 +43,8 @@ of regular elements runs from the start.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import staircase
 from .errors import (
@@ -81,8 +80,6 @@ from .ring_core import (
     RingDescriptor,
     _from_dict,
     _same_ring,
-    minimalize_monomials,
-    monomial_divides,
     monomial_support,
 )
 from .staircase import minimal_transversals
@@ -199,7 +196,7 @@ def height(J: Ideal) -> int:
 def _minimal_monomial_gens(J: Ideal) -> Tuple[Monomial, ...]:
     """The minimal generators of a proper monomial ideal, read off its basis.
     The zero ideal has none, and both callers then return the zero prime:
-    the empty set is its only transversal and its only irreducible component."""
+    the empty set is the one transversal of no supports."""
     G = J.groebner_basis()
     if G.is_unit_ideal:
         raise ImproperIdealError("the ideal is the whole ring")
@@ -212,10 +209,8 @@ def _minimal_monomial_gens(J: Ideal) -> Tuple[Monomial, ...]:
 def minimal_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
     """Minimal primes of a monomial ideal: minimal transversals of the
     supports of its minimal generators."""
-    gens = _minimal_monomial_gens(J)
-    supports = [monomial_support(m) for m in gens]
-    covers = minimal_transversals(supports)
-    return frozenset(MonomialPrime(J.ring, c) for c in covers)
+    supports = [monomial_support(m) for m in _minimal_monomial_gens(J)]
+    return frozenset(MonomialPrime(J.ring, c) for c in minimal_transversals(supports))
 
 
 def sorted_primes(primes: Iterable[MonomialPrime]) -> List[MonomialPrime]:
@@ -224,71 +219,25 @@ def sorted_primes(primes: Iterable[MonomialPrime]) -> List[MonomialPrime]:
     return sorted(primes, key=lambda q: (len(q.indices), q.indices))
 
 
-def _monomial_ideal_contains(big: Sequence[Monomial], small: Sequence[Monomial]) -> bool:
-    """small subset of big, tested generator by generator."""
-    return all(any(monomial_divides(g, m) for g in big) for m in small)
-
-
-def _irreducible_components(gens: Sequence[Monomial]) -> List[Tuple[Monomial, ...]]:
-    """Split on a mixed generator m = u * v with coprime u, v until every
-    component is generated by pure variable powers.
-
-    J = (J + <u>) intersect (J + <v>) holds whenever u and v are coprime,
-    and the total degree of mixed generators drops in both branches, so the
-    recursion terminates.
-    """
-    out: Set[Tuple[Monomial, ...]] = set()
-    seen: Set[Tuple[Monomial, ...]] = set()
-    stack = [tuple(sorted(gens))]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        mixed = None
-        for m in cur:
-            if len(monomial_support(m)) >= 2:
-                mixed = m
-                break
-        if mixed is None:
-            out.add(cur)
-            continue
-        i = min(monomial_support(mixed))
-        u = tuple(mixed[k] if k == i else 0 for k in range(len(mixed)))
-        v = tuple(0 if k == i else mixed[k] for k in range(len(mixed)))
-        left = tuple(minimalize_monomials(cur + (u,)))
-        right = tuple(minimalize_monomials(cur + (v,)))
-        stack.append(left)
-        stack.append(right)
-    return sorted(out)
-
-
-def _irredundant(components: List[Tuple[Monomial, ...]]) -> List[Tuple[Monomial, ...]]:
-    """The inclusion-minimal components, sorted.
-
-    An irreducible monomial ideal C contains an intersection of monomial
-    ideals only if it contains one of them: a monomial outside C from each
-    has its lcm in the intersection, and outside C, which is generated by
-    powers of variables.  So a component is redundant exactly when it
-    contains another.  Distinct tuples of minimal generators are distinct
-    ideals.
-    """
-    comps = sorted(set(components))
-    return [c for c in comps if not any(d != c and _monomial_ideal_contains(c, d) for d in comps)]
-
-
 def associated_primes_monomial(J: Ideal) -> FrozenSet[MonomialPrime]:
-    """Associated primes of R/J for monomial J: the supports of the
-    components of the irredundant irreducible decomposition."""
+    """Associated primes of R/J for monomial J, off its polarization
+    (Herzog-Hibi, Monomial Ideals, 1.3 and 1.6): a minimal generator x^a
+    becomes the product of new variables (i, d), one for each exponent
+    d <= a_i that x_i has among the generators, and Ass(R/J) is the set of
+    {i for (i, d) in T} over the minimal transversals T of these supports.
+
+    Polarization commutes with intersections, as pol(lcm(u, v)) =
+    lcm(pol u, pol v), so each minimal prime of J^pol is minimal over
+    pol Q for a component Q = <x_i^b_i : i in S> of the irredundant
+    irreducible decomposition of J, and so lies over S; and for each Q the
+    prime <(i, b_i) : i in S> is minimal, as a smaller one would contain
+    pol Q' for a component Q' inside Q, which would make Q redundant.
+    Keying the new variables by the exponents that occur, not by 1..a_i,
+    keeps <x^1000, y^1000> at one transversal."""
     gens = _minimal_monomial_gens(J)
-    comps = _irredundant(_irreducible_components(gens))
-    primes = set()
-    for comp in comps:
-        sup: Set[int] = set()
-        for m in comp:
-            sup |= monomial_support(m)
-        primes.add(MonomialPrime(J.ring, tuple(sup)))
-    return frozenset(primes)
+    exponents = [{m[i] for m in gens} - {0} for i in range(J.ring.nvars)]
+    supports = [frozenset((i, d) for i, e in enumerate(m) for d in exponents[i] if d <= e) for m in gens]
+    return frozenset(MonomialPrime(J.ring, {i for i, _ in T}) for T in minimal_transversals(supports))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +332,7 @@ def _candidates(
     rng = random.Random(seed)
     ring = basis[0].ring
     p = ring.field.characteristic
-    for pools, decides in ((_dense(basis, rng), True), (_climb(basis), True)):
+    for pools in (_dense(basis, rng), _climb(basis)):
         for _ in range(50 * budget):
             if len(seen) >= budget:
                 return
@@ -400,7 +349,7 @@ def _candidates(
                 x = None
             else:
                 seen.add(x)
-            yield x, decides
+            yield x, True
 
 
 def find_regular_element(J: Ideal, I: Ideal, seed: int) -> Union[Polynomial, SaturationResult]:
@@ -479,14 +428,16 @@ def _grade_and_dimensions(
     """``grade`` with the two dimensions it bounds the chain by: the
     witness, dim M and dim M/IM.  It reads the bases of I, J + I and J once
     each: the pair check, both dimensions and the homogeneity test come from
-    them.  The grade chain's one runner, so the one that opens a default
-    engine context when none is open.  A graded chain at I = m, J's basis
-    not all terms, tries ``_parameter_chain`` first; any other input, and
-    any outcome of it but a certified "yes", runs ``_regular_chain`` from
-    the start.  A monomial J skips the route for speed alone: over GF(2),
-    with no parameter of degree 1 at its last step, the RP^2 ideal's route
-    drains the dense phase: ten times the time of the chain, which decides
-    at its first failure, where over QQ and GF(3) it takes half."""
+    them, and whether I is m from ``variable_prime``, the one reader of
+    "generated by variables".  The grade chain's one runner, so the one
+    that opens a default engine context when none is open.  A graded chain
+    at I = m, J's basis not all terms, tries ``_parameter_chain`` first;
+    any other input, and any outcome of it but a certified "yes", runs
+    ``_regular_chain`` from the start.  A monomial J skips the route for
+    speed alone: over GF(2), with no parameter of degree 1 at its last
+    step, the RP^2 ideal's route drains the dense phase: ten times the time
+    of the chain, which decides at its first failure, where over QQ and
+    GF(3) it takes half."""
     _same_ring(M, I)
     if not I.generators:
         raise ZeroElementError("the zero test ideal has no regular elements")
@@ -502,8 +453,8 @@ def _grade_and_dimensions(
     gb_j = J.groebner_basis()
     dim_m, dim_mod = _dimension(gb_j), _dimension(gb_sum)
     graded = all(p.is_homogeneous() for p in gb_j.basis + gb_i.basis)
-    lms = gb_i.monomials
-    at_m = lms is not None and len(lms) == I.ring.nvars and all(sum(m) == 1 for m in lms)
+    prime = variable_prime(I)
+    at_m = prime is not None and len(prime.indices) == I.ring.nvars
     witness = _parameter_chain(J, gb_i.basis, seed, dim_m) if graded and at_m and gb_j.monomials is None else None
     if witness is None:
         witness = _regular_chain(J, I, seed, dim_m - dim_mod)
@@ -548,16 +499,17 @@ def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: 
     joins the route's set of known non-parameters.  So does an accepted x,
     exactly: it lies in every later J_k, so J_k + x = J_k keeps the
     dimension, and the stream draws the same whatever its reader skips.  At
-    dimension 0 the accepted theta is a homogeneous system of parameters,
-    and R/J is Cohen-Macaulay exactly when l(R/J_b) = e(theta; R/J) =
-    e(R/J) * prod deg theta_i, and otherwise the length is larger (Serre;
-    Bruns-Herzog, Sec. 4.7), both read off leading monomials
-    (``staircase``), as R/J and R/in(J) share their Hilbert function.  On a
-    graded Cohen-Macaulay module the parameters and the regular elements
-    are the same, at every step, so theta is the sequence
-    ``_regular_chain`` finds, candidate for candidate.  J_b is then
-    m-primary, so (J_b : m^infinity) = R, and the least e with m^e inside
-    J_b is one more than the top degree of its staircase (Macaulay).
+    dimension 0 the accepted theta is a system of linear parameters (the
+    route leaves at its first candidate above degree 1), and R/J is
+    Cohen-Macaulay exactly when l(R/J_b) = e(theta; R/J) = e(R/J), and
+    otherwise the length is larger (Serre; Bruns-Herzog, Sec. 4.7), both
+    read off leading monomials (``staircase``), as R/J and R/in(J) share
+    their Hilbert function.  On a graded Cohen-Macaulay module the
+    parameters and the regular elements are the same, at every step, so
+    theta is the sequence ``_regular_chain`` finds, candidate for
+    candidate.  J_b is then m-primary, so (J_b : m^infinity) = R, and the
+    least e with m^e inside J_b is one more than the top degree of its
+    staircase (Macaulay).
 
     The route gives up, for ``_regular_chain`` to run, when the length
     check fails, when the stream ends, and at its first candidate above
@@ -581,7 +533,7 @@ def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: 
     lms = _seed(current).leading_monomials
     length, top = staircase.staircase(lms, J.ring.nvars)
     multiplicity = staircase.degree(_seed(J).leading_monomials, J.ring.nvars)
-    if length != multiplicity * math.prod(x.total_degree() for x in sequence):
+    if length != multiplicity:
         return None
     return GradeWitness(dim, tuple(sequence), SaturationResult(Ideal(J.ring, [J.ring.one()]), top + 1))
 

@@ -11,27 +11,28 @@ top-dimensional independent sets.
 """
 from __future__ import annotations
 
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from .ring_core import Monomial, monomial_divides, monomial_support
 
 
-def minimal_transversals(supports: Sequence[FrozenSet[int]]) -> List[Tuple[int, ...]]:
-    """All inclusion-minimal sets meeting every support, built incrementally:
-    each new support either is already met or forks the partial transversal
-    one variable at a time, pruning non-minimal results after each round."""
-    covers: List[FrozenSet[int]] = [frozenset()]
+def minimal_transversals(supports: Sequence[FrozenSet]) -> List[Tuple]:
+    """All inclusion-minimal sets meeting every support (of variable indices,
+    or of any sortable items), sorted.  They are built support by support: a
+    partial transversal that meets the new support is kept, and one, c,
+    that misses it forks into c | {v} for each v of the support.  The
+    partial transversals are an antichain, so a kept set stays minimal, and
+    a forked set is compared with the kept sets only: were c | {v} to
+    contain another forked c' | {v'}, then c', which misses the support and
+    so v, would lie inside c, against the antichain (and the same argument
+    keeps the forked sets distinct)."""
+    covers: List[FrozenSet] = [frozenset()]
     for sup in supports:
         if not sup:
             raise ValueError("a generator with empty support means the unit ideal")
-        nxt: Set[FrozenSet[int]] = set()
-        for c in covers:
-            if c & sup:
-                nxt.add(c)
-            else:
-                for v in sorted(sup):
-                    nxt.add(c | {v})
-        covers = [c for c in nxt if not any(d < c for d in nxt)]
+        kept = [c for c in covers if c & sup]
+        forked = [c | {v} for c in covers if not c & sup for v in sup]
+        covers = kept + [f for f in forked if not any(k < f for k in kept)]
     return sorted(tuple(sorted(c)) for c in covers)
 
 

@@ -14,6 +14,10 @@ are known in closed form, not from an engine run.
   the diagonal and moved by ``unitriangular``: Gorenstein of codimension 3
   (Buchsbaum-Eisenbud, Amer. J. Math. 99, 1977), so Cohen-Macaulay of dim
   7, "yes".
+- The Fermat cubic surface cone a^3 + b^3 + c^3 + d^3 in k[a, b, c, d],
+  moved by ``unitriangular``: a hypersurface, so Cohen-Macaulay of dim 3,
+  "yes".  A ``_dimension`` off by one on a one-element basis, or on
+  leading monomials that share one support, gives it wrong dimensions.
 
 Every witness is replayed by ``verify_grade_witness``.  These are graded
 instances at I = m, so the "yes" answer comes from
@@ -76,6 +80,14 @@ def pfaffians(p):
     return CyclicModule(ring, J), Ideal(ring, [ring.variable(i) for i in range(ring.nvars)])
 
 
+def cubic_surface(p):
+    """(M, m) for the cone over the Fermat cubic surface in k[a, b, c, d],
+    moved by ``unitriangular``."""
+    ring = RingDescriptor(FieldSpec(p), ("a", "b", "c", "d"))
+    J = Ideal(ring, [sum((v**3 for v in unitriangular(ring, 52)), ring.zero())])
+    return CyclicModule(ring, J), Ideal(ring, [ring.variable(i) for i in range(4)])
+
+
 # (name, instance, grade, dim M, dim M/mM); the verdict is defect == 0
 FAMILIES = [
     ("two_planes_d%d_%s" % (d, "qq" if p == 0 else "gf"), lambda d=d, p=p: two_planes(d, p, 46 + d), 1, d, 0)
@@ -87,6 +99,8 @@ FAMILIES = [
     ("cubic_%s" % f, lambda p=p: curve(p, "cubic"), 2, 2, 0) for f, p in (("qq", 0), ("gf", 32003))
 ] + [
     ("pfaffians_%s" % f, lambda p=p: pfaffians(p), 7, 7, 0) for f, p in (("qq", 0), ("gf", 32003))
+] + [
+    ("cubic_surface_%s" % f, lambda p=p: cubic_surface(p), 3, 3, 0) for f, p in (("qq", 0), ("gf", 32003))
 ]
 
 

@@ -1,6 +1,7 @@
 """Dimension, primes, regular sequences, and grade."""
 import contextlib
 import inspect
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -106,6 +107,18 @@ class TestTransversals:
                 for v in t:
                     smaller = t_set - {v}
                     assert any(not (s & smaller) for s in supports)
+
+    def test_matches_brute_force_hitting_sets(self):
+        # every inclusion-minimal hitting set among all subsets, so a
+        # transversal that is dropped fails here, not only one too many
+        rng = random.Random(52)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            supports = [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 7))]
+            subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+            hitting = [h for h in subsets if all(s & h for s in supports)]
+            want = sorted(tuple(sorted(h)) for h in hitting if not any(g < h for g in hitting))
+            assert minimal_transversals(supports) == want, supports
 
 
 class TestDimension:
@@ -268,22 +281,51 @@ class TestAssociatedPrimes:
         assert {p.indices for p in ass2} == {(0, 1)}
         ass3 = associated_primes_monomial(Ideal(R, []))
         assert {p.indices for p in ass3} == {()}
+        # a power of m, or of each variable, has <x, y> alone, however large
+        # the exponents
+        for monos in ([(1000, 0), (0, 1000)], [(a, 50 - a) for a in range(51)]):
+            assert {p.indices for p in associated_primes_monomial(monomial_ideal(R, monos))} == {(0, 1)}
 
     def test_matches_witness_oracle_on_random_ideals(self):
+        # generators of degree up to 3, then by turns exponents up to 5 and
+        # two exponents per variable, repeated, which share polarized variables
         rng = random.Random(79)
-        checked = 0
+        draws = []
         for _ in range(40):
             n = rng.randint(1, 5)
+            draws.append((n, random_monomials(rng, n, 3, rng.randint(1, 6))))
+        for trial in range(60):
+            n = rng.randint(1, 4)
+            palettes = [rng.sample(range(1, 6), 2) + [0] for _ in range(n)]
+            monos, count = [], rng.randint(1, 6)
+            while len(monos) < count:
+                if trial % 2:
+                    m = tuple(rng.choice(palette) for palette in palettes)
+                else:
+                    m = tuple(rng.randint(0, 5) for _ in range(n))
+                if any(m):
+                    monos.append(m)
+            draws.append((n, monos))
+        for n, monos in draws:
             R = ring_qq(*["x%d" % i for i in range(n)])
-            monos = random_monomials(rng, n, 3, rng.randint(1, 6))
             got = {
                 p.indices
                 for p in associated_primes_monomial(monomial_ideal(R, monos))
             }
             want = oracles.associated_primes_witness(n, monos)
             assert got == want, monos
-            checked += 1
-        assert checked == 40
+        assert len(draws) == 100
+
+    def test_complete_intersection_of_products(self):
+        # <x_i * y_i : i < 10> is the intersection of the 2^10 primes that
+        # take x_i or y_i for each i, so both lists are those primes
+        k = 10
+        R = ring_qq(*["x%d" % i for i in range(k)], *["y%d" % i for i in range(k)])
+        J = monomial_ideal(R, [tuple(int(j in (i, k + i)) for j in range(2 * k)) for i in range(k)])
+        want = {tuple(sorted(choice)) for choice in itertools.product(*[(i, k + i) for i in range(k)])}
+        assert len(want) == 2**k
+        assert {p.indices for p in associated_primes_monomial(J)} == want
+        assert {p.indices for p in minimal_primes_monomial(J)} == want
 
     def test_contains_all_minimal_primes(self):
         rng = random.Random(83)
