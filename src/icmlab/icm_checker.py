@@ -33,6 +33,7 @@ from .ideal_engine import (
     Ideal,
     _fresh_names,
     _in_engine_context,
+    _seed,
     ideal_intersect,
     ideal_quotient_ideal,
     ideal_sum,
@@ -113,13 +114,13 @@ def icm_report(M: CyclicModule, I: Ideal, seed: int = 0) -> IcmReport:
 
 @_in_engine_context
 def is_cohen_macaulay_graded(M: CyclicModule, seed: int = 0) -> bool:
-    """Classical Cohen-Macaulayness of R/J for homogeneous J, which its reduced
+    """Classical Cohen-Macaulayness of R/J for homogeneous J, which its grevlex
     basis shows: the verdict at the ideal m of all variables, where dim M/mM = 0."""
-    for g in M.defining_ideal.groebner_basis():
-        if not g.is_homogeneous():
-            raise InhomogeneousIdealError(
-                "Cohen-Macaulay test needs homogeneous generators; %s mixes degrees" % g
-            )
+    if not all(g.is_homogeneous() for g in _seed(M.defining_ideal)):
+        g = next(g for g in M.defining_ideal.groebner_basis() if not g.is_homogeneous())
+        raise InhomogeneousIdealError(
+            "Cohen-Macaulay test needs homogeneous generators; %s mixes degrees" % g
+        )
     ring = M.ring
     return icm_report(M, Ideal(ring, [ring.variable(i) for i in range(ring.nvars)]), seed).is_icm
 

@@ -41,8 +41,8 @@ the engine's one store of results (an ``Ideal`` stores none), which only
 ``_memoized`` reads and writes.  A key names what is stored, not the route
 that built it: a reduced basis is keyed by its ideal's ring (order
 included) and ordered generators, each of which keeps its hash, so a
-chain ideal from ``_extend`` and an ``Ideal`` with the same generators
-share one entry; a derived fact
+sum from ``ideal_sum`` and an ``Ideal`` with the same generators share
+one entry; a derived fact
 by its operands' reduced grevlex bases (``_seed``), so every presentation
 of the ideals shares one: "saturate", "intersect" and "colon" with the
 ring and both bases, "regular" and "quotient" with J's basis and the
@@ -75,13 +75,15 @@ y^(i-1) * g_i (``_generic_terms``), (J : I^infinity) = (J + <1 - t*f_y>)
 cap k[x] is one completion, and (J : I) = (J*R[y] : f_y) cap R one colon
 by f_y in R[y], t idle, and one elimination of y; for s = 1 the colon is
 ``ideal_quotient``'s, and f_y = g_1 leaves y idle, exponent 0 throughout.
-A grade chain's J + <x> (``_extend``) gets its grevlex basis from J's with
-x the one new generator.
+The colon by f_y meets in ``_tag_ring(R[y])``, a second layout.
 
-Outside grevlex, the basis of a zero-dimensional ideal is converted from
-its grevlex twin's by FGLM (``_fglm``, the kernel's normal forms against
-the twin's divisors) and carries the twin's steps; the ring's own order
-completes only the other ideals (``_build``).
+A sum a + b (``ideal_sum``) completes its grevlex basis from a's, b's
+generators the only new work.  The facts that do not depend on the order
+(unit ideal, dimension, homogeneity, monomial-ness, equality, membership)
+read the grevlex basis, ``_seed``, in every ring; the ring's own basis is
+read only where its elements are printed or drawn from, and converted
+from the twin's by FGLM when zero-dimensional (``_fglm``, the kernel's
+normal forms against the twin's divisors), with the twin's steps.
 
 Monomial ideals skip the pair loop.  The S-polynomial of two monomials is
 zero (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2), so
@@ -598,7 +600,7 @@ def _build(ring: RingDescriptor, gens: Sequence[Polynomial]) -> ReducedGB:
     first (with fewer, it is the unit ideal or positive-dimensional, by
     Krull's height theorem): a zero-dimensional one is converted
     (``_fglm``), and else the ring completes in its own order."""
-    if ring.order.kind != GREVLEX and sum(1 for g in gens if g.terms) >= ring.nvars:
+    if ring.order.kind != GREVLEX and len(gens) >= ring.nvars:
         twin = _seed(Ideal(ring, gens))
         if twin.is_zero_dimensional:
             return _fglm(ring, twin)
@@ -793,7 +795,7 @@ def normal_form(f: Polynomial, basis: ReducedGB) -> Polynomial:
     """
     _same_ring(f, basis)
     ring = f.ring
-    if f.is_zero or not basis.basis:
+    if f.is_zero or not len(basis):
         return f
     p = ring.field.characteristic
     # w * f = sum(q_i * d_i) + r over the integers, so f's remainder is r / w
@@ -839,7 +841,7 @@ class Ideal:
         limit in force (the engine context's, else ``STEP_LIMIT``); past it,
         StepLimitExceededError.  In an engine context the basis is memoized
         by (ring, ordered generators), whichever route built it (``_build``
-        or ``_extend``); outside one each read completes it again.  Each
+        or ``ideal_sum``); outside one each read completes it again.  Each
         working basis element is a unit multiple of the monic one the field
         algorithm keeps, so the leading monomials, the pairs reduced and
         ``steps`` are the field algorithm's."""
@@ -874,18 +876,32 @@ def membership(f: Polynomial, J: Ideal) -> bool:
     _same_ring(f, J)
     if f.is_zero:
         return True
-    return normal_form(f, J.groebner_basis()).is_zero
+    seed = _seed(J)
+    if J.ring.order.kind != GREVLEX:
+        f = _from_dict(seed.ring, dict(f.terms))
+    return normal_form(f, seed).is_zero
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Equality as ideals, decided by comparing reduced Groebner bases."""
+    """Equality as ideals, decided by comparing reduced grevlex bases."""
     _same_ring(a, b)
-    return a.groebner_basis().basis == b.groebner_basis().basis
+    return _seed(a).basis == _seed(b).basis
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
+    """a + b, a's generators then b's: the one builder of a sum, a grade
+    chain's J_k + <x_k> among them.  In an engine context, when b has
+    generators, the grevlex basis (the twin's outside grevlex) is completed
+    from b's generators with a's (``_seed``) settled, the incremental step
+    of Gebauer-Moeller (J. Symb. Comp. 6, 1988), and stored where
+    ``groebner_basis`` reads the twin's; outside one nothing would keep it."""
     _same_ring(a, b)
-    return Ideal(a.ring, a.generators + b.generators)
+    K = Ideal(a.ring, a.generators + b.generators)
+    if b.generators and _ENGINE.get().memo is not None:
+        twin = _grevlex_twin(K)
+        new = twin.generators[len(a.generators) :]
+        _memoized((twin.ring, twin.generators), lambda: _complete(twin.ring, new, (_seed(a), ())))
+    return K
 
 
 def _fresh_names(ring: RingDescriptor, bases: Sequence[str]) -> Tuple[str, ...]:
@@ -940,8 +956,8 @@ def _meet(ring: RingDescriptor, settled: tuple, gens: Sequence[Polynomial]) -> I
 
 
 def _seed(J: Ideal) -> ReducedGB:
-    """J's reduced grevlex basis, its grevlex twin's in any other ring: the
-    seed of every tagged completion from J."""
+    """J's reduced grevlex basis (its twin's in another ring): the seed of
+    every tagged completion and sum from J, and what order-free facts read."""
     return _grevlex_twin(J).groebner_basis()
 
 
@@ -1015,9 +1031,11 @@ def ideal_quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     in one new variable y, (J : I) = (J*R[y] : f_y) cap R: h * f_y lies in
     J*R[y] exactly when every h*g_i lies in J.  So it is one colon by f_y in
     R[y] = ``_tag_ring(ring)``, t idle, and one elimination of y, both from
-    J's reduced grevlex basis lifted into R[y].  The g_i are I's reduced
-    grevlex basis: for s = 1 it is ``ideal_quotient(J, g_1)``, g_1 in J's
-    ring, and else memoized under "colon" with the ring and both bases.
+    J's reduced grevlex basis lifted into R[y].  The colon by f_y meets in
+    ``_tag_ring(R[y])``, k[t', y', t, y, ring], a second layout.  The g_i
+    are I's reduced grevlex basis: for s = 1 it is ``ideal_quotient(J,
+    g_1)``, g_1 in J's ring, and else memoized under "colon" with the ring
+    and both bases.
     """
     _same_ring(J, I)
     if I.is_zero_ideal:
@@ -1043,23 +1061,6 @@ def _grevlex_twin(J: Ideal) -> Ideal:
         return J
     ring = _grevlex_ring(J.ring.field, J.ring.variables)
     return Ideal(ring, [_from_dict(ring, dict(g.terms)) for g in J.generators])
-
-
-def _extend(J: Ideal, x: Polynomial) -> Ideal:
-    """J + <x>, the next ideal of a chain (``grade``'s J_{k+1} = J_k + <x_k>
-    and its replay), generated by J's generators and then x.  In an engine
-    context its grevlex basis, its grevlex twin's in any other ring, is
-    completed here from x with J's (``_seed``) settled, so no pair inside
-    J's basis is formed again (the incremental step of Gebauer-Moeller, J.
-    Symb. Comp. 6, 1988), and stored under the key ``groebner_basis`` reads
-    for the twin; outside one nothing would keep it."""
-    K = Ideal(J.ring, J.generators + (x,))
-    if _ENGINE.get().memo is not None:
-        twin = _grevlex_twin(K)
-        _memoized(
-            (twin.ring, twin.generators), lambda: _complete(twin.ring, twin.generators[-1:], (_seed(J), ()))
-        )
-    return K
 
 
 def saturate(J: Ideal, I: Ideal) -> SaturationResult:

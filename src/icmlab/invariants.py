@@ -62,7 +62,6 @@ from .ideal_engine import (
     Ideal,
     ReducedGB,
     SaturationResult,
-    _extend,
     _in_engine_context,
     _seed,
     ideal_equal,
@@ -88,7 +87,7 @@ from .staircase import minimal_transversals
 class CyclicModule:
     """The cyclic module R/J for a proper ideal J.
 
-    The zero module (1 in J: J's reduced basis is {1}) is rejected outright
+    The zero module (1 in J: its grevlex basis is {1}) is rejected outright
     so that dimension and grade never have to special-case it."""
 
     __slots__ = ("ring", "defining_ideal")
@@ -96,7 +95,7 @@ class CyclicModule:
     def __init__(self, ring: RingDescriptor, defining_ideal: Ideal):
         if defining_ideal.ring != ring:
             raise IncompatibleRingError("defining ideal lives in a different ring")
-        if defining_ideal.groebner_basis().is_unit_ideal:
+        if _seed(defining_ideal).is_unit_ideal:
             raise ZeroModuleError("the defining ideal contains 1; the module is zero")
         self.ring = ring
         self.defining_ideal = defining_ideal
@@ -151,9 +150,9 @@ class MonomialPrime(Record):
 
 
 def variable_prime(I: Ideal) -> Optional[MonomialPrime]:
-    """I as a MonomialPrime when its reduced basis is variables, whatever
+    """I as a MonomialPrime when its grevlex basis is variables, whatever
     the generators (<x, x + y> is <x, y>; <0> is the zero prime), else None."""
-    gens = I.groebner_basis().monomials
+    gens = _seed(I).monomials
     if gens is None or any(sum(m) != 1 for m in gens):
         return None
     return MonomialPrime(I.ring, tuple(m.index(1) for m in gens))
@@ -176,32 +175,30 @@ def _dimension(G: ReducedGB) -> int:
     return staircase.dimension(G.leading_monomials, G.ring.nvars)
 
 
-def _dim_of_quotient(J: Ideal) -> int:
-    G = J.groebner_basis()
-    if G.is_unit_ideal:
-        raise ImproperIdealError("the ideal is the whole ring")
-    return _dimension(G)
-
-
 def krull_dimension(M: CyclicModule) -> int:
-    """dim R/J, via the smallest transversal of the leading-term supports."""
-    return _dim_of_quotient(M.defining_ideal)
+    """dim R/J off J's reduced grevlex basis, in every ring (``CyclicModule``
+    has rejected the unit ideal)."""
+    return _dimension(_seed(M.defining_ideal))
 
 
 def height(J: Ideal) -> int:
-    """height J = n - dim R/J for a proper ideal of the affine ring."""
-    return J.ring.nvars - _dim_of_quotient(J)
+    """height J = n - dim R/J for a proper ideal, off its grevlex basis."""
+    G = _seed(J)
+    if G.is_unit_ideal:
+        raise ImproperIdealError("the ideal is the whole ring")
+    return J.ring.nvars - _dimension(G)
 
 
 def _minimal_monomial_gens(J: Ideal) -> Tuple[Monomial, ...]:
-    """The minimal generators of a proper monomial ideal, read off its basis.
-    The zero ideal has none, and both callers then return the zero prime:
-    the empty set is the one transversal of no supports."""
-    G = J.groebner_basis()
+    """The minimal generators of a proper monomial ideal, off its grevlex
+    basis (an error names an element of the ring's).  The zero ideal has
+    none, and both callers then return the zero prime: the empty set is the
+    one transversal of no supports."""
+    G = _seed(J)
     if G.is_unit_ideal:
         raise ImproperIdealError("the ideal is the whole ring")
     if G.monomials is None:
-        g = next(p for p in G.basis if len(p.terms) > 1)
+        g = next(p for p in J.groebner_basis().basis if len(p.terms) > 1)
         raise NonMonomialError("operation needs a monomial ideal; generator %s has %d terms" % (g, len(g.terms)))
     return G.monomials
 
@@ -249,17 +246,17 @@ def replay_regular_sequence(J: Ideal, I: Ideal, sequence: Sequence[Polynomial]) 
     """Check that ``sequence`` is an R/J-regular sequence inside I: each
     element lies in I and is regular on the quotient by J and the elements
     before it.  Returns J + <sequence>; raises EngineError naming the first
-    element that fails.  Each quotient is ``_extend``'s, as in ``grade``, so
-    a replay in the engine context of the search finds its bases stored;
+    element that fails.  Each quotient is ``ideal_sum``'s, as in ``grade``,
+    so a replay in the engine context of the search finds its bases stored;
     outside any context it opens a default one, since step k reads the
-    basis of step k - 1, which ``_extend`` stored."""
+    basis of step k - 1, which ``ideal_sum`` stored."""
     current = J
     for k, x in enumerate(sequence, 1):
         if not membership(x, I):
             raise EngineError("sequence element %d is not in the test ideal" % k)
         if not is_nonzerodivisor(current, x):
             raise EngineError("sequence element %d is not regular" % k)
-        current = _extend(current, x)
+        current = ideal_sum(current, Ideal(J.ring, [x]))
     return current
 
 
@@ -397,7 +394,7 @@ def grade(M: CyclicModule, I: Ideal, seed: int = 0) -> GradeWitness:
     when none is open), which checks the pair (M, I) once: every later J_k
     lies inside J + I.  Step k runs ``find_regular_element`` on J_k with
     seed ``seed + k`` under the context's search budget, and J_{k+1} =
-    J_k + <x_k> comes from ``_extend``, whose bases are completed from
+    J_k + <x_k> comes from ``ideal_sum``, whose bases are completed from
     J_k's, not from the generators.
 
     A regular element found by the search proves by itself that the sequence
@@ -426,12 +423,13 @@ def _grade_and_dimensions(
     M: CyclicModule, I: Ideal, seed: int
 ) -> Tuple[GradeWitness, int, int]:
     """``grade`` with the two dimensions it bounds the chain by: the
-    witness, dim M and dim M/IM.  It reads the bases of I, J + I and J once
-    each: the pair check, both dimensions and the homogeneity test come from
-    them, and whether I is m from ``variable_prime``, the one reader of
-    "generated by variables".  The grade chain's one runner, so the one
-    that opens a default engine context when none is open.  A graded chain
-    at I = m, J's basis not all terms, tries ``_parameter_chain`` first;
+    witness, dim M and dim M/IM.  It reads the bases of I (in the ring's
+    order, for the search), J + I and J (``_seed``) once each: the pair
+    check, both dimensions and the homogeneity test come from them, and
+    whether I is m from ``variable_prime``, the one reader of "generated by
+    variables".  The grade chain's one runner, so the one that opens a
+    default engine context when none is open.  A graded chain at I = m,
+    J's basis not all terms, tries ``_parameter_chain`` first;
     any other input, and any outcome of it but a certified "yes", runs
     ``_regular_chain`` from the start.  A monomial J skips the route for
     speed alone: over GF(2), with no parameter of degree 1 at its last
@@ -445,12 +443,12 @@ def _grade_and_dimensions(
     if gb_i.is_unit_ideal:
         raise ImproperIdealError("the test ideal is the unit ideal")
     J = M.defining_ideal
-    gb_sum = ideal_sum(J, I).groebner_basis()
+    gb_sum = _seed(ideal_sum(J, I))
     if gb_sum.is_unit_ideal:
         raise IMEqualsMError(
             "I + J is the unit ideal, so I * (R/J) = R/J and grade is undefined"
         )
-    gb_j = J.groebner_basis()
+    gb_j = _seed(J)
     dim_m, dim_mod = _dimension(gb_j), _dimension(gb_sum)
     graded = all(p.is_homogeneous() for p in gb_j.basis + gb_i.basis)
     prime = variable_prime(I)
@@ -473,7 +471,7 @@ def _regular_chain(J: Ideal, I: Ideal, seed: int, bound: int) -> GradeWitness:
             certificate = found
             break
         sequence.append(found)
-        current = _extend(current, found)
+        current = ideal_sum(current, Ideal(J.ring, [found]))
     else:
         certificate = saturate(current, I)
         if certificate.exponent == 0:
@@ -493,7 +491,7 @@ def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: 
 
     Step k draws from ``_candidates`` at seed ``seed + k``, as
     ``find_regular_element``, and accepts the first new candidate x that is
-    a parameter: dim R/(J_k + x), read off ``_extend``'s basis, is one
+    a parameter: dim R/(J_k + x), read off ``ideal_sum``'s basis, is one
     less.  A candidate that is not one lies in a minimal prime of J_k of
     top dimension, and so in one of every later J_k of the chain, so it
     joins the route's set of known non-parameters.  So does an accepted x,
@@ -522,7 +520,7 @@ def _parameter_chain(J: Ideal, variables: Sequence[Polynomial], seed: int, dim: 
                 continue
             if x.total_degree() > 1:
                 return None
-            extended = _extend(current, x)
+            extended = ideal_sum(current, Ideal(J.ring, [x]))
             known.add(x)
             if _dimension(_seed(extended)) < dim - k:
                 break

@@ -735,9 +735,9 @@ class TestEngineMemo:
     @pytest.mark.parametrize("chain_first", [True, False])
     def test_chain_ideal_and_its_generators_share_one_entry(self, monkeypatch, order, chain_first):
         # the key is the ideal's ring and generators, not the route: J + <x>
-        # completed from J's basis by _extend and an Ideal with the same
+        # completed from J's basis by ideal_sum and an Ideal with the same
         # generators cost one completion together, in either order, and
-        # _extend completes nothing when the plain basis was read first; in
+        # ideal_sum completes nothing when the plain basis was read first; in
         # a lex ring the shared basis is the grevlex twin's
         ring, J, v = minors_2xn(3, order=order)
         x = v[0] + v[4]
@@ -747,7 +747,7 @@ class TestEngineMemo:
         monkeypatch.setattr(ideal_engine, "_complete", lambda *a: completions.append(a) or real(*a))
 
         def chain():
-            return ideal_engine._grevlex_twin(ideal_engine._extend(J, x)).groebner_basis()
+            return ideal_engine._grevlex_twin(ideal_sum(J, Ideal(ring, [x]))).groebner_basis()
 
         with engine_context():
             ideal_engine._grevlex_twin(J).groebner_basis()
@@ -963,10 +963,10 @@ class TestWorkCounts:
                 assert main(argv) == 0
         assert dict(counts) == {
             "completions": 594,
-            "pair_loops": 118,
+            "pair_loops": 116,
             "stopped": 6,
             "s_pairs": 284,
-            "kernel_runs": 786,
+            "kernel_runs": 764,
         }
 
 
@@ -1065,6 +1065,57 @@ class TestFglm:
         assert list(gb) == oracles.oracle_buchberger(gens)
         assert gb._divisors == tuple(kernel_divisors(list(gb), gb._packing))
 
+
+class TestOrderFreeFacts:
+    """The facts that do not depend on the term order (the unit ideal,
+    dimension, height, the grade chain's bases, equality, membership) are
+    read off the grevlex basis in every ring, so a lex ring completes or
+    converts a basis of its own only where its elements are printed or
+    drawn from."""
+
+    def test_a_lex_ring_completes_no_basis_of_its_own(self, monkeypatch):
+        # the first five equations of icmbench's katsura(5), katsura-5
+        # without its linear one, over GF(32003): a one-dimensional J whose
+        # lex basis did not finish in a minute; the same answers as in
+        # grevlex, with no _complete or _fglm in the lex ring but the one
+        # conversion of I's basis, the search's candidates; no completion
+        # here takes 70 steps, and a lex completion of J trips the limit
+        names = tuple("u%d" % i for i in range(6))
+        calls = []
+        for name in ("_complete", "_fglm"):
+
+            def spied(ring, *args, name=name, real=getattr(ideal_engine, name)):
+                calls.append((name, ring))
+                return real(ring, *args)
+
+            monkeypatch.setattr(ideal_engine, name, spied)
+
+        def answers(order):
+            ring = RingDescriptor(FieldSpec(32003), names, TermOrder(order))
+            u = [ring.variable(i) for i in range(6)]
+            J, I = Ideal(ring, katsura_but_first(ring)), Ideal(ring, u)
+            f = u[5] * J.generators[0] - u[1] * J.generators[3]
+            with engine_context(step_limit=100):
+                I.groebner_basis()
+                candidates = [name for name, r in calls if r == ring]
+                del calls[:]
+                M = invariants.CyclicModule(ring, J)
+                out = (
+                    invariants.krull_dimension(M),
+                    invariants.height(J),
+                    icm_checker.icm_report(M, I, seed=10000).to_json(),
+                    ideal_equal(J, Ideal(ring, J.generators[::-1])),
+                    ideal_equal(J, I),
+                    membership(f, J),
+                    membership(f + u[5], J),
+                )
+            return out, candidates, [name for name, r in calls if r == ring]
+
+        lex, lex_i, lex_rest = answers("lex")
+        grevlex, _, _ = answers("grevlex")
+        assert lex == grevlex
+        assert lex[:2] == (1, 5) and lex[2]["is_icm"] and lex[3:] == (True, False, True, False)
+        assert (lex_i, lex_rest) == (["_fglm"], [])
 
 class TestFractionFree:
     """Over QQ the completion works on primitive integer polynomials and
@@ -1403,7 +1454,7 @@ class TestSaturationExponent:
         R = RingDescriptor(QQ, ("x", "y", "z", "w"), TermOrder("lex"))
         x, y, z, w = (R.variable(i) for i in range(4))
         gens = [x**2 * z - x * y**2, y * x * w - y**2 * z, y * w - z**2]
-        J = ideal_engine._extend(ideal_engine._extend(Ideal(R, gens[:1]), gens[1]), gens[2])
+        J = ideal_sum(ideal_sum(Ideal(R, gens[:1]), Ideal(R, gens[1:2])), Ideal(R, gens[2:]))
         I = Ideal(R, [x, y])
         rings = []
         real = ideal_engine._complete
@@ -1877,7 +1928,7 @@ class TestMonomialIdeals:
                     x = R.monomial(m, self.coefficient(rng, p))
                     start = 1 + trial % 3
                     with engine_context(), mock.patch.object(ideal_engine, "_width", lambda degree: start):
-                        K = ideal_engine._extend(Ideal(R, gens), x)
+                        K = ideal_sum(Ideal(R, gens), Ideal(R, [x]))
                         twin = ideal_engine._grevlex_twin(K)
                         assert list(twin.groebner_basis()) == oracles.oracle_buchberger(twin.generators), K
                         assert list(K.groebner_basis()) == oracles.oracle_buchberger(K.generators), K
@@ -1911,12 +1962,12 @@ class TestMonomialIdeals:
         assert seeded >= 36, seeded
 
     def test_extend_of_a_monomial_basis_forms_no_pair(self, grown):
-        # <x^2, x*y> + <y^2> through _extend reports the steps buchberger on
+        # <x^2, x*y> + <y^2> through ideal_sum reports the steps buchberger on
         # the same generators reports, 0, and runs no _grow
         R = ring_qq("x", "y")
         x, y = R.variable(0), R.variable(1)
         with engine_context(step_limit=1):
-            K = ideal_engine._extend(Ideal(R, [x**2, x * y]), y**2)
+            K = ideal_sum(Ideal(R, [x**2, x * y]), Ideal(R, [y**2]))
             gb = K.groebner_basis()
         assert gb.steps == buchberger(K.generators).steps == 0
         assert [str(g) for g in gb] == ["y^2", "x*y", "x^2"] and grown == []
@@ -2013,7 +2064,7 @@ class TestMonomialIdeals:
 
 
 class TestExtend:
-    """``_extend(J, x)``, the next ideal of a grade chain: J + <x> with its
+    """``ideal_sum(J, <x>)``, the next ideal of a grade chain: J + <x> with its
     bases completed from J's, settled."""
 
     ORDERS = (TermOrder("grevlex"), TermOrder("lex"), TermOrder("elimination-block", 1))
@@ -2045,7 +2096,7 @@ class TestExtend:
                         homogeneous = (trial + step) % 2 == 0
                         x = self.element(rng, ring, homogeneous)
                         with engine_context() if trial % 3 == 0 else contextlib.nullcontext():
-                            K = ideal_engine._extend(J, x)
+                            K = ideal_sum(J, Ideal(ring, [x]))
                         assert K.generators == J.generators + (x,)
                         assert K.groebner_basis() == buchberger(K.generators, ring=ring), (J, x)
                         grevlex = ideal_engine._grevlex_twin(K).groebner_basis()
@@ -2062,7 +2113,7 @@ class TestExtend:
         assert 0 < seen["unit ideal"] < 72, seen
 
     def test_extend_completes_the_grevlex_basis_once(self, monkeypatch):
-        # _extend completes x with its predecessor's grevlex basis settled,
+        # ideal_sum completes x with its predecessor's grevlex basis settled,
         # once: reading the chain ideal's grevlex basis (its twin's in a lex
         # or elimination ring) completes nothing more, and a non-grevlex
         # ring's own basis comes from its generators, as for any ideal
@@ -2077,7 +2128,7 @@ class TestExtend:
                 J.groebner_basis()
                 ideal_engine._grevlex_twin(J).groebner_basis()
                 del calls[:]
-                K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
+                K = ideal_sum(ideal_sum(J, Ideal(ring, [y**2 - x * z])), Ideal(ring, [z**3]))
                 twin = ideal_engine._grevlex_twin(K)
                 grevlex = twin.ring
                 assert grevlex.order.kind == "grevlex"
@@ -2093,7 +2144,7 @@ class TestExtend:
 
     def test_extend_completes_nothing_outside_a_context(self, monkeypatch):
         # outside a context _memoized stores nothing, so a chain completion
-        # there would be thrown away: two _extend calls complete nothing, and
+        # there would be thrown away: two ideal_sum calls complete nothing, and
         # a read of the chain ideal's basis completes it from its generators;
         # inside a context J's basis and each chain step complete once
         calls = []
@@ -2104,7 +2155,7 @@ class TestExtend:
             x, y, z = (ring.variable(i) for i in range(3))
             J = Ideal(ring, [x * y - z**2])
             del calls[:]
-            K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
+            K = ideal_sum(ideal_sum(J, Ideal(ring, [y**2 - x * z])), Ideal(ring, [z**3]))
             assert calls == []
             gb = K.groebner_basis()
             # outside grevlex the twin's basis is read first; K is
@@ -2113,13 +2164,40 @@ class TestExtend:
             assert [(ring.order.kind, bool(settled)) for ring, _, settled in calls] == [(k, False) for k in want]
             del calls[:]
             with engine_context():
-                K = ideal_engine._extend(ideal_engine._extend(J, y**2 - x * z), z**3)
+                K = ideal_sum(ideal_sum(J, Ideal(ring, [y**2 - x * z])), Ideal(ring, [z**3]))
                 assert [bool(settled) for _, _, settled in calls] == [False, True, True]
                 assert ideal_engine._grevlex_twin(K).groebner_basis() == ideal_engine._grevlex_twin(Ideal(ring, gb.basis)).groebner_basis()
 
+    def test_a_sum_is_one_completion_from_the_first_summand(self, monkeypatch):
+        # ideal_sum is the one builder of a sum: in a context it runs one
+        # completion, of K's generators (its twin's outside grevlex) with
+        # J's grevlex basis settled, and stores the basis the twin reads;
+        # outside a context it runs none
+        calls = []
+        real = ideal_engine._complete
+        monkeypatch.setattr(ideal_engine, "_complete", lambda *a: calls.append(a) or real(*a))
+        for order in self.ORDERS:
+            ring = RingDescriptor(QQ, ("x", "y", "z"), order)
+            x, y, z = (ring.variable(i) for i in range(3))
+            J, K = Ideal(ring, [x * y - z**2]), Ideal(ring, [y**2 - x * z, x**3 - y * z])
+            del calls[:]
+            S = ideal_sum(J, K)
+            assert calls == [] and S.generators == J.generators + K.generators
+            with engine_context():
+                seed = ideal_engine._seed(J)
+                del calls[:]
+                S = ideal_sum(J, K)
+                twin = ideal_engine._grevlex_twin(S)
+                assert [(r, gens, settled[0] is seed) for r, gens, settled in calls] == [
+                    (twin.ring, twin.generators[1:], True)
+                ]
+                gb = ideal_engine._seed(S)
+                assert len(calls) == 1
+            assert gb == buchberger(twin.generators)
+
     def test_the_seed_of_a_chain_ideal_is_stored(self, monkeypatch):
         # the tagged completions from a chain ideal start from the basis
-        # _extend stored, also in a lex or elimination ring, where it is
+        # ideal_sum stored, also in a lex or elimination ring, where it is
         # the grevlex twin's
         calls = []
         real = ideal_engine._complete
@@ -2128,7 +2206,7 @@ class TestExtend:
             ring = RingDescriptor(QQ, ("x", "y", "z"), order)
             x, y, z = (ring.variable(i) for i in range(3))
             with engine_context():
-                K = ideal_engine._extend(Ideal(ring, [x * y - z**2]), y**2 - x * z)
+                K = ideal_sum(Ideal(ring, [x * y - z**2]), Ideal(ring, [y**2 - x * z]))
                 del calls[:]
                 seed = ideal_engine._seed(K)
                 assert not calls
@@ -2197,9 +2275,10 @@ class TestExtend:
         assert w.value == 4  # dim of the 2x4 minors, 2 + 4 - 1, less dim M/IM = 1
         plain = [gens for r, gens, settled in calls if r == ring and not settled]
         assert plain and not [gens for gens in plain if gens in chain]
-        # each step is one completion of x_k with J_k's basis settled
+        # J + I is one completion of I's generators with J's basis settled,
+        # and each step one completion of x_k with J_k's basis settled
         seeded = [list(gens) for r, gens, settled in calls if r == ring and settled]
-        assert seeded == [[x] for x in w.sequence]
+        assert seeded == [list(I.generators)] + [[x] for x in w.sequence]
 
     @pytest.mark.parametrize(
         "entry, completions",
@@ -2219,7 +2298,7 @@ class TestExtend:
     )
     def test_entry_points_open_their_own_context(self, monkeypatch, entry, completions):
         # each entry point reads one basis many times (step k of a chain or
-        # a replay reads the basis of step k - 1, which _extend stored, and
+        # a replay reads the basis of step k - 1, which ideal_sum stored, and
         # a relation check runs several chains or replays on one module);
         # outside a context it opens a default one, so it completes exactly
         # as often as inside one.  At I = m a chain completes J_k + <x> for
